@@ -59,6 +59,8 @@ import numpy as np
 
 from pstokes.grids import TimeGrid, weight_a, weight_antiderivative
 from pstokes.noise import (
+    _GAUSS3_NODES,
+    _GAUSS3_WEIGHTS,
     NoiseModel,
     WienerPath,
     data_G_n,
@@ -73,6 +75,7 @@ from pstokes.spaces import (
     StructuredLocator,
     pressure_lp_norm,
     sym_grad_at_qp,
+    sym_grad_p_power,
     velocity_at_qp,
     velocity_load_vector,
 )
@@ -259,7 +262,7 @@ def stability_stats(
         e_max_s.append(float(np.diag(G)[1:].max()))
         diss_s.append(
             sum(
-                tau * _sym_grad_p_power(f.coeffs, ops, p)
+                tau * sym_grad_p_power(f.coeffs, ops, p)
                 for f in traj.fields[1:]
             )
         )
@@ -317,13 +320,6 @@ def stability_stats(
         sto_besov_8=sb8,
         stderr=stderr,
     )
-
-
-def _sym_grad_p_power(u_coeffs: np.ndarray, ops: AssembledOperators, p: float) -> float:
-    """int |eps u|^p by quadrature (the p-th power, not the norm)."""
-    eps = sym_grad_at_qp(u_coeffs, ops)
-    mag = np.sqrt(np.einsum("tqcd,tqcd->tq", eps, eps))
-    return float(np.einsum("tq,tq->", ops.qw, mag**p))
 
 
 # ---------------------------------------------------------------------------
@@ -676,10 +672,6 @@ def _initial_gap(
     pr = _project_div_batch(D, ops_coarse)
     gap = pr[0] - pr[1]
     return float(gap @ (ops_coarse.M_full @ gap))
-
-
-_GAUSS3_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
-_GAUSS3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
 
 
 def _data_term(

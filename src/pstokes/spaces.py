@@ -44,10 +44,10 @@ __all__ = [
     "divergence_pointwise_max",
     "norms",
     "interpolate_velocity",
-    "l2_project_velocity",
     "velocity_at_qp",
     "velocity_load_vector",
     "sym_grad_at_qp",
+    "sym_grad_p_power",
     "stress_residual_vector",
     "stress_tangent_matrix",
     "StructuredLocator",
@@ -485,12 +485,17 @@ def norms(v: Field, kind: str, ops: AssembledOperators, p: float | None = None) 
     if kind == "Lp_of_sym_grad":
         if p is None:
             raise ValueError("Lp_of_sym_grad needs the exponent p")
-        eps = sym_grad_at_qp(v.coeffs, ops)
-        mag = np.sqrt(np.einsum("tqcd,tqcd->tq", eps, eps))
-        return float(np.einsum("tq,tq->", ops.qw, mag**p) ** (1.0 / p))
+        return sym_grad_p_power(v.coeffs, ops, p) ** (1.0 / p)
     if kind == "Linf_div":
         return divergence_pointwise_max(v, ops)
     raise ValueError(f"unknown norm kind {kind!r}")
+
+
+def sym_grad_p_power(u_coeffs: np.ndarray, ops: AssembledOperators, p: float) -> float:
+    """int |eps u|^p by quadrature (the p-th power, not the norm)."""
+    eps = sym_grad_at_qp(u_coeffs, ops)
+    mag = np.sqrt(np.einsum("tqcd,tqcd->tq", eps, eps))
+    return float(np.einsum("tq,tq->", ops.qw, mag**p))
 
 
 def pressure_lp_norm(q: Field, ops: AssembledOperators, p: float) -> float:
@@ -521,12 +526,6 @@ def interpolate_velocity(
         vals = vals.copy()
         vals[ops.space_v.boundary_node] = 0.0
     return Field("velocity", vals.ravel())
-
-
-def l2_project_velocity(rhs_functional: np.ndarray, ops: AssembledOperators) -> Field:
-    """Velocity field with (w, xi) = rhs_functional[xi] for free xi."""
-    w_free = ops.mass_free_lu().solve(rhs_functional[ops.free])
-    return Field("velocity", _full_velocity(ops, w_free))
 
 
 def stress_residual_vector(

@@ -6,29 +6,38 @@ Each step solves the constrained system
         = (u_{n-1} + G_n(u_{(n-2) v 0}) DW_n, xi)   for all xi in V_h,
     (div u_n, q) = 0                                 for all q in Q_h,
 
-by damped Newton on the KKT system, with the pressure-mean multiplier
-removing the constant nullspace.  The constraint rows are linear and the
-iteration starts from the feasible u_{n-1}, so every Newton iterate is
-discretely divergence free; combined with the Scott-Vogelius inclusion
-div V_h in Q_h that makes the velocity pointwise divergence free up to
-solver tolerance at every step.
+by one damped Newton driver: Armijo backtracking on the residual norm,
+a lagged Jacobian factorization that is rebuilt only when the expansion
+point has drifted, the line search fails on a stale factor, or a stale
+direction barely contracts.  For small time steps most Newton
+iterations are then a single back-substitution.  A step Newton does not
+finish falls back to the Kacanov (Picard) iteration, which freezes the
+radial stress weight at the previous iterate.  At p = 2 the step is
+linear: one factorization serves the whole trajectory (and every Monte
+Carlo sample on the same grid) and the step is a single solve.
 
-The Jacobian factorization is lagged: it is rebuilt only when the
-expansion point has drifted or the line search degrades, so for small
-time steps most Newton iterations are a single back-substitution.  At
-p = 2 the step is linear and one factorization serves the whole
-trajectory (and every Monte Carlo sample on the same grid).
+The driver and the fallback run over one of two direction backends,
+picked by SchemeConfig.solver, each of which evaluates the residual,
+factors the step matrix and solves with the factor:
 
-Two interchangeable direction solvers are provided.  solver="kkt"
-factors the full saddle system and carries the pressure-increment
-multiplier along (the form the reconstruction identities are checked
-against).  solver="stream" solves the same Galerkin problem in the
-explicit divergence-free basis (curl of the composite-cubic stream
-functions, see streamfunc): the factorizations are an order of
-magnitude cheaper, iterates stay exactly divergence free, and no
-multiplier is produced (the pressure reconstruction recovers it from
-the trajectory when needed).  Both backends produce the same velocity
-trajectory up to solver tolerance.
+* "kkt" factors the full saddle system; the iterate carries the
+  pressure-increment multiplier lam and the pressure-mean multiplier
+  that removes the constant nullspace.  lam is the quantity the
+  reconstruction identities are checked against.
+* "stream" solves the same Galerkin problem in the explicit
+  divergence-free basis (curl of the composite-cubic stream functions,
+  see streamfunc): the factorizations are an order of magnitude
+  cheaper, iterates stay exactly divergence free, and no multiplier is
+  produced (the pressure reconstruction recovers it from the trajectory
+  when needed).
+
+The constraint rows are linear, Newton starts from the feasible u_{n-1},
+and the linear step and the fallback solve the constrained system
+outright, so with either backend every iterate is discretely divergence
+free; with the Scott-Vogelius inclusion div V_h in Q_h that makes the
+velocity pointwise divergence free up to solver tolerance at every
+step.  Both backends produce the same velocity trajectory up to solver
+tolerance.
 """
 
 from __future__ import annotations
@@ -95,9 +104,10 @@ class NewtonConfig:
 class SchemeConfig:
     """Everything one scheme instance needs besides the mesh.
 
-    solver picks the Newton direction backend: "kkt" (full saddle
-    factorization, carries multipliers) or "stream" (divergence-free
-    reduced basis, faster, multipliers recovered by reconstruction)."""
+    solver picks the backend the one Newton driver and its Kacanov
+    fallback run over: "kkt" (full saddle factorization, carries the
+    multipliers) or "stream" (divergence-free reduced basis, faster,
+    multipliers recovered by reconstruction)."""
 
     params: PowerLawParams
     grid: TimeGrid
@@ -192,10 +202,12 @@ def hs_norm(g_vals: np.ndarray, ops: AssembledOperators) -> float:
 class StepperWorkspace:
     """Per-(mesh, config) scratch shared across steps and samples.
 
-    Holds the noise mode values at quadrature points and the lagged
-    Jacobian factorization.  Never mutated by concurrent trajectories in
-    ways that affect results: the cached factorizations are pure solver
-    accelerators keyed on the expansion point.
+    Holds the noise mode values at quadrature points, the direction
+    backend of config.solver, and two factorization slots: the lagged
+    Newton factor with the point it was built at, and the p = 2 factor.
+    Never mutated by concurrent trajectories in ways that affect
+    results: the cached factorizations are pure solver accelerators
+    keyed on the expansion point.
     """
 
     def __init__(self, config: SchemeConfig, ops: AssembledOperators):
@@ -207,13 +219,10 @@ class StepperWorkspace:
             self.g_qp = config.model.mode_values(qp).reshape(-1, n_tri, nq, 2)
         else:
             self.g_qp = None
-        self._saddle: SaddleSolver | None = None
-        self._factor_point: np.ndarray | None = None
-        self._lin_saddle: SaddleSolver | None = None
-        self._stream_HM = None
-        self._stream_factor = None
-        self._stream_point: np.ndarray | None = None
-        self._lin_stream = None
+        self.backend = (_KKTBackend if config.solver == "kkt" else _StreamBackend)(self)
+        self._stream: tuple | None = None
+        self._lagged: tuple | None = None
+        self._linear = None
         self.refactor_count = 0
 
     @property
@@ -222,61 +231,33 @@ class StepperWorkspace:
 
     def stream_gram(self):
         """(C, C^T M C) for the divergence-free basis, built lazily."""
-        C = stream_curl_basis(self.ops)
-        if self._stream_HM is None:
-            self._stream_HM = (C.T @ (self.ops.M_free @ C)).tocsc()
-        return C, self._stream_HM
+        if self._stream is None:
+            C = stream_curl_basis(self.ops)
+            self._stream = (C, (C.T @ (self.ops.M_free @ C)).tocsc())
+        return self._stream
 
-    def _stream_factorize(self, u_full: np.ndarray):
-        C, HM = self.stream_gram()
-        K = stress_tangent_matrix(u_full, self.ops, self.config.params)
-        H = HM + self.config.grid.tau * (C.T @ (K @ C))
-        self.refactor_count += 1
-        return spla.splu(H.tocsc())
+    def linear_factor(self):
+        """The p = 2 factor: the tangent does not depend on u, so one
+        factorization serves every step and sample."""
+        if self._linear is None:
+            self._linear = self.backend.factorize(np.zeros(self.ops.space_v.n_dofs))
+        return self._linear
 
-    def linear_stream(self):
-        if self._lin_stream is None:
-            self._lin_stream = self._stream_factorize(
-                np.zeros(self.ops.space_v.n_dofs)
-            )
-        return self._lin_stream
+    # the name perfbench pre-warms the p = 2 stream factor by
+    linear_stream = linear_factor
 
-    def stream_at(self, u_full: np.ndarray, force: bool = False):
-        """Reduced-Hessian factorization with the same lag policy as
-        saddle_at."""
-        if not force and self._stream_factor is not None:
-            drift = np.abs(u_full - self._stream_point).max()
-            scale = max(np.abs(self._stream_point).max(), 1e-12)
+    def lagged_factor(self, u_full: np.ndarray, force: bool = False):
+        """(factor, fresh): the Newton factor, reused while the point it
+        was built at is within lag_threshold (relative sup-norm) of
+        u_full; fresh tells whether it was built by this call."""
+        if not force and self._lagged is not None:
+            factor, point = self._lagged
+            drift = np.abs(u_full - point).max()
+            scale = max(np.abs(point).max(), 1e-12)
             if drift <= self.config.newton.lag_threshold * scale:
-                return self._stream_factor
-        self._stream_factor = self._stream_factorize(u_full)
-        self._stream_point = u_full.copy()
-        return self._stream_factor
-
-    def linear_saddle(self) -> SaddleSolver:
-        if self._lin_saddle is None:
-            K = stress_tangent_matrix(
-                np.zeros(self.ops.space_v.n_dofs), self.ops, self.config.params
-            )
-            tau = self.config.grid.tau
-            self._lin_saddle = SaddleSolver(self.ops.M_free + tau * K, self.ops)
-            self.refactor_count += 1
-        return self._lin_saddle
-
-    def saddle_at(self, u_full: np.ndarray, force: bool = False) -> SaddleSolver:
-        """Jacobian KKT factorization, reused while the expansion point
-        is within lag_threshold (relative sup-norm) of u_full."""
-        if not force and self._saddle is not None:
-            drift = np.abs(u_full - self._factor_point).max()
-            scale = max(np.abs(self._factor_point).max(), 1e-12)
-            if drift <= self.config.newton.lag_threshold * scale:
-                return self._saddle
-        K = stress_tangent_matrix(u_full, self.ops, self.config.params)
-        tau = self.config.grid.tau
-        self._saddle = SaddleSolver(self.ops.M_free + tau * K, self.ops)
-        self._factor_point = u_full.copy()
-        self.refactor_count += 1
-        return self._saddle
+                return factor, False
+        self._lagged = (self.backend.factorize(u_full), u_full.copy())
+        return self._lagged[0], True
 
     def noise_rhs(
         self, n: int, u_lag_coeffs: np.ndarray, dW: np.ndarray
@@ -294,49 +275,116 @@ class StepperWorkspace:
         return load, hs_norm(G_vals, ops)
 
 
-def _kkt_residual(
-    u_full: np.ndarray,
-    lam: np.ndarray,
-    mu: float,
-    rhs_free: np.ndarray,
-    tau: float,
-    ops: AssembledOperators,
-    params: PowerLawParams,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    Fu = (
-        (ops.M_full @ u_full)[ops.free]
-        + tau * stress_residual_vector(u_full, ops, params)
-        - ops.B_free.T @ lam
-        - rhs_free
-    )
-    Fp = ops.B_free @ u_full[ops.free] + ops.cvec * mu
-    Fc = float(ops.cvec @ lam)
-    return Fu, Fp, Fc
+class _Backend:
+    """What the Newton driver and the Kacanov fallback ask of a solver.
+
+    An iterate is one flat vector: the full velocity coefficients
+    followed by the n_multipliers multipliers the backend carries.
+    Subclasses supply residual(x, rhs) -> (F, ||F||), direction(factor,
+    F) -> dx solving J dx = -F, solve(factor, rhs) -> the iterate that
+    solves the factored linear system outright, and _factor(K), the
+    factorization of the step matrix with stress linearization K.
+    """
+
+    n_multipliers = 0
+
+    def __init__(self, work: StepperWorkspace):
+        self.work = work
+        self.n = work.ops.space_v.n_dofs
+
+    def lift(self, u_full: np.ndarray) -> np.ndarray:
+        """The iterate with velocity u_full and zero multipliers."""
+        return np.concatenate([u_full, np.zeros(self.n_multipliers)])
+
+    def velocity(self, x: np.ndarray) -> np.ndarray:
+        return x[: self.n]
+
+    def multiplier(self, x: np.ndarray) -> np.ndarray | None:
+        return None
+
+    def factorize(self, u_full: np.ndarray, picard: bool = False):
+        """Factor the step matrix linearized at u_full: the Newton
+        Jacobian, or with picard the radial-weight (Kacanov) matrix."""
+        work = self.work
+        K = stress_tangent_matrix(u_full, work.ops, work.config.params, picard=picard)
+        work.refactor_count += 1
+        return self._factor(K)
+
+    def _stress_form(self, u_full: np.ndarray) -> np.ndarray:
+        """(u, xi) + tau (S(eps u), eps xi) on free dofs."""
+        ops, cfg = self.work.ops, self.work.config
+        return (ops.M_full @ u_full)[ops.free] + cfg.grid.tau * stress_residual_vector(
+            u_full, ops, cfg.params
+        )
+
+    def _velocity_iterate(self, u_free: np.ndarray) -> np.ndarray:
+        x = np.zeros(self.n + self.n_multipliers)
+        x[: self.n][self.work.ops.free] = u_free
+        return x
 
 
-def _residual_norm(Fu: np.ndarray, Fp: np.ndarray, Fc: float) -> float:
-    return float(np.sqrt(Fu @ Fu + Fp @ Fp + Fc * Fc))
+class _KKTBackend(_Backend):
+    """Newton on the full saddle system; the iterate stacks (u, lam, mu),
+    lam the pressure-increment multiplier and mu the pressure-mean one."""
+
+    def __init__(self, work: StepperWorkspace):
+        super().__init__(work)
+        self.n_multipliers = work.ops.n_pressure + 1
+
+    def multiplier(self, x: np.ndarray) -> np.ndarray:
+        return x[self.n : -1]
+
+    def residual(self, x: np.ndarray, rhs_free: np.ndarray):
+        ops = self.work.ops
+        u_full, lam, mu = x[: self.n], x[self.n : -1], x[-1]
+        Fu = self._stress_form(u_full) - ops.B_free.T @ lam - rhs_free
+        Fp = ops.B_free @ u_full[ops.free] + ops.cvec * mu
+        Fc = float(ops.cvec @ lam)
+        return (Fu, Fp, Fc), float(np.sqrt(Fu @ Fu + Fp @ Fp + Fc * Fc))
+
+    def _factor(self, K) -> SaddleSolver:
+        ops = self.work.ops
+        return SaddleSolver(ops.M_free + self.work.config.grid.tau * K, ops)
+
+    def _pack(self, u_free: np.ndarray, lam: np.ndarray, mu: float) -> np.ndarray:
+        x = self._velocity_iterate(u_free)
+        x[self.n : -1] = lam
+        x[-1] = mu
+        return x
+
+    def direction(self, factor: SaddleSolver, F) -> np.ndarray:
+        Fu, Fp, Fc = F
+        return self._pack(*factor.solve(-Fu, -Fp, -Fc))
+
+    def solve(self, factor: SaddleSolver, rhs_free: np.ndarray) -> np.ndarray:
+        return self._pack(*factor.solve(rhs_free))
 
 
-def _stream_residual(
-    u_full: np.ndarray,
-    rhs_free: np.ndarray,
-    tau: float,
-    ops: AssembledOperators,
-    params: PowerLawParams,
-    C,
-) -> np.ndarray:
-    """Momentum residual tested against the divergence-free basis.
+class _StreamBackend(_Backend):
+    """Newton in the divergence-free basis C; the iterate is u.
 
-    Equals C^T of the KKT momentum residual for any multiplier, since
-    C^T B^T = (B C)^T = 0; the constraint rows stay satisfied because
-    every update lies in the span of C."""
-    Fu = (
-        (ops.M_full @ u_full)[ops.free]
-        + tau * stress_residual_vector(u_full, ops, params)
-        - rhs_free
-    )
-    return C.T @ Fu
+    The residual is the momentum residual tested against the basis,
+    C^T Fu.  It equals C^T of the KKT momentum residual for any
+    multiplier, since C^T B^T = (B C)^T = 0; the constraint rows stay
+    satisfied because every update lies in the span of C."""
+
+    def residual(self, u_full: np.ndarray, rhs_free: np.ndarray):
+        C, _ = self.work.stream_gram()
+        F = C.T @ (self._stress_form(u_full) - rhs_free)
+        return F, float(np.linalg.norm(F))
+
+    def _factor(self, K):
+        C, HM = self.work.stream_gram()
+        H = HM + self.work.config.grid.tau * (C.T @ (K @ C))
+        return spla.splu(H.tocsc())
+
+    def direction(self, factor, F: np.ndarray) -> np.ndarray:
+        C, _ = self.work.stream_gram()
+        return self._velocity_iterate(C @ factor.solve(-F))
+
+    def solve(self, factor, rhs_free: np.ndarray) -> np.ndarray:
+        C, _ = self.work.stream_gram()
+        return self._velocity_iterate(C @ factor.solve(C.T @ rhs_free))
 
 
 def velocity_step(
@@ -347,291 +395,118 @@ def velocity_step(
     config: SchemeConfig,
     ops: AssembledOperators,
     work: StepperWorkspace | None = None,
-) -> tuple[Field, np.ndarray, np.ndarray, StepStats]:
+) -> tuple[Field, np.ndarray | None, np.ndarray, StepStats]:
     """One implicit step; returns (u_n, multiplier, noise_load, stats).
 
     u_lag must be u_{(n-2) v 0}; the only increment read is DW_n.  The
     noise load is the assembled (G_n DW_n, xi) on free dofs, returned so
     the pressure reconstruction can verify its equation against data
-    that was not derived from the solved step itself.
+    that was not derived from the solved step itself.  The multiplier is
+    None for solver="stream".
     """
     if work is None:
         work = StepperWorkspace(config, ops)
-    tau = config.grid.tau
-    params = config.params
+    nt = work.config.newton
+    backend = work.backend
     dW = increments.increment(n)
     noise_free, hs_G = work.noise_rhs(n, u_lag.coeffs, dW)
     rhs_free = (ops.M_full @ u_prev.coeffs)[ops.free] + noise_free
-
-    if config.solver == "stream":
-        return _velocity_step_stream(
-            u_prev, rhs_free, noise_free, hs_G, config, ops, work
-        )
+    refactors_before = work.refactor_count
 
     if work.is_linear:
-        u_f, lam, _mu = work.linear_saddle().solve(rhs_free)
-        u_full = np.zeros(ops.space_v.n_dofs)
-        u_full[ops.free] = u_f
-        res = _residual_norm(*_kkt_residual(u_full, lam, 0.0, rhs_free, tau, ops, params))
-        stats = StepStats(1, res, 0, res <= 10 * config.newton.abs_tol, hs_G=hs_G)
-        return _finish_step(u_full, lam, u_prev, noise_free, tau, ops, params, stats)
+        x = backend.solve(work.linear_factor(), rhs_free)
+        _, res = backend.residual(x, rhs_free)
+        iterations, converged, used_picard = 1, res <= 10 * nt.abs_tol, False
+    else:
+        x, res, iterations, converged = _newton(backend.lift(u_prev.coeffs), rhs_free, work)
+        used_picard = not converged
+        if used_picard:
+            x, res = _picard_fallback(u_prev.coeffs, rhs_free, work)
+            converged = res <= nt.abs_tol
 
-    nt = config.newton
-    u_full = u_prev.coeffs.copy()
-    lam = np.zeros(ops.n_pressure)
-    mu = 0.0
-    refactors_before = work.refactor_count
-    converged = False
-    used_picard = False
-    res = np.inf
-    iterations = 0
-
-    Fu, Fp, Fc = _kkt_residual(u_full, lam, mu, rhs_free, tau, ops, params)
-    force_fresh = False
-    for it in range(1, nt.max_iter + 1):
-        iterations = it
-        res = _residual_norm(Fu, Fp, Fc)
-        if res <= nt.abs_tol:
-            converged = True
-            break
-        before = work.refactor_count
-        saddle = work.saddle_at(u_full, force=force_fresh)
-        was_fresh = work.refactor_count > before
-        force_fresh = False
-        du_f, dlam, dmu = saddle.solve(-Fu, -Fp, -Fc)
-        du = np.zeros_like(u_full)
-        du[ops.free] = du_f
-
-        step = 1.0
-        accepted = False
-        retried_fresh = False
-        while True:
-            trial_u = u_full + step * du
-            trial_lam = lam + step * dlam
-            trial_mu = mu + step * dmu
-            tFu, tFp, tFc = _kkt_residual(trial_u, trial_lam, trial_mu, rhs_free, tau, ops, params)
-            tres = _residual_norm(tFu, tFp, tFc)
-            if tres <= (1.0 - 1e-4 * step) * res:
-                u_full, lam, mu = trial_u, trial_lam, trial_mu
-                Fu, Fp, Fc = tFu, tFp, tFc  # carried into the next iteration
-                accepted = True
-                break
-            step *= nt.armijo
-            if step < nt.min_step:
-                if not retried_fresh and not was_fresh:
-                    # stale Jacobian is the usual culprit: refactor at the
-                    # current point and retry the search once
-                    saddle = work.saddle_at(u_full, force=True)
-                    was_fresh = True
-                    du_f, dlam, dmu = saddle.solve(-Fu, -Fp, -Fc)
-                    du = np.zeros_like(u_full)
-                    du[ops.free] = du_f
-                    step = 1.0
-                    retried_fresh = True
-                    continue
-                break
-        if not accepted:
-            break
-        # a stale direction may pass the line search while barely
-        # contracting; when that happens refresh the factorization
-        # before the next correction
-        if not was_fresh and tres > nt.contraction * res:
-            force_fresh = True
-
-    if not converged:
-        u_full, lam, mu, res, used_picard = _picard_fallback(
-            u_prev.coeffs, rhs_free, config, ops, work
-        )
-        converged = res <= nt.abs_tol
-
-    stats = StepStats(
-        iterations=iterations,
-        residual=res,
-        refactorizations=work.refactor_count - refactors_before,
-        converged=converged,
-        used_picard=used_picard,
-        hs_G=hs_G,
-    )
-    return _finish_step(u_full, lam, u_prev, noise_free, tau, ops, params, stats)
-
-
-def _picard_fallback(
-    u_start: np.ndarray,
-    rhs_free: np.ndarray,
-    config: SchemeConfig,
-    ops: AssembledOperators,
-    work: StepperWorkspace,
-) -> tuple[np.ndarray, np.ndarray, float, float, bool]:
-    """Fixed-point iteration with the radial-weight (Kacanov) matrix.
-    Returns the best iterate found (by KKT residual)."""
-    tau = config.grid.tau
-    params = config.params
-    u_full = u_start.copy()
-    lam = np.zeros(ops.n_pressure)
-    mu = 0.0
-    best = (u_full, lam, mu, np.inf)
-    for _ in range(config.newton.picard_iters):
-        K = stress_tangent_matrix(u_full, ops, params, picard=True)
-        saddle = SaddleSolver(ops.M_free + tau * K, ops)
-        work.refactor_count += 1
-        u_f, lam, mu = saddle.solve(rhs_free)
-        u_full = np.zeros(ops.space_v.n_dofs)
-        u_full[ops.free] = u_f
-        res = _residual_norm(*_kkt_residual(u_full, lam, mu, rhs_free, tau, ops, params))
-        if res < best[3]:
-            best = (u_full.copy(), lam.copy(), mu, res)
-        if res <= config.newton.abs_tol:
-            break
-    u_full, lam, mu, res = best
-    return u_full, lam, mu, res, True
-
-
-def _velocity_step_stream(
-    u_prev: Field,
-    rhs_free: np.ndarray,
-    noise_free: np.ndarray,
-    hs_G: float,
-    config: SchemeConfig,
-    ops: AssembledOperators,
-    work: StepperWorkspace,
-) -> tuple[Field, None, np.ndarray, StepStats]:
-    """The same damped lagged Newton as the KKT path, formulated in the
-    divergence-free basis; returns no multiplier."""
-    tau = config.grid.tau
-    params = config.params
-    nt = config.newton
-    C, _ = work.stream_gram()
-
-    if work.is_linear:
-        u_full = np.zeros(ops.space_v.n_dofs)
-        u_full[ops.free] = C @ work.linear_stream().solve(C.T @ rhs_free)
-        res = float(
-            np.linalg.norm(_stream_residual(u_full, rhs_free, tau, ops, params, C))
-        )
-        stats = StepStats(1, res, 0, res <= 10 * nt.abs_tol, hs_G=hs_G)
-        return _finish_step(u_full, None, u_prev, noise_free, tau, ops, params, stats)
-
-    u_full = u_prev.coeffs.copy()
-    refactors_before = work.refactor_count
-    converged = False
-    used_picard = False
-    res = np.inf
-    iterations = 0
-
-    Fr = _stream_residual(u_full, rhs_free, tau, ops, params, C)
-    force_fresh = False
-    for it in range(1, nt.max_iter + 1):
-        iterations = it
-        res = float(np.linalg.norm(Fr))
-        if res <= nt.abs_tol:
-            converged = True
-            break
-        before = work.refactor_count
-        factor = work.stream_at(u_full, force=force_fresh)
-        was_fresh = work.refactor_count > before
-        force_fresh = False
-        du = np.zeros_like(u_full)
-        du[ops.free] = C @ factor.solve(-Fr)
-
-        step = 1.0
-        accepted = False
-        retried_fresh = False
-        while True:
-            trial_u = u_full + step * du
-            tFr = _stream_residual(trial_u, rhs_free, tau, ops, params, C)
-            tres = float(np.linalg.norm(tFr))
-            if tres <= (1.0 - 1e-4 * step) * res:
-                u_full = trial_u
-                Fr = tFr
-                accepted = True
-                break
-            step *= nt.armijo
-            if step < nt.min_step:
-                if not retried_fresh and not was_fresh:
-                    factor = work.stream_at(u_full, force=True)
-                    was_fresh = True
-                    du = np.zeros_like(u_full)
-                    du[ops.free] = C @ factor.solve(-Fr)
-                    step = 1.0
-                    retried_fresh = True
-                    continue
-                break
-        if not accepted:
-            break
-        if not was_fresh and tres > nt.contraction * res:
-            force_fresh = True
-
-    if not converged:
-        u_full, res, used_picard = _picard_fallback_stream(
-            u_prev.coeffs, rhs_free, config, ops, work
-        )
-        converged = res <= nt.abs_tol
-
-    stats = StepStats(
-        iterations=iterations,
-        residual=res,
-        refactorizations=work.refactor_count - refactors_before,
-        converged=converged,
-        used_picard=used_picard,
-        hs_G=hs_G,
-    )
-    return _finish_step(u_full, None, u_prev, noise_free, tau, ops, params, stats)
-
-
-def _picard_fallback_stream(
-    u_start: np.ndarray,
-    rhs_free: np.ndarray,
-    config: SchemeConfig,
-    ops: AssembledOperators,
-    work: StepperWorkspace,
-) -> tuple[np.ndarray, float, bool]:
-    """Kacanov fixed-point iteration in the divergence-free basis."""
-    tau = config.grid.tau
-    params = config.params
-    C, HM = work.stream_gram()
-    u_full = u_start.copy()
-    best = (u_full, np.inf)
-    for _ in range(config.newton.picard_iters):
-        K = stress_tangent_matrix(u_full, ops, params, picard=True)
-        H = HM + tau * (C.T @ (K @ C))
-        work.refactor_count += 1
-        x = spla.splu(H.tocsc()).solve(C.T @ rhs_free)
-        u_full = np.zeros(ops.space_v.n_dofs)
-        u_full[ops.free] = C @ x
-        res = float(
-            np.linalg.norm(_stream_residual(u_full, rhs_free, tau, ops, params, C))
-        )
-        if res < best[1]:
-            best = (u_full.copy(), res)
-        if res <= config.newton.abs_tol:
-            break
-    return best[0], best[1], True
-
-
-def _finish_step(
-    u_full: np.ndarray,
-    lam: np.ndarray,
-    u_prev: Field,
-    noise_free: np.ndarray,
-    tau: float,
-    ops: AssembledOperators,
-    params: PowerLawParams,
-    stats: StepStats,
-) -> tuple[Field, np.ndarray, np.ndarray, StepStats]:
-    u_n = Field("velocity", u_full)
-    diss = dissipation_pairing(u_full, ops, params)
+    u_full = backend.velocity(x)
+    diss = dissipation_pairing(u_full, ops, work.config.params)
     d = u_full - u_prev.coeffs
     M = ops.M_full
     defect = (
         u_full @ (M @ u_full)
         - u_prev.coeffs @ (M @ u_prev.coeffs)
         + d @ (M @ d)
-        + 2.0 * tau * diss
+        + 2.0 * work.config.grid.tau * diss
         - 2.0 * float(noise_free @ u_full[ops.free])
     )
-    stats.dissipation = diss
-    stats.energy_defect = float(defect)
-    return u_n, lam, noise_free, stats
+    stats = StepStats(
+        iterations=iterations,
+        residual=res,
+        refactorizations=work.refactor_count - refactors_before,
+        converged=converged,
+        used_picard=used_picard,
+        energy_defect=float(defect),
+        dissipation=diss,
+        hs_G=hs_G,
+    )
+    return Field("velocity", u_full), backend.multiplier(x), noise_free, stats
+
+
+def _newton(
+    x: np.ndarray, rhs_free: np.ndarray, work: StepperWorkspace
+) -> tuple[np.ndarray, float, int, bool]:
+    """Damped Newton from the iterate x on the lagged factorization:
+    each correction is backtracked (Armijo) until the residual norm
+    drops.  Returns (x, residual, iterations, converged)."""
+    nt = work.config.newton
+    backend = work.backend
+    F, res = backend.residual(x, rhs_free)
+    force_fresh = False
+    for it in range(1, nt.max_iter + 1):
+        if res <= nt.abs_tol:
+            return x, res, it, True
+        factor, fresh = work.lagged_factor(backend.velocity(x), force=force_fresh)
+        dx = backend.direction(factor, F)
+        step = 1.0
+        retried = False
+        while True:
+            trial = x + step * dx
+            tF, tres = backend.residual(trial, rhs_free)
+            if tres <= (1.0 - 1e-4 * step) * res:
+                break
+            step *= nt.armijo
+            if step < nt.min_step:
+                if retried or fresh:
+                    return x, res, it, False
+                # stale Jacobian is the usual culprit: refactor at the
+                # current point and retry the search once
+                factor, fresh = work.lagged_factor(backend.velocity(x), force=True)
+                dx = backend.direction(factor, F)
+                step = 1.0
+                retried = True
+        # a stale direction may pass the line search while barely
+        # contracting; when that happens refresh the factorization
+        # before the next correction
+        force_fresh = not fresh and tres > nt.contraction * res
+        x, F, res = trial, tF, tres
+    return x, res, nt.max_iter, False
+
+
+def _picard_fallback(
+    u_start: np.ndarray, rhs_free: np.ndarray, work: StepperWorkspace
+) -> tuple[np.ndarray, float]:
+    """Kacanov fixed-point iteration from the velocity u_start: each
+    iterate solves the step with the radial-weight matrix frozen at the
+    previous one.  Returns the iterate with the smallest residual, and
+    that residual."""
+    backend = work.backend
+    u_full = u_start
+    best = (backend.lift(u_start), np.inf)
+    for _ in range(work.config.newton.picard_iters):
+        x = backend.solve(backend.factorize(u_full, picard=True), rhs_free)
+        _, res = backend.residual(x, rhs_free)
+        if res < best[1]:
+            best = (x, res)
+        if res <= work.config.newton.abs_tol:
+            break
+        u_full = backend.velocity(x)
+    return best
 
 
 def run_trajectory(
