@@ -24,11 +24,15 @@ class TriMesh:
     edges and triangle_edges give each undirected edge a global index and
     map local edge slots (edge i is opposite local vertex i) to it; both
     are derived in __post_init__ and shared immutably by assembly code.
+    square_order is the m of unit_square_mesh(m) for that mesh and its
+    Alfeld split, and None for every other mesh; point location relies
+    on it.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     parent: np.ndarray | None = None
+    square_order: int | None = None
     edges: np.ndarray = field(init=False)
     triangle_edges: np.ndarray = field(init=False)
     boundary_vertex: np.ndarray = field(init=False)
@@ -113,12 +117,13 @@ def unit_square_mesh(m: int) -> TriMesh:
             v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
             tris.append((v00, v10, v11))
             tris.append((v00, v11, v01))
-    return TriMesh(vertices=vertices, triangles=np.array(tris))
+    return TriMesh(vertices=vertices, triangles=np.array(tris), square_order=m)
 
 
 def alfeld_split(mesh: TriMesh) -> TriMesh:
     """Barycentric refinement: each triangle splits into 3 at its
-    barycenter; the parent map indexes the originating triangle."""
+    barycenter; the parent map indexes the originating triangle.  The
+    square order of a structured mesh carries over to its split."""
     bary = mesh.barycenters()
     n_old = mesh.n_vertices
     vertices = np.vstack([mesh.vertices, bary])
@@ -129,7 +134,12 @@ def alfeld_split(mesh: TriMesh) -> TriMesh:
     children[1::3] = np.column_stack([t[:, 1], t[:, 2], b])
     children[2::3] = np.column_stack([t[:, 2], t[:, 0], b])
     parent = np.repeat(np.arange(mesh.n_triangles), 3)
-    return TriMesh(vertices=vertices, triangles=children, parent=parent)
+    return TriMesh(
+        vertices=vertices,
+        triangles=children,
+        parent=parent,
+        square_order=mesh.square_order,
+    )
 
 
 def quality_report(mesh: TriMesh) -> dict[str, float]:

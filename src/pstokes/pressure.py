@@ -24,7 +24,9 @@ import numpy as np
 from pstokes.spaces import (
     AssembledOperators,
     Field,
+    _full_velocity,
     discrete_gradient,
+    grad_at_qp,
     norms,
     pressure_lp_norm,
     project_perp,
@@ -96,33 +98,20 @@ class PressureTrajectory:
         return Field("pressure", a.coeffs - b.coeffs)
 
 
-def _solve_vperp(d_free: np.ndarray, ops: AssembledOperators) -> tuple[np.ndarray, np.ndarray]:
-    """Mean-zero q with (q, div xi) = d'xi on V-perp, and z = Pi_perp f."""
-    f_free = ops.mass_free_lu().solve(d_free)
-    w_free, q, _mu = ops.projection_saddle().solve(-d_free)
-    z = np.zeros(ops.space_v.n_dofs)
-    z[ops.free] = f_free + w_free
-    return q, z
-
-
-def _solve_vperp_batch(
-    D: np.ndarray, ops: AssembledOperators, want_z: bool = True
+def _solve_vperp(
+    d_free: np.ndarray, ops: AssembledOperators, want_z: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Column-batched version of _solve_vperp: D is (n_free, k); returns
-    Q (n_pressure, k) and, when requested, Z (n_dofs, k)."""
-    sad = ops.projection_saddle()
-    nf, npr = sad.n_free, sad.n_pressure
-    k = D.shape[1]
-    rhs = np.zeros((nf + npr + 1, k))
-    rhs[:nf] = -D
-    sol = sad.lu.solve(rhs)
-    Q = sol[nf : nf + npr]
+    """Mean-zero q with (q, div xi) = d'xi on V-perp, and z = Pi_perp f.
+
+    d_free has shape (n_free,) or, for k functionals at once, (n_free, k);
+    q and z (full velocity length) then carry the same trailing axis.
+    With want_z=False the mass solve for z is skipped and z is None.
+    """
+    w_free, q, _mu = ops.projection_saddle().solve(-d_free)
     if not want_z:
-        return Q, None
-    F = ops.mass_free_lu().solve(D)
-    Z = np.zeros((ops.space_v.n_dofs, k))
-    Z[ops.free] = F + sol[:nf]
-    return Q, Z
+        return q, None
+    f_free = ops.mass_free_lu().solve(d_free)
+    return q, _full_velocity(ops, f_free + w_free)
 
 
 def initial_pressure(u0h: Field, ops: AssembledOperators) -> Field:
@@ -208,8 +197,8 @@ def reconstruction_increments(
             traj.fields[n].coeffs, ops, config.params
         )
     L = np.stack(loads, axis=1) if N else np.zeros((ops.n_free, 0))
-    dq_det, _ = _solve_vperp_batch(D_det, ops, want_z=False)
-    dq_sto, dz = _solve_vperp_batch(-L, ops, want_z=True)
+    dq_det, _ = _solve_vperp(D_det, ops, want_z=False)
+    dq_sto, dz = _solve_vperp(-L, ops)
     z_cum = np.cumsum(dz.T, axis=0)
     return dq_det.T, dq_sto.T, z_cum
 
@@ -225,9 +214,7 @@ def norm_Qsto(q: Field, ops: AssembledOperators) -> float:
 
 def _grad_lp_norm(v_coeffs: np.ndarray, ops: AssembledOperators, p: float) -> float:
     """Full-gradient L^p norm by quadrature."""
-    nt, _, nq, _ = ops.grad_phys.shape
-    u_loc = v_coeffs.reshape(-1, 2)[ops.space_v.scalar_l2g]
-    grad = np.einsum("tic,tiqd->tqcd", u_loc, ops.grad_phys)
+    grad = grad_at_qp(v_coeffs, ops)
     mag = np.sqrt(np.einsum("tqcd,tqcd->tq", grad, grad))
     return float(np.einsum("tq,tq->", ops.qw, mag**p) ** (1.0 / p))
 
@@ -286,7 +273,7 @@ def norm_Qdet(
         if not np.any(w):
             break
         basis.append(w[ops.free])
-        k_basis.append(_grad_stiffness_apply(w, ops))
+        k_basis.append(ops.grad_stiffness @ w[ops.free])
         W = np.stack(basis, axis=1)  # (nf, k)
         KW = np.stack(k_basis, axis=1)
         A = W.T @ KW
@@ -310,20 +297,6 @@ def norm_Qdet(
 
     lower = max(ratio(v) for v in candidates[:n_candidates])
     return {"lower": lower, "upper": upper, "ascent_ratios": ascent_ratios}
-
-
-def _grad_stiffness_apply(v_full: np.ndarray, ops: AssembledOperators) -> np.ndarray:
-    """Assembled (grad v, grad xi) over free dofs."""
-    nt, _, nq, _ = ops.grad_phys.shape
-    u_loc = v_full.reshape(-1, 2)[ops.space_v.scalar_l2g]
-    grad = np.einsum("tic,tiqd->tqcd", u_loc, ops.grad_phys)
-    r_loc = np.einsum("tq,tqcd,tiqd->tic", ops.qw, grad, ops.grad_phys)
-    flat = np.bincount(
-        ops.vel_l2g.ravel(),
-        weights=r_loc.reshape(nt, -1).ravel(),
-        minlength=ops.space_v.n_dofs,
-    )
-    return flat[ops.free]
 
 
 def stress_dual_norm(u: Field, ops: AssembledOperators, params: PowerLawParams) -> float:

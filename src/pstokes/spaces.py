@@ -15,11 +15,22 @@ Pressure dof = 3 * triangle + local vertex.  All quadrature is a 6-point
 degree-4 rule, exact for every polynomial integrand appearing in the
 bilinear forms (P2 x P2 products); the non-polynomial stress integrands
 inherit a quadrature error that is absorbed into solver tolerances.
+
+Everything derived from the mesh has one owner.  `assemble` computes the
+affine element maps once (`AssembledOperators.inv_t`).  The operator
+bundle builds its factorizations (`mass_free_lu`, `projection_saddle`,
+`grad_stiffness_lu`) and tables (`grad_table`, `sym_basis`,
+`tangent_pattern`, `grad_stiffness`, `locator`) on first use and keeps
+them; `pstokes.streamfunc` fills `stream_coarse` and `stream_basis`.
+`SaddleSolver` alone knows the layout of the KKT system: callers hand it
+velocity-block right-hand sides, one column or many, and get the blocks
+of the solution back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -46,6 +57,7 @@ __all__ = [
     "interpolate_velocity",
     "velocity_at_qp",
     "velocity_load_vector",
+    "grad_at_qp",
     "sym_grad_at_qp",
     "sym_grad_p_power",
     "stress_residual_vector",
@@ -114,6 +126,11 @@ def _p1_values(pts: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - x - y, x, y])
 
 
+# Basis values at the quadrature points: mesh independent, so computed once.
+_P2_QP = _p2_values(QUAD_POINTS)  # (6, nq)
+_P1_QP = _p1_values(QUAD_POINTS)  # (3, nq)
+
+
 @dataclass
 class Field:
     """Coefficient vector tagged with its space.
@@ -173,8 +190,18 @@ class AssembledOperators:
     """Everything the steppers and reconstructions consume.
 
     Matrices live in CSR/CSC; `free` marks the interior velocity dofs.
-    grad_phys holds the physical P2 gradients at all quadrature points,
-    the only geometry-dependent table the nonlinear assembly needs.
+    inv_t holds the inverse transposed Jacobian of every affine element
+    map, and grad_phys the physical P2 gradients at all quadrature
+    points, the only geometry-dependent table the nonlinear assembly
+    needs.
+
+    Derived data is built on first use and kept for the life of the
+    bundle, each piece under its own name: the factorizations
+    `mass_free_lu()`, `projection_saddle()` and `grad_stiffness_lu()`;
+    the tables `grad_table`, `sym_basis`, `tangent_pattern` and
+    `grad_stiffness`; the point `locator` of structured meshes; and
+    `stream_coarse` and `stream_basis`, which `pstokes.streamfunc` fills.
+    Only `SaddleSolver` knows the layout of the KKT system.
     """
 
     space_v: VelocitySpace
@@ -187,10 +214,19 @@ class AssembledOperators:
     cvec: np.ndarray
     qp_x: np.ndarray  # (n_tri, nq, 2) physical quadrature points
     qw: np.ndarray  # (n_tri, nq) physical weights
+    inv_t: np.ndarray  # (n_tri, 2, 2) inverse transpose of the affine map
     grad_phys: np.ndarray  # (n_tri, 6, nq, 2)
     vel_l2g: np.ndarray  # (n_tri, 12) velocity dof per local basis
     params: PowerLawParams | None = None
-    _cache: dict = field(default_factory=dict)
+    # Coarse (pre-split) triangulation and its numbering of stream dofs,
+    # a dict built by pstokes.streamfunc.
+    stream_coarse: dict | None = field(default=None, init=False, repr=False)
+    # Curl basis C (free velocity dofs x stream dofs) of the divergence-
+    # free subspace, built by pstokes.streamfunc.stream_curl_basis.
+    stream_basis: sp.csc_matrix | None = field(default=None, init=False, repr=False)
+    _mass_free_lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
+    _projection_saddle: SaddleSolver | None = field(default=None, init=False, repr=False)
+    _grad_stiffness_lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
 
     @property
     def free(self) -> np.ndarray:
@@ -206,36 +242,88 @@ class AssembledOperators:
 
     # -- prefactored solvers, built on first use and reused everywhere --
 
-    def mass_free_lu(self):
-        if "mass_free_lu" not in self._cache:
-            self._cache["mass_free_lu"] = spla.splu(self.M_free)
-        return self._cache["mass_free_lu"]
+    def mass_free_lu(self) -> spla.SuperLU:
+        """LU factors of the velocity mass matrix on free dofs."""
+        if self._mass_free_lu is None:
+            self._mass_free_lu = spla.splu(self.M_free)
+        return self._mass_free_lu
 
-    def mass_pressure_lu(self):
-        if "mass_pressure_lu" not in self._cache:
-            self._cache["mass_pressure_lu"] = spla.splu(self.Mq.tocsc())
-        return self._cache["mass_pressure_lu"]
+    def projection_saddle(self) -> SaddleSolver:
+        """The saddle operator with the mass block: its velocity solution
+        is the L2 projection onto the divergence-free subspace, its
+        multiplier the V-perp pressure."""
+        if self._projection_saddle is None:
+            self._projection_saddle = SaddleSolver(self.M_free, self)
+        return self._projection_saddle
 
-    def projection_saddle(self) -> "SaddleSolver":
-        if "projection_saddle" not in self._cache:
-            self._cache["projection_saddle"] = SaddleSolver(self.M_free, self)
-        return self._cache["projection_saddle"]
+    def grad_stiffness_lu(self) -> spla.SuperLU:
+        """LU factors of `grad_stiffness`, for norm ascent solves."""
+        if self._grad_stiffness_lu is None:
+            self._grad_stiffness_lu = spla.splu(self.grad_stiffness)
+        return self._grad_stiffness_lu
 
-    def grad_stiffness_lu(self):
-        """Full-gradient stiffness on free dofs, for norm ascent solves."""
-        if "grad_stiffness_lu" not in self._cache:
-            ee = np.einsum("tiqc,tjqc->tqij", self.grad_phys, self.grad_phys)
-            loc = np.einsum("tq,tqij->tij", self.qw, ee)
-            n = self.space_v.n_nodes
-            rows = np.repeat(self.space_v.scalar_l2g, 6, axis=1).ravel()
-            cols = np.tile(self.space_v.scalar_l2g, (1, 6)).ravel()
-            K_s = sp.coo_matrix(
-                (loc.ravel(), (rows, cols)), shape=(n, n)
-            ).tocsr()
-            K = sp.kron(K_s, sp.eye(2), format="csc")
-            free = self.free
-            self._cache["grad_stiffness_lu"] = spla.splu(K[free][:, free].tocsc())
-        return self._cache["grad_stiffness_lu"]
+    # -- tables, built on first use --
+
+    @cached_property
+    def grad_stiffness(self) -> sp.csc_matrix:
+        """Full-gradient stiffness (grad v, grad xi) on free dofs."""
+        ee = np.einsum("tiqc,tjqc->tqij", self.grad_phys, self.grad_phys)
+        loc = np.einsum("tq,tqij->tij", self.qw, ee)
+        K = _vector_matrix(self.space_v, loc)
+        return K[self.free][:, self.free].tocsc()
+
+    @cached_property
+    def grad_table(self) -> np.ndarray:
+        """Contiguous (n_tri, 6, nq*2) view of the physical gradients, the
+        layout the batched-matmul kernels want."""
+        nt, _, nq, _ = self.grad_phys.shape
+        return np.ascontiguousarray(self.grad_phys.reshape(nt, 6, nq * 2))
+
+    @cached_property
+    def sym_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-element tables for the stress tangent:
+
+        E[t, q, a, :] = eps(phi_a) at quadrature point q flattened to 4
+        entries, and EE[t, q, a*12+b] = eps(phi_a) : eps(phi_b); a runs
+        over the 12 local vector dofs, ordered like vel_l2g.
+        """
+        n_tri, _, nq, _ = self.grad_phys.shape
+        E = np.zeros((n_tri, 12, nq, 2, 2))
+        for i in range(6):
+            for c in range(2):
+                a = 2 * i + c
+                E[:, a, :, c, :] += 0.5 * self.grad_phys[:, i]
+                E[:, a, :, :, c] += 0.5 * self.grad_phys[:, i]
+        EE = np.einsum("taqcd,tbqcd->tqab", E, E).reshape(n_tri, nq, 144)
+        E = np.ascontiguousarray(E.transpose(0, 2, 1, 3, 4).reshape(n_tri, nq, 12, 4))
+        return E, np.ascontiguousarray(EE)
+
+    @cached_property
+    def tangent_pattern(self) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+        """Fixed CSC pattern of the stress tangent on free dofs, the mask
+        of per-element entries that touch only free dofs, and the map from
+        those entries into the CSC data array."""
+        rows = np.repeat(self.vel_l2g, 12, axis=1).ravel()
+        cols = np.tile(self.vel_l2g, (1, 12)).ravel()
+        free = self.free
+        nf = self.n_free
+        free_index = np.cumsum(free) - 1
+        keep = free[rows] & free[cols]
+        r_f = free_index[rows[keep]]
+        c_f = free_index[cols[keep]]
+        pattern = sp.csc_matrix((np.ones(r_f.size), (r_f, c_f)), shape=(nf, nf))
+        pattern.sum_duplicates()
+        # flat CSC data index of each surviving per-element entry
+        lookup = pattern.copy()
+        lookup.data = np.arange(lookup.nnz, dtype=float)
+        pos = np.asarray(lookup[r_f, c_f]).ravel().astype(np.int64)
+        return pattern, keep, pos
+
+    @cached_property
+    def locator(self) -> StructuredLocator:
+        """Point location on alfeld_split(unit_square_mesh(m)); raises
+        ValueError on any other mesh."""
+        return StructuredLocator(self)
 
 
 def _build_velocity_space(mesh: TriMesh) -> VelocitySpace:
@@ -249,6 +337,16 @@ def _build_velocity_space(mesh: TriMesh) -> VelocitySpace:
         boundary_node=boundary,
         scalar_l2g=scalar_l2g,
     )
+
+
+def _vector_matrix(space_v: VelocitySpace, loc: np.ndarray) -> sp.csr_matrix:
+    """Scatter per-element scalar P2 blocks (n_tri, 6, 6) into the global
+    scalar matrix and expand it to both velocity components."""
+    n = space_v.n_nodes
+    rows = np.repeat(space_v.scalar_l2g, 6, axis=1).ravel()
+    cols = np.tile(space_v.scalar_l2g, (1, 6)).ravel()
+    K = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return sp.kron(K, sp.eye(2), format="csr")
 
 
 def assemble(mesh: TriMesh, params: PowerLawParams | None = None) -> AssembledOperators:
@@ -279,22 +377,15 @@ def assemble(mesh: TriMesh, params: PowerLawParams | None = None) -> AssembledOp
     qp_x = corners[:, None, 0, :] + QUAD_POINTS[None] @ np.swapaxes(jac, 1, 2)
     qw = QUAD_WEIGHTS[None, :] * det[:, None]
 
-    phi = _p2_values(QUAD_POINTS)  # (6, nq)
     grad_ref = _p2_gradients(QUAD_POINTS)  # (6, nq, 2)
     grad_phys = np.einsum("tcd,iqd->tiqc", inv_t, grad_ref)
 
     # Scalar P2 mass, expanded to the vector space by Kronecker product.
-    m_loc = np.einsum("q,iq,jq->ij", QUAD_WEIGHTS, phi, phi)
-    m_elem = det[:, None, None] * m_loc[None]
-    n_s = space_v.n_nodes
-    rows = np.repeat(space_v.scalar_l2g, 6, axis=1).ravel()
-    cols = np.tile(space_v.scalar_l2g, (1, 6)).ravel()
-    M_s = sp.coo_matrix((m_elem.ravel(), (rows, cols)), shape=(n_s, n_s)).tocsr()
-    M_full = sp.kron(M_s, sp.eye(2), format="csr")
+    m_loc = np.einsum("q,iq,jq->ij", QUAD_WEIGHTS, _P2_QP, _P2_QP)
+    M_full = _vector_matrix(space_v, det[:, None, None] * m_loc[None])
 
     # Divergence form B[(t,i), (j,c)] = int lambda_i d_c phi_j.
-    p1 = _p1_values(QUAD_POINTS)  # (3, nq)
-    b_loc = np.einsum("tq,iq,tjqc->tijc", qw, p1, grad_phys)  # (t, 3, 6, 2)
+    b_loc = np.einsum("tq,iq,tjqc->tijc", qw, _P1_QP, grad_phys)  # (t, 3, 6, 2)
     vel_l2g = (
         2 * np.repeat(space_v.scalar_l2g, 2, axis=1)
         + np.tile([0, 1], (n_tri, 6))
@@ -306,18 +397,18 @@ def assemble(mesh: TriMesh, params: PowerLawParams | None = None) -> AssembledOp
             b_loc.reshape(n_tri, 3, 12).ravel(),
             (b_rows.ravel(), b_cols.ravel()),
         ),
-        shape=(3 * n_tri, 2 * n_s),
+        shape=(3 * n_tri, space_v.n_dofs),
     ).tocsr()
 
     # Discontinuous-P1 pressure mass (block diagonal) and mean row.
-    mq_loc = np.einsum("tq,iq,jq->tij", qw, p1, p1)
+    mq_loc = np.einsum("tq,iq,jq->tij", qw, _P1_QP, _P1_QP)
     q_rows = np.repeat(3 * np.arange(n_tri)[:, None] + np.arange(3)[None], 3, axis=1)
     q_cols = np.tile(3 * np.arange(n_tri)[:, None, None] + np.arange(3)[None, None], (1, 3, 1))
     Mq = sp.coo_matrix(
         (mq_loc.ravel(), (q_rows.ravel(), q_cols.ravel())),
         shape=(3 * n_tri, 3 * n_tri),
     ).tocsr()
-    cvec = np.einsum("tq,iq->ti", qw, p1).ravel()
+    cvec = np.einsum("tq,iq->ti", qw, _P1_QP).ravel()
 
     free = ~np.repeat(space_v.boundary_node, 2)
     M_free = M_full[free][:, free].tocsc()
@@ -334,6 +425,7 @@ def assemble(mesh: TriMesh, params: PowerLawParams | None = None) -> AssembledOp
         cvec=cvec,
         qp_x=qp_x,
         qw=qw,
+        inv_t=inv_t,
         grad_phys=grad_phys,
         vel_l2g=vel_l2g,
         params=params,
@@ -350,7 +442,8 @@ class SaddleSolver:
     with A an SPD velocity block on free dofs, B the divergence form, and
     c the pressure-mean row that removes the constant nullspace.  With
     this sign convention the multiplier q of the time stepper coincides
-    with the pressure increment of the reconstruction equation.
+    with the pressure increment of the reconstruction equation.  This
+    class is the only code that knows how the blocks are laid out.
     """
 
     def __init__(self, A: sp.spmatrix, ops: AssembledOperators):
@@ -373,22 +466,26 @@ class SaddleSolver:
         rhs_v: np.ndarray,
         rhs_p: np.ndarray | None = None,
         rhs_c: float = 0.0,
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        rhs = np.zeros(self.n_free + self.n_pressure + 1)
-        rhs[: self.n_free] = rhs_v
+    ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+        """Solve for (w, q, mu).  rhs_v has shape (n_free,) or, to solve
+        for k right-hand sides at once, (n_free, k); rhs_p and the
+        returned blocks then carry the same trailing axis, and mu is an
+        array of length k instead of a float."""
+        nf, npr = self.n_free, self.n_pressure
+        rhs = np.zeros((nf + npr + 1,) + np.shape(rhs_v)[1:])
+        rhs[:nf] = rhs_v
         if rhs_p is not None:
-            rhs[self.n_free : self.n_free + self.n_pressure] = rhs_p
+            rhs[nf : nf + npr] = rhs_p
         rhs[-1] = rhs_c
         sol = self.lu.solve(rhs)
-        return (
-            sol[: self.n_free],
-            sol[self.n_free : self.n_free + self.n_pressure],
-            float(sol[-1]),
-        )
+        mu = sol[-1] if sol.ndim > 1 else float(sol[-1])
+        return sol[:nf], sol[nf : nf + npr], mu
 
 
 def _full_velocity(ops: AssembledOperators, free_values: np.ndarray) -> np.ndarray:
-    out = np.zeros(ops.space_v.n_dofs)
+    """Full-length coefficients (boundary entries zero) from free-dof
+    values of shape (n_free,) or (n_free, k)."""
+    out = np.zeros((ops.space_v.n_dofs,) + free_values.shape[1:])
     out[ops.free] = free_values
     return out
 
@@ -423,11 +520,8 @@ def discrete_gradient(q: Field, ops: AssembledOperators) -> Field:
 
 def velocity_at_qp(u_coeffs: np.ndarray, ops: AssembledOperators) -> np.ndarray:
     """Velocity values at all quadrature points, shape (n_tri, nq, 2)."""
-    if "phi_qp" not in ops._cache:
-        ops._cache["phi_qp"] = _p2_values(QUAD_POINTS)
-    phi = ops._cache["phi_qp"]
     u_loc = u_coeffs.reshape(-1, 2)[ops.space_v.scalar_l2g]
-    return np.einsum("iq,tic->tqc", phi, u_loc)
+    return np.einsum("iq,tic->tqc", _P2_QP, u_loc)
 
 
 def velocity_load_vector(values_at_qp: np.ndarray, ops: AssembledOperators) -> np.ndarray:
@@ -436,10 +530,7 @@ def velocity_load_vector(values_at_qp: np.ndarray, ops: AssembledOperators) -> n
     Returns the full-length dof vector; restrict with ops.free for the
     zero-trace test space.
     """
-    if "phi_qp" not in ops._cache:
-        ops._cache["phi_qp"] = _p2_values(QUAD_POINTS)
-    phi = ops._cache["phi_qp"]
-    r_loc = np.einsum("tq,tqc,iq->tic", ops.qw, values_at_qp, phi)
+    r_loc = np.einsum("tq,tqc,iq->tic", ops.qw, values_at_qp, _P2_QP)
     return np.bincount(
         ops.vel_l2g.ravel(),
         weights=r_loc.reshape(len(r_loc), -1).ravel(),
@@ -447,34 +538,29 @@ def velocity_load_vector(values_at_qp: np.ndarray, ops: AssembledOperators) -> n
     )
 
 
-def _grad_table(ops: AssembledOperators) -> np.ndarray:
-    """Contiguous (n_tri, 6, nq*2) view of the physical gradients, the
-    layout the batched-matmul kernels below want."""
-    if "grad_flat" not in ops._cache:
-        nt, _, nq, _ = ops.grad_phys.shape
-        ops._cache["grad_flat"] = np.ascontiguousarray(ops.grad_phys.reshape(nt, 6, nq * 2))
-    return ops._cache["grad_flat"]
+def grad_at_qp(u_coeffs: np.ndarray, ops: AssembledOperators) -> np.ndarray:
+    """Full gradient of a velocity field at all quadrature points,
+    shape (n_tri, nq, 2, 2), entry [..., c, d] = d_d u_c."""
+    nt, _, nq, _ = ops.grad_phys.shape
+    u_loc = u_coeffs.reshape(-1, 2)[ops.space_v.scalar_l2g]  # (t, 6, 2)
+    return (
+        np.matmul(u_loc.transpose(0, 2, 1), ops.grad_table)
+        .reshape(nt, 2, nq, 2)
+        .transpose(0, 2, 1, 3)
+    )
 
 
 def sym_grad_at_qp(u_coeffs: np.ndarray, ops: AssembledOperators) -> np.ndarray:
     """Symmetric gradient of a velocity field at all quadrature points,
     shape (n_tri, nq, 2, 2)."""
-    nt, _, nq, _ = ops.grad_phys.shape
-    u_loc = u_coeffs.reshape(-1, 2)[ops.space_v.scalar_l2g]  # (t, 6, 2)
-    grad = (
-        np.matmul(u_loc.transpose(0, 2, 1), _grad_table(ops))
-        .reshape(nt, 2, nq, 2)
-        .transpose(0, 2, 1, 3)
-    )
+    grad = grad_at_qp(u_coeffs, ops)
     return 0.5 * (grad + np.swapaxes(grad, -1, -2))
 
 
 def divergence_pointwise_max(v: Field, ops: AssembledOperators) -> float:
     """Max |div v| over all element quadrature points."""
-    nodes = ops.space_v.scalar_l2g
-    u_loc = v.coeffs.reshape(-1, 2)[nodes]
-    div = np.einsum("tic,tiqc->tq", u_loc, ops.grad_phys)
-    return float(np.max(np.abs(div)))
+    grad = grad_at_qp(v.coeffs, ops)
+    return float(np.max(np.abs(grad[..., 0, 0] + grad[..., 1, 1])))
 
 
 def norms(v: Field, kind: str, ops: AssembledOperators, p: float | None = None) -> float:
@@ -505,8 +591,7 @@ def pressure_lp_norm(q: Field, ops: AssembledOperators, p: float) -> float:
 
 
 def _pressure_at_qp(q_coeffs: np.ndarray, ops: AssembledOperators) -> np.ndarray:
-    p1 = _p1_values(QUAD_POINTS)
-    return np.einsum("ti,iq->tq", q_coeffs.reshape(-1, 3), p1)
+    return np.einsum("ti,iq->tq", q_coeffs.reshape(-1, 3), _P1_QP)
 
 
 def interpolate_velocity(
@@ -537,58 +622,13 @@ def stress_residual_vector(
     S = stress_S(eps, params)
     # the (q,c)/(q,d) axis pairing below is valid because S is symmetric
     Sw = (ops.qw[..., None, None] * S).reshape(nt, nq * 2, 2)
-    r_loc = np.matmul(_grad_table(ops), Sw)  # (t, 6, 2)
+    r_loc = np.matmul(ops.grad_table, Sw)  # (t, 6, 2)
     flat = np.bincount(
         ops.vel_l2g.ravel(),
         weights=r_loc.reshape(nt, -1).ravel(),
         minlength=ops.space_v.n_dofs,
     )
     return flat[ops.free]
-
-
-def _sym_basis_tables(ops: AssembledOperators) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element tables for the stress tangent:
-
-    E[t, q, a, :] = eps(phi_a) at quadrature point q flattened to 4
-    entries, and EE[t, q, a*12+b] = eps(phi_a) : eps(phi_b); a runs over
-    the 12 local vector dofs, ordered like vel_l2g.
-    """
-    if "sym_basis" in ops._cache:
-        return ops._cache["sym_basis"]
-    n_tri, _, nq, _ = ops.grad_phys.shape
-    E = np.zeros((n_tri, 12, nq, 2, 2))
-    for i in range(6):
-        for c in range(2):
-            a = 2 * i + c
-            E[:, a, :, c, :] += 0.5 * ops.grad_phys[:, i]
-            E[:, a, :, :, c] += 0.5 * ops.grad_phys[:, i]
-    EE = np.einsum("taqcd,tbqcd->tqab", E, E).reshape(n_tri, nq, 144)
-    E = np.ascontiguousarray(E.transpose(0, 2, 1, 3, 4).reshape(n_tri, nq, 12, 4))
-    ops._cache["sym_basis"] = (E, np.ascontiguousarray(EE))
-    return ops._cache["sym_basis"]
-
-
-def _tangent_sparsity(ops: AssembledOperators):
-    """Fixed CSC pattern of the stress tangent on free dofs, plus the
-    map from per-element dense blocks into the CSC data array."""
-    if "tangent_pattern" in ops._cache:
-        return ops._cache["tangent_pattern"]
-    rows = np.repeat(ops.vel_l2g, 12, axis=1).ravel()
-    cols = np.tile(ops.vel_l2g, (1, 12)).ravel()
-    free = ops.free
-    nf = ops.n_free
-    free_index = np.cumsum(free) - 1
-    keep = free[rows] & free[cols]
-    r_f = free_index[rows[keep]]
-    c_f = free_index[cols[keep]]
-    pattern = sp.csc_matrix((np.ones(r_f.size), (r_f, c_f)), shape=(nf, nf))
-    pattern.sum_duplicates()
-    # flat CSC data index of each surviving per-element entry
-    lookup = pattern.copy()
-    lookup.data = np.arange(lookup.nnz, dtype=float)
-    pos = np.asarray(lookup[r_f, c_f]).ravel().astype(np.int64)
-    ops._cache["tangent_pattern"] = (pattern, keep, pos)
-    return ops._cache["tangent_pattern"]
 
 
 def stress_tangent_matrix(
@@ -605,14 +645,14 @@ def stress_tangent_matrix(
     nt, _, nq, _ = ops.grad_phys.shape
     eps = sym_grad_at_qp(u_coeffs, ops)
     alpha, beta = jacobian_coefficients(eps, params)
-    E, EE = _sym_basis_tables(ops)
+    E, EE = ops.sym_basis
     wa = (ops.qw * alpha)[:, None, :]  # (t, 1, q)
     K_loc = np.matmul(wa, EE).reshape(nt, 12, 12)
     if not picard:
         w = np.matmul(E, eps.reshape(nt, nq, 4, 1))[..., 0]  # (t, q, 12)
         wb = w * (ops.qw * beta)[..., None]
         K_loc += np.matmul(w.transpose(0, 2, 1), wb)
-    pattern, keep, pos = _tangent_sparsity(ops)
+    pattern, keep, pos = ops.tangent_pattern
     K = pattern.copy()
     K.data = np.zeros(pattern.nnz)
     np.add.at(K.data, pos, K_loc.ravel()[keep])
@@ -625,27 +665,20 @@ class StructuredLocator:
     Locates the containing element analytically: grid cell, diagonal
     side, then the barycentric sector of the Alfeld child.  Points on
     internal edges resolve to either neighbor; the fields evaluated
-    through this locator are continuous across those edges.
+    through this locator are continuous across those edges.  The mesh
+    order m is the one `unit_square_mesh` recorded on the mesh; a mesh
+    without it (for example one rebuilt from moved vertices) is refused,
+    since the analytic search would silently pick wrong elements there.
     """
 
-    def __init__(self, ops: AssembledOperators, m: int):
+    def __init__(self, ops: AssembledOperators):
+        mesh = ops.space_v.mesh
+        m = mesh.square_order
+        if m is None or mesh.n_triangles != 6 * m * m:
+            raise ValueError("locator expects alfeld_split(unit_square_mesh(m))")
         self.ops = ops
         self.m = m
-        mesh = ops.space_v.mesh
-        if mesh.n_triangles != 6 * m * m:
-            raise ValueError("locator expects alfeld_split(unit_square_mesh(m))")
-        corners = mesh.corners()
-        jac = np.stack(
-            [corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]], axis=2
-        )
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1]
-        inv[:, 0, 1] = -jac[:, 0, 1]
-        inv[:, 1, 0] = -jac[:, 1, 0]
-        inv[:, 1, 1] = jac[:, 0, 0]
-        self._inv = inv / det[:, None, None]
-        self._origin = corners[:, 0]
+        self._origin = mesh.corners()[:, 0]
 
     def locate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Containing triangle index and reference coordinates per point."""
@@ -668,9 +701,8 @@ class StructuredLocator:
         lam[up, 2] = y[up] - x[up]
         child = (np.argmin(lam, axis=1) + 1) % 3
         tri = 3 * parent + child
-        ref = np.einsum(
-            "ncd,nd->nc", self._inv[tri], pts - self._origin[tri]
-        )
+        # reference coordinates: the inverse map is the transpose of inv_t
+        ref = np.einsum("ndc,nd->nc", self.ops.inv_t[tri], pts - self._origin[tri])
         return tri, ref
 
     def evaluate(self, u_coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -685,19 +717,7 @@ class StructuredLocator:
         """Symmetric gradient at arbitrary points, shape (n_pts, 2, 2)."""
         tri, ref = self.locate(points)
         grad_ref = _p2_gradients(ref)  # (6, n_pts, 2)
-        mesh = self.ops.space_v.mesh
-        corners = mesh.corners()[tri]
-        jac = np.stack(
-            [corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]], axis=2
-        )
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        inv_t = np.empty_like(jac)
-        inv_t[:, 0, 0] = jac[:, 1, 1]
-        inv_t[:, 0, 1] = -jac[:, 1, 0]
-        inv_t[:, 1, 0] = -jac[:, 0, 1]
-        inv_t[:, 1, 1] = jac[:, 0, 0]
-        inv_t /= det[:, None, None]
-        grad_phys = np.einsum("ncd,ind->nic", inv_t, grad_ref)
+        grad_phys = np.einsum("ncd,ind->nic", self.ops.inv_t[tri], grad_ref)
         nodes = self.ops.space_v.scalar_l2g[tri]
         u_loc = u_coeffs.reshape(-1, 2)[nodes]
         grad = np.einsum("nic,nid->ncd", u_loc, grad_phys)

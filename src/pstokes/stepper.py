@@ -98,6 +98,10 @@ class NewtonConfig:
             raise ValueError("armijo factor must lie in (0, 1)")
         if not 0 < self.contraction < 1:
             raise ValueError("contraction threshold must lie in (0, 1)")
+        if self.picard_iters < 1:
+            raise ValueError("picard_iters must be >= 1")
+        if self.lag_threshold < 0:
+            raise ValueError("lag_threshold must be >= 0")
 
 
 @dataclass

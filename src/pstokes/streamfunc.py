@@ -20,8 +20,9 @@ SPD systems C^T (M + tau K) C d = -C^T F whose dimension
         = n_free_velocity_dofs - (n_pressure_dofs - 1)
 
 is an order of magnitude below the KKT system, with proportionally
-cheaper factorizations.  The basis is geometry-only and is cached on the
-operator bundle.
+cheaper factorizations.  The basis is geometry-only and is kept on the
+operator bundle (`AssembledOperators.stream_basis`, with the coarse
+structure it is numbered by in `AssembledOperators.stream_coarse`).
 
 Stream dof ordering: for each interior coarse vertex v (in increasing
 vertex id) the triple (psi(v), d_x psi(v), d_y psi(v)), followed by one
@@ -68,8 +69,8 @@ def stream_dimension(ops: AssembledOperators) -> int:
 
 def _coarse_structure(ops: AssembledOperators) -> dict:
     """Recover the pre-split triangulation from the parent map."""
-    if "stream_coarse" in ops._cache:
-        return ops._cache["stream_coarse"]
+    if ops.stream_coarse is not None:
+        return ops.stream_coarse
     mesh = ops.space_v.mesh
     if mesh.parent is None:
         raise ValueError(
@@ -98,7 +99,7 @@ def _coarse_structure(ops: AssembledOperators) -> dict:
     edge_rank = np.cumsum(interior_edge) - 1
     n_iv = int(interior_vertex.sum())
 
-    out = {
+    ops.stream_coarse = {
         "n_coarse_verts": n_coarse_verts,
         "coarse_tris": coarse_tris,
         "coarse_edges": coarse_edges,
@@ -109,8 +110,7 @@ def _coarse_structure(ops: AssembledOperators) -> dict:
         "edge_dof_base": 3 * n_iv + edge_rank,
         "dim": 3 * n_iv + int(interior_edge.sum()),
     }
-    ops._cache["stream_coarse"] = out
-    return out
+    return ops.stream_coarse
 
 
 def _macro_columns(
@@ -204,11 +204,11 @@ def _macro_columns(
 def stream_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     """Sparse curl matrix C: free velocity dofs x stream dofs.
 
-    Columns are scaled to unit Euclidean norm.  Cached on the operator
-    bundle; construction is geometry-only.
+    Columns are scaled to unit Euclidean norm.  Kept on the operator
+    bundle as `ops.stream_basis`; construction is geometry-only.
     """
-    if "stream_basis" in ops._cache:
-        return ops._cache["stream_basis"]
+    if ops.stream_basis is not None:
+        return ops.stream_basis
     cs = _coarse_structure(ops)
     mesh = ops.space_v.mesh
     sv = ops.space_v
@@ -281,5 +281,5 @@ def stream_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     C.eliminate_zeros()
     scale = np.sqrt(C.multiply(C).sum(axis=0)).A1
     C = C @ sp.diags(1.0 / scale)
-    ops._cache["stream_basis"] = C.tocsc()
-    return ops._cache["stream_basis"]
+    ops.stream_basis = C.tocsc()
+    return ops.stream_basis

@@ -8,6 +8,15 @@ on T = 0.1, two curl modes with the linear noise rule, a fixed seed.
 They were recorded from the stepper with one Newton loop per backend and
 must survive refactors of the solver unchanged (1e-10 relative), together
 with the Newton iteration count of every step.
+
+A second set pins what the saddle-point projections feed: the pressure
+reconstruction and the cross-mesh error functionals of a coupled pair of
+p = 2 stream runs (reference m = 4, N = 7 and coarse m = 2, N = 3, both
+driven by one Wiener path with delta = tau_ref/4), for each noise rule.
+Norms are recorded rather than coefficient sums.  The initial pressure is
+the one exception: the initial velocity is discretely divergence free, so
+its pressure vanishes and its norm (about 4e-18) is rounding noise; it is
+checked against an absolute bound instead of a record.
 """
 
 import numpy as np
@@ -15,8 +24,10 @@ import pytest
 
 from pstokes.grids import TimeGrid
 from pstokes.meshing import alfeld_split, unit_square_mesh
-from pstokes.noise import NoiseModel, sample_increments
-from pstokes.spaces import assemble, norms
+from pstokes.diagnostics import error_stats
+from pstokes.noise import NoiseModel, sample_increments, sample_wiener_path
+from pstokes.pressure import reconstruct
+from pstokes.spaces import Field, assemble, norms
 from pstokes.stepper import SchemeConfig, initial_velocity, run_trajectory
 from pstokes.tensors import PowerLawParams
 
@@ -68,3 +79,65 @@ def test_final_velocity_matches_record(ops4, key):
     assert float(u.coeffs.sum()) == pytest.approx(coeff_sum, rel=REL, abs=0.0)
     assert norms(u, "L2", ops4) == pytest.approx(l2, rel=REL, abs=0.0)
     assert [s.iterations for s in traj.stats] == iterations
+
+
+# rule: per run, L2 norms of (pi_det[-1], pi_sto[-1], z_sto[-1]), then
+# the cross-mesh (natural_err, C_Linf, C_best, C_init).
+PRESSURE_GOLDEN = {
+    "additive": {
+        "ref": [0.014302356999467594, 0.006885301297658518, 0.07550031779199216],
+        "coarse": [0.006256804947300031, 0.012460366190698546, 0.10397307711582462],
+        "errors": [
+            0.0009356252856137517,
+            0.0007716322390400023,
+            0.0052723854607719415,
+            1.8593003080555223e-08,
+        ],
+    },
+    "linear": {
+        "ref": [0.0006751958826254315, 2.4050634891682286e-05, 0.00019091717554918055],
+        "coarse": [0.0010152825546494893, 5.8492256461245925e-05, 0.0002277087816241597],
+        "errors": [
+            4.539154739420218e-06,
+            3.7133716139110442e-06,
+            2.763748923287454e-05,
+            1.8593003080555223e-08,
+        ],
+    },
+}
+
+
+def _pressure_norms(traj, inc, cfg, ops):
+    pt = reconstruct(traj, inc, cfg, ops, verify=True)
+    assert norms(pt.pi_init, "L2", ops) < 1e-15
+    return [
+        norms(pt.pi_det[-1], "L2", ops),
+        norms(pt.pi_sto[-1], "L2", ops),
+        norms(Field("velocity", pt.z_sto[-1]), "L2", ops),
+    ]
+
+
+@pytest.mark.parametrize("rule", sorted(PRESSURE_GOLDEN))
+def test_pressure_and_error_stats_match_record(rule):
+    record = PRESSURE_GOLDEN[rule]
+    model = NoiseModel(mode_fields=curl_modes(2, amplitude=1.0), rule=rule)
+    params = PowerLawParams(p=2.0, kappa=0.0)
+    runs = {}
+    path = None
+    for name, m, N in (("ref", 4, 7), ("coarse", 2, 3)):
+        ops = assemble(alfeld_split(unit_square_mesh(m)))
+        cfg = SchemeConfig(params, TimeGrid(T=0.1, N=N), model, solver="stream")
+        if path is None:
+            path = sample_wiener_path(0.1, cfg.grid.tau / 4, 2, np.random.default_rng(SEED))
+        inc = sample_increments(path, cfg.grid)
+        traj = run_trajectory(initial_velocity(u0_smooth, ops), inc, cfg, ops)
+        assert traj.ok
+        assert _pressure_norms(traj, inc, cfg, ops) == pytest.approx(
+            record[name], rel=REL, abs=0.0
+        )
+        runs[name] = (traj, cfg, ops)
+    (tf, cf, of), (tc, cc, oc) = runs["ref"], runs["coarse"]
+    es = error_stats([tc], [tf], cc, cf, oc, of, with_CV=False)
+    assert [es.natural_err, es.C_Linf, es.C_best, es.C_init] == pytest.approx(
+        record["errors"], rel=REL, abs=0.0
+    )

@@ -8,7 +8,7 @@ interpolant) or frozen from an independent measurement noted inline.
 import numpy as np
 import pytest
 
-from pstokes.meshing import alfeld_split, unit_square_mesh
+from pstokes.meshing import TriMesh, alfeld_split, unit_square_mesh
 from pstokes.spaces import (
     QUAD_POINTS,
     QUAD_WEIGHTS,
@@ -310,7 +310,7 @@ class TestInterpolation:
             return np.stack([x**2 - 3 * x * y, y**2 + 0.5 * x], axis=-1)
 
         v = interpolate_velocity(quad_field, ops4, zero_boundary=False)
-        loc = StructuredLocator(ops4, 4)
+        loc = StructuredLocator(ops4)
         rng = np.random.default_rng(13)
         pts = rng.random((400, 2))
         err = np.abs(loc.evaluate(v.coeffs, pts) - quad_field(pts)).max()
@@ -342,7 +342,7 @@ class TestInterpolation:
 
 class TestLocator:
     def test_locates_all_quadrature_points(self, ops4):
-        loc = StructuredLocator(ops4, 4)
+        loc = StructuredLocator(ops4)
         pts = ops4.qp_x.reshape(-1, 2)
         tri, ref = loc.locate(pts)
         expected = np.repeat(np.arange(ops4.space_v.mesh.n_triangles), 6)
@@ -355,20 +355,32 @@ class TestLocator:
             ops4,
             zero_boundary=False,
         )
-        loc = StructuredLocator(ops4, 4)
+        loc = StructuredLocator(ops4)
         rng = np.random.default_rng(14)
         sg = loc.evaluate_sym_grad(v.coeffs, rng.random((100, 2)))
         assert np.abs(sg - np.array([[0.0, 0.5], [0.5, 0.0]])).max() < 1e-12
 
     def test_corners_and_edges_handled(self, ops4):
-        loc = StructuredLocator(ops4, 4)
+        loc = StructuredLocator(ops4)
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [0.25, 0.25], [1.0, 0.0]])
         tri, ref = loc.locate(pts)
         assert (tri >= 0).all() and (tri < ops4.space_v.mesh.n_triangles).all()
 
-    def test_wrong_mesh_rejected(self, ops4):
-        with pytest.raises(ValueError):
-            StructuredLocator(ops4, 5)
+    def test_wrong_mesh_rejected(self):
+        # 6 m^2 triangles, but interior vertices moved off the grid: the
+        # analytic search would put 29 % of the mesh's own quadrature points
+        # in the wrong element, so the locator refuses the mesh.
+        base = unit_square_mesh(4)
+        verts = base.vertices.copy()
+        inner = ~base.boundary_vertex
+        verts[inner] += 0.05 * np.random.default_rng(1).standard_normal((inner.sum(), 2))
+        ops = assemble(alfeld_split(TriMesh(verts, base.triangles)))
+        assert ops.space_v.mesh.n_triangles == 6 * 4 * 4
+        assert alfeld_split(base).square_order == 4
+        with pytest.raises(ValueError, match="unit_square_mesh"):
+            StructuredLocator(ops)
+        with pytest.raises(ValueError, match="unit_square_mesh"):
+            ops.locator
 
 
 class TestField:

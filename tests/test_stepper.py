@@ -231,6 +231,11 @@ class TestSolverMachinery:
             NewtonConfig(max_iter=0)
         with pytest.raises(ValueError):
             NewtonConfig(armijo=1.5)
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="picard_iters"):
+                NewtonConfig(picard_iters=bad)
+        with pytest.raises(ValueError, match="lag_threshold"):
+            NewtonConfig(lag_threshold=-1.0)
 
     def test_picard_fallback_reduces_residual(self, ops4, u0h):
         rhs_free = (ops4.M_full @ u0h.coeffs)[ops4.free]
