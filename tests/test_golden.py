@@ -7,7 +7,11 @@ final velocity of small reference runs instead: mesh order 4, N = 8 steps
 on T = 0.1, two curl modes with the linear noise rule, a fixed seed.
 They were recorded from the stepper with one Newton loop per backend and
 must survive refactors of the solver unchanged (1e-10 relative), together
-with the Newton iteration count of every step.
+with the Newton iteration count of every step.  The final field is pinned
+by its L2 norm and by its pairing with a fixed standard-normal vector,
+not by its coefficient sum: the coefficients nearly cancel in the sum
+(at p = 1.5 it is 3e-6 of their absolute sum), so rounding alone moves
+it by more than the tolerance, while the pairing is well conditioned.
 
 A second set pins what the saddle-point projections feed: the pressure
 reconstruction and the cross-mesh error functionals of a coupled pair of
@@ -36,28 +40,32 @@ from test_stepper import curl_modes, u0_smooth
 SEED = 20230725
 REL = 1e-10
 
-# (p, kappa, solver): (sum of final coefficients, L2 norm of the final
-# velocity, Newton iterations per step)
+# (p, kappa, solver): (final coefficients paired with _probe(n_dofs), L2
+# norm of the final velocity, Newton iterations per step)
 GOLDEN = {
     (1.5, 0.1, "kkt"): (
-        -2.4308611240998583e-08, 3.6094904100920794e-05, [6, 4, 4, 3, 3, 3, 3, 3]
+        -0.0008953629522414852, 3.6094904100920794e-05, [6, 4, 4, 3, 3, 3, 3, 3]
     ),
     (1.5, 0.1, "stream"): (
-        -2.4308615962807464e-08, 3.609490410090546e-05, [6, 4, 4, 3, 3, 3, 3, 3]
+        -0.0008953629522457753, 3.609490410090546e-05, [6, 4, 4, 3, 3, 3, 3, 3]
     ),
     (2.0, 0.0, "kkt"): (
-        3.8276592690886235e-07, 0.0008790460117433774, [1, 1, 1, 1, 1, 1, 1, 1]
+        -0.021776657339994725, 0.0008790460117433774, [1, 1, 1, 1, 1, 1, 1, 1]
     ),
     (2.0, 0.0, "stream"): (
-        3.827659273616252e-07, 0.000879046011743387, [1, 1, 1, 1, 1, 1, 1, 1]
+        -0.02177665733999438, 0.000879046011743387, [1, 1, 1, 1, 1, 1, 1, 1]
     ),
     (3.0, 0.0, "kkt"): (
-        -0.00021345639352740586, 0.00686095108367945, [5, 6, 7, 7, 7, 7, 8, 7]
+        -0.17485672541610822, 0.00686095108367945, [5, 6, 7, 7, 7, 7, 8, 7]
     ),
     (3.0, 0.0, "stream"): (
-        -0.0002134563935283218, 0.006860951083679451, [5, 6, 7, 7, 7, 7, 8, 7]
+        -0.17485672541610875, 0.006860951083679451, [5, 6, 7, 7, 7, 7, 8, 7]
     ),
 }
+
+
+def _probe(n: int) -> np.ndarray:
+    return np.random.default_rng(0).standard_normal(n)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +76,7 @@ def ops4():
 @pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: f"p{k[0]}-{k[2]}")
 def test_final_velocity_matches_record(ops4, key):
     p, kappa, solver = key
-    coeff_sum, l2, iterations = GOLDEN[key]
+    pairing, l2, iterations = GOLDEN[key]
     grid = TimeGrid(T=0.1, N=8)
     model = NoiseModel(mode_fields=curl_modes(2, amplitude=1.0), rule="linear")
     cfg = SchemeConfig(PowerLawParams(p=p, kappa=kappa), grid, model, solver=solver)
@@ -76,7 +84,9 @@ def test_final_velocity_matches_record(ops4, key):
     traj = run_trajectory(initial_velocity(u0_smooth, ops4), inc, cfg, ops4)
     assert traj.ok
     u = traj.fields[-1]
-    assert float(u.coeffs.sum()) == pytest.approx(coeff_sum, rel=REL, abs=0.0)
+    assert float(u.coeffs @ _probe(u.coeffs.size)) == pytest.approx(
+        pairing, rel=REL, abs=0.0
+    )
     assert norms(u, "L2", ops4) == pytest.approx(l2, rel=REL, abs=0.0)
     assert [s.iterations for s in traj.stats] == iterations
 
