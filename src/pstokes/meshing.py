@@ -26,7 +26,9 @@ class TriMesh:
     are derived in __post_init__ and shared immutably by assembly code.
     square_order is the m of unit_square_mesh(m) for that mesh and its
     Alfeld split, and None for every other mesh; point location relies
-    on it.
+    on it.  The arrays are copied on construction and read-only, so a
+    mesh cannot be moved in place under what was derived from it: build
+    a new TriMesh instead.
     """
 
     vertices: np.ndarray
@@ -39,8 +41,10 @@ class TriMesh:
     boundary_edge: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64)
+        self.vertices = np.array(self.vertices, dtype=float)
+        self.triangles = np.array(self.triangles, dtype=np.int64)
+        if self.parent is not None:
+            self.parent = np.array(self.parent, dtype=np.int64)
         if np.any(self.signed_areas() <= 0.0):
             raise ValueError("mesh has a degenerate or misoriented triangle")
         # Edge slot i is opposite local vertex i: (1,2), (2,0), (0,1).
@@ -55,6 +59,12 @@ class TriMesh:
         self.boundary_edge = counts == 1
         self.boundary_vertex = np.zeros(len(self.vertices), dtype=bool)
         self.boundary_vertex[self.edges[self.boundary_edge].ravel()] = True
+        for a in (
+            self.vertices, self.triangles, self.parent, self.edges,
+            self.triangle_edges, self.boundary_vertex, self.boundary_edge,
+        ):
+            if a is not None:
+                a.setflags(write=False)
 
     @property
     def n_vertices(self) -> int:

@@ -3,11 +3,10 @@
 Velocity space: continuous vector-valued quadratic Lagrange elements with
 zero boundary trace, on an Alfeld-split triangulation.  Pressure space:
 discontinuous linears (3 dofs per triangle) with the global mean-zero
-constraint kept as one dense row.  On Alfeld splits this pair is inf-sup
-stable and div V_h is contained in the pressure space, which makes the
-discrete divergence constraint pointwise exact: the velocity iterates
-returned by the saddle solves are exactly divergence free up to solver
-tolerance.
+constraint.  On Alfeld splits this pair is inf-sup stable and div V_h is
+contained in the pressure space, which makes the discrete divergence
+constraint pointwise exact: the velocity iterates returned by the saddle
+solves are exactly divergence free up to solver tolerance.
 
 Conventions: scalar velocity node k is a vertex (k < n_vertices) or the
 midpoint of edge k - n_vertices; vector dof = 2 * node + component.
@@ -433,7 +432,7 @@ def assemble(mesh: TriMesh, params: PowerLawParams | None = None) -> AssembledOp
 
 
 class SaddleSolver:
-    """Direct factorization of the KKT operator
+    """Direct solver for the KKT operator
 
         [ A   -B^T   0 ] [ w  ]   [ rhs_v ]
         [ B    0     c ] [ q  ] = [ rhs_p ]
@@ -444,21 +443,29 @@ class SaddleSolver:
     this sign convention the multiplier q of the time stepper coincides
     with the pressure increment of the reconstruction equation.  This
     class is the only code that knows how the blocks are laid out.
+
+    The dense row and column c would ruin the fill of the sparse LU, so
+    they are not factored.  The pair is inf-sup stable on the Alfeld
+    split, so the kernel of B^T is exactly the constant pressures:
+    1^T B = 0, and any one row of B is fixed by the others.  The factored
+    matrix (`.lu`) is therefore
+
+        [ A   -B'^T ]
+        [ B'    0   ]
+
+    with B' the rows of B without the last pressure dof, which is pinned
+    to zero.  `solve` recovers the bordered solution from it: summing
+    the constraint rows gives mu = sum(rhs_p) / sum(c); the factored
+    system is solved with rhs_p - c mu (its pinned row then follows from
+    the others); and q is shifted by a constant so that c^T q = rhs_c.
     """
 
     def __init__(self, A: sp.spmatrix, ops: AssembledOperators):
-        nf, npr = ops.n_free, ops.n_pressure
-        c = sp.csc_matrix((ops.cvec, (np.arange(npr), np.zeros(npr, dtype=int))), shape=(npr, 1))
-        K = sp.bmat(
-            [
-                [A, -ops.B_free.T, None],
-                [ops.B_free, None, c],
-                [None, c.T, None],
-            ],
-            format="csc",
-        )
-        self.n_free = nf
-        self.n_pressure = npr
+        B_pinned = ops.B_free[:-1]
+        K = sp.bmat([[A, -B_pinned.T], [B_pinned, None]], format="csc")
+        self.n_free = ops.n_free
+        self.n_pressure = ops.n_pressure
+        self.cvec = ops.cvec
         self.lu = spla.splu(K)
 
     def solve(
@@ -470,16 +477,23 @@ class SaddleSolver:
         """Solve for (w, q, mu).  rhs_v has shape (n_free,) or, to solve
         for k right-hand sides at once, (n_free, k); rhs_p and the
         returned blocks then carry the same trailing axis, and mu is an
-        array of length k instead of a float."""
-        nf, npr = self.n_free, self.n_pressure
-        rhs = np.zeros((nf + npr + 1,) + np.shape(rhs_v)[1:])
+        array of length k instead of a float.  Raises FloatingPointError
+        if the solution is not finite."""
+        nf, c = self.n_free, self.cvec
+        tail = np.shape(rhs_v)[1:]
+        rhs = np.zeros((nf + self.n_pressure - 1,) + tail)
         rhs[:nf] = rhs_v
+        mu = np.zeros(tail)
         if rhs_p is not None:
-            rhs[nf : nf + npr] = rhs_p
-        rhs[-1] = rhs_c
+            mu = np.sum(rhs_p, axis=0) / c.sum()
+            rhs[nf:] = (rhs_p - np.multiply.outer(c, mu))[:-1]
         sol = self.lu.solve(rhs)
-        mu = sol[-1] if sol.ndim > 1 else float(sol[-1])
-        return sol[:nf], sol[nf : nf + npr], mu
+        if not np.all(np.isfinite(sol)):
+            raise FloatingPointError("saddle solve produced non-finite values")
+        q = np.zeros((self.n_pressure,) + tail)
+        q[:-1] = sol[nf:]
+        q += (rhs_c - c @ q) / c.sum()
+        return sol[:nf], q, (mu if tail else float(mu))
 
 
 def _full_velocity(ops: AssembledOperators, free_values: np.ndarray) -> np.ndarray:

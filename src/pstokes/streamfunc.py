@@ -20,9 +20,13 @@ SPD systems C^T (M + tau K) C d = -C^T F whose dimension
         = n_free_velocity_dofs - (n_pressure_dofs - 1)
 
 is an order of magnitude below the KKT system, with proportionally
-cheaper factorizations.  The basis is geometry-only and is kept on the
-operator bundle (`AssembledOperators.stream_basis`, with the coarse
-structure it is numbered by in `AssembledOperators.stream_coarse`).
+cheaper factorizations.  The 19-node interpolation problems of all
+macro-elements are stacked and solved in one batch: one batched inverse
+for the subtriangle cubics, one batched pseudo-inverse for the C^1 and
+dof conditions, one batched evaluation at the P2 nodes.  The basis is
+geometry-only and is kept on the operator bundle
+(`AssembledOperators.stream_basis`, with the coarse structure it is
+numbered by in `AssembledOperators.stream_coarse`).
 
 Stream dof ordering: for each interior coarse vertex v (in increasing
 vertex id) the triple (psi(v), d_x psi(v), d_y psi(v)), followed by one
@@ -48,14 +52,33 @@ _EXP = np.array(
 _EX, _EY = _EXP[:, 0].astype(float), _EXP[:, 1].astype(float)
 
 
+# Local node ids of the 19-node macro-element: 0-2 corners, 3 centroid,
+# 4+2k/5+2k thirds of outer edge k, 10+2k/11+2k thirds of spoke k (from
+# P_k towards Z), 16+k subtriangle barycenters.  Row k lists the ten
+# nodes of subtriangle k = (P_k, P_{k+1}, Z), which carry its cubic.
+_LOCAL = np.array(
+    [
+        [k, (k + 1) % 3, 3,
+         4 + 2 * k, 5 + 2 * k,
+         10 + 2 * ((k + 1) % 3), 11 + 2 * ((k + 1) % 3),
+         10 + 2 * k, 11 + 2 * k,
+         16 + k]
+        for k in range(3)
+    ]
+)
+# Where the normal jump across each spoke is sampled, as fractions of the
+# spoke from its corner towards the centroid.
+_SPOKE_POINTS = np.array([0.25, 0.5, 0.75])
+
+
 def _monomial_values(pts: np.ndarray) -> np.ndarray:
-    """Rows: points, columns: the 10 cubic monomials."""
-    return pts[:, :1] ** _EXP[:, 0] * pts[:, 1:] ** _EXP[:, 1]
+    """The 10 cubic monomials at points (..., 2), shape (..., 10)."""
+    return pts[..., :1] ** _EXP[:, 0] * pts[..., 1:] ** _EXP[:, 1]
 
 
 def _monomial_gradients(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d_x and d_y of the 10 monomials at each point, shape (n_pts, 10)."""
-    x, y = pts[:, :1], pts[:, 1:]
+    """d_x and d_y of the 10 monomials at points (..., 2), each (..., 10)."""
+    x, y = pts[..., :1], pts[..., 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         gx = _EX * np.where(_EXP[:, 0] > 0, x ** np.maximum(_EXP[:, 0] - 1, 0), 0.0)
         gy = _EY * np.where(_EXP[:, 1] > 0, y ** np.maximum(_EXP[:, 1] - 1, 0), 0.0)
@@ -91,7 +114,8 @@ def _coarse_structure(ops: AssembledOperators) -> dict:
     both_coarse = (mesh.edges < n_coarse_verts).all(axis=1)
     coarse_edges = mesh.edges[both_coarse]
     coarse_edge_boundary = mesh.boundary_edge[both_coarse]
-    edge_index = {tuple(e): i for i, e in enumerate(coarse_edges)}
+    # edge slot 2 of child 3i+k (opposite z) is the outer edge (v_k, v_k+1)
+    tri_edges = (np.cumsum(both_coarse) - 1)[mesh.triangle_edges[:, 2]].reshape(-1, 3)
 
     interior_vertex = ~mesh.boundary_vertex[:n_coarse_verts]
     vert_rank = np.cumsum(interior_vertex) - 1
@@ -103,7 +127,7 @@ def _coarse_structure(ops: AssembledOperators) -> dict:
         "n_coarse_verts": n_coarse_verts,
         "coarse_tris": coarse_tris,
         "coarse_edges": coarse_edges,
-        "edge_index": edge_index,
+        "tri_edges": tri_edges,
         "interior_vertex": interior_vertex,
         "interior_edge": interior_edge,
         "vert_dof_base": 3 * vert_rank,
@@ -113,92 +137,88 @@ def _coarse_structure(ops: AssembledOperators) -> dict:
     return ops.stream_coarse
 
 
-def _macro_columns(
+def _global_columns(cs: dict) -> np.ndarray:
+    """Stream dof of each of the 12 local dofs of every macro-element,
+    (n_coarse_tris, 12); -1 marks the clamped (boundary) dofs."""
+    cv, e = cs["coarse_tris"], cs["tri_edges"]
+    vcols = cs["vert_dof_base"][cv][:, :, None] + np.arange(3)
+    gcols = np.empty((len(cv), 12), dtype=np.int64)
+    gcols[:, :9] = np.where(cs["interior_vertex"][cv][:, :, None], vcols, -1).reshape(-1, 9)
+    gcols[:, 9:] = np.where(cs["interior_edge"][e], cs["edge_dof_base"][e], -1)
+    return gcols
+
+
+def _macro_elements(
     P: np.ndarray, Z: np.ndarray, normals: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Solve one macro-element interpolation problem.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Solve the interpolation problems of n macro-elements at once.
 
-    P: (3, 2) coarse vertex coords, Z: centroid, normals: (3, 2) global
-    unit normals of the outer edges (P_k, P_{k+1}).  Returns the three
-    per-subtriangle monomial coefficient blocks (10, 12) of the stream
-    function for each of the 12 local dofs, plus the lstsq residual.
-
-    Local node ids: 0-2 corners, 3 centroid, 4+2k/5+2k thirds of outer
-    edge k, 10+2k/11+2k thirds of spoke k (from P_k towards Z), 16+k
-    subtriangle barycenters.
+    P: (n, 3, 2) coarse vertex coords, Z: (n, 2) centroids, normals:
+    (n, 3, 2) global unit normals of the outer edges (P_k, P_{k+1}).
+    Returns the monomial coefficients (n, 3, 10, 12) of the stream
+    function on each subtriangle for each of the 12 local dofs (in
+    coordinates (x - Z) / h), the scales h (n,), and the largest
+    residual of the consistent over-determined systems.
     """
-    h = float(np.max(np.linalg.norm(P - np.roll(P, 1, axis=0), axis=1)))
-    nodes = np.empty((19, 2))
-    nodes[0:3] = P
-    nodes[3] = Z
-    for k in range(3):
-        a, b = P[k], P[(k + 1) % 3]
-        nodes[4 + 2 * k] = a + (b - a) / 3.0
-        nodes[5 + 2 * k] = a + 2.0 * (b - a) / 3.0
-        nodes[10 + 2 * k] = P[k] + (Z - P[k]) / 3.0
-        nodes[11 + 2 * k] = P[k] + 2.0 * (Z - P[k]) / 3.0
-        nodes[16 + k] = (P[k] + P[(k + 1) % 3] + Z) / 3.0
-
-    local = [
-        [k, (k + 1) % 3, 3,
-         4 + 2 * k, 5 + 2 * k,
-         10 + 2 * ((k + 1) % 3), 11 + 2 * ((k + 1) % 3),
-         10 + 2 * k, 11 + 2 * k,
-         16 + k]
-        for k in range(3)
-    ]
-    scaled = (nodes - Z) / h
-    Vinv = [
-        np.linalg.inv(_monomial_values(scaled[local[k]])) for k in range(3)
-    ]
+    n = len(P)
+    P1 = np.roll(P, -1, axis=1)  # P_{k+1}
+    Zc = Z[:, None, :]
+    h = np.linalg.norm(P - np.roll(P, 1, axis=1), axis=2).max(axis=1)
+    nodes = np.empty((n, 19, 2))
+    nodes[:, 0:3] = P
+    nodes[:, 3] = Z
+    nodes[:, 4:10:2] = P + (P1 - P) / 3.0
+    nodes[:, 5:10:2] = P + 2.0 * (P1 - P) / 3.0
+    nodes[:, 10:16:2] = P + (Zc - P) / 3.0
+    nodes[:, 11:16:2] = P + 2.0 * (Zc - P) / 3.0
+    nodes[:, 16:19] = (P + P1 + Zc) / 3.0
+    hb = h[:, None, None]
+    Vinv = np.linalg.inv(_monomial_values((nodes - Zc)[:, _LOCAL] / hb[..., None]))
 
     def grad_rows(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """d_x, d_y of psi at physical points, as rows acting on the 19
-        nodal values, evaluated through subtriangle k."""
-        gx, gy = _monomial_gradients((pts - Z) / h)
-        rows_x = np.zeros((len(pts), 19))
-        rows_y = np.zeros((len(pts), 19))
-        rows_x[:, local[k]] = (gx / h) @ Vinv[k]
-        rows_y[:, local[k]] = (gy / h) @ Vinv[k]
+        """d_x, d_y of psi at physical points (n, n_pts, 2), as rows
+        (n, n_pts, 19) acting on the nodal values, evaluated through
+        subtriangle k."""
+        gx, gy = _monomial_gradients((pts - Zc) / hb)
+        rows_x = np.zeros(pts.shape[:2] + (19,))
+        rows_y = np.zeros(pts.shape[:2] + (19,))
+        rows_x[:, :, _LOCAL[k]] = (gx / hb) @ Vinv[:, k]
+        rows_y[:, :, _LOCAL[k]] = (gy / hb) @ Vinv[:, k]
         return rows_x, rows_y
 
     # C^1 coupling across the three spokes: the tangential derivative is
     # continuous by construction (shared nodal values along the spoke),
     # the normal jump is a quadratic along the edge -> three point
     # conditions per spoke (rank 7 in total, the centroid ties them).
-    c1_rows = []
+    stacked = np.zeros((n, 21, 19))
     for s in range(3):
-        t = Z - P[s]
-        nrm = np.array([t[1], -t[0]]) / np.linalg.norm(t)
-        pts = P[s] + np.outer([0.25, 0.5, 0.75], t)
-        ax, ay = grad_rows(pts, s)          # subtri s has spoke s as an edge
+        t = Z - P[:, s]
+        nrm = np.stack([t[:, 1], -t[:, 0]], axis=1) / np.linalg.norm(t, axis=1)[:, None]
+        pts = P[:, s, None] + _SPOKE_POINTS[None, :, None] * t[:, None, :]
+        ax, ay = grad_rows(pts, s)            # subtri s has spoke s as an edge
         bx, by = grad_rows(pts, (s + 2) % 3)  # so does subtri s-1
-        c1_rows.append(nrm[0] * (ax - bx) + nrm[1] * (ay - by))
-    A_c1 = np.vstack(c1_rows)
+        stacked[:, 3 * s : 3 * s + 3] = (
+            nrm[:, 0, None, None] * (ax - bx) + nrm[:, 1, None, None] * (ay - by)
+        )
 
     # The 12 dof functionals: (value, d_x, d_y) at each corner, then the
-    # global-normal derivative at each outer edge midpoint.
-    A_dof = np.zeros((12, 19))
+    # global-normal derivative at each outer edge midpoint (rows 9-20).
+    A_dof = stacked[:, 9:]
     for v in range(3):
-        A_dof[3 * v, v] = 1.0
-        gx, gy = grad_rows(P[v][None, :], v)
-        A_dof[3 * v + 1] = gx[0]
-        A_dof[3 * v + 2] = gy[0]
+        A_dof[:, 3 * v, v] = 1.0
+        gx, gy = grad_rows(P[:, v, None], v)
+        A_dof[:, 3 * v + 1] = gx[:, 0]
+        A_dof[:, 3 * v + 2] = gy[:, 0]
     for k in range(3):
-        mid = 0.5 * (P[k] + P[(k + 1) % 3])
-        gx, gy = grad_rows(mid[None, :], k)
-        A_dof[9 + k] = normals[k, 0] * gx[0] + normals[k, 1] * gy[0]
+        gx, gy = grad_rows(0.5 * (P[:, k, None] + P1[:, k, None]), k)
+        A_dof[:, 9 + k] = normals[:, k, 0, None] * gx[:, 0] + normals[:, k, 1, None] * gy[:, 0]
 
-    stacked = np.vstack([A_c1, A_dof])
+    # least-squares solution for the right-hand sides [0; I]: the last
+    # 12 columns of the pseudo-inverse
+    psi = np.linalg.pinv(stacked)[:, :, 9:]
     target = np.vstack([np.zeros((9, 12)), np.eye(12)])
-    psi, *_ = np.linalg.lstsq(stacked, target, rcond=None)
     resid = float(np.abs(stacked @ psi - target).max())
-
-    coeff_blocks = [Vinv[k] @ psi[local[k]] for k in range(3)]
-
-    # convert to velocity values: u = (d_y psi, -d_x psi); evaluation
-    # points are supplied later, so hand back evaluators' ingredients
-    return coeff_blocks, np.array([h, resid])
+    return Vinv @ psi[:, _LOCAL], h, resid
 
 
 def stream_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
@@ -210,64 +230,35 @@ def stream_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     if ops.stream_basis is not None:
         return ops.stream_basis
     cs = _coarse_structure(ops)
-    mesh = ops.space_v.mesh
     sv = ops.space_v
-    verts = mesh.vertices
-    n_cv = cs["n_coarse_verts"]
-    edge_index = cs["edge_index"]
-    interior_vertex = cs["interior_vertex"]
-    interior_edge = cs["interior_edge"]
-    vbase, ebase = cs["vert_dof_base"], cs["edge_dof_base"]
+    verts = sv.mesh.vertices
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    worst_resid = 0.0
-
-    for i, cv in enumerate(cs["coarse_tris"]):
-        P = verts[cv]
-        Z = verts[n_cv + i]
-        # global columns of the 12 local dofs; -1 marks clamped dofs
-        gcols = np.full(12, -1, dtype=np.int64)
-        normals = np.empty((3, 2))
-        for v in range(3):
-            if interior_vertex[cv[v]]:
-                gcols[3 * v: 3 * v + 3] = vbase[cv[v]] + np.arange(3)
-        for k in range(3):
-            a, b = sorted((int(cv[k]), int(cv[(k + 1) % 3])))
-            t = verts[b] - verts[a]
-            normals[k] = np.array([t[1], -t[0]]) / np.linalg.norm(t)
-            e = edge_index[(a, b)]
-            if interior_edge[e]:
-                gcols[9 + k] = ebase[e]
-        if np.all(gcols < 0):
-            continue
-
-        coeff_blocks, (h, resid) = _macro_columns(P, Z, normals)
-        worst_resid = max(worst_resid, resid)
-
-        keep = np.flatnonzero(gcols >= 0)
-        for k in range(3):
-            snodes = sv.scalar_l2g[3 * i + k]
-            pts = (sv.node_coords[snodes] - Z) / h
-            gx, gy = _monomial_gradients(pts)
-            ck = coeff_blocks[k][:, keep]
-            ux = (gy / h) @ ck          # (6 nodes, n_keep)
-            uy = -(gx / h) @ ck
-            dof_rows = 2 * snodes
-            for comp, uvals in ((0, ux), (1, uy)):
-                rows.append(np.repeat(dof_rows + comp, len(keep)))
-                cols.append(np.tile(gcols[keep], 6))
-                vals.append(uvals.ravel())
-
-    if worst_resid > 1e-8:
+    gcols = _global_columns(cs)
+    # macro-elements with every dof clamped contribute nothing
+    active = np.flatnonzero((gcols >= 0).any(axis=1))
+    gcols = gcols[active]
+    ends = verts[cs["coarse_edges"][cs["tri_edges"][active]]]  # (n, 3, a<b, 2)
+    t = ends[:, :, 1] - ends[:, :, 0]
+    normals = np.stack([t[..., 1], -t[..., 0]], axis=-1) / np.linalg.norm(t, axis=-1)[..., None]
+    Z = verts[cs["n_coarse_verts"] + active]
+    coeffs, h, resid = _macro_elements(verts[cs["coarse_tris"][active]], Z, normals)
+    if resid > 1e-8:
         raise ArithmeticError(
-            f"macro-element interpolation inconsistent (residual {worst_resid:.2e})"
+            f"macro-element interpolation inconsistent (residual {resid:.2e})"
         )
 
-    row_arr = np.concatenate(rows)
-    col_arr = np.concatenate(cols)
-    val_arr = np.concatenate(vals)
+    # velocity u = (d_y psi, -d_x psi) at the six P2 nodes of each
+    # subtriangle: (n, 3 subtris, 2 components, 6 nodes, 12 local dofs)
+    snodes = sv.scalar_l2g.reshape(-1, 3, 6)[active]
+    hb = h[:, None, None, None]
+    gx, gy = _monomial_gradients((sv.node_coords[snodes] - Z[:, None, None]) / hb)
+    vals = np.stack([(gy / hb) @ coeffs, -(gx / hb) @ coeffs], axis=2)
+    rows = 2 * snodes[:, :, None, :, None] + np.arange(2)[:, None, None]
+    cols = gcols[:, None, None, None, :]
+    keep = np.broadcast_to(cols >= 0, vals.shape)
+    row_arr = np.broadcast_to(rows, vals.shape)[keep]
+    col_arr = np.broadcast_to(cols, vals.shape)[keep]
+    val_arr = vals[keep]
     # shared nodes are written by several macro-elements with equal
     # values (C^1 gluing); keep the first occurrence of each (row, col)
     key = row_arr * np.int64(cs["dim"]) + col_arr

@@ -31,11 +31,10 @@ from pstokes.meshing import alfeld_split, unit_square_mesh
 from pstokes.diagnostics import error_stats
 from pstokes.noise import NoiseModel, sample_increments, sample_wiener_path
 from pstokes.pressure import reconstruct
+from pstokes.scenarios import curl_modes, u0_smooth
 from pstokes.spaces import Field, assemble, norms
 from pstokes.stepper import SchemeConfig, initial_velocity, run_trajectory
 from pstokes.tensors import PowerLawParams
-
-from test_stepper import curl_modes, u0_smooth
 
 SEED = 20230725
 REL = 1e-10

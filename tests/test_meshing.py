@@ -60,6 +60,23 @@ class TestUnitSquare:
         for v in coarse.vertices:
             assert np.min(np.linalg.norm(fine.vertices - v, axis=1)) < 1e-14
 
+    def test_arrays_read_only(self):
+        # a mesh moved in place would keep what was derived from it (its
+        # square order, its edges), so the arrays refuse writes; the
+        # caller's own arrays are copied, not frozen
+        verts = unit_square_mesh(2).vertices.copy()
+        mesh = TriMesh(verts, unit_square_mesh(2).triangles)
+        split = alfeld_split(mesh)
+        for m in (mesh, split):
+            for name in ("vertices", "triangles", "edges", "triangle_edges",
+                         "boundary_vertex", "boundary_edge"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(m, name)[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            split.parent[0] = 1
+        verts[4] += 0.01
+        assert mesh.vertices[4, 0] == 0.5
+
 
 class TestAlfeldSplit:
     def test_two_triangle_example(self):

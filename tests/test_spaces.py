@@ -14,6 +14,7 @@ from pstokes.spaces import (
     QUAD_WEIGHTS,
     AssembledOperators,
     Field,
+    SaddleSolver,
     StructuredLocator,
     _p1_values,
     _p2_gradients,
@@ -164,6 +165,44 @@ class TestProjections:
     def test_kind_checked(self, ops4):
         with pytest.raises(ValueError):
             project_div(Field("pressure", np.zeros(ops4.n_pressure)), ops4)
+
+
+class TestSaddleSolver:
+    @pytest.mark.parametrize("tau", [0.0, 0.01], ids=["M", "M+tauK"])
+    @pytest.mark.parametrize("k", [None, 3], ids=["one", "block"])
+    def test_matches_dense_bordered_system(self, tau, k):
+        """The pinned factorization returns the solution of the bordered
+        system with the dense pressure-mean row and column."""
+        ops = assemble(alfeld_split(unit_square_mesh(2)))
+        A = ops.M_free + tau * ops.grad_stiffness
+        nf, npr = ops.n_free, ops.n_pressure
+        B, c = ops.B_free.toarray(), ops.cvec[:, None]
+        K = np.block(
+            [
+                [A.toarray(), -B.T, np.zeros((nf, 1))],
+                [B, np.zeros((npr, npr)), c],
+                [np.zeros((1, nf)), c.T, np.zeros((1, 1))],
+            ]
+        )
+        rng = np.random.default_rng(8)
+        shape = () if k is None else (k,)
+        rhs_v = rng.standard_normal((nf,) + shape)
+        rhs_p = rng.standard_normal((npr,) + shape) + 0.5
+        rhs_c = 0.3
+        ref = np.linalg.solve(K, np.concatenate([rhs_v, rhs_p, np.full((1,) + shape, rhs_c)]))
+        w, q, mu = SaddleSolver(A, ops).solve(rhs_v, rhs_p, rhs_c)
+        assert w.shape == rhs_v.shape and q.shape == rhs_p.shape
+        assert isinstance(mu, float) if k is None else mu.shape == (k,)
+        assert np.abs(w - ref[:nf]).max() <= 1e-10
+        assert np.abs(q - ref[nf : nf + npr]).max() <= 1e-10
+        assert np.abs(mu - ref[-1]).max() <= 1e-10
+        assert np.abs(ops.cvec @ q - rhs_c).max() <= 1e-12
+
+    def test_non_finite_input_raises(self, ops4):
+        v = Field("velocity", np.zeros(ops4.space_v.n_dofs))
+        v.coeffs[np.flatnonzero(ops4.free)[7]] = np.nan
+        with pytest.raises(FloatingPointError):
+            project_div(v, ops4)
 
 
 class TestDiscreteGradient:

@@ -13,6 +13,7 @@ import scipy.sparse.linalg as spla
 from pstokes.grids import TimeGrid
 from pstokes.meshing import alfeld_split, unit_square_mesh
 from pstokes.noise import NoiseModel, sample_increments
+from pstokes.scenarios import curl_modes, u0_smooth
 from pstokes.spaces import (
     Field,
     assemble,
@@ -36,33 +37,6 @@ from pstokes.tensors import PowerLawParams
 ABS_TOL = 1e-10
 ENERGY_TOL = 10 * ABS_TOL
 DIV_TOL = 1e-8
-
-
-def u0_smooth(pts: np.ndarray) -> np.ndarray:
-    x, y = pts[:, 0], pts[:, 1]
-    ux = 2 * x**2 * (1 - x) ** 2 * y * (1 - y) * (1 - 2 * y)
-    uy = -2 * x * (1 - x) * (1 - 2 * x) * y**2 * (1 - y) ** 2
-    return np.stack([ux, uy], axis=-1)
-
-
-def curl_modes(n_modes: int, amplitude: float = 0.1):
-    fields = []
-    for k in range(n_modes):
-        a = k + 1
-
-        def g(pts, a=a):
-            x, y = pts[:, 0], pts[:, 1]
-            s = amplitude / np.sqrt(2.0)
-            return s * np.stack(
-                [
-                    np.sin(np.pi * a * x) * np.cos(np.pi * a * y),
-                    -np.cos(np.pi * a * x) * np.sin(np.pi * a * y),
-                ],
-                axis=-1,
-            )
-
-        fields.append(g)
-    return fields
 
 
 @pytest.fixture(scope="module")

@@ -15,10 +15,12 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from pstokes.grids import TimeGrid
-from pstokes.meshing import alfeld_split, unit_square_mesh
+from pstokes.meshing import TriMesh, alfeld_split, unit_square_mesh
 from pstokes.noise import NoiseModel, sample_increments
 from pstokes.pressure import multiplier_consistency, reconstruct
+from pstokes.scenarios import curl_modes, u0_smooth
 from pstokes.spaces import (
+    Field,
     SaddleSolver,
     assemble,
     divergence_pointwise_max,
@@ -34,12 +36,39 @@ from pstokes.stepper import (
 from pstokes.streamfunc import stream_curl_basis, stream_dimension
 from pstokes.tensors import PowerLawParams
 
-from test_stepper import curl_modes, u0_smooth
-
 
 @pytest.fixture(scope="module")
 def ops2():
     return assemble(alfeld_split(unit_square_mesh(2)))
+
+
+def jiggled_square_mesh(m: int) -> TriMesh:
+    """unit_square_mesh(m) with its interior vertices moved at random:
+    no two macro-elements are congruent."""
+    base = unit_square_mesh(m)
+    verts = base.vertices.copy()
+    inner = ~base.boundary_vertex
+    verts[inner] += 0.05 * np.random.default_rng(1).standard_normal((inner.sum(), 2))
+    return TriMesh(verts, base.triangles)
+
+
+def reduced_solve_error(ops) -> float:
+    """Span exactness: relative difference between a saddle solve and
+    the same problem solved in the reduced basis, which vanishes only if
+    the basis spans the full divergence-free space, not a proper
+    subspace of it."""
+    C = stream_curl_basis(ops)
+    rng = np.random.default_rng(3)
+    u = np.zeros(ops.space_v.n_dofs)
+    u[ops.free] = 0.05 * rng.standard_normal(ops.n_free)
+    A = ops.M_free + 0.01 * stress_tangent_matrix(
+        u, ops, PowerLawParams(p=3.0, kappa=0.0)
+    )
+    f = rng.standard_normal(ops.n_free)
+    u_kkt, _, _ = SaddleSolver(A, ops).solve(f)
+    H = (C.T @ (A @ C)).tocsc()
+    u_red = C @ spla.splu(H).solve(C.T @ f)
+    return float(np.linalg.norm(u_red - u_kkt) / np.linalg.norm(u_kkt))
 
 
 @pytest.fixture(scope="module")
@@ -81,23 +110,23 @@ class TestBasisConstruction:
         norms_sq = np.asarray(C.multiply(C).sum(axis=0)).ravel()
         assert np.allclose(norms_sq, 1.0, atol=1e-12)
 
-    def test_reduced_solve_matches_saddle(self):
-        """Span exactness: the reduced basis solves the full
-        divergence-free problem, not a proper subspace of it."""
-        ops = assemble(alfeld_split(unit_square_mesh(4)))
+    def test_unstructured_mesh_basis(self):
+        """Dimension, pointwise divergence, column scaling and span
+        exactness on a mesh whose macro-elements all differ in shape."""
+        ops = assemble(alfeld_split(jiggled_square_mesh(4)))
         C = stream_curl_basis(ops)
-        rng = np.random.default_rng(3)
+        assert C.shape == (ops.n_free, ops.n_free - (ops.n_pressure - 1))
         u = np.zeros(ops.space_v.n_dofs)
-        u[ops.free] = 0.05 * rng.standard_normal(ops.n_free)
-        A = ops.M_free + 0.01 * stress_tangent_matrix(
-            u, ops, PowerLawParams(p=3.0, kappa=0.0)
-        )
-        f = rng.standard_normal(ops.n_free)
-        u_kkt, _, _ = SaddleSolver(A, ops).solve(f)
-        H = (C.T @ (A @ C)).tocsc()
-        u_red = C @ spla.splu(H).solve(C.T @ f)
-        rel = np.linalg.norm(u_red - u_kkt) / np.linalg.norm(u_kkt)
-        assert rel <= 1e-10
+        for j in range(C.shape[1]):
+            u[ops.free] = C[:, j].toarray().ravel()
+            assert divergence_pointwise_max(Field("velocity", u), ops) <= 1e-10
+        norms_sq = np.asarray(C.multiply(C).sum(axis=0)).ravel()
+        assert np.allclose(norms_sq, 1.0, atol=1e-12)
+        assert reduced_solve_error(ops) <= 1e-10
+
+    def test_reduced_solve_matches_saddle(self):
+        ops = assemble(alfeld_split(unit_square_mesh(4)))
+        assert reduced_solve_error(ops) <= 1e-10
 
     def test_requires_split_mesh(self):
         # the operator bundle itself refuses unsplit meshes, so the
