@@ -1,8 +1,9 @@
 """Console script `pstokes`.
 
 `pstokes run` steps one trajectory of the smooth vortex on
-alfeld_split(unit_square_mesh(m)) with additive curl-mode noise and
-prints a JSON-lines trace: one line per step with the step index n, the
+alfeld_split(unit_square_mesh(m)) with additive curl-mode noise, in the
+divergence-free basis the stepper always solves in, and prints a
+JSON-lines trace: one line per step with the step index n, the
 fields of its StepStats and the largest pointwise |div u| over the
 quadrature points.  The exit code is 1 when the trajectory stops on a
 step that did not converge, 0 otherwise.
@@ -37,7 +38,6 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--T", type=float, default=0.1, help="final time (default 0.1)")
     run.add_argument("--p", type=float, default=2.0, help="power-law exponent (default 2)")
     run.add_argument("--kappa", type=float, default=0.0, help="power-law shift (default 0)")
-    run.add_argument("--solver", choices=("kkt", "stream"), default="stream")
     run.add_argument("--seed", type=int, default=0, help="seed of the Wiener increments")
     run.add_argument("--modes", type=int, default=2, help="curl noise modes, 0 for none (default 2)")
     return parser
@@ -53,9 +53,7 @@ def main(argv: list[str] | None = None) -> int:
     ops = assemble(alfeld_split(unit_square_mesh(args.m)))
     grid = TimeGrid(T=args.T, N=args.N)
     model = NoiseModel(curl_modes(args.modes)) if args.modes else None
-    config = SchemeConfig(
-        PowerLawParams(p=args.p, kappa=args.kappa), grid, model, solver=args.solver
-    )
+    config = SchemeConfig(PowerLawParams(p=args.p, kappa=args.kappa), grid, model)
     inc = sample_increments(np.random.default_rng(args.seed), grid, n_modes=args.modes)
     traj = run_trajectory(initial_velocity(u0_smooth, ops), inc, config, ops)
     for n, stats in enumerate(traj.stats, start=1):

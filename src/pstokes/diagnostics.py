@@ -532,12 +532,13 @@ def error_stats(
         Uf = np.stack([f.coeffs for f in ref.fields])
         avg = np.stack([w @ Uf[js] for js, w in tiles])  # <u_ref>_n coefficients
 
-        # e_n at the fine quadrature points, quadrature-weighted rows.
+        # e_n at the fine quadrature points, quadrature-weighted rows;
+        # the averages at the fine points also feed C_Linf below.
+        fine_vals = np.stack([velocity_at_qp(a, ops_ref).ravel() for a in avg])
         E = np.empty((Nc + 1, w2.size))
         for n in range(Nc + 1):
-            fine_vals = velocity_at_qp(avg[n], ops_ref).ravel()
             coarse_vals = _velocity_qp_flat(coarse.fields[n].coeffs, ops_coarse, ops_ref)
-            E[n] = (fine_vals - coarse_vals) * w2
+            E[n] = (fine_vals[n] - coarse_vals) * w2
         norms_sq = np.einsum("nd,nd->n", E, E)
         natural_s.append(float(norms_sq[1:].max()))
         gram_e_sum += E @ E.T
@@ -557,9 +558,7 @@ def error_stats(
 
         linf = 0.0
         for n in range(1, Nc + 1):
-            diff = velocity_at_qp(avg[n], ops_ref).ravel() - _velocity_qp_flat(
-                proj_avg[n], ops_coarse, ops_ref
-            )
+            diff = fine_vals[n] - _velocity_qp_flat(proj_avg[n], ops_coarse, ops_ref)
             linf = max(linf, float(np.sum((diff * w2) ** 2)))
         linf_s.append(linf)
 

@@ -45,7 +45,6 @@ __all__ = [
     "norm_Qdet",
     "stress_dual_norm",
     "verify_reconstruction",
-    "multiplier_consistency",
 ]
 
 # Pointwise |div v|^2 = (d1 v1 + d2 v2)^2 <= 2 |grad v|^2, so the
@@ -107,7 +106,7 @@ def _solve_vperp(
     q and z (full velocity length) then carry the same trailing axis.
     With want_z=False the mass solve for z is skipped and z is None.
     """
-    w_free, q, _mu = ops.projection_saddle().solve(-d_free)
+    w_free, q = ops.projection_saddle().solve(-d_free)
     if not want_z:
         return q, None
     f_free = ops.mass_free_lu().solve(d_free)
@@ -348,21 +347,4 @@ def verify_reconstruction(
         )
         for xi in dirs:
             worst = max(worst, abs(float(r_free @ xi[ops.free])))
-    return worst
-
-
-def multiplier_consistency(
-    traj: Trajectory, ptraj: PressureTrajectory, ops: AssembledOperators
-) -> float:
-    """max_n ||lambda_n - d_n pi||_Qsto: the stepper's KKT multiplier
-    must be the reconstructed pressure increment."""
-    if any(lam is None for lam in traj.multipliers):
-        raise ValueError(
-            "trajectory carries no KKT multipliers (stream solver); "
-            "rerun with solver='kkt' to compare multipliers"
-        )
-    worst = 0.0
-    for n in range(1, traj.n_steps + 1):
-        diff = Field("pressure", traj.multipliers[n - 1] - ptraj.increment(n).coeffs)
-        worst = max(worst, norm_Qsto(diff, ops))
     return worst

@@ -1,19 +1,22 @@
 """On-disk records: flat little-endian binaries and legacy VTK export.
 
-All binary records share one layout: a three-value header followed by a
-row-major float64 payload, everything little-endian.  The header slots
-are
+All binary records share one layout: a five-value header followed by a
+row-major float64 payload, everything little-endian.  The header holds
+the record kind, the format version and three values that depend on the
+kind:
 
-  - Wiener path:        (delta, T, n_modes), payload one mode after
-    another (mode-major), n_cells values per mode;
-  - velocity trajectory: (tau, T, n_dofs), payload the checkpoints
-    u_0..u_N one step after another;
-  - pressure components: (tau, T, n_pressure), payload the initial part,
-    then the N cumulative deterministic parts, then the N cumulative
-    stochastic parts.
+  - kind 1, Wiener path:        (delta, T, n_modes), payload one mode
+    after another (mode-major), n_cells values per mode;
+  - kind 2, velocity trajectory: (tau, T, n_dofs), payload the
+    checkpoints u_0..u_N one step after another;
+  - kind 3, pressure components: (tau, T, n_pressure), payload the
+    initial part, then the N cumulative deterministic parts, then the N
+    cumulative stochastic parts.
 
-Row counts are inferred from the file size and cross-checked against the
-header, so a truncated or mislabeled file fails loudly instead of
+Each loader accepts only its own kind and the current version, so a
+record of one kind never loads as another even when the sizes happen to
+tile.  Row counts are inferred from the file size and cross-checked
+against the header, so a truncated file fails loudly instead of
 shifting data.  VTK output uses the legacy ASCII unstructured-grid
 format with velocity vectors at mesh vertices as point data and
 per-cell means of discontinuous-P1 fields as cell data.
@@ -31,24 +34,35 @@ from .noise import WienerPath
 from .spaces import AssembledOperators, Field
 
 _HEADER_DTYPE = np.dtype("<f8")
-_HEADER_SLOTS = 3
+_HEADER_SLOTS = 5
+_VERSION = 1
+_WIENER, _VELOCITY, _PRESSURE = 1, 2, 3
+_KINDS = {_WIENER: "Wiener path", _VELOCITY: "velocity checkpoints", _PRESSURE: "pressure components"}
 
 
-def _write_record(file: str | os.PathLike, header: tuple[float, float, float], payload: np.ndarray) -> None:
-    head = np.asarray(header, dtype=_HEADER_DTYPE)
-    if head.shape != (_HEADER_SLOTS,):
-        raise ValueError(f"header must have {_HEADER_SLOTS} values")
+def _write_record(
+    file: str | os.PathLike, kind: int, values: tuple[float, float, float], payload: np.ndarray
+) -> None:
+    head = np.asarray((kind, _VERSION) + tuple(values), dtype=_HEADER_DTYPE)
     body = np.ascontiguousarray(payload, dtype=_HEADER_DTYPE)
     with open(file, "wb") as fh:
         fh.write(head.tobytes())
         fh.write(body.tobytes())
 
 
-def _read_record(file: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
+def _read_record(file: str | os.PathLike, kind: int) -> tuple[np.ndarray, np.ndarray]:
+    """(the three kind-specific header values, payload) of a record that
+    must be of the given kind and the current version."""
     raw = np.fromfile(file, dtype=_HEADER_DTYPE)
     if raw.size < _HEADER_SLOTS:
         raise ValueError(f"{file}: too short to hold a record header")
-    return raw[:_HEADER_SLOTS], raw[_HEADER_SLOTS:]
+    found, version = float(raw[0]), float(raw[1])
+    if found != kind:
+        what = _KINDS.get(found, "unknown")
+        raise ValueError(f"{file}: record kind {found:g} ({what}), expected {_KINDS[kind]}")
+    if version != _VERSION:
+        raise ValueError(f"{file}: record format version {version:g}, expected {_VERSION}")
+    return raw[2:_HEADER_SLOTS], raw[_HEADER_SLOTS:]
 
 
 def _rows(flat: np.ndarray, row_len: int, what: str) -> np.ndarray:
@@ -63,11 +77,11 @@ def _rows(flat: np.ndarray, row_len: int, what: str) -> np.ndarray:
 
 def save_wiener_path(path: WienerPath, file: str | os.PathLike) -> None:
     """Write the fine increments mode-major under a (delta, T, M) header."""
-    _write_record(file, (path.delta, path.T, float(path.n_modes)), path.increments.T)
+    _write_record(file, _WIENER, (path.delta, path.T, float(path.n_modes)), path.increments.T)
 
 
 def load_wiener_path(file: str | os.PathLike) -> WienerPath:
-    head, flat = _read_record(file)
+    head, flat = _read_record(file, _WIENER)
     delta, T, modes_f = float(head[0]), float(head[1]), float(head[2])
     n_modes = int(round(modes_f))
     if n_modes <= 0 or modes_f != n_modes:
@@ -95,11 +109,11 @@ def save_checkpoints(fields: list[Field], grid: TimeGrid, file: str | os.PathLik
     if kinds != {"velocity"}:
         raise ValueError(f"checkpoints must be velocity fields, got kinds {sorted(kinds)}")
     U = np.vstack([f.coeffs for f in fields])
-    _write_record(file, (grid.tau, grid.T, float(U.shape[1])), U)
+    _write_record(file, _VELOCITY, (grid.tau, grid.T, float(U.shape[1])), U)
 
 
 def load_checkpoints(file: str | os.PathLike) -> tuple[TimeGrid, list[Field]]:
-    head, flat = _read_record(file)
+    head, flat = _read_record(file, _VELOCITY)
     tau, T, dofs_f = float(head[0]), float(head[1]), float(head[2])
     n_dofs = int(round(dofs_f))
     U = _rows(flat, n_dofs, str(file))
@@ -124,13 +138,13 @@ def save_pressure_components(ptraj, grid: TimeGrid, file: str | os.PathLike) -> 
     rows += [f.coeffs for f in ptraj.pi_det]
     rows += [f.coeffs for f in ptraj.pi_sto]
     P = np.vstack(rows)
-    _write_record(file, (grid.tau, grid.T, float(P.shape[1])), P)
+    _write_record(file, _PRESSURE, (grid.tau, grid.T, float(P.shape[1])), P)
 
 
 def load_pressure_components(
     file: str | os.PathLike,
 ) -> tuple[TimeGrid, Field, list[Field], list[Field]]:
-    head, flat = _read_record(file)
+    head, flat = _read_record(file, _PRESSURE)
     tau, T, dofs_f = float(head[0]), float(head[1]), float(head[2])
     n_q = int(round(dofs_f))
     P = _rows(flat, n_q, str(file))

@@ -22,8 +22,11 @@ bundle builds its factorizations (`mass_free_lu`, `projection_saddle`,
 `tangent_pattern`, `grad_stiffness`, `locator`) on first use and keeps
 them; `pstokes.streamfunc` fills `stream_coarse` and `stream_basis`.
 `SaddleSolver` alone knows the layout of the KKT system: callers hand it
-velocity-block right-hand sides, one column or many, and get the blocks
-of the solution back.
+velocity-block right-hand sides, one column or many, and get the
+velocity and the mean-zero pressure back.  It serves the projections
+(`project_div`, the pressure solves of `pstokes.pressure`, the
+divergence projections of `pstokes.diagnostics`); the time stepper
+solves in the divergence-free basis of `pstokes.streamfunc` instead.
 """
 
 from __future__ import annotations
@@ -435,14 +438,16 @@ class SaddleSolver:
     """Direct solver for the KKT operator
 
         [ A   -B^T   0 ] [ w  ]   [ rhs_v ]
-        [ B    0     c ] [ q  ] = [ rhs_p ]
-        [ 0   c^T    0 ] [ mu ]   [ rhs_c ]
+        [ B    0     c ] [ q  ] = [   0   ]
+        [ 0   c^T    0 ] [ mu ]   [   0   ]
 
     with A an SPD velocity block on free dofs, B the divergence form, and
-    c the pressure-mean row that removes the constant nullspace.  With
-    this sign convention the multiplier q of the time stepper coincides
-    with the pressure increment of the reconstruction equation.  This
-    class is the only code that knows how the blocks are laid out.
+    c the pressure-mean row that removes the constant nullspace: w is the
+    A-orthogonal projection of A^{-1} rhs_v onto the discretely
+    divergence-free subspace and q the mean-zero pressure with
+    A w - B^T q = rhs_v.  The projections of `project_div` and the
+    pressure solves of `pstokes.pressure` are of this form.  This class
+    is the only code that knows how the blocks are laid out.
 
     The dense row and column c would ruin the fill of the sparse LU, so
     they are not factored.  The pair is inf-sup stable on the Alfeld
@@ -454,10 +459,8 @@ class SaddleSolver:
         [ B'    0   ]
 
     with B' the rows of B without the last pressure dof, which is pinned
-    to zero.  `solve` recovers the bordered solution from it: summing
-    the constraint rows gives mu = sum(rhs_p) / sum(c); the factored
-    system is solved with rhs_p - c mu (its pinned row then follows from
-    the others); and q is shifted by a constant so that c^T q = rhs_c.
+    to zero; the multiplier mu vanishes, and `solve` shifts q by a
+    constant so that c^T q = 0.
     """
 
     def __init__(self, A: sp.spmatrix, ops: AssembledOperators):
@@ -468,32 +471,22 @@ class SaddleSolver:
         self.cvec = ops.cvec
         self.lu = spla.splu(K)
 
-    def solve(
-        self,
-        rhs_v: np.ndarray,
-        rhs_p: np.ndarray | None = None,
-        rhs_c: float = 0.0,
-    ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
-        """Solve for (w, q, mu).  rhs_v has shape (n_free,) or, to solve
-        for k right-hand sides at once, (n_free, k); rhs_p and the
-        returned blocks then carry the same trailing axis, and mu is an
-        array of length k instead of a float.  Raises FloatingPointError
-        if the solution is not finite."""
+    def solve(self, rhs_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve for (w, q).  rhs_v has shape (n_free,) or, to solve for
+        k right-hand sides at once, (n_free, k); w and q then carry the
+        same trailing axis.  Raises FloatingPointError if the solution
+        is not finite."""
         nf, c = self.n_free, self.cvec
         tail = np.shape(rhs_v)[1:]
         rhs = np.zeros((nf + self.n_pressure - 1,) + tail)
         rhs[:nf] = rhs_v
-        mu = np.zeros(tail)
-        if rhs_p is not None:
-            mu = np.sum(rhs_p, axis=0) / c.sum()
-            rhs[nf:] = (rhs_p - np.multiply.outer(c, mu))[:-1]
         sol = self.lu.solve(rhs)
         if not np.all(np.isfinite(sol)):
             raise FloatingPointError("saddle solve produced non-finite values")
         q = np.zeros((self.n_pressure,) + tail)
         q[:-1] = sol[nf:]
-        q += (rhs_c - c @ q) / c.sum()
-        return sol[:nf], q, (mu if tail else float(mu))
+        q -= (c @ q) / c.sum()
+        return sol[:nf], q
 
 
 def _full_velocity(ops: AssembledOperators, free_values: np.ndarray) -> np.ndarray:
@@ -509,7 +502,7 @@ def project_div(v: Field, ops: AssembledOperators) -> Field:
     if v.kind != "velocity":
         raise ValueError("project_div expects a velocity Field")
     rhs_v = (ops.M_full @ v.coeffs)[ops.free]
-    w_free, _, _ = ops.projection_saddle().solve(rhs_v)
+    w_free, _ = ops.projection_saddle().solve(rhs_v)
     return Field("velocity", _full_velocity(ops, w_free))
 
 

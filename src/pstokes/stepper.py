@@ -1,43 +1,32 @@
 """Time stepping: initial projection, nonlinear velocity step, trajectory.
 
-Each step solves the constrained system
+Each step solves
 
-    (u_n, xi) + tau (S(eps u_n), eps xi) - (lam, div xi)
-        = (u_{n-1} + G_n(u_{(n-2) v 0}) DW_n, xi)   for all xi in V_h,
-    (div u_n, q) = 0                                 for all q in Q_h,
+    (u_n, xi) + tau (S(eps u_n), eps xi)
+        = (u_{n-1} + G_n(u_{(n-2) v 0}) DW_n, xi)   for all xi in V_h^div,
 
-by one damped Newton driver: Armijo backtracking on the residual norm,
-a lagged Jacobian factorization that is rebuilt only when the expansion
-point has drifted, the line search fails on a stale factor, or a stale
-direction barely contracts.  For small time steps most Newton
-iterations are then a single back-substitution.  A step Newton does not
-finish falls back to the Kacanov (Picard) iteration, which freezes the
-radial stress weight at the previous iterate.  At p = 2 the step is
-linear: one factorization serves the whole trajectory (and every Monte
-Carlo sample on the same grid) and the step is a single solve.
+with V_h^div the exactly divergence-free subspace of the Scott-Vogelius
+velocity space.  The subspace has an explicit basis C (the curls of the
+composite-cubic stream functions, see streamfunc), so the step is a
+Galerkin problem in the coefficients of C: every iterate is a
+combination of divergence-free fields and stays pointwise divergence
+free up to rounding, and the factorizations are those of the reduced
+matrices C^T (M + tau K) C, an order of magnitude cheaper than the full
+saddle system.  No pressure multiplier is produced: the pressure
+increment is recovered afterwards by the reconstruction in
+pstokes.pressure, and with it the full constrained momentum equation
+of the step holds to the Newton tolerance.
 
-The driver and the fallback run over one of two direction backends,
-picked by SchemeConfig.solver, each of which evaluates the residual,
-factors the step matrix and solves with the factor:
-
-* "kkt" factors the full saddle system; the iterate carries the
-  pressure-increment multiplier lam and the pressure-mean multiplier
-  that removes the constant nullspace.  lam is the quantity the
-  reconstruction identities are checked against.
-* "stream" solves the same Galerkin problem in the explicit
-  divergence-free basis (curl of the composite-cubic stream functions,
-  see streamfunc): the factorizations are an order of magnitude
-  cheaper, iterates stay exactly divergence free, and no multiplier is
-  produced (the pressure reconstruction recovers it from the trajectory
-  when needed).
-
-The constraint rows are linear, Newton starts from the feasible u_{n-1},
-and the linear step and the fallback solve the constrained system
-outright, so with either backend every iterate is discretely divergence
-free; with the Scott-Vogelius inclusion div V_h in Q_h that makes the
-velocity pointwise divergence free up to solver tolerance at every
-step.  Both backends produce the same velocity trajectory up to solver
-tolerance.
+The step is solved by one damped Newton driver: Armijo backtracking on
+the norm of the reduced residual, a lagged Jacobian factorization that
+is rebuilt only when the expansion point has drifted, the line search
+fails on a stale factor, or a stale direction barely contracts.  For
+small time steps most Newton iterations are then a single
+back-substitution.  A step Newton does not finish falls back to the
+Kacanov (Picard) iteration, which freezes the radial stress weight at
+the previous iterate.  At p = 2 the step is linear: one factorization
+serves the whole trajectory (and every Monte Carlo sample on the same
+grid) and the step is a single solve.
 """
 
 from __future__ import annotations
@@ -53,7 +42,7 @@ from pstokes.noise import AveragedIncrements, NoiseModel, data_G_n
 from pstokes.spaces import (
     AssembledOperators,
     Field,
-    SaddleSolver,
+    _full_velocity,
     interpolate_velocity,
     project_div,
     stress_residual_vector,
@@ -108,19 +97,23 @@ class NewtonConfig:
 class SchemeConfig:
     """Everything one scheme instance needs besides the mesh.
 
-    solver picks the backend the one Newton driver and its Kacanov
-    fallback run over: "kkt" (full saddle factorization, carries the
-    multipliers) or "stream" (divergence-free reduced basis, faster,
-    multipliers recovered by reconstruction)."""
+    solver names the direction path and accepts only "stream", the
+    divergence-free basis every step is solved in; it is kept so that
+    configurations that name it explicitly still construct."""
 
     params: PowerLawParams
     grid: TimeGrid
     model: NoiseModel | None = None
     newton: NewtonConfig = dc_field(default_factory=NewtonConfig)
-    solver: str = "kkt"
+    solver: str = "stream"
 
     def __post_init__(self) -> None:
-        if self.solver not in ("kkt", "stream"):
+        if self.solver == "kkt":
+            raise ValueError(
+                "solver 'kkt' was removed: steps are solved in the divergence-free "
+                "stream basis, and the pressure increment comes from pressure.reconstruct"
+            )
+        if self.solver != "stream":
             raise ValueError(f"unknown solver {self.solver!r}")
 
 
@@ -140,17 +133,14 @@ class StepStats:
 class Trajectory:
     """Velocity fields u_0..u_N plus everything reconstruction needs.
 
-    multipliers[n-1] is the KKT multiplier of step n (it equals the
-    pressure increment d_n pi of the reconstruction); entries are None
-    when the step was solved in the divergence-free basis, which
-    produces no multiplier.  noise_loads[n-1] is the assembled
-    right-hand side (G_n DW_n, xi) on free dofs.
-    increment_access_log records every averaged-increment index read
-    during the step that is listed with it, for the causality audit.
+    noise_loads[n-1] is the assembled right-hand side (G_n DW_n, xi) of
+    step n on free dofs; with the fields it determines the pressure
+    increments (pstokes.pressure.reconstruct).  increment_access_log
+    records every averaged-increment index read during the step that is
+    listed with it, for the causality audit.
     """
 
     fields: list[Field]
-    multipliers: list[np.ndarray | None]
     noise_loads: list[np.ndarray]
     stats: list[StepStats]
     increment_access_log: list[tuple[int, int]]
@@ -206,12 +196,16 @@ def hs_norm(g_vals: np.ndarray, ops: AssembledOperators) -> float:
 class StepperWorkspace:
     """Per-(mesh, config) scratch shared across steps and samples.
 
-    Holds the noise mode values at quadrature points, the direction
-    backend of config.solver, and two factorization slots: the lagged
-    Newton factor with the point it was built at, and the p = 2 factor.
-    Never mutated by concurrent trajectories in ways that affect
-    results: the cached factorizations are pure solver accelerators
-    keyed on the expansion point.
+    Holds the noise mode values at quadrature points, the divergence-free
+    basis C with its Gram matrix C^T M C (built on first use, so a
+    workspace that only assembles noise loads never builds it), and two
+    factorization slots: the lagged Newton factor with the point it was
+    built at, and the p = 2 factor.  Never mutated by concurrent
+    trajectories in ways that affect results: the cached factorizations
+    are pure solver accelerators keyed on the expansion point.
+
+    residual, factorize, direction and solve are the four jobs the
+    Newton driver and the Kacanov fallback ask of the reduced system.
     """
 
     def __init__(self, config: SchemeConfig, ops: AssembledOperators):
@@ -223,7 +217,6 @@ class StepperWorkspace:
             self.g_qp = config.model.mode_values(qp).reshape(-1, n_tri, nq, 2)
         else:
             self.g_qp = None
-        self.backend = (_KKTBackend if config.solver == "kkt" else _StreamBackend)(self)
         self._stream: tuple | None = None
         self._lagged: tuple | None = None
         self._linear = None
@@ -240,14 +233,48 @@ class StepperWorkspace:
             self._stream = (C, (C.T @ (self.ops.M_free @ C)).tocsc())
         return self._stream
 
+    def residual(self, u_full: np.ndarray, rhs_free: np.ndarray):
+        """(F, ||F||) with F = C^T ((u, xi) + tau (S(eps u), eps xi) - rhs),
+        the momentum residual tested against the basis.  It equals C^T
+        of the constrained momentum residual for any pressure, since
+        C^T B^T = (B C)^T = 0."""
+        ops, cfg = self.ops, self.config
+        C, _ = self.stream_gram()
+        form = (ops.M_full @ u_full)[ops.free] + cfg.grid.tau * stress_residual_vector(
+            u_full, ops, cfg.params
+        )
+        F = C.T @ (form - rhs_free)
+        return F, float(np.linalg.norm(F))
+
+    def factorize(self, u_full: np.ndarray, picard: bool = False):
+        """Factor C^T (M + tau K) C with K the stress linearization at
+        u_full: the Newton Jacobian, or with picard the radial-weight
+        (Kacanov) matrix."""
+        K = stress_tangent_matrix(u_full, self.ops, self.config.params, picard=picard)
+        self.refactor_count += 1
+        C, HM = self.stream_gram()
+        H = HM + self.config.grid.tau * (C.T @ (K @ C))
+        return spla.splu(H.tocsc())
+
+    def direction(self, factor, F: np.ndarray) -> np.ndarray:
+        """The full-length update du solving the reduced system J du = -F."""
+        C, _ = self.stream_gram()
+        return _full_velocity(self.ops, C @ factor.solve(-F))
+
+    def solve(self, factor, rhs_free: np.ndarray) -> np.ndarray:
+        """The full-length velocity solving the factored linear step
+        with load rhs_free outright."""
+        C, _ = self.stream_gram()
+        return _full_velocity(self.ops, C @ factor.solve(C.T @ rhs_free))
+
     def linear_factor(self):
         """The p = 2 factor: the tangent does not depend on u, so one
         factorization serves every step and sample."""
         if self._linear is None:
-            self._linear = self.backend.factorize(np.zeros(self.ops.space_v.n_dofs))
+            self._linear = self.factorize(np.zeros(self.ops.space_v.n_dofs))
         return self._linear
 
-    # the name perfbench pre-warms the p = 2 stream factor by
+    # the name perfbench pre-warms the p = 2 factor by
     linear_stream = linear_factor
 
     def lagged_factor(self, u_full: np.ndarray, force: bool = False):
@@ -260,7 +287,7 @@ class StepperWorkspace:
             scale = max(np.abs(point).max(), 1e-12)
             if drift <= self.config.newton.lag_threshold * scale:
                 return factor, False
-        self._lagged = (self.backend.factorize(u_full), u_full.copy())
+        self._lagged = (self.factorize(u_full), u_full.copy())
         return self._lagged[0], True
 
     def noise_rhs(
@@ -279,118 +306,6 @@ class StepperWorkspace:
         return load, hs_norm(G_vals, ops)
 
 
-class _Backend:
-    """What the Newton driver and the Kacanov fallback ask of a solver.
-
-    An iterate is one flat vector: the full velocity coefficients
-    followed by the n_multipliers multipliers the backend carries.
-    Subclasses supply residual(x, rhs) -> (F, ||F||), direction(factor,
-    F) -> dx solving J dx = -F, solve(factor, rhs) -> the iterate that
-    solves the factored linear system outright, and _factor(K), the
-    factorization of the step matrix with stress linearization K.
-    """
-
-    n_multipliers = 0
-
-    def __init__(self, work: StepperWorkspace):
-        self.work = work
-        self.n = work.ops.space_v.n_dofs
-
-    def lift(self, u_full: np.ndarray) -> np.ndarray:
-        """The iterate with velocity u_full and zero multipliers."""
-        return np.concatenate([u_full, np.zeros(self.n_multipliers)])
-
-    def velocity(self, x: np.ndarray) -> np.ndarray:
-        return x[: self.n]
-
-    def multiplier(self, x: np.ndarray) -> np.ndarray | None:
-        return None
-
-    def factorize(self, u_full: np.ndarray, picard: bool = False):
-        """Factor the step matrix linearized at u_full: the Newton
-        Jacobian, or with picard the radial-weight (Kacanov) matrix."""
-        work = self.work
-        K = stress_tangent_matrix(u_full, work.ops, work.config.params, picard=picard)
-        work.refactor_count += 1
-        return self._factor(K)
-
-    def _stress_form(self, u_full: np.ndarray) -> np.ndarray:
-        """(u, xi) + tau (S(eps u), eps xi) on free dofs."""
-        ops, cfg = self.work.ops, self.work.config
-        return (ops.M_full @ u_full)[ops.free] + cfg.grid.tau * stress_residual_vector(
-            u_full, ops, cfg.params
-        )
-
-    def _velocity_iterate(self, u_free: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.n + self.n_multipliers)
-        x[: self.n][self.work.ops.free] = u_free
-        return x
-
-
-class _KKTBackend(_Backend):
-    """Newton on the full saddle system; the iterate stacks (u, lam, mu),
-    lam the pressure-increment multiplier and mu the pressure-mean one."""
-
-    def __init__(self, work: StepperWorkspace):
-        super().__init__(work)
-        self.n_multipliers = work.ops.n_pressure + 1
-
-    def multiplier(self, x: np.ndarray) -> np.ndarray:
-        return x[self.n : -1]
-
-    def residual(self, x: np.ndarray, rhs_free: np.ndarray):
-        ops = self.work.ops
-        u_full, lam, mu = x[: self.n], x[self.n : -1], x[-1]
-        Fu = self._stress_form(u_full) - ops.B_free.T @ lam - rhs_free
-        Fp = ops.B_free @ u_full[ops.free] + ops.cvec * mu
-        Fc = float(ops.cvec @ lam)
-        return (Fu, Fp, Fc), float(np.sqrt(Fu @ Fu + Fp @ Fp + Fc * Fc))
-
-    def _factor(self, K) -> SaddleSolver:
-        ops = self.work.ops
-        return SaddleSolver(ops.M_free + self.work.config.grid.tau * K, ops)
-
-    def _pack(self, u_free: np.ndarray, lam: np.ndarray, mu: float) -> np.ndarray:
-        x = self._velocity_iterate(u_free)
-        x[self.n : -1] = lam
-        x[-1] = mu
-        return x
-
-    def direction(self, factor: SaddleSolver, F) -> np.ndarray:
-        Fu, Fp, Fc = F
-        return self._pack(*factor.solve(-Fu, -Fp, -Fc))
-
-    def solve(self, factor: SaddleSolver, rhs_free: np.ndarray) -> np.ndarray:
-        return self._pack(*factor.solve(rhs_free))
-
-
-class _StreamBackend(_Backend):
-    """Newton in the divergence-free basis C; the iterate is u.
-
-    The residual is the momentum residual tested against the basis,
-    C^T Fu.  It equals C^T of the KKT momentum residual for any
-    multiplier, since C^T B^T = (B C)^T = 0; the constraint rows stay
-    satisfied because every update lies in the span of C."""
-
-    def residual(self, u_full: np.ndarray, rhs_free: np.ndarray):
-        C, _ = self.work.stream_gram()
-        F = C.T @ (self._stress_form(u_full) - rhs_free)
-        return F, float(np.linalg.norm(F))
-
-    def _factor(self, K):
-        C, HM = self.work.stream_gram()
-        H = HM + self.work.config.grid.tau * (C.T @ (K @ C))
-        return spla.splu(H.tocsc())
-
-    def direction(self, factor, F: np.ndarray) -> np.ndarray:
-        C, _ = self.work.stream_gram()
-        return self._velocity_iterate(C @ factor.solve(-F))
-
-    def solve(self, factor, rhs_free: np.ndarray) -> np.ndarray:
-        C, _ = self.work.stream_gram()
-        return self._velocity_iterate(C @ factor.solve(C.T @ rhs_free))
-
-
 def velocity_step(
     n: int,
     u_prev: Field,
@@ -399,36 +314,37 @@ def velocity_step(
     config: SchemeConfig,
     ops: AssembledOperators,
     work: StepperWorkspace | None = None,
-) -> tuple[Field, np.ndarray | None, np.ndarray, StepStats]:
-    """One implicit step; returns (u_n, multiplier, noise_load, stats).
+) -> tuple[Field, np.ndarray, StepStats]:
+    """One implicit step; returns (u_n, noise_load, stats).
 
     u_lag must be u_{(n-2) v 0}; the only increment read is DW_n.  The
     noise load is the assembled (G_n DW_n, xi) on free dofs, returned so
     the pressure reconstruction can verify its equation against data
-    that was not derived from the solved step itself.  The multiplier is
-    None for solver="stream".
+    that was not derived from the solved step itself.  Raises
+    FloatingPointError naming the step when the right-hand side is not
+    finite.
     """
     if work is None:
         work = StepperWorkspace(config, ops)
     nt = work.config.newton
-    backend = work.backend
     dW = increments.increment(n)
     noise_free, hs_G = work.noise_rhs(n, u_lag.coeffs, dW)
     rhs_free = (ops.M_full @ u_prev.coeffs)[ops.free] + noise_free
+    if not np.isfinite(rhs_free).all():
+        raise FloatingPointError(f"step {n}: the right-hand side has non-finite entries")
     refactors_before = work.refactor_count
 
     if work.is_linear:
-        x = backend.solve(work.linear_factor(), rhs_free)
-        _, res = backend.residual(x, rhs_free)
+        u_full = work.solve(work.linear_factor(), rhs_free)
+        _, res = work.residual(u_full, rhs_free)
         iterations, converged, used_picard = 1, res <= 10 * nt.abs_tol, False
     else:
-        x, res, iterations, converged = _newton(backend.lift(u_prev.coeffs), rhs_free, work)
+        u_full, res, iterations, converged = _newton(u_prev.coeffs.copy(), rhs_free, work)
         used_picard = not converged
         if used_picard:
-            x, res = _picard_fallback(u_prev.coeffs, rhs_free, work)
+            u_full, res = _picard_fallback(u_prev.coeffs, rhs_free, work)
             converged = res <= nt.abs_tol
 
-    u_full = backend.velocity(x)
     diss = dissipation_pairing(u_full, ops, work.config.params)
     d = u_full - u_prev.coeffs
     M = ops.M_full
@@ -449,47 +365,46 @@ def velocity_step(
         dissipation=diss,
         hs_G=hs_G,
     )
-    return Field("velocity", u_full), backend.multiplier(x), noise_free, stats
+    return Field("velocity", u_full), noise_free, stats
 
 
 def _newton(
-    x: np.ndarray, rhs_free: np.ndarray, work: StepperWorkspace
+    u: np.ndarray, rhs_free: np.ndarray, work: StepperWorkspace
 ) -> tuple[np.ndarray, float, int, bool]:
-    """Damped Newton from the iterate x on the lagged factorization:
+    """Damped Newton from the velocity u on the lagged factorization:
     each correction is backtracked (Armijo) until the residual norm
-    drops.  Returns (x, residual, iterations, converged)."""
+    drops.  Returns (u, residual, iterations, converged)."""
     nt = work.config.newton
-    backend = work.backend
-    F, res = backend.residual(x, rhs_free)
+    F, res = work.residual(u, rhs_free)
     force_fresh = False
     for it in range(1, nt.max_iter + 1):
         if res <= nt.abs_tol:
-            return x, res, it, True
-        factor, fresh = work.lagged_factor(backend.velocity(x), force=force_fresh)
-        dx = backend.direction(factor, F)
+            return u, res, it, True
+        factor, fresh = work.lagged_factor(u, force=force_fresh)
+        du = work.direction(factor, F)
         step = 1.0
         retried = False
         while True:
-            trial = x + step * dx
-            tF, tres = backend.residual(trial, rhs_free)
+            trial = u + step * du
+            tF, tres = work.residual(trial, rhs_free)
             if tres <= (1.0 - 1e-4 * step) * res:
                 break
             step *= nt.armijo
             if step < nt.min_step:
                 if retried or fresh:
-                    return x, res, it, False
+                    return u, res, it, False
                 # stale Jacobian is the usual culprit: refactor at the
                 # current point and retry the search once
-                factor, fresh = work.lagged_factor(backend.velocity(x), force=True)
-                dx = backend.direction(factor, F)
+                factor, fresh = work.lagged_factor(u, force=True)
+                du = work.direction(factor, F)
                 step = 1.0
                 retried = True
         # a stale direction may pass the line search while barely
         # contracting; when that happens refresh the factorization
         # before the next correction
         force_fresh = not fresh and tres > nt.contraction * res
-        x, F, res = trial, tF, tres
-    return x, res, nt.max_iter, False
+        u, F, res = trial, tF, tres
+    return u, res, nt.max_iter, False
 
 
 def _picard_fallback(
@@ -499,17 +414,15 @@ def _picard_fallback(
     iterate solves the step with the radial-weight matrix frozen at the
     previous one.  Returns the iterate with the smallest residual, and
     that residual."""
-    backend = work.backend
-    u_full = u_start
-    best = (backend.lift(u_start), np.inf)
+    u = u_start
+    best = (u_start.copy(), np.inf)
     for _ in range(work.config.newton.picard_iters):
-        x = backend.solve(backend.factorize(u_full, picard=True), rhs_free)
-        _, res = backend.residual(x, rhs_free)
+        u = work.solve(work.factorize(u, picard=True), rhs_free)
+        _, res = work.residual(u, rhs_free)
         if res < best[1]:
-            best = (x, res)
+            best = (u, res)
         if res <= work.config.newton.abs_tol:
             break
-        u_full = backend.velocity(x)
     return best
 
 
@@ -531,7 +444,6 @@ def run_trajectory(
     audited = _AuditedIncrements(increments)
     N = config.grid.N
     fields = [u0]
-    multipliers: list[np.ndarray] = []
     noise_loads: list[np.ndarray] = []
     stats_list: list[StepStats] = []
     access_log: list[tuple[int, int]] = []
@@ -539,7 +451,7 @@ def run_trajectory(
     for n in range(1, N + 1):
         u_lag = fields[max(n - 2, 0)]
         mark = len(audited.accessed)
-        u_n, lam, noise_free, stats = velocity_step(
+        u_n, noise_free, stats = velocity_step(
             n, fields[-1], u_lag, audited, config, ops, work
         )
         new_reads = audited.accessed[mark:]
@@ -550,7 +462,6 @@ def run_trajectory(
                     f"step {n} read increment {idx}: causality violated"
                 )
         fields.append(u_n)
-        multipliers.append(lam)
         noise_loads.append(noise_free)
         stats_list.append(stats)
         if not stats.converged:
@@ -558,7 +469,6 @@ def run_trajectory(
             break
     return Trajectory(
         fields=fields,
-        multipliers=multipliers,
         noise_loads=noise_loads,
         stats=stats_list,
         increment_access_log=access_log,

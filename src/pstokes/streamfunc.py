@@ -13,8 +13,9 @@ are continuous piecewise quadratics with exactly zero divergence and
 zero boundary trace.
 
 The point of materializing the basis as a sparse matrix C is speed: the
-constrained saddle systems of the time stepper collapse to unconstrained
-SPD systems C^T (M + tau K) C d = -C^T F whose dimension
+constrained saddle systems of the time step collapse to unconstrained
+SPD systems C^T (M + tau K) C d = -C^T F, the only systems the stepper
+factors, whose dimension
 
     dim = 3 * (interior coarse vertices) + (interior coarse edges)
         = n_free_velocity_dofs - (n_pressure_dofs - 1)

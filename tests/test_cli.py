@@ -3,15 +3,12 @@
 import json
 from dataclasses import fields, replace
 
-import pytest
-
 import pstokes.cli as cli
 from pstokes.stepper import NewtonConfig, StepStats, run_trajectory
 
 
-@pytest.mark.parametrize("solver", ["kkt", "stream"])
-def test_run_prints_one_line_per_step(capsys, solver):
-    code = cli.main(["run", "--m", "2", "--N", "2", "--p", "3", "--solver", solver, "--seed", "1"])
+def test_run_prints_one_line_per_step(capsys):
+    code = cli.main(["run", "--m", "2", "--N", "2", "--p", "3", "--seed", "1"])
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert code == 0
     assert [line["n"] for line in lines] == [1, 2]

@@ -437,7 +437,6 @@ def test_temporal_oscillation_constant_reference_vanishes(ops2):
     src = trajs[0]
     fake = type(src)(
         fields=frozen,
-        multipliers=src.multipliers,
         noise_loads=src.noise_loads,
         stats=src.stats,
         increment_access_log=src.increment_access_log,

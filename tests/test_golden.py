@@ -1,13 +1,13 @@
-"""Golden records: absolute trajectory values for both stepper backends.
+"""Golden records: absolute trajectory values of the stepper.
 
 The other stepper tests check invariants (energy identity, divergence,
-backend agreement), which a change to the solver that moves every
+the momentum equation), which a change to the solver that moves every
 trajectory by the same amount would still pass.  These records pin the
 final velocity of small reference runs instead: mesh order 4, N = 8 steps
 on T = 0.1, two curl modes with the linear noise rule, a fixed seed.
-They were recorded from the stepper with one Newton loop per backend and
-must survive refactors of the solver unchanged (1e-10 relative), together
-with the Newton iteration count of every step.  The final field is pinned
+They were recorded from the stepper solving in the divergence-free
+stream basis and must survive refactors of the solver unchanged (1e-10
+relative), together with the Newton iteration count of every step.  The final field is pinned
 by its L2 norm and by its pairing with a fixed standard-normal vector,
 not by its coefficient sum: the coefficients nearly cancel in the sum
 (at p = 1.5 it is 3e-6 of their absolute sum), so rounding alone moves
@@ -39,25 +39,16 @@ from pstokes.tensors import PowerLawParams
 SEED = 20230725
 REL = 1e-10
 
-# (p, kappa, solver): (final coefficients paired with _probe(n_dofs), L2
-# norm of the final velocity, Newton iterations per step)
+# (p, kappa): (final coefficients paired with _probe(n_dofs), L2 norm of
+# the final velocity, Newton iterations per step)
 GOLDEN = {
-    (1.5, 0.1, "kkt"): (
-        -0.0008953629522414852, 3.6094904100920794e-05, [6, 4, 4, 3, 3, 3, 3, 3]
-    ),
-    (1.5, 0.1, "stream"): (
+    (1.5, 0.1): (
         -0.0008953629522457753, 3.609490410090546e-05, [6, 4, 4, 3, 3, 3, 3, 3]
     ),
-    (2.0, 0.0, "kkt"): (
-        -0.021776657339994725, 0.0008790460117433774, [1, 1, 1, 1, 1, 1, 1, 1]
-    ),
-    (2.0, 0.0, "stream"): (
+    (2.0, 0.0): (
         -0.02177665733999438, 0.000879046011743387, [1, 1, 1, 1, 1, 1, 1, 1]
     ),
-    (3.0, 0.0, "kkt"): (
-        -0.17485672541610822, 0.00686095108367945, [5, 6, 7, 7, 7, 7, 8, 7]
-    ),
-    (3.0, 0.0, "stream"): (
+    (3.0, 0.0): (
         -0.17485672541610875, 0.006860951083679451, [5, 6, 7, 7, 7, 7, 8, 7]
     ),
 }
@@ -72,13 +63,13 @@ def ops4():
     return assemble(alfeld_split(unit_square_mesh(4)))
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: f"p{k[0]}-{k[2]}")
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: f"p{k[0]}-stream")
 def test_final_velocity_matches_record(ops4, key):
-    p, kappa, solver = key
+    p, kappa = key
     pairing, l2, iterations = GOLDEN[key]
     grid = TimeGrid(T=0.1, N=8)
     model = NoiseModel(mode_fields=curl_modes(2, amplitude=1.0), rule="linear")
-    cfg = SchemeConfig(PowerLawParams(p=p, kappa=kappa), grid, model, solver=solver)
+    cfg = SchemeConfig(PowerLawParams(p=p, kappa=kappa), grid, model)
     inc = sample_increments(np.random.default_rng(SEED), grid, n_modes=2)
     traj = run_trajectory(initial_velocity(u0_smooth, ops4), inc, cfg, ops4)
     assert traj.ok
@@ -135,7 +126,7 @@ def test_pressure_and_error_stats_match_record(rule):
     path = None
     for name, m, N in (("ref", 4, 7), ("coarse", 2, 3)):
         ops = assemble(alfeld_split(unit_square_mesh(m)))
-        cfg = SchemeConfig(params, TimeGrid(T=0.1, N=N), model, solver="stream")
+        cfg = SchemeConfig(params, TimeGrid(T=0.1, N=N), model)
         if path is None:
             path = sample_wiener_path(0.1, cfg.grid.tau / 4, 2, np.random.default_rng(SEED))
         inc = sample_increments(path, cfg.grid)

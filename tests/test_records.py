@@ -1,9 +1,10 @@
 """Tests for the flat binary record formats and the VTK writer.
 
 The byte-layout oracle builds the expected files by hand with the struct
-module (header of three little-endian float64 values, then the payload)
-and compares them byte for byte with the writers; loaders are checked as
-exact round-trips and against hand-made byte strings.
+module (header of five little-endian float64 values: kind, version 1 and
+three kind-specific values, then the payload) and compares them byte for
+byte with the writers; loaders are checked as exact round-trips, against
+hand-made byte strings, and against records of the other kinds.
 """
 
 import struct
@@ -29,6 +30,12 @@ from pstokes.records import (
 from pstokes.spaces import Field, assemble, interpolate_velocity, velocity_at_qp
 from pstokes.stepper import SchemeConfig, initial_velocity, run_trajectory
 from pstokes.tensors import PowerLawParams
+
+WIENER, VELOCITY, PRESSURE = 1.0, 2.0, 3.0
+
+
+def header(kind: float, a: float, b: float, c: float) -> bytes:
+    return struct.pack("<5d", kind, 1.0, a, b, c)
 
 
 def u0_fn(pts):
@@ -69,7 +76,7 @@ def test_wiener_path_bytes_match_struct_oracle(tmp_path):
     file = tmp_path / "path.bin"
     save_wiener_path(path, file)
     raw = file.read_bytes()
-    expected = struct.pack("<3d", 0.25, 1.0, 2.0)
+    expected = header(WIENER, 0.25, 1.0, 2.0)
     # Mode-major payload: all of mode 0, then all of mode 1.
     for k in range(2):
         for j in range(4):
@@ -95,14 +102,14 @@ def test_wiener_path_loader_validates(tmp_path):
     with pytest.raises(ValueError, match="too short"):
         load_wiener_path(file)
     # Header promises 4 cells x 2 modes; give 3 values only.
-    file.write_bytes(struct.pack("<3d", 0.25, 1.0, 2.0) + struct.pack("<3d", 0.0, 0.0, 0.0))
+    file.write_bytes(header(WIENER, 0.25, 1.0, 2.0) + struct.pack("<3d", 0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="does not tile"):
         load_wiener_path(file)
-    file.write_bytes(struct.pack("<3d", 0.25, 1.0, 2.5) + struct.pack("<d", 0.0))
+    file.write_bytes(header(WIENER, 0.25, 1.0, 2.5) + struct.pack("<d", 0.0))
     with pytest.raises(ValueError, match="positive integer"):
         load_wiener_path(file)
     # 2 cells per mode but delta implies 4.
-    file.write_bytes(struct.pack("<3d", 0.25, 1.0, 2.0) + struct.pack("<4d", 1.0, 2.0, 3.0, 4.0))
+    file.write_bytes(header(WIENER, 0.25, 1.0, 2.0) + struct.pack("<4d", 1.0, 2.0, 3.0, 4.0))
     with pytest.raises(ValueError, match="header implies"):
         load_wiener_path(file)
 
@@ -127,7 +134,7 @@ def test_checkpoints_bytes_match_struct_oracle(tmp_path, ops2):
     fields = [Field("velocity", rng.standard_normal(ops2.space_v.n_dofs)) for _ in range(2)]
     file = tmp_path / "traj.bin"
     save_checkpoints(fields, grid, file)
-    expected = struct.pack("<3d", grid.tau, 1.0, float(ops2.space_v.n_dofs))
+    expected = header(VELOCITY, grid.tau, 1.0, float(ops2.space_v.n_dofs))
     expected += fields[0].coeffs.astype("<f8").tobytes()
     expected += fields[1].coeffs.astype("<f8").tobytes()
     assert file.read_bytes() == expected
@@ -152,7 +159,7 @@ def test_checkpoints_validation(tmp_path, ops2):
     with pytest.raises(ValueError, match="velocity fields"):
         save_checkpoints([v, q, v], grid, tmp_path / "x.bin")
     # Header step inconsistent with the row count.
-    bad = struct.pack("<3d", 0.2, 1.0, 2.0) + struct.pack("<4d", 0, 0, 0, 0)
+    bad = header(VELOCITY, 0.2, 1.0, 2.0) + struct.pack("<4d", 0, 0, 0, 0)
     f = tmp_path / "bad.bin"
     f.write_bytes(bad)
     with pytest.raises(ValueError, match="disagrees"):
@@ -181,9 +188,75 @@ def test_pressure_components_round_trip(tmp_path, small_run, ops2):
 
 def test_pressure_components_reject_even_rows(tmp_path):
     f = tmp_path / "bad.bin"
-    f.write_bytes(struct.pack("<3d", 0.5, 1.0, 2.0) + struct.pack("<4d", 0, 0, 0, 0))
+    f.write_bytes(header(PRESSURE, 0.5, 1.0, 2.0) + struct.pack("<4d", 0, 0, 0, 0))
     with pytest.raises(ValueError, match="odd row count"):
         load_pressure_components(f)
+
+
+# ---------------------------------------------------------------------------
+# record kinds
+
+
+@pytest.fixture(scope="module")
+def records_of_each_kind(tmp_path_factory, small_run, ops2):
+    """One file of each kind.  Without the kind slot the first two load
+    as each other: the velocity checkpoints (N = 7, 50 dofs) as a
+    50-mode Wiener path, the Wiener path (delta = T/16, 3 modes) as 16
+    velocity checkpoints of 3 dofs.  The third is the pressure
+    components of a stepped run."""
+    folder = tmp_path_factory.mktemp("kinds")
+    grid = TimeGrid(T=1.0, N=7)
+    rng = np.random.default_rng(2)
+    files = {}
+    files["velocity"] = (
+        folder / "traj.bin",
+        [Field("velocity", rng.standard_normal(50)) for _ in range(grid.N + 1)],
+    )
+    save_checkpoints(files["velocity"][1], grid, files["velocity"][0])
+    files["wiener"] = (folder / "path.bin", sample_wiener_path(1.0, 1.0 / 16, 3, rng))
+    save_wiener_path(files["wiener"][1], files["wiener"][0])
+    traj, config = small_run
+    files["pressure"] = (folder / "press.bin", reconstruct(traj, None, config, ops2))
+    save_pressure_components(files["pressure"][1], config.grid, files["pressure"][0])
+    return files
+
+
+LOADERS = {
+    "wiener": load_wiener_path,
+    "velocity": load_checkpoints,
+    "pressure": load_pressure_components,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_each_loader_refuses_other_kinds(records_of_each_kind, kind):
+    for other, (file, _) in records_of_each_kind.items():
+        if other != kind:
+            with pytest.raises(ValueError, match="record kind"):
+                LOADERS[kind](file)
+
+
+def test_each_kind_round_trips(records_of_each_kind):
+    file, path = records_of_each_kind["wiener"]
+    back = load_wiener_path(file)
+    assert (back.T, back.delta) == (path.T, path.delta)
+    assert np.array_equal(back.increments, path.increments)
+    file, fields = records_of_each_kind["velocity"]
+    grid, back = load_checkpoints(file)
+    assert grid.N == 7
+    assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(fields, back))
+    file, ptraj = records_of_each_kind["pressure"]
+    _, pi_init, pi_det, pi_sto = load_pressure_components(file)
+    assert np.array_equal(pi_init.coeffs, ptraj.pi_init.coeffs)
+    for a, b in zip(pi_det + pi_sto, ptraj.pi_det + ptraj.pi_sto):
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_loader_refuses_other_format_version(tmp_path):
+    f = tmp_path / "v2.bin"
+    f.write_bytes(struct.pack("<5d", WIENER, 2.0, 0.25, 1.0, 1.0) + struct.pack("<4d", 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="version"):
+        load_wiener_path(f)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 The energy identity is algebraic (test the scheme with its own solution)
 so its defect is bounded by the solver tolerance; the divergence bound
-is the Scott-Vogelius exactness propagated through the KKT solves.
+is the Scott-Vogelius exactness of the divergence-free basis every step
+is solved in.  The linear step is checked against an implicit-Euler
+Stokes step assembled from scratch as one KKT system.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import scipy.sparse.linalg as spla
 from pstokes.grids import TimeGrid
 from pstokes.meshing import alfeld_split, unit_square_mesh
 from pstokes.noise import NoiseModel, sample_increments
+from pstokes.pressure import reconstruct
 from pstokes.scenarios import curl_modes, u0_smooth
 from pstokes.spaces import (
     Field,
@@ -49,12 +52,11 @@ def u0h(ops4):
     return initial_velocity(u0_smooth, ops4)
 
 
-def make_config(p, kappa=0.0, N=16, model=None, solver="kkt"):
+def make_config(p, kappa=0.0, N=16, model=None):
     return SchemeConfig(
         params=PowerLawParams(p=p, kappa=kappa),
         grid=TimeGrid(T=1.0, N=N),
         model=model,
-        solver=solver,
     )
 
 
@@ -90,14 +92,14 @@ class TestVelocityStep:
             cfg = make_config(p, kappa=0.1)
             zero = Field("velocity", np.zeros(ops4.space_v.n_dofs))
             inc = sample_increments(np.random.default_rng(0), cfg.grid, n_modes=1)
-            u1, lam, load, stats = velocity_step(1, zero, zero, inc, cfg, ops4)
+            u1, load, stats = velocity_step(1, zero, zero, inc, cfg, ops4)
             assert np.abs(u1.coeffs).max() < ABS_TOL
             assert stats.converged
 
     def test_linear_case_single_iteration(self, ops4, u0h):
         cfg = make_config(2.0, kappa=0.7)
         inc = sample_increments(np.random.default_rng(1), cfg.grid, n_modes=1)
-        u1, _, _, stats = velocity_step(1, u0h, u0h, inc, cfg, ops4)
+        u1, _, stats = velocity_step(1, u0h, u0h, inc, cfg, ops4)
         assert stats.iterations == 1
         assert stats.converged
         assert stats.residual < ENERGY_TOL
@@ -121,12 +123,28 @@ class TestVelocityStep:
         assert hs[0] == 0.0 and hs[1] == 0.0
         assert all(h > 0.0 for h in hs[2:])
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_non_finite_load_names_the_step(self, ops4, u0h, p):
+        # the noise data vanish at steps 1 and 2 (G_1 = G_2 = 0), so a
+        # mode that is NaN on x > 0.5 first reaches the load at step 3
+        def half_nan_mode(pts):
+            return np.where(pts[..., :1] > 0.5, np.nan, curl_modes(1)[0](pts))
+
+        model = NoiseModel(mode_fields=[half_nan_mode], rule="linear")
+        cfg = make_config(p, N=4, model=model)
+        inc = sample_increments(np.random.default_rng(0), cfg.grid, n_modes=1)
+        with pytest.raises(FloatingPointError, match="step 3"):
+            run_trajectory(u0h, inc, cfg, ops4)
+
     def test_matches_direct_linear_solver(self, ops4, u0h):
-        # independent implicit-Euler Stokes step assembled from scratch
+        # independent implicit-Euler Stokes step assembled from scratch;
+        # its multiplier is the reconstructed pressure increment d_1 pi
         cfg = make_config(2.0)
         tau = cfg.grid.tau
         inc = sample_increments(np.random.default_rng(5), cfg.grid, n_modes=1)
-        u1, lam, _, _ = velocity_step(1, u0h, u0h, inc, cfg, ops4)
+        traj = run_trajectory(u0h, inc, cfg, ops4)
+        u1 = traj.fields[1]
+        d_pi = reconstruct(traj, None, cfg, ops4).increment(1).coeffs
 
         K = stress_tangent_matrix(np.zeros(ops4.space_v.n_dofs), ops4, cfg.params)
         npr = ops4.n_pressure
@@ -145,7 +163,7 @@ class TestVelocityStep:
         rhs[: ops4.n_free] = (ops4.M_full @ u0h.coeffs)[ops4.free]
         sol = spla.spsolve(KKT, rhs)
         assert np.abs(sol[: ops4.n_free] - u1.coeffs[ops4.free]).max() < ABS_TOL
-        assert np.abs(sol[ops4.n_free : ops4.n_free + npr] - lam).max() < ABS_TOL
+        assert np.abs(sol[ops4.n_free : ops4.n_free + npr] - d_pi).max() < ABS_TOL
 
 
 class TestTrajectory:
@@ -187,14 +205,17 @@ class TestTrajectory:
             assert accessed <= step
 
     def test_multiplier_count(self, ops4, u0h):
+        # one noise load per step, and one multiplier of the divergence
+        # constraint, the reconstructed pressure increment, per step
         cfg = make_config(2.0, N=6)
         inc = sample_increments(np.random.default_rng(4), cfg.grid, n_modes=1)
         traj = run_trajectory(u0h, inc, cfg, ops4)
-        assert len(traj.multipliers) == 6
-        assert len(traj.noise_loads) == 6
-        # multipliers carry the mean-zero normalization
-        for lam in traj.multipliers:
-            assert abs(ops4.cvec @ lam) < 1e-12
+        assert len(traj.noise_loads) == len(traj.stats) == 6
+        pt = reconstruct(traj, None, cfg, ops4)
+        assert pt.n_steps == 6
+        # the increments carry the mean-zero normalization
+        for n in range(1, 7):
+            assert abs(ops4.cvec @ pt.increment(n).coeffs) < 1e-12
 
 
 class TestSolverMachinery:
@@ -214,43 +235,51 @@ class TestSolverMachinery:
     def test_picard_fallback_reduces_residual(self, ops4, u0h):
         rhs_free = (ops4.M_full @ u0h.coeffs)[ops4.free]
         cold = np.zeros(ops4.space_v.n_dofs)
-        for solver in ("kkt", "stream"):
-            work = StepperWorkspace(make_config(3.0, N=4, solver=solver), ops4)
-            x, res = _picard_fallback(cold, rhs_free, work)
-            assert res < 1e-6
-            assert np.isfinite(x).all()
+        work = StepperWorkspace(make_config(3.0, N=4), ops4)
+        u, res = _picard_fallback(cold, rhs_free, work)
+        assert res < 1e-6
+        assert np.isfinite(u).all()
 
-    def test_fallback_trajectory_both_backends(self, ops4, u0h):
+    def test_fallback_trajectory_matches_newton(self, ops4, u0h):
         # one Newton iteration never converges from u_{n-1}, so every
-        # step is finished by the Kacanov fallback.  Measured: residuals
-        # <= 8.5e-11, energy defect 1.3e-12, backends 5.5e-10 apart.
+        # step is finished by the Kacanov fallback; both iterations solve
+        # the same step equation to the Newton tolerance.  Measured:
+        # residuals <= 8.5e-11, energy defect 1.3e-12, 6.2e-10 from
+        # the trajectory Newton finishes.
         grid = TimeGrid(T=0.1, N=4)
         runs = []
-        for solver in ("kkt", "stream"):
-            cfg = SchemeConfig(
-                PowerLawParams(p=1.5, kappa=0.1),
-                grid,
-                newton=NewtonConfig(max_iter=1),
-                solver=solver,
-            )
+        for newton in (NewtonConfig(max_iter=1), NewtonConfig()):
+            cfg = SchemeConfig(PowerLawParams(p=1.5, kappa=0.1), grid, newton=newton)
             inc = sample_increments(np.random.default_rng(0), grid, n_modes=1)
             traj = run_trajectory(u0h, inc, cfg, ops4)
             assert traj.ok
-            assert all(s.used_picard and s.converged for s in traj.stats)
+            assert all(s.converged for s in traj.stats)
             assert max(abs(s.energy_defect) for s in traj.stats) <= 1e-9
-            runs.append(np.stack([f.coeffs for f in traj.fields]))
-        assert np.abs(runs[0] - runs[1]).max() <= 1e-8
+            runs.append((traj.stats, np.stack([f.coeffs for f in traj.fields])))
+        assert all(s.used_picard for s in runs[0][0])
+        assert not any(s.used_picard for s in runs[1][0])
+        assert np.abs(runs[0][1] - runs[1][1]).max() <= 1e-8
 
-    @pytest.mark.parametrize("solver", ["kkt", "stream"])
-    @pytest.mark.parametrize("p", [2.0, 3.0])
-    def test_step_refactorizations_add_up(self, ops4, u0h, solver, p):
+    @pytest.mark.parametrize("p", [2.0, 3.0], ids=lambda p: f"{p}-stream")
+    def test_step_refactorizations_add_up(self, ops4, u0h, p):
         # the p = 2 factorization is built inside step 1 and counted there
-        cfg = make_config(p, N=4, solver=solver)
+        cfg = make_config(p, N=4)
         work = StepperWorkspace(cfg, ops4)
         inc = sample_increments(np.random.default_rng(6), cfg.grid, n_modes=1)
         traj = run_trajectory(u0h, inc, cfg, ops4, work)
         assert work.refactor_count >= 1
         assert sum(s.refactorizations for s in traj.stats) == work.refactor_count
+
+    def test_noise_loads_do_not_build_the_basis(self):
+        # pressure reconstruction assembles loads through a workspace of
+        # its own; that must not cost a stream basis
+        ops = assemble(alfeld_split(unit_square_mesh(2)))
+        model = NoiseModel(mode_fields=curl_modes(2), rule="linear")
+        work = StepperWorkspace(make_config(3.0, N=4, model=model), ops)
+        u = initial_velocity(u0_smooth, ops).coeffs
+        _, hs_G = work.noise_rhs(3, u, np.ones(2))
+        assert hs_G > 0.0
+        assert ops.stream_basis is None
 
     def test_workspace_linear_saddle_reused(self, ops4, u0h):
         cfg = make_config(2.0, N=4)
