@@ -25,8 +25,10 @@ noise):
   over the coarse interval J_n, and the time integrals weighted by the
   hat a_n are evaluated with exact per-cell integrals of a_n.  Spatial
   comparison evaluates both fields at the fine mesh's quadrature points
-  (coarse fields through the structured point locator), so all error
-  functionals vanish identically on self-comparison.  Component proxies
+  through sparse point-evaluation operators (`spaces.point_evaluation`),
+  built once per call and applied to whole trajectories; both sides of
+  every difference go through operators built the same way, so all
+  error functionals vanish identically on self-comparison.  Component proxies
   C_init, C_Linf, C_best, C_G, C_V isolate initial-datum, projection,
   best-approximation, data-approximation and temporal-oscillation
   contributions; C_best is an upper proxy (divergence-projected nodal
@@ -72,7 +74,9 @@ from pstokes.pressure import DIV_GRAD_CONSTANT, PressureTrajectory
 from pstokes.spaces import (
     AssembledOperators,
     Field,
+    PointEvaluation,
     _full_velocity,
+    point_evaluation,
     pressure_lp_norm,
     sym_grad_at_qp,
     sym_grad_p_power,
@@ -80,7 +84,7 @@ from pstokes.spaces import (
     velocity_load_vector,
 )
 from pstokes.stepper import SchemeConfig, StepperWorkspace, Trajectory, hs_norm, run_trajectory
-from pstokes.tensors import PowerLawParams, nonlinear_V
+from pstokes.tensors import nonlinear_V
 
 __all__ = [
     "StabilityStats",
@@ -326,9 +330,7 @@ def stability_stats(
 # Nested-grid plumbing: fine midpoint cells and hat-weight integrals
 
 
-def _check_nested(
-    grid_c: TimeGrid, grid_f: TimeGrid, ops_c: AssembledOperators, ops_f: AssembledOperators
-) -> int:
+def _check_time_nesting(grid_c: TimeGrid, grid_f: TimeGrid) -> None:
     if abs(grid_c.T - grid_f.T) > 1e-12 * grid_f.T:
         raise ValueError("coarse and reference grids have different horizons")
     ratio = (grid_f.N + 1) / (grid_c.N + 1)
@@ -336,11 +338,13 @@ def _check_nested(
         raise ValueError(
             f"reference step count {grid_f.N}+1 is not a multiple of coarse {grid_c.N}+1"
         )
+
+
+def _check_mesh_nesting(ops_c: AssembledOperators, ops_f: AssembledOperators) -> None:
     # the locators read the mesh orders and refuse unstructured meshes
     mc, mf = ops_c.locator.m, ops_f.locator.m
     if mf % mc != 0:
         raise ValueError(f"reference mesh order {mf} does not refine coarse order {mc}")
-    return int(round(ratio))
 
 
 def _fine_cells(lo: float, hi: float, grid_f: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -387,47 +391,35 @@ def _hat_cell_integrals(n: int, grid_c: TimeGrid, grid_f: TimeGrid, restrict: bo
 
 
 # ---------------------------------------------------------------------------
-# Cross-mesh evaluation at the fine quadrature points
+# Quadrature-weighted rows and loads of point-evaluated fields
 
 
 def _qp_weight_vector(ops: AssembledOperators, comps: int) -> np.ndarray:
     return np.repeat(ops.qw.ravel(), comps)
 
 
-def _velocity_qp_flat(
-    coeffs: np.ndarray, owner: AssembledOperators, target: AssembledOperators
-) -> np.ndarray:
-    """Velocity values at the target's quadrature points, flattened."""
-    if owner is target:
-        return velocity_at_qp(coeffs, target).ravel()
-    pts = target.qp_x.reshape(-1, 2)
-    return owner.locator.evaluate(coeffs, pts).ravel()
+def _rows(vals: np.ndarray) -> np.ndarray:
+    """Point values of a stack of fields, one flat row per field."""
+    return vals.reshape(len(vals), -1)
 
 
-def _nonlinear_grad_qp_flat(
-    coeffs: np.ndarray,
-    owner: AssembledOperators,
-    target: AssembledOperators,
-    params: PowerLawParams,
-) -> np.ndarray:
-    """V(eps u) at the target's quadrature points, flattened."""
-    if owner is target:
-        eps = sym_grad_at_qp(coeffs, owner)
-    else:
-        pts = target.qp_x.reshape(-1, 2)
-        eps = owner.locator.evaluate_sym_grad(coeffs, pts)
-    return nonlinear_V(eps, params).ravel()
+def _windowed_sq_dists(Vf: np.ndarray, V: np.ndarray, windows) -> float:
+    """sum_n sum_j w_nj ||Vf[j] - V[n]||^2 over the fine cells j and
+    weights w_nj of window n; direct differences, so identical rows give
+    exactly zero."""
+    total = 0.0
+    for (js, w), row in zip(windows, V):
+        d = Vf[js] - row
+        total += float(w @ np.einsum("jd,jd->j", d, d))
+    return total
 
 
-def _cross_load(
-    coeffs: np.ndarray, owner: AssembledOperators, target: AssembledOperators
-) -> np.ndarray:
-    """Load functional (f, xi) of the owner's field on the target's free dofs."""
-    if owner is target:
-        return (target.M_full @ coeffs)[target.free]
-    pts = target.qp_x.reshape(-1, 2)
-    vals = owner.locator.evaluate(coeffs, pts).reshape(target.qp_x.shape)
-    return velocity_load_vector(vals, target)[target.free]
+def _loads(ev: PointEvaluation, rows: np.ndarray, ops: AssembledOperators) -> np.ndarray:
+    """Load functionals (f, xi) on the free dofs of `ops`, one column per
+    coefficient row, with f evaluated by `ev` at the quadrature points
+    of `ops`."""
+    vals = ev.values(rows).reshape((len(rows),) + ops.qp_x.shape)
+    return np.stack([velocity_load_vector(v, ops)[ops.free] for v in vals], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -460,23 +452,6 @@ class ErrorStats:
     stderr: dict[str, float] = dc_field(default_factory=dict)
 
 
-class _RollingCache:
-    """Keyed cache whose keys only move forward; evict below a floor."""
-
-    def __init__(self, compute):
-        self._compute = compute
-        self._store: dict[int, np.ndarray] = {}
-
-    def get(self, j: int) -> np.ndarray:
-        if j not in self._store:
-            self._store[j] = self._compute(j)
-        return self._store[j]
-
-    def evict_below(self, floor: int) -> None:
-        for j in [j for j in self._store if j < floor]:
-            del self._store[j]
-
-
 def error_stats(
     coarse_trajs: Sequence[Trajectory],
     ref_trajs: Sequence[Trajectory],
@@ -491,10 +466,17 @@ def error_stats(
 
     Preconditions: the reference grid refines the coarse grid (step
     counts N+1 divide, meshes nest) and sample i of both ensembles was
-    driven by the same Wiener path.  `c_v` injects a precomputed
-    temporal-oscillation value (see `temporal_oscillation`, which shares
-    the expensive band pass across many coarse grids); with_CV=False
-    skips it entirely.
+    driven by the same Wiener path; both runs use the same p and kappa.
+    `c_v` injects a precomputed temporal-oscillation value (see
+    `temporal_oscillation`, which shares the expensive band pass across
+    many coarse grids); with_CV=False skips it entirely.
+
+    Points are located once per call, for the evaluation operators that
+    serve every sample; each field family of a sample is then evaluated
+    in one sparse product.  A sample holds its (N_f+1) reference V(eps u)
+    rows of 4 n_qp floats each (n_qp fine quadrature points), plus, for
+    a velocity-dependent noise rule, its (N_f+1) rule fields of
+    2 n_modes n_qp floats each.
     """
     if len(coarse_trajs) != len(ref_trajs):
         raise ValueError("coarse and reference ensembles differ in size")
@@ -503,91 +485,98 @@ def error_stats(
     grid_c, grid_f = config_coarse.grid, config_ref.grid
     if Nc != grid_c.N or Nf != grid_f.N:
         raise ValueError("trajectory lengths disagree with the configured grids")
-    _check_nested(grid_c, grid_f, ops_coarse, ops_ref)
-    if config_coarse.params.p != config_ref.params.p:
-        raise ValueError("coarse and reference runs use different exponents p")
-    params = config_ref.params
-    model = config_ref.model
-    tau = grid_c.tau
+    _check_time_nesting(grid_c, grid_f)
+    _check_mesh_nesting(ops_coarse, ops_ref)
+    params, model = config_ref.params, config_ref.model
+    if (config_coarse.params.p, config_coarse.params.kappa) != (params.p, params.kappa):
+        raise ValueError("coarse and reference runs use different exponents p or kappa")
     ns = len(coarse_trajs)
 
     w2 = np.sqrt(_qp_weight_vector(ops_ref, 2))
     w4 = np.sqrt(_qp_weight_vector(ops_ref, 4))
     saddle = ops_coarse.projection_saddle()
+    free_c = ops_coarse.free
+
+    # Point evaluation, built once per call: both meshes' fields at the
+    # fine quadrature points; reference fields at the coarse quadrature
+    # points (loads) and the free coarse nodes (nodal interpolant); the
+    # coarse initial datum at its own quadrature points, so that the two
+    # initial loads are formed the same way.
+    fine_qp = ops_ref.qp_x.reshape(-1, 2)
+    coarse_qp = ops_coarse.qp_x.reshape(-1, 2)
+    coarse_at_fq = point_evaluation(ops_coarse, fine_qp)
+    ref_at_fq = point_evaluation(ops_ref, fine_qp)
+    ref_at_cq = point_evaluation(ops_ref, coarse_qp)
+    coarse_at_cq = point_evaluation(ops_coarse, coarse_qp)
+    free_nodes = ~ops_coarse.space_v.boundary_node
+    ref_at_cn = point_evaluation(ops_ref, ops_coarse.space_v.node_coords[free_nodes])
 
     # Time-weight tables shared by every sample.
     tiles = [_tiling_average_weights(n, grid_c, grid_f) for n in range(Nc + 1)]
     hat_tile = [_hat_cell_integrals(n, grid_c, grid_f, restrict=True) for n in range(1, Nc + 1)]
     hat_full = [_hat_cell_integrals(n, grid_c, grid_f, restrict=False) for n in range(1, Nc + 1)]
 
-    natural_s: list[float] = []
-    vgrad_s: list[float] = []
-    init_s: list[float] = []
-    linf_s: list[float] = []
-    best_s: list[float] = []
+    def project(D: np.ndarray) -> np.ndarray:
+        """Divergence projections of load columns, as coefficient rows."""
+        return _full_velocity(ops_coarse, saddle.solve(D)[0]).T
+
+    def v_rows(ev: PointEvaluation, rows: np.ndarray) -> np.ndarray:
+        """Quadrature-weighted V(eps u) at the fine points, one row per field."""
+        V = _rows(nonlinear_V(ev.sym_grad(rows), params))
+        V *= w4
+        return V
+
+    # The two blocks of fine-point values a sample needs are formed in
+    # these two functions, so that the first is freed before the second.
+    def value_terms(Uf, Uc, avg, proj_avg) -> tuple[float, np.ndarray, float, float]:
+        """max_n ||e_n||^2 and the Gram matrix of the weighted rows e_n,
+        C_Linf and C_G, from the values at the fine points."""
+        avg_vals = _rows(ref_at_fq.values(avg))
+        coarse_vals = coarse_at_fq.values(Uc)
+        E = (avg_vals - _rows(coarse_vals)) * w2
+        d = (avg_vals[1:] - _rows(coarse_at_fq.values(proj_avg[1:]))) * w2
+        natural = float(np.einsum("nd,nd->n", E[1:], E[1:]).max())
+        linf = float(np.einsum("nd,nd->n", d, d).max())
+        cg = _data_term(coarse_vals, Uf, ref_at_fq, grid_c, grid_f, ops_ref, model)
+        return natural, E @ E.T, linf, cg
+
+    def v_terms(Uf, Uc, eta) -> tuple[float, float]:
+        """vgrad and the V(eps u) part of C_best: the reference rows of
+        every fine step against the coarse run over the restricted
+        windows, and against eta over the full-support windows."""
+        Vf = v_rows(ref_at_fq, Uf)
+        vgrad = _windowed_sq_dists(Vf, v_rows(coarse_at_fq, Uc[1:]), hat_tile)
+        return vgrad, _windowed_sq_dists(Vf, v_rows(coarse_at_fq, eta[1:]), hat_full)
+
+    per_sample = []
     gram_e_sum = np.zeros((Nc + 1, Nc + 1))
-    cg_s: list[float] = []
 
     for coarse, ref in zip(coarse_trajs, ref_trajs):
+        Uc = np.stack([f.coeffs for f in coarse.fields])
         Uf = np.stack([f.coeffs for f in ref.fields])
         avg = np.stack([w @ Uf[js] for js, w in tiles])  # <u_ref>_n coefficients
-
-        # e_n at the fine quadrature points, quadrature-weighted rows;
-        # the averages at the fine points also feed C_Linf below.
-        fine_vals = np.stack([velocity_at_qp(a, ops_ref).ravel() for a in avg])
-        E = np.empty((Nc + 1, w2.size))
-        for n in range(Nc + 1):
-            coarse_vals = _velocity_qp_flat(coarse.fields[n].coeffs, ops_coarse, ops_ref)
-            E[n] = (fine_vals[n] - coarse_vals) * w2
-        norms_sq = np.einsum("nd,nd->n", E, E)
-        natural_s.append(float(norms_sq[1:].max()))
-        gram_e_sum += E @ E.T
 
         # Divergence projections on the coarse space: averages and their
         # nodal interpolants, one multi-column saddle solve each; the
         # projected fields come back as rows.
-        D_avg = np.stack(
-            [_cross_load(avg[n], ops_ref, ops_coarse) for n in range(Nc + 1)], axis=1
-        )
-        proj_avg = _full_velocity(ops_coarse, saddle.solve(D_avg)[0]).T
-        interp = _interpolate_rows(avg, ops_ref, ops_coarse)
-        D_eta = (ops_coarse.M_full @ interp.T)[ops_coarse.free]
-        eta = _full_velocity(ops_coarse, saddle.solve(D_eta)[0]).T
+        proj_avg = project(_loads(ref_at_cq, avg, ops_coarse))
+        interp = np.zeros((Nc + 1, ops_coarse.space_v.n_dofs))
+        interp[:, free_c] = _rows(ref_at_cn.values(avg))
+        eta = project((ops_coarse.M_full @ interp.T)[free_c])
 
-        init_s.append(_initial_gap(coarse.fields[0].coeffs, ref.fields[0].coeffs, ops_coarse, ops_ref))
+        # ||P_div u0_ref - P_div u0_coarse||^2 on the coarse space
+        loads0 = [_loads(ref_at_cq, Uf[:1], ops_coarse), _loads(coarse_at_cq, Uc[:1], ops_coarse)]
+        pr = project(np.hstack(loads0))
+        gap0 = pr[0] - pr[1]
+        init = float(gap0 @ (ops_coarse.M_full @ gap0))
 
-        linf = 0.0
-        for n in range(1, Nc + 1):
-            diff = fine_vals[n] - _velocity_qp_flat(proj_avg[n], ops_coarse, ops_ref)
-            linf = max(linf, float(np.sum((diff * w2) ** 2)))
-        linf_s.append(linf)
-
-        # Streamed nonlinear-gradient terms: reference V-fields are
-        # computed once per fine step and shared by the restricted
-        # (vgrad) and full-support (best-approximation) windows.
-        vcache = _RollingCache(
-            lambda j: _nonlinear_grad_qp_flat(Uf[j], ops_ref, ops_ref, params) * w4
-        )
-        best = 0.0
-        vgrad = 0.0
-        for n in range(1, Nc + 1):
-            js_t, w_t = hat_tile[n - 1]
-            js_f, w_f = hat_full[n - 1]
-            vcache.evict_below(min(js_t[0], js_f[0]))
-            Vc = _nonlinear_grad_qp_flat(coarse.fields[n].coeffs, ops_coarse, ops_ref, params) * w4
-            Veta = _nonlinear_grad_qp_flat(eta[n], ops_coarse, ops_ref, params) * w4
-            for j, w in zip(js_t, w_t):
-                d = vcache.get(j) - Vc
-                vgrad += w * float(d @ d)
-            for j, w in zip(js_f, w_f):
-                d = vcache.get(j) - Veta
-                best += w * float(d @ d)
-            gap = proj_avg[n] - eta[n]
-            best += float(gap @ (ops_coarse.M_full @ gap))
-        vgrad_s.append(vgrad)
-        best_s.append(best)
-
-        cg_s.append(_data_term(coarse, ref, config_coarse, config_ref, ops_coarse, ops_ref, model))
+        natural, gram_e, linf, cg = value_terms(Uf, Uc, avg, proj_avg)
+        gram_e_sum += gram_e
+        vgrad, best = v_terms(Uf, Uc, eta)
+        gap = proj_avg[1:] - eta[1:]
+        best += float(np.einsum("nd,nd->", gap, (ops_coarse.M_full @ gap.T).T))
+        per_sample.append((natural, vgrad, init, linf, best, cg))
+    natural_s, vgrad_s, init_s, linf_s, best_s, cg_s = zip(*per_sample)
 
     Ed2 = _squared_increment_table(gram_e_sum / ns)
     sums = _lag_sums(Ed2)
@@ -612,78 +601,41 @@ def error_stats(
     )
 
 
-def _interpolate_rows(
-    rows: np.ndarray, owner: AssembledOperators, target: AssembledOperators
-) -> np.ndarray:
-    """Nodal interpolation of owner fields onto the target velocity space."""
-    nodes = target.space_v.node_coords
-    out = np.empty((rows.shape[0], target.space_v.n_dofs))
-    if owner is target:
-        return rows.copy()
-    loc = owner.locator
-    for i, coeffs in enumerate(rows):
-        vals = loc.evaluate(coeffs, nodes)
-        vals[target.space_v.boundary_node] = 0.0
-        out[i] = vals.ravel()
-    return out
-
-
-def _initial_gap(
-    u0_coarse: np.ndarray,
-    u0_ref: np.ndarray,
-    ops_coarse: AssembledOperators,
-    ops_ref: AssembledOperators,
-) -> float:
-    """||P_div u0_ref - P_div u0_coarse||^2 on the coarse space."""
-    D = np.stack(
-        [
-            _cross_load(u0_ref, ops_ref, ops_coarse),
-            (ops_coarse.M_full @ u0_coarse)[ops_coarse.free],
-        ],
-        axis=1,
-    )
-    pr = ops_coarse.projection_saddle().solve(D)[0]
-    gap = _full_velocity(ops_coarse, pr[:, 0] - pr[:, 1])
-    return float(gap @ (ops_coarse.M_full @ gap))
-
-
 def _data_term(
-    coarse: Trajectory,
-    ref: Trajectory,
-    config_c: SchemeConfig,
-    config_f: SchemeConfig,
-    ops_c: AssembledOperators,
+    coarse_vals: np.ndarray,
+    Uf: np.ndarray,
+    ref_at_fq: PointEvaluation,
+    grid_c: TimeGrid,
+    grid_f: TimeGrid,
     ops_f: AssembledOperators,
     model: NoiseModel | None,
 ) -> float:
     """sum_n int a_n^2(t) ||G(t, u_ref(t)) - G_n(u_lag)||_HS^2 dt.
 
-    The reference velocity is piecewise constant on its midpoint cells;
-    per cell the three time profiles int a_n^2 m^l dt (l = 0, 1, 2) are
-    integrated by 3-point Gauss and paired with the spatial Gram scalars
-    of the two noise fields.
+    coarse_vals holds the coarse velocities at the fine quadrature
+    points; the reference rows Uf are evaluated there by `ref_at_fq` only
+    for a velocity-dependent noise rule.  The reference velocity is
+    piecewise constant on its midpoint cells; per cell the three time
+    profiles int a_n^2 m^l dt (l = 0, 1, 2) are integrated by 3-point
+    Gauss and paired with the spatial Gram scalars of the two noise
+    fields.
     """
     if model is None:
         return 0.0
-    grid_c, grid_f = config_c.grid, config_f.grid
-    n_tri, nq = ops_f.qw.shape
-    g_vals = model.mode_values(ops_f.qp_x.reshape(-1, 2)).reshape(-1, n_tri, nq, 2)
+    g_vals = model.mode_values(ops_f.qp_x.reshape(-1, 2))  # (K, n_qp, 2)
     w2 = _qp_weight_vector(ops_f, 2)
     additive = model.rule == "additive"
 
-    def rule_flat(u_coeffs: np.ndarray | None, owner) -> np.ndarray:
-        if additive:
-            u_vals = None
-        else:
-            u_vals = _velocity_qp_flat(u_coeffs, owner, ops_f).reshape(ops_f.qp_x.shape)
-        return model.apply(g_vals, u_vals).reshape(g_vals.shape[0], -1)
+    def rule_rows(u_vals: np.ndarray | None) -> np.ndarray:
+        return model.apply(g_vals, u_vals).reshape(len(g_vals), -1)
 
-    def pair(F: np.ndarray, H: np.ndarray) -> float:
-        return float(np.einsum("kd,d,kd->", F, w2, H))
-
-    fcache = _RollingCache(lambda j: rule_flat(ref.fields[j].coeffs, ops_f))
-    g_flat = rule_flat(None, ops_f) if additive else None
-    hsq_add = pair(g_flat, g_flat) if additive else 0.0
+    if additive:
+        g_rows = rule_rows(None)
+        hsq_add = float(np.einsum("kd,d,kd->", g_rows, w2, g_rows))
+    else:
+        # rule fields of every reference step, (Nf+1, K, 2 n_qp)
+        F = np.stack([rule_rows(u) for u in ref_at_fq.values(Uf)])
+        sF = np.einsum("jkd,d,jkd->j", F, w2, F)
     total = 0.0
     for n in range(1, grid_c.N + 1):
         c_n = 0.0 if n <= 2 else modulation_average(model, *grid_c.interval(n - 2))
@@ -703,17 +655,13 @@ def _data_term(
             # only the time profile (m(t) - c_n)^2 remains.
             total += hsq_add * float(np.sum(I2 - 2.0 * c_n * I1 + c_n**2 * I0))
             continue
-        fcache.evict_below(js[0])
         if n <= 2:
-            H, sH = None, 0.0
+            sFH, sH = 0.0, 0.0
         else:
-            H = rule_flat(coarse.fields[max(n - 2, 0)].coeffs, ops_c)
-            sH = pair(H, H)
-        for idx, j in enumerate(js):
-            F = fcache.get(j)
-            sF = pair(F, F)
-            sFH = pair(F, H) if H is not None else 0.0
-            total += I2[idx] * sF - 2.0 * c_n * I1[idx] * sFH + c_n**2 * I0[idx] * sH
+            H = rule_rows(coarse_vals[n - 2])
+            sH = float(np.einsum("kd,d,kd->", H, w2, H))
+            sFH = np.einsum("jkd,d,kd->j", F[js], w2, H)
+        total += float(np.sum(I2 * sF[js] - 2.0 * c_n * I1 * sFH + c_n**2 * I0 * sH))
     return max(total, 0.0)
 
 
@@ -738,7 +686,7 @@ def temporal_oscillation(
     weights = []
     bandwidth = 0
     for grid_c in coarse_grids:
-        _check_nested(grid_c, grid_f, ops_ref, ops_ref)
+        _check_time_nesting(grid_c, grid_f)
         per_n = [_hat_cell_integrals(n, grid_c, grid_f, restrict=False) for n in range(1, grid_c.N + 1)]
         weights.append((grid_c.tau, per_n))
         bandwidth = max(bandwidth, max(int(js[-1] - js[0]) for js, _ in per_n))
@@ -753,7 +701,7 @@ def temporal_oscillation(
         ring = np.zeros((ring_len, w4.size))
         g = np.zeros((ring_len, Nf + 1))
         for j in range(Nf + 1):
-            v = _nonlinear_grad_qp_flat(ref.fields[j].coeffs, ops_ref, ops_ref, params) * w4
+            v = nonlinear_V(sym_grad_at_qp(ref.fields[j].coeffs, ops_ref), params).ravel() * w4
             lo = max(j - bandwidth, 0)
             count = j - lo  # strictly earlier rows i = lo..j-1
             if count:

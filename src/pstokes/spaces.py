@@ -21,9 +21,13 @@ bundle builds its factorizations (`mass_free_lu`, `projection_saddle`,
 `grad_stiffness_lu`) and tables (`grad_table`, `sym_basis`,
 `tangent_pattern`, `grad_stiffness`, `locator`) on first use and keeps
 them; `pstokes.streamfunc` fills `stream_coarse` and `stream_basis`.
-`SaddleSolver` alone knows the layout of the KKT system: callers hand it
-velocity-block right-hand sides, one column or many, and get the
-velocity and the mean-zero pressure back.  It serves the projections
+The `locator` only locates points; `point_evaluation` turns one located
+point set into sparse value and gradient matrices of the velocity space,
+which evaluate a whole stack of fields there in one product (the
+cross-mesh transfer of `pstokes.diagnostics`).  `SaddleSolver` alone
+knows the layout of the KKT system: callers hand it velocity-block
+right-hand sides, one column or many, and get the velocity and the
+mean-zero pressure back.  It serves the projections
 (`project_div`, the pressure solves of `pstokes.pressure`, the
 divergence projections of `pstokes.diagnostics`); the time stepper
 solves in the divergence-free basis of `pstokes.streamfunc` instead.
@@ -65,6 +69,8 @@ __all__ = [
     "stress_residual_vector",
     "stress_tangent_matrix",
     "StructuredLocator",
+    "PointEvaluation",
+    "point_evaluation",
     "infsup_witness",
 ]
 
@@ -670,12 +676,14 @@ class StructuredLocator:
     """Point location for Alfeld splits of the structured square mesh.
 
     Locates the containing element analytically: grid cell, diagonal
-    side, then the barycentric sector of the Alfeld child.  Points on
-    internal edges resolve to either neighbor; the fields evaluated
-    through this locator are continuous across those edges.  The mesh
-    order m is the one `unit_square_mesh` recorded on the mesh; a mesh
-    without it (for example one rebuilt from moved vertices) is refused,
-    since the analytic search would silently pick wrong elements there.
+    side, then the barycentric sector of the Alfeld child.  It only
+    locates; `point_evaluation` turns the located points into evaluation
+    matrices.  Points on internal edges resolve to either neighbor; the
+    velocity fields evaluated there are continuous across those edges.
+    The mesh order m is the one `unit_square_mesh` recorded on the mesh;
+    a mesh without it (for example one rebuilt from moved vertices) is
+    refused, since the analytic search would silently pick wrong
+    elements there.
     """
 
     def __init__(self, ops: AssembledOperators):
@@ -712,23 +720,54 @@ class StructuredLocator:
         ref = np.einsum("ndc,nd->nc", self.ops.inv_t[tri], pts - self._origin[tri])
         return tri, ref
 
-    def evaluate(self, u_coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Velocity field values at arbitrary points, shape (n_pts, 2)."""
-        tri, ref = self.locate(points)
-        phi = _p2_values(ref)  # (6, n_pts)
-        nodes = self.ops.space_v.scalar_l2g[tri]  # (n_pts, 6)
-        u_loc = u_coeffs.reshape(-1, 2)[nodes]  # (n_pts, 6, 2)
-        return np.einsum("in,nic->nc", phi, u_loc)
 
-    def evaluate_sym_grad(self, u_coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Symmetric gradient at arbitrary points, shape (n_pts, 2, 2)."""
-        tri, ref = self.locate(points)
-        grad_ref = _p2_gradients(ref)  # (6, n_pts, 2)
-        grad_phys = np.einsum("ncd,ind->nic", self.ops.inv_t[tri], grad_ref)
-        nodes = self.ops.space_v.scalar_l2g[tri]
-        u_loc = u_coeffs.reshape(-1, 2)[nodes]
-        grad = np.einsum("nic,nid->ncd", u_loc, grad_phys)
-        return 0.5 * (grad + np.swapaxes(grad, -1, -2))
+@dataclass(frozen=True)
+class PointEvaluation:
+    """P2 evaluation at a fixed point set, as three sparse scalar matrices
+    of shape (n_points, n_nodes): P holds the basis values at the points,
+    Gx and Gy the physical x- and y-derivatives of the basis.  Applied to
+    a stack of velocity coefficient rows (k, n_dofs), one sparse product
+    per matrix evaluates every row at once."""
+
+    P: sp.csr_matrix
+    Gx: sp.csr_matrix
+    Gy: sp.csr_matrix
+
+    def _apply(self, mat: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
+        """mat applied to both components of (k, n_dofs) coefficient rows
+        at once, as (k, n_points, 2)."""
+        k = len(rows)
+        nodal = rows.reshape(k, -1, 2).transpose(1, 0, 2).reshape(-1, 2 * k)
+        return (mat @ nodal).reshape(-1, k, 2).transpose(1, 0, 2)
+
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        """Velocity values at the points, shape (k, n_points, 2)."""
+        return self._apply(self.P, rows)
+
+    def sym_grad(self, rows: np.ndarray) -> np.ndarray:
+        """Symmetric gradients at the points, shape (k, n_points, 2, 2)."""
+        grad = np.empty((len(rows), self.P.shape[0], 2, 2))  # [..., c, d] = d_d u_c
+        grad[..., 0] = self._apply(self.Gx, rows)
+        grad[..., 1] = self._apply(self.Gy, rows)
+        grad[..., 0, 1] = grad[..., 1, 0] = 0.5 * (grad[..., 0, 1] + grad[..., 1, 0])
+        return grad
+
+
+def point_evaluation(ops: AssembledOperators, points: np.ndarray) -> PointEvaluation:
+    """The evaluation operator of the velocity space of `ops` at `points`
+    (n_points, 2): one point location, then the P2 basis values and
+    physical gradients of each containing element."""
+    tri, ref = ops.locator.locate(points)
+    rows = np.repeat(np.arange(len(tri)), 6)
+    cols = ops.space_v.scalar_l2g[tri].ravel()
+    grad = np.einsum("ncd,ind->nic", ops.inv_t[tri], _p2_gradients(ref))  # (n, 6, 2)
+
+    def matrix(data: np.ndarray) -> sp.csr_matrix:
+        return sp.csr_matrix((data.ravel(), (rows, cols)), shape=(len(tri), ops.space_v.n_nodes))
+
+    return PointEvaluation(
+        P=matrix(_p2_values(ref).T), Gx=matrix(grad[..., 0]), Gy=matrix(grad[..., 1])
+    )
 
 
 def infsup_witness(ops: AssembledOperators) -> float:

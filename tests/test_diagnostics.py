@@ -38,9 +38,11 @@ from pstokes.noise import (
 from pstokes.pressure import reconstruct
 from pstokes.spaces import (
     Field,
+    StructuredLocator,
     assemble,
     interpolate_velocity,
     norms,
+    point_evaluation,
     velocity_at_qp,
 )
 from pstokes.stepper import (
@@ -399,16 +401,71 @@ def test_error_stats_validation(ops2):
     )
     with pytest.raises(ValueError, match="horizons"):
         error_stats(trajs, trajs, config, bad_grid, ops2, ops2)
+    # kappa enters V(eps u); newton_reg only the Newton linearization
+    config_kappa = SchemeConfig(
+        params=PowerLawParams(p=2.0, kappa=0.5), grid=config.grid, model=model
+    )
+    with pytest.raises(ValueError, match="kappa"):
+        error_stats(trajs, trajs, config_kappa, config, ops2, ops2)
+    config_reg = SchemeConfig(
+        params=PowerLawParams(p=2.0, kappa=0.0, newton_reg=1e-4), grid=config.grid, model=model
+    )
+    error_stats(trajs, trajs, config_reg, config, ops2, ops2, with_CV=False)
     coarser = SchemeConfig(params=config.params, grid=TimeGrid(T=1.0, N=2), model=model)
     trajs_c, _ = run_ensemble(u0, coarser, ops2, n_samples=2, seed=3, delta=coarser.grid.tau / 4)
     with pytest.raises(ValueError, match="multiple"):
         error_stats(trajs, trajs_c, config, coarser, ops2, ops2)
 
 
+def test_error_stats_point_location_is_per_call():
+    # One located point set per evaluation operator, whatever the number
+    # of coarse steps or samples.
+    model = make_model(rule="linear")
+    ops_f, config_f = build(m=4, N=15, model=model, T=0.1)
+    u0f = initial_velocity(curl_bump, ops_f)
+    refs, paths = run_ensemble(u0f, config_f, ops_f, n_samples=2, seed=6, delta=config_f.grid.tau / 2)
+    original = StructuredLocator.locate
+    counts = {}
+    for Nc in (3, 7):
+        ops_c, config_c = build(m=2, N=Nc, model=model, T=0.1)
+        u0c = initial_velocity(curl_bump, ops_c)
+        coarse = [
+            run_trajectory(u0c, sample_increments(path, config_c.grid), config_c, ops_c)
+            for path in paths
+        ]
+        for ns in (1, 2):
+            calls = []
+
+            def counting(self, points):
+                calls.append(len(points))
+                return original(self, points)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(StructuredLocator, "locate", counting)
+                error_stats(coarse[:ns], refs[:ns], config_c, config_f, ops_c, ops_f)
+            counts[Nc, ns] = len(calls)
+    assert min(counts.values()) > 0
+    assert len(set(counts.values())) == 1, counts
+
+
+def test_temporal_oscillation_accepts_unstructured_mesh(jiggled_mesh):
+    # A same-mesh pass locates no points: it needs time nesting only,
+    # while error_stats still refuses a mesh it cannot locate points on.
+    ops = assemble(alfeld_split(jiggled_mesh))
+    config = SchemeConfig(
+        params=PowerLawParams(p=3.0), grid=TimeGrid(T=0.1, N=3), model=make_model()
+    )
+    trajs, _ = run_ensemble(initial_velocity(curl_bump, ops), config, ops, n_samples=1, seed=4)
+    osc = temporal_oscillation(trajs, config, ops, [TimeGrid(T=0.1, N=1)])
+    assert np.isfinite(osc[0]) and osc[0] > 0.0
+    with pytest.raises(ValueError, match="unit_square_mesh"):
+        error_stats(trajs, trajs, config, config, ops, ops, with_CV=False)
+
+
 def test_cross_mesh_quadrature_deviation_small(ops2):
     ops4 = assemble(alfeld_split(unit_square_mesh(4)))
     v2 = interpolate_velocity(curl_bump, ops2)
-    flat = dg._velocity_qp_flat(v2.coeffs, ops2, ops4)
+    flat = point_evaluation(ops2, ops4.qp_x.reshape(-1, 2)).values(v2.coeffs[None]).ravel()
     w2 = dg._qp_weight_vector(ops4, 2)
     cross_sq = float(np.sum(flat * flat * w2))
     native_sq = norms(v2, "L2", ops2) ** 2
@@ -420,7 +477,7 @@ def test_cross_mesh_quadrature_deviation_small(ops2):
 def test_cross_load_same_mesh_is_exact(ops2):
     rng = np.random.default_rng(8)
     c = rng.standard_normal(ops2.space_v.n_dofs)
-    load = dg._cross_load(c, ops2, ops2)
+    load = dg._loads(point_evaluation(ops2, ops2.qp_x.reshape(-1, 2)), c[None], ops2)[:, 0]
     expected = (ops2.M_full @ c)[ops2.free]
     assert np.allclose(load, expected, rtol=0, atol=1e-15 * np.abs(expected).max())
 

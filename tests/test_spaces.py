@@ -8,7 +8,7 @@ interpolant) or frozen from an independent measurement noted inline.
 import numpy as np
 import pytest
 
-from pstokes.meshing import TriMesh, alfeld_split, unit_square_mesh
+from pstokes.meshing import alfeld_split, unit_square_mesh
 from pstokes.spaces import (
     QUAD_POINTS,
     QUAD_WEIGHTS,
@@ -25,12 +25,14 @@ from pstokes.spaces import (
     infsup_witness,
     interpolate_velocity,
     norms,
+    point_evaluation,
     pressure_lp_norm,
     project_div,
     project_perp,
     stress_residual_vector,
     stress_tangent_matrix,
     sym_grad_at_qp,
+    velocity_at_qp,
 )
 from pstokes.tensors import PowerLawParams
 
@@ -347,10 +349,10 @@ class TestInterpolation:
             return np.stack([x**2 - 3 * x * y, y**2 + 0.5 * x], axis=-1)
 
         v = interpolate_velocity(quad_field, ops4, zero_boundary=False)
-        loc = StructuredLocator(ops4)
         rng = np.random.default_rng(13)
         pts = rng.random((400, 2))
-        err = np.abs(loc.evaluate(v.coeffs, pts) - quad_field(pts)).max()
+        vals = point_evaluation(ops4, pts).values(v.coeffs[None])[0]
+        err = np.abs(vals - quad_field(pts)).max()
         assert err < 1e-13
 
     def test_cubic_order_on_ladder(self):
@@ -392,10 +394,23 @@ class TestLocator:
             ops4,
             zero_boundary=False,
         )
-        loc = StructuredLocator(ops4)
         rng = np.random.default_rng(14)
-        sg = loc.evaluate_sym_grad(v.coeffs, rng.random((100, 2)))
+        sg = point_evaluation(ops4, rng.random((100, 2))).sym_grad(v.coeffs[None])[0]
         assert np.abs(sg - np.array([[0.0, 0.5], [0.5, 0.0]])).max() < 1e-12
+
+    def test_point_evaluation_matches_native_kernels(self, ops4):
+        # a stack of rows through one operator at the mesh's own
+        # quadrature points gives each row's native values and gradients
+        rows = np.random.default_rng(15).standard_normal((3, ops4.space_v.n_dofs))
+        ev = point_evaluation(ops4, ops4.qp_x.reshape(-1, 2))
+        vals, sg = ev.values(rows), ev.sym_grad(rows)
+        assert vals.shape == (3, ops4.qp_x.size // 2, 2)
+        assert sg.shape == (3, ops4.qp_x.size // 2, 2, 2)
+        for k, row in enumerate(rows):
+            native = velocity_at_qp(row, ops4).reshape(-1, 2)
+            assert np.abs(vals[k] - native).max() < EXACT_TOL * np.abs(native).max()
+            native = sym_grad_at_qp(row, ops4).reshape(-1, 2, 2)
+            assert np.abs(sg[k] - native).max() < EXACT_TOL * np.abs(native).max()
 
     def test_corners_and_edges_handled(self, ops4):
         loc = StructuredLocator(ops4)
@@ -403,17 +418,13 @@ class TestLocator:
         tri, ref = loc.locate(pts)
         assert (tri >= 0).all() and (tri < ops4.space_v.mesh.n_triangles).all()
 
-    def test_wrong_mesh_rejected(self):
+    def test_wrong_mesh_rejected(self, jiggled_mesh):
         # 6 m^2 triangles, but interior vertices moved off the grid: the
         # analytic search would put 29 % of the mesh's own quadrature points
         # in the wrong element, so the locator refuses the mesh.
-        base = unit_square_mesh(4)
-        verts = base.vertices.copy()
-        inner = ~base.boundary_vertex
-        verts[inner] += 0.05 * np.random.default_rng(1).standard_normal((inner.sum(), 2))
-        ops = assemble(alfeld_split(TriMesh(verts, base.triangles)))
+        ops = assemble(alfeld_split(jiggled_mesh))
         assert ops.space_v.mesh.n_triangles == 6 * 4 * 4
-        assert alfeld_split(base).square_order == 4
+        assert alfeld_split(unit_square_mesh(4)).square_order == 4
         with pytest.raises(ValueError, match="unit_square_mesh"):
             StructuredLocator(ops)
         with pytest.raises(ValueError, match="unit_square_mesh"):

@@ -15,7 +15,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from pstokes.grids import TimeGrid
-from pstokes.meshing import TriMesh, alfeld_split, unit_square_mesh
+from pstokes.meshing import alfeld_split, unit_square_mesh
 from pstokes.noise import NoiseModel, sample_increments
 from pstokes.pressure import reconstruct
 from pstokes.scenarios import curl_modes, u0_smooth
@@ -40,16 +40,6 @@ from pstokes.tensors import PowerLawParams
 @pytest.fixture(scope="module")
 def ops2():
     return assemble(alfeld_split(unit_square_mesh(2)))
-
-
-def jiggled_square_mesh(m: int) -> TriMesh:
-    """unit_square_mesh(m) with its interior vertices moved at random:
-    no two macro-elements are congruent."""
-    base = unit_square_mesh(m)
-    verts = base.vertices.copy()
-    inner = ~base.boundary_vertex
-    verts[inner] += 0.05 * np.random.default_rng(1).standard_normal((inner.sum(), 2))
-    return TriMesh(verts, base.triangles)
 
 
 def reduced_solve_error(ops) -> float:
@@ -105,10 +95,10 @@ class TestBasisConstruction:
         norms_sq = np.asarray(C.multiply(C).sum(axis=0)).ravel()
         assert np.allclose(norms_sq, 1.0, atol=1e-12)
 
-    def test_unstructured_mesh_basis(self):
+    def test_unstructured_mesh_basis(self, jiggled_mesh):
         """Dimension, pointwise divergence, column scaling and span
         exactness on a mesh whose macro-elements all differ in shape."""
-        ops = assemble(alfeld_split(jiggled_square_mesh(4)))
+        ops = assemble(alfeld_split(jiggled_mesh))
         C = stream_curl_basis(ops)
         assert C.shape == (ops.n_free, ops.n_free - (ops.n_pressure - 1))
         u = np.zeros(ops.space_v.n_dofs)
