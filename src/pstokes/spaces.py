@@ -758,12 +758,14 @@ def point_evaluation(ops: AssembledOperators, points: np.ndarray) -> PointEvalua
     (n_points, 2): one point location, then the P2 basis values and
     physical gradients of each containing element."""
     tri, ref = ops.locator.locate(points)
-    rows = np.repeat(np.arange(len(tri)), 6)
+    row_starts = np.arange(0, 6 * len(tri) + 1, 6)  # six basis functions per point
     cols = ops.space_v.scalar_l2g[tri].ravel()
-    grad = np.einsum("ncd,ind->nic", ops.inv_t[tri], _p2_gradients(ref))  # (n, 6, 2)
+    # physical basis gradients (n, 6, 2): the reference ones mapped by inv_t
+    grad = _p2_gradients(ref).transpose(1, 0, 2) @ ops.inv_t[tri].transpose(0, 2, 1)
+    shape = (len(tri), ops.space_v.n_nodes)
 
     def matrix(data: np.ndarray) -> sp.csr_matrix:
-        return sp.csr_matrix((data.ravel(), (rows, cols)), shape=(len(tri), ops.space_v.n_nodes))
+        return sp.csr_matrix((data.ravel(), cols, row_starts), shape=shape)
 
     return PointEvaluation(
         P=matrix(_p2_values(ref).T), Gx=matrix(grad[..., 0]), Gy=matrix(grad[..., 1])
