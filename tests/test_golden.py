@@ -4,7 +4,11 @@ The other stepper tests check invariants (energy identity, divergence,
 the momentum equation), which a change to the solver that moves every
 trajectory by the same amount would still pass.  These records pin the
 final velocity of small reference runs instead: mesh order 4, N = 8 steps
-on T = 0.1, two curl modes with the linear noise rule, a fixed seed.
+on T = 0.1, two curl modes of amplitude 1 with the linear noise rule at
+p in {1.5 (kappa = 0.1), 2, 3} and with the additive rule at p in
+{1.5 (kappa = 0.1), 3}, a fixed seed.  The additive runs leave the
+small-data regime of the linear ones: Newton there backtracks, retries on
+a fresh factor and refreshes a barely contracting one.
 They were recorded from the stepper solving in the divergence-free
 stream basis and must survive refactors of the solver unchanged (1e-10
 relative), together with the Newton iteration count of every step.  The final field is pinned
@@ -40,19 +44,30 @@ from pstokes.tensors import PowerLawParams
 SEED = 20230725
 REL = 1e-10
 
-# (p, kappa): (final coefficients paired with _probe(n_dofs), L2 norm of
-# the final velocity, Newton iterations per step)
+# (noise rule, p, kappa): (final coefficients paired with _probe(n_dofs),
+# L2 norm of the final velocity, Newton iterations per step)
 GOLDEN = {
-    (1.5, 0.1): (
+    ("linear", 1.5, 0.1): (
         -0.0008953629522457753, 3.609490410090546e-05, [6, 4, 4, 3, 3, 3, 3, 3]
     ),
-    (2.0, 0.0): (
+    ("linear", 2.0, 0.0): (
         -0.02177665733999438, 0.000879046011743387, [1, 1, 1, 1, 1, 1, 1, 1]
     ),
-    (3.0, 0.0): (
+    ("linear", 3.0, 0.0): (
         -0.17485672541610875, 0.006860951083679451, [5, 6, 7, 7, 7, 7, 8, 7]
     ),
+    ("additive", 1.5, 0.1): (
+        0.3501710916700569, 0.012834046752300475, [6, 4, 6, 10, 10, 6, 9, 8]
+    ),
+    ("additive", 3.0, 0.0): (
+        1.327595580410207, 0.04387259663726994, [5, 6, 9, 14, 12, 8, 12, 14]
+    ),
 }
+
+
+def _golden_id(key) -> str:
+    rule, p, _ = key
+    return f"p{p}-stream" if rule == "linear" else f"p{p}-{rule}"
 
 
 def _probe(n: int) -> np.ndarray:
@@ -64,12 +79,12 @@ def ops4():
     return assemble(alfeld_split(unit_square_mesh(4)))
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: f"p{k[0]}-stream")
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids=_golden_id)
 def test_final_velocity_matches_record(ops4, key):
-    p, kappa = key
+    rule, p, kappa = key
     pairing, l2, iterations = GOLDEN[key]
     grid = TimeGrid(T=0.1, N=8)
-    model = NoiseModel(mode_fields=curl_modes(2, amplitude=1.0), rule="linear")
+    model = NoiseModel(mode_fields=curl_modes(2, amplitude=1.0), rule=rule)
     cfg = SchemeConfig(PowerLawParams(p=p, kappa=kappa), grid, model)
     inc = sample_increments(np.random.default_rng(SEED), grid, n_modes=2)
     traj = run_trajectory(initial_velocity(u0_smooth, ops4), inc, cfg, ops4)
