@@ -17,10 +17,10 @@ import numpy as np
 
 from pstokes.tensors import (
     PowerLawParams,
-    calibrate_monotonicity_bounds,
-    calibrate_young_constant,
+    monotonicity_ratio,
     nonlinear_V,
     stress_S,
+    _sample_matrix_batch,
     _sample_pair_batch,
 )
 
@@ -28,6 +28,55 @@ SEED = 2024
 N_SAMPLES = 2_000_000
 P_VALUES = (1.5, 2.0, 3.0, 4.0)
 DELTAS = (0.1, 0.25, 0.5, 1.0)
+
+
+def calibrate_monotonicity_bounds(
+    p: float, n_pairs: int, rng: np.random.Generator
+) -> tuple[float, float]:
+    """Observed range of monotonicity_ratio over random matrix pairs at
+    kappa = 0."""
+    params = PowerLawParams(p=p, kappa=0.0)
+    lo, hi = np.inf, -np.inf
+    done = 0
+    while done < n_pairs:
+        chunk = min(n_pairs - done, 500_000)
+        A, B = _sample_pair_batch(rng, chunk)
+        ratio = monotonicity_ratio(A, B, params)
+        ratio = ratio[np.isfinite(ratio)]
+        if ratio.size:
+            lo = min(lo, float(ratio.min()))
+            hi = max(hi, float(ratio.max()))
+        done += chunk
+    return lo, hi
+
+
+def calibrate_young_constant(
+    p: float, delta: float, n_triples: int, rng: np.random.Generator
+) -> float:
+    """Max over sampled triples of the constant needed to close Young,
+    at kappa = 0."""
+    params = PowerLawParams(p=p, kappa=0.0)
+    worst = 0.0
+    done = 0
+    while done < n_triples:
+        chunk = min(n_triples - done, 500_000)
+        A, B = _sample_pair_batch(rng, chunk)
+        C = _sample_matrix_batch(rng, chunk)
+        near = rng.random(chunk) < 0.3
+        C[near] = B[near] + 10.0 ** rng.uniform(-6.0, 0.0, size=chunk)[
+            near, None, None
+        ] * _sample_matrix_batch(rng, int(near.sum()))
+        dS = stress_S(A, params) - stress_S(B, params)
+        dV_AB = nonlinear_V(A, params) - nonlinear_V(B, params)
+        dV_CB = nonlinear_V(C, params) - nonlinear_V(B, params)
+        lhs = np.einsum("nij,nij->n", dS, C - B)
+        lhs = lhs - delta * np.einsum("nij,nij->n", dV_AB, dV_AB)
+        den = np.einsum("nij,nij->n", dV_CB, dV_CB)
+        ok = den > 0.0
+        if ok.any():
+            worst = max(worst, float(np.max(lhs[ok] / den[ok])))
+        done += chunk
+    return worst
 
 
 def calibrate_ordering(p: float, n_pairs: int, rng: np.random.Generator):

@@ -460,16 +460,15 @@ def error_stats(
     ops_coarse: AssembledOperators,
     ops_ref: AssembledOperators,
     with_CV: bool = True,
-    c_v: float | None = None,
 ) -> ErrorStats:
     """Error statistics of coarse trajectories against coupled references.
 
     Preconditions: the reference grid refines the coarse grid (step
     counts N+1 divide, meshes nest) and sample i of both ensembles was
     driven by the same Wiener path; both runs use the same p and kappa.
-    `c_v` injects a precomputed temporal-oscillation value (see
-    `temporal_oscillation`, which shares the expensive band pass across
-    many coarse grids); with_CV=False skips it entirely.
+    C_V is computed here by `temporal_oscillation` for the one coarse
+    grid; with_CV=False leaves it None, for callers that evaluate a
+    ladder of grids in one `temporal_oscillation` pass.
 
     Points are located once per call, for the evaluation operators that
     serve every sample; each field family of a sample is then evaluated
@@ -584,8 +583,6 @@ def error_stats(
 
     natural, natural_se = _mean_and_se(natural_s)
     vgrad, vgrad_se = _mean_and_se(vgrad_s)
-    if c_v is None and with_CV:
-        c_v = temporal_oscillation(ref_trajs, config_ref, ops_ref, [grid_c])[0]
 
     return ErrorStats(
         n_samples=ns,
@@ -596,7 +593,7 @@ def error_stats(
         C_Linf=float(np.mean(linf_s)),
         C_best=float(np.mean(best_s)),
         C_G=float(np.mean(cg_s)),
-        C_V=c_v,
+        C_V=temporal_oscillation(ref_trajs, config_ref, ops_ref, [grid_c])[0] if with_CV else None,
         stderr={"natural_err": natural_se, "vgrad_err": vgrad_se},
     )
 
@@ -736,14 +733,20 @@ def temporal_oscillation(
 # Domination / extrapolation verifier
 
 
+# Quantiles of the terminal Y whose hitting times (rules hit_q...) and
+# one-step-back shifts (hitshift_q...) join the deterministic times in
+# the stopping-rule family of extrapolation_check.
+HIT_QUANTILES = (0.25, 0.5, 0.75, 0.9)
+
+
 @dataclass(frozen=True)
 class ExtrapolationReport:
     """Stopping-rule domination ratios and the extrapolation-inequality margin.
 
     rule_table maps each tested stopping rule to (E[X], E[Y], ratio);
     C_measured is the worst ratio (a lower bound for the domination
-    constant), C_used the constant the margins are evaluated with
-    (max(C, 1), or a calibration value passed in).  Margins are
+    constant), C_used the constant the margins are evaluated with,
+    max(C_measured, 1).  Margins are
     (RHS - LHS)/RHS with delta-method standard errors; for a noise-free
     configuration both processes vanish and the margins are 1 by
     convention.
@@ -869,22 +872,21 @@ def extrapolation_check(
     seed: int = 0,
     r: float = 4.0,
     k: float = 0.5,
-    C_calibration: float | None = None,
-    thresholds: Sequence[float] = (0.25, 0.5, 0.75, 0.9),
 ) -> ExtrapolationReport:
     """Monte Carlo check of the domination relation and its extrapolation.
 
     Runs `n_samples` coupled trajectories on the given (small) scheme,
     builds the processes X and Y per sample, and evaluates E[X]/E[Y]
     over the finite stopping-rule family: deterministic times 0..N,
-    Y-threshold hitting times at the given quantiles of the terminal Y,
+    Y-threshold hitting times at the HIT_QUANTILES of the terminal Y,
     and their one-step-back shifts.  The reported ratios bound the
     domination constant from below; the margins test
 
         E[X_N] <= C * E[Y_N]           (domination at the terminal time)
         E[X_N^k] <= (1+C-k)/(1-k) E[Y_N^k]   (extrapolation inequality)
 
-    with C either measured here or passed in from a calibration run.
+    with C = max(C_measured, 1), C_measured the largest ratio over the
+    rule family: the check is self-contained, with no constant injected.
     Refuses fewer than 1000 samples: the 3-sigma buffers the margins are
     judged by would be meaningless.
     """
@@ -925,7 +927,7 @@ def extrapolation_check(
             r=r,
             k=k,
             C_measured=0.0,
-            C_used=max(C_calibration or 1.0, 1.0),
+            C_used=1.0,
             rule_table={},
             domination_margin=1.0,
             domination_sigma=0.0,
@@ -938,7 +940,7 @@ def extrapolation_check(
     samples = np.arange(n_samples)
     rules: dict[str, np.ndarray] = {f"time_{m}": np.full(n_samples, m) for m in range(N + 1)}
     y_final = Y_all[:, N]
-    for q in thresholds:
+    for q in HIT_QUANTILES:
         y = float(np.quantile(y_final, q))
         above = Y_all > y
         hit = np.where(above.any(axis=1), above.argmax(axis=1), N)
@@ -954,7 +956,7 @@ def extrapolation_check(
         rule_table[name] = (ex, ey, ratio)
         C_measured = max(C_measured, ratio)
 
-    C_used = max(C_calibration if C_calibration is not None else C_measured, 1.0)
+    C_used = max(C_measured, 1.0)
     dom_margin, dom_sigma = _ratio_margin(X_all[:, N], C_used * y_final)
     factor = (1.0 + C_used - k) / (1.0 - k)
     cor_margin, cor_sigma = _ratio_margin(X_all[:, N] ** k, factor * y_final**k)

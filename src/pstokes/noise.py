@@ -21,7 +21,7 @@ cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,7 +61,6 @@ class WienerPath:
     T: float
     delta: float
     increments: np.ndarray
-    seed: int | None = None
 
     @property
     def n_modes(self) -> int:
@@ -94,7 +93,6 @@ class AveragedIncrements:
     grid: TimeGrid
     values: np.ndarray
     last_cell_used: np.ndarray | None = None
-    fine_step: float | None = None
 
     def increment(self, n: int) -> np.ndarray:
         """Delta_n W as a length-M vector; n is 1-based."""
@@ -143,9 +141,7 @@ def sample_increments(
             values[n - 1] = abar @ path.increments[j0:j1]
             nz = np.nonzero(abar)[0]
             last_used[n - 1] = j0 + (int(nz[-1]) if nz.size else 0)
-        return AveragedIncrements(
-            grid=grid, values=values, last_cell_used=last_used, fine_step=path.delta
-        )
+        return AveragedIncrements(grid=grid, values=values, last_cell_used=last_used)
 
     rng = source
     if n_modes is None:

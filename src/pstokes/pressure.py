@@ -52,6 +52,11 @@ __all__ = [
 # used as the upper end of the bracket.
 DIV_GRAD_CONSTANT = np.sqrt(2.0)
 
+# The test directions of verify_reconstruction: fixed, so that a check
+# reads the same on every run.
+VERIFY_DIRECTIONS = 20
+VERIFY_SEED = 0
+
 
 class PressureTrajectory:
     """pi_n = pi_init + pi_det_n + pi_sto_n (componentwise mean-zero).
@@ -137,12 +142,17 @@ def reconstruct(
     `increments` is given, the noise loads are recomputed from the
     Wiener increments and the lagged velocities instead of taking the
     stepper's stored loads, giving an independent assembly path; pass
-    None to reuse the stored loads.  With verify=True the per-step
+    None to reuse the stored loads; increments for another grid than
+    config's raise ValueError.  With verify=True the per-step
     reconstruction equation residual is checked against random test
     directions and a residual above 1e-6 raises.
     """
     if not traj.ok:
         raise ValueError(f"trajectory failed at step {traj.failed_at}")
+    if increments is not None and increments.grid != config.grid:
+        raise ValueError(
+            f"the increments are for {increments.grid}, the config for {config.grid}"
+        )
     tau = config.grid.tau
     N = traj.n_steps
 
@@ -316,19 +326,18 @@ def verify_reconstruction(
     ptraj: PressureTrajectory,
     config: SchemeConfig,
     ops: AssembledOperators,
-    n_directions: int = 20,
-    seed: int = 0,
 ) -> float:
     """Max per-step residual of the reconstruction equation
 
         (d_n u, xi) + tau (S(eps u_n), eps xi) - (d_n pi, div xi)
             = (G_n DW_n, xi)
 
-    over random normalized directions xi in V-perp, all steps."""
-    rng = np.random.default_rng(seed)
+    over VERIFY_DIRECTIONS random normalized directions xi in V-perp,
+    drawn from seed VERIFY_SEED, all steps."""
+    rng = np.random.default_rng(VERIFY_SEED)
     tau = config.grid.tau
     dirs = []
-    for _ in range(n_directions):
+    for _ in range(VERIFY_DIRECTIONS):
         v = np.zeros(ops.space_v.n_dofs)
         v[ops.free] = rng.standard_normal(ops.n_free)
         xi = project_perp(Field("velocity", v), ops)

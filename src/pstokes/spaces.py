@@ -20,7 +20,7 @@ affine element maps once (`AssembledOperators.inv_t`).  The operator
 bundle builds its factorizations (`mass_free_lu`, `projection_saddle`,
 `grad_stiffness_lu`) and tables (`grad_table`, `sym_basis`,
 `tangent_pattern`, `grad_stiffness`, `locator`) on first use and keeps
-them; `pstokes.streamfunc` fills `stream_coarse` and `stream_basis`.
+them; `pstokes.streamfunc` fills `stream_basis`.
 The `locator` only locates points; `point_evaluation` turns one located
 point set into sparse value and gradient matrices of the velocity space,
 which evaluate a whole stack of fields there in one product (the
@@ -208,7 +208,7 @@ class AssembledOperators:
     `mass_free_lu()`, `projection_saddle()` and `grad_stiffness_lu()`;
     the tables `grad_table`, `sym_basis`, `tangent_pattern` and
     `grad_stiffness`; the point `locator` of structured meshes; and
-    `stream_coarse` and `stream_basis`, which `pstokes.streamfunc` fills.
+    `stream_basis`, which `pstokes.streamfunc` fills.
     Only `SaddleSolver` knows the layout of the KKT system.
     """
 
@@ -226,9 +226,6 @@ class AssembledOperators:
     grad_phys: np.ndarray  # (n_tri, 6, nq, 2)
     vel_l2g: np.ndarray  # (n_tri, 12) velocity dof per local basis
     params: PowerLawParams | None = None
-    # Coarse (pre-split) triangulation and its numbering of stream dofs,
-    # a dict built by pstokes.streamfunc.
-    stream_coarse: dict | None = field(default=None, init=False, repr=False)
     # Curl basis C (free velocity dofs x stream dofs) of the divergence-
     # free subspace, built by pstokes.streamfunc.stream_curl_basis.
     stream_basis: sp.csc_matrix | None = field(default=None, init=False, repr=False)

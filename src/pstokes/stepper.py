@@ -27,6 +27,14 @@ Kacanov (Picard) iteration, which freezes the radial stress weight at
 the previous iterate.  At p = 2 the step is linear: one factorization
 serves the whole trajectory (and every Monte Carlo sample on the same
 grid) and the step is a single solve.
+
+The safeguards of the driver are fixed module constants: no caller
+needs other values, and changing any of them can move the iterates that
+the golden records pin.  ARMIJO_FACTOR (0.5) shrinks a rejected step,
+MIN_STEP (2^-20) ends the line search, LAG_THRESHOLD (0.2) is the
+relative drift of the iterate that rebuilds the lagged factor, and
+CONTRACTION (0.5) is the residual ratio above which a stale direction
+forces a fresh factor for the next correction.
 """
 
 from __future__ import annotations
@@ -68,29 +76,31 @@ __all__ = [
 ]
 
 
+# Newton driver safeguards, fixed (see the module docstring).
+ARMIJO_FACTOR = 0.5
+MIN_STEP = 2.0**-20
+LAG_THRESHOLD = 0.2
+CONTRACTION = 0.5
+
+
 @dataclass(frozen=True)
 class NewtonConfig:
+    """Stopping rules of the step solver: the residual norm abs_tol, the
+    Newton iterations max_iter before the Kacanov fallback, and the
+    fallback's picard_iters.  The safeguards ARMIJO_FACTOR, MIN_STEP,
+    LAG_THRESHOLD and CONTRACTION are fixed module constants."""
+
     abs_tol: float = 1e-10
     max_iter: int = 50
-    armijo: float = 0.5
-    min_step: float = 2.0**-20
-    lag_threshold: float = 0.2
     picard_iters: int = 20
-    contraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.min_step <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.abs_tol <= 0:
+            raise ValueError("abs_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not 0 < self.armijo < 1:
-            raise ValueError("armijo factor must lie in (0, 1)")
-        if not 0 < self.contraction < 1:
-            raise ValueError("contraction threshold must lie in (0, 1)")
         if self.picard_iters < 1:
             raise ValueError("picard_iters must be >= 1")
-        if self.lag_threshold < 0:
-            raise ValueError("lag_threshold must be >= 0")
 
 
 @dataclass
@@ -279,13 +289,13 @@ class StepperWorkspace:
 
     def lagged_factor(self, u_full: np.ndarray, force: bool = False):
         """(factor, fresh): the Newton factor, reused while the point it
-        was built at is within lag_threshold (relative sup-norm) of
+        was built at is within LAG_THRESHOLD (relative sup-norm) of
         u_full; fresh tells whether it was built by this call."""
         if not force and self._lagged is not None:
             factor, point = self._lagged
             drift = np.abs(u_full - point).max()
             scale = max(np.abs(point).max(), 1e-12)
-            if drift <= self.config.newton.lag_threshold * scale:
+            if drift <= LAG_THRESHOLD * scale:
                 return factor, False
         self._lagged = (self.factorize(u_full), u_full.copy())
         return self._lagged[0], True
@@ -321,12 +331,20 @@ def velocity_step(
     noise load is the assembled (G_n DW_n, xi) on free dofs, returned so
     the pressure reconstruction can verify its equation against data
     that was not derived from the solved step itself.  Raises
-    FloatingPointError naming the step when the right-hand side is not
-    finite.
+    ValueError when the increments or the workspace belong to another
+    grid, config or mesh.  Raises FloatingPointError naming the step when
+    the right-hand side is not finite, and naming the step and the Newton
+    iteration when a residual is not finite.
     """
+    if increments.grid != config.grid:
+        raise ValueError(
+            f"step {n}: the increments are for {increments.grid}, the config for {config.grid}"
+        )
     if work is None:
         work = StepperWorkspace(config, ops)
-    nt = work.config.newton
+    elif work.config != config or work.ops is not ops:
+        raise ValueError(f"step {n}: the workspace was built for another config or mesh")
+    nt = config.newton
     dW = increments.increment(n)
     noise_free, hs_G = work.noise_rhs(n, u_lag.coeffs, dW)
     rhs_free = (ops.M_full @ u_prev.coeffs)[ops.free] + noise_free
@@ -339,7 +357,7 @@ def velocity_step(
         _, res = work.residual(u_full, rhs_free)
         iterations, converged, used_picard = 1, res <= 10 * nt.abs_tol, False
     else:
-        u_full, res, iterations, converged = _newton(u_prev.coeffs.copy(), rhs_free, work)
+        u_full, res, iterations, converged = _newton(n, u_prev.coeffs.copy(), rhs_free, work)
         used_picard = not converged
         if used_picard:
             u_full, res = _picard_fallback(u_prev.coeffs, rhs_free, work)
@@ -369,13 +387,24 @@ def velocity_step(
 
 
 def _newton(
-    u: np.ndarray, rhs_free: np.ndarray, work: StepperWorkspace
+    n: int, u: np.ndarray, rhs_free: np.ndarray, work: StepperWorkspace
 ) -> tuple[np.ndarray, float, int, bool]:
-    """Damped Newton from the velocity u on the lagged factorization:
-    each correction is backtracked (Armijo) until the residual norm
-    drops.  Returns (u, residual, iterations, converged)."""
+    """Damped Newton for step n from the velocity u on the lagged
+    factorization: each correction is backtracked (Armijo) until the
+    residual norm drops.  Returns (u, residual, iterations, converged).
+    A residual with a non-finite entry raises FloatingPointError before
+    anything is factored at its point."""
     nt = work.config.newton
-    F, res = work.residual(u, rhs_free)
+
+    def residual(v: np.ndarray, it: int) -> tuple[np.ndarray, float]:
+        F, res = work.residual(v, rhs_free)
+        if not np.isfinite(F).all():
+            raise FloatingPointError(
+                f"step {n}, Newton iteration {it}: the residual has non-finite entries"
+            )
+        return F, res
+
+    F, res = residual(u, 1)
     force_fresh = False
     for it in range(1, nt.max_iter + 1):
         if res <= nt.abs_tol:
@@ -386,11 +415,11 @@ def _newton(
         retried = False
         while True:
             trial = u + step * du
-            tF, tres = work.residual(trial, rhs_free)
+            tF, tres = residual(trial, it)
             if tres <= (1.0 - 1e-4 * step) * res:
                 break
-            step *= nt.armijo
-            if step < nt.min_step:
+            step *= ARMIJO_FACTOR
+            if step < MIN_STEP:
                 if retried or fresh:
                     return u, res, it, False
                 # stale Jacobian is the usual culprit: refactor at the
@@ -402,7 +431,7 @@ def _newton(
         # a stale direction may pass the line search while barely
         # contracting; when that happens refresh the factorization
         # before the next correction
-        force_fresh = not fresh and tres > nt.contraction * res
+        force_fresh = not fresh and tres > CONTRACTION * res
         u, F, res = trial, tF, tres
     return u, res, nt.max_iter, False
 

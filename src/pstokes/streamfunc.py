@@ -26,8 +26,9 @@ macro-elements are stacked and solved in one batch: one batched inverse
 for the subtriangle cubics, one batched pseudo-inverse for the C^1 and
 dof conditions, one batched evaluation at the P2 nodes.  The basis is
 geometry-only and is kept on the operator bundle
-(`AssembledOperators.stream_basis`, with the coarse structure it is
-numbered by in `AssembledOperators.stream_coarse`).
+(`AssembledOperators.stream_basis`); the coarse structure it is numbered
+by is recovered from the parent map while the basis is built, and not
+kept.
 
 Stream dof ordering: for each interior coarse vertex v (in increasing
 vertex id) the triple (psi(v), d_x psi(v), d_y psi(v)), followed by one
@@ -39,12 +40,14 @@ macro-elements agree on).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 
 from pstokes.spaces import AssembledOperators
 
-__all__ = ["stream_curl_basis", "stream_dimension"]
+__all__ = ["stream_curl_basis"]
 
 # Exponents of the ten bivariate monomials of degree <= 3.
 _EXP = np.array(
@@ -86,15 +89,22 @@ def _monomial_gradients(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx * y ** _EXP[:, 1], gy * x ** _EXP[:, 0]
 
 
-def stream_dimension(ops: AssembledOperators) -> int:
-    """3 x interior coarse vertices + interior coarse edges."""
-    return _coarse_structure(ops)["dim"]
+class _Coarse(NamedTuple):
+    """The pre-split triangulation and its numbering of stream dofs."""
+
+    n_coarse_verts: int
+    coarse_tris: np.ndarray
+    coarse_edges: np.ndarray
+    tri_edges: np.ndarray
+    interior_vertex: np.ndarray
+    interior_edge: np.ndarray
+    vert_dof_base: np.ndarray
+    edge_dof_base: np.ndarray
+    dim: int  # 3 x interior coarse vertices + interior coarse edges
 
 
-def _coarse_structure(ops: AssembledOperators) -> dict:
+def _coarse_structure(ops: AssembledOperators) -> _Coarse:
     """Recover the pre-split triangulation from the parent map."""
-    if ops.stream_coarse is not None:
-        return ops.stream_coarse
     mesh = ops.space_v.mesh
     if mesh.parent is None:
         raise ValueError(
@@ -124,28 +134,27 @@ def _coarse_structure(ops: AssembledOperators) -> dict:
     edge_rank = np.cumsum(interior_edge) - 1
     n_iv = int(interior_vertex.sum())
 
-    ops.stream_coarse = {
-        "n_coarse_verts": n_coarse_verts,
-        "coarse_tris": coarse_tris,
-        "coarse_edges": coarse_edges,
-        "tri_edges": tri_edges,
-        "interior_vertex": interior_vertex,
-        "interior_edge": interior_edge,
-        "vert_dof_base": 3 * vert_rank,
-        "edge_dof_base": 3 * n_iv + edge_rank,
-        "dim": 3 * n_iv + int(interior_edge.sum()),
-    }
-    return ops.stream_coarse
+    return _Coarse(
+        n_coarse_verts=n_coarse_verts,
+        coarse_tris=coarse_tris,
+        coarse_edges=coarse_edges,
+        tri_edges=tri_edges,
+        interior_vertex=interior_vertex,
+        interior_edge=interior_edge,
+        vert_dof_base=3 * vert_rank,
+        edge_dof_base=3 * n_iv + edge_rank,
+        dim=3 * n_iv + int(interior_edge.sum()),
+    )
 
 
-def _global_columns(cs: dict) -> np.ndarray:
+def _global_columns(cs: _Coarse) -> np.ndarray:
     """Stream dof of each of the 12 local dofs of every macro-element,
     (n_coarse_tris, 12); -1 marks the clamped (boundary) dofs."""
-    cv, e = cs["coarse_tris"], cs["tri_edges"]
-    vcols = cs["vert_dof_base"][cv][:, :, None] + np.arange(3)
+    cv, e = cs.coarse_tris, cs.tri_edges
+    vcols = cs.vert_dof_base[cv][:, :, None] + np.arange(3)
     gcols = np.empty((len(cv), 12), dtype=np.int64)
-    gcols[:, :9] = np.where(cs["interior_vertex"][cv][:, :, None], vcols, -1).reshape(-1, 9)
-    gcols[:, 9:] = np.where(cs["interior_edge"][e], cs["edge_dof_base"][e], -1)
+    gcols[:, :9] = np.where(cs.interior_vertex[cv][:, :, None], vcols, -1).reshape(-1, 9)
+    gcols[:, 9:] = np.where(cs.interior_edge[e], cs.edge_dof_base[e], -1)
     return gcols
 
 
@@ -238,11 +247,11 @@ def stream_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     # macro-elements with every dof clamped contribute nothing
     active = np.flatnonzero((gcols >= 0).any(axis=1))
     gcols = gcols[active]
-    ends = verts[cs["coarse_edges"][cs["tri_edges"][active]]]  # (n, 3, a<b, 2)
+    ends = verts[cs.coarse_edges[cs.tri_edges[active]]]  # (n, 3, a<b, 2)
     t = ends[:, :, 1] - ends[:, :, 0]
     normals = np.stack([t[..., 1], -t[..., 0]], axis=-1) / np.linalg.norm(t, axis=-1)[..., None]
-    Z = verts[cs["n_coarse_verts"] + active]
-    coeffs, h, resid = _macro_elements(verts[cs["coarse_tris"][active]], Z, normals)
+    Z = verts[cs.n_coarse_verts + active]
+    coeffs, h, resid = _macro_elements(verts[cs.coarse_tris[active]], Z, normals)
     if resid > 1e-8:
         raise ArithmeticError(
             f"macro-element interpolation inconsistent (residual {resid:.2e})"
@@ -262,11 +271,11 @@ def stream_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     val_arr = vals[keep]
     # shared nodes are written by several macro-elements with equal
     # values (C^1 gluing); keep the first occurrence of each (row, col)
-    key = row_arr * np.int64(cs["dim"]) + col_arr
+    key = row_arr * np.int64(cs.dim) + col_arr
     _, first = np.unique(key, return_index=True)
     C_full = sp.coo_matrix(
         (val_arr[first], (row_arr[first], col_arr[first])),
-        shape=(sv.n_dofs, cs["dim"]),
+        shape=(sv.n_dofs, cs.dim),
     ).tocsc()
     C = C_full[ops.free]
     C.data[np.abs(C.data) < 1e-14 * np.abs(C.data).max()] = 0.0

@@ -33,9 +33,7 @@ __all__ = [
     "jacobian_coefficients",
     "young_gap",
     "generalized_young_constant",
-    "calibrate_young_constant",
     "monotonicity_ratio",
-    "calibrate_monotonicity_bounds",
     "MONOTONICITY_BOUNDS",
     "ORDERING_CONSTANTS",
     "YOUNG_CONSTANTS",
@@ -267,7 +265,7 @@ def generalized_young_constant(p: float, delta: float) -> float:
     except KeyError:
         raise KeyError(
             f"no calibrated Young constant for (p={p}, delta={delta}); "
-            "run calibrate_young_constant and extend YOUNG_CONSTANTS"
+            "run scripts/calibrate_tensor_constants.py and extend YOUNG_CONSTANTS"
         ) from None
 
 
@@ -295,59 +293,3 @@ def _sample_pair_batch(
         rng, int(close.sum()), dim
     )
     return A, B
-
-
-def calibrate_monotonicity_bounds(
-    p: float,
-    n_pairs: int = 200_000,
-    rng: np.random.Generator | None = None,
-    kappa: float = 0.0,
-) -> tuple[float, float]:
-    """Observed range of monotonicity_ratio over random matrix pairs."""
-    rng = rng or np.random.default_rng(2024)
-    params = PowerLawParams(p=p, kappa=kappa)
-    lo, hi = np.inf, -np.inf
-    done = 0
-    while done < n_pairs:
-        chunk = min(n_pairs - done, 500_000)
-        A, B = _sample_pair_batch(rng, chunk)
-        ratio = monotonicity_ratio(A, B, params)
-        ratio = ratio[np.isfinite(ratio)]
-        if ratio.size:
-            lo = min(lo, float(ratio.min()))
-            hi = max(hi, float(ratio.max()))
-        done += chunk
-    return lo, hi
-
-
-def calibrate_young_constant(
-    p: float,
-    delta: float,
-    n_triples: int = 200_000,
-    rng: np.random.Generator | None = None,
-    kappa: float = 0.0,
-) -> float:
-    """Max over sampled triples of the constant needed to close Young."""
-    rng = rng or np.random.default_rng(2024)
-    params = PowerLawParams(p=p, kappa=kappa)
-    worst = 0.0
-    done = 0
-    while done < n_triples:
-        chunk = min(n_triples - done, 500_000)
-        A, B = _sample_pair_batch(rng, chunk)
-        C = _sample_matrix_batch(rng, chunk)
-        near = rng.random(chunk) < 0.3
-        C[near] = B[near] + 10.0 ** rng.uniform(-6.0, 0.0, size=chunk)[
-            near, None, None
-        ] * _sample_matrix_batch(rng, int(near.sum()))
-        dS = stress_S(A, params) - stress_S(B, params)
-        dV_AB = nonlinear_V(A, params) - nonlinear_V(B, params)
-        dV_CB = nonlinear_V(C, params) - nonlinear_V(B, params)
-        lhs = np.einsum("nij,nij->n", dS, C - B)
-        lhs = lhs - delta * np.einsum("nij,nij->n", dV_AB, dV_AB)
-        den = np.einsum("nij,nij->n", dV_CB, dV_CB)
-        ok = den > 0.0
-        if ok.any():
-            worst = max(worst, float(np.max(lhs[ok] / den[ok])))
-        done += chunk
-    return worst

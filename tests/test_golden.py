@@ -7,8 +7,9 @@ final velocity of small reference runs instead: mesh order 4, N = 8 steps
 on T = 0.1, two curl modes of amplitude 1 with the linear noise rule at
 p in {1.5 (kappa = 0.1), 2, 3} and with the additive rule at p in
 {1.5 (kappa = 0.1), 3}, a fixed seed.  The additive runs leave the
-small-data regime of the linear ones: Newton there backtracks, retries on
-a fresh factor and refreshes a barely contracting one.
+small-data regime of the linear ones: Newton takes up to 14 iterations a
+step there and rebuilds its lagged factor on drift, and at p = 3 also
+after a correction that barely contracts.
 They were recorded from the stepper solving in the divergence-free
 stream basis and must survive refactors of the solver unchanged (1e-10
 relative), together with the Newton iteration count of every step.  The final field is pinned

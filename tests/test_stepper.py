@@ -136,6 +136,21 @@ class TestVelocityStep:
         with pytest.raises(FloatingPointError, match="step 3"):
             run_trajectory(u0h, inc, cfg, ops4)
 
+    def test_non_finite_residual_names_step_and_iteration(self):
+        # finite data whose stress overflows: at p = 3, S(eps u) scales
+        # like |eps u|^2, beyond the float range for u0 scaled by 1e160,
+        # so the first residual of step 1 is not finite.  At 1e100 every
+        # residual entry is finite and the step just fails to converge.
+        ops = assemble(alfeld_split(unit_square_mesh(2)))
+        u0 = initial_velocity(u0_smooth, ops).coeffs
+        cfg = SchemeConfig(PowerLawParams(p=3.0), TimeGrid(T=0.1, N=2))
+        inc = sample_increments(np.random.default_rng(0), cfg.grid, n_modes=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="step 1, Newton iteration 1"):
+                run_trajectory(Field("velocity", 1e160 * u0), inc, cfg, ops)
+            traj = run_trajectory(Field("velocity", 1e100 * u0), inc, cfg, ops)
+        assert traj.failed_at == 1
+
     def test_matches_direct_linear_solver(self, ops4, u0h):
         # independent implicit-Euler Stokes step assembled from scratch;
         # its multiplier is the reconstructed pressure increment d_1 pi
@@ -224,13 +239,9 @@ class TestSolverMachinery:
             NewtonConfig(abs_tol=0.0)
         with pytest.raises(ValueError):
             NewtonConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            NewtonConfig(armijo=1.5)
         for bad in (0, -3):
             with pytest.raises(ValueError, match="picard_iters"):
                 NewtonConfig(picard_iters=bad)
-        with pytest.raises(ValueError, match="lag_threshold"):
-            NewtonConfig(lag_threshold=-1.0)
 
     def test_picard_fallback_reduces_residual(self, ops4, u0h):
         rhs_free = (ops4.M_full @ u0h.coeffs)[ops4.free]
@@ -287,3 +298,47 @@ class TestSolverMachinery:
         inc = sample_increments(np.random.default_rng(6), cfg.grid, n_modes=1)
         run_trajectory(u0h, inc, cfg, ops4, work)
         assert work.refactor_count == 1
+
+
+class TestInputConsistency:
+    """A step or a reconstruction given increments, a workspace or a
+    mesh of another configuration raises instead of running on the
+    wrong grid or step size."""
+
+    @pytest.fixture(scope="class")
+    def setup2(self):
+        ops = assemble(alfeld_split(unit_square_mesh(2)))
+        model = NoiseModel(mode_fields=curl_modes(2), rule="linear")
+        cfg4, cfg8 = (
+            SchemeConfig(PowerLawParams(p=2.0), TimeGrid(T=0.1, N=N), model) for N in (4, 8)
+        )
+        incs = {
+            N: sample_increments(np.random.default_rng(0), TimeGrid(T=0.1, N=N), n_modes=2)
+            for N in (4, 8)
+        }
+        return ops, cfg4, cfg8, incs, initial_velocity(u0_smooth, ops)
+
+    def test_step_rejects_increments_of_another_grid(self, setup2):
+        ops, cfg4, _, incs, u0 = setup2
+        with pytest.raises(ValueError, match="increments"):
+            run_trajectory(u0, incs[8], cfg4, ops)
+        with pytest.raises(ValueError, match="increments"):
+            velocity_step(1, u0, u0, incs[8], cfg4, ops)
+
+    def test_step_rejects_workspace_of_another_config_or_mesh(self, setup2):
+        ops, cfg4, cfg8, incs, u0 = setup2
+        with pytest.raises(ValueError, match="workspace"):
+            run_trajectory(u0, incs[4], cfg4, ops, StepperWorkspace(cfg8, ops))
+        other = assemble(alfeld_split(unit_square_mesh(2)))
+        with pytest.raises(ValueError, match="workspace"):
+            run_trajectory(u0, incs[4], cfg4, ops, StepperWorkspace(cfg4, other))
+        # an equal configuration built separately is the same configuration
+        twin = SchemeConfig(PowerLawParams(p=2.0), TimeGrid(T=0.1, N=4), cfg4.model)
+        assert run_trajectory(u0, incs[4], cfg4, ops, StepperWorkspace(twin, ops)).ok
+
+    def test_reconstruct_rejects_increments_of_another_grid(self, setup2):
+        ops, cfg4, _, incs, u0 = setup2
+        traj = run_trajectory(u0, incs[4], cfg4, ops)
+        with pytest.raises(ValueError, match="increments"):
+            reconstruct(traj, incs[8], cfg4, ops)
+        assert reconstruct(traj, incs[4], cfg4, ops, verify=True).n_steps == 4

@@ -33,7 +33,7 @@ from pstokes.stepper import (
     initial_velocity,
     run_trajectory,
 )
-from pstokes.streamfunc import stream_curl_basis, stream_dimension
+from pstokes.streamfunc import stream_curl_basis
 from pstokes.tensors import PowerLawParams
 
 
@@ -83,7 +83,6 @@ class TestBasisConstruction:
         C = stream_curl_basis(ops)
         expected = ops.n_free - (ops.n_pressure - 1)
         assert C.shape == (ops.n_free, expected)
-        assert stream_dimension(ops) == expected
 
     def test_columns_divergence_free(self, ops2):
         C = stream_curl_basis(ops2)

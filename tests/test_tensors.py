@@ -1,5 +1,8 @@
 """Tensor algebra: closed forms, FD-oracle Jacobians, inequality brackets."""
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pstokes.tensors import (
     MONOTONICITY_BOUNDS,
     ORDERING_CONSTANTS,
+    YOUNG_CONSTANTS,
     PowerLawParams,
     _sample_matrix_batch,
     _sample_pair_batch,
@@ -215,6 +219,23 @@ class TestInequalityBrackets:
         C = _sample_matrix_batch(rng, 100_000)
         gaps = young_gap(A, B, C, params, delta=0.5)
         assert float(gaps.min()) >= -1e-12
+
+    def test_calibration_script_lands_inside_frozen_tables(self):
+        # the pre-pass that produced the tables, at 10^4 samples per
+        # entry with the script's seed: every observed value lies inside
+        # the widened frozen bracket
+        script = Path(__file__).parents[1] / "scripts" / "calibrate_tensor_constants.py"
+        cal = runpy.run_path(str(script))
+        n, seed = 10_000, 2024
+        for p, (lo, hi) in MONOTONICITY_BOUNDS.items():
+            obs_lo, obs_hi = cal["calibrate_monotonicity_bounds"](p, n, np.random.default_rng(seed))
+            assert lo <= obs_lo <= obs_hi <= hi
+        for p, (c1, c2) in ORDERING_CONSTANTS.items():
+            obs_c1, obs_c2 = cal["calibrate_ordering"](p, n, np.random.default_rng(seed))
+            assert 0.0 < obs_c1 <= c1 and 0.0 < obs_c2 <= c2
+        for (p, delta), c in YOUNG_CONSTANTS.items():
+            obs = cal["calibrate_young_constant"](p, delta, n, np.random.default_rng(seed))
+            assert 0.0 < obs <= c
 
     def test_young_constant_missing_entry_raises(self):
         params = PowerLawParams(p=2.7)
