@@ -19,7 +19,8 @@ noise):
 
 * Error functionals (`error_stats`, `temporal_oscillation`): coupled
   comparison of a coarse trajectory against a reference computed on a
-  nested finer grid pair from the same Wiener path.  The reference is
+  nested finer grid pair from the same Wiener path (every trajectory
+  carries its time grid, which must be its config's).  The reference is
   read as piecewise constant on its midpoint intervals; the coarse-step
   average <u>_n is the exact average of that piecewise-constant field
   over the coarse interval J_n, and the time integrals weighted by the
@@ -32,7 +33,12 @@ noise):
   C_init, C_Linf, C_best, C_G, C_V isolate initial-datum, projection,
   best-approximation, data-approximation and temporal-oscillation
   contributions; C_best is an upper proxy (divergence-projected nodal
-  interpolant of the reference in place of the true infimum).
+  interpolant of the reference in place of the true infimum).  The
+  oscillation C_V and the lag seminorms are reductions of Gram matrices
+  of rows the functions stack anyway: one hat-window reduction
+  (`_window_oscillation`) and one lag kernel (`_lag_seminorm`) serve
+  `error_stats`, `temporal_oscillation`, `stability_stats` and
+  `besov_halves`.
 
 * Domination / extrapolation verifier (`extrapolation_check`): builds
   the nonnegative adapted processes
@@ -59,7 +65,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from pstokes.grids import TimeGrid, weight_a, weight_antiderivative
+from pstokes.grids import TimeGrid, weight_a, weight_antiderivative, weight_cell_averages
 from pstokes.noise import (
     _GAUSS3_NODES,
     _GAUSS3_WEIGHTS,
@@ -107,16 +113,21 @@ def _mass_gram(U: np.ndarray, M) -> np.ndarray:
     return U @ (M @ U.T)
 
 
-def _squared_increment_table(G: np.ndarray) -> np.ndarray:
-    """d2[n, m] = ||u_n - u_m||^2 from the Gram matrix of the snapshots."""
+def _lag_seminorm(G: np.ndarray, tau: float = 1.0, r: float = 2.0) -> float:
+    """Nikolskii lag seminorm of the rows u_0..u_N with Gram matrix G:
+
+        (max_k sum_{n=k}^N tau (||u_n - u_{n-k}||^2 / (tau k))^{r/2})^{2/r}
+
+    over the lags k = 1..N (zero when there is none), with
+    ||u_n - u_m||^2 = G_nn + G_mm - 2 G_nm clipped at zero.  At r = 2 it
+    is max_k (1/k) sum_n ||u_n - u_{n-k}||^2, whatever tau.
+    """
     d = np.diag(G)
-    return np.maximum(d[:, None] + d[None, :] - 2.0 * G, 0.0)
-
-
-def _lag_sums(d2: np.ndarray) -> np.ndarray:
-    """s[k-1] = (1/k) sum_{n=k}^N d2[n, n-k] for k = 1..N."""
-    N = d2.shape[0] - 1
-    return np.array([np.trace(d2, offset=-k) / k for k in range(1, N + 1)])
+    best = 0.0
+    for k in range(1, len(G)):
+        sq = np.maximum(d[k:] + d[:-k] - 2.0 * np.diagonal(G, offset=-k), 0.0)
+        best = max(best, float(np.sum(tau * (sq / (tau * k)) ** (r / 2.0))))
+    return best ** (2.0 / r)
 
 
 def _coeff_rows(seq: Sequence[Field]) -> tuple[np.ndarray, str]:
@@ -147,21 +158,13 @@ def besov_halves(ensemble, mode: str, ops: AssembledOperators) -> float:
     if lengths.pop() < 1:
         raise ValueError("empty field sequence")
 
-    gram_sum = None
-    maxima = []
+    grams = []
     for seq in ensemble:
         U, kind = _coeff_rows(seq)
-        M = ops.M_full if kind == "velocity" else ops.Mq
-        G = _mass_gram(U, M)
-        if mode == "max-of-mean":
-            gram_sum = G if gram_sum is None else gram_sum + G
-        else:
-            s = _lag_sums(_squared_increment_table(G))
-            maxima.append(float(s.max()) if s.size else 0.0)
+        grams.append(_mass_gram(U, ops.M_full if kind == "velocity" else ops.Mq))
     if mode == "mean-of-max":
-        return float(np.mean(maxima))
-    s = _lag_sums(_squared_increment_table(gram_sum / len(ensemble)))
-    return float(s.max()) if s.size else 0.0
+        return float(np.mean([_lag_seminorm(G) for G in grams]))
+    return _lag_seminorm(sum(grams) / len(grams))
 
 
 # ---------------------------------------------------------------------------
@@ -197,34 +200,30 @@ class StabilityStats:
     stderr: dict[str, float] = dc_field(default_factory=dict)
 
 
-def _check_ensemble(trajs: Sequence[Trajectory], ops: AssembledOperators) -> int:
+def _check_ensemble(trajs: Sequence[Trajectory], grid: TimeGrid, ops: AssembledOperators) -> int:
+    """The step count N of an ensemble of complete runs on `grid` and the
+    mesh of `ops`; anything else raises."""
     if len(trajs) == 0:
         raise ValueError("need at least one trajectory")
-    steps = {t.n_steps for t in trajs}
-    if len(steps) != 1:
-        raise ValueError(f"mixed grids in ensemble: step counts {sorted(steps)}")
+    grids = {t.grid for t in trajs}
+    if len(grids) != 1:
+        raise ValueError(f"mixed grids in ensemble: (T, N) {sorted((g.T, g.N) for g in grids)}")
+    if (traj_grid := grids.pop()) != grid:
+        raise ValueError(f"the trajectories are for {traj_grid}, but the config expects {grid}")
     for i, t in enumerate(trajs):
         if not t.ok:
             raise ValueError(f"trajectory {i} failed at step {t.failed_at}")
+        if t.n_steps != grid.N:
+            raise ValueError(f"trajectory {i} has {t.n_steps} of {grid.N} steps")
         if t.fields[0].coeffs.size != ops.space_v.n_dofs:
             raise ValueError("trajectory dof count does not match the operators")
-    return steps.pop()
+    return grid.N
 
 
 def _mean_and_se(vals: list[float]) -> tuple[float, float]:
     a = np.asarray(vals)
     se = float(a.std(ddof=1) / np.sqrt(len(a))) if len(a) > 1 else 0.0
     return float(a.mean()), se
-
-
-def _sto_besov(Ed2: np.ndarray, tau: float, r: float) -> float:
-    """(max_k sum_{n=k}^N tau (Ed2[n,n-k]/(tau k))^{r/2})^{2/r}."""
-    N = Ed2.shape[0] - 1
-    best = 0.0
-    for k in range(1, N + 1):
-        lag = np.diagonal(Ed2, offset=-k)
-        best = max(best, float(np.sum(tau * (lag / (tau * k)) ** (r / 2.0))))
-    return best ** (2.0 / r)
 
 
 def stability_stats(
@@ -239,9 +238,7 @@ def stability_stats(
     `trajs` sample by sample; pass None to compute velocity statistics
     only (the pressure entries are then None).
     """
-    N = _check_ensemble(trajs, ops)
-    if N != config.grid.N:
-        raise ValueError(f"trajectories have {N} steps but the grid expects {config.grid.N}")
+    N = _check_ensemble(trajs, config.grid, ops)
     if pressures is not None and len(pressures) != len(trajs):
         raise ValueError("pressure ensemble size differs from trajectory ensemble")
     tau = config.grid.tau
@@ -260,9 +257,7 @@ def stability_stats(
         U, _ = _coeff_rows(traj.fields)
         G = _mass_gram(U, ops.M_full)
         gram_sum += G
-        d2 = _squared_increment_table(G)
-        s = _lag_sums(d2)
-        strong_s.append(float(s.max()) if s.size else 0.0)
+        strong_s.append(_lag_seminorm(G))
         e_max_s.append(float(np.diag(G)[1:].max()))
         diss_s.append(
             sum(
@@ -287,9 +282,7 @@ def stability_stats(
             det_s.append(acc)
 
     ns = len(trajs)
-    Ed2 = _squared_increment_table(gram_sum / ns)
-    sums = _lag_sums(Ed2)
-    besov_u = float(sums.max()) if sums.size else 0.0
+    besov_u = _lag_seminorm(gram_sum / ns)
 
     e_max, e_se = _mean_and_se(e_max_s)
     diss, diss_se = _mean_and_se(diss_s)
@@ -306,10 +299,7 @@ def stability_stats(
         sto_max, sto_se = _mean_and_se(sto_max_s)
         stderr["det_increment"] = det_se
         stderr["sto_max"] = sto_se
-        Edz = _squared_increment_table(gram_z_sum / ns)
-        sb2 = _sto_besov(Edz, tau, 2.0)
-        sb4 = _sto_besov(Edz, tau, 4.0)
-        sb8 = _sto_besov(Edz, tau, 8.0)
+        sb2, sb4, sb8 = (_lag_seminorm(gram_z_sum / ns, tau, r) for r in (2.0, 4.0, 8.0))
 
     return StabilityStats(
         n_samples=ns,
@@ -414,6 +404,17 @@ def _windowed_sq_dists(Vf: np.ndarray, V: np.ndarray, windows) -> float:
     return total
 
 
+def _window_oscillation(G: np.ndarray, windows) -> float:
+    """sum_n (1/sum w) sum_{i,j} w_i w_j ||V_i - V_j||^2 over the windows
+    (js, w) of the rows V_j with Gram matrix G, reduced per window from
+    its block G_n = G[js, js] as 2 (w . diag G_n - w^T G_n w / sum w);
+    clipped at zero against rounding."""
+    total = 0.0
+    for js, w in windows:
+        total += 2.0 * (w @ G[js, js] - w @ G[np.ix_(js, js)] @ w / w.sum())
+    return max(total, 0.0)
+
+
 def _loads(ev: PointEvaluation, rows: np.ndarray, ops: AssembledOperators) -> np.ndarray:
     """Load functionals (f, xi) on the free dofs of `ops`, one column per
     coefficient row, with f evaluated by `ev` at the quadrature points
@@ -466,25 +467,25 @@ def error_stats(
     Preconditions: the reference grid refines the coarse grid (step
     counts N+1 divide, meshes nest) and sample i of both ensembles was
     driven by the same Wiener path; both runs use the same p and kappa.
-    C_V is computed here by `temporal_oscillation` for the one coarse
-    grid; with_CV=False leaves it None, for callers that evaluate a
-    ladder of grids in one `temporal_oscillation` pass.
+    Each ensemble must hold complete runs on its config's grid.
 
     Points are located once per call, for the evaluation operators that
     serve every sample; each field family of a sample is then evaluated
     in one sparse product.  A sample holds its (N_f+1) reference V(eps u)
     rows of 4 n_qp floats each (n_qp fine quadrature points), plus, for
     a velocity-dependent noise rule, its (N_f+1) rule fields of
-    2 n_modes n_qp floats each.
+    2 n_modes n_qp floats each.  C_V is reduced from the Gram matrix of
+    the held V(eps u) rows over the hat windows of the coarse grid, as
+    `temporal_oscillation` does; with_CV=False skips it and leaves C_V
+    None, for callers that evaluate a ladder of grids in one
+    `temporal_oscillation` call.
     """
     if len(coarse_trajs) != len(ref_trajs):
         raise ValueError("coarse and reference ensembles differ in size")
-    Nc = _check_ensemble(coarse_trajs, ops_coarse)
-    Nf = _check_ensemble(ref_trajs, ops_ref)
     grid_c, grid_f = config_coarse.grid, config_ref.grid
-    if Nc != grid_c.N or Nf != grid_f.N:
-        raise ValueError("trajectory lengths disagree with the configured grids")
     _check_time_nesting(grid_c, grid_f)
+    Nc = _check_ensemble(coarse_trajs, grid_c, ops_coarse)
+    _check_ensemble(ref_trajs, grid_f, ops_ref)
     _check_mesh_nesting(ops_coarse, ops_ref)
     params, model = config_ref.params, config_ref.model
     if (config_coarse.params.p, config_coarse.params.kappa) != (params.p, params.kappa):
@@ -539,13 +540,15 @@ def error_stats(
         cg = _data_term(coarse_vals, Uf, ref_at_fq, grid_c, grid_f, ops_ref, model)
         return natural, E @ E.T, linf, cg
 
-    def v_terms(Uf, Uc, eta) -> tuple[float, float]:
-        """vgrad and the V(eps u) part of C_best: the reference rows of
-        every fine step against the coarse run over the restricted
-        windows, and against eta over the full-support windows."""
+    def v_terms(Uf, Uc, eta) -> tuple[float, float, float | None]:
+        """vgrad, the V(eps u) part of C_best and C_V: the reference rows
+        of every fine step against the coarse run over the restricted
+        windows, against eta over the full-support windows, and against
+        each other over the full-support windows."""
         Vf = v_rows(ref_at_fq, Uf)
         vgrad = _windowed_sq_dists(Vf, v_rows(coarse_at_fq, Uc[1:]), hat_tile)
-        return vgrad, _windowed_sq_dists(Vf, v_rows(coarse_at_fq, eta[1:]), hat_full)
+        best = _windowed_sq_dists(Vf, v_rows(coarse_at_fq, eta[1:]), hat_full)
+        return vgrad, best, _window_oscillation(Vf @ Vf.T, hat_full) if with_CV else None
 
     per_sample = []
     gram_e_sum = np.zeros((Nc + 1, Nc + 1))
@@ -571,15 +574,11 @@ def error_stats(
 
         natural, gram_e, linf, cg = value_terms(Uf, Uc, avg, proj_avg)
         gram_e_sum += gram_e
-        vgrad, best = v_terms(Uf, Uc, eta)
+        vgrad, best, cv = v_terms(Uf, Uc, eta)
         gap = proj_avg[1:] - eta[1:]
         best += float(np.einsum("nd,nd->", gap, (ops_coarse.M_full @ gap.T).T))
-        per_sample.append((natural, vgrad, init, linf, best, cg))
-    natural_s, vgrad_s, init_s, linf_s, best_s, cg_s = zip(*per_sample)
-
-    Ed2 = _squared_increment_table(gram_e_sum / ns)
-    sums = _lag_sums(Ed2)
-    besov_err = float(sums.max()) if sums.size else 0.0
+        per_sample.append((natural, vgrad, init, linf, best, cg, cv))
+    natural_s, vgrad_s, init_s, linf_s, best_s, cg_s, cv_s = zip(*per_sample)
 
     natural, natural_se = _mean_and_se(natural_s)
     vgrad, vgrad_se = _mean_and_se(vgrad_s)
@@ -588,12 +587,12 @@ def error_stats(
         n_samples=ns,
         natural_err=natural,
         vgrad_err=vgrad,
-        besov_err=besov_err,
+        besov_err=_lag_seminorm(gram_e_sum / ns),
         C_init=float(np.mean(init_s)),
         C_Linf=float(np.mean(linf_s)),
         C_best=float(np.mean(best_s)),
         C_G=float(np.mean(cg_s)),
-        C_V=temporal_oscillation(ref_trajs, config_ref, ops_ref, [grid_c])[0] if with_CV else None,
+        C_V=float(np.mean(cv_s)) if with_CV else None,
         stderr={"natural_err": natural_se, "vgrad_err": vgrad_se},
     )
 
@@ -672,60 +671,31 @@ def temporal_oscillation(
 
         (1/tau) sum_n int int a_n(s) a_n(t) ||V(eps u(s)) - V(eps u(t))||^2 ds dt
 
-    with u piecewise constant on the reference midpoint cells.  The
-    pairwise inner products (banded in the step distance) are computed
-    once per sample and reweighted for every coarse grid, which is why
-    this lives outside `error_stats`: a ladder of grids shares one pass.
+    with u piecewise constant on the reference midpoint cells.  Per
+    sample the (N_f+1) quadrature-weighted rows V(eps u_j), of 4 n_qp
+    floats each, are stacked once and their (N_f+1)^2 Gram matrix is
+    reduced over the hat windows of every coarse grid, so a ladder of
+    grids shares one Gram matrix.  The rows come from the native
+    symmetric gradients, so a mesh without point location is accepted.
+    `error_stats` reduces the rows it already holds the same way.
     """
-    Nf = _check_ensemble(ref_trajs, ops_ref)
     grid_f = config_ref.grid
-    params = config_ref.params
-    weights = []
-    bandwidth = 0
+    Nf = _check_ensemble(ref_trajs, grid_f, ops_ref)
     for grid_c in coarse_grids:
         _check_time_nesting(grid_c, grid_f)
-        per_n = [_hat_cell_integrals(n, grid_c, grid_f, restrict=False) for n in range(1, grid_c.N + 1)]
-        weights.append((grid_c.tau, per_n))
-        bandwidth = max(bandwidth, max(int(js[-1] - js[0]) for js, _ in per_n))
-
+    windows = [
+        [_hat_cell_integrals(n, grid_c, grid_f, restrict=False) for n in range(1, grid_c.N + 1)]
+        for grid_c in coarse_grids
+    ]
     w4 = np.sqrt(_qp_weight_vector(ops_ref, 4))
     totals = np.zeros(len(coarse_grids))
-    ring_len = bandwidth + 1
     for ref in ref_trajs:
-        # Banded Gram pass: g[d, i] = (V_i, V_{i+d}) for d = 0..bandwidth,
-        # streamed through a ring buffer of the last band of V-fields
-        # (two contiguous matrix-vector products per step, no copies).
-        ring = np.zeros((ring_len, w4.size))
-        g = np.zeros((ring_len, Nf + 1))
-        for j in range(Nf + 1):
-            v = nonlinear_V(sym_grad_at_qp(ref.fields[j].coeffs, ops_ref), params).ravel() * w4
-            lo = max(j - bandwidth, 0)
-            count = j - lo  # strictly earlier rows i = lo..j-1
-            if count:
-                p0 = lo % ring_len
-                if p0 + count <= ring_len:
-                    dots = ring[p0 : p0 + count] @ v
-                else:
-                    head = ring_len - p0
-                    dots = np.concatenate([ring[p0:] @ v, ring[: count - head] @ v])
-                g[j - np.arange(lo, j), np.arange(lo, j)] = dots
-            ring[j % ring_len] = v
-            g[0, j] = float(v @ v)
-        for gi, (tau_c, per_n) in enumerate(weights):
-            acc = 0.0
-            for js, w in per_n:
-                i0 = int(js[0])
-                L = len(js)
-                assert int(js[-1]) - i0 == L - 1, "hat support cells must be contiguous"
-                G_loc = np.empty((L, L))
-                for d in range(L):
-                    band = g[d, i0 : i0 + L - d]
-                    idx = np.arange(L - d)
-                    G_loc[idx, idx + d] = band
-                    G_loc[idx + d, idx] = band
-                diag = np.diag(G_loc)
-                acc += 2.0 * (w.sum() * (w @ diag) - w @ G_loc @ w)
-            totals[gi] += max(acc, 0.0) / tau_c
+        V = np.empty((Nf + 1, w4.size))
+        for j, f in enumerate(ref.fields):
+            V[j] = nonlinear_V(sym_grad_at_qp(f.coeffs, ops_ref), config_ref.params).ravel()
+        V *= w4
+        G = V @ V.T
+        totals += [_window_oscillation(G, per_n) for per_n in windows]
     return list(totals / len(ref_trajs))
 
 
@@ -789,18 +759,15 @@ def _compensator_sq_path(
     lo, hi = grid.interval(n)
     delta = path.delta
     j0, j1 = int(round(lo / delta)), int(round(hi / delta))
-    edges = np.arange(j0, j1 + 1) * delta
     inc = path.increments[j0:j1]
 
-    abar_n = np.diff(weight_antiderivative(n, edges, grid)) / delta
-    seg_n = abar_n[:, None] * inc
+    seg_n = weight_cell_averages(n, grid, delta, j0, j1)[:, None] * inc
     c1 = np.vstack([np.cumsum(seg_n[::-1], axis=0)[::-1], np.zeros((1, path.n_modes))])
 
     A = _mode_gram(fields_n, fields_n, ops)
     out = np.einsum("bk,kl,bl->b", c1, A, c1)
     if n + 1 <= grid.N:
-        abar_2 = np.diff(weight_antiderivative(n + 1, edges, grid)) / delta
-        seg_2 = abar_2[:, None] * inc
+        seg_2 = weight_cell_averages(n + 1, grid, delta, j0, j1)[:, None] * inc
         c2 = np.vstack([np.zeros((1, path.n_modes)), np.cumsum(seg_2, axis=0)])
         B = _mode_gram(fields_np1, fields_np1, ops)
         C12 = _mode_gram(fields_n, fields_np1, ops)

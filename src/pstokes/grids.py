@@ -113,16 +113,12 @@ def weight_antiderivative(n: int, t, grid: TimeGrid):
     return out if out.ndim else float(out)
 
 
-def weight_cell_averages(n: int, grid: TimeGrid, delta: float) -> np.ndarray:
-    """Exact averages of a_n over the fine cells [j delta, (j+1) delta).
-
-    Returns the full vector over ceil(T/delta) cells; only the ~2 tau/delta
-    cells under the hat are nonzero.
-    """
-    n_cells = int(np.ceil(grid.T / delta - 1e-9))
-    edges = np.arange(n_cells + 1) * delta
-    prim = weight_antiderivative(n, edges, grid)
-    return np.diff(prim) / delta
+def weight_cell_averages(n: int, grid: TimeGrid, delta: float, j0: int, j1: int) -> np.ndarray:
+    """Exact averages of a_n over the fine cells [j delta, (j+1) delta)
+    for j = j0..j1-1; only the ~2 tau/delta cells under the hat are
+    nonzero."""
+    edges = np.arange(j0, j1 + 1) * delta
+    return np.diff(weight_antiderivative(n, edges, grid)) / delta
 
 
 def weight_inner(n: int, m: int, grid: TimeGrid) -> float:

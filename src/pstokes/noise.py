@@ -29,7 +29,6 @@ import numpy as np
 from pstokes.grids import (
     TimeGrid,
     cholesky_factor_banded,
-    weight_antiderivative,
     weight_cell_averages,
 )
 
@@ -136,8 +135,7 @@ def sample_increments(
             lo_t = max(grid.node(n - 1) - 0.5 * grid.tau, 0.0)
             j0 = int(np.floor(lo_t / path.delta + 1e-9))
             j1 = min(j0 + per_hat, path.n_cells)
-            edges = np.arange(j0, j1 + 1) * path.delta
-            abar = np.diff(weight_antiderivative(n, edges, grid)) / path.delta
+            abar = weight_cell_averages(n, grid, path.delta, j0, j1)
             values[n - 1] = abar @ path.increments[j0:j1]
             nz = np.nonzero(abar)[0]
             last_used[n - 1] = j0 + (int(nz[-1]) if nz.size else 0)
@@ -163,7 +161,7 @@ def coupled_covariance(grid: TimeGrid, delta: float) -> np.ndarray:
     n_cells = int(np.ceil(grid.T / delta - 1e-9))
     A = np.zeros((grid.N, n_cells))
     for n in range(1, grid.N + 1):
-        A[n - 1] = weight_cell_averages(n, grid, delta)
+        A[n - 1] = weight_cell_averages(n, grid, delta, 0, n_cells)
     return delta * (A @ A.T)
 
 
@@ -272,9 +270,7 @@ def _ito_coefficients(
     ) > 1e-9 * grid.tau:
         raise ValueError("integration bounds must align with fine cells")
     j1 = min(j1, path.n_cells)
-    edges = np.arange(j0, j1 + 1) * path.delta
-    abar = np.diff(weight_antiderivative(n, edges, grid)) / path.delta
-    return abar @ path.increments[j0:j1]
+    return weight_cell_averages(n, grid, path.delta, j0, j1) @ path.increments[j0:j1]
 
 
 def compensator_Ebar(

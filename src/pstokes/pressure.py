@@ -142,13 +142,16 @@ def reconstruct(
     `increments` is given, the noise loads are recomputed from the
     Wiener increments and the lagged velocities instead of taking the
     stepper's stored loads, giving an independent assembly path; pass
-    None to reuse the stored loads; increments for another grid than
-    config's raise ValueError.  With verify=True the per-step
-    reconstruction equation residual is checked against random test
-    directions and a residual above 1e-6 raises.
+    None to reuse the stored loads; a trajectory or increments for
+    another grid than config's raise ValueError.  A trajectory that
+    stops before step N has its prefix reconstructed.  With verify=True
+    the per-step reconstruction equation residual is checked against
+    random test directions and a residual above 1e-6 raises.
     """
     if not traj.ok:
         raise ValueError(f"trajectory failed at step {traj.failed_at}")
+    if traj.grid != config.grid:
+        raise ValueError(f"the trajectory is for {traj.grid}, the config for {config.grid}")
     if increments is not None and increments.grid != config.grid:
         raise ValueError(
             f"the increments are for {increments.grid}, the config for {config.grid}"

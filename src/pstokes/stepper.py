@@ -147,13 +147,16 @@ class Trajectory:
     step n on free dofs; with the fields it determines the pressure
     increments (pstokes.pressure.reconstruct).  increment_access_log
     records every averaged-increment index read during the step that is
-    listed with it, for the causality audit.
+    listed with it, for the causality audit.  grid is the time grid the
+    run was stepped on; reconstruction and the statistics refuse a
+    configuration of another grid.
     """
 
     fields: list[Field]
     noise_loads: list[np.ndarray]
     stats: list[StepStats]
     increment_access_log: list[tuple[int, int]]
+    grid: TimeGrid
     failed_at: int | None = None
 
     @property
@@ -501,5 +504,6 @@ def run_trajectory(
         noise_loads=noise_loads,
         stats=stats_list,
         increment_access_log=access_log,
+        grid=config.grid,
         failed_at=failed_at,
     )

@@ -43,16 +43,18 @@ from pstokes.spaces import (
     interpolate_velocity,
     norms,
     point_evaluation,
+    sym_grad_at_qp,
     velocity_at_qp,
 )
 from pstokes.stepper import (
     SchemeConfig,
     StepperWorkspace,
+    Trajectory,
     hs_norm,
     initial_velocity,
     run_trajectory,
 )
-from pstokes.tensors import PowerLawParams
+from pstokes.tensors import PowerLawParams, nonlinear_V
 
 # Frozen references (see module docstring).
 U0_SQ = 4.56516219986525e-05
@@ -266,6 +268,23 @@ def test_stability_stochastic_besov_r2_equals_z_row_besov(ops2, noisy_run):
     assert stats.sto_besov_8 >= stats.sto_besov_4 - 1e-15
 
 
+def test_stochastic_besov_matches_direct_lag_loop(ops2, noisy_run):
+    trajs, config = noisy_run
+    tau, N = config.grid.tau, config.grid.N
+    press = [reconstruct(t, None, config, ops2) for t in trajs]
+    stats = stability_stats(trajs, press, config, ops2)
+    Z = [np.vstack([np.zeros(ops2.space_v.n_dofs), pt.z_sto]) for pt in press]
+    for r, module in ((4.0, stats.sto_besov_4), (8.0, stats.sto_besov_8)):
+        best = 0.0
+        for k in range(1, N + 1):
+            s = 0.0
+            for n in range(k, N + 1):
+                Ed = np.mean([norms(Field("velocity", z[n] - z[n - k]), "L2", ops2) ** 2 for z in Z])
+                s += tau * (Ed / (tau * k)) ** (r / 2.0)
+            best = max(best, s)
+        assert module == pytest.approx(best ** (2.0 / r), rel=1e-12)
+
+
 def test_stability_deterministic_energy_frozen():
     ops, config = build(m=2, N=8)
     u0 = initial_velocity(curl_bump, ops)
@@ -295,6 +314,36 @@ def test_stability_stats_validation(ops2, noisy_run):
     press = [reconstruct(t, None, config, ops2) for t in trajs]
     with pytest.raises(ValueError, match="ensemble size"):
         stability_stats(trajs, press[:-1], config, ops2)
+
+
+@pytest.fixture(scope="module")
+def run_on_other_grid(ops2):
+    """An N = 8 run on T = 0.1, with configs of two other grids."""
+    model = make_model(rule="linear")
+    cfg = {
+        (T, N): SchemeConfig(PowerLawParams(p=2.0), TimeGrid(T=T, N=N), model)
+        for T, N in ((0.1, 8), (0.1, 4), (0.2, 8))
+    }
+    incs = sample_increments(np.random.default_rng(0), cfg[0.1, 8].grid, n_modes=2)
+    traj = run_trajectory(initial_velocity(curl_bump, ops2), incs, cfg[0.1, 8], ops2)
+    assert traj.ok and traj.grid == cfg[0.1, 8].grid
+    return traj, cfg
+
+
+def test_stability_stats_rejects_trajectory_of_another_grid(ops2, run_on_other_grid):
+    traj, cfg = run_on_other_grid
+    with pytest.raises(ValueError, match="config expects"):
+        stability_stats([traj], None, cfg[0.2, 8], ops2)
+    # the statistics need every step of the grid
+    prefix = Trajectory(
+        fields=traj.fields[:5],
+        noise_loads=traj.noise_loads[:4],
+        stats=traj.stats[:4],
+        increment_access_log=traj.increment_access_log,
+        grid=traj.grid,
+    )
+    with pytest.raises(ValueError, match="4 of 8 steps"):
+        stability_stats([prefix], None, cfg[0.1, 8], ops2)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +466,77 @@ def test_error_stats_validation(ops2):
         error_stats(trajs, trajs_c, config, coarser, ops2, ops2)
 
 
+def test_error_stats_rejects_trajectory_of_another_grid(ops2, run_on_other_grid):
+    traj, cfg = run_on_other_grid
+    with pytest.raises(ValueError, match="config expects"):
+        error_stats([traj], [traj], cfg[0.2, 8], cfg[0.2, 8], ops2, ops2)
+
+
+def test_temporal_oscillation_rejects_trajectory_of_another_grid(ops2, run_on_other_grid):
+    traj, cfg = run_on_other_grid
+    with pytest.raises(ValueError, match="config expects"):
+        temporal_oscillation([traj], cfg[0.1, 4], ops2, [cfg[0.1, 4].grid])
+
+
+@pytest.fixture(scope="module")
+def coupled_pairs():
+    """A reference ensemble (m = 4, N = 15) with a cross-mesh (2, 3) and a
+    same-mesh (4, 7) coupled coarse ensemble."""
+    model = make_model(rule="linear")
+    ops_f, config_f = build(m=4, N=15, model=model, T=0.1)
+    refs, paths = run_ensemble(
+        initial_velocity(curl_bump, ops_f), config_f, ops_f, n_samples=2, seed=6,
+        delta=config_f.grid.tau / 2,
+    )
+    ops = {2: assemble(alfeld_split(unit_square_mesh(2))), 4: ops_f}
+    pairs = {}
+    for m, Nc in ((2, 3), (4, 7)):
+        config_c = SchemeConfig(config_f.params, TimeGrid(T=0.1, N=Nc), model)
+        u0c = initial_velocity(curl_bump, ops[m])
+        coarse = [
+            run_trajectory(u0c, sample_increments(path, config_c.grid), config_c, ops[m])
+            for path in paths
+        ]
+        pairs[m, Nc] = (coarse, config_c, ops[m])
+    return refs, config_f, ops_f, pairs
+
+
+@pytest.mark.parametrize("level", [(2, 3), (4, 7)], ids=["cross-mesh", "same-mesh"])
+def test_error_stats_C_V_matches_temporal_oscillation(coupled_pairs, level):
+    # error_stats reduces the reference rows it holds (point-evaluated);
+    # temporal_oscillation stacks its own from the native gradients.
+    refs, config_f, ops_f, pairs = coupled_pairs
+    coarse, config_c, ops_c = pairs[level]
+    es = error_stats(coarse, refs, config_c, config_f, ops_c, ops_f)
+    osc = temporal_oscillation(refs, config_f, ops_f, [config_c.grid])[0]
+    assert osc > 0.0
+    assert es.C_V == pytest.approx(osc, rel=1e-12)
+
+
+def test_temporal_oscillation_matches_direct_double_loop(ops2):
+    # (1/tau_c) sum_n sum_{i,j} w_ni w_nj ||V_i - V_j||^2, with w_nj the
+    # integral of the hat a_n over the fine midpoint cell J_j, by direct
+    # differences of native V(eps u) fields.
+    config = SchemeConfig(PowerLawParams(p=3.0), TimeGrid(T=0.1, N=15), make_model(amplitude=1.0))
+    trajs, _ = run_ensemble(initial_velocity(curl_bump, ops2), config, ops2, n_samples=2, seed=12)
+    gf = config.grid
+    cells = [(max((j - 0.5) * gf.tau, 0.0), (j + 0.5) * gf.tau) for j in range(gf.N + 1)]
+    coarse = [TimeGrid(T=0.1, N=N) for N in (1, 3, 7)]
+    direct = np.zeros(len(coarse))
+    for t in trajs:
+        V = [nonlinear_V(sym_grad_at_qp(f.coeffs, ops2), config.params) for f in t.fields]
+        for g, gc in enumerate(coarse):
+            for n in range(1, gc.N + 1):
+                w = [weight_antiderivative(n, hi, gc) - weight_antiderivative(n, lo, gc) for lo, hi in cells]
+                for i in range(gf.N + 1):
+                    for j in range(gf.N + 1):
+                        d = V[i] - V[j]
+                        sq = float(np.einsum("tq,tqcd,tqcd->", ops2.qw, d, d))
+                        direct[g] += w[i] * w[j] * sq / gc.tau
+    direct /= len(trajs)
+    assert temporal_oscillation(trajs, config, ops2, coarse) == pytest.approx(list(direct), rel=1e-12)
+
+
 def test_error_stats_point_location_is_per_call():
     # One located point set per evaluation operator, whatever the number
     # of coarse steps or samples.
@@ -497,6 +617,7 @@ def test_temporal_oscillation_constant_reference_vanishes(ops2):
         noise_loads=src.noise_loads,
         stats=src.stats,
         increment_access_log=src.increment_access_log,
+        grid=src.grid,
     )
     osc = temporal_oscillation([fake], config, ops2, [TimeGrid(T=1.0, N=3)])
     # Gram cancellation leaves only roundoff, many orders below real values.

@@ -117,8 +117,9 @@ class TestWeights:
     def test_cell_averages_sum_to_integral(self):
         grid = TimeGrid(T=1.0, N=6)
         delta = grid.tau / 8
+        n_cells = int(round(grid.T / delta))
         for n in (1, 4, 6):
-            abar = weight_cell_averages(n, grid, delta)
+            abar = weight_cell_averages(n, grid, delta, 0, n_cells)
             assert delta * abar.sum() == pytest.approx(grid.tau, rel=1e-12)
 
     def test_index_out_of_range(self):

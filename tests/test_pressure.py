@@ -207,6 +207,7 @@ class TestReconstruct:
             noise_loads=traj.noise_loads[:cut],
             stats=traj.stats[:cut],
             increment_access_log=traj.increment_access_log,
+            grid=traj.grid,
         )
         pt_sub = reconstruct(sub, None, config, ops4)
         for n in range(cut):
@@ -273,6 +274,7 @@ class TestReconstruct:
             noise_loads=traj.noise_loads,
             stats=traj.stats,
             increment_access_log=traj.increment_access_log,
+            grid=traj.grid,
             failed_at=3,
         )
         with pytest.raises(ValueError):

@@ -342,3 +342,10 @@ class TestInputConsistency:
         with pytest.raises(ValueError, match="increments"):
             reconstruct(traj, incs[8], cfg4, ops)
         assert reconstruct(traj, incs[4], cfg4, ops, verify=True).n_steps == 4
+
+    def test_reconstruct_rejects_trajectory_of_another_grid(self, setup2):
+        ops, cfg4, cfg8, incs, u0 = setup2
+        traj = run_trajectory(u0, incs[8], cfg8, ops)
+        with pytest.raises(ValueError, match="trajectory is for"):
+            reconstruct(traj, None, cfg4, ops)
+        assert reconstruct(traj, None, cfg8, ops, verify=True).n_steps == 8
