@@ -26,14 +26,16 @@ noise):
   over the coarse interval J_n, and the time integrals weighted by the
   hat a_n are evaluated with exact per-cell integrals of a_n.  Spatial
   comparison evaluates both fields at the fine mesh's quadrature points
-  through sparse point-evaluation operators (`spaces.point_evaluation`),
-  built once per call and applied to whole trajectories; both sides of
-  every difference go through operators built the same way, so all
-  error functionals vanish identically on self-comparison.  Component proxies
-  C_init, C_Linf, C_best, C_G, C_V isolate initial-datum, projection,
-  best-approximation, data-approximation and temporal-oscillation
-  contributions; C_best is an upper proxy (divergence-projected nodal
-  interpolant of the reference in place of the true infimum).  The
+  through sparse evaluation operators applied to whole trajectories: a
+  mesh's own `qp_eval` at its own quadrature points (every operator of
+  a same-mesh level), across meshes operators built once per call at
+  located points (`spaces.point_evaluation`).  Self-comparison goes
+  through one operator, so all error functionals vanish identically.
+  Component proxies C_init, C_Linf, C_best, C_G, C_V isolate
+  initial-datum, projection, best-approximation, data-approximation and
+  temporal-oscillation contributions; C_best is an upper proxy
+  (divergence-projected nodal interpolant of the reference in place of
+  the true infimum).  The
   oscillation C_V and the lag seminorms are reductions of Gram matrices
   of rows the functions stack anyway: one hat-window reduction
   (`_window_oscillation`) and one lag kernel (`_lag_seminorm`) serve
@@ -65,7 +67,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from pstokes.grids import TimeGrid, weight_a, weight_antiderivative, weight_cell_averages
+from pstokes.grids import (
+    TimeGrid,
+    weight_a,
+    weight_antiderivative,
+    weight_cell_averages,
+    weight_support,
+)
 from pstokes.noise import (
     _GAUSS3_NODES,
     _GAUSS3_WEIGHTS,
@@ -84,10 +92,8 @@ from pstokes.spaces import (
     _full_velocity,
     point_evaluation,
     pressure_lp_norm,
-    sym_grad_at_qp,
     sym_grad_p_power,
     velocity_at_qp,
-    velocity_load_vector,
 )
 from pstokes.stepper import SchemeConfig, StepperWorkspace, Trajectory, hs_norm, run_trajectory
 from pstokes.tensors import nonlinear_V
@@ -369,11 +375,7 @@ def _hat_cell_integrals(n: int, grid_c: TimeGrid, grid_f: TimeGrid, restrict: bo
     (the region where the piecewise-constant reference and the coarse
     step share the same time slot); otherwise the full support of a_n.
     """
-    if restrict:
-        lo, hi = grid_c.interval(n)
-    else:
-        lo = max(grid_c.node(n - 1) - 0.5 * grid_c.tau, 0.0)
-        hi = grid_c.node(n) + 0.5 * grid_c.tau
+    lo, hi = grid_c.interval(n) if restrict else weight_support(n, grid_c)
     js, a, b = _fine_cells(lo, hi, grid_f)
     w = weight_antiderivative(n, b, grid_c) - weight_antiderivative(n, a, grid_c)
     keep = w > 0.0
@@ -419,8 +421,8 @@ def _loads(ev: PointEvaluation, rows: np.ndarray, ops: AssembledOperators) -> np
     """Load functionals (f, xi) on the free dofs of `ops`, one column per
     coefficient row, with f evaluated by `ev` at the quadrature points
     of `ops`."""
-    vals = ev.values(rows).reshape((len(rows),) + ops.qp_x.shape)
-    return np.stack([velocity_load_vector(v, ops)[ops.free] for v in vals], axis=1)
+    vals = ev.values(rows) * ops.qw.reshape(-1, 1)
+    return (ops.qp_eval.V.T @ _rows(vals).T)[ops.free]
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +471,10 @@ def error_stats(
     driven by the same Wiener path; both runs use the same p and kappa.
     Each ensemble must hold complete runs on its config's grid.
 
-    Points are located once per call, for the evaluation operators that
-    serve every sample; each field family of a sample is then evaluated
-    in one sparse product.  A sample holds its (N_f+1) reference V(eps u)
+    Points are located once per call, for the cross-mesh operators that
+    serve every sample (a same-mesh level locates only the free coarse
+    nodes); each field family of a sample is then evaluated in one
+    sparse product.  A sample holds its (N_f+1) reference V(eps u)
     rows of 4 n_qp floats each (n_qp fine quadrature points), plus, for
     a velocity-dependent noise rule, its (N_f+1) rule fields of
     2 n_modes n_qp floats each.  C_V is reduced from the Gram matrix of
@@ -497,17 +500,17 @@ def error_stats(
     saddle = ops_coarse.projection_saddle()
     free_c = ops_coarse.free
 
-    # Point evaluation, built once per call: both meshes' fields at the
-    # fine quadrature points; reference fields at the coarse quadrature
-    # points (loads) and the free coarse nodes (nodal interpolant); the
-    # coarse initial datum at its own quadrature points, so that the two
-    # initial loads are formed the same way.
-    fine_qp = ops_ref.qp_x.reshape(-1, 2)
-    coarse_qp = ops_coarse.qp_x.reshape(-1, 2)
-    coarse_at_fq = point_evaluation(ops_coarse, fine_qp)
-    ref_at_fq = point_evaluation(ops_ref, fine_qp)
-    ref_at_cq = point_evaluation(ops_ref, coarse_qp)
-    coarse_at_cq = point_evaluation(ops_coarse, coarse_qp)
+    # Point evaluation: both meshes' fields at the fine quadrature
+    # points; reference fields at the coarse quadrature points (loads)
+    # and the free coarse nodes (nodal interpolant).  The coarse initial
+    # datum is loaded from its own quadrature points, so that on a
+    # same-mesh level the two initial loads are formed the same way.
+    ref_at_fq, coarse_at_cq = ops_ref.qp_eval, ops_coarse.qp_eval
+    if ops_coarse.locator.m == ops_ref.locator.m:  # one mesh: the point sets coincide
+        coarse_at_fq, ref_at_cq = coarse_at_cq, ref_at_fq
+    else:
+        coarse_at_fq = point_evaluation(ops_coarse, ops_ref.qp_x.reshape(-1, 2))
+        ref_at_cq = point_evaluation(ops_ref, ops_coarse.qp_x.reshape(-1, 2))
     free_nodes = ~ops_coarse.space_v.boundary_node
     ref_at_cn = point_evaluation(ops_ref, ops_coarse.space_v.node_coords[free_nodes])
 
@@ -537,7 +540,7 @@ def error_stats(
         d = (avg_vals[1:] - _rows(coarse_at_fq.values(proj_avg[1:]))) * w2
         natural = float(np.einsum("nd,nd->n", E[1:], E[1:]).max())
         linf = float(np.einsum("nd,nd->n", d, d).max())
-        cg = _data_term(coarse_vals, Uf, ref_at_fq, grid_c, grid_f, ops_ref, model)
+        cg = _data_term(coarse_vals, Uf, grid_c, grid_f, ops_ref, model)
         return natural, E @ E.T, linf, cg
 
     def v_terms(Uf, Uc, eta) -> tuple[float, float, float | None]:
@@ -600,7 +603,6 @@ def error_stats(
 def _data_term(
     coarse_vals: np.ndarray,
     Uf: np.ndarray,
-    ref_at_fq: PointEvaluation,
     grid_c: TimeGrid,
     grid_f: TimeGrid,
     ops_f: AssembledOperators,
@@ -609,8 +611,8 @@ def _data_term(
     """sum_n int a_n^2(t) ||G(t, u_ref(t)) - G_n(u_lag)||_HS^2 dt.
 
     coarse_vals holds the coarse velocities at the fine quadrature
-    points; the reference rows Uf are evaluated there by `ref_at_fq` only
-    for a velocity-dependent noise rule.  The reference velocity is
+    points; the reference rows Uf are evaluated there (by `ops_f.qp_eval`)
+    only for a velocity-dependent noise rule.  The reference velocity is
     piecewise constant on its midpoint cells; per cell the three time
     profiles int a_n^2 m^l dt (l = 0, 1, 2) are integrated by 3-point
     Gauss and paired with the spatial Gram scalars of the two noise
@@ -630,14 +632,12 @@ def _data_term(
         hsq_add = float(np.einsum("kd,d,kd->", g_rows, w2, g_rows))
     else:
         # rule fields of every reference step, (Nf+1, K, 2 n_qp)
-        F = np.stack([rule_rows(u) for u in ref_at_fq.values(Uf)])
+        F = np.stack([rule_rows(u) for u in ops_f.qp_eval.values(Uf)])
         sF = np.einsum("jkd,d,jkd->j", F, w2, F)
     total = 0.0
     for n in range(1, grid_c.N + 1):
         c_n = 0.0 if n <= 2 else modulation_average(model, *grid_c.interval(n - 2))
-        lo = max(grid_c.node(n - 1) - 0.5 * grid_c.tau, 0.0)
-        hi = grid_c.node(n) + 0.5 * grid_c.tau
-        js, a, b = _fine_cells(lo, hi, grid_f)
+        js, a, b = _fine_cells(*weight_support(n, grid_c), grid_f)
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         tpts = mid[:, None] + half[:, None] * _GAUSS3_NODES[None, :]
         a_sq = weight_a(n, tpts.ravel(), grid_c).reshape(tpts.shape) ** 2
@@ -673,14 +673,14 @@ def temporal_oscillation(
 
     with u piecewise constant on the reference midpoint cells.  Per
     sample the (N_f+1) quadrature-weighted rows V(eps u_j), of 4 n_qp
-    floats each, are stacked once and their (N_f+1)^2 Gram matrix is
-    reduced over the hat windows of every coarse grid, so a ladder of
-    grids shares one Gram matrix.  The rows come from the native
-    symmetric gradients, so a mesh without point location is accepted.
+    floats each, are evaluated in one `qp_eval` product and their
+    (N_f+1)^2 Gram matrix is reduced over the hat windows of every coarse
+    grid, so a ladder of grids shares one Gram matrix.  No point is
+    located, so a mesh without point location is accepted.
     `error_stats` reduces the rows it already holds the same way.
     """
     grid_f = config_ref.grid
-    Nf = _check_ensemble(ref_trajs, grid_f, ops_ref)
+    _check_ensemble(ref_trajs, grid_f, ops_ref)
     for grid_c in coarse_grids:
         _check_time_nesting(grid_c, grid_f)
     windows = [
@@ -690,9 +690,8 @@ def temporal_oscillation(
     w4 = np.sqrt(_qp_weight_vector(ops_ref, 4))
     totals = np.zeros(len(coarse_grids))
     for ref in ref_trajs:
-        V = np.empty((Nf + 1, w4.size))
-        for j, f in enumerate(ref.fields):
-            V[j] = nonlinear_V(sym_grad_at_qp(f.coeffs, ops_ref), config_ref.params).ravel()
+        U, _ = _coeff_rows(ref.fields)
+        V = _rows(nonlinear_V(ops_ref.qp_eval.sym_grad(U), config_ref.params))
         V *= w4
         G = V @ V.T
         totals += [_window_oscillation(G, per_n) for per_n in windows]

@@ -22,6 +22,7 @@ from scipy.linalg import cholesky_banded
 __all__ = [
     "TimeGrid",
     "weight_a",
+    "weight_support",
     "weight_inner",
     "weight_antiderivative",
     "weight_cell_averages",
@@ -63,6 +64,12 @@ class TimeGrid:
 def _check_weight_index(n: int, grid: TimeGrid) -> None:
     if not 1 <= n <= grid.N:
         raise IndexError(f"weight index {n} outside 1..{grid.N}")
+
+
+def weight_support(n: int, grid: TimeGrid) -> tuple[float, float]:
+    """The support [max(t_{n-1} - tau/2, 0), t_n + tau/2] of a_n."""
+    _check_weight_index(n, grid)
+    return max(grid.node(n - 1) - 0.5 * grid.tau, 0.0), grid.node(n) + 0.5 * grid.tau
 
 
 def weight_a(n: int, t, grid: TimeGrid):

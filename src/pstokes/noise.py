@@ -30,6 +30,7 @@ from pstokes.grids import (
     TimeGrid,
     cholesky_factor_banded,
     weight_cell_averages,
+    weight_support,
 )
 
 __all__ = [
@@ -132,7 +133,7 @@ def sample_increments(
         last_used = np.empty(N, dtype=int)
         per_hat = int(round(2.0 * grid.tau / path.delta))
         for n in range(1, N + 1):
-            lo_t = max(grid.node(n - 1) - 0.5 * grid.tau, 0.0)
+            lo_t, _ = weight_support(n, grid)
             j0 = int(np.floor(lo_t / path.delta + 1e-9))
             j1 = min(j0 + per_hat, path.n_cells)
             abar = weight_cell_averages(n, grid, path.delta, j0, j1)

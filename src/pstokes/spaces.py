@@ -18,13 +18,15 @@ inherit a quadrature error that is absorbed into solver tolerances.
 Everything derived from the mesh has one owner.  `assemble` computes the
 affine element maps once (`AssembledOperators.inv_t`).  The operator
 bundle builds its factorizations (`mass_free_lu`, `projection_saddle`,
-`grad_stiffness_lu`) and tables (`grad_table`, `sym_basis`,
+`grad_stiffness_lu`) and tables (`qp_eval`, `sym_basis`,
 `tangent_pattern`, `grad_stiffness`, `locator`) on first use and keeps
 them; `pstokes.streamfunc` fills `stream_basis`.
-The `locator` only locates points; `point_evaluation` turns one located
-point set into sparse value and gradient matrices of the velocity space,
-which evaluate a whole stack of fields there in one product (the
-cross-mesh transfer of `pstokes.diagnostics`).  `SaddleSolver` alone
+A P2 field is evaluated one way only, by a `PointEvaluation`: sparse
+value and gradient matrices that evaluate a stack of fields in one
+product.  The quadrature kernels apply or transpose the one at the
+mesh's own quadrature points (`qp_eval`); `point_evaluation` builds one
+at points the `locator` located (the cross-mesh transfer of
+`pstokes.diagnostics`).  `SaddleSolver` alone
 knows the layout of the KKT system: callers hand it velocity-block
 right-hand sides, one column or many, and get the velocity and the
 mean-zero pressure back.  It serves the projections
@@ -200,14 +202,15 @@ class AssembledOperators:
     Matrices live in CSR/CSC; `free` marks the interior velocity dofs.
     inv_t holds the inverse transposed Jacobian of every affine element
     map, and grad_phys the physical P2 gradients at all quadrature
-    points, the only geometry-dependent table the nonlinear assembly
-    needs.
+    points, from which the stress tangent and the stiffness tables are
+    built.
 
     Derived data is built on first use and kept for the life of the
     bundle, each piece under its own name: the factorizations
     `mass_free_lu()`, `projection_saddle()` and `grad_stiffness_lu()`;
-    the tables `grad_table`, `sym_basis`, `tangent_pattern` and
-    `grad_stiffness`; the point `locator` of structured meshes; and
+    the evaluation operator `qp_eval` at the quadrature points; the
+    tables `sym_basis`, `tangent_pattern` and `grad_stiffness`; the
+    point `locator` of structured meshes; and
     `stream_basis`, which `pstokes.streamfunc` fills.
     Only `SaddleSolver` knows the layout of the KKT system.
     """
@@ -278,11 +281,13 @@ class AssembledOperators:
         return K[self.free][:, self.free].tocsc()
 
     @cached_property
-    def grad_table(self) -> np.ndarray:
-        """Contiguous (n_tri, 6, nq*2) view of the physical gradients, the
-        layout the batched-matmul kernels want."""
-        nt, _, nq, _ = self.grad_phys.shape
-        return np.ascontiguousarray(self.grad_phys.reshape(nt, 6, nq * 2))
+    def qp_eval(self) -> PointEvaluation:
+        """Evaluation at the mesh's own quadrature points, point k being
+        quadrature point k % nq of element k // nq (the order of qp_x).
+        The containing elements are known, so no point is located and
+        every mesh has one."""
+        n_tri, nq = self.qw.shape
+        return _evaluation(self, np.repeat(np.arange(n_tri), nq), np.tile(QUAD_POINTS, (n_tri, 1)))
 
     @cached_property
     def sym_basis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -530,8 +535,7 @@ def discrete_gradient(q: Field, ops: AssembledOperators) -> Field:
 
 def velocity_at_qp(u_coeffs: np.ndarray, ops: AssembledOperators) -> np.ndarray:
     """Velocity values at all quadrature points, shape (n_tri, nq, 2)."""
-    u_loc = u_coeffs.reshape(-1, 2)[ops.space_v.scalar_l2g]
-    return np.einsum("iq,tic->tqc", _P2_QP, u_loc)
+    return (ops.qp_eval.V @ u_coeffs).reshape(ops.qp_x.shape)
 
 
 def velocity_load_vector(values_at_qp: np.ndarray, ops: AssembledOperators) -> np.ndarray:
@@ -540,24 +544,13 @@ def velocity_load_vector(values_at_qp: np.ndarray, ops: AssembledOperators) -> n
     Returns the full-length dof vector; restrict with ops.free for the
     zero-trace test space.
     """
-    r_loc = np.einsum("tq,tqc,iq->tic", ops.qw, values_at_qp, _P2_QP)
-    return np.bincount(
-        ops.vel_l2g.ravel(),
-        weights=r_loc.reshape(len(r_loc), -1).ravel(),
-        minlength=ops.space_v.n_dofs,
-    )
+    return ops.qp_eval.V.T @ (ops.qw[..., None] * values_at_qp).ravel()
 
 
 def grad_at_qp(u_coeffs: np.ndarray, ops: AssembledOperators) -> np.ndarray:
     """Full gradient of a velocity field at all quadrature points,
     shape (n_tri, nq, 2, 2), entry [..., c, d] = d_d u_c."""
-    nt, _, nq, _ = ops.grad_phys.shape
-    u_loc = u_coeffs.reshape(-1, 2)[ops.space_v.scalar_l2g]  # (t, 6, 2)
-    return (
-        np.matmul(u_loc.transpose(0, 2, 1), ops.grad_table)
-        .reshape(nt, 2, nq, 2)
-        .transpose(0, 2, 1, 3)
-    )
+    return (ops.qp_eval.G @ u_coeffs).reshape(ops.qw.shape + (2, 2))
 
 
 def sym_grad_at_qp(u_coeffs: np.ndarray, ops: AssembledOperators) -> np.ndarray:
@@ -627,18 +620,9 @@ def stress_residual_vector(
     u_coeffs: np.ndarray, ops: AssembledOperators, params: PowerLawParams
 ) -> np.ndarray:
     """Assembled nonlinear form (S(eps u), eps xi) over free dofs."""
-    nt, _, nq, _ = ops.grad_phys.shape
-    eps = sym_grad_at_qp(u_coeffs, ops)
-    S = stress_S(eps, params)
-    # the (q,c)/(q,d) axis pairing below is valid because S is symmetric
-    Sw = (ops.qw[..., None, None] * S).reshape(nt, nq * 2, 2)
-    r_loc = np.matmul(ops.grad_table, Sw)  # (t, 6, 2)
-    flat = np.bincount(
-        ops.vel_l2g.ravel(),
-        weights=r_loc.reshape(nt, -1).ravel(),
-        minlength=ops.space_v.n_dofs,
-    )
-    return flat[ops.free]
+    S = stress_S(sym_grad_at_qp(u_coeffs, ops), params)
+    # (S, grad xi) = (S, eps xi) because S is symmetric
+    return (ops.qp_eval.G.T @ (ops.qw[..., None, None] * S).ravel())[ops.free]
 
 
 def stress_tangent_matrix(
@@ -720,53 +704,54 @@ class StructuredLocator:
 
 @dataclass(frozen=True)
 class PointEvaluation:
-    """P2 evaluation at a fixed point set, as three sparse scalar matrices
-    of shape (n_points, n_nodes): P holds the basis values at the points,
-    Gx and Gy the physical x- and y-derivatives of the basis.  Applied to
-    a stack of velocity coefficient rows (k, n_dofs), one sparse product
-    per matrix evaluates every row at once."""
+    """P2 evaluation at a fixed point set, as two sparse matrices on the
+    interleaved velocity dofs (dof 2 node + c):
 
-    P: sp.csr_matrix
-    Gx: sp.csr_matrix
-    Gy: sp.csr_matrix
+        V  (2 n_points x n_dofs), row 2k + c: component c at point k;
+        G  (4 n_points x n_dofs), row 4k + 2c + d: d_d u_c at point k.
 
-    def _apply(self, mat: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
-        """mat applied to both components of (k, n_dofs) coefficient rows
-        at once, as (k, n_points, 2)."""
-        k = len(rows)
-        nodal = rows.reshape(k, -1, 2).transpose(1, 0, 2).reshape(-1, 2 * k)
-        return (mat @ nodal).reshape(-1, k, 2).transpose(1, 0, 2)
+    Applied to one coefficient vector, or to a stack of coefficient rows
+    (k, n_dofs), one product evaluates every row at once; the transposes
+    assemble load vectors from values at the points."""
+
+    V: sp.csr_matrix
+    G: sp.csr_matrix
 
     def values(self, rows: np.ndarray) -> np.ndarray:
         """Velocity values at the points, shape (k, n_points, 2)."""
-        return self._apply(self.P, rows)
+        return (self.V @ rows.T).T.reshape(len(rows), -1, 2)
 
     def sym_grad(self, rows: np.ndarray) -> np.ndarray:
         """Symmetric gradients at the points, shape (k, n_points, 2, 2)."""
-        grad = np.empty((len(rows), self.P.shape[0], 2, 2))  # [..., c, d] = d_d u_c
-        grad[..., 0] = self._apply(self.Gx, rows)
-        grad[..., 1] = self._apply(self.Gy, rows)
-        grad[..., 0, 1] = grad[..., 1, 0] = 0.5 * (grad[..., 0, 1] + grad[..., 1, 0])
-        return grad
+        grad = (self.G @ rows.T).T.reshape(len(rows), -1, 2, 2)
+        return 0.5 * (grad + np.swapaxes(grad, -1, -2))
+
+
+def _evaluation(ops: AssembledOperators, tri: np.ndarray, ref: np.ndarray) -> PointEvaluation:
+    """The evaluation operator at the points with containing elements
+    `tri` and reference coordinates `ref` (n_points, 2): the P2 basis
+    values and physical gradients of each element, placed on the dofs of
+    both components, six per row."""
+    n = len(tri)
+    dofs = 2 * ops.space_v.scalar_l2g[tri][:, None] + np.arange(2)[:, None]  # (n, c, 6)
+    # physical basis gradients (n, d, 6): the reference ones mapped by inv_t
+    grad = ops.inv_t[tri] @ _p2_gradients(ref).transpose(1, 2, 0)
+
+    def matrix(data: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
+        starts = np.arange(0, data.size + 1, 6)
+        shape = (len(starts) - 1, ops.space_v.n_dofs)
+        return sp.csr_matrix((data.ravel(), cols.ravel(), starts), shape=shape)
+
+    return PointEvaluation(
+        V=matrix(np.broadcast_to(_p2_values(ref).T[:, None], (n, 2, 6)), dofs),
+        G=matrix(np.broadcast_to(grad[:, None], (n, 2, 2, 6)), np.repeat(dofs, 2, axis=1)),
+    )
 
 
 def point_evaluation(ops: AssembledOperators, points: np.ndarray) -> PointEvaluation:
     """The evaluation operator of the velocity space of `ops` at `points`
-    (n_points, 2): one point location, then the P2 basis values and
-    physical gradients of each containing element."""
-    tri, ref = ops.locator.locate(points)
-    row_starts = np.arange(0, 6 * len(tri) + 1, 6)  # six basis functions per point
-    cols = ops.space_v.scalar_l2g[tri].ravel()
-    # physical basis gradients (n, 6, 2): the reference ones mapped by inv_t
-    grad = _p2_gradients(ref).transpose(1, 0, 2) @ ops.inv_t[tri].transpose(0, 2, 1)
-    shape = (len(tri), ops.space_v.n_nodes)
-
-    def matrix(data: np.ndarray) -> sp.csr_matrix:
-        return sp.csr_matrix((data.ravel(), cols, row_starts), shape=shape)
-
-    return PointEvaluation(
-        P=matrix(_p2_values(ref).T), Gx=matrix(grad[..., 0]), Gy=matrix(grad[..., 1])
-    )
+    (n_points, 2): one point location, then `_evaluation`."""
+    return _evaluation(ops, *ops.locator.locate(points))
 
 
 def infsup_witness(ops: AssembledOperators) -> float:

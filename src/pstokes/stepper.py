@@ -43,6 +43,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from pstokes.grids import TimeGrid
@@ -250,14 +251,15 @@ class StepperWorkspace:
         """(F, ||F||) with F = C^T ((u, xi) + tau (S(eps u), eps xi) - rhs),
         the momentum residual tested against the basis.  It equals C^T
         of the constrained momentum residual for any pressure, since
-        C^T B^T = (B C)^T = 0."""
+        C^T B^T = (B C)^T = 0.  The scaled BLAS nrm2 keeps ||F|| finite
+        for any finite F; a plain sum of squares overflows beyond 1e154."""
         ops, cfg = self.ops, self.config
         C, _ = self.stream_gram()
         form = (ops.M_full @ u_full)[ops.free] + cfg.grid.tau * stress_residual_vector(
             u_full, ops, cfg.params
         )
         F = C.T @ (form - rhs_free)
-        return F, float(np.linalg.norm(F))
+        return F, float(la.norm(F, check_finite=False))
 
     def factorize(self, u_full: np.ndarray, picard: bool = False):
         """Factor C^T (M + tau K) C with K the stress linearization at

@@ -22,6 +22,7 @@ from pstokes.spaces import (
     assemble,
     discrete_gradient,
     divergence_pointwise_max,
+    grad_at_qp,
     infsup_witness,
     interpolate_velocity,
     norms,
@@ -295,6 +296,17 @@ class TestStressForms:
         K = stress_tangent_matrix(v.coeffs, ops4, params)
         assert np.abs(r - K @ v.coeffs[ops4.free]).max() < 1e-14
 
+    def test_p2_residual_matches_tangent_on_random_field(self, ops4):
+        # the residual goes through qp_eval, the tangent through the
+        # element tables of sym_basis: at p = 2 both are (eps u, eps xi)
+        u = np.zeros(ops4.space_v.n_dofs)
+        u[ops4.free] = np.random.default_rng(16).standard_normal(ops4.n_free)
+        params = PowerLawParams(p=2.0)
+        K = stress_tangent_matrix(np.zeros_like(u), ops4, params)
+        expected = K @ u[ops4.free]
+        r = stress_residual_vector(u, ops4, params)
+        assert np.abs(r - expected).max() <= 1e-13 * np.abs(expected).max()
+
     @pytest.mark.parametrize("p,kappa", [(1.5, 0.2), (2.5, 0.0), (3.0, 0.1)])
     def test_tangent_matches_finite_differences(self, ops4, p, kappa):
         params = PowerLawParams(p=p, kappa=kappa)
@@ -411,6 +423,27 @@ class TestLocator:
             assert np.abs(vals[k] - native).max() < EXACT_TOL * np.abs(native).max()
             native = sym_grad_at_qp(row, ops4).reshape(-1, 2, 2)
             assert np.abs(sg[k] - native).max() < EXACT_TOL * np.abs(native).max()
+
+    def test_quadrature_operator_matches_element_tables(self, ops4):
+        # qp_eval against the element formulas it replaced: the P2 basis
+        # values contracted with each element's local coefficients, and
+        # the physical gradient table grad_phys
+        rows = np.random.default_rng(17).standard_normal((3, ops4.space_v.n_dofs))
+        ev = ops4.qp_eval
+        phi = _p2_values(QUAD_POINTS)
+        for row, vals, sg in zip(rows, ev.values(rows), ev.sym_grad(rows)):
+            u_loc = row.reshape(-1, 2)[ops4.space_v.scalar_l2g]  # (t, 6, c)
+            exact = np.einsum("iq,tic->tqc", phi, u_loc)
+            grad = np.einsum("tiqd,tic->tqcd", ops4.grad_phys, u_loc)
+            sym = 0.5 * (grad + np.swapaxes(grad, -1, -2))
+            for got, want in (
+                (vals, exact.reshape(-1, 2)),
+                (velocity_at_qp(row, ops4), exact),
+                (sg, sym.reshape(-1, 2, 2)),
+                (grad_at_qp(row, ops4), grad),
+            ):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_corners_and_edges_handled(self, ops4):
         loc = StructuredLocator(ops4)

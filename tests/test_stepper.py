@@ -151,6 +151,17 @@ class TestVelocityStep:
             traj = run_trajectory(Field("velocity", 1e100 * u0), inc, cfg, ops)
         assert traj.failed_at == 1
 
+    def test_residual_norm_does_not_overflow(self):
+        # at p = 3 the residual at u0 scaled by 1e100 has finite entries
+        # near 1e200, whose squares overflow: its norm must stay finite
+        ops = assemble(alfeld_split(unit_square_mesh(2)))
+        u = 1e100 * initial_velocity(u0_smooth, ops).coeffs
+        cfg = SchemeConfig(PowerLawParams(p=3.0), TimeGrid(T=0.1, N=2))
+        F, res = StepperWorkspace(cfg, ops).residual(u, np.zeros(ops.n_free))
+        s = np.abs(F).max()
+        assert np.isfinite(F).all() and s > 1e160
+        assert res == pytest.approx(s * np.linalg.norm(F / s), rel=1e-12, abs=0.0)
+
     def test_matches_direct_linear_solver(self, ops4, u0h):
         # independent implicit-Euler Stokes step assembled from scratch;
         # its multiplier is the reconstructed pressure increment d_1 pi
