@@ -91,11 +91,10 @@ from pstokes.spaces import (
     PointEvaluation,
     _full_velocity,
     point_evaluation,
-    pressure_lp_norm,
     sym_grad_p_power,
     velocity_at_qp,
 )
-from pstokes.stepper import SchemeConfig, StepperWorkspace, Trajectory, hs_norm, run_trajectory
+from pstokes.stepper import SchemeConfig, StepperWorkspace, Trajectory, run_trajectory
 from pstokes.tensors import nonlinear_V
 
 __all__ = [
@@ -265,6 +264,9 @@ def stability_stats(
         gram_sum += G
         strong_s.append(_lag_seminorm(G))
         e_max_s.append(float(np.diag(G)[1:].max()))
+        # field by field: a stack of all N symmetric gradients (4 n_qp
+        # floats each) raised the ensemble_p2 peak RSS from 158 to 170 MB
+        # (m = 16, N = 32)
         diss_s.append(
             sum(
                 tau * sym_grad_p_power(f.coeffs, ops, p)
@@ -279,13 +281,10 @@ def stability_stats(
             Gz = _mass_gram(Z, ops.M_full)
             gram_z_sum += Gz
             sto_max_s.append(float(np.diag(Gz)[1:].max()))
-            acc = 0.0
-            prev = np.zeros(ops.n_pressure)
-            for q in ptraj.pi_det:
-                inc = Field("pressure", (q.coeffs - prev) / tau)
-                prev = q.coeffs
-                acc += tau * (DIV_GRAD_CONSTANT * pressure_lp_norm(inc, ops, p_conj)) ** p_conj
-            det_s.append(acc)
+            # L^p' norms of the increments d_n pi_det / tau, pi_det_0 = 0
+            inc = np.diff(_coeff_rows(ptraj.pi_det)[0], axis=0, prepend=0.0) / tau
+            lp = (ops.qw.ravel() @ np.abs(ops.P @ inc.T) ** p_conj) ** (1.0 / p_conj)
+            det_s.append(tau * float(np.sum((DIV_GRAD_CONSTANT * lp) ** p_conj)))
 
     ns = len(trajs)
     besov_u = _lag_seminorm(gram_sum / ns)
@@ -776,32 +775,26 @@ def _compensator_sq_path(
 
 
 def _xy_paths(
-    traj: Trajectory,
-    path: WienerPath,
-    config: SchemeConfig,
-    ops: AssembledOperators,
-    r: float,
+    traj: Trajectory, path: WienerPath, work: StepperWorkspace, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample processes X_M and Y_M for M = 0..N.
+    """Per-sample processes X_M and Y_M for M = 0..N of a trajectory
+    stepped with the workspace `work`.
 
     X sums the trapezoid-rule time integrals of (||Ebar||^2/tau)^{r/2}
-    over the intervals J_n; Y is the running maximum of the data-field
-    norms ||G_n(u_lag)||_HS^r seen up to step (M+2) ^ N.
+    over the intervals J_n, from the data fields G_n(u_lag) at the mode
+    values of `work`; Y is the running maximum of the data-field norms
+    ||G_n(u_lag)||_HS^r the steps recorded, seen up to step (M+2) ^ N.
     """
+    config, ops = work.config, work.ops
     grid = config.grid
     model = config.model
     N = grid.N
     delta = path.delta
-    n_tri, nq = ops.qw.shape
-    g_vals = model.mode_values(ops.qp_x.reshape(-1, 2)).reshape(-1, n_tri, nq, 2)
     fields = []
-    hs_pow = np.zeros(N + 1)
     for n in range(1, N + 1):
         u_lag = traj.fields[max(n - 2, 0)]
         u_vals = None if model.rule == "additive" else velocity_at_qp(u_lag.coeffs, ops)
-        F = data_G_n(n, u_vals, model, grid, g_vals)
-        fields.append(F)
-        hs_pow[n] = hs_norm(F, ops) ** r
+        fields.append(data_G_n(n, u_vals, model, grid, work.g_qp))
 
     x_inc = np.zeros(N + 1)
     for n in range(1, N + 1):
@@ -811,7 +804,7 @@ def _xy_paths(
         x_inc[n] = delta * float(np.sum(0.5 * (vals[:-1] + vals[1:])))
     X = np.cumsum(x_inc)
 
-    running = np.maximum.accumulate(hs_pow[1:])
+    running = np.maximum.accumulate([s.hs_G**r for s in traj.stats])
     upto = np.minimum(np.arange(N + 1) + 2, N)
     Y = running[upto - 1]
     return X, Y
@@ -884,7 +877,7 @@ def extrapolation_check(
             traj = run_trajectory(u0, incs, config, ops, work)
             if not traj.ok:
                 raise RuntimeError(f"sample {i} failed at step {traj.failed_at}")
-            X_all[i], Y_all[i] = _xy_paths(traj, path, config, ops, r)
+            X_all[i], Y_all[i] = _xy_paths(traj, path, work, r)
 
     if not X_all.any() and not Y_all.any():
         # Noise free: both processes vanish, the margins are 1 by convention.

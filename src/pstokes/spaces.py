@@ -16,17 +16,24 @@ bilinear forms (P2 x P2 products); the non-polynomial stress integrands
 inherit a quadrature error that is absorbed into solver tolerances.
 
 Everything derived from the mesh has one owner.  `assemble` computes the
-affine element maps once (`AssembledOperators.inv_t`).  The operator
+affine element maps once (`AssembledOperators.inv_t`) and the evaluation
+operators at the mesh's own quadrature points: `qp_eval` for the P2
+velocity and `P` for the discontinuous P1 pressure.  Every linear form
+is a quadrature product of these two, A^T W B with W the weight of each
+row's point: the mass `M_full`, the divergence `B_full`, the pressure
+mass `Mq`, the mean row `cvec` and `grad_stiffness`.  The operator
 bundle builds its factorizations (`mass_free_lu`, `projection_saddle`,
-`grad_stiffness_lu`) and tables (`qp_eval`, `sym_basis`,
-`tangent_pattern`, `grad_stiffness`, `locator`) on first use and keeps
-them; `pstokes.streamfunc` fills `stream_basis`.
+`grad_stiffness_lu`) and tables (`sym_basis`, `tangent_pattern`,
+`grad_stiffness`, `locator`) on first use and keeps them;
+`pstokes.streamfunc` fills `stream_basis`.
 A P2 field is evaluated one way only, by a `PointEvaluation`: sparse
 value and gradient matrices that evaluate a stack of fields in one
-product.  The quadrature kernels apply or transpose the one at the
-mesh's own quadrature points (`qp_eval`); `point_evaluation` builds one
-at points the `locator` located (the cross-mesh transfer of
-`pstokes.diagnostics`).  `SaddleSolver` alone
+product.  The quadrature kernels apply or transpose `qp_eval`;
+`point_evaluation` builds one at points the `locator` located (the
+cross-mesh transfer of `pstokes.diagnostics`).  One function,
+`_physical_gradients`, maps reference basis gradients to physical ones,
+for the evaluation operators and the element tables of the stress
+tangent alike.  `SaddleSolver` alone
 knows the layout of the KKT system: callers hand it velocity-block
 right-hand sides, one column or many, and get the velocity and the
 mean-zero pressure back.  It serves the projections
@@ -136,9 +143,18 @@ def _p1_values(pts: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - x - y, x, y])
 
 
-# Basis values at the quadrature points: mesh independent, so computed once.
-_P2_QP = _p2_values(QUAD_POINTS)  # (6, nq)
-_P1_QP = _p1_values(QUAD_POINTS)  # (3, nq)
+def _own_points(n_tri: int) -> tuple[np.ndarray, np.ndarray]:
+    """Containing element and reference coordinates of every quadrature
+    point of a mesh with n_tri elements, in the order of qp_x: point k
+    is quadrature point k % nq of element k // nq."""
+    return np.repeat(np.arange(n_tri), N_QP), np.tile(QUAD_POINTS, (n_tri, 1))
+
+
+def _physical_gradients(inv_t: np.ndarray, tri: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Physical P2 basis gradients at points with containing elements
+    `tri` and reference coordinates `ref` (n, 2), shape (n, 2, 6), entry
+    [k, d, i] = d_d phi_i: the reference gradients mapped by inv_t."""
+    return inv_t[tri] @ _p2_gradients(ref).transpose(1, 2, 0)
 
 
 @dataclass
@@ -177,11 +193,14 @@ class VelocitySpace:
     def n_dofs(self) -> int:
         return 2 * self.n_nodes
 
-    @property
+    @cached_property
     def free_mask(self) -> np.ndarray:
-        return ~np.repeat(self.boundary_node, 2)
+        """Read-only mask of the interior (zero-trace) vector dofs."""
+        mask = ~np.repeat(self.boundary_node, 2)
+        mask.flags.writeable = False
+        return mask
 
-    @property
+    @cached_property
     def n_free(self) -> int:
         return int(self.free_mask.sum())
 
@@ -201,15 +220,15 @@ class AssembledOperators:
 
     Matrices live in CSR/CSC; `free` marks the interior velocity dofs.
     inv_t holds the inverse transposed Jacobian of every affine element
-    map, and grad_phys the physical P2 gradients at all quadrature
-    points, from which the stress tangent and the stiffness tables are
-    built.
+    map.  qp_eval (P2 velocity) and P (discontinuous P1 pressure)
+    evaluate at the quadrature points qp_x, point k being quadrature
+    point k % nq of element k // nq; every matrix here is a product
+    A^T W B of them, W the weights qw of each row's point.
 
     Derived data is built on first use and kept for the life of the
     bundle, each piece under its own name: the factorizations
     `mass_free_lu()`, `projection_saddle()` and `grad_stiffness_lu()`;
-    the evaluation operator `qp_eval` at the quadrature points; the
-    tables `sym_basis`, `tangent_pattern` and `grad_stiffness`; the
+    the tables `sym_basis`, `tangent_pattern` and `grad_stiffness`; the
     point `locator` of structured meshes; and
     `stream_basis`, which `pstokes.streamfunc` fills.
     Only `SaddleSolver` knows the layout of the KKT system.
@@ -226,7 +245,8 @@ class AssembledOperators:
     qp_x: np.ndarray  # (n_tri, nq, 2) physical quadrature points
     qw: np.ndarray  # (n_tri, nq) physical weights
     inv_t: np.ndarray  # (n_tri, 2, 2) inverse transpose of the affine map
-    grad_phys: np.ndarray  # (n_tri, 6, nq, 2)
+    qp_eval: PointEvaluation
+    P: sp.csr_matrix  # (n_qp, n_pressure) pressure values at qp_x
     vel_l2g: np.ndarray  # (n_tri, 12) velocity dof per local basis
     params: PowerLawParams | None = None
     # Curl basis C (free velocity dofs x stream dofs) of the divergence-
@@ -275,19 +295,8 @@ class AssembledOperators:
     @cached_property
     def grad_stiffness(self) -> sp.csc_matrix:
         """Full-gradient stiffness (grad v, grad xi) on free dofs."""
-        ee = np.einsum("tiqc,tjqc->tqij", self.grad_phys, self.grad_phys)
-        loc = np.einsum("tq,tqij->tij", self.qw, ee)
-        K = _vector_matrix(self.space_v, loc)
+        K = _quadrature_form(self.qp_eval.G, self.qp_eval.G, self.qw)
         return K[self.free][:, self.free].tocsc()
-
-    @cached_property
-    def qp_eval(self) -> PointEvaluation:
-        """Evaluation at the mesh's own quadrature points, point k being
-        quadrature point k % nq of element k // nq (the order of qp_x).
-        The containing elements are known, so no point is located and
-        every mesh has one."""
-        n_tri, nq = self.qw.shape
-        return _evaluation(self, np.repeat(np.arange(n_tri), nq), np.tile(QUAD_POINTS, (n_tri, 1)))
 
     @cached_property
     def sym_basis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -297,16 +306,16 @@ class AssembledOperators:
         entries, and EE[t, q, a*12+b] = eps(phi_a) : eps(phi_b); a runs
         over the 12 local vector dofs, ordered like vel_l2g.
         """
-        n_tri, _, nq, _ = self.grad_phys.shape
-        E = np.zeros((n_tri, 12, nq, 2, 2))
-        for i in range(6):
-            for c in range(2):
-                a = 2 * i + c
-                E[:, a, :, c, :] += 0.5 * self.grad_phys[:, i]
-                E[:, a, :, :, c] += 0.5 * self.grad_phys[:, i]
-        EE = np.einsum("taqcd,tbqcd->tqab", E, E).reshape(n_tri, nq, 144)
-        E = np.ascontiguousarray(E.transpose(0, 2, 1, 3, 4).reshape(n_tri, nq, 12, 4))
-        return E, np.ascontiguousarray(EE)
+        n_tri, nq = self.qw.shape
+        grad = _physical_gradients(self.inv_t, *_own_points(n_tri))
+        half = 0.5 * grad.reshape(n_tri, nq, 2, 6).transpose(0, 1, 3, 2)  # (t, q, i, d)
+        E = np.zeros((n_tri, nq, 6, 2, 2, 2))  # (t, q, i, component, c, d)
+        for comp in range(2):
+            E[:, :, :, comp, comp, :] += half
+            E[:, :, :, comp, :, comp] += half
+        E = E.reshape(n_tri, nq, 12, 4)
+        EE = np.einsum("tqac,tqbc->tqab", E, E).reshape(n_tri, nq, 144)
+        return E, EE
 
     @cached_property
     def tangent_pattern(self) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
@@ -349,19 +358,17 @@ def _build_velocity_space(mesh: TriMesh) -> VelocitySpace:
     )
 
 
-def _vector_matrix(space_v: VelocitySpace, loc: np.ndarray) -> sp.csr_matrix:
-    """Scatter per-element scalar P2 blocks (n_tri, 6, 6) into the global
-    scalar matrix and expand it to both velocity components."""
-    n = space_v.n_nodes
-    rows = np.repeat(space_v.scalar_l2g, 6, axis=1).ravel()
-    cols = np.tile(space_v.scalar_l2g, (1, 6)).ravel()
-    K = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return sp.kron(K, sp.eye(2), format="csr")
+def _quadrature_form(A: sp.csr_matrix, B: sp.csr_matrix, qw: np.ndarray) -> sp.csr_matrix:
+    """A^T W B for two operators evaluating at the quadrature points
+    with the same number of rows per point, W the weight of each row's
+    point."""
+    W = sp.diags(np.repeat(qw.ravel(), A.shape[0] // qw.size))
+    return (A.T @ W @ B).tocsr()
 
 
 def assemble(mesh: TriMesh, params: PowerLawParams | None = None) -> AssembledOperators:
-    """Assemble mass, divergence, and pressure-mass matrices plus the
-    quadrature tables used by the nonlinear forms.
+    """Assemble the evaluation operators at the quadrature points and the
+    mass, divergence, and pressure-mass matrices, their quadrature forms.
 
     The power-law parameters do not enter any linear matrix; they are
     stored so downstream norm and stress evaluations default to them.
@@ -387,42 +394,30 @@ def assemble(mesh: TriMesh, params: PowerLawParams | None = None) -> AssembledOp
     qp_x = corners[:, None, 0, :] + QUAD_POINTS[None] @ np.swapaxes(jac, 1, 2)
     qw = QUAD_WEIGHTS[None, :] * det[:, None]
 
-    grad_ref = _p2_gradients(QUAD_POINTS)  # (6, nq, 2)
-    grad_phys = np.einsum("tcd,iqd->tiqc", inv_t, grad_ref)
+    # The containing elements of the quadrature points are known, so no
+    # point is located and every mesh has both operators.
+    tri, ref = _own_points(n_tri)
+    qp_eval = _evaluation(space_v, inv_t, tri, ref)
+    p_cols = (3 * tri[:, None] + np.arange(3)).ravel()
+    P = sp.csr_matrix(
+        (_p1_values(ref).T.ravel(), p_cols, np.arange(0, p_cols.size + 1, 3)),
+        shape=(tri.size, space_q.n_dofs),
+    )
 
-    # Scalar P2 mass, expanded to the vector space by Kronecker product.
-    m_loc = np.einsum("q,iq,jq->ij", QUAD_WEIGHTS, _P2_QP, _P2_QP)
-    M_full = _vector_matrix(space_v, det[:, None, None] * m_loc[None])
+    M_full = _quadrature_form(qp_eval.V, qp_eval.V, qw)
+    # B[(t,i), (j,c)] = int lambda_i d_c phi_j: rows 4k and 4k + 3 of G
+    # are d_0 u_0 and d_1 u_1 at point k.
+    B_full = _quadrature_form(P, qp_eval.G[0::4] + qp_eval.G[3::4], qw)
+    Mq = _quadrature_form(P, P, qw)
+    cvec = P.T @ qw.ravel()
 
-    # Divergence form B[(t,i), (j,c)] = int lambda_i d_c phi_j.
-    b_loc = np.einsum("tq,iq,tjqc->tijc", qw, _P1_QP, grad_phys)  # (t, 3, 6, 2)
+    free = space_v.free_mask
+    M_free = M_full[free][:, free].tocsc()
+    B_free = B_full[:, free].tocsc()
     vel_l2g = (
         2 * np.repeat(space_v.scalar_l2g, 2, axis=1)
         + np.tile([0, 1], (n_tri, 6))
     )
-    b_rows = np.repeat(3 * np.arange(n_tri)[:, None] + np.arange(3)[None], 12, axis=1)
-    b_cols = np.repeat(vel_l2g[:, None, :], 3, axis=1)
-    B_full = sp.coo_matrix(
-        (
-            b_loc.reshape(n_tri, 3, 12).ravel(),
-            (b_rows.ravel(), b_cols.ravel()),
-        ),
-        shape=(3 * n_tri, space_v.n_dofs),
-    ).tocsr()
-
-    # Discontinuous-P1 pressure mass (block diagonal) and mean row.
-    mq_loc = np.einsum("tq,iq,jq->tij", qw, _P1_QP, _P1_QP)
-    q_rows = np.repeat(3 * np.arange(n_tri)[:, None] + np.arange(3)[None], 3, axis=1)
-    q_cols = np.tile(3 * np.arange(n_tri)[:, None, None] + np.arange(3)[None, None], (1, 3, 1))
-    Mq = sp.coo_matrix(
-        (mq_loc.ravel(), (q_rows.ravel(), q_cols.ravel())),
-        shape=(3 * n_tri, 3 * n_tri),
-    ).tocsr()
-    cvec = np.einsum("tq,iq->ti", qw, _P1_QP).ravel()
-
-    free = ~np.repeat(space_v.boundary_node, 2)
-    M_free = M_full[free][:, free].tocsc()
-    B_free = B_full[:, free].tocsc()
 
     return AssembledOperators(
         space_v=space_v,
@@ -436,7 +431,8 @@ def assemble(mesh: TriMesh, params: PowerLawParams | None = None) -> AssembledOp
         qp_x=qp_x,
         qw=qw,
         inv_t=inv_t,
-        grad_phys=grad_phys,
+        qp_eval=qp_eval,
+        P=P,
         vel_l2g=vel_l2g,
         params=params,
     )
@@ -589,12 +585,8 @@ def sym_grad_p_power(u_coeffs: np.ndarray, ops: AssembledOperators, p: float) ->
 
 def pressure_lp_norm(q: Field, ops: AssembledOperators, p: float) -> float:
     """L^p norm of a pressure field by quadrature."""
-    vals = _pressure_at_qp(q.coeffs, ops)
-    return float(np.einsum("tq,tq->", ops.qw, np.abs(vals) ** p) ** (1.0 / p))
-
-
-def _pressure_at_qp(q_coeffs: np.ndarray, ops: AssembledOperators) -> np.ndarray:
-    return np.einsum("ti,iq->tq", q_coeffs.reshape(-1, 3), _P1_QP)
+    vals = ops.P @ q.coeffs
+    return float((ops.qw.ravel() @ np.abs(vals) ** p) ** (1.0 / p))
 
 
 def interpolate_velocity(
@@ -636,7 +628,7 @@ def stress_tangent_matrix(
     Newton: (DS(eps u)[eps phi_b], eps phi_a); Picard drops the rank-one
     part and keeps the radial weight only.
     """
-    nt, _, nq, _ = ops.grad_phys.shape
+    nt, nq = ops.qw.shape
     eps = sym_grad_at_qp(u_coeffs, ops)
     alpha, beta = jacobian_coefficients(eps, params)
     E, EE = ops.sym_basis
@@ -727,19 +719,20 @@ class PointEvaluation:
         return 0.5 * (grad + np.swapaxes(grad, -1, -2))
 
 
-def _evaluation(ops: AssembledOperators, tri: np.ndarray, ref: np.ndarray) -> PointEvaluation:
+def _evaluation(
+    space_v: VelocitySpace, inv_t: np.ndarray, tri: np.ndarray, ref: np.ndarray
+) -> PointEvaluation:
     """The evaluation operator at the points with containing elements
     `tri` and reference coordinates `ref` (n_points, 2): the P2 basis
     values and physical gradients of each element, placed on the dofs of
     both components, six per row."""
     n = len(tri)
-    dofs = 2 * ops.space_v.scalar_l2g[tri][:, None] + np.arange(2)[:, None]  # (n, c, 6)
-    # physical basis gradients (n, d, 6): the reference ones mapped by inv_t
-    grad = ops.inv_t[tri] @ _p2_gradients(ref).transpose(1, 2, 0)
+    dofs = 2 * space_v.scalar_l2g[tri][:, None] + np.arange(2)[:, None]  # (n, c, 6)
+    grad = _physical_gradients(inv_t, tri, ref)  # (n, d, 6)
 
     def matrix(data: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
         starts = np.arange(0, data.size + 1, 6)
-        shape = (len(starts) - 1, ops.space_v.n_dofs)
+        shape = (len(starts) - 1, space_v.n_dofs)
         return sp.csr_matrix((data.ravel(), cols.ravel(), starts), shape=shape)
 
     return PointEvaluation(
@@ -751,7 +744,7 @@ def _evaluation(ops: AssembledOperators, tri: np.ndarray, ref: np.ndarray) -> Po
 def point_evaluation(ops: AssembledOperators, points: np.ndarray) -> PointEvaluation:
     """The evaluation operator of the velocity space of `ops` at `points`
     (n_points, 2): one point location, then `_evaluation`."""
-    return _evaluation(ops, *ops.locator.locate(points))
+    return _evaluation(ops.space_v, ops.inv_t, *ops.locator.locate(points))
 
 
 def infsup_witness(ops: AssembledOperators) -> float:

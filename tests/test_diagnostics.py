@@ -35,7 +35,7 @@ from pstokes.noise import (
     sample_increments,
     sample_wiener_path,
 )
-from pstokes.pressure import reconstruct
+from pstokes.pressure import DIV_GRAD_CONSTANT, reconstruct
 from pstokes.spaces import (
     Field,
     StructuredLocator,
@@ -43,6 +43,7 @@ from pstokes.spaces import (
     interpolate_velocity,
     norms,
     point_evaluation,
+    pressure_lp_norm,
     sym_grad_at_qp,
     velocity_at_qp,
 )
@@ -251,6 +252,26 @@ def test_stability_stats_match_direct_loops(ops2, noisy_run):
     assert stats.n_samples == len(trajs)
     assert stats.besov_u_strong >= stats.besov_u - 1e-15
     assert set(stats.stderr) >= {"e_max", "dissipation", "besov_u_strong"}
+
+
+def test_det_increment_matches_direct_loop(ops2, noisy_run):
+    # one pressure evaluation product over the stacked increments against
+    # a per-step loop of pressure_lp_norm over d_n pi_det / tau
+    trajs, config = noisy_run
+    tau, p = config.grid.tau, config.params.p
+    p_conj = p / (p - 1.0)
+    press = [reconstruct(t, None, config, ops2) for t in trajs]
+    stats = stability_stats(trajs, press, config, ops2)
+    per_sample = []
+    for ptraj in press:
+        prev, acc = np.zeros(ops2.n_pressure), 0.0
+        for q in ptraj.pi_det:
+            inc = Field("pressure", (q.coeffs - prev) / tau)
+            prev = q.coeffs
+            acc += tau * (DIV_GRAD_CONSTANT * pressure_lp_norm(inc, ops2, p_conj)) ** p_conj
+        per_sample.append(acc)
+    assert min(per_sample) > 0.0
+    assert stats.det_increment == pytest.approx(np.mean(per_sample), rel=1e-12)
 
 
 def test_stability_stochastic_besov_r2_equals_z_row_besov(ops2, noisy_run):
@@ -648,7 +669,7 @@ def xpath_setup(ops2):
 def test_x_path_matches_direct_compensator_trapezoid(ops2, xpath_setup):
     traj, path, config, delta = xpath_setup
     grid, r = config.grid, 4.0
-    X, _ = dg._xy_paths(traj, path, config, ops2, r)
+    X, _ = dg._xy_paths(traj, path, StepperWorkspace(config, ops2), r)
     n_tri, nq = ops2.qw.shape
     g_vals = config.model.mode_values(ops2.qp_x.reshape(-1, 2)).reshape(-1, n_tri, nq, 2)
     Fs = {}
@@ -673,7 +694,7 @@ def test_x_path_matches_direct_compensator_trapezoid(ops2, xpath_setup):
 def test_y_path_matches_recorded_step_norms(ops2, xpath_setup):
     traj, path, config, delta = xpath_setup
     grid, r = config.grid, 4.0
-    _, Y = dg._xy_paths(traj, path, config, ops2, r)
+    _, Y = dg._xy_paths(traj, path, StepperWorkspace(config, ops2), r)
     hs = np.array([0.0] + [s.hs_G for s in traj.stats])
     Y_direct = np.array(
         [hs[1 : min(M + 2, grid.N) + 1].max() ** r for M in range(grid.N + 1)]

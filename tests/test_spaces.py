@@ -7,6 +7,7 @@ interpolant) or frozen from an independent measurement noted inline.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pstokes.meshing import alfeld_split, unit_square_mesh
 from pstokes.spaces import (
@@ -105,7 +106,7 @@ class TestAssembly:
     def test_mass_total_and_symmetry(self, ops4):
         assert abs(ops4.M_full.sum() - 2.0) < 1e-12
         d = ops4.M_full - ops4.M_full.T
-        assert np.abs(d.data).max() if d.nnz else 0.0 < SYMMETRY_TOL
+        assert (np.abs(d.data).max() if d.nnz else 0.0) < SYMMETRY_TOL
         dq = ops4.Mq - ops4.Mq.T
         assert (np.abs(dq.data).max() if dq.nnz else 0.0) < SYMMETRY_TOL
 
@@ -130,6 +131,62 @@ class TestAssembly:
     def test_pressure_lp_of_constant(self, ops4):
         q = Field("pressure", np.ones(ops4.n_pressure))
         assert abs(pressure_lp_norm(q, ops4, 1.5) - 1.0) < 1e-12
+
+    def test_forms_match_element_formulas(self, jiggled_mesh):
+        # every form against its element formula: local blocks from the
+        # physical gradient table grad_phys and the basis values at the
+        # quadrature points, scattered entry by entry
+        for mesh in (alfeld_split(unit_square_mesh(4)), alfeld_split(jiggled_mesh)):
+            ops = assemble(mesh)
+            n_tri = mesh.n_triangles
+            corners = mesh.corners()
+            jac = np.stack([corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]], axis=2)
+            det = np.linalg.det(jac)
+            inv_t = np.linalg.inv(jac).transpose(0, 2, 1)
+            qw = QUAD_WEIGHTS[None] * det[:, None]
+            phi, lam = _p2_values(QUAD_POINTS), _p1_values(QUAD_POINTS)
+            grad_phys = np.einsum("tcd,iqd->tiqc", inv_t, _p2_gradients(QUAD_POINTS))
+            l2g = ops.space_v.scalar_l2g
+            n, n_p = ops.space_v.n_nodes, 3 * n_tri
+            p_dofs = 3 * np.arange(n_tri)[:, None] + np.arange(3)
+            v_dofs = (2 * l2g[:, :, None] + np.arange(2)).reshape(n_tri, 12)
+
+            def scatter(loc, rows, cols, shape):
+                r = np.broadcast_to(rows[:, :, None], loc.shape)
+                c = np.broadcast_to(cols[:, None, :], loc.shape)
+                return sp.coo_matrix((loc.ravel(), (r.ravel(), c.ravel())), shape=shape).tocsr()
+
+            def vector(loc):
+                return sp.kron(scatter(loc, l2g, l2g, (n, n)), sp.eye(2), format="csr")
+
+            m_loc = np.einsum("q,iq,jq->ij", QUAD_WEIGHTS, phi, phi)
+            b_loc = np.einsum("tq,iq,tjqc->tijc", qw, lam, grad_phys).reshape(n_tri, 3, 12)
+            mq_loc = np.einsum("tq,iq,jq->tij", qw, lam, lam)
+            k_loc = np.einsum("tq,tiqc,tjqc->tij", qw, grad_phys, grad_phys)
+            free = ops.free
+            for got, want in (
+                (ops.M_full, vector(det[:, None, None] * m_loc[None])),
+                (ops.B_full, scatter(b_loc, p_dofs, v_dofs, (n_p, 2 * n))),
+                (ops.Mq, scatter(mq_loc, p_dofs, p_dofs, (n_p, n_p))),
+                (ops.cvec, np.einsum("tq,iq->ti", qw, lam).ravel()),
+                (ops.grad_stiffness, vector(k_loc)[free][:, free]),
+            ):
+                assert got.shape == want.shape
+                diff = got - want
+                diff = diff.toarray() if sp.issparse(diff) else diff
+                assert np.abs(diff).max() <= 1e-14 * abs(want).max()
+
+            # qp_eval's gradients against grad_phys
+            row = np.random.default_rng(17).standard_normal(ops.space_v.n_dofs)
+            u_loc = row.reshape(-1, 2)[l2g]  # (t, 6, c)
+            grad = np.einsum("tiqd,tic->tqcd", grad_phys, u_loc)
+            sym = 0.5 * (grad + np.swapaxes(grad, -1, -2))
+            for got, want in (
+                (ops.qp_eval.sym_grad(row[None])[0], sym.reshape(-1, 2, 2)),
+                (grad_at_qp(row, ops), grad),
+            ):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestProjections:
@@ -298,7 +355,8 @@ class TestStressForms:
 
     def test_p2_residual_matches_tangent_on_random_field(self, ops4):
         # the residual goes through qp_eval, the tangent through the
-        # element tables of sym_basis: at p = 2 both are (eps u, eps xi)
+        # element tables of sym_basis; both take their physical gradients
+        # from one map, and at p = 2 both are (eps u, eps xi)
         u = np.zeros(ops4.space_v.n_dofs)
         u[ops4.free] = np.random.default_rng(16).standard_normal(ops4.n_free)
         params = PowerLawParams(p=2.0)
@@ -425,22 +483,18 @@ class TestLocator:
             assert np.abs(sg[k] - native).max() < EXACT_TOL * np.abs(native).max()
 
     def test_quadrature_operator_matches_element_tables(self, ops4):
-        # qp_eval against the element formulas it replaced: the P2 basis
-        # values contracted with each element's local coefficients, and
-        # the physical gradient table grad_phys
+        # qp_eval's values against the element formula: the P2 basis
+        # values contracted with each element's local coefficients (its
+        # gradients are checked in TestAssembly.test_forms_match_element_formulas)
         rows = np.random.default_rng(17).standard_normal((3, ops4.space_v.n_dofs))
         ev = ops4.qp_eval
         phi = _p2_values(QUAD_POINTS)
-        for row, vals, sg in zip(rows, ev.values(rows), ev.sym_grad(rows)):
+        for row, vals in zip(rows, ev.values(rows)):
             u_loc = row.reshape(-1, 2)[ops4.space_v.scalar_l2g]  # (t, 6, c)
             exact = np.einsum("iq,tic->tqc", phi, u_loc)
-            grad = np.einsum("tiqd,tic->tqcd", ops4.grad_phys, u_loc)
-            sym = 0.5 * (grad + np.swapaxes(grad, -1, -2))
             for got, want in (
                 (vals, exact.reshape(-1, 2)),
                 (velocity_at_qp(row, ops4), exact),
-                (sg, sym.reshape(-1, 2, 2)),
-                (grad_at_qp(row, ops4), grad),
             ):
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
