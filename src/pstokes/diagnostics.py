@@ -28,8 +28,9 @@ noise):
   comparison evaluates both fields at the fine mesh's quadrature points
   through sparse evaluation operators applied to whole trajectories: a
   mesh's own `qp_eval` at its own quadrature points (every operator of
-  a same-mesh level), across meshes operators built once per call at
-  located points (`spaces.point_evaluation`).  Self-comparison goes
+  a same-mesh level, whose runs share one operator bundle), across
+  meshes operators built once per call at located points
+  (`spaces.point_evaluation`).  Self-comparison goes
   through one operator, so all error functionals vanish identically.
   Component proxies C_init, C_Linf, C_best, C_G, C_V isolate
   initial-datum, projection, best-approximation, data-approximation and
@@ -125,14 +126,16 @@ def _lag_seminorm(G: np.ndarray, tau: float = 1.0, r: float = 2.0) -> float:
 
     over the lags k = 1..N (zero when there is none), with
     ||u_n - u_m||^2 = G_nn + G_mm - 2 G_nm clipped at zero.  At r = 2 it
-    is max_k (1/k) sum_n ||u_n - u_{n-k}||^2, whatever tau.
+    is max_k (1/k) sum_n ||u_n - u_{n-k}||^2, whatever tau.  A non-finite
+    entry of G makes the seminorm NaN.
     """
     d = np.diag(G)
-    best = 0.0
+    sums = []
     for k in range(1, len(G)):
         sq = np.maximum(d[k:] + d[:-k] - 2.0 * np.diagonal(G, offset=-k), 0.0)
-        best = max(best, float(np.sum(tau * (sq / (tau * k)) ** (r / 2.0))))
-    return best ** (2.0 / r)
+        sums.append(np.sum(tau * (sq / (tau * k)) ** (r / 2.0)))
+    # np.max keeps a NaN, where the builtin max would drop it
+    return float(np.max(sums, initial=0.0)) ** (2.0 / r)
 
 
 def _coeff_rows(seq: Sequence[Field]) -> tuple[np.ndarray, str]:
@@ -336,7 +339,10 @@ def _check_time_nesting(grid_c: TimeGrid, grid_f: TimeGrid) -> None:
 
 
 def _check_mesh_nesting(ops_c: AssembledOperators, ops_f: AssembledOperators) -> None:
-    # the locators read the mesh orders and refuse unstructured meshes
+    """Refuse a pair of meshes whose square meshes do not refine: only the
+    square meshes nest, their Alfeld splits do not (coarse Alfeld edges
+    cut fine cells).  The locators read the mesh orders and refuse
+    unstructured meshes."""
     mc, mf = ops_c.locator.m, ops_f.locator.m
     if mf % mc != 0:
         raise ValueError(f"reference mesh order {mf} does not refine coarse order {mc}")
@@ -466,14 +472,17 @@ def error_stats(
     """Error statistics of coarse trajectories against coupled references.
 
     Preconditions: the reference grid refines the coarse grid (step
-    counts N+1 divide, meshes nest) and sample i of both ensembles was
-    driven by the same Wiener path; both runs use the same p and kappa.
-    Each ensemble must hold complete runs on its config's grid.
+    counts N+1 divide) and sample i of both ensembles was driven by the
+    same Wiener path; both runs use the same p and kappa.  Each ensemble
+    must hold complete runs on its config's grid.
 
-    Points are located once per call, for the cross-mesh operators that
-    serve every sample (a same-mesh level locates only the free coarse
-    nodes); each field family of a sample is then evaluated in one
-    sparse product.  A sample holds its (N_f+1) reference V(eps u)
+    A level is same-mesh when both runs share one operator bundle
+    (`ops_coarse is ops_ref`): it locates no point and runs on any mesh.
+    Otherwise the square mesh of the reference must refine the coarse
+    one (their Alfeld splits do not nest) and points are located once
+    per call, for the cross-mesh operators that serve every sample.
+    Each field family of a sample is then evaluated in one sparse
+    product.  A sample holds its (N_f+1) reference V(eps u)
     rows of 4 n_qp floats each (n_qp fine quadrature points), plus, for
     a velocity-dependent noise rule, its (N_f+1) rule fields of
     2 n_modes n_qp floats each.  C_V is reduced from the Gram matrix of
@@ -488,7 +497,9 @@ def error_stats(
     _check_time_nesting(grid_c, grid_f)
     Nc = _check_ensemble(coarse_trajs, grid_c, ops_coarse)
     _check_ensemble(ref_trajs, grid_f, ops_ref)
-    _check_mesh_nesting(ops_coarse, ops_ref)
+    same_mesh = ops_coarse is ops_ref
+    if not same_mesh:
+        _check_mesh_nesting(ops_coarse, ops_ref)
     params, model = config_ref.params, config_ref.model
     if (config_coarse.params.p, config_coarse.params.kappa) != (params.p, params.kappa):
         raise ValueError("coarse and reference runs use different exponents p or kappa")
@@ -501,17 +512,18 @@ def error_stats(
 
     # Point evaluation: both meshes' fields at the fine quadrature
     # points; reference fields at the coarse quadrature points (loads)
-    # and the free coarse nodes (nodal interpolant).  The coarse initial
-    # datum is loaded from its own quadrature points, so that on a
-    # same-mesh level the two initial loads are formed the same way.
+    # and, across meshes, at the free coarse nodes (nodal interpolant).
+    # The coarse initial datum is loaded from its own quadrature points,
+    # so that on a same-mesh level the two initial loads are formed the
+    # same way.
     ref_at_fq, coarse_at_cq = ops_ref.qp_eval, ops_coarse.qp_eval
-    if ops_coarse.locator.m == ops_ref.locator.m:  # one mesh: the point sets coincide
+    if same_mesh:  # the point sets coincide
         coarse_at_fq, ref_at_cq = coarse_at_cq, ref_at_fq
     else:
         coarse_at_fq = point_evaluation(ops_coarse, ops_ref.qp_x.reshape(-1, 2))
         ref_at_cq = point_evaluation(ops_ref, ops_coarse.qp_x.reshape(-1, 2))
-    free_nodes = ~ops_coarse.space_v.boundary_node
-    ref_at_cn = point_evaluation(ops_ref, ops_coarse.space_v.node_coords[free_nodes])
+        free_nodes = ~ops_coarse.space_v.boundary_node
+        ref_at_cn = point_evaluation(ops_ref, ops_coarse.space_v.node_coords[free_nodes])
 
     # Time-weight tables shared by every sample.
     tiles = [_tiling_average_weights(n, grid_c, grid_f) for n in range(Nc + 1)]
@@ -562,11 +574,15 @@ def error_stats(
 
         # Divergence projections on the coarse space: averages and their
         # nodal interpolants, one multi-column saddle solve each; the
-        # projected fields come back as rows.
+        # projected fields come back as rows.  On one mesh the nodal
+        # interpolant of <u_ref>_n is <u_ref>_n itself.
         proj_avg = project(_loads(ref_at_cq, avg, ops_coarse))
-        interp = np.zeros((Nc + 1, ops_coarse.space_v.n_dofs))
-        interp[:, free_c] = _rows(ref_at_cn.values(avg))
-        eta = project((ops_coarse.M_full @ interp.T)[free_c])
+        if same_mesh:
+            eta = proj_avg
+        else:
+            interp = np.zeros((Nc + 1, ops_coarse.space_v.n_dofs))
+            interp[:, free_c] = _rows(ref_at_cn.values(avg))
+            eta = project((ops_coarse.M_full @ interp.T)[free_c])
 
         # ||P_div u0_ref - P_div u0_coarse||^2 on the coarse space
         loads0 = [_loads(ref_at_cq, Uf[:1], ops_coarse), _loads(coarse_at_cq, Uc[:1], ops_coarse)]

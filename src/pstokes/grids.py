@@ -146,17 +146,10 @@ def weight_inner(n: int, m: int, grid: TimeGrid) -> float:
 
 
 def covariance_matrix(grid: TimeGrid) -> np.ndarray:
-    """Dense N x N covariance of (Delta_1 W, ..., Delta_N W) per mode."""
-    N = grid.N
-    tau = grid.tau
-    C = np.zeros((N, N))
-    diag = np.full(N, 2.0 * tau / 3.0)
-    diag[0] = 5.0 * tau / 6.0
-    np.fill_diagonal(C, diag)
-    off = np.full(N - 1, tau / 6.0)
-    C[np.arange(N - 1), np.arange(1, N)] = off
-    C[np.arange(1, N), np.arange(N - 1)] = off
-    return C
+    """Dense N x N covariance of (Delta_1 W, ..., Delta_N W) per mode,
+    expanded from `covariance_banded`."""
+    diag, off = covariance_banded(grid)
+    return np.diag(diag) + np.diag(off[:-1], -1) + np.diag(off[:-1], 1)
 
 
 def covariance_banded(grid: TimeGrid) -> np.ndarray:

@@ -13,8 +13,11 @@ equals -grad_h q = Pi_perp f, so ||q||_Qsto = ||z||_L2 comes for free.
 
 The three components: pi_init from l(xi) = (u_0, xi); pi_det_n from
 l(xi) = sum_{l<=n} tau (S(eps u_l), eps xi); pi_sto_n from
-l(xi) = -sum_{l<=n} (G_l DW_l, xi).  All solves are increments plus
-cumulative sums, so reconstruction costs two triangular solves per step.
+l(xi) = -sum_{l<=n} (G_l DW_l, xi).  The functionals are per-step
+increments plus cumulative sums, stacked into two families of columns,
+each solved in one pass: the N + 1 functionals of pi_init and the
+deterministic increments need q only (one saddle solve), the N
+stochastic ones also z (one saddle solve and one mass solve).
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
     "PressureTrajectory",
     "initial_pressure",
     "reconstruct",
-    "reconstruction_increments",
     "norm_Qsto",
     "norm_Qdet",
     "stress_dual_norm",
@@ -52,18 +54,20 @@ __all__ = [
 # used as the upper end of the bracket.
 DIV_GRAD_CONSTANT = np.sqrt(2.0)
 
-# The test directions of verify_reconstruction: fixed, so that a check
-# reads the same on every run.
+# The random V-perp fields of verify_reconstruction and norm_Qdet come
+# from one fixed seed, so that a check reads the same on every run.
 VERIFY_DIRECTIONS = 20
-VERIFY_SEED = 0
+PERP_SEED = 0
 
 
 class PressureTrajectory:
-    """pi_n = pi_init + pi_det_n + pi_sto_n (componentwise mean-zero).
+    """pi_n = pi_init + pi_det_n + pi_sto_n, each component mean-zero.
 
-    z_sto[n-1] is the velocity-length vector Pi_perp f of pi_sto_n, the
-    quantity whose L2 norm is the Q_sto norm; kept as an array so Besov
-    statistics reduce to Gram-matrix algebra.
+    z_sto[n-1] = Pi_perp f of pi_sto_n (equal to -grad_h pi_sto_n), the
+    velocity-length vector whose L2 norm is ||pi_sto_n||_Qsto; the rows
+    are stacked in one (N, n_dofs) array, so Besov statistics reduce to
+    Gram-matrix algebra.  The other two components need no such vector:
+    norm_Qsto evaluates any pressure from its discrete gradient.
     """
 
     def __init__(
@@ -72,13 +76,11 @@ class PressureTrajectory:
         pi_det: list[Field],
         pi_sto: list[Field],
         z_sto: np.ndarray,
-        z_init: np.ndarray,
     ):
         self.pi_init = pi_init
         self.pi_det = pi_det
         self.pi_sto = pi_sto
         self.z_sto = z_sto
-        self.z_init = z_init
 
     @property
     def n_steps(self) -> int:
@@ -103,13 +105,13 @@ class PressureTrajectory:
 
 
 def _solve_vperp(
-    d_free: np.ndarray, ops: AssembledOperators, want_z: bool = True
+    d_free: np.ndarray, ops: AssembledOperators, want_z: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Mean-zero q with (q, div xi) = d'xi on V-perp, and z = Pi_perp f.
 
     d_free has shape (n_free,) or, for k functionals at once, (n_free, k);
     q and z (full velocity length) then carry the same trailing axis.
-    With want_z=False the mass solve for z is skipped and z is None.
+    z costs one mass solve; without want_z it is skipped and z is None.
     """
     w_free, q = ops.projection_saddle().solve(-d_free)
     if not want_z:
@@ -118,13 +120,25 @@ def _solve_vperp(
     return q, _full_velocity(ops, f_free + w_free)
 
 
+def _random_perp(k: int, ops: AssembledOperators) -> np.ndarray:
+    """k random fields of V-perp as full-length columns (n_dofs, k).
+
+    Their free values are standard normal draws from PERP_SEED, one row
+    of n_free per field, so the first j fields do not depend on k; all k
+    are projected in one multi-column saddle solve."""
+    rng = np.random.default_rng(PERP_SEED)
+    v = _full_velocity(ops, rng.standard_normal((k, ops.n_free)).T)
+    w_free, _ = ops.projection_saddle().solve((ops.M_full @ v)[ops.free])
+    v[ops.free] -= w_free
+    return v
+
+
 def initial_pressure(u0h: Field, ops: AssembledOperators) -> Field:
     """Least-squares pressure of the initial datum:
     (pi_0, div xi) = (u_0^h, xi) for all xi in V-perp, mean zero."""
     if u0h.kind != "velocity":
         raise ValueError("initial_pressure expects a velocity Field")
-    d = (ops.M_full @ u0h.coeffs)[ops.free]
-    q, _ = _solve_vperp(d, ops)
+    q, _ = _solve_vperp((ops.M_full @ u0h.coeffs)[ops.free], ops)
     return Field("pressure", q)
 
 
@@ -146,7 +160,8 @@ def reconstruct(
     another grid than config's raise ValueError.  A trajectory that
     stops before step N has its prefix reconstructed.  With verify=True
     the per-step reconstruction equation residual is checked against
-    random test directions and a residual above 1e-6 raises.
+    random test directions, and a residual above 1e-6, or one that is
+    not finite, raises.
     """
     if not traj.ok:
         raise ValueError(f"trajectory failed at step {traj.failed_at}")
@@ -168,60 +183,40 @@ def reconstruct(
             load, _ = work.noise_rhs(n, u_lag, increments.increment(n))
             loads.append(load)
 
-    d0 = (ops.M_full @ traj.fields[0].coeffs)[ops.free]
-    q0, z0 = _solve_vperp(d0, ops)
-    pi_init = Field("pressure", q0)
+    # The functionals that need q only: pi_init's, then the deterministic
+    # increments tau (S(eps u_n), eps xi).
+    D = np.empty((ops.n_free, N + 1))
+    D[:, 0] = (ops.M_full @ traj.fields[0].coeffs)[ops.free]
+    for n in range(1, N + 1):
+        D[:, n] = tau * stress_residual_vector(traj.fields[n].coeffs, ops, config.params)
+    q, _ = _solve_vperp(D, ops)
+    L = np.stack(loads, axis=1) if N else np.zeros((ops.n_free, 0))
+    dq_sto, dz = _solve_vperp(-L, ops, want_z=True)
 
-    dq_det, dq_sto, z_cum = reconstruction_increments(traj, loads, config, ops)
-    q_det_cum = np.cumsum(dq_det, axis=0)
-    q_sto_cum = np.cumsum(dq_sto, axis=0)
-    pi_det = [Field("pressure", q_det_cum[n]) for n in range(N)]
-    pi_sto = [Field("pressure", q_sto_cum[n]) for n in range(N)]
-    ptraj = PressureTrajectory(pi_init, pi_det, pi_sto, z_cum, z0)
+    q_det_cum = np.cumsum(q[:, 1:].T, axis=0)
+    q_sto_cum = np.cumsum(dq_sto.T, axis=0)
+    ptraj = PressureTrajectory(
+        Field("pressure", q[:, 0].copy()),
+        [Field("pressure", q_det_cum[n]) for n in range(N)],
+        [Field("pressure", q_sto_cum[n]) for n in range(N)],
+        np.cumsum(dz.T, axis=0),
+    )
     if verify:
         res = verify_reconstruction(traj, ptraj, config, ops)
-        if res > 1e-6:
+        if not res <= 1e-6:
             raise ValueError(f"reconstruction equation residual {res:.3e} exceeds 1e-6")
     return ptraj
 
 
-def reconstruction_increments(
-    traj: Trajectory,
-    loads: list[np.ndarray] | None,
-    config: SchemeConfig,
-    ops: AssembledOperators,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-step pressure increments, batched through the factorizations.
-
-    Returns (dq_det, dq_sto, z_cum): dq_det[n-1] and dq_sto[n-1] are the
-    pressure coefficient increments of the two components at step n, and
-    z_cum[n-1] is the cumulative Pi_perp representative whose L2 norm is
-    ||pi_sto_n||_Qsto.  This is the whole cost of pressure statistics:
-    one multi-column solve per factorization.
-    """
-    if loads is None:
-        loads = traj.noise_loads
-    tau = config.grid.tau
-    N = traj.n_steps
-    D_det = np.empty((ops.n_free, N))
-    for n in range(1, N + 1):
-        D_det[:, n - 1] = tau * stress_residual_vector(
-            traj.fields[n].coeffs, ops, config.params
-        )
-    L = np.stack(loads, axis=1) if N else np.zeros((ops.n_free, 0))
-    dq_det, _ = _solve_vperp(D_det, ops, want_z=False)
-    dq_sto, dz = _solve_vperp(-L, ops)
-    z_cum = np.cumsum(dz.T, axis=0)
-    return dq_det.T, dq_sto.T, z_cum
-
-
 def norm_Qsto(q: Field, ops: AssembledOperators) -> float:
-    """||q||_Qsto = ||Pi_perp grad_h q||_L2 (duality form of the sup)."""
+    """||q||_Qsto = sup over V-perp of (q, div v) / ||v||_L2 = ||grad_h q||_L2.
+
+    The sup is attained at v = -grad_h q, which needs no projection to
+    V-perp: (grad_h q, w) = -(q, div w) vanishes for every discretely
+    divergence-free w, so grad_h q lies in V-perp up to its mass solve."""
     if q.kind != "pressure":
         raise ValueError("norm_Qsto expects a pressure Field")
-    g = discrete_gradient(q, ops)
-    gp = project_perp(g, ops)
-    return norms(gp, "L2", ops)
+    return norms(discrete_gradient(q, ops), "L2", ops)
 
 
 def _grad_lp_norm(v_coeffs: np.ndarray, ops: AssembledOperators, p: float) -> float:
@@ -236,15 +231,15 @@ def norm_Qdet(
     p: float,
     ops: AssembledOperators,
     n_candidates: int = 32,
-    seed: int = 0,
 ) -> dict:
     """Bracket for sup over V-perp of (q, div v) / ||grad v||_p.
 
     lower: the ratio maximized over n_candidates directions in V-perp —
-    the Q_sto maximizer, gradient-stiffness preconditioned ascent
-    iterates (monotone by construction: each iterate maximizes over a
-    growing subspace), and random projected fields.  upper: the rigorous
-    bound sqrt(2) ||q||_{L^p'}.  The true value lies in [lower, upper].
+    the Q_sto maximizer -grad_h q, gradient-stiffness preconditioned
+    ascent iterates (monotone by construction: each iterate maximizes
+    over a growing subspace), and random fields of V-perp.  upper: the
+    rigorous bound sqrt(2) ||q||_{L^p'}.  The true value lies in
+    [lower, upper].
     """
     if not p > 1.0:
         raise ValueError("p must exceed 1")
@@ -262,15 +257,10 @@ def norm_Qdet(
             return 0.0
         return float(d_full @ v_full) / den
 
-    def perp(v_full: np.ndarray) -> np.ndarray:
-        return project_perp(Field("velocity", v_full), ops).coeffs
-
-    candidates: list[np.ndarray] = []
-    # Q_sto maximizer: -Pi_perp grad_h q (sign chosen to make the pairing
-    # positive: (q, div grad_h q) = -||Pi_perp grad_h q||^2)
-    g = discrete_gradient(q, ops)
-    v_star = -perp(g.coeffs)
-    candidates.append(v_star)
+    # Q_sto maximizer, in V-perp as it is (see norm_Qsto); the sign makes
+    # the pairing positive: (q, div grad_h q) = -||grad_h q||^2
+    v_star = -discrete_gradient(q, ops).coeffs
+    candidates = [v_star]
 
     # subspace ascent in the p=2 geometry: maximize (d'v)^2 / (v'Kv)
     # over a growing span of stiffness-preconditioned directions.  Each
@@ -281,33 +271,26 @@ def norm_Qdet(
     k_basis: list[np.ndarray] = []
     ascent_ratios: list[float] = []
     w = v_star
-    for _ in range(6):
+    for step in range(6):
+        if step:
+            # next direction: the preconditioned residual of the last
+            # iterate, projected to V-perp
+            w_new = _full_velocity(ops, lu.solve(d_free - KW @ c))
+            w = project_perp(Field("velocity", w_new), ops).coeffs
         if not np.any(w):
             break
         basis.append(w[ops.free])
         k_basis.append(ops.grad_stiffness @ w[ops.free])
         W = np.stack(basis, axis=1)  # (nf, k)
         KW = np.stack(k_basis, axis=1)
-        A = W.T @ KW
-        b = W.T @ d_free
-        c = np.linalg.lstsq(A, b, rcond=None)[0]
-        v_best = np.zeros(ops.space_v.n_dofs)
-        v_best[ops.free] = W @ c
+        c = np.linalg.lstsq(W.T @ KW, W.T @ d_free, rcond=None)[0]
+        v_best = _full_velocity(ops, W @ c)
         candidates.append(v_best)
         ascent_ratios.append(ratio(v_best))
-        # next direction: preconditioned residual, projected to V-perp
-        r = d_free - KW @ c
-        w_new = np.zeros(ops.space_v.n_dofs)
-        w_new[ops.free] = lu.solve(r)
-        w = perp(w_new)
 
-    rng = np.random.default_rng(seed)
-    while len(candidates) < n_candidates:
-        v = np.zeros(ops.space_v.n_dofs)
-        v[ops.free] = rng.standard_normal(ops.n_free)
-        candidates.append(perp(v))
-
-    lower = max(ratio(v) for v in candidates[:n_candidates])
+    if len(candidates) < n_candidates:
+        candidates.extend(_random_perp(n_candidates - len(candidates), ops).T)
+    lower = float(np.max([ratio(v) for v in candidates[:n_candidates]]))
     return {"lower": lower, "upper": upper, "ascent_ratios": ascent_ratios}
 
 
@@ -335,28 +318,23 @@ def verify_reconstruction(
         (d_n u, xi) + tau (S(eps u_n), eps xi) - (d_n pi, div xi)
             = (G_n DW_n, xi)
 
-    over VERIFY_DIRECTIONS random normalized directions xi in V-perp,
-    drawn from seed VERIFY_SEED, all steps."""
-    rng = np.random.default_rng(VERIFY_SEED)
+    over VERIFY_DIRECTIONS random L2-normalized directions xi in V-perp
+    and all steps: the largest entry of one product of the stacked step
+    residuals with the stacked directions.  A non-finite residual makes
+    the result NaN; a direction of zero or non-finite norm raises
+    FloatingPointError."""
+    xi = _random_perp(VERIFY_DIRECTIONS, ops)
+    nrm = np.sqrt(np.einsum("ik,ik->k", xi, ops.M_full @ xi))
+    if not np.all(nrm > 0.0):
+        raise FloatingPointError(f"verification direction norms {nrm} are not all positive")
     tau = config.grid.tau
-    dirs = []
-    for _ in range(VERIFY_DIRECTIONS):
-        v = np.zeros(ops.space_v.n_dofs)
-        v[ops.free] = rng.standard_normal(ops.n_free)
-        xi = project_perp(Field("velocity", v), ops)
-        nrm = norms(xi, "L2", ops)
-        if nrm > 0:
-            dirs.append(xi.coeffs / nrm)
-    worst = 0.0
+    R = np.empty((ops.n_free, traj.n_steps))
     for n in range(1, traj.n_steps + 1):
-        du = traj.fields[n].coeffs - traj.fields[n - 1].coeffs
-        d_pi = ptraj.increment(n)
-        r_free = (
-            (ops.M_full @ du)[ops.free]
-            + tau * stress_residual_vector(traj.fields[n].coeffs, ops, config.params)
-            - ops.B_free.T @ d_pi.coeffs
+        u_n = traj.fields[n].coeffs
+        R[:, n - 1] = (
+            (ops.M_full @ (u_n - traj.fields[n - 1].coeffs))[ops.free]
+            + tau * stress_residual_vector(u_n, ops, config.params)
+            - ops.B_free.T @ ptraj.increment(n).coeffs
             - traj.noise_loads[n - 1]
         )
-        for xi in dirs:
-            worst = max(worst, abs(float(r_free @ xi[ops.free])))
-    return worst
+    return float(np.abs(R.T @ (xi[ops.free] / nrm)).max(initial=0.0))

@@ -60,7 +60,6 @@ __all__ = [
     "QUAD_WEIGHTS",
     "Field",
     "VelocitySpace",
-    "PressureSpace",
     "AssembledOperators",
     "assemble",
     "SaddleSolver",
@@ -206,15 +205,6 @@ class VelocitySpace:
 
 
 @dataclass
-class PressureSpace:
-    mesh: TriMesh
-
-    @property
-    def n_dofs(self) -> int:
-        return 3 * self.mesh.n_triangles
-
-
-@dataclass
 class AssembledOperators:
     """Everything the steppers and reconstructions consume.
 
@@ -235,7 +225,6 @@ class AssembledOperators:
     """
 
     space_v: VelocitySpace
-    space_q: PressureSpace
     M_full: sp.csr_matrix
     M_free: sp.csc_matrix
     B_full: sp.csr_matrix
@@ -248,7 +237,6 @@ class AssembledOperators:
     qp_eval: PointEvaluation
     P: sp.csr_matrix  # (n_qp, n_pressure) pressure values at qp_x
     vel_l2g: np.ndarray  # (n_tri, 12) velocity dof per local basis
-    params: PowerLawParams | None = None
     # Curl basis C (free velocity dofs x stream dofs) of the divergence-
     # free subspace, built by pstokes.streamfunc.stream_curl_basis.
     stream_basis: sp.csc_matrix | None = field(default=None, init=False, repr=False)
@@ -266,7 +254,7 @@ class AssembledOperators:
 
     @property
     def n_pressure(self) -> int:
-        return self.space_q.n_dofs
+        return self.P.shape[1]
 
     # -- prefactored solvers, built on first use and reused everywhere --
 
@@ -366,17 +354,12 @@ def _quadrature_form(A: sp.csr_matrix, B: sp.csr_matrix, qw: np.ndarray) -> sp.c
     return (A.T @ W @ B).tocsr()
 
 
-def assemble(mesh: TriMesh, params: PowerLawParams | None = None) -> AssembledOperators:
+def assemble(mesh: TriMesh) -> AssembledOperators:
     """Assemble the evaluation operators at the quadrature points and the
-    mass, divergence, and pressure-mass matrices, their quadrature forms.
-
-    The power-law parameters do not enter any linear matrix; they are
-    stored so downstream norm and stress evaluations default to them.
-    """
+    mass, divergence, and pressure-mass matrices, their quadrature forms."""
     if mesh.parent is None:
         raise ValueError("velocity/pressure pair requires an Alfeld-split mesh")
     space_v = _build_velocity_space(mesh)
-    space_q = PressureSpace(mesh=mesh)
     n_tri = mesh.n_triangles
 
     corners = mesh.corners()
@@ -401,7 +384,7 @@ def assemble(mesh: TriMesh, params: PowerLawParams | None = None) -> AssembledOp
     p_cols = (3 * tri[:, None] + np.arange(3)).ravel()
     P = sp.csr_matrix(
         (_p1_values(ref).T.ravel(), p_cols, np.arange(0, p_cols.size + 1, 3)),
-        shape=(tri.size, space_q.n_dofs),
+        shape=(tri.size, 3 * n_tri),
     )
 
     M_full = _quadrature_form(qp_eval.V, qp_eval.V, qw)
@@ -421,7 +404,6 @@ def assemble(mesh: TriMesh, params: PowerLawParams | None = None) -> AssembledOp
 
     return AssembledOperators(
         space_v=space_v,
-        space_q=space_q,
         M_full=M_full,
         M_free=M_free,
         B_full=B_full,
@@ -434,7 +416,6 @@ def assemble(mesh: TriMesh, params: PowerLawParams | None = None) -> AssembledOp
         qp_eval=qp_eval,
         P=P,
         vel_l2g=vel_l2g,
-        params=params,
     )
 
 
@@ -552,8 +533,7 @@ def grad_at_qp(u_coeffs: np.ndarray, ops: AssembledOperators) -> np.ndarray:
 def sym_grad_at_qp(u_coeffs: np.ndarray, ops: AssembledOperators) -> np.ndarray:
     """Symmetric gradient of a velocity field at all quadrature points,
     shape (n_tri, nq, 2, 2)."""
-    grad = grad_at_qp(u_coeffs, ops)
-    return 0.5 * (grad + np.swapaxes(grad, -1, -2))
+    return ops.qp_eval.sym_grad(u_coeffs[None]).reshape(ops.qw.shape + (2, 2))
 
 
 def divergence_pointwise_max(v: Field, ops: AssembledOperators) -> float:
@@ -714,9 +694,15 @@ class PointEvaluation:
         return (self.V @ rows.T).T.reshape(len(rows), -1, 2)
 
     def sym_grad(self, rows: np.ndarray) -> np.ndarray:
-        """Symmetric gradients at the points, shape (k, n_points, 2, 2)."""
+        """Symmetric gradients at the points, shape (k, n_points, 2, 2).
+
+        The off-diagonal pair is symmetrized in the product itself, with
+        the same rounding as 0.5 (grad + grad^T)."""
         grad = (self.G @ rows.T).T.reshape(len(rows), -1, 2, 2)
-        return 0.5 * (grad + np.swapaxes(grad, -1, -2))
+        grad[..., 0, 1] += grad[..., 1, 0]
+        grad[..., 0, 1] *= 0.5
+        grad[..., 1, 0] = grad[..., 0, 1]
+        return grad
 
 
 def _evaluation(

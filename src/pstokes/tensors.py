@@ -87,10 +87,7 @@ def _radial_power(radius: np.ndarray, power: float) -> np.ndarray:
     matrix, where the limit value of the product is 0 for every p > 1.
     """
     radius = np.asarray(radius, dtype=float)
-    out = np.zeros_like(radius)
-    pos = radius > 0.0
-    out[pos] = radius[pos] ** power
-    return out
+    return np.power(radius, power, out=np.zeros_like(radius), where=radius > 0.0)
 
 
 def stress_S(A: np.ndarray, params: PowerLawParams) -> np.ndarray:

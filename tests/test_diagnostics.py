@@ -217,6 +217,16 @@ def test_besov_constant_sequence_vanishes(ops2, seed):
     assert besov_halves([f] * 4, "max-of-mean", ops2) == 0.0
 
 
+def test_besov_of_nan_field_is_nan(ops2):
+    # A NaN in field 1 of 4 spoils every lag but the longest (fields 0
+    # and 3); the seminorm must not drop the spoiled lags.
+    rng = np.random.default_rng(2)
+    seq = [Field("velocity", rng.standard_normal(ops2.space_v.n_dofs)) for _ in range(4)]
+    seq[1].coeffs[5] = np.nan
+    assert np.isnan(besov_halves(seq, "mean-of-max", ops2))
+    assert np.isnan(besov_halves([seq, seq], "max-of-mean", ops2))
+
+
 def test_besov_rejects_mixed_kinds_and_ragged(ops2):
     v = Field("velocity", np.zeros(ops2.space_v.n_dofs))
     q = Field("pressure", np.zeros(ops2.n_pressure))
@@ -589,9 +599,34 @@ def test_error_stats_point_location_is_per_call():
     assert len(set(counts.values())) == 1, counts
 
 
+def test_error_stats_same_mesh_locates_no_point(ops2):
+    # A same-mesh level (one operator bundle) evaluates through the
+    # mesh's own quadrature operator only.
+    config = SchemeConfig(
+        params=PowerLawParams(p=2.0, kappa=0.0), grid=TimeGrid(T=0.1, N=7), model=make_model()
+    )
+    coarse = SchemeConfig(config.params, TimeGrid(T=0.1, N=3), config.model)
+    u0 = initial_velocity(curl_bump, ops2)
+    refs, paths = run_ensemble(u0, config, ops2, n_samples=1, seed=6, delta=config.grid.tau / 2)
+    trajs = [run_trajectory(u0, sample_increments(paths[0], coarse.grid), coarse, ops2)]
+    original = StructuredLocator.locate
+    calls = []
+
+    def counting(self, points):
+        calls.append(len(points))
+        return original(self, points)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StructuredLocator, "locate", counting)
+        es = error_stats(trajs, refs, coarse, config, ops2, ops2)
+    assert calls == []
+    assert es.natural_err > 0.0
+
+
 def test_temporal_oscillation_accepts_unstructured_mesh(jiggled_mesh):
-    # A same-mesh pass locates no points: it needs time nesting only,
-    # while error_stats still refuses a mesh it cannot locate points on.
+    # A same-mesh pass locates no points: it needs time nesting only.  So
+    # does a same-mesh error_stats level (one operator bundle), while two
+    # bundles are compared across meshes, which needs point location.
     ops = assemble(alfeld_split(jiggled_mesh))
     config = SchemeConfig(
         params=PowerLawParams(p=3.0), grid=TimeGrid(T=0.1, N=3), model=make_model()
@@ -599,8 +634,11 @@ def test_temporal_oscillation_accepts_unstructured_mesh(jiggled_mesh):
     trajs, _ = run_ensemble(initial_velocity(curl_bump, ops), config, ops, n_samples=1, seed=4)
     osc = temporal_oscillation(trajs, config, ops, [TimeGrid(T=0.1, N=1)])
     assert np.isfinite(osc[0]) and osc[0] > 0.0
+    es = error_stats(trajs, trajs, config, config, ops, ops, with_CV=False)
+    assert es.natural_err == 0.0 and es.vgrad_err == 0.0
+    other = assemble(alfeld_split(jiggled_mesh))
     with pytest.raises(ValueError, match="unit_square_mesh"):
-        error_stats(trajs, trajs, config, config, ops, ops, with_CV=False)
+        error_stats(trajs, trajs, config, config, ops, other, with_CV=False)
 
 
 def test_cross_mesh_quadrature_deviation_small(ops2):

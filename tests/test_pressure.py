@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pstokes.pressure as pressure
 from pstokes.grids import TimeGrid
 from pstokes.meshing import alfeld_split, unit_square_mesh
 from pstokes.noise import NoiseModel, sample_increments
 from pstokes.scenarios import curl_modes, u0_smooth
 from pstokes.spaces import (
     Field,
+    SaddleSolver,
     assemble,
     discrete_gradient,
     interpolate_velocity,
@@ -39,7 +41,6 @@ from pstokes.pressure import (
     norm_Qdet,
     norm_Qsto,
     reconstruct,
-    reconstruction_increments,
     stress_dual_norm,
     verify_reconstruction,
 )
@@ -252,20 +253,32 @@ class TestReconstruct:
             )
             assert abs(direct - shortcut) < EXACT_TOL
 
-    def test_increment_arrays_match_fields(self, ops4, run_p3):
-        traj, _, config = run_p3
-        pt = reconstruct(traj, None, config, ops4)
-        dq_det, dq_sto, z_cum = reconstruction_increments(traj, None, config, ops4)
-        q_det = np.cumsum(dq_det, axis=0)
-        q_sto = np.cumsum(dq_sto, axis=0)
-        for n in range(traj.n_steps):
-            assert np.array_equal(q_det[n], pt.pi_det[n].coeffs)
-            assert np.array_equal(q_sto[n], pt.pi_sto[n].coeffs)
-        assert np.array_equal(z_cum, pt.z_sto)
-
     def test_verify_flag_passes_on_good_data(self, ops4, run_p2):
         traj, inc, config = run_p2
         reconstruct(traj, inc, config, ops4, verify=True)
+
+    def test_verification_propagates_nan(self, ops4, run_p2):
+        # one NaN coefficient spoils the pressure increments of steps 2
+        # and 3 only; the maximum over all steps must keep it
+        traj, _, config = run_p2
+        pt = reconstruct(traj, None, config, ops4)
+        pt.pi_det[1].coeffs[0] = np.nan
+        assert np.isnan(verify_reconstruction(traj, pt, config, ops4))
+
+    def test_verify_flag_raises_on_nan_residual(self, ops4, run_p2, monkeypatch):
+        traj, _, config = run_p2
+        monkeypatch.setattr(pressure, "verify_reconstruction", lambda *args: float("nan"))
+        with pytest.raises(ValueError, match="residual nan"):
+            reconstruct(traj, None, config, ops4, verify=True)
+
+    def test_verification_refuses_zero_direction(self, ops4, run_p2, monkeypatch):
+        traj, _, config = run_p2
+        pt = reconstruct(traj, None, config, ops4)
+        monkeypatch.setattr(
+            pressure, "_random_perp", lambda k, ops: np.zeros((ops.space_v.n_dofs, k))
+        )
+        with pytest.raises(FloatingPointError, match="norms"):
+            verify_reconstruction(traj, pt, config, ops4)
 
     def test_rejects_failed_trajectory(self, ops4, run_p2):
         traj, _, config = run_p2
@@ -375,3 +388,47 @@ class TestNormQdet:
         small = norm_Qdet(q, 3.0, ops4, n_candidates=8)
         large = norm_Qdet(q, 3.0, ops4, n_candidates=32)
         assert large["lower"] >= small["lower"] - 1e-14
+
+
+class TestSolveCounts:
+    """Each family of pressure functionals is one multi-column solve."""
+
+    @pytest.fixture
+    def calls(self, ops4, monkeypatch):
+        calls = {"saddle": [], "mass": []}
+        saddle_solve = SaddleSolver.solve
+        mass_lu = ops4.mass_free_lu()
+
+        def saddle(self, rhs_v):
+            calls["saddle"].append(np.shape(rhs_v)[1:])
+            return saddle_solve(self, rhs_v)
+
+        class CountingLU:
+            def solve(self, rhs):
+                calls["mass"].append(np.shape(rhs)[1:])
+                return mass_lu.solve(rhs)
+
+        monkeypatch.setattr(SaddleSolver, "solve", saddle)
+        monkeypatch.setattr(ops4, "_mass_free_lu", CountingLU())
+        return calls
+
+    @pytest.mark.parametrize("N", [4, 12])
+    def test_reconstruct(self, ops4, u0h, calls, N):
+        traj, _, config = make_run(ops4, u0h, 2.0, 0.0, N=N)
+        for log in calls.values():
+            log.clear()
+        reconstruct(traj, None, config, ops4)
+        assert calls == {"saddle": [(N + 1,), (N,)], "mass": [(N,)]}
+
+    def test_verification_and_norms(self, ops4, run_p2, calls):
+        traj, _, config = run_p2
+        pt = reconstruct(traj, None, config, ops4)
+        for log in calls.values():
+            log.clear()
+        verify_reconstruction(traj, pt, config, ops4)
+        assert calls == {"saddle": [(pressure.VERIFY_DIRECTIONS,)], "mass": []}
+        calls["saddle"].clear()
+        norm_Qsto(pt.pi_sto[-1], ops4)
+        assert calls["saddle"] == []
+        norm_Qdet(pt.pi_sto[-1], 3.0, ops4)
+        assert len(calls["saddle"]) <= 6
