@@ -81,7 +81,6 @@ from pstokes.noise import (
     NoiseModel,
     WienerPath,
     data_G_n,
-    modulation_average,
     sample_increments,
     sample_wiener_path,
 )
@@ -484,8 +483,8 @@ def error_stats(
     Each field family of a sample is then evaluated in one sparse
     product.  A sample holds its (N_f+1) reference V(eps u)
     rows of 4 n_qp floats each (n_qp fine quadrature points), plus, for
-    a velocity-dependent noise rule, its (N_f+1) rule fields of
-    2 n_modes n_qp floats each.  C_V is reduced from the Gram matrix of
+    a velocity-dependent noise rule, its (N_f+1) noise factor fields of
+    2 n_qp floats each.  C_V is reduced from the Gram matrix of
     the held V(eps u) rows over the hat windows of the coarse grid, as
     `temporal_oscillation` does; with_CV=False skips it and leaves C_V
     None, for callers that evaluate a ladder of grids in one
@@ -625,54 +624,37 @@ def _data_term(
 ) -> float:
     """sum_n int a_n^2(t) ||G(t, u_ref(t)) - G_n(u_lag)||_HS^2 dt.
 
-    coarse_vals holds the coarse velocities at the fine quadrature
-    points; the reference rows Uf are evaluated there (by `ops_f.qp_eval`)
-    only for a velocity-dependent noise rule.  The reference velocity is
-    piecewise constant on its midpoint cells; per cell the three time
-    profiles int a_n^2 m^l dt (l = 0, 1, 2) are integrated by 3-point
-    Gauss and paired with the spatial Gram scalars of the two noise
-    fields.
+    Every rule is G(t, u) e_k = m(t) g_k * r(u), so this is the L2 norm
+    of m(t) F - G with F = s * r(u_ref(t)), s = sqrt(sum_k g_k * g_k),
+    and G = G_n(u_lag) of the stack s, at the fine quadrature points
+    (coarse_vals holds the coarse velocities there).  The reference rows
+    Uf are evaluated only for a factor that reads them.  u_ref is
+    constant on its midpoint cells; per cell, m F - G = (m - 1) F + (F - G)
+    is paired with int a_n^2 (m - 1)^l dt (l = 0, 1, 2) by 3-point Gauss,
+    so an unmodulated rule cancels exactly where F = G.
     """
     if model is None:
         return 0.0
-    g_vals = model.mode_values(ops_f.qp_x.reshape(-1, 2))  # (K, n_qp, 2)
-    w2 = _qp_weight_vector(ops_f, 2)
-    additive = model.rule == "additive"
-
-    def rule_rows(u_vals: np.ndarray | None) -> np.ndarray:
-        return model.apply(g_vals, u_vals).reshape(len(g_vals), -1)
-
-    if additive:
-        g_rows = rule_rows(None)
-        hsq_add = float(np.einsum("kd,d,kd->", g_rows, w2, g_rows))
-    else:
-        # rule fields of every reference step, (Nf+1, K, 2 n_qp)
-        F = np.stack([rule_rows(u) for u in ops_f.qp_eval.values(Uf)])
-        sF = np.einsum("jkd,d,jkd->j", F, w2, F)
+    w = _qp_weight_vector(ops_f, 2).reshape(-1, 2)
+    s = np.sqrt(model.mode_square_sum(ops_f.qp_x.reshape(-1, 2)))
+    U = ops_f.qp_eval.values(Uf) if model.velocity_dependent else None
+    F = np.broadcast_to(model.apply(s, U), (len(Uf),) + s.shape)
+    sF = np.einsum("jqc,qc,jqc->j", F, w, F)
     total = 0.0
     for n in range(1, grid_c.N + 1):
-        c_n = 0.0 if n <= 2 else modulation_average(model, *grid_c.interval(n - 2))
+        G = data_G_n(n, coarse_vals[max(n - 2, 0)], model, grid_c, s[None])[0]
         js, a, b = _fine_cells(*weight_support(n, grid_c), grid_f)
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         tpts = mid[:, None] + half[:, None] * _GAUSS3_NODES[None, :]
         a_sq = weight_a(n, tpts.ravel(), grid_c).reshape(tpts.shape) ** 2
-        m_t = model.modulation(tpts.ravel()).reshape(tpts.shape)
-        I0 = (a_sq @ _GAUSS3_WEIGHTS) * half
-        I1 = ((a_sq * m_t) @ _GAUSS3_WEIGHTS) * half
-        I2 = ((a_sq * m_t**2) @ _GAUSS3_WEIGHTS) * half
-
-        if additive:
-            # F(t) = H = g for every cell: the mode Grams collapse and
-            # only the time profile (m(t) - c_n)^2 remains.
-            total += hsq_add * float(np.sum(I2 - 2.0 * c_n * I1 + c_n**2 * I0))
-            continue
-        if n <= 2:
-            sFH, sH = 0.0, 0.0
-        else:
-            H = rule_rows(coarse_vals[n - 2])
-            sH = float(np.einsum("kd,d,kd->", H, w2, H))
-            sFH = np.einsum("jkd,d,kd->j", F[js], w2, H)
-        total += float(np.sum(I2 * sF[js] - 2.0 * c_n * I1 * sFH + c_n**2 * I0 * sH))
+        m1 = model.modulation(tpts.ravel()).reshape(tpts.shape) - 1.0
+        K0 = (a_sq @ _GAUSS3_WEIGHTS) * half
+        K1 = ((a_sq * m1) @ _GAUSS3_WEIGHTS) * half
+        K2 = ((a_sq * m1**2) @ _GAUSS3_WEIGHTS) * half
+        D = F[js] - G
+        sD = np.einsum("jqc,qc,jqc->j", D, w, D)
+        sFD = np.einsum("jqc,qc,jqc->j", F[js], w, D)
+        total += float(np.sum(K2 * sF[js] + 2.0 * K1 * sFD + K0 * sD))
     return max(total, 0.0)
 
 
@@ -806,11 +788,8 @@ def _xy_paths(
     model = config.model
     N = grid.N
     delta = path.delta
-    fields = []
-    for n in range(1, N + 1):
-        u_lag = traj.fields[max(n - 2, 0)]
-        u_vals = None if model.rule == "additive" else velocity_at_qp(u_lag.coeffs, ops)
-        fields.append(data_G_n(n, u_vals, model, grid, work.g_qp))
+    U = [velocity_at_qp(f.coeffs, ops) if model.velocity_dependent else None for f in traj.fields]
+    fields = [data_G_n(n, U[max(n - 2, 0)], model, grid, work.g_qp) for n in range(1, N + 1)]
 
     x_inc = np.zeros(N + 1)
     for n in range(1, N + 1):

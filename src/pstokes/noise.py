@@ -11,7 +11,7 @@ int a_n a_m dt per mode.  Two samplers produce them: an exact one
 exact cell averages of a_n against a shared fine-resolution path, so
 that all grid levels of a convergence study see the same driving noise.
 
-The noise operator G acts modewise on nodal velocity values; its
+The noise operator G multiplies each mode field by one factor r(u); its
 time-discretization G_n averages the modulation over J_{n-2} and is zero
 for n in {1, 2}.  The compensator Ebar(t) collects the two stochastic
 integrals that separate the piecewise-constant interpolant of the scheme
@@ -94,6 +94,10 @@ class AveragedIncrements:
     values: np.ndarray
     last_cell_used: np.ndarray | None = None
 
+    @property
+    def n_modes(self) -> int:
+        return self.values.shape[1]
+
     def increment(self, n: int) -> np.ndarray:
         """Delta_n W as a length-M vector; n is 1-based."""
         if not 1 <= n <= self.grid.N:
@@ -121,7 +125,8 @@ def sample_increments(
     Coupled mode consumes a WienerPath and forms
     Delta_n W = sum_j abar_{n,j} DW_j with abar the exact cell averages
     of a_n; the covariance error of this quadrature vanishes as
-    delta -> 0 and is already below 1% relative at delta = tau/8.
+    delta -> 0 and is already below 1% relative at delta = tau/8.  The
+    path must reach t_N + tau/2, where the support of a_N ends.
     """
     N = grid.N
     if isinstance(source, WienerPath):
@@ -129,13 +134,15 @@ def sample_increments(
         _check_divides(path.delta, grid.tau)
         if n_modes is not None and n_modes != path.n_modes:
             raise ValueError("n_modes disagrees with the supplied path")
+        end, hi = path.n_cells * path.delta, weight_support(N, grid)[1]
+        if path.n_cells < np.ceil(hi / path.delta - 1e-9):
+            raise ValueError(f"the Wiener path ends at t={end:g}; a_N needs it up to t={hi:g}")
         values = np.empty((N, path.n_modes))
         last_used = np.empty(N, dtype=int)
-        per_hat = int(round(2.0 * grid.tau / path.delta))
         for n in range(1, N + 1):
-            lo_t, _ = weight_support(n, grid)
+            lo_t, hi_t = weight_support(n, grid)
             j0 = int(np.floor(lo_t / path.delta + 1e-9))
-            j1 = min(j0 + per_hat, path.n_cells)
+            j1 = int(np.ceil(hi_t / path.delta - 1e-9))
             abar = weight_cell_averages(n, grid, path.delta, j0, j1)
             values[n - 1] = abar @ path.increments[j0:j1]
             nz = np.nonzero(abar)[0]
@@ -174,18 +181,16 @@ def sigma_bounded(u: np.ndarray) -> np.ndarray:
 
 @dataclass
 class NoiseModel:
-    """Modewise noise operator G(t, u) e_k = m(t) * rule(g_k, u).
+    """Modewise noise operator G(t, u) e_k = m(t) * g_k * r(u).
 
     mode_fields are callables mapping point arrays (..., 2) to vector
-    values (..., 2); amplitude scales all of them.  The rules:
-
-      additive          g_k
-      linear            g_k * u          (componentwise product)
-      bounded_lipschitz g_k * sigma(u)   (componentwise, sigma bounded)
-
-    All three satisfy sublinear growth and Lipschitz continuity with
-    constants computable from the g_k; the bounded rule has a uniformly
-    bounded image.
+    values (..., 2); amplitude scales all of them.  The factor r(u),
+    componentwise and shared by all modes, is 1 (additive), u (linear)
+    or sigma(u) (bounded_lipschitz), so ||G(t, u)||_HS^2 integrates
+    gamma |m(t) r(u)|^2 with gamma = sum_k g_k * g_k.  All three rules
+    satisfy sublinear growth and Lipschitz continuity with constants
+    computable from the g_k; the bounded rule has a uniformly bounded
+    image.
     """
 
     mode_fields: Sequence[Callable[[np.ndarray], np.ndarray]]
@@ -193,30 +198,43 @@ class NoiseModel:
     amplitude: float = 1.0
     time_modulation: Callable[[np.ndarray], np.ndarray] | None = None
 
-    _RULES = ("additive", "linear", "bounded_lipschitz")
+    # r(u) per rule; None stands for the factor 1, which reads no velocity
+    _FACTORS = {"additive": None, "linear": lambda u: u, "bounded_lipschitz": sigma_bounded}
 
     def __post_init__(self) -> None:
-        if self.rule not in self._RULES:
-            raise ValueError(f"unknown noise rule {self.rule!r}; use one of {self._RULES}")
+        if self.rule not in self._FACTORS:
+            raise ValueError(f"unknown noise rule {self.rule!r}; use one of {tuple(self._FACTORS)}")
+        if not len(self.mode_fields):
+            raise ValueError("a noise model needs at least one mode field")
 
     @property
     def n_modes(self) -> int:
         return len(self.mode_fields)
+
+    @property
+    def velocity_dependent(self) -> bool:
+        """Whether r(u) reads the velocity: every rule but additive."""
+        return self._FACTORS[self.rule] is not None
 
     def mode_values(self, points: np.ndarray) -> np.ndarray:
         """Stack of g_k at the given points, shape (M, n_points, 2)."""
         vals = np.stack([np.asarray(g(points), dtype=float) for g in self.mode_fields])
         return self.amplitude * vals
 
-    def apply(self, g_vals: np.ndarray, u_vals: np.ndarray | None) -> np.ndarray:
-        """rule(g_k, u) at nodal values; g_vals from mode_values."""
-        if self.rule == "additive":
-            return g_vals.copy()
-        if u_vals is None:
+    def mode_square_sum(self, points: np.ndarray) -> np.ndarray:
+        """gamma = sum_k g_k * g_k at the given points, without a mode stack."""
+        return self.amplitude**2 * sum(np.asarray(g(points), float) ** 2 for g in self.mode_fields)
+
+    def factor(self, u_vals: np.ndarray | None):
+        """r(u) at velocity values (..., 2); 1.0 for the additive rule."""
+        r = self._FACTORS[self.rule]
+        if r is not None and u_vals is None:
             raise ValueError(f"rule {self.rule!r} needs velocity values")
-        if self.rule == "linear":
-            return g_vals * u_vals[None]
-        return g_vals * sigma_bounded(u_vals)[None]
+        return 1.0 if r is None else r(u_vals)
+
+    def apply(self, g_vals: np.ndarray, u_vals: np.ndarray | None) -> np.ndarray:
+        """g * r(u) for a stack g_vals of (combined) mode fields at the points of u_vals."""
+        return g_vals * self.factor(u_vals)
 
     def modulation(self, t) -> np.ndarray:
         if self.time_modulation is None:
@@ -242,14 +260,13 @@ def data_G_n(
     """Discrete noise data G_n(v): zero for n in {1, 2}, else the
     time-average of G(t, v) over J_{n-2}.
 
-    g_vals are the precomputed mode values at the evaluation points, so
-    repeated calls share the (t-independent) spatial work.
+    g_vals is a stack of fields at the evaluation points, the mode
+    values or combinations of them: G_n is linear in the stack.
     """
     if not 1 <= n <= grid.N:
         raise IndexError(f"step index {n} outside 1..{grid.N}")
     if n <= 2:
-        shape = model.apply(g_vals, u_vals).shape
-        return np.zeros(shape)
+        return np.zeros(model.apply(g_vals, u_vals).shape)
     avg = modulation_average(model, *grid.interval(n - 2))
     return avg * model.apply(g_vals, u_vals)
 
@@ -259,18 +276,18 @@ def _ito_coefficients(
 ) -> np.ndarray:
     """Per-mode value of int_lo^hi a_n(s) dW(s) as a Riemann-Ito sum.
 
-    lo and hi must sit on fine-cell boundaries; each full cell inside the
-    range contributes its exact a_n average times the cell increment.
+    lo and hi must sit on fine-cell boundaries inside the path; each
+    full cell inside the range contributes its exact a_n average times
+    the cell increment.
     """
     if hi <= lo:
         return np.zeros(path.n_modes)
     j0 = int(round(lo / path.delta))
     j1 = int(round(hi / path.delta))
-    if abs(j0 * path.delta - lo) > 1e-9 * grid.tau or abs(
-        j1 * path.delta - hi
-    ) > 1e-9 * grid.tau:
+    if max(abs(j0 * path.delta - lo), abs(j1 * path.delta - hi)) > 1e-9 * grid.tau:
         raise ValueError("integration bounds must align with fine cells")
-    j1 = min(j1, path.n_cells)
+    if j1 > path.n_cells:
+        raise ValueError(f"the integration range ends at t={hi:g}, after the Wiener path")
     return weight_cell_averages(n, grid, path.delta, j0, j1) @ path.increments[j0:j1]
 
 

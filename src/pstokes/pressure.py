@@ -36,7 +36,7 @@ from pstokes.spaces import (
     stress_residual_vector,
     sym_grad_at_qp,
 )
-from pstokes.stepper import SchemeConfig, StepperWorkspace, Trajectory
+from pstokes.stepper import SchemeConfig, StepperWorkspace, Trajectory, _increments_mismatch
 from pstokes.tensors import PowerLawParams, frobenius, stress_S
 
 __all__ = [
@@ -157,7 +157,8 @@ def reconstruct(
     Wiener increments and the lagged velocities instead of taking the
     stepper's stored loads, giving an independent assembly path; pass
     None to reuse the stored loads; a trajectory or increments for
-    another grid than config's raise ValueError.  A trajectory that
+    another grid than config's, or increments with another mode count
+    than its noise model, raise ValueError.  A trajectory that
     stops before step N has its prefix reconstructed.  With verify=True
     the per-step reconstruction equation residual is checked against
     random test directions, and a residual above 1e-6, or one that is
@@ -167,10 +168,9 @@ def reconstruct(
         raise ValueError(f"trajectory failed at step {traj.failed_at}")
     if traj.grid != config.grid:
         raise ValueError(f"the trajectory is for {traj.grid}, the config for {config.grid}")
-    if increments is not None and increments.grid != config.grid:
-        raise ValueError(
-            f"the increments are for {increments.grid}, the config for {config.grid}"
-        )
+    why = increments is not None and _increments_mismatch(increments, config)
+    if why:
+        raise ValueError(why)
     tau = config.grid.tau
     N = traj.n_steps
 

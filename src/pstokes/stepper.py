@@ -73,7 +73,6 @@ __all__ = [
     "velocity_step",
     "run_trajectory",
     "dissipation_pairing",
-    "hs_norm",
 ]
 
 
@@ -176,13 +175,22 @@ class _AuditedIncrements:
         self._inner = inner
         self.accessed: list[int] = []
 
-    @property
-    def grid(self) -> TimeGrid:
-        return self._inner.grid
+    def __getattr__(self, name: str):
+        return getattr(self._inner, name)
 
     def increment(self, n: int) -> np.ndarray:
         self.accessed.append(n)
         return self._inner.increment(n)
+
+
+def _increments_mismatch(increments, config: SchemeConfig) -> str | None:
+    """Why the increments cannot drive config, or None."""
+    model = config.model
+    if increments.grid != config.grid:
+        return f"the increments are for {increments.grid}, the config for {config.grid}"
+    if model is not None and increments.n_modes != model.n_modes:
+        return f"the increments have {increments.n_modes} modes, the noise model {model.n_modes}"
+    return None
 
 
 def initial_velocity(
@@ -201,16 +209,11 @@ def dissipation_pairing(
     return float(np.einsum("tq,tqcd,tqcd->", ops.qw, S, eps))
 
 
-def hs_norm(g_vals: np.ndarray, ops: AssembledOperators) -> float:
-    """Hilbert-Schmidt norm sqrt(sum_k ||g_k||_L2^2) of per-mode fields
-    given at quadrature points, shape (n_modes, n_tri, nq, 2)."""
-    return float(np.sqrt(np.einsum("tq,ktqc->", ops.qw, g_vals**2)))
-
-
 class StepperWorkspace:
     """Per-(mesh, config) scratch shared across steps and samples.
 
-    Holds the noise mode values at quadrature points, the divergence-free
+    Holds the noise mode values g_k and sqrt(sum_k g_k^2) at quadrature
+    points (g_qp, g_rss), the divergence-free
     basis C with its Gram matrix C^T M C (built on first use, so a
     workspace that only assembles noise loads never builds it), and two
     factorization slots: the lagged Newton factor with the point it was
@@ -227,10 +230,10 @@ class StepperWorkspace:
         self.ops = ops
         if config.model is not None:
             qp = ops.qp_x.reshape(-1, 2)
-            n_tri, nq = ops.qw.shape
-            self.g_qp = config.model.mode_values(qp).reshape(-1, n_tri, nq, 2)
+            self.g_qp = config.model.mode_values(qp).reshape((-1,) + ops.qp_x.shape)
+            self.g_rss = np.sqrt(config.model.mode_square_sum(qp)).reshape((1,) + ops.qp_x.shape)
         else:
-            self.g_qp = None
+            self.g_qp = self.g_rss = None
         self._stream: tuple | None = None
         self._lagged: tuple | None = None
         self._linear = None
@@ -308,17 +311,17 @@ class StepperWorkspace:
     def noise_rhs(
         self, n: int, u_lag_coeffs: np.ndarray, dW: np.ndarray
     ) -> tuple[np.ndarray, float]:
-        """Assembled load (G_n(u_lag) DW_n, xi) on free dofs and ||G_n||_HS."""
-        ops = self.ops
-        if self.g_qp is None:
+        """Assembled load (G_n(u_lag) DW_n, xi) on free dofs and ||G_n||_HS,
+        from G_n of two one-row stacks: sum_k DW_k g_k, and g_rss, whose
+        image has the L2 norm ||G_n||_HS since every rule is g_k * r(u)."""
+        ops, model, grid = self.ops, self.config.model, self.config.grid
+        if model is None:
             return np.zeros(ops.n_free), 0.0
-        u_vals = velocity_at_qp(u_lag_coeffs, ops)
-        G_vals = data_G_n(n, u_vals, self.config.model, self.config.grid, self.g_qp)
-        if not np.any(G_vals):
-            return np.zeros(ops.n_free), 0.0
-        forcing = np.tensordot(dW, G_vals, axes=1)
-        load = velocity_load_vector(forcing, ops)[ops.free]
-        return load, hs_norm(G_vals, ops)
+        u_vals = velocity_at_qp(u_lag_coeffs, ops) if model.velocity_dependent else None
+        forcing = data_G_n(n, u_vals, model, grid, np.tensordot(dW, self.g_qp, axes=1)[None])
+        load = velocity_load_vector(forcing[0], ops)[ops.free]
+        G_rss = data_G_n(n, u_vals, model, grid, self.g_rss)[0]
+        return load, float(np.sqrt(np.einsum("tq,tqc,tqc->", ops.qw, G_rss, G_rss)))
 
 
 def velocity_step(
@@ -337,14 +340,13 @@ def velocity_step(
     the pressure reconstruction can verify its equation against data
     that was not derived from the solved step itself.  Raises
     ValueError when the increments or the workspace belong to another
-    grid, config or mesh.  Raises FloatingPointError naming the step when
-    the right-hand side is not finite, and naming the step and the Newton
-    iteration when a residual is not finite.
+    grid, config, mode count or mesh.  Raises FloatingPointError naming
+    the step when the right-hand side is not finite, and naming the step
+    and the Newton iteration when a residual is not finite.
     """
-    if increments.grid != config.grid:
-        raise ValueError(
-            f"step {n}: the increments are for {increments.grid}, the config for {config.grid}"
-        )
+    why = _increments_mismatch(increments, config)
+    if why:
+        raise ValueError(f"step {n}: {why}")
     if work is None:
         work = StepperWorkspace(config, ops)
     elif work.config != config or work.ops is not ops:

@@ -6,7 +6,8 @@ when its `instrument` block ends.  A refactor that stops calling a
 kernel through its module-level name would silently drop that kernel's
 spans from the traced run.  This test steps one small trajectory inside
 `instrument` and checks that the four kernel spans were recorded and that
-the instrumented modules are left as they were.  It only reads
+the instrumented modules are left as they were.  The noise is linear,
+because an additive step evaluates no velocity.  It only reads
 `perfbench/`.
 """
 
@@ -45,7 +46,7 @@ def _load_spans():
 def test_kernel_spans_recorded_and_attributes_restored():
     spans = _load_spans()
     ops = spaces.assemble(meshing.alfeld_split(meshing.unit_square_mesh(2)))
-    model = noise.NoiseModel(mode_fields=curl_modes(2, amplitude=1.0), rule="additive")
+    model = noise.NoiseModel(mode_fields=curl_modes(2, amplitude=1.0), rule="linear")
     cfg = stepper.SchemeConfig(PowerLawParams(p=3.0), TimeGrid(T=0.1, N=4), model)
     inc = noise.sample_increments(np.random.default_rng(0), cfg.grid, n_modes=2)
     u0 = stepper.initial_velocity(u0_smooth, ops)

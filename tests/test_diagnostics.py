@@ -26,14 +26,16 @@ from pstokes.diagnostics import (
     stability_stats,
     temporal_oscillation,
 )
-from pstokes.grids import TimeGrid, weight_antiderivative
+from pstokes.grids import TimeGrid, weight_a, weight_antiderivative, weight_support
 from pstokes.meshing import alfeld_split, unit_square_mesh
 from pstokes.noise import (
     NoiseModel,
     compensator_Ebar,
     data_G_n,
+    modulation_average,
     sample_increments,
     sample_wiener_path,
+    sigma_bounded,
 )
 from pstokes.pressure import DIV_GRAD_CONSTANT, reconstruct
 from pstokes.spaces import (
@@ -51,7 +53,6 @@ from pstokes.stepper import (
     SchemeConfig,
     StepperWorkspace,
     Trajectory,
-    hs_norm,
     initial_velocity,
     run_trajectory,
 )
@@ -507,6 +508,54 @@ def test_temporal_oscillation_rejects_trajectory_of_another_grid(ops2, run_on_ot
     traj, cfg = run_on_other_grid
     with pytest.raises(ValueError, match="config expects"):
         temporal_oscillation([traj], cfg[0.1, 4], ops2, [cfg[0.1, 4].grid])
+
+
+def _direct_data_term(coarse, ref, config_c, config_f, ops_c, ops_f):
+    """C_G of one coupled pair from the per-mode fields: 5-point Gauss on
+    every fine cell of every hat support, of a_n^2 sum_k ||G(t) e_k - G_n e_k||^2."""
+    model, grid_c, grid_f = config_f.model, config_c.grid, config_f.grid
+    pts = ops_f.qp_x.reshape(-1, 2)
+    g, w = model.mode_values(pts), ops_f.qw.ravel()
+    Uc = point_evaluation(ops_c, pts).values(np.stack([f.coeffs for f in coarse.fields]))
+    Uf = ops_f.qp_eval.values(np.stack([f.coeffs for f in ref.fields]))
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    tf, total = grid_f.tau, 0.0
+    for n in range(1, grid_c.N + 1):
+        c_n = 0.0 if n <= 2 else modulation_average(model, *grid_c.interval(n - 2))
+        G_n = c_n * g * sigma_bounded(Uc[max(n - 2, 0)])
+        lo, hi = weight_support(n, grid_c)
+        for j in range(grid_f.N + 1):
+            a, b = max((j - 0.5) * tf, 0.0, lo), min((j + 0.5) * tf, hi)
+            if b <= a:
+                continue
+            G_ref = g * sigma_bounded(Uf[j])
+            for x, wx in zip(nodes, weights):
+                t = 0.5 * (a + b) + 0.5 * (b - a) * x
+                d = model.modulation(t) * G_ref - G_n
+                total += 0.5 * (b - a) * wx * weight_a(n, t, grid_c) ** 2 * np.einsum(
+                    "q,kqc,kqc->", w, d, d
+                )
+    return total
+
+
+@pytest.mark.parametrize("m_coarse", [2, 4], ids=["cross-mesh", "same-mesh"])
+def test_error_stats_C_G_bounded_modulated_matches_per_mode_formula(m_coarse):
+    # step ratio 3: the hat kinks sit on fine cell boundaries, and a
+    # linear modulation keeps a_n^2 m^2 within both Gauss rules' degree
+    model = make_model(n_modes=3, amplitude=2.0, rule="bounded_lipschitz")
+    model.time_modulation = lambda t: 1.0 + 8.0 * t
+    ops_f, config_f = build(m=4, N=14, p=3.0, model=model, T=0.1)
+    ops_c = ops_f if m_coarse == 4 else assemble(alfeld_split(unit_square_mesh(m_coarse)))
+    config_c = SchemeConfig(config_f.params, TimeGrid(T=0.1, N=4), model)
+    path = sample_wiener_path(0.1, config_f.grid.tau / 2, 3, np.random.default_rng(8))
+    coarse, ref = (
+        run_trajectory(initial_velocity(curl_bump, o), sample_increments(path, c.grid), c, o)
+        for o, c in ((ops_c, config_c), (ops_f, config_f))
+    )
+    es = error_stats([coarse], [ref], config_c, config_f, ops_c, ops_f, with_CV=False)
+    direct = _direct_data_term(coarse, ref, config_c, config_f, ops_c, ops_f)
+    assert direct > 0.0
+    assert es.C_G == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.fixture(scope="module")

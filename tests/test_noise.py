@@ -15,6 +15,7 @@ from pstokes.grids import (
 )
 from pstokes.noise import (
     NoiseModel,
+    WienerPath,
     compensator_Ebar,
     coupled_covariance,
     data_G_n,
@@ -211,6 +212,40 @@ class TestSamplers:
         with pytest.raises(ValueError):
             sample_increments(np.random.default_rng(0), grid)
 
+    def test_coupled_sampling_refuses_a_path_that_ends_too_early(self):
+        # a_7 of this grid is supported up to t_7 + tau/2 = 0.09375
+        grid = TimeGrid(T=0.1, N=7)
+        delta = grid.tau / 4
+        short = sample_wiener_path(0.05, delta, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"ends at t=0\.05; a_N needs it up to t=0\.09375"):
+            sample_increments(short, grid)
+        # a longer path is accepted and only its first cells are read
+        long = sample_wiener_path(0.2, delta, 2, np.random.default_rng(1))
+        exact = WienerPath(T=grid.T, delta=delta, increments=long.increments[:32])
+        np.testing.assert_array_equal(
+            sample_increments(long, grid).values, sample_increments(exact, grid).values
+        )
+
+    def test_compensator_refuses_a_path_that_ends_too_early(self):
+        grid = TimeGrid(T=0.1, N=7)
+        short = sample_wiener_path(0.05, grid.tau / 4, 1, np.random.default_rng(0))
+        fields = np.ones((1, 3))
+        with pytest.raises(ValueError, match="integration range"):
+            compensator_Ebar(grid.interval(grid.N)[0], grid.N, fields, None, short, grid)
+
+    @pytest.mark.parametrize("ratio", [2, 3, 5])
+    def test_coupled_estimator_contracts_the_whole_hat(self, ratio):
+        # Contracting the unit increments of every fine cell gives the
+        # estimator's coefficients; their covariance is the quadrature
+        # covariance for any integer ratio tau/delta, odd ones included.
+        grid = TimeGrid(T=1.0, N=5)
+        delta = grid.tau / ratio
+        n_cells = int(np.ceil(grid.T / delta - 1e-9))
+        unit = WienerPath(T=grid.T, delta=delta, increments=np.eye(n_cells))
+        A = sample_increments(unit, grid).values
+        np.testing.assert_allclose(delta * A.sum(axis=1), grid.tau, rtol=1e-13)
+        np.testing.assert_allclose(delta * A @ A.T, coupled_covariance(grid, delta), atol=1e-15)
+
 
 def _point_cloud(n=128, seed=5):
     rng = np.random.default_rng(seed)
@@ -232,6 +267,23 @@ def _model(rule="additive", modulation=None, modes=2):
 
 
 class TestNoiseOperator:
+    def test_empty_mode_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one mode field"):
+            NoiseModel([])
+
+    @pytest.mark.parametrize("rule", ["additive", "linear", "bounded_lipschitz"])
+    def test_apply_is_mode_values_times_the_factor(self, rule):
+        pts = _point_cloud()
+        model = _model(rule, modes=3)
+        g_vals = model.mode_values(pts)
+        u_vals = np.random.default_rng(2).standard_normal(pts.shape)
+        expected = {"additive": 1.0, "linear": u_vals, "bounded_lipschitz": sigma_bounded(u_vals)}
+        np.testing.assert_array_equal(model.apply(g_vals, u_vals), g_vals * expected[rule])
+        assert model.velocity_dependent == (rule != "additive")
+        np.testing.assert_allclose(
+            model.mode_square_sum(pts), np.sum(g_vals**2, axis=0), rtol=1e-15
+        )
+
     def test_sigma_is_bounded_and_lipschitz(self):
         rng = np.random.default_rng(1)
         u = rng.standard_normal((1000, 2)) * 10

@@ -14,7 +14,8 @@ import scipy.sparse.linalg as spla
 
 from pstokes.grids import TimeGrid
 from pstokes.meshing import alfeld_split, unit_square_mesh
-from pstokes.noise import NoiseModel, sample_increments
+import pstokes.stepper as stepper
+from pstokes.noise import NoiseModel, data_G_n, sample_increments
 from pstokes.pressure import reconstruct
 from pstokes.scenarios import curl_modes, u0_smooth
 from pstokes.spaces import (
@@ -25,6 +26,7 @@ from pstokes.spaces import (
     project_div,
     stress_tangent_matrix,
     velocity_at_qp,
+    velocity_load_vector,
 )
 from pstokes.stepper import (
     NewtonConfig,
@@ -303,6 +305,47 @@ class TestSolverMachinery:
         assert hs_G > 0.0
         assert ops.stream_basis is None
 
+    @pytest.mark.parametrize("rule", ["additive", "linear", "bounded_lipschitz"])
+    @pytest.mark.parametrize("modulated", [False, True])
+    def test_noise_rhs_matches_the_per_mode_formula(self, rule, modulated):
+        # the load from the contracted field and ||G_n||_HS from the
+        # root-sum-square field, against the per-mode stack of G_n
+        ops = assemble(alfeld_split(unit_square_mesh(2)))
+        model = NoiseModel(
+            mode_fields=curl_modes(3, amplitude=0.7),
+            rule=rule,
+            time_modulation=(lambda t: 1.0 + 4.0 * np.sin(9.0 * t)) if modulated else None,
+        )
+        cfg = make_config(3.0, N=6, model=model)
+        work = StepperWorkspace(cfg, ops)
+        u = 3.0 * initial_velocity(u0_smooth, ops).coeffs
+        dW = np.array([0.3, -1.1, 0.6])
+        for n in range(1, cfg.grid.N + 1):
+            load, hs_G = work.noise_rhs(n, u, dW)
+            G = data_G_n(n, velocity_at_qp(u, ops), model, cfg.grid, work.g_qp)
+            ref = velocity_load_vector(np.tensordot(dW, G, axes=1), ops)[ops.free]
+            ref_hs = np.sqrt(np.einsum("tq,ktqc,ktqc->", ops.qw, G, G))
+            if n <= 2:
+                assert not np.any(load) and hs_G == 0.0
+                continue
+            assert np.abs(load - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert hs_G == pytest.approx(ref_hs, rel=1e-13, abs=0.0)
+
+    def test_additive_step_reads_no_velocity(self, ops4, u0h, monkeypatch):
+        calls = []
+
+        def counted(u_coeffs, ops):
+            calls.append(len(u_coeffs))
+            return velocity_at_qp(u_coeffs, ops)
+
+        monkeypatch.setattr(stepper, "velocity_at_qp", counted)
+        for rule, expected in (("additive", 0), ("linear", 1)):
+            cfg = make_config(2.0, N=4, model=NoiseModel(curl_modes(2), rule=rule))
+            inc = sample_increments(np.random.default_rng(0), cfg.grid, n_modes=2)
+            calls.clear()
+            velocity_step(3, u0h, u0h, inc, cfg, ops4)
+            assert len(calls) == expected, rule
+
     def test_workspace_linear_saddle_reused(self, ops4, u0h):
         cfg = make_config(2.0, N=4)
         work = StepperWorkspace(cfg, ops4)
@@ -353,6 +396,24 @@ class TestInputConsistency:
         with pytest.raises(ValueError, match="increments"):
             reconstruct(traj, incs[8], cfg4, ops)
         assert reconstruct(traj, incs[4], cfg4, ops, verify=True).n_steps == 4
+
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_step_rejects_increments_with_another_mode_count(self, setup2, n_modes):
+        ops, cfg4, _, _, u0 = setup2
+        inc = sample_increments(np.random.default_rng(0), cfg4.grid, n_modes=n_modes)
+        message = rf"step 1: the increments have {n_modes} modes, the noise model 2"
+        with pytest.raises(ValueError, match=message):
+            run_trajectory(u0, inc, cfg4, ops)
+        # without a noise model any increments are accepted
+        quiet = SchemeConfig(cfg4.params, cfg4.grid)
+        assert run_trajectory(u0, inc, quiet, ops).ok
+
+    def test_reconstruct_rejects_increments_with_another_mode_count(self, setup2):
+        ops, cfg4, _, incs, u0 = setup2
+        traj = run_trajectory(u0, incs[4], cfg4, ops)
+        inc3 = sample_increments(np.random.default_rng(0), cfg4.grid, n_modes=3)
+        with pytest.raises(ValueError, match="the increments have 3 modes, the noise model 2"):
+            reconstruct(traj, inc3, cfg4, ops)
 
     def test_reconstruct_rejects_trajectory_of_another_grid(self, setup2):
         ops, cfg4, cfg8, incs, u0 = setup2
