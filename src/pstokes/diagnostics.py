@@ -22,9 +22,9 @@ noise):
   nested finer grid pair from the same Wiener path (every trajectory
   carries its time grid, which must be its config's).  The reference is
   read as piecewise constant on its midpoint intervals; the coarse-step
-  average <u>_n is the exact average of that piecewise-constant field
-  over the coarse interval J_n, and the time integrals weighted by the
-  hat a_n are evaluated with exact per-cell integrals of a_n.  Spatial
+  average <u>_n is its exact average over the coarse interval J_n; the
+  hat-weighted time integrals are exact on the pieces of supp a_n
+  (`grids.hat_pieces`), where the reference is constant, a_n linear.  Spatial
   comparison evaluates both fields at the fine mesh's quadrature points
   through sparse evaluation operators applied to whole trajectories: a
   mesh's own `qp_eval` at its own quadrature points (every operator of
@@ -68,13 +68,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from pstokes.grids import (
-    TimeGrid,
-    weight_a,
-    weight_antiderivative,
-    weight_cell_averages,
-    weight_support,
-)
+from pstokes.grids import HatPieces, TimeGrid, hat_pieces, weight_a, weight_cell_averages
 from pstokes.noise import (
     _GAUSS3_NODES,
     _GAUSS3_WEIGHTS,
@@ -324,17 +318,7 @@ def stability_stats(
 
 
 # ---------------------------------------------------------------------------
-# Nested-grid plumbing: fine midpoint cells and hat-weight integrals
-
-
-def _check_time_nesting(grid_c: TimeGrid, grid_f: TimeGrid) -> None:
-    if abs(grid_c.T - grid_f.T) > 1e-12 * grid_f.T:
-        raise ValueError("coarse and reference grids have different horizons")
-    ratio = (grid_f.N + 1) / (grid_c.N + 1)
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError(
-            f"reference step count {grid_f.N}+1 is not a multiple of coarse {grid_c.N}+1"
-        )
+# Nested-grid plumbing: time tables from the pieces of the hat supports
 
 
 def _check_mesh_nesting(ops_c: AssembledOperators, ops_f: AssembledOperators) -> None:
@@ -347,43 +331,17 @@ def _check_mesh_nesting(ops_c: AssembledOperators, ops_f: AssembledOperators) ->
         raise ValueError(f"reference mesh order {mf} does not refine coarse order {mc}")
 
 
-def _fine_cells(lo: float, hi: float, grid_f: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fine midpoint cells J_j meeting [lo, hi]: indices and clipped bounds."""
-    tf = grid_f.tau
-    j0 = max(int(np.floor(lo / tf - 0.5)), 0)
-    j1 = min(int(np.ceil(hi / tf + 0.5)), grid_f.N)
-    js = np.arange(j0, j1 + 1)
-    cell_lo = np.maximum((js - 0.5) * tf, 0.0)
-    cell_hi = (js + 0.5) * tf
-    a = np.maximum(cell_lo, lo)
-    b = np.minimum(cell_hi, hi)
-    keep = b - a > 1e-12 * tf
-    return js[keep], a[keep], b[keep]
+def _per_cell(h: HatPieces, vals: np.ndarray, sel=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """The fine cells of the pieces `sel` and the values of those pieces
+    summed per cell."""
+    js, starts = np.unique(h.cells[sel], return_index=True)
+    return js, np.add.reduceat(vals[sel], starts)
 
 
-def _tiling_average_weights(n: int, grid_c: TimeGrid, grid_f: TimeGrid):
-    """Fine cells tiling the coarse interval J_n with overlap fractions.
-
-    The weights are |J_j^fine ∩ J_n|/|J_n|; they sum to one, and reduce
-    to a plain average when the fine cells tile J_n exactly (odd step
-    ratio)."""
-    lo, hi = grid_c.interval(n)
-    js, a, b = _fine_cells(lo, hi, grid_f)
-    return js, (b - a) / (hi - lo)
-
-
-def _hat_cell_integrals(n: int, grid_c: TimeGrid, grid_f: TimeGrid, restrict: bool):
-    """Exact integrals of the hat a_n over fine cells.
-
-    With restrict=True the integration window is the coarse interval J_n
-    (the region where the piecewise-constant reference and the coarse
-    step share the same time slot); otherwise the full support of a_n.
-    """
-    lo, hi = grid_c.interval(n) if restrict else weight_support(n, grid_c)
-    js, a, b = _fine_cells(lo, hi, grid_f)
-    w = weight_antiderivative(n, b, grid_c) - weight_antiderivative(n, a, grid_c)
-    keep = w > 0.0
-    return js[keep], w[keep]
+def _hat_integrals(n: int, h: HatPieces, grid_c: TimeGrid, sel=slice(None)):
+    """Integrals of a_n over the fine cells of the pieces `sel`: exact, as
+    a_n is linear on each piece."""
+    return _per_cell(h, (h.hi - h.lo) * weight_a(n, 0.5 * (h.lo + h.hi), grid_c), sel)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +429,9 @@ def error_stats(
     """Error statistics of coarse trajectories against coupled references.
 
     Preconditions: the reference grid refines the coarse grid (step
-    counts N+1 divide) and sample i of both ensembles was driven by the
-    same Wiener path; both runs use the same p and kappa.  Each ensemble
-    must hold complete runs on its config's grid.
+    counts N+1 divide, any ratio) and sample i of both ensembles was
+    driven by the same Wiener path; both runs use the same p and kappa.
+    Each ensemble must hold complete runs on its config's grid.
 
     A level is same-mesh when both runs share one operator bundle
     (`ops_coarse is ops_ref`): it locates no point and runs on any mesh.
@@ -481,7 +439,8 @@ def error_stats(
     one (their Alfeld splits do not nest) and points are located once
     per call, for the cross-mesh operators that serve every sample.
     Each field family of a sample is then evaluated in one sparse
-    product.  A sample holds its (N_f+1) reference V(eps u)
+    product, and all its divergence projections are one multi-column
+    saddle solve.  A sample holds its (N_f+1) reference V(eps u)
     rows of 4 n_qp floats each (n_qp fine quadrature points), plus, for
     a velocity-dependent noise rule, its (N_f+1) noise factor fields of
     2 n_qp floats each.  C_V is reduced from the Gram matrix of
@@ -493,7 +452,7 @@ def error_stats(
     if len(coarse_trajs) != len(ref_trajs):
         raise ValueError("coarse and reference ensembles differ in size")
     grid_c, grid_f = config_coarse.grid, config_ref.grid
-    _check_time_nesting(grid_c, grid_f)
+    hats = hat_pieces(grid_c, grid_f)
     Nc = _check_ensemble(coarse_trajs, grid_c, ops_coarse)
     _check_ensemble(ref_trajs, grid_f, ops_ref)
     same_mesh = ops_coarse is ops_ref
@@ -524,14 +483,12 @@ def error_stats(
         free_nodes = ~ops_coarse.space_v.boundary_node
         ref_at_cn = point_evaluation(ops_ref, ops_coarse.space_v.node_coords[free_nodes])
 
-    # Time-weight tables shared by every sample.
-    tiles = [_tiling_average_weights(n, grid_c, grid_f) for n in range(Nc + 1)]
-    hat_tile = [_hat_cell_integrals(n, grid_c, grid_f, restrict=True) for n in range(1, Nc + 1)]
-    hat_full = [_hat_cell_integrals(n, grid_c, grid_f, restrict=False) for n in range(1, Nc + 1)]
-
-    def project(D: np.ndarray) -> np.ndarray:
-        """Divergence projections of load columns, as coefficient rows."""
-        return _full_velocity(ops_coarse, saddle.solve(D)[0]).T
+    # Time-weight tables shared by every sample: |J_j ∩ J_n| for the fine
+    # cells J_j of each coarse interval J_n (J_0 precedes J_1 in supp a_1).
+    intervals = [(hats[0], ~hats[0].late)] + [(h, h.late) for h in hats]
+    tiles = [_per_cell(h, h.hi - h.lo, sel) for h, sel in intervals]
+    hat_tile = [_hat_integrals(n, h, grid_c, h.late) for n, h in enumerate(hats, 1)]
+    hat_full = [_hat_integrals(n, h, grid_c) for n, h in enumerate(hats, 1)]
 
     def v_rows(ev: PointEvaluation, rows: np.ndarray) -> np.ndarray:
         """Quadrature-weighted V(eps u) at the fine points, one row per field."""
@@ -550,7 +507,7 @@ def error_stats(
         d = (avg_vals[1:] - _rows(coarse_at_fq.values(proj_avg[1:]))) * w2
         natural = float(np.einsum("nd,nd->n", E[1:], E[1:]).max())
         linf = float(np.einsum("nd,nd->n", d, d).max())
-        cg = _data_term(coarse_vals, Uf, grid_c, grid_f, ops_ref, model)
+        cg = _data_term(coarse_vals, Uf, grid_c, hats, ops_ref, model)
         return natural, E @ E.T, linf, cg
 
     def v_terms(Uf, Uc, eta) -> tuple[float, float, float | None]:
@@ -569,24 +526,26 @@ def error_stats(
     for coarse, ref in zip(coarse_trajs, ref_trajs):
         Uc = np.stack([f.coeffs for f in coarse.fields])
         Uf = np.stack([f.coeffs for f in ref.fields])
-        avg = np.stack([w @ Uf[js] for js, w in tiles])  # <u_ref>_n coefficients
+        avg = np.stack([(w / w.sum()) @ Uf[js] for js, w in tiles])  # <u_ref>_n coefficients
 
-        # Divergence projections on the coarse space: averages and their
-        # nodal interpolants, one multi-column saddle solve each; the
-        # projected fields come back as rows.  On one mesh the nodal
-        # interpolant of <u_ref>_n is <u_ref>_n itself.
-        proj_avg = project(_loads(ref_at_cq, avg, ops_coarse))
-        if same_mesh:
-            eta = proj_avg
-        else:
+        # Divergence projections on the coarse space, in one saddle solve,
+        # as rows: the averages, both initial data and, across meshes, the
+        # averages' nodal interpolants (on one mesh, the averages).
+        loads = [
+            _loads(ref_at_cq, np.vstack([avg, Uf[:1]]), ops_coarse),
+            _loads(coarse_at_cq, Uc[:1], ops_coarse),
+        ]
+        if not same_mesh:
             interp = np.zeros((Nc + 1, ops_coarse.space_v.n_dofs))
             interp[:, free_c] = _rows(ref_at_cn.values(avg))
-            eta = project((ops_coarse.M_full @ interp.T)[free_c])
+            loads.append((ops_coarse.M_full @ interp.T)[free_c])
+        projected = _full_velocity(ops_coarse, saddle.solve(np.hstack(loads))[0]).T
+        proj_avg, u0_ref, u0_coarse, eta = np.split(projected, [Nc + 1, Nc + 2, Nc + 3])
+        if same_mesh:
+            eta = proj_avg
 
         # ||P_div u0_ref - P_div u0_coarse||^2 on the coarse space
-        loads0 = [_loads(ref_at_cq, Uf[:1], ops_coarse), _loads(coarse_at_cq, Uc[:1], ops_coarse)]
-        pr = project(np.hstack(loads0))
-        gap0 = pr[0] - pr[1]
+        gap0 = u0_ref[0] - u0_coarse[0]
         init = float(gap0 @ (ops_coarse.M_full @ gap0))
 
         natural, gram_e, linf, cg = value_terms(Uf, Uc, avg, proj_avg)
@@ -618,7 +577,7 @@ def _data_term(
     coarse_vals: np.ndarray,
     Uf: np.ndarray,
     grid_c: TimeGrid,
-    grid_f: TimeGrid,
+    hats: list[HatPieces],
     ops_f: AssembledOperators,
     model: NoiseModel | None,
 ) -> float:
@@ -628,10 +587,10 @@ def _data_term(
     of m(t) F - G with F = s * r(u_ref(t)), s = sqrt(sum_k g_k * g_k),
     and G = G_n(u_lag) of the stack s, at the fine quadrature points
     (coarse_vals holds the coarse velocities there).  The reference rows
-    Uf are evaluated only for a factor that reads them.  u_ref is
-    constant on its midpoint cells; per cell, m F - G = (m - 1) F + (F - G)
-    is paired with int a_n^2 (m - 1)^l dt (l = 0, 1, 2) by 3-point Gauss,
-    so an unmodulated rule cancels exactly where F = G.
+    Uf are evaluated only for a factor that reads them.  On each piece of
+    `hats` m F - G = (m - 1) F + (F - G) is paired with int a_n^2 (m - 1)^l
+    dt (l = 0, 1, 2) by 3-point Gauss, exact for m linear on the piece, so
+    an unmodulated rule cancels exactly where F = G.
     """
     if model is None:
         return 0.0
@@ -641,20 +600,17 @@ def _data_term(
     F = np.broadcast_to(model.apply(s, U), (len(Uf),) + s.shape)
     sF = np.einsum("jqc,qc,jqc->j", F, w, F)
     total = 0.0
-    for n in range(1, grid_c.N + 1):
+    for n, h in enumerate(hats, 1):
         G = data_G_n(n, coarse_vals[max(n - 2, 0)], model, grid_c, s[None])[0]
-        js, a, b = _fine_cells(*weight_support(n, grid_c), grid_f)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        tpts = mid[:, None] + half[:, None] * _GAUSS3_NODES[None, :]
-        a_sq = weight_a(n, tpts.ravel(), grid_c).reshape(tpts.shape) ** 2
-        m1 = model.modulation(tpts.ravel()).reshape(tpts.shape) - 1.0
-        K0 = (a_sq @ _GAUSS3_WEIGHTS) * half
-        K1 = ((a_sq * m1) @ _GAUSS3_WEIGHTS) * half
-        K2 = ((a_sq * m1**2) @ _GAUSS3_WEIGHTS) * half
+        half = 0.5 * (h.hi - h.lo)[:, None]
+        t = 0.5 * (h.lo + h.hi)[:, None] + half * _GAUSS3_NODES
+        quad = weight_a(n, t, grid_c) ** 2 * half * _GAUSS3_WEIGHTS
+        m1 = model.modulation(t.ravel()).reshape(t.shape) - 1.0
+        js, K = _per_cell(h, np.stack([(quad * m1**l).sum(axis=1) for l in range(3)], axis=1))
         D = F[js] - G
         sD = np.einsum("jqc,qc,jqc->j", D, w, D)
         sFD = np.einsum("jqc,qc,jqc->j", F[js], w, D)
-        total += float(np.sum(K2 * sF[js] + 2.0 * K1 * sFD + K0 * sD))
+        total += float(K[:, 2] @ sF[js] + 2.0 * K[:, 1] @ sFD + K[:, 0] @ sD)
     return max(total, 0.0)
 
 
@@ -678,10 +634,8 @@ def temporal_oscillation(
     """
     grid_f = config_ref.grid
     _check_ensemble(ref_trajs, grid_f, ops_ref)
-    for grid_c in coarse_grids:
-        _check_time_nesting(grid_c, grid_f)
     windows = [
-        [_hat_cell_integrals(n, grid_c, grid_f, restrict=False) for n in range(1, grid_c.N + 1)]
+        [_hat_integrals(n, h, grid_c) for n, h in enumerate(hat_pieces(grid_c, grid_f), 1)]
         for grid_c in coarse_grids
     ]
     w4 = np.sqrt(_qp_weight_vector(ops_ref, 4))

@@ -15,6 +15,7 @@ increments:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cholesky_banded
@@ -26,6 +27,8 @@ __all__ = [
     "weight_inner",
     "weight_antiderivative",
     "weight_cell_averages",
+    "HatPieces",
+    "hat_pieces",
     "covariance_matrix",
     "covariance_banded",
     "cholesky_factor_banded",
@@ -126,6 +129,42 @@ def weight_cell_averages(n: int, grid: TimeGrid, delta: float, j0: int, j1: int)
     nonzero."""
     edges = np.arange(j0, j1 + 1) * delta
     return np.diff(weight_antiderivative(n, edges, grid)) / delta
+
+
+class HatPieces(NamedTuple):
+    """The pieces [lo, hi] of supp a_n, in time order, each in one fine
+    midpoint cell J_j (`cells`) and in J_{n-1} or J_n (`late` marks J_n):
+    a field constant on the fine cells is constant, and a_n linear, on each."""
+
+    cells: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    late: np.ndarray
+
+
+def hat_pieces(grid_c: TimeGrid, grid_f: TimeGrid) -> list[HatPieces]:
+    """The pieces of supp a_n of the coarse grid, for n = 1..N_c, cut at
+    the midpoint cells of a fine grid that refines it: the horizons must
+    agree and N_c + 1 must divide N_f + 1, or ValueError is raised."""
+    if abs(grid_c.T - grid_f.T) > 1e-12 * grid_f.T:
+        raise ValueError("coarse and reference grids have different horizons")
+    ratio = (grid_f.N + 1) / (grid_c.N + 1)
+    if abs(ratio - round(ratio)) > 1e-9:
+        raise ValueError(
+            f"reference step count {grid_f.N}+1 is not a multiple of coarse {grid_c.N}+1"
+        )
+    tf = grid_f.tau
+    js = np.arange(grid_f.N + 1)
+    pieces = []
+    for n in range(1, grid_c.N + 1):
+        # row 0 meets J_{n-1}, row 1 J_n; row-major selection keeps time order
+        lo, hi = np.transpose([grid_c.interval(n - 1), grid_c.interval(n)])
+        a = np.maximum.outer(lo, np.maximum((js - 0.5) * tf, 0.0))
+        b = np.minimum.outer(hi, (js + 0.5) * tf)
+        keep = b - a > 1e-12 * tf
+        late = np.repeat([False, True], keep.sum(axis=1))
+        pieces.append(HatPieces(np.broadcast_to(js, keep.shape)[keep], a[keep], b[keep], late))
+    return pieces
 
 
 def weight_inner(n: int, m: int, grid: TimeGrid) -> float:

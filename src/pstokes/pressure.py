@@ -202,7 +202,7 @@ def reconstruct(
         np.cumsum(dz.T, axis=0),
     )
     if verify:
-        res = verify_reconstruction(traj, ptraj, config, ops)
+        res = _reconstruction_residual(traj, ptraj, D[:, 1:].T, ops)
         if not res <= 1e-6:
             raise ValueError(f"reconstruction equation residual {res:.3e} exceeds 1e-6")
     return ptraj
@@ -323,17 +323,23 @@ def verify_reconstruction(
     residuals with the stacked directions.  A non-finite residual makes
     the result NaN; a direction of zero or non-finite norm raises
     FloatingPointError."""
+    tau = config.grid.tau
+    stress = [tau * stress_residual_vector(f.coeffs, ops, config.params) for f in traj.fields[1:]]
+    return _reconstruction_residual(traj, ptraj, stress, ops)
+
+
+def _reconstruction_residual(traj: Trajectory, ptraj: PressureTrajectory, stress, ops) -> float:
+    """`verify_reconstruction` from the vectors tau (S(eps u_n), eps xi)
+    of the steps n = 1..N, which `reconstruct` has formed already."""
     xi = _random_perp(VERIFY_DIRECTIONS, ops)
     nrm = np.sqrt(np.einsum("ik,ik->k", xi, ops.M_full @ xi))
     if not np.all(nrm > 0.0):
         raise FloatingPointError(f"verification direction norms {nrm} are not all positive")
-    tau = config.grid.tau
     R = np.empty((ops.n_free, traj.n_steps))
     for n in range(1, traj.n_steps + 1):
-        u_n = traj.fields[n].coeffs
         R[:, n - 1] = (
-            (ops.M_full @ (u_n - traj.fields[n - 1].coeffs))[ops.free]
-            + tau * stress_residual_vector(u_n, ops, config.params)
+            (ops.M_full @ (traj.fields[n].coeffs - traj.fields[n - 1].coeffs))[ops.free]
+            + stress[n - 1]
             - ops.B_free.T @ ptraj.increment(n).coeffs
             - traj.noise_loads[n - 1]
         )

@@ -26,7 +26,14 @@ from pstokes.diagnostics import (
     stability_stats,
     temporal_oscillation,
 )
-from pstokes.grids import TimeGrid, weight_a, weight_antiderivative, weight_support
+from pstokes.grids import (
+    TimeGrid,
+    hat_pieces,
+    weight_a,
+    weight_antiderivative,
+    weight_inner,
+    weight_support,
+)
 from pstokes.meshing import alfeld_split, unit_square_mesh
 from pstokes.noise import (
     NoiseModel,
@@ -40,6 +47,7 @@ from pstokes.noise import (
 from pstokes.pressure import DIV_GRAD_CONSTANT, reconstruct
 from pstokes.spaces import (
     Field,
+    SaddleSolver,
     StructuredLocator,
     assemble,
     interpolate_velocity,
@@ -379,35 +387,57 @@ def test_stability_stats_rejects_trajectory_of_another_grid(ops2, run_on_other_g
 
 
 # ---------------------------------------------------------------------------
-# time-grid tiling helpers
+# time tables of a nested grid pair
 
 
-def test_tiling_weights_partition_each_window():
-    gc, gf = TimeGrid(T=1.0, N=4), TimeGrid(T=1.0, N=24)
-    for n in range(gc.N + 1):
-        _, w = dg._tiling_average_weights(n, gc, gf)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        if n > 0:
+@pytest.mark.parametrize("ratio", [1, 2, 3, 4, 8])
+def test_hat_pieces_cut_each_support_at_cells_and_kinks(ratio):
+    gc = TimeGrid(T=1.0, N=4)
+    gf = TimeGrid(T=1.0, N=5 * ratio - 1)
+    hats = hat_pieces(gc, gf)
+    assert len(hats) == gc.N
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    for n, h in enumerate(hats, 1):
+        # contiguous pieces covering supp a_n, each inside its fine cell
+        assert (h.lo[0], h.hi[-1]) == pytest.approx(weight_support(n, gc), abs=1e-15)
+        assert h.lo[1:] == pytest.approx(h.hi[:-1], abs=1e-15)
+        assert np.all(h.hi > h.lo)
+        tol = 1e-12 * gf.tau
+        assert np.all(h.lo >= np.maximum((h.cells - 0.5) * gf.tau, 0.0) - tol)
+        assert np.all(h.hi <= (h.cells + 0.5) * gf.tau + tol)
+        # the late pieces make up J_n, the others J_{n-1}
+        lo, hi = gc.interval(n)
+        assert np.all(h.lo[h.late] >= lo - tol) and np.all(h.hi[~h.late] <= lo + tol)
+        # a_n is linear on every piece, so 3-point Gauss integrates a_n^2
+        # exactly, also where a fine cell straddles the peak of a_n
+        half = 0.5 * (h.hi - h.lo)[:, None]
+        t = 0.5 * (h.lo + h.hi)[:, None] + half * nodes
+        integral = np.sum(half * weights * weight_a(n, t, gc) ** 2)
+        assert integral == pytest.approx(weight_inner(n, n, gc), rel=1e-13)
+
+
+@pytest.mark.parametrize("ratio", [1, 2, 3, 4, 8])
+def test_time_tables_partition_windows_and_integrate_hats(ratio):
+    gc = TimeGrid(T=1.0, N=4)
+    gf = TimeGrid(T=1.0, N=5 * ratio - 1)
+    hats = hat_pieces(gc, gf)
+    intervals = [(hats[0], ~hats[0].late)] + [(h, h.late) for h in hats]
+    for n, (h, sel) in enumerate(intervals):
+        # the overlaps |J_j ∩ J_n| partition J_n
+        _, w = dg._per_cell(h, h.hi - h.lo, sel)
+        lo, hi = gc.interval(n)
+        assert w.sum() == pytest.approx(hi - lo, abs=1e-14)
+        if n > 0 and ratio % 2:
             # Odd ratio: fine cells tile the window exactly, so weights are flat.
             assert np.allclose(w, w[0])
-    gf_even = TimeGrid(T=1.0, N=9)
-    for n in range(gc.N + 1):
-        _, w = dg._tiling_average_weights(n, gc, gf_even)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_hat_cell_integrals_reproduce_antiderivative():
-    gc, gf = TimeGrid(T=1.0, N=4), TimeGrid(T=1.0, N=24)
-    for n in range(1, gc.N + 1):
+    for n, h in enumerate(hats, 1):
         lo, hi = gc.interval(n)
-        _, w = dg._hat_cell_integrals(n, gc, gf, restrict=True)
-        exact = (
-            weight_antiderivative(n, np.array([hi]), gc)[0]
-            - weight_antiderivative(n, np.array([lo]), gc)[0]
-        )
+        _, w = dg._hat_integrals(n, h, gc, h.late)
+        exact = weight_antiderivative(n, hi, gc) - weight_antiderivative(n, lo, gc)
         assert w.sum() == pytest.approx(exact, abs=1e-14)
-        _, w_full = dg._hat_cell_integrals(n, gc, gf, restrict=False)
-        # The full hat integrates to tau.
+        js, w_full = dg._hat_integrals(n, h, gc)
+        # one integral per fine cell; the full hat integrates to tau
+        assert np.array_equal(js, np.arange(js[0], js[-1] + 1))
         assert w_full.sum() == pytest.approx(gc.tau, abs=1e-14)
 
 
@@ -512,7 +542,8 @@ def test_temporal_oscillation_rejects_trajectory_of_another_grid(ops2, run_on_ot
 
 def _direct_data_term(coarse, ref, config_c, config_f, ops_c, ops_f):
     """C_G of one coupled pair from the per-mode fields: 5-point Gauss on
-    every fine cell of every hat support, of a_n^2 sum_k ||G(t) e_k - G_n e_k||^2."""
+    every fine cell of every hat support, split where a_n has its peak, of
+    a_n^2 sum_k ||G(t) e_k - G_n e_k||^2."""
     model, grid_c, grid_f = config_f.model, config_c.grid, config_f.grid
     pts = ops_f.qp_x.reshape(-1, 2)
     g, w = model.mode_values(pts), ops_f.qw.ravel()
@@ -524,27 +555,33 @@ def _direct_data_term(coarse, ref, config_c, config_f, ops_c, ops_f):
         c_n = 0.0 if n <= 2 else modulation_average(model, *grid_c.interval(n - 2))
         G_n = c_n * g * sigma_bounded(Uc[max(n - 2, 0)])
         lo, hi = weight_support(n, grid_c)
+        peak = grid_c.interval(n)[0]
         for j in range(grid_f.N + 1):
-            a, b = max((j - 0.5) * tf, 0.0, lo), min((j + 0.5) * tf, hi)
-            if b <= a:
-                continue
             G_ref = g * sigma_bounded(Uf[j])
-            for x, wx in zip(nodes, weights):
-                t = 0.5 * (a + b) + 0.5 * (b - a) * x
-                d = model.modulation(t) * G_ref - G_n
-                total += 0.5 * (b - a) * wx * weight_a(n, t, grid_c) ** 2 * np.einsum(
-                    "q,kqc,kqc->", w, d, d
-                )
+            c_lo, c_hi = max((j - 0.5) * tf, 0.0), (j + 0.5) * tf
+            for a, b in ((max(c_lo, lo), min(c_hi, peak)), (max(c_lo, peak), min(c_hi, hi))):
+                if b <= a:
+                    continue
+                for x, wx in zip(nodes, weights):
+                    t = 0.5 * (a + b) + 0.5 * (b - a) * x
+                    d = model.modulation(t) * G_ref - G_n
+                    total += 0.5 * (b - a) * wx * weight_a(n, t, grid_c) ** 2 * np.einsum(
+                        "q,kqc,kqc->", w, d, d
+                    )
     return total
 
 
-@pytest.mark.parametrize("m_coarse", [2, 4], ids=["cross-mesh", "same-mesh"])
-def test_error_stats_C_G_bounded_modulated_matches_per_mode_formula(m_coarse):
-    # step ratio 3: the hat kinks sit on fine cell boundaries, and a
+@pytest.mark.parametrize(
+    "m_coarse, ratio",
+    [pytest.param(m, r, id=name + ("" if r == 3 else f"-ratio{r}"))
+     for r in (3, 2, 4) for m, name in ((2, "cross-mesh"), (4, "same-mesh"))],
+)
+def test_error_stats_C_G_bounded_modulated_matches_per_mode_formula(m_coarse, ratio):
+    # at an even step ratio the peak of a_n falls inside a fine cell; a
     # linear modulation keeps a_n^2 m^2 within both Gauss rules' degree
     model = make_model(n_modes=3, amplitude=2.0, rule="bounded_lipschitz")
     model.time_modulation = lambda t: 1.0 + 8.0 * t
-    ops_f, config_f = build(m=4, N=14, p=3.0, model=model, T=0.1)
+    ops_f, config_f = build(m=4, N=5 * ratio - 1, p=3.0, model=model, T=0.1)
     ops_c = ops_f if m_coarse == 4 else assemble(alfeld_split(unit_square_mesh(m_coarse)))
     config_c = SchemeConfig(config_f.params, TimeGrid(T=0.1, N=4), model)
     path = sample_wiener_path(0.1, config_f.grid.tau / 2, 3, np.random.default_rng(8))
@@ -591,6 +628,25 @@ def test_error_stats_C_V_matches_temporal_oscillation(coupled_pairs, level):
     osc = temporal_oscillation(refs, config_f, ops_f, [config_c.grid])[0]
     assert osc > 0.0
     assert es.C_V == pytest.approx(osc, rel=1e-12)
+
+
+@pytest.mark.parametrize("level", [(2, 3), (4, 7)], ids=["cross-mesh", "same-mesh"])
+def test_error_stats_makes_one_saddle_solve_per_sample(coupled_pairs, level, monkeypatch):
+    refs, config_f, ops_f, pairs = coupled_pairs
+    coarse, config_c, ops_c = pairs[level]
+    calls = []
+    saddle_solve = SaddleSolver.solve
+
+    def counting(self, rhs_v):
+        calls.append(np.shape(rhs_v)[1:])
+        return saddle_solve(self, rhs_v)
+
+    monkeypatch.setattr(SaddleSolver, "solve", counting)
+    error_stats(coarse, refs, config_c, config_f, ops_c, ops_f, with_CV=False)
+    # the averages and both initial data; across meshes also the nodal
+    # interpolants of the averages
+    Nc = config_c.grid.N
+    assert calls == [(Nc + 3 if ops_c is ops_f else 2 * Nc + 4,)] * len(refs)
 
 
 def test_temporal_oscillation_matches_direct_double_loop(ops2):

@@ -267,9 +267,23 @@ class TestReconstruct:
 
     def test_verify_flag_raises_on_nan_residual(self, ops4, run_p2, monkeypatch):
         traj, _, config = run_p2
-        monkeypatch.setattr(pressure, "verify_reconstruction", lambda *args: float("nan"))
+        monkeypatch.setattr(pressure, "_reconstruction_residual", lambda *args: float("nan"))
         with pytest.raises(ValueError, match="residual nan"):
             reconstruct(traj, None, config, ops4, verify=True)
+
+    def test_verify_flag_forms_each_stress_vector_once(self, ops4, run_p2, monkeypatch):
+        # the check reuses the columns tau (S(eps u_n), eps xi) of the
+        # deterministic family
+        traj, _, config = run_p2
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return stress_residual_vector(*args)
+
+        monkeypatch.setattr(pressure, "stress_residual_vector", counting)
+        reconstruct(traj, None, config, ops4, verify=True)
+        assert len(calls) == traj.n_steps
 
     def test_verification_refuses_zero_direction(self, ops4, run_p2, monkeypatch):
         traj, _, config = run_p2
