@@ -43,7 +43,7 @@ from pstokes.noise import NoiseModel, sample_increments, sample_wiener_path
 from pstokes.pressure import reconstruct
 from pstokes.scenarios import curl_modes, u0_smooth
 from pstokes.spaces import Field, assemble, norms
-from pstokes.stepper import SchemeConfig, initial_velocity, run_trajectory
+from pstokes.stepper import NewtonConfig, SchemeConfig, initial_velocity, run_trajectory
 from pstokes.tensors import PowerLawParams
 
 SEED = 20230725
@@ -104,6 +104,48 @@ def test_final_velocity_matches_record(ops4, key):
     )
     assert norms(u, "L2", ops4) == pytest.approx(l2, rel=REL, abs=0.0)
     assert [s.iterations for s in traj.stats] == iterations
+    assert _counts(traj) == COUNTS[key]
+
+
+# (noise rule, p, kappa, Newton max_iter): totals over the trajectory of
+# (Newton iterations, refactorizations, steps finished by the Kacanov
+# fallback), recorded before the reduced tangent was assembled in the
+# stream basis.  The first six are the runs of GOLDEN; in the last two
+# Newton is cut short, so the fallback finishes 6 of 8 and 3 of 8 steps.
+COUNTS = {
+    ("linear", 1.5, 0.1): (29, 9, 0),
+    ("linear", 2.0, 0.0): (8, 1, 0),
+    ("linear", 3.0, 0.0): (54, 1, 0),
+    ("additive", 1.5, 0.1): (59, 11, 0),
+    ("additive", 1.5, 0.0): (103, 20, 0),
+    ("additive", 3.0, 0.0): (80, 9, 0),
+    ("linear", 3.0, 0.0, 6): (47, 72, 6),
+    ("linear", 1.5, 0.1, 3): (24, 24, 3),
+}
+
+
+def _counts(traj) -> tuple[int, int, int]:
+    return (
+        sum(s.iterations for s in traj.stats),
+        sum(s.refactorizations for s in traj.stats),
+        sum(s.used_picard for s in traj.stats),
+    )
+
+
+@pytest.mark.parametrize(
+    "key", [k for k in COUNTS if len(k) == 4], ids=lambda k: f"p{k[1]}-max_iter{k[3]}"
+)
+def test_fallback_counts_match_record(ops4, key):
+    rule, p, kappa, max_iter = key
+    grid = TimeGrid(T=0.1, N=8)
+    model = NoiseModel(mode_fields=curl_modes(2, amplitude=1.0), rule=rule)
+    cfg = SchemeConfig(
+        PowerLawParams(p=p, kappa=kappa), grid, model, NewtonConfig(max_iter=max_iter)
+    )
+    inc = sample_increments(np.random.default_rng(SEED), grid, n_modes=2)
+    traj = run_trajectory(initial_velocity(u0_smooth, ops4), inc, cfg, ops4)
+    assert traj.ok
+    assert _counts(traj) == COUNTS[key]
 
 
 # case: (noise rule, p, kappa); per run, L2 norms of (pi_det[-1],
