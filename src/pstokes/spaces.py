@@ -23,9 +23,16 @@ is a quadrature product of these two, A^T W B with W the weight of each
 row's point: the mass `M_full`, the divergence `B_full`, the pressure
 mass `Mq`, the mean row `cvec` and `grad_stiffness`.  The operator
 bundle builds its factorizations (`mass_free_lu`, `projection_saddle`,
-`grad_stiffness_lu`) and tables (`sym_basis`, `tangent_pattern`,
-`grad_stiffness`, `locator`) on first use and keeps them;
-`pstokes.streamfunc` fills `stream_basis`.
+`grad_stiffness_lu`) and tables (`grad_stiffness`, `locator`) on
+first use and keeps them; `pstokes.streamfunc` fills `stream_basis`.
+The stress tangent is assembled element by element in a basis local to
+elements, an `ElementBasis` built once by `element_basis`: the symmetric
+gradients of its functions at the quadrature points and the position of
+every element entry in the tangent's fixed sparsity pattern, into which
+one `np.bincount` adds them.  The free velocity dofs are the identity
+element basis (`free_element_basis`); `pstokes.streamfunc` builds the
+one of the stream basis (`stream_element_basis`), in which the stepper
+assembles its reduced tangents C^T K C directly.
 A P2 field is evaluated one way only, by a `PointEvaluation`: sparse
 value and gradient matrices that evaluate a stack of fields in one
 product.  The quadrature kernels apply or transpose `qp_eval`;
@@ -76,6 +83,8 @@ __all__ = [
     "sym_grad_p_power",
     "stress_residual_vector",
     "stress_tangent_matrix",
+    "ElementBasis",
+    "element_basis",
     "StructuredLocator",
     "PointEvaluation",
     "point_evaluation",
@@ -218,9 +227,9 @@ class AssembledOperators:
     Derived data is built on first use and kept for the life of the
     bundle, each piece under its own name: the factorizations
     `mass_free_lu()`, `projection_saddle()` and `grad_stiffness_lu()`;
-    the tables `sym_basis`, `tangent_pattern` and `grad_stiffness`; the
-    point `locator` of structured meshes; and
-    `stream_basis`, which `pstokes.streamfunc` fills.
+    the tables `grad_stiffness` and `free_element_basis`; the point
+    `locator` of structured meshes; and `stream_basis` with its
+    `stream_element_basis`, which `pstokes.streamfunc` fills.
     Only `SaddleSolver` knows the layout of the KKT system.
     """
 
@@ -240,6 +249,8 @@ class AssembledOperators:
     # Curl basis C (free velocity dofs x stream dofs) of the divergence-
     # free subspace, built by pstokes.streamfunc.stream_curl_basis.
     stream_basis: sp.csc_matrix | None = field(default=None, init=False, repr=False)
+    # Its element tables for the stress tangent (element_basis).
+    stream_element_basis: ElementBasis | None = field(default=None, init=False, repr=False)
     _mass_free_lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
     _projection_saddle: SaddleSolver | None = field(default=None, init=False, repr=False)
     _grad_stiffness_lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
@@ -287,44 +298,10 @@ class AssembledOperators:
         return K[self.free][:, self.free].tocsc()
 
     @cached_property
-    def sym_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-element tables for the stress tangent:
-
-        E[t, q, a, :] = eps(phi_a) at quadrature point q flattened to 4
-        entries, and EE[t, q, a*12+b] = eps(phi_a) : eps(phi_b); a runs
-        over the 12 local vector dofs, ordered like vel_l2g.
-        """
-        n_tri, nq = self.qw.shape
-        grad = _physical_gradients(self.inv_t, *_own_points(n_tri))
-        half = 0.5 * grad.reshape(n_tri, nq, 2, 6).transpose(0, 1, 3, 2)  # (t, q, i, d)
-        E = np.zeros((n_tri, nq, 6, 2, 2, 2))  # (t, q, i, component, c, d)
-        for comp in range(2):
-            E[:, :, :, comp, comp, :] += half
-            E[:, :, :, comp, :, comp] += half
-        E = E.reshape(n_tri, nq, 12, 4)
-        EE = np.einsum("tqac,tqbc->tqab", E, E).reshape(n_tri, nq, 144)
-        return E, EE
-
-    @cached_property
-    def tangent_pattern(self) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-        """Fixed CSC pattern of the stress tangent on free dofs, the mask
-        of per-element entries that touch only free dofs, and the map from
-        those entries into the CSC data array."""
-        rows = np.repeat(self.vel_l2g, 12, axis=1).ravel()
-        cols = np.tile(self.vel_l2g, (1, 12)).ravel()
-        free = self.free
-        nf = self.n_free
-        free_index = np.cumsum(free) - 1
-        keep = free[rows] & free[cols]
-        r_f = free_index[rows[keep]]
-        c_f = free_index[cols[keep]]
-        pattern = sp.csc_matrix((np.ones(r_f.size), (r_f, c_f)), shape=(nf, nf))
-        pattern.sum_duplicates()
-        # flat CSC data index of each surviving per-element entry
-        lookup = pattern.copy()
-        lookup.data = np.arange(lookup.nnz, dtype=float)
-        pos = np.asarray(lookup[r_f, c_f]).ravel().astype(np.int64)
-        return pattern, keep, pos
+    def free_element_basis(self) -> ElementBasis:
+        """The element tables of the stress tangent on the free velocity
+        dofs: the identity element basis."""
+        return element_basis(self, _free_local_dofs(self), sp.identity(self.n_free, format="csc"))
 
     @cached_property
     def locator(self) -> StructuredLocator:
@@ -594,7 +571,76 @@ def stress_residual_vector(
     """Assembled nonlinear form (S(eps u), eps xi) over free dofs."""
     S = stress_S(sym_grad_at_qp(u_coeffs, ops), params)
     # (S, grad xi) = (S, eps xi) because S is symmetric
-    return (ops.qp_eval.G.T @ (ops.qw[..., None, None] * S).ravel())[ops.free]
+    return (ops.qp_eval.GT @ (ops.qw[..., None, None] * S).ravel())[ops.free]
+
+
+@dataclass(frozen=True)
+class ElementBasis:
+    """The stress tangent's tables in a basis of k functions per block of
+    elements, a block being g consecutive elements (g = 1 on the free
+    dofs; g = 3, the children of one macro-element, in the stream basis):
+
+        E    (n_blocks, g nq, 4, k): eps of each basis function at each
+             quadrature point of the block, flattened to 4 entries;
+        pattern: the tangent's fixed CSC pattern (zero data);
+        pos  (n_blocks k k,): the data index in `pattern` of each block
+             entry [row, column], pattern.nnz for an absent function.
+    """
+
+    E: np.ndarray
+    pattern: sp.csc_matrix
+    pos: np.ndarray
+
+
+def _free_local_dofs(ops: AssembledOperators) -> np.ndarray:
+    """Free-dof index of the 12 local velocity dofs of every element,
+    (n_tri, 12), -1 on the boundary."""
+    free = ops.free
+    return np.where(free[ops.vel_l2g], (np.cumsum(free) - 1)[ops.vel_l2g], -1)
+
+
+def element_basis(ops: AssembledOperators, cols: np.ndarray, C: sp.spmatrix) -> ElementBasis:
+    """The element tables of the basis C (free velocity dofs x n).
+
+    cols (n_blocks, k) lists the columns of C that may be non-zero on
+    each block of n_tri // n_blocks consecutive elements, -1 for none.
+    Element t's basis functions are the entries of C in the rows of its
+    free local dofs and the columns of its block, looked up by sorted
+    keys; an entry of C outside every block's columns is not seen.  The
+    pattern holds every pair of columns that share a block.
+    """
+    n_tri, nq = ops.qw.shape
+    n_blocks, k = cols.shape
+    group = n_tri // n_blocks
+    C = C.tocsc()
+    C.sort_indices()
+    n_rows, n = C.shape
+    ckeys = np.repeat(np.arange(n, dtype=np.int64) * n_rows, np.diff(C.indptr)) + C.indices
+    rows = _free_local_dofs(ops)[:, :, None]
+    tcols = np.repeat(cols, group, axis=0)[:, None, :]
+    keys = tcols * np.int64(n_rows) + rows  # (t, a, j)
+    idx = np.minimum(np.searchsorted(ckeys, keys), ckeys.size - 1)
+    hit = (rows >= 0) & (tcols >= 0) & (ckeys[idx] == keys)
+    table = np.where(hit, C.data[idx], 0.0)  # [t, a, j]: phi_j at local dof a
+
+    # eps of the 12 local velocity dofs (ordered like vel_l2g) at the
+    # points, then of the basis functions: the table applied to them
+    half = 0.5 * _physical_gradients(ops.inv_t, *_own_points(n_tri)).reshape(n_tri, nq, 2, 6)
+    E = np.zeros((n_tri, nq, 2, 2, 6, 2))  # (t, q, c, d, node, component)
+    for comp in range(2):
+        E[:, :, comp, :, :, comp] += half
+        E[:, :, :, comp, :, comp] += half
+    E = np.matmul(E.reshape(n_tri, nq * 4, 12), table).reshape(n_blocks, group * nq, 4, k)
+
+    # CSC key column * n + row of each block entry [b, row, column]
+    pair = (cols[:, :, None] >= 0) & (cols[:, None, :] >= 0)
+    keys = (cols[:, None, :] * np.int64(n) + cols[:, :, None])[pair]
+    uniq, inv = np.unique(keys, return_inverse=True)
+    pos = np.full(pair.shape, uniq.size, dtype=np.int64)
+    pos[pair] = inv
+    indptr = np.searchsorted(uniq, np.arange(n + 1, dtype=np.int64) * n)
+    pattern = sp.csc_matrix((np.zeros(uniq.size), uniq % n, indptr), shape=(n, n))
+    return ElementBasis(E=E, pattern=pattern, pos=pos.ravel())
 
 
 def stress_tangent_matrix(
@@ -602,27 +648,34 @@ def stress_tangent_matrix(
     ops: AssembledOperators,
     params: PowerLawParams,
     picard: bool = False,
+    basis: ElementBasis | None = None,
 ) -> sp.csc_matrix:
-    """Linearization of the stress form on free dofs.
+    """Linearization of the stress form in an element basis, by default
+    the free velocity dofs (`ops.free_element_basis`).
 
     Newton: (DS(eps u)[eps phi_b], eps phi_a); Picard drops the rank-one
-    part and keeps the radial weight only.
+    part and keeps the radial weight only.  Each block's entries are
+    summed over its quadrature points, then added at their pattern
+    positions.
     """
-    nt, nq = ops.qw.shape
+    basis = ops.free_element_basis if basis is None else basis
+    n_blocks, nqb, _, k = basis.E.shape
     eps = sym_grad_at_qp(u_coeffs, ops)
     alpha, beta = jacobian_coefficients(eps, params)
-    E, EE = ops.sym_basis
-    wa = (ops.qw * alpha)[:, None, :]  # (t, 1, q)
-    K_loc = np.matmul(wa, EE).reshape(nt, 12, 12)
+    E = basis.E.reshape(n_blocks, nqb * 4, k)
+    # radial part: sum over the points of w alpha eps(phi_a) : eps(phi_b)
+    wa = np.repeat((ops.qw * alpha).reshape(n_blocks, nqb, 1), 4, axis=1)
+    K_loc = np.matmul(E.transpose(0, 2, 1), E * wa)
     if not picard:
-        w = np.matmul(E, eps.reshape(nt, nq, 4, 1))[..., 0]  # (t, q, 12)
-        wb = w * (ops.qw * beta)[..., None]
+        # (block, q, k): eps u : eps(phi_a)
+        w = np.matmul(eps.reshape(n_blocks, nqb, 1, 4), basis.E)[:, :, 0]
+        wb = w * (ops.qw * beta).reshape(n_blocks, nqb, 1)
         K_loc += np.matmul(w.transpose(0, 2, 1), wb)
-    pattern, keep, pos = ops.tangent_pattern
-    K = pattern.copy()
-    K.data = np.zeros(pattern.nnz)
-    np.add.at(K.data, pos, K_loc.ravel()[keep])
-    return K
+    pattern = basis.pattern
+    data = np.bincount(basis.pos, weights=K_loc.ravel(), minlength=pattern.nnz + 1)
+    return sp.csc_matrix(
+        (data[:-1], pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape
+    )
 
 
 class StructuredLocator:
@@ -688,6 +741,12 @@ class PointEvaluation:
 
     V: sp.csr_matrix
     G: sp.csr_matrix
+
+    @cached_property
+    def GT(self) -> sp.csr_matrix:
+        """G^T in CSR, kept: it assembles forms from stress values at the
+        points, a gather per dof where the CSC view G.T scatters."""
+        return self.G.T.tocsr()
 
     def values(self, rows: np.ndarray) -> np.ndarray:
         """Velocity values at the points, shape (k, n_points, 2)."""

@@ -12,10 +12,14 @@ Galerkin problem in the coefficients of C: every iterate is a
 combination of divergence-free fields and stays pointwise divergence
 free up to rounding, and the factorizations are those of the reduced
 matrices C^T (M + tau K) C, an order of magnitude cheaper than the full
-saddle system.  No pressure multiplier is produced: the pressure
-increment is recovered afterwards by the reconstruction in
-pstokes.pressure, and with it the full constrained momentum equation
-of the step holds to the Newton tolerance.
+saddle system.  C^T M C is formed once per workspace; C^T K C is
+assembled element by element in the stream basis itself, each
+macro-element's block of C applied to the symmetric-gradient tables of
+its three children (`streamfunc.stream_element_basis`), so no free-dof
+tangent and no sparse triple product is formed.  No pressure multiplier
+is produced: the pressure increment is recovered afterwards by the
+reconstruction in pstokes.pressure, and with it the full constrained
+momentum equation of the step holds to the Newton tolerance.
 
 The step is solved by one damped Newton driver: Armijo backtracking on
 the norm of the reduced residual, a lagged Jacobian factorization that
@@ -60,7 +64,7 @@ from pstokes.spaces import (
     velocity_at_qp,
     velocity_load_vector,
 )
-from pstokes.streamfunc import stream_curl_basis
+from pstokes.streamfunc import stream_curl_basis, stream_element_basis
 from pstokes.tensors import PowerLawParams, stress_S
 
 __all__ = [
@@ -267,12 +271,14 @@ class StepperWorkspace:
     def factorize(self, u_full: np.ndarray, picard: bool = False):
         """Factor C^T (M + tau K) C with K the stress linearization at
         u_full: the Newton Jacobian, or with picard the radial-weight
-        (Kacanov) matrix."""
-        K = stress_tangent_matrix(u_full, self.ops, self.config.params, picard=picard)
+        (Kacanov) matrix.  C^T K C is assembled in the stream basis
+        itself, from its element tables."""
+        _, HM = self.stream_gram()
+        K = stress_tangent_matrix(
+            u_full, self.ops, self.config.params, picard, stream_element_basis(self.ops)
+        )
         self.refactor_count += 1
-        C, HM = self.stream_gram()
-        H = HM + self.config.grid.tau * (C.T @ (K @ C))
-        return spla.splu(H.tocsc())
+        return spla.splu(HM + self.config.grid.tau * K)
 
     def direction(self, factor, F: np.ndarray) -> np.ndarray:
         """The full-length update du solving the reduced system J du = -F."""

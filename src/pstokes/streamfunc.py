@@ -28,7 +28,9 @@ dof conditions, one batched evaluation at the P2 nodes.  The basis is
 geometry-only and is kept on the operator bundle
 (`AssembledOperators.stream_basis`); the coarse structure it is numbered
 by is recovered from the parent map while the basis is built, and not
-kept.
+kept.  Entries of C that are rounding noise are dropped column by
+column.  `stream_element_basis` reads each macro-element's block of C
+into the element tables the stepper assembles C^T K C from.
 
 Stream dof ordering: for each interior coarse vertex v (in increasing
 vertex id) the triple (psi(v), d_x psi(v), d_y psi(v)), followed by one
@@ -45,9 +47,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from pstokes.spaces import AssembledOperators
+from pstokes.spaces import AssembledOperators, ElementBasis, element_basis
 
-__all__ = ["stream_curl_basis"]
+__all__ = ["stream_curl_basis", "stream_element_basis"]
 
 # Exponents of the ten bivariate monomials of degree <= 3.
 _EXP = np.array(
@@ -70,6 +72,10 @@ _LOCAL = np.array(
         for k in range(3)
     ]
 )
+# Relative size, within its column of the unit-norm basis, below which
+# an entry of C is rounding noise; any value from 1e-13 to 1e-10 drops
+# the same entries.
+DROP = 1e-13
 # Where the normal jump across each spoke is sampled, as fractions of the
 # spoke from its corner towards the centroid.
 _SPOKE_POINTS = np.array([0.25, 0.5, 0.75])
@@ -234,8 +240,14 @@ def _macro_elements(
 def stream_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     """Sparse curl matrix C: free velocity dofs x stream dofs.
 
-    Columns are scaled to unit Euclidean norm.  Kept on the operator
-    bundle as `ops.stream_basis`; construction is geometry-only.
+    Columns are scaled to unit Euclidean norm, then every entry below
+    DROP of its column's largest is dropped: the curl of a stream dof
+    vanishes at the nodes of its macro-elements' outer edges on which
+    the dof's function and gradient vanish, and what is computed there
+    is rounding noise (1e-15 relative), which would otherwise double
+    the fill of the reduced factorizations.
+    Kept on the operator bundle as `ops.stream_basis`; construction is
+    geometry-only.
     """
     if ops.stream_basis is not None:
         return ops.stream_basis
@@ -278,9 +290,21 @@ def stream_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
         shape=(sv.n_dofs, cs.dim),
     ).tocsc()
     C = C_full[ops.free]
-    C.data[np.abs(C.data) < 1e-14 * np.abs(C.data).max()] = 0.0
+    col = np.repeat(np.arange(cs.dim), np.diff(C.indptr))
+    C.data /= np.sqrt(np.bincount(col, weights=C.data**2, minlength=cs.dim))[col]
+    col_max = np.maximum.reduceat(np.abs(C.data), C.indptr[:-1])
+    C.data[np.abs(C.data) < DROP * col_max[col]] = 0.0
     C.eliminate_zeros()
-    scale = np.sqrt(C.multiply(C).sum(axis=0)).A1
-    C = C @ sp.diags(1.0 / scale)
-    ops.stream_basis = C.tocsc()
-    return ops.stream_basis
+    ops.stream_basis = C
+    return C
+
+
+def stream_element_basis(ops: AssembledOperators) -> ElementBasis:
+    """The element tables of the stress tangent in the stream basis
+    (`spaces.element_basis`): one block per macro-element, its three
+    children and its 12 stream dofs.  Built on first use and kept on the
+    operator bundle as `ops.stream_element_basis`."""
+    if ops.stream_element_basis is None:
+        cols = _global_columns(_coarse_structure(ops))
+        ops.stream_element_basis = element_basis(ops, cols, stream_curl_basis(ops))
+    return ops.stream_element_basis

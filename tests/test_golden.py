@@ -16,9 +16,11 @@ step.  (The degenerate law with the linear rule is not pinned: its field
 decays to about 1e-16, which is rounding noise.)
 They were recorded from the stepper solving in the divergence-free
 stream basis and must survive refactors of the solver unchanged (1e-10
-relative), together with the Newton iteration count of every step.  The final field is pinned
-by its L2 norm and by its pairing with a fixed standard-normal vector,
-not by its coefficient sum: the coefficients nearly cancel in the sum
+relative), together with the Newton iteration count of every step and
+the totals of refactorizations and Kacanov fallback steps (COUNTS, which
+also pins two runs in which Newton is cut short and the fallback runs).
+The final field is pinned by its L2 norm and by its pairing with a
+fixed standard-normal vector, not by its coefficient sum: the coefficients nearly cancel in the sum
 (at p = 1.5 it is 3e-6 of their absolute sum), so rounding alone moves
 it by more than the tolerance, while the pairing is well conditioned.
 

@@ -33,7 +33,7 @@ from pstokes.stepper import (
     initial_velocity,
     run_trajectory,
 )
-from pstokes.streamfunc import stream_curl_basis
+from pstokes.streamfunc import DROP, stream_curl_basis, stream_element_basis
 from pstokes.tensors import PowerLawParams
 
 
@@ -120,6 +120,52 @@ class TestBasisConstruction:
 
     def test_cached_on_operator_bundle(self, ops2):
         assert stream_curl_basis(ops2) is stream_curl_basis(ops2)
+        assert stream_element_basis(ops2) is stream_element_basis(ops2)
+
+    def test_rounding_noise_dropped_per_column(self):
+        """At m = 16 the Gram matrix C^T M C couples exactly the stream
+        dofs that share a macro-element (48,703 non-zeros while noise of
+        1e-15 relative survived a drop against the largest entry of the
+        whole unscaled C), and no kept entry is below DROP of its
+        column's largest."""
+        ops = assemble(alfeld_split(unit_square_mesh(16)))
+        C = stream_curl_basis(ops)
+        gram = (C.T @ (ops.M_free @ C)).tocsc()
+        gram.sort_indices()
+        pattern = stream_element_basis(ops).pattern
+        assert gram.nnz == pattern.nnz == 32509
+        assert np.array_equal(gram.indptr, pattern.indptr)
+        assert np.array_equal(gram.indices, pattern.indices)
+        col_max = abs(C).max(axis=0).toarray().ravel()
+        col = np.repeat(np.arange(C.shape[1]), np.diff(C.indptr))
+        assert (np.abs(C.data) >= DROP * col_max[col]).all()
+        norms_sq = np.asarray(C.multiply(C).sum(axis=0)).ravel()
+        assert np.allclose(norms_sq, 1.0, atol=1e-12)
+
+
+class TestStreamTangent:
+    """The stepper assembles C^T K C element by element in the stream
+    basis; it must equal the Galerkin product of the free-dof tangent,
+    on the pattern of C^T M C."""
+
+    @pytest.mark.parametrize("mesh", ["square", "jiggled"])
+    @pytest.mark.parametrize("p,kappa", [(1.5, 0.1), (3.0, 0.0)])
+    @pytest.mark.parametrize("picard", [False, True], ids=["newton", "picard"])
+    def test_matches_product_of_free_tangent(self, jiggled_mesh, mesh, p, kappa, picard):
+        base = unit_square_mesh(4) if mesh == "square" else jiggled_mesh
+        ops = assemble(alfeld_split(base))
+        C = stream_curl_basis(ops)
+        params = PowerLawParams(p=p, kappa=kappa)
+        u = np.zeros(ops.space_v.n_dofs)
+        u[ops.free] = 0.05 * np.random.default_rng(7).standard_normal(ops.n_free)
+        K = stress_tangent_matrix(u, ops, params, picard, stream_element_basis(ops))
+        reference = (C.T @ (stress_tangent_matrix(u, ops, params, picard) @ C)).tocsc()
+        scale = np.abs(reference.data).max()
+        assert np.abs((K - reference).toarray()).max() <= 1e-14 * scale
+        gram = (C.T @ (ops.M_free @ C)).tocsc()
+        gram.sort_indices()
+        assert np.array_equal(K.indptr, gram.indptr)
+        assert np.array_equal(K.indices, gram.indices)
 
 
 class TestStreamSolverBackend:
