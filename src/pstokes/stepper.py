@@ -227,6 +227,10 @@ class StepperWorkspace:
 
     residual, factorize, direction and solve are the four jobs the
     Newton driver and the Kacanov fallback ask of the reduced system.
+    The lagged factor is owned by the workspace alone: the driver asks
+    for directions, never for the factor, and a stale factor is
+    released before its successor is built, so two Newton
+    factorizations never live at once.
     """
 
     def __init__(self, config: SchemeConfig, ops: AssembledOperators):
@@ -280,11 +284,6 @@ class StepperWorkspace:
         self.refactor_count += 1
         return spla.splu(HM + self.config.grid.tau * K)
 
-    def direction(self, factor, F: np.ndarray) -> np.ndarray:
-        """The full-length update du solving the reduced system J du = -F."""
-        C, _ = self.stream_gram()
-        return _full_velocity(self.ops, C @ factor.solve(-F))
-
     def solve(self, factor, rhs_free: np.ndarray) -> np.ndarray:
         """The full-length velocity solving the factored linear step
         with load rhs_free outright."""
@@ -301,18 +300,22 @@ class StepperWorkspace:
     # the name perfbench pre-warms the p = 2 factor by
     linear_stream = linear_factor
 
-    def lagged_factor(self, u_full: np.ndarray, force: bool = False):
-        """(factor, fresh): the Newton factor, reused while the point it
-        was built at is within LAG_THRESHOLD (relative sup-norm) of
-        u_full; fresh tells whether it was built by this call."""
-        if not force and self._lagged is not None:
-            factor, point = self._lagged
+    def direction(self, u_full: np.ndarray, F: np.ndarray, force: bool = False):
+        """(du, fresh): the full-length update du solving the reduced
+        system J du = -F with the lagged Newton factor, reused while the
+        point it was built at is within LAG_THRESHOLD (relative
+        sup-norm) of u_full; fresh tells whether it was built by this
+        call."""
+        fresh = force or self._lagged is None
+        if not fresh:
+            point = self._lagged[1]
             drift = np.abs(u_full - point).max()
-            scale = max(np.abs(point).max(), 1e-12)
-            if drift <= LAG_THRESHOLD * scale:
-                return factor, False
-        self._lagged = (self.factorize(u_full), u_full.copy())
-        return self._lagged[0], True
+            fresh = drift > LAG_THRESHOLD * max(np.abs(point).max(), 1e-12)
+        if fresh:
+            self._lagged = None  # free the stale factor's memory first
+            self._lagged = (self.factorize(u_full), u_full.copy())
+        C, _ = self.stream_gram()
+        return _full_velocity(self.ops, C @ self._lagged[0].solve(-F)), fresh
 
     def noise_rhs(
         self, n: int, u_lag_coeffs: np.ndarray, dW: np.ndarray
@@ -422,8 +425,7 @@ def _newton(
     for it in range(1, nt.max_iter + 1):
         if res <= nt.abs_tol:
             return u, res, it, True
-        factor, fresh = work.lagged_factor(u, force=force_fresh)
-        du = work.direction(factor, F)
+        du, fresh = work.direction(u, F, force=force_fresh)
         step = 1.0
         retried = False
         while True:
@@ -437,8 +439,7 @@ def _newton(
                     return u, res, it, False
                 # stale Jacobian is the usual culprit: refactor at the
                 # current point and retry the search once
-                factor, fresh = work.lagged_factor(u, force=True)
-                du = work.direction(factor, F)
+                du, fresh = work.direction(u, F, force=True)
                 step = 1.0
                 retried = True
         # a stale direction may pass the line search while barely

@@ -7,6 +7,8 @@ is solved in.  The linear step is checked against an implicit-Euler
 Stokes step assembled from scratch as one KKT system.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -293,6 +295,30 @@ class TestSolverMachinery:
         traj = run_trajectory(u0h, inc, cfg, ops4, work)
         assert work.refactor_count >= 1
         assert sum(s.refactorizations for s in traj.stats) == work.refactor_count
+
+    def test_stale_factor_freed_before_refactoring(self, ops4, u0h):
+        # two Newton factorizations never live at once: the driver holds
+        # no factor, and the workspace drops its stale one before
+        # building the next
+        cfg = make_config(3.0, N=4)
+        work = StepperWorkspace(cfg, ops4)
+        factorize, built = work.factorize, []
+
+        class Factor:
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        def tracked(u_full, picard=False):
+            assert not any(ref() is not None for ref in built)
+            factor = Factor(factorize(u_full, picard))
+            built.append(weakref.ref(factor))
+            return factor
+
+        work.factorize = tracked
+        inc = sample_increments(np.random.default_rng(6), cfg.grid, n_modes=1)
+        traj = run_trajectory(u0h, inc, cfg, ops4, work)
+        assert traj.ok and not any(s.used_picard for s in traj.stats)
+        assert len(built) == work.refactor_count >= 2
 
     def test_noise_loads_do_not_build_the_basis(self):
         # pressure reconstruction assembles loads through a workspace of
