@@ -440,7 +440,9 @@ def error_stats(
     per call, for the cross-mesh operators that serve every sample.
     Each field family of a sample is then evaluated in one sparse
     product, and all its divergence projections are one multi-column
-    saddle solve.  A sample holds its (N_f+1) reference V(eps u)
+    saddle solve: one back-substitution with the factor of C^T M C in
+    the stream basis, the pressure then recovered per macro-element
+    (`spaces.SaddleSolver`).  A sample holds its (N_f+1) reference V(eps u)
     rows of 4 n_qp floats each (n_qp fine quadrature points), plus, for
     a velocity-dependent noise rule, its (N_f+1) noise factor fields of
     2 n_qp floats each.  C_V is reduced from the Gram matrix of

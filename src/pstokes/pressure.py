@@ -5,11 +5,13 @@ Every pressure solve here is the same problem: given a functional
 l(xi) = d' xi on the velocity space, find the mean-zero q with
 (q, div xi) = l(xi) for all xi in the L2-orthogonal complement of the
 discretely divergence-free subspace.  Feeding rhs_v = -d into the
-factorized projection saddle solves it in one pass: the saddle returns
-w = -Pi_div f with f the Riesz representative of l, so its multiplier q
-satisfies B'q = M (f + w) = M Pi_perp f, which is exactly the normal
-equation of the least-squares definition.  The byproduct z = f + w
-equals -grad_h q = Pi_perp f, so ||q||_Qsto = ||z||_L2 comes for free.
+projection saddle (`spaces.SaddleSolver`) solves it in one pass: its
+velocity w = -Pi_div f, with f the Riesz representative of l, is one
+back-substitution with the factor of C^T M C in the stream basis, and
+its pressure q, recovered macro-element by macro-element from
+B^T q = M (f + w) = M Pi_perp f, is exactly the solution of the
+least-squares definition.  The byproduct z = f + w equals
+-grad_h q = Pi_perp f, so ||q||_Qsto = ||z||_L2 comes for free.
 
 The three components: pi_init from l(xi) = (u_0, xi); pi_det_n from
 l(xi) = sum_{l<=n} tau (S(eps u_l), eps xi); pi_sto_n from

@@ -24,7 +24,8 @@ row's point: the mass `M_full`, the divergence `B_full`, the pressure
 mass `Mq`, the mean row `cvec` and `grad_stiffness`.  The operator
 bundle builds its factorizations (`mass_free_lu`, `projection_saddle`,
 `grad_stiffness_lu`) and tables (`grad_stiffness`, `locator`) on
-first use and keeps them; `pstokes.streamfunc` fills `stream_basis`.
+first use and keeps them; `pstokes.streamfunc` fills `stream_basis`
+and its Gram matrix `stream_mass`.
 The stress tangent is assembled element by element in a basis local to
 elements, an `ElementBasis` built once by `element_basis`: the symmetric
 gradients of its functions at the quadrature points and the position of
@@ -40,13 +41,15 @@ product.  The quadrature kernels apply or transpose `qp_eval`;
 cross-mesh transfer of `pstokes.diagnostics`).  One function,
 `_physical_gradients`, maps reference basis gradients to physical ones,
 for the evaluation operators and the element tables of the stress
-tangent alike.  `SaddleSolver` alone
-knows the layout of the KKT system: callers hand it velocity-block
-right-hand sides, one column or many, and get the velocity and the
-mean-zero pressure back.  It serves the projections
-(`project_div`, the pressure solves of `pstokes.pressure`, the
-divergence projections of `pstokes.diagnostics`); the time stepper
-solves in the divergence-free basis of `pstokes.streamfunc` instead.
+tangent alike.  `SaddleSolver` solves the saddle problems: callers
+hand it velocity-block right-hand sides, one column or many, and get
+the velocity and the mean-zero pressure back.  No KKT matrix is formed.  The velocity is a solve in the divergence-free
+basis of `pstokes.streamfunc`, the basis the time stepper solves in too,
+and the pressure is recovered macro-element by macro-element, because
+on the Alfeld split the divergence maps the velocities interior to a
+macro-element one to one onto its mean-zero pressures.  It serves the
+projections (`project_div`, the pressure solves of `pstokes.pressure`,
+the divergence projections of `pstokes.diagnostics`).
 """
 
 from __future__ import annotations
@@ -228,9 +231,9 @@ class AssembledOperators:
     bundle, each piece under its own name: the factorizations
     `mass_free_lu()`, `projection_saddle()` and `grad_stiffness_lu()`;
     the tables `grad_stiffness` and `free_element_basis`; the point
-    `locator` of structured meshes; and `stream_basis` with its
-    `stream_element_basis`, which `pstokes.streamfunc` fills.
-    Only `SaddleSolver` knows the layout of the KKT system.
+    `locator` of structured meshes; and `stream_basis` with its Gram
+    matrix `stream_mass` and its `stream_element_basis`, which
+    `pstokes.streamfunc` fills.
     """
 
     space_v: VelocitySpace
@@ -249,6 +252,8 @@ class AssembledOperators:
     # Curl basis C (free velocity dofs x stream dofs) of the divergence-
     # free subspace, built by pstokes.streamfunc.stream_curl_basis.
     stream_basis: sp.csc_matrix | None = field(default=None, init=False, repr=False)
+    # Its Gram matrix C^T M C (streamfunc.stream_mass).
+    stream_mass: sp.csc_matrix | None = field(default=None, init=False, repr=False)
     # Its element tables for the stress tangent (element_basis).
     stream_element_basis: ElementBasis | None = field(default=None, init=False, repr=False)
     _mass_free_lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
@@ -276,9 +281,10 @@ class AssembledOperators:
         return self._mass_free_lu
 
     def projection_saddle(self) -> SaddleSolver:
-        """The saddle operator with the mass block: its velocity solution
+        """The saddle solver with the mass block: its velocity solution
         is the L2 projection onto the divergence-free subspace, its
-        multiplier the V-perp pressure."""
+        multiplier the V-perp pressure.  Its reduced factor is that of
+        C^T M C, the Gram matrix the stepper reads too."""
         if self._projection_saddle is None:
             self._projection_saddle = SaddleSolver(self.M_free, self)
         return self._projection_saddle
@@ -396,59 +402,153 @@ def assemble(mesh: TriMesh) -> AssembledOperators:
     )
 
 
-class SaddleSolver:
-    """Direct solver for the KKT operator
+# Smallest singular value of a macro-element's divergence block, relative
+# to its largest, below which SaddleSolver refuses the mesh.
+LOCAL_SV_RATIO = 1e-8
 
-        [ A   -B^T   0 ] [ w  ]   [ rhs_v ]
-        [ B    0     c ] [ q  ] = [   0   ]
-        [ 0   c^T    0 ] [ mu ]   [   0   ]
+
+class SaddleSolver:
+    """Direct solver for the saddle problem
+
+        A w - B^T q = rhs_v,    B w = 0,    c^T q = 0,
 
     with A an SPD velocity block on free dofs, B the divergence form, and
-    c the pressure-mean row that removes the constant nullspace: w is the
-    A-orthogonal projection of A^{-1} rhs_v onto the discretely
-    divergence-free subspace and q the mean-zero pressure with
-    A w - B^T q = rhs_v.  The projections of `project_div` and the
-    pressure solves of `pstokes.pressure` are of this form.  This class
-    is the only code that knows how the blocks are laid out.
+    c the pressure-mean row: w is the A-orthogonal projection of
+    A^{-1} rhs_v onto the discretely divergence-free subspace and q the
+    mean-zero pressure.  The projections of `project_div` and the
+    pressure solves of `pstokes.pressure` are of this form.  No bordered
+    system is formed; both unknowns come from the Alfeld split.
 
-    The dense row and column c would ruin the fill of the sparse LU, so
-    they are not factored.  The pair is inf-sup stable on the Alfeld
-    split, so the kernel of B^T is exactly the constant pressures:
-    1^T B = 0, and any one row of B is fixed by the others.  The factored
-    matrix (`.lu`) is therefore
+    Velocity: the stream basis C of `pstokes.streamfunc` spans the
+    divergence-free subspace exactly, so w = C (C^T A C)^{-1} C^T rhs_v
+    with C^T A C factored once (`.lu`).  For the mass block this is the
+    Gram matrix the stepper factors too (`streamfunc.stream_mass`).
 
-        [ A   -B'^T ]
-        [ B'    0   ]
+    Pressure: q solves B^T q = A w - rhs_v =: r.  The 8 velocity dofs
+    interior to a macro-element (its barycentre and the midpoints of its
+    three inner edges) live on its three children 3K..3K+2 alone, and B
+    maps them one to one onto the mean-zero P1 pressures of the
+    macro-element, dofs 9K..9K+8 (Arnold & Qin 1992; Guzman & Neilan
+    2018).  So
+      1. per macro-element, the 9 x 8 pseudo-inverse of its block of B^T
+         gives q from the interior rows of r up to one constant;
+      2. the constants solve the remaining rows of r in the least-squares
+         sense: one factored normal-equation system, one unknown per
+         macro-element but the last (`.constants_lu`);
+      3. q is shifted to mean zero.
+    C drops entries at 1e-13 of its columns, so r lies in range(B^T) to
+    that level and step 2 is consistent to it.
 
-    with B' the rows of B without the last pressure dof, which is pinned
-    to zero; the multiplier mu vanishes, and `solve` shifts q by a
-    constant so that c^T q = 0.
+    Raises ValueError for a mesh that is not an Alfeld split (no parent
+    map, children not numbered 3K..3K+2, or a macro-element without
+    exactly 4 interior velocity nodes) and for a macro-element whose
+    local block has a smallest singular value below LOCAL_SV_RATIO of its
+    largest.
     """
 
     def __init__(self, A: sp.spmatrix, ops: AssembledOperators):
-        B_pinned = ops.B_free[:-1]
-        K = sp.bmat([[A, -B_pinned.T], [B_pinned, None]], format="csc")
-        self.n_free = ops.n_free
-        self.n_pressure = ops.n_pressure
+        # streamfunc builds on this module, so it is imported on use
+        from pstokes.streamfunc import stream_curl_basis, stream_mass
+
+        interior = _macro_interior_dofs(ops)
+        n_macro = len(interior)
+        self._interior = interior.ravel()
+        self._pinv = _local_pseudo_inverses(ops.B_free, interior)
+
+        rest = np.ones(ops.n_free, dtype=bool)
+        rest[self._interior] = False
+        B_rest = ops.B_free[:, rest]
+        n_pressure = ops.n_pressure
+        macro = sp.csr_matrix(
+            (np.ones(n_pressure), np.arange(n_pressure) // 9, np.arange(n_pressure + 1)),
+            shape=(n_pressure, n_macro),
+        )
+        self._rest = rest
+        self._B_rest_T = B_rest.T.tocsr()
+        self._G = (self._B_rest_T @ macro[:, :-1]).tocsr()
+        self.constants_lu = spla.splu((self._G.T @ self._G).tocsc())
+
+        self._A = A
+        self._C = C = stream_curl_basis(ops)
+        self.lu = spla.splu(stream_mass(ops) if A is ops.M_free else (C.T @ (A @ C)).tocsc())
         self.cvec = ops.cvec
-        self.lu = spla.splu(K)
 
     def solve(self, rhs_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve for (w, q).  rhs_v has shape (n_free,) or, to solve for
         k right-hand sides at once, (n_free, k); w and q then carry the
         same trailing axis.  Raises FloatingPointError if the solution
         is not finite."""
-        nf, c = self.n_free, self.cvec
-        tail = np.shape(rhs_v)[1:]
-        rhs = np.zeros((nf + self.n_pressure - 1,) + tail)
-        rhs[:nf] = rhs_v
-        sol = self.lu.solve(rhs)
-        if not np.all(np.isfinite(sol)):
+        y = self.lu.solve(self._C.T @ rhs_v)
+        if not np.all(np.isfinite(y)):
             raise FloatingPointError("saddle solve produced non-finite values")
-        q = np.zeros((self.n_pressure,) + tail)
-        q[:-1] = sol[nf:]
-        q -= (c @ q) / c.sum()
-        return sol[:nf], q
+        w = self._C @ y
+        r = self._A @ w - rhs_v
+        n_macro = len(self._pinv)
+        q = self._pinv @ r[self._interior].reshape(n_macro, 8, -1)
+        q = q.reshape((9 * n_macro,) + np.shape(rhs_v)[1:])
+        const = self.constants_lu.solve(self._G.T @ (r[self._rest] - self._B_rest_T @ q))
+        q[:-9] += np.repeat(const, 9, axis=0)
+        q -= (self.cvec @ q) / self.cvec.sum()
+        if not np.all(np.isfinite(q)):
+            raise FloatingPointError("saddle solve produced non-finite values")
+        return w, q
+
+
+def _macro_interior_dofs(ops: AssembledOperators) -> np.ndarray:
+    """The free-dof indices (n_macro, 8) of the velocity dofs interior to
+    each macro-element, by node (barycentre, then inner-edge midpoints in
+    node order) and component.  Raises ValueError for a mesh that is not
+    an Alfeld split."""
+    mesh = ops.space_v.mesh
+    if mesh.parent is None:
+        raise ValueError("the saddle solver needs an Alfeld-split mesh: no parent map")
+    n_tri = mesh.n_triangles
+    if n_tri % 3 or not np.array_equal(mesh.parent, np.arange(n_tri) // 3):
+        raise ValueError(
+            "the saddle solver needs an Alfeld-split mesh: the children of "
+            "macro-element K must be triangles 3K..3K+2"
+        )
+    n_macro = n_tri // 3
+    # a node is interior to K when every element around it is a child of
+    # K and it is not on the boundary
+    nodes = ops.space_v.scalar_l2g.ravel()
+    owner = np.repeat(mesh.parent, 6)
+    lo = np.full(ops.space_v.n_nodes, n_macro)
+    hi = np.full(ops.space_v.n_nodes, -1)
+    np.minimum.at(lo, nodes, owner)
+    np.maximum.at(hi, nodes, owner)
+    inner = np.flatnonzero((lo == hi) & ~ops.space_v.boundary_node)
+    counts = np.bincount(lo[inner], minlength=n_macro)
+    bad = np.flatnonzero(counts != 4)
+    if bad.size:
+        raise ValueError(
+            f"the saddle solver needs an Alfeld-split mesh: macro-element "
+            f"{bad[0]} has {counts[bad[0]]} interior velocity nodes, not 4"
+        )
+    inner = inner[np.argsort(lo[inner], kind="stable")].reshape(n_macro, 4)
+    free_index = np.cumsum(ops.free) - 1
+    return free_index[2 * inner[:, :, None] + np.arange(2)].reshape(n_macro, 8)
+
+
+def _local_pseudo_inverses(B_free: sp.csc_matrix, interior: np.ndarray) -> np.ndarray:
+    """The pseudo-inverses (n_macro, 9, 8) of the blocks of B^T on each
+    macro-element's interior dofs and its 9 pressures, from one batched
+    SVD.  Raises ValueError naming the first macro-element whose block
+    has a smallest singular value below LOCAL_SV_RATIO of its largest."""
+    n_macro = len(interior)
+    block = B_free[:, interior.ravel()].tocoo()
+    macro = block.col // 8
+    BT = np.zeros((n_macro, 8, 9))
+    BT[macro, block.col % 8, block.row - 9 * macro] = block.data
+    U, s, Vh = np.linalg.svd(BT, full_matrices=False)
+    bad = np.flatnonzero(s[:, -1] < LOCAL_SV_RATIO * s[:, 0])
+    if bad.size:
+        K = bad[0]
+        raise ValueError(
+            f"macro-element {K}: the divergence of its interior velocities is "
+            f"singular (singular values {s[K, -1]:.2e} / {s[K, 0]:.2e})"
+        )
+    return Vh.transpose(0, 2, 1) @ (U.transpose(0, 2, 1) / s[:, :, None])
 
 
 def _full_velocity(ops: AssembledOperators, free_values: np.ndarray) -> np.ndarray:

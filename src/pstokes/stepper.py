@@ -12,7 +12,9 @@ Galerkin problem in the coefficients of C: every iterate is a
 combination of divergence-free fields and stays pointwise divergence
 free up to rounding, and the factorizations are those of the reduced
 matrices C^T (M + tau K) C, an order of magnitude cheaper than the full
-saddle system.  C^T M C is formed once per workspace; C^T K C is
+saddle system.  C^T M C is formed once per mesh and read from the
+operator bundle (`streamfunc.stream_mass`), where the projections of
+`spaces.SaddleSolver` read it too; C^T K C is
 assembled element by element in the stream basis itself, each
 macro-element's block of C applied to the symmetric-gradient tables of
 its three children (`streamfunc.stream_element_basis`), so no free-dof
@@ -64,7 +66,7 @@ from pstokes.spaces import (
     velocity_at_qp,
     velocity_load_vector,
 )
-from pstokes.streamfunc import stream_curl_basis, stream_element_basis
+from pstokes.streamfunc import stream_curl_basis, stream_element_basis, stream_mass
 from pstokes.tensors import PowerLawParams, stress_S
 
 __all__ = [
@@ -218,8 +220,9 @@ class StepperWorkspace:
 
     Holds the noise mode values g_k and sqrt(sum_k g_k^2) at quadrature
     points (g_qp, g_rss), the divergence-free
-    basis C with its Gram matrix C^T M C (built on first use, so a
-    workspace that only assembles noise loads never builds it), and two
+    basis C with its Gram matrix C^T M C (looked up on first use, so a
+    workspace that only assembles noise loads never builds them; both
+    are kept on the operator bundle), and two
     factorization slots: the lagged Newton factor with the point it was
     built at, and the p = 2 factor.  Never mutated by concurrent
     trajectories in ways that affect results: the cached factorizations
@@ -252,10 +255,11 @@ class StepperWorkspace:
         return self.config.params.p == 2.0
 
     def stream_gram(self):
-        """(C, C^T M C) for the divergence-free basis, built lazily."""
+        """(C, C^T M C) for the divergence-free basis, from the operator
+        bundle, looked up on first use."""
         if self._stream is None:
             C = stream_curl_basis(self.ops)
-            self._stream = (C, (C.T @ (self.ops.M_free @ C)).tocsc())
+            self._stream = (C, stream_mass(self.ops))
         return self._stream
 
     def residual(self, u_full: np.ndarray, rhs_free: np.ndarray):

@@ -5,11 +5,13 @@ monomial quadrature identities, reproduction of quadratics by the nodal
 interpolant) or frozen from an independent measurement noted inline.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pstokes.meshing import alfeld_split, unit_square_mesh
+from pstokes.meshing import TriMesh, alfeld_split, unit_square_mesh
 from pstokes.spaces import (
     QUAD_POINTS,
     QUAD_WEIGHTS,
@@ -255,6 +257,71 @@ class TestSaddleSolver:
         assert np.abs(q - ref[nf : nf + npr]).max() <= 1e-10
         assert np.abs(ref[-1]).max() <= 1e-10
         assert np.abs(ops.cvec @ q).max() <= 1e-12
+
+    @pytest.mark.parametrize("mesh", ["jiggled", "one macro-element"])
+    def test_matches_dense_bordered_system_on_other_meshes(self, jiggled_mesh, mesh):
+        """The per-macro-element pressure recovery where no two
+        macro-elements are congruent, and on a single macro-element,
+        whose stream basis is empty, with a stiffness term in A."""
+        if mesh == "jiggled":
+            base = jiggled_mesh
+        else:
+            base = TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+        ops = assemble(alfeld_split(base))
+        A = ops.M_free + 0.01 * ops.grad_stiffness
+        nf, npr = ops.n_free, ops.n_pressure
+        B, c = ops.B_free.toarray(), ops.cvec[:, None]
+        K = np.block(
+            [
+                [A.toarray(), -B.T, np.zeros((nf, 1))],
+                [B, np.zeros((npr, npr)), c],
+                [np.zeros((1, nf)), c.T, np.zeros((1, 1))],
+            ]
+        )
+        rhs_v = np.random.default_rng(9).standard_normal((nf, 2))
+        ref = np.linalg.solve(K, np.concatenate([rhs_v, np.zeros((npr + 1, 2))]))
+        w, q = SaddleSolver(A, ops).solve(rhs_v)
+        # one scale for both: on one macro-element the exact w is zero
+        scale = np.abs(ref[: nf + npr]).max()
+        assert np.abs(w - ref[:nf]).max() <= 1e-10 * scale
+        assert np.abs(q - ref[nf : nf + npr]).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize(
+        "case,match",
+        [
+            ("no parent", "no parent map"),
+            ("children elsewhere", "3K..3K[+]2"),
+            ("unsplit", "macro-element 0 has 1 interior velocity nodes"),
+        ],
+    )
+    def test_refuses_meshes_that_are_not_alfeld_splits(self, case, match):
+        split = alfeld_split(unit_square_mesh(2))
+        n = split.n_triangles
+        if case == "unsplit":
+            # triples of elements of an unsplit mesh posing as macro-elements
+            base = unit_square_mesh(3)
+            mesh = TriMesh(base.vertices, base.triangles, np.arange(18) // 3)
+        else:
+            parent = None if case == "no parent" else (n - 1 - np.arange(n)) // 3
+            mesh = TriMesh(split.vertices, split.triangles, parent)
+        if mesh.parent is None:
+            # assemble refuses such a mesh itself; the solver must as well
+            ops = assemble(split)
+            ops = dataclasses.replace(ops, space_v=dataclasses.replace(ops.space_v, mesh=mesh))
+        else:
+            ops = assemble(mesh)
+        with pytest.raises(ValueError, match=match):
+            SaddleSolver(ops.M_free, ops)
+
+    def test_refuses_a_singular_local_block(self):
+        # the barycentre of macro-element 5 (vertex 9 + 5 at m = 2) loses
+        # its x-divergence column
+        ops = assemble(alfeld_split(unit_square_mesh(2)))
+        keep = np.ones(ops.n_free)
+        keep[np.cumsum(ops.free)[2 * 14] - 1] = 0.0
+        ops = dataclasses.replace(ops, B_free=(ops.B_free @ sp.diags(keep)).tocsc())
+        with pytest.raises(ValueError, match="macro-element 5"):
+            SaddleSolver(ops.M_free, ops)
 
     def test_non_finite_input_raises(self, ops4):
         v = Field("velocity", np.zeros(ops4.space_v.n_dofs))

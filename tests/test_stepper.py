@@ -24,6 +24,7 @@ from pstokes.spaces import (
     Field,
     assemble,
     divergence_pointwise_max,
+    interpolate_velocity,
     norms,
     project_div,
     stress_tangent_matrix,
@@ -322,11 +323,13 @@ class TestSolverMachinery:
 
     def test_noise_loads_do_not_build_the_basis(self):
         # pressure reconstruction assembles loads through a workspace of
-        # its own; that must not cost a stream basis
+        # its own; that must not cost a stream basis.  The lagged velocity
+        # is a plain interpolant: the divergence-free projection of
+        # initial_velocity solves in the basis and would build it.
         ops = assemble(alfeld_split(unit_square_mesh(2)))
         model = NoiseModel(mode_fields=curl_modes(2), rule="linear")
         work = StepperWorkspace(make_config(3.0, N=4, model=model), ops)
-        u = initial_velocity(u0_smooth, ops).coeffs
+        u = interpolate_velocity(u0_smooth, ops).coeffs
         _, hs_G = work.noise_rhs(3, u, np.ones(2))
         assert hs_G > 0.0
         assert ops.stream_basis is None

@@ -2,8 +2,8 @@
 solves every step in.
 
 The decisive property is span-exactness: solving the same saddle system
-through the reduced basis must reproduce the KKT solution (measured
-4e-13 relative at m=16; frozen at 1e-10).  That the reconstructed
+through the reduced basis must reproduce a dense solve of the bordered
+KKT system (frozen at 1e-10, on m = 4 and on a jiggled mesh).  That the reconstructed
 pressure increment closes the full momentum equation of every step is
 checked in test_pressure; here the momentum residual of a converged
 reduced step drops to the Newton tolerance once the optimal multiplier
@@ -21,7 +21,6 @@ from pstokes.pressure import reconstruct
 from pstokes.scenarios import curl_modes, u0_smooth
 from pstokes.spaces import (
     Field,
-    SaddleSolver,
     assemble,
     divergence_pointwise_max,
     stress_residual_vector,
@@ -33,7 +32,7 @@ from pstokes.stepper import (
     initial_velocity,
     run_trajectory,
 )
-from pstokes.streamfunc import DROP, stream_curl_basis, stream_element_basis
+from pstokes.streamfunc import DROP, stream_curl_basis, stream_element_basis, stream_mass
 from pstokes.tensors import PowerLawParams
 
 
@@ -43,10 +42,10 @@ def ops2():
 
 
 def reduced_solve_error(ops) -> float:
-    """Span exactness: relative difference between a saddle solve and
-    the same problem solved in the reduced basis, which vanishes only if
-    the basis spans the full divergence-free space, not a proper
-    subspace of it."""
+    """Span exactness: relative difference between a dense solve of the
+    bordered KKT system and the same problem solved in the reduced
+    basis, which vanishes only if the basis spans the full
+    divergence-free space, not a proper subspace of it."""
     C = stream_curl_basis(ops)
     rng = np.random.default_rng(3)
     u = np.zeros(ops.space_v.n_dofs)
@@ -55,10 +54,19 @@ def reduced_solve_error(ops) -> float:
         u, ops, PowerLawParams(p=3.0, kappa=0.0)
     )
     f = rng.standard_normal(ops.n_free)
-    u_saddle, _ = SaddleSolver(A, ops).solve(f)
+    nf, npr = ops.n_free, ops.n_pressure
+    B, c = ops.B_free.toarray(), ops.cvec[:, None]
+    K = np.block(
+        [
+            [A.toarray(), -B.T, np.zeros((nf, 1))],
+            [B, np.zeros((npr, npr)), c],
+            [np.zeros((1, nf)), c.T, np.zeros((1, 1))],
+        ]
+    )
+    u_kkt = np.linalg.solve(K, np.concatenate([f, np.zeros(npr + 1)]))[:nf]
     H = (C.T @ (A @ C)).tocsc()
     u_red = C @ spla.splu(H).solve(C.T @ f)
-    return float(np.linalg.norm(u_red - u_saddle) / np.linalg.norm(u_saddle))
+    return float(np.linalg.norm(u_red - u_kkt) / np.linalg.norm(u_kkt))
 
 
 @pytest.fixture(scope="module")
@@ -118,9 +126,15 @@ class TestBasisConstruction:
         with pytest.raises(ValueError, match="Alfeld"):
             assemble(unit_square_mesh(2))
 
-    def test_cached_on_operator_bundle(self, ops2):
+    def test_cached_on_operator_bundle(self, ops2, setup2):
         assert stream_curl_basis(ops2) is stream_curl_basis(ops2)
         assert stream_element_basis(ops2) is stream_element_basis(ops2)
+        # one C^T M C per mesh: the stepper reads the bundle's product
+        gram = stream_mass(ops2)
+        assert gram is stream_mass(ops2)
+        grid, model, _, _ = setup2
+        cfg = SchemeConfig(PowerLawParams(p=2.0, kappa=0.0), grid, model)
+        assert StepperWorkspace(cfg, ops2).stream_gram()[1] is gram
 
     def test_rounding_noise_dropped_per_column(self):
         """At m = 16 the Gram matrix C^T M C couples exactly the stream
