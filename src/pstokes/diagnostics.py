@@ -440,10 +440,10 @@ def error_stats(
     per call, for the cross-mesh operators that serve every sample.
     Each field family of a sample is then evaluated in one sparse
     product, and all its divergence projections are one multi-column
-    saddle solve: one back-substitution with the factor of C^T M C in
-    the stream basis, the pressure then recovered per macro-element
-    (`spaces.SaddleSolver`).  A sample holds its (N_f+1) reference V(eps u)
-    rows of 4 n_qp floats each (n_qp fine quadrature points), plus, for
+    velocity solve: one back-substitution with the factor of C^T M C
+    in the stream basis (`spaces.SaddleSolver.velocity`).  A sample
+    holds its (N_f+1) reference V(eps u) rows of 4 n_qp floats each
+    (n_qp fine quadrature points), plus, for
     a velocity-dependent noise rule, its (N_f+1) noise factor fields of
     2 n_qp floats each.  C_V is reduced from the Gram matrix of
     the held V(eps u) rows over the hat windows of the coarse grid, as
@@ -530,7 +530,7 @@ def error_stats(
         Uf = np.stack([f.coeffs for f in ref.fields])
         avg = np.stack([(w / w.sum()) @ Uf[js] for js, w in tiles])  # <u_ref>_n coefficients
 
-        # Divergence projections on the coarse space, in one saddle solve,
+        # Divergence projections on the coarse space, in one velocity solve,
         # as rows: the averages, both initial data and, across meshes, the
         # averages' nodal interpolants (on one mesh, the averages).
         loads = [
@@ -541,7 +541,7 @@ def error_stats(
             interp = np.zeros((Nc + 1, ops_coarse.space_v.n_dofs))
             interp[:, free_c] = _rows(ref_at_cn.values(avg))
             loads.append((ops_coarse.M_full @ interp.T)[free_c])
-        projected = _full_velocity(ops_coarse, saddle.solve(np.hstack(loads))[0]).T
+        projected = _full_velocity(ops_coarse, saddle.velocity(np.hstack(loads))).T
         proj_avg, u0_ref, u0_coarse, eta = np.split(projected, [Nc + 1, Nc + 2, Nc + 3])
         if same_mesh:
             eta = proj_avg

@@ -20,6 +20,12 @@ increments plus cumulative sums, stacked into two families of columns,
 each solved in one pass: the N + 1 functionals of pi_init and the
 deterministic increments need q only (one saddle solve), the N
 stochastic ones also z (one saddle solve and one mass solve).
+
+`reconstruct` forms no stress: the deterministic increments are the
+columns tau (S(eps u_n), eps xi) that each step's last residual formed
+and the trajectory stores (`Trajectory.stress_loads`).  The standalone
+`verify_reconstruction` evaluates them afresh from the fields, so that
+it stays a check independent of the stepper's columns.
 """
 
 from __future__ import annotations
@@ -130,8 +136,7 @@ def _random_perp(k: int, ops: AssembledOperators) -> np.ndarray:
     are projected in one multi-column saddle solve."""
     rng = np.random.default_rng(PERP_SEED)
     v = _full_velocity(ops, rng.standard_normal((k, ops.n_free)).T)
-    w_free, _ = ops.projection_saddle().solve((ops.M_full @ v)[ops.free])
-    v[ops.free] -= w_free
+    v[ops.free] -= ops.projection_saddle().velocity((ops.M_full @ v)[ops.free])
     return v
 
 
@@ -153,11 +158,12 @@ def reconstruct(
 ) -> PressureTrajectory:
     """Pressure components for every step of a completed trajectory.
 
-    Uses only data with indices <= n for pi_n (the stress sums and noise
-    loads of steps 1..n), mirroring the stepper's causality.  When
-    `increments` is given, the noise loads are recomputed from the
-    Wiener increments and the lagged velocities instead of taking the
-    stepper's stored loads, giving an independent assembly path; pass
+    Uses only data with indices <= n for pi_n (the stored stress columns
+    and noise loads of steps 1..n), mirroring the stepper's causality.
+    When `increments` is given, the noise loads are assembled again by
+    quadrature from the Wiener increments and the lagged velocities
+    instead of taking the stepper's stored loads, giving an independent
+    assembly path; pass
     None to reuse the stored loads; a trajectory or increments for
     another grid than config's, or increments with another mode count
     than its noise model, raise ValueError.  A trajectory that
@@ -173,7 +179,6 @@ def reconstruct(
     why = increments is not None and _increments_mismatch(increments, config)
     if why:
         raise ValueError(why)
-    tau = config.grid.tau
     N = traj.n_steps
 
     loads = traj.noise_loads
@@ -182,15 +187,12 @@ def reconstruct(
         loads = []
         for n in range(1, N + 1):
             u_lag = traj.fields[max(n - 2, 0)].coeffs
-            load, _ = work.noise_rhs(n, u_lag, increments.increment(n))
+            load, _ = work.quadrature_load(n, u_lag, increments.increment(n))
             loads.append(load)
 
     # The functionals that need q only: pi_init's, then the deterministic
     # increments tau (S(eps u_n), eps xi).
-    D = np.empty((ops.n_free, N + 1))
-    D[:, 0] = (ops.M_full @ traj.fields[0].coeffs)[ops.free]
-    for n in range(1, N + 1):
-        D[:, n] = tau * stress_residual_vector(traj.fields[n].coeffs, ops, config.params)
+    D = np.column_stack([(ops.M_full @ traj.fields[0].coeffs)[ops.free]] + traj.stress_loads)
     q, _ = _solve_vperp(D, ops)
     L = np.stack(loads, axis=1) if N else np.zeros((ops.n_free, 0))
     dq_sto, dz = _solve_vperp(-L, ops, want_z=True)
@@ -204,7 +206,7 @@ def reconstruct(
         np.cumsum(dz.T, axis=0),
     )
     if verify:
-        res = _reconstruction_residual(traj, ptraj, D[:, 1:].T, ops)
+        res = _reconstruction_residual(traj, ptraj, traj.stress_loads, ops)
         if not res <= 1e-6:
             raise ValueError(f"reconstruction equation residual {res:.3e} exceeds 1e-6")
     return ptraj
@@ -332,7 +334,8 @@ def verify_reconstruction(
 
 def _reconstruction_residual(traj: Trajectory, ptraj: PressureTrajectory, stress, ops) -> float:
     """`verify_reconstruction` from the vectors tau (S(eps u_n), eps xi)
-    of the steps n = 1..N, which `reconstruct` has formed already."""
+    of the steps n = 1..N: evaluated afresh by `verify_reconstruction`,
+    the stored columns in `reconstruct(verify=True)`."""
     xi = _random_perp(VERIFY_DIRECTIONS, ops)
     nrm = np.sqrt(np.einsum("ik,ik->k", xi, ops.M_full @ xi))
     if not np.all(nrm > 0.0):

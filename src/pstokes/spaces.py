@@ -423,6 +423,7 @@ class SaddleSolver:
     divergence-free subspace exactly, so w = C (C^T A C)^{-1} C^T rhs_v
     with C^T A C factored once (`.lu`).  For the mass block this is the
     Gram matrix the stepper factors too (`streamfunc.stream_mass`).
+    `velocity` returns w alone, for the projections that never read q.
 
     Pressure: q solves B^T q = A w - rhs_v =: r.  The 8 velocity dofs
     interior to a macro-element (its barycentre and the midpoints of its
@@ -473,15 +474,21 @@ class SaddleSolver:
         self.lu = spla.splu(stream_mass(ops) if A is ops.M_free else (C.T @ (A @ C)).tocsc())
         self.cvec = ops.cvec
 
+    def velocity(self, rhs_v: np.ndarray) -> np.ndarray:
+        """The velocity w alone, for callers that do not read q: one
+        back-substitution in the stream basis.  rhs_v has shape (n_free,)
+        or (n_free, k).  Raises FloatingPointError if w is not finite."""
+        y = self.lu.solve(self._C.T @ rhs_v)
+        if not np.all(np.isfinite(y)):
+            raise FloatingPointError("saddle solve produced non-finite values")
+        return self._C @ y
+
     def solve(self, rhs_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve for (w, q).  rhs_v has shape (n_free,) or, to solve for
         k right-hand sides at once, (n_free, k); w and q then carry the
         same trailing axis.  Raises FloatingPointError if the solution
         is not finite."""
-        y = self.lu.solve(self._C.T @ rhs_v)
-        if not np.all(np.isfinite(y)):
-            raise FloatingPointError("saddle solve produced non-finite values")
-        w = self._C @ y
+        w = self.velocity(rhs_v)
         r = self._A @ w - rhs_v
         n_macro = len(self._pinv)
         q = self._pinv @ r[self._interior].reshape(n_macro, 8, -1)
@@ -564,8 +571,7 @@ def project_div(v: Field, ops: AssembledOperators) -> Field:
     if v.kind != "velocity":
         raise ValueError("project_div expects a velocity Field")
     rhs_v = (ops.M_full @ v.coeffs)[ops.free]
-    w_free, _ = ops.projection_saddle().solve(rhs_v)
-    return Field("velocity", _full_velocity(ops, w_free))
+    return Field("velocity", _full_velocity(ops, ops.projection_saddle().velocity(rhs_v)))
 
 
 def project_perp(v: Field, ops: AssembledOperators) -> Field:

@@ -41,6 +41,14 @@ MIN_STEP (2^-20) ends the line search, LAG_THRESHOLD (0.2) is the
 relative drift of the iterate that rebuilds the lagged factor, and
 CONTRACTION (0.5) is the residual ratio above which a stale direction
 forces a fresh factor for the next correction.
+
+Each per-step quantity is formed once.  The residual check that ends a
+step forms the stress column s_n = tau (S(eps u_n), eps xi) on the free
+dofs; the step keeps it, reads the dissipation (S(eps u_n), eps u_n) as
+s_n . u_n / tau from it (u_n vanishes on the boundary dofs), and stores
+it on the trajectory, where the pressure reconstruction reads it.  The
+additive noise load is c_n L DW_n with L = ((g_k, xi)) assembled once
+per workspace, since G_n is then c_n times the fixed mode fields.
 """
 
 from __future__ import annotations
@@ -150,8 +158,10 @@ class Trajectory:
     """Velocity fields u_0..u_N plus everything reconstruction needs.
 
     noise_loads[n-1] is the assembled right-hand side (G_n DW_n, xi) of
-    step n on free dofs; with the fields it determines the pressure
-    increments (pstokes.pressure.reconstruct).  increment_access_log
+    step n on free dofs, and stress_loads[n-1] the stress column
+    tau (S(eps u_n), eps xi) on free dofs that the step's last residual
+    formed; with the fields they determine the pressure increments
+    (pstokes.pressure.reconstruct).  increment_access_log
     records every averaged-increment index read during the step that is
     listed with it, for the causality audit.  grid is the time grid the
     run was stepped on; reconstruction and the statistics refuse a
@@ -160,6 +170,7 @@ class Trajectory:
 
     fields: list[Field]
     noise_loads: list[np.ndarray]
+    stress_loads: list[np.ndarray]
     stats: list[StepStats]
     increment_access_log: list[tuple[int, int]]
     grid: TimeGrid
@@ -209,7 +220,10 @@ def initial_velocity(
 def dissipation_pairing(
     u_coeffs: np.ndarray, ops: AssembledOperators, params: PowerLawParams
 ) -> float:
-    """(S(eps u), eps u) with the same quadrature the residual uses."""
+    """(S(eps u), eps u) with the same quadrature the residual uses,
+    evaluated afresh from u.  A step reads its dissipation from the
+    stress column of its last residual instead; this function is the
+    independent value the tests compare that with."""
     eps = sym_grad_at_qp(u_coeffs, ops)
     S = stress_S(eps, params)
     return float(np.einsum("tq,tqcd,tqcd->", ops.qw, S, eps))
@@ -219,7 +233,8 @@ class StepperWorkspace:
     """Per-(mesh, config) scratch shared across steps and samples.
 
     Holds the noise mode values g_k and sqrt(sum_k g_k^2) at quadrature
-    points (g_qp, g_rss), the divergence-free
+    points (g_qp, g_rss), the additive-noise mode loads (assembled on
+    first use, see `mode_loads`), the divergence-free
     basis C with its Gram matrix C^T M C (looked up on first use, so a
     workspace that only assembles noise loads never builds them; both
     are kept on the operator bundle), and two
@@ -246,6 +261,7 @@ class StepperWorkspace:
         else:
             self.g_qp = self.g_rss = None
         self._stream: tuple | None = None
+        self._mode_loads: tuple | None = None
         self._lagged: tuple | None = None
         self._linear = None
         self.refactor_count = 0
@@ -263,18 +279,18 @@ class StepperWorkspace:
         return self._stream
 
     def residual(self, u_full: np.ndarray, rhs_free: np.ndarray):
-        """(F, ||F||) with F = C^T ((u, xi) + tau (S(eps u), eps xi) - rhs),
-        the momentum residual tested against the basis.  It equals C^T
-        of the constrained momentum residual for any pressure, since
-        C^T B^T = (B C)^T = 0.  The scaled BLAS nrm2 keeps ||F|| finite
-        for any finite F; a plain sum of squares overflows beyond 1e154."""
+        """(F, ||F||, s) with F = C^T ((u, xi) + s - rhs) the momentum
+        residual tested against the basis and s = tau (S(eps u), eps xi)
+        the stress column on free dofs, returned for the step to keep.
+        F equals C^T of the constrained momentum residual for any
+        pressure, since C^T B^T = (B C)^T = 0.  The scaled BLAS nrm2
+        keeps ||F|| finite for any finite F; a plain sum of squares
+        overflows beyond 1e154."""
         ops, cfg = self.ops, self.config
         C, _ = self.stream_gram()
-        form = (ops.M_full @ u_full)[ops.free] + cfg.grid.tau * stress_residual_vector(
-            u_full, ops, cfg.params
-        )
-        F = C.T @ (form - rhs_free)
-        return F, float(la.norm(F, check_finite=False))
+        s = cfg.grid.tau * stress_residual_vector(u_full, ops, cfg.params)
+        F = C.T @ ((ops.M_full @ u_full)[ops.free] + s - rhs_free)
+        return F, float(la.norm(F, check_finite=False)), s
 
     def factorize(self, u_full: np.ndarray, picard: bool = False):
         """Factor C^T (M + tau K) C with K the stress linearization at
@@ -321,12 +337,44 @@ class StepperWorkspace:
         C, _ = self.stream_gram()
         return _full_velocity(self.ops, C @ self._lagged[0].solve(-F)), fresh
 
+    def mode_loads(self) -> tuple[np.ndarray, float]:
+        """(L, ||g_rss||): L = ((g_k, xi)) on free dofs, one column per
+        mode (n_free x K), and the L2 norm of sqrt(sum_k g_k^2), assembled
+        on first use."""
+        if self._mode_loads is None:
+            ops = self.ops
+            L = np.stack([velocity_load_vector(g, ops)[ops.free] for g in self.g_qp], axis=1)
+            g_norm = np.sqrt(np.einsum("tq,tqc,tqc->", ops.qw, self.g_rss[0], self.g_rss[0]))
+            self._mode_loads = (L, float(g_norm))
+        return self._mode_loads
+
     def noise_rhs(
         self, n: int, u_lag_coeffs: np.ndarray, dW: np.ndarray
     ) -> tuple[np.ndarray, float]:
-        """Assembled load (G_n(u_lag) DW_n, xi) on free dofs and ||G_n||_HS,
-        from G_n of two one-row stacks: sum_k DW_k g_k, and g_rss, whose
-        image has the L2 norm ||G_n||_HS since every rule is g_k * r(u)."""
+        """Assembled load (G_n(u_lag) DW_n, xi) on free dofs and ||G_n||_HS.
+
+        For the additive rule G_n is c_n times the mode fields, with c_n
+        zero for n <= 2 and the modulation average over J_{n-2} after, so
+        the load is c_n L DW_n and ||G_n||_HS = |c_n| ||g_rss|| (see
+        `mode_loads`); the other rules read u_lag and are assembled by
+        quadrature (`quadrature_load`).  Raises IndexError for n outside
+        1..N."""
+        model = self.config.model
+        if model is None or model.velocity_dependent:
+            return self.quadrature_load(n, u_lag_coeffs, dW)
+        # c_n is G_n of the constant field 1: the additive factor reads no u
+        c = float(data_G_n(n, None, model, self.config.grid, np.ones(1))[0])
+        if c == 0.0:
+            return np.zeros(self.ops.n_free), 0.0
+        L, g_norm = self.mode_loads()
+        return c * (L @ dW), abs(c) * g_norm
+
+    def quadrature_load(
+        self, n: int, u_lag_coeffs: np.ndarray, dW: np.ndarray
+    ) -> tuple[np.ndarray, float]:
+        """`noise_rhs` for any rule, assembled by quadrature: G_n of two
+        one-row stacks, sum_k DW_k g_k, and g_rss, whose image has the L2
+        norm ||G_n||_HS since every rule is g_k * r(u)."""
         ops, model, grid = self.ops, self.config.model, self.config.grid
         if model is None:
             return np.zeros(ops.n_free), 0.0
@@ -345,13 +393,15 @@ def velocity_step(
     config: SchemeConfig,
     ops: AssembledOperators,
     work: StepperWorkspace | None = None,
-) -> tuple[Field, np.ndarray, StepStats]:
-    """One implicit step; returns (u_n, noise_load, stats).
+) -> tuple[Field, np.ndarray, np.ndarray, StepStats]:
+    """One implicit step; returns (u_n, noise_load, stress_load, stats).
 
     u_lag must be u_{(n-2) v 0}; the only increment read is DW_n.  The
     noise load is the assembled (G_n DW_n, xi) on free dofs, returned so
     the pressure reconstruction can verify its equation against data
-    that was not derived from the solved step itself.  Raises
+    that was not derived from the solved step itself.  The stress load
+    is tau (S(eps u_n), eps xi) on free dofs, from the step's last
+    residual; the dissipation in the stats is read from it.  Raises
     ValueError when the increments or the workspace belong to another
     grid, config, mode count or mesh.  Raises FloatingPointError naming
     the step when the right-hand side is not finite, and naming the step
@@ -374,23 +424,26 @@ def velocity_step(
 
     if work.is_linear:
         u_full = work.solve(work.linear_factor(), rhs_free)
-        _, res = work.residual(u_full, rhs_free)
+        _, res, stress = work.residual(u_full, rhs_free)
         iterations, converged, used_picard = 1, res <= 10 * nt.abs_tol, False
     else:
-        u_full, res, iterations, converged = _newton(n, u_prev.coeffs.copy(), rhs_free, work)
+        u_full, res, stress, iterations, converged = _newton(
+            n, u_prev.coeffs.copy(), rhs_free, work
+        )
         used_picard = not converged
         if used_picard:
-            u_full, res = _picard_fallback(u_prev.coeffs, rhs_free, work)
+            u_full, res, stress = _picard_fallback(u_prev.coeffs, rhs_free, work)
             converged = res <= nt.abs_tol
 
-    diss = dissipation_pairing(u_full, ops, work.config.params)
+    tau = config.grid.tau
+    diss = float(stress @ u_full[ops.free]) / tau
     d = u_full - u_prev.coeffs
     M = ops.M_full
     defect = (
         u_full @ (M @ u_full)
         - u_prev.coeffs @ (M @ u_prev.coeffs)
         + d @ (M @ d)
-        + 2.0 * work.config.grid.tau * diss
+        + 2.0 * tau * diss
         - 2.0 * float(noise_free @ u_full[ops.free])
     )
     stats = StepStats(
@@ -403,44 +456,44 @@ def velocity_step(
         dissipation=diss,
         hs_G=hs_G,
     )
-    return Field("velocity", u_full), noise_free, stats
+    return Field("velocity", u_full), noise_free, stress, stats
 
 
 def _newton(
     n: int, u: np.ndarray, rhs_free: np.ndarray, work: StepperWorkspace
-) -> tuple[np.ndarray, float, int, bool]:
+) -> tuple[np.ndarray, float, np.ndarray, int, bool]:
     """Damped Newton for step n from the velocity u on the lagged
     factorization: each correction is backtracked (Armijo) until the
-    residual norm drops.  Returns (u, residual, iterations, converged).
-    A residual with a non-finite entry raises FloatingPointError before
-    anything is factored at its point."""
+    residual norm drops.  Returns (u, residual, stress column of u,
+    iterations, converged).  A residual with a non-finite entry raises
+    FloatingPointError before anything is factored at its point."""
     nt = work.config.newton
 
-    def residual(v: np.ndarray, it: int) -> tuple[np.ndarray, float]:
-        F, res = work.residual(v, rhs_free)
+    def residual(v: np.ndarray, it: int) -> tuple[np.ndarray, float, np.ndarray]:
+        F, res, s = work.residual(v, rhs_free)
         if not np.isfinite(F).all():
             raise FloatingPointError(
                 f"step {n}, Newton iteration {it}: the residual has non-finite entries"
             )
-        return F, res
+        return F, res, s
 
-    F, res = residual(u, 1)
+    F, res, s = residual(u, 1)
     force_fresh = False
     for it in range(1, nt.max_iter + 1):
         if res <= nt.abs_tol:
-            return u, res, it, True
+            return u, res, s, it, True
         du, fresh = work.direction(u, F, force=force_fresh)
         step = 1.0
         retried = False
         while True:
             trial = u + step * du
-            tF, tres = residual(trial, it)
+            tF, tres, ts = residual(trial, it)
             if tres <= (1.0 - 1e-4 * step) * res:
                 break
             step *= ARMIJO_FACTOR
             if step < MIN_STEP:
                 if retried or fresh:
-                    return u, res, it, False
+                    return u, res, s, it, False
                 # stale Jacobian is the usual culprit: refactor at the
                 # current point and retry the search once
                 du, fresh = work.direction(u, F, force=True)
@@ -450,26 +503,28 @@ def _newton(
         # contracting; when that happens refresh the factorization
         # before the next correction
         force_fresh = not fresh and tres > CONTRACTION * res
-        u, F, res = trial, tF, tres
-    return u, res, nt.max_iter, False
+        u, F, res, s = trial, tF, tres, ts
+    return u, res, s, nt.max_iter, False
 
 
 def _picard_fallback(
     u_start: np.ndarray, rhs_free: np.ndarray, work: StepperWorkspace
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Kacanov fixed-point iteration from the velocity u_start: each
     iterate solves the step with the radial-weight matrix frozen at the
-    previous one.  Returns the iterate with the smallest residual, and
-    that residual."""
+    previous one.  Returns the iterate with the smallest residual, that
+    residual and its stress column."""
     u = u_start
-    best = (u_start.copy(), np.inf)
+    best = (u_start.copy(), np.inf, None)
     for _ in range(work.config.newton.picard_iters):
         u = work.solve(work.factorize(u, picard=True), rhs_free)
-        _, res = work.residual(u, rhs_free)
+        _, res, s = work.residual(u, rhs_free)
         if res < best[1]:
-            best = (u, res)
+            best = (u, res, s)
         if res <= work.config.newton.abs_tol:
             break
+    if best[2] is None:  # no iterate had a finite residual: the start's column
+        best = (best[0], best[1], work.residual(best[0], rhs_free)[2])
     return best
 
 
@@ -492,13 +547,14 @@ def run_trajectory(
     N = config.grid.N
     fields = [u0]
     noise_loads: list[np.ndarray] = []
+    stress_loads: list[np.ndarray] = []
     stats_list: list[StepStats] = []
     access_log: list[tuple[int, int]] = []
     failed_at = None
     for n in range(1, N + 1):
         u_lag = fields[max(n - 2, 0)]
         mark = len(audited.accessed)
-        u_n, noise_free, stats = velocity_step(
+        u_n, noise_free, stress, stats = velocity_step(
             n, fields[-1], u_lag, audited, config, ops, work
         )
         new_reads = audited.accessed[mark:]
@@ -510,6 +566,7 @@ def run_trajectory(
                 )
         fields.append(u_n)
         noise_loads.append(noise_free)
+        stress_loads.append(stress)
         stats_list.append(stats)
         if not stats.converged:
             failed_at = n
@@ -517,6 +574,7 @@ def run_trajectory(
     return Trajectory(
         fields=fields,
         noise_loads=noise_loads,
+        stress_loads=stress_loads,
         stats=stats_list,
         increment_access_log=access_log,
         grid=config.grid,

@@ -378,6 +378,7 @@ def test_stability_stats_rejects_trajectory_of_another_grid(ops2, run_on_other_g
     prefix = Trajectory(
         fields=traj.fields[:5],
         noise_loads=traj.noise_loads[:4],
+        stress_loads=traj.stress_loads[:4],
         stats=traj.stats[:4],
         increment_access_log=traj.increment_access_log,
         grid=traj.grid,
@@ -635,13 +636,13 @@ def test_error_stats_makes_one_saddle_solve_per_sample(coupled_pairs, level, mon
     refs, config_f, ops_f, pairs = coupled_pairs
     coarse, config_c, ops_c = pairs[level]
     calls = []
-    saddle_solve = SaddleSolver.solve
+    saddle_solve = SaddleSolver.velocity
 
     def counting(self, rhs_v):
         calls.append(np.shape(rhs_v)[1:])
         return saddle_solve(self, rhs_v)
 
-    monkeypatch.setattr(SaddleSolver, "solve", counting)
+    monkeypatch.setattr(SaddleSolver, "velocity", counting)
     error_stats(coarse, refs, config_c, config_f, ops_c, ops_f, with_CV=False)
     # the averages and both initial data; across meshes also the nodal
     # interpolants of the averages
@@ -779,6 +780,7 @@ def test_temporal_oscillation_constant_reference_vanishes(ops2):
     fake = type(src)(
         fields=frozen,
         noise_loads=src.noise_loads,
+        stress_loads=src.stress_loads,
         stats=src.stats,
         increment_access_log=src.increment_access_log,
         grid=src.grid,

@@ -258,6 +258,14 @@ class TestSaddleSolver:
         assert np.abs(ref[-1]).max() <= 1e-10
         assert np.abs(ops.cvec @ q).max() <= 1e-12
 
+    @pytest.mark.parametrize("k", [None, 5], ids=["one", "block"])
+    def test_velocity_is_the_velocity_of_solve(self, k):
+        ops = assemble(alfeld_split(unit_square_mesh(2)))
+        saddle = SaddleSolver(ops.M_free + 0.01 * ops.grad_stiffness, ops)
+        shape = () if k is None else (k,)
+        rhs_v = np.random.default_rng(10).standard_normal((ops.n_free,) + shape)
+        assert np.array_equal(saddle.velocity(rhs_v), saddle.solve(rhs_v)[0])
+
     @pytest.mark.parametrize("mesh", ["jiggled", "one macro-element"])
     def test_matches_dense_bordered_system_on_other_meshes(self, jiggled_mesh, mesh):
         """The per-macro-element pressure recovery where no two

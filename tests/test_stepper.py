@@ -27,6 +27,7 @@ from pstokes.spaces import (
     interpolate_velocity,
     norms,
     project_div,
+    stress_residual_vector,
     stress_tangent_matrix,
     velocity_at_qp,
     velocity_load_vector,
@@ -36,6 +37,7 @@ from pstokes.stepper import (
     SchemeConfig,
     StepperWorkspace,
     _picard_fallback,
+    dissipation_pairing,
     initial_velocity,
     run_trajectory,
     velocity_step,
@@ -91,20 +93,47 @@ class TestInitialVelocity:
         assert orders.min() > 2.0
 
 
+class TestStepColumns:
+    """What a step forms once and keeps: its stress column and dissipation."""
+
+    @pytest.mark.parametrize(
+        "p,kappa,max_iter",
+        [(1.5, 0.1, 50), (2.0, 0.0, 50), (3.0, 0.0, 50), (1.5, 0.1, 1)],
+        ids=["p1.5", "p2", "p3", "p1.5-fallback"],
+    )
+    def test_stress_loads_and_dissipation(self, ops4, u0h, p, kappa, max_iter):
+        # with max_iter = 1 Newton finishes no step: the Kacanov fallback
+        # returns its best iterate, and the column must be that iterate's
+        model = NoiseModel(mode_fields=curl_modes(2), rule="linear")
+        grid = TimeGrid(T=0.1, N=4)
+        params = PowerLawParams(p=p, kappa=kappa)
+        cfg = SchemeConfig(params, grid, model, NewtonConfig(max_iter=max_iter))
+        inc = sample_increments(np.random.default_rng(3), grid, n_modes=2)
+        traj = run_trajectory(u0h, inc, cfg, ops4)
+        assert traj.ok and len(traj.stress_loads) == grid.N
+        assert any(s.used_picard for s in traj.stats) == (max_iter == 1)
+        for n, (column, stats) in enumerate(zip(traj.stress_loads, traj.stats), 1):
+            u = traj.fields[n].coeffs
+            ref = grid.tau * stress_residual_vector(u, ops4, params)
+            assert np.abs(column - ref).max() <= 1e-13 * np.abs(ref).max()
+            diss = dissipation_pairing(u, ops4, params)
+            assert stats.dissipation == pytest.approx(diss, rel=1e-12, abs=0.0)
+
+
 class TestVelocityStep:
     def test_zero_fixed_point(self, ops4):
         for p in (1.5, 2.0, 3.0):
             cfg = make_config(p, kappa=0.1)
             zero = Field("velocity", np.zeros(ops4.space_v.n_dofs))
             inc = sample_increments(np.random.default_rng(0), cfg.grid, n_modes=1)
-            u1, load, stats = velocity_step(1, zero, zero, inc, cfg, ops4)
+            u1, load, _, stats = velocity_step(1, zero, zero, inc, cfg, ops4)
             assert np.abs(u1.coeffs).max() < ABS_TOL
             assert stats.converged
 
     def test_linear_case_single_iteration(self, ops4, u0h):
         cfg = make_config(2.0, kappa=0.7)
         inc = sample_increments(np.random.default_rng(1), cfg.grid, n_modes=1)
-        u1, _, stats = velocity_step(1, u0h, u0h, inc, cfg, ops4)
+        u1, _, _, stats = velocity_step(1, u0h, u0h, inc, cfg, ops4)
         assert stats.iterations == 1
         assert stats.converged
         assert stats.residual < ENERGY_TOL
@@ -162,7 +191,7 @@ class TestVelocityStep:
         ops = assemble(alfeld_split(unit_square_mesh(2)))
         u = 1e100 * initial_velocity(u0_smooth, ops).coeffs
         cfg = SchemeConfig(PowerLawParams(p=3.0), TimeGrid(T=0.1, N=2))
-        F, res = StepperWorkspace(cfg, ops).residual(u, np.zeros(ops.n_free))
+        F, res, _ = StepperWorkspace(cfg, ops).residual(u, np.zeros(ops.n_free))
         s = np.abs(F).max()
         assert np.isfinite(F).all() and s > 1e160
         assert res == pytest.approx(s * np.linalg.norm(F / s), rel=1e-12, abs=0.0)
@@ -263,7 +292,7 @@ class TestSolverMachinery:
         rhs_free = (ops4.M_full @ u0h.coeffs)[ops4.free]
         cold = np.zeros(ops4.space_v.n_dofs)
         work = StepperWorkspace(make_config(3.0, N=4), ops4)
-        u, res = _picard_fallback(cold, rhs_free, work)
+        u, res, _ = _picard_fallback(cold, rhs_free, work)
         assert res < 1e-6
         assert np.isfinite(u).all()
 
@@ -359,6 +388,14 @@ class TestSolverMachinery:
                 continue
             assert np.abs(load - ref).max() <= 1e-13 * np.abs(ref).max()
             assert hs_G == pytest.approx(ref_hs, rel=1e-13, abs=0.0)
+            # the additive rule's c_n L DW_n against the quadrature of
+            # sum_k DW_k g_k that pressure.reconstruct recomputes loads by
+            q_load, q_hs = work.quadrature_load(n, u, dW)
+            assert np.abs(load - q_load).max() <= 1e-12 * np.abs(q_load).max()
+            assert hs_G == pytest.approx(q_hs, rel=1e-12, abs=0.0)
+        for n in (0, cfg.grid.N + 1):
+            with pytest.raises(IndexError):
+                work.noise_rhs(n, u, dW)
 
     def test_additive_step_reads_no_velocity(self, ops4, u0h, monkeypatch):
         calls = []
