@@ -61,8 +61,8 @@ def u0h(ops4):
     return initial_velocity(u0_smooth, ops4)
 
 
-def make_run(ops, u0, p, kappa, N=12, seed=42, n_modes=4):
-    model = NoiseModel(mode_fields=curl_modes(n_modes))
+def make_run(ops, u0, p, kappa, N=12, seed=42, n_modes=4, rule="additive"):
+    model = NoiseModel(mode_fields=curl_modes(n_modes), rule=rule)
     config = SchemeConfig(
         params=PowerLawParams(p=p, kappa=kappa),
         grid=TimeGrid(T=0.25, N=N),
@@ -186,7 +186,18 @@ class TestReconstruct:
         gap = norm_Qsto(Field("pressure", q_tot - pt.combined(n).coeffs), ops4)
         assert gap < RECON_TOL
 
-    def test_recomputed_loads_match_stored(self, ops4, run_p3):
+    def test_recomputed_loads_match_stored(self, ops4, u0h):
+        # velocity-dependent loads take one quadrature path in the stepper
+        # and in the recomputation, so the pressures agree bit for bit
+        traj, inc, config = make_run(ops4, u0h, 3.0, 0.0, rule="linear")
+        pt_stored = reconstruct(traj, None, config, ops4)
+        pt_fresh = reconstruct(traj, inc, config, ops4)
+        for n in range(traj.n_steps):
+            assert np.array_equal(
+                pt_stored.pi_sto[n].coeffs, pt_fresh.pi_sto[n].coeffs
+            )
+
+    def test_recomputed_additive_loads_match_stored(self, ops4, run_p3):
         # the stepper's additive loads are c_n L DW_n, the recomputed ones a
         # quadrature of sum_k DW_k g_k: the two sums round differently
         # (3e-16 relative here), while a wrong lag or increment would move
