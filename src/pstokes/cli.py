@@ -6,7 +6,8 @@ divergence-free basis the stepper always solves in, and prints a
 JSON-lines trace: one line per step with the step index n, the
 fields of its StepStats and the largest pointwise |div u| over the
 quadrature points.  The exit code is 1 when the trajectory stops on a
-step that did not converge, 0 otherwise.
+step that did not converge, 2 when an option has a value the run cannot
+take (as for any usage error), 0 otherwise.
 """
 
 from __future__ import annotations
@@ -48,12 +49,13 @@ def main(argv: list[str] | None = None) -> int:
     exit code."""
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.modes < 0:
-        parser.error("--modes must be >= 0")
-    ops = assemble(alfeld_split(unit_square_mesh(args.m)))
-    grid = TimeGrid(T=args.T, N=args.N)
-    model = NoiseModel(curl_modes(args.modes)) if args.modes else None
-    config = SchemeConfig(PowerLawParams(p=args.p, kappa=args.kappa), grid, model)
+    try:
+        ops = assemble(alfeld_split(unit_square_mesh(args.m)))
+        grid = TimeGrid(T=args.T, N=args.N)
+        model = NoiseModel(curl_modes(args.modes)) if args.modes else None
+        config = SchemeConfig(PowerLawParams(p=args.p, kappa=args.kappa), grid, model)
+    except ValueError as err:
+        parser.error(str(err))
     inc = sample_increments(np.random.default_rng(args.seed), grid, n_modes=args.modes)
     traj = run_trajectory(initial_velocity(u0_smooth, ops), inc, config, ops)
     for n, stats in enumerate(traj.stats, start=1):

@@ -13,6 +13,8 @@ noise):
   one Gram matrix per trajectory).  The seminorm comes in two scales --
   max-of-mean (expectation inside the lag maximum) and mean-of-max
   (maximum inside the expectation); the second dominates the first.
+  The dissipation is that of the discrete energy identity, tau sum_n
+  ||V(eps u_n)||^2, read from the steps (`StepStats.dissipation`).
   Pressure ensembles add the dual-norm counterparts: the summed p'-power
   of deterministic pressure increments (upper bracket sqrt(2)||.||_p'),
   the maximal stochastic pressure, and its r-weighted Nikolskii scale.
@@ -85,7 +87,6 @@ from pstokes.spaces import (
     PointEvaluation,
     _full_velocity,
     point_evaluation,
-    sym_grad_p_power,
     velocity_at_qp,
 )
 from pstokes.stepper import SchemeConfig, StepperWorkspace, Trajectory, run_trajectory
@@ -177,7 +178,10 @@ class StabilityStats:
     """Ensemble statistics behind the uniform stability bounds.
 
     e_max          mean of max_n ||u_n||_L2^2 over steps 1..N
-    dissipation    mean of sum_n tau ||eps u_n||_p^p
+    dissipation    mean of sum_n tau (S(eps u_n), eps u_n) = sum_n tau
+                   ||V(eps u_n)||^2 of the energy identity, read from
+                   StepStats.dissipation (sum_n tau ||eps u_n||_p^p at
+                   kappa = 0 only)
     besov_u        max-of-mean velocity Nikolskii seminorm
     besov_u_strong mean-of-max velocity Nikolskii seminorm (>= besov_u)
     det_increment  mean of sum_n tau ||d_n pi_det / tau||^p' (upper
@@ -203,7 +207,7 @@ class StabilityStats:
 
 def _check_ensemble(trajs: Sequence[Trajectory], grid: TimeGrid, ops: AssembledOperators) -> int:
     """The step count N of an ensemble of complete runs on `grid` and the
-    mesh of `ops`; anything else raises."""
+    mesh of `ops`, with one StepStats per step; anything else raises."""
     if len(trajs) == 0:
         raise ValueError("need at least one trajectory")
     grids = {t.grid for t in trajs}
@@ -214,8 +218,9 @@ def _check_ensemble(trajs: Sequence[Trajectory], grid: TimeGrid, ops: AssembledO
     for i, t in enumerate(trajs):
         if not t.ok:
             raise ValueError(f"trajectory {i} failed at step {t.failed_at}")
-        if t.n_steps != grid.N:
-            raise ValueError(f"trajectory {i} has {t.n_steps} of {grid.N} steps")
+        if t.n_steps != grid.N or len(t.stats) != grid.N:
+            n, n_stats = t.n_steps, len(t.stats)
+            raise ValueError(f"trajectory {i} has {n} of {grid.N} steps, {n_stats} stats")
         if t.fields[0].coeffs.size != ops.space_v.n_dofs:
             raise ValueError("trajectory dof count does not match the operators")
     return grid.N
@@ -237,7 +242,8 @@ def stability_stats(
 
     `pressures` carries the reconstructed pressure trajectories matching
     `trajs` sample by sample; pass None to compute velocity statistics
-    only (the pressure entries are then None).
+    only (the pressure entries are then None).  The dissipation is read
+    from the steps' StepStats; no field is evaluated at the points.
     """
     N = _check_ensemble(trajs, config.grid, ops)
     if pressures is not None and len(pressures) != len(trajs):
@@ -260,15 +266,7 @@ def stability_stats(
         gram_sum += G
         strong_s.append(_lag_seminorm(G))
         e_max_s.append(float(np.diag(G)[1:].max()))
-        # field by field: a stack of all N symmetric gradients (4 n_qp
-        # floats each) raised the ensemble_p2 peak RSS from 158 to 170 MB
-        # (m = 16, N = 32)
-        diss_s.append(
-            sum(
-                tau * sym_grad_p_power(f.coeffs, ops, p)
-                for f in traj.fields[1:]
-            )
-        )
+        diss_s.append(sum(tau * s.dissipation for s in traj.stats))
         if pressures is not None:
             ptraj = pressures[i]
             if ptraj.n_steps != N:
@@ -331,11 +329,11 @@ def _check_mesh_nesting(ops_c: AssembledOperators, ops_f: AssembledOperators) ->
         raise ValueError(f"reference mesh order {mf} does not refine coarse order {mc}")
 
 
-def _per_cell(h: HatPieces, vals: np.ndarray, sel=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """The fine cells of the pieces `sel` and the values of those pieces
-    summed per cell."""
+def _per_cell(h: HatPieces, vals: np.ndarray, sel=slice(None)) -> tuple[slice, np.ndarray]:
+    """The fine cells of the pieces `sel`, a contiguous run as the pieces
+    are in time order, and the values of those pieces summed per cell."""
     js, starts = np.unique(h.cells[sel], return_index=True)
-    return js, np.add.reduceat(vals[sel], starts)
+    return slice(js[0], js[-1] + 1), np.add.reduceat(vals[sel], starts)
 
 
 def _hat_integrals(n: int, h: HatPieces, grid_c: TimeGrid, sel=slice(None)):
@@ -358,9 +356,8 @@ def _rows(vals: np.ndarray) -> np.ndarray:
 
 
 def _windowed_sq_dists(Vf: np.ndarray, V: np.ndarray, windows) -> float:
-    """sum_n sum_j w_nj ||Vf[j] - V[n]||^2 over the fine cells j and
-    weights w_nj of window n; direct differences, so identical rows give
-    exactly zero."""
+    """sum_n sum_j w_nj ||Vf[j] - V[n]||^2 over the fine cells j (a slice)
+    and weights w_nj of window n; identical rows give exactly zero."""
     total = 0.0
     for (js, w), row in zip(windows, V):
         d = Vf[js] - row
@@ -370,12 +367,12 @@ def _windowed_sq_dists(Vf: np.ndarray, V: np.ndarray, windows) -> float:
 
 def _window_oscillation(G: np.ndarray, windows) -> float:
     """sum_n (1/sum w) sum_{i,j} w_i w_j ||V_i - V_j||^2 over the windows
-    (js, w) of the rows V_j with Gram matrix G, reduced per window from
-    its block G_n = G[js, js] as 2 (w . diag G_n - w^T G_n w / sum w);
+    (js, w) of the rows V_j with Gram matrix G, js a slice, reduced from
+    the block G_n = G[js, js] as 2 (w . diag G_n - w^T G_n w / sum w);
     clipped at zero against rounding."""
     total = 0.0
     for js, w in windows:
-        total += 2.0 * (w @ G[js, js] - w @ G[np.ix_(js, js)] @ w / w.sum())
+        total += 2.0 * (w @ np.diagonal(G)[js] - w @ G[js, js] @ w / w.sum())
     return max(total, 0.0)
 
 

@@ -2,7 +2,8 @@
 
 The velocity/pressure pair used downstream is only inf-sup stable and
 exactly divergence-free on barycentrically refined (Alfeld-split)
-triangulations, so meshes carry a parent map recording the split.  All
+triangulations, so meshes carry a parent map recording the split, and
+the mesh checks that map's layout once, when it is built.  All
 meshes are conforming (no hanging nodes) with counterclockwise
 triangles; quality metrics follow the shape-regularity convention
 gamma = max_K h_K / rho_K with rho_K the inscribed-circle diameter.
@@ -26,7 +27,14 @@ class TriMesh:
     are derived in __post_init__ and shared immutably by assembly code.
     square_order is the m of unit_square_mesh(m) for that mesh and its
     Alfeld split, and None for every other mesh; point location relies
-    on it.  The arrays are copied on construction and read-only, so a
+    on it.  A parent map marks an Alfeld split, whose layout is checked
+    here, once: the children of macro-element K are triangles 3K..3K+2 =
+    (a, b, z), (b, c, z), (c, a, z), with a, b, c below n_vertices -
+    n_macro and z = n_vertices - n_macro + K, or ValueError names the
+    first K that breaks the rule.  The saddle solver reads the interior
+    nodes of each macro-element from it (`spaces._macro_interior_dofs`),
+    the stream basis its coarse mesh, the locator its children.  The
+    arrays are copied on construction and read-only, so a
     mesh cannot be moved in place under what was derived from it: build
     a new TriMesh instead.
     """
@@ -45,6 +53,7 @@ class TriMesh:
         self.triangles = np.array(self.triangles, dtype=np.int64)
         if self.parent is not None:
             self.parent = np.array(self.parent, dtype=np.int64)
+            _check_alfeld_layout(self.triangles, self.parent, len(self.vertices))
         if np.any(self.signed_areas() <= 0.0):
             raise ValueError("mesh has a degenerate or misoriented triangle")
         # Edge slot i is opposite local vertex i: (1,2), (2,0), (0,1).
@@ -104,6 +113,25 @@ class TriMesh:
         return self.corners().mean(axis=1)
 
 
+def _check_alfeld_layout(tri: np.ndarray, parent: np.ndarray, n_vertices: int) -> None:
+    """Raise ValueError naming the first macro-element off the layout
+    `TriMesh` documents."""
+    n = len(tri)
+    if len(parent) != n:
+        raise ValueError(f"parent map of {len(parent)} entries for {n} triangles")
+    K, k = np.divmod(np.arange(n), 3)
+    n_coarse = n_vertices - (n + 2) // 3
+    ok = (
+        (parent == K) & (K < n // 3) & (tri[:, 0] < n_coarse) & (tri[:, 2] == n_coarse + K)
+        & (tri[:, 1] == tri[np.minimum(3 * K + (k + 1) % 3, n - 1), 0])
+    )
+    if not ok.all():
+        raise ValueError(
+            f"not an Alfeld split: macro-element {K[np.argmin(ok)]} breaks the layout "
+            "3K..3K+2 = (a, b, z), (b, c, z), (c, a, z), z = n_vertices - n_macro + K"
+        )
+
+
 def unit_square_mesh(m: int) -> TriMesh:
     """Structured mesh of (0,1)^2: m x m squares, each cut along the main
     diagonal into two right triangles; 2 m^2 triangles, h = sqrt(2)/m.
@@ -133,7 +161,9 @@ def unit_square_mesh(m: int) -> TriMesh:
 def alfeld_split(mesh: TriMesh) -> TriMesh:
     """Barycentric refinement: each triangle splits into 3 at its
     barycenter; the parent map indexes the originating triangle.  The
-    square order of a structured mesh carries over to its split."""
+    square order of a structured mesh carries over to its split.
+    Triangle K's barycenter is vertex n_vertices + K, its children are
+    3K..3K+2: the layout `TriMesh` checks and its readers rely on."""
     bary = mesh.barycenters()
     n_old = mesh.n_vertices
     vertices = np.vstack([mesh.vertices, bary])

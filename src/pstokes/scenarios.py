@@ -24,7 +24,9 @@ def u0_smooth(pts: np.ndarray) -> np.ndarray:
 def curl_modes(n_modes: int, amplitude: float = 0.1) -> list:
     """Fields amplitude/sqrt(2) (sin(a pi x) cos(a pi y), -cos(a pi x) sin(a pi y))
     for a = 1..n_modes: divergence free, tangential (not zero) on the
-    boundary."""
+    boundary.  Raises ValueError for a negative n_modes."""
+    if n_modes < 0:
+        raise ValueError(f"the number of noise modes must be >= 0, got {n_modes}")
 
     def mode(a: int):
         def g(pts: np.ndarray) -> np.ndarray:

@@ -41,13 +41,16 @@ product.  The quadrature kernels apply or transpose `qp_eval`;
 cross-mesh transfer of `pstokes.diagnostics`).  One function,
 `_physical_gradients`, maps reference basis gradients to physical ones,
 for the evaluation operators and the element tables of the stress
-tangent alike.  `SaddleSolver` solves the saddle problems: callers
-hand it velocity-block right-hand sides, one column or many, and get
-the velocity and the mean-zero pressure back.  No KKT matrix is formed.  The velocity is a solve in the divergence-free
-basis of `pstokes.streamfunc`, the basis the time stepper solves in too,
-and the pressure is recovered macro-element by macro-element, because
-on the Alfeld split the divergence maps the velocities interior to a
-macro-element one to one onto its mean-zero pressures.  It serves the
+tangent alike.  `SaddleSolver` solves the saddle problem with the
+mass block, the only block it takes: callers hand it velocity-block
+right-hand sides, one column or many, and get the velocity and the
+mean-zero pressure back.  No KKT matrix is formed.  The velocity is a
+solve in the divergence-free basis of `pstokes.streamfunc`, the basis
+the time stepper solves in too, and the pressure is recovered
+macro-element by macro-element, because on the Alfeld split the
+divergence maps the velocities interior to a macro-element one to one
+onto its mean-zero pressures; those velocities are read from the
+Alfeld layout the mesh checks (`meshing.TriMesh`).  It serves the
 projections (`project_div`, the pressure solves of `pstokes.pressure`,
 the divergence projections of `pstokes.diagnostics`).
 """
@@ -83,7 +86,6 @@ __all__ = [
     "velocity_load_vector",
     "grad_at_qp",
     "sym_grad_at_qp",
-    "sym_grad_p_power",
     "stress_residual_vector",
     "stress_tangent_matrix",
     "ElementBasis",
@@ -286,7 +288,7 @@ class AssembledOperators:
         multiplier the V-perp pressure.  Its reduced factor is that of
         C^T M C, the Gram matrix the stepper reads too."""
         if self._projection_saddle is None:
-            self._projection_saddle = SaddleSolver(self.M_free, self)
+            self._projection_saddle = SaddleSolver(self)
         return self._projection_saddle
 
     def grad_stiffness_lu(self) -> spla.SuperLU:
@@ -408,24 +410,23 @@ LOCAL_SV_RATIO = 1e-8
 
 
 class SaddleSolver:
-    """Direct solver for the saddle problem
+    """Direct solver for the projection saddle problem
 
-        A w - B^T q = rhs_v,    B w = 0,    c^T q = 0,
+        M w - B^T q = rhs_v,    B w = 0,    c^T q = 0,
 
-    with A an SPD velocity block on free dofs, B the divergence form, and
-    c the pressure-mean row: w is the A-orthogonal projection of
-    A^{-1} rhs_v onto the discretely divergence-free subspace and q the
-    mean-zero pressure.  The projections of `project_div` and the
-    pressure solves of `pstokes.pressure` are of this form.  No bordered
-    system is formed; both unknowns come from the Alfeld split.
+    with M the velocity mass matrix on free dofs, the only block it
+    takes, B the divergence form, and c the pressure-mean row: w is the
+    L2 projection of M^{-1} rhs_v onto the discretely divergence-free
+    subspace and q the mean-zero pressure.  No bordered system is formed;
+    both unknowns come from the Alfeld split.
 
     Velocity: the stream basis C of `pstokes.streamfunc` spans the
-    divergence-free subspace exactly, so w = C (C^T A C)^{-1} C^T rhs_v
-    with C^T A C factored once (`.lu`).  For the mass block this is the
-    Gram matrix the stepper factors too (`streamfunc.stream_mass`).
-    `velocity` returns w alone, for the projections that never read q.
+    divergence-free subspace exactly, so w = C (C^T M C)^{-1} C^T rhs_v
+    with C^T M C, the Gram matrix the stepper factors too
+    (`streamfunc.stream_mass`), factored once (`.lu`).  `velocity`
+    returns w alone, for the projections that never read q.
 
-    Pressure: q solves B^T q = A w - rhs_v =: r.  The 8 velocity dofs
+    Pressure: q solves B^T q = M w - rhs_v =: r.  The 8 velocity dofs
     interior to a macro-element (its barycentre and the midpoints of its
     three inner edges) live on its three children 3K..3K+2 alone, and B
     maps them one to one onto the mean-zero P1 pressures of the
@@ -440,14 +441,12 @@ class SaddleSolver:
     C drops entries at 1e-13 of its columns, so r lies in range(B^T) to
     that level and step 2 is consistent to it.
 
-    Raises ValueError for a mesh that is not an Alfeld split (no parent
-    map, children not numbered 3K..3K+2, or a macro-element without
-    exactly 4 interior velocity nodes) and for a macro-element whose
-    local block has a smallest singular value below LOCAL_SV_RATIO of its
-    largest.
+    Raises ValueError for a mesh without a parent map and for a
+    macro-element whose local block has a smallest singular value below
+    LOCAL_SV_RATIO of its largest.
     """
 
-    def __init__(self, A: sp.spmatrix, ops: AssembledOperators):
+    def __init__(self, ops: AssembledOperators):
         # streamfunc builds on this module, so it is imported on use
         from pstokes.streamfunc import stream_curl_basis, stream_mass
 
@@ -469,9 +468,9 @@ class SaddleSolver:
         self._G = (self._B_rest_T @ macro[:, :-1]).tocsr()
         self.constants_lu = spla.splu((self._G.T @ self._G).tocsc())
 
-        self._A = A
-        self._C = C = stream_curl_basis(ops)
-        self.lu = spla.splu(stream_mass(ops) if A is ops.M_free else (C.T @ (A @ C)).tocsc())
+        self._M = ops.M_free
+        self._C = stream_curl_basis(ops)
+        self.lu = spla.splu(stream_mass(ops))
         self.cvec = ops.cvec
 
     def velocity(self, rhs_v: np.ndarray) -> np.ndarray:
@@ -489,7 +488,7 @@ class SaddleSolver:
         same trailing axis.  Raises FloatingPointError if the solution
         is not finite."""
         w = self.velocity(rhs_v)
-        r = self._A @ w - rhs_v
+        r = self._M @ w - rhs_v
         n_macro = len(self._pinv)
         q = self._pinv @ r[self._interior].reshape(n_macro, 8, -1)
         q = q.reshape((9 * n_macro,) + np.shape(rhs_v)[1:])
@@ -503,38 +502,16 @@ class SaddleSolver:
 
 def _macro_interior_dofs(ops: AssembledOperators) -> np.ndarray:
     """The free-dof indices (n_macro, 8) of the velocity dofs interior to
-    each macro-element, by node (barycentre, then inner-edge midpoints in
-    node order) and component.  Raises ValueError for a mesh that is not
-    an Alfeld split."""
-    mesh = ops.space_v.mesh
-    if mesh.parent is None:
+    each macro-element, by node id and component, from the Alfeld layout
+    `TriMesh` checks: the barycentre is local node 2 of child 3K, the
+    midpoint of spoke k local node 4 of child 3K + k.  Raises ValueError
+    for a mesh without a parent map."""
+    if ops.space_v.mesh.parent is None:
         raise ValueError("the saddle solver needs an Alfeld-split mesh: no parent map")
-    n_tri = mesh.n_triangles
-    if n_tri % 3 or not np.array_equal(mesh.parent, np.arange(n_tri) // 3):
-        raise ValueError(
-            "the saddle solver needs an Alfeld-split mesh: the children of "
-            "macro-element K must be triangles 3K..3K+2"
-        )
-    n_macro = n_tri // 3
-    # a node is interior to K when every element around it is a child of
-    # K and it is not on the boundary
-    nodes = ops.space_v.scalar_l2g.ravel()
-    owner = np.repeat(mesh.parent, 6)
-    lo = np.full(ops.space_v.n_nodes, n_macro)
-    hi = np.full(ops.space_v.n_nodes, -1)
-    np.minimum.at(lo, nodes, owner)
-    np.maximum.at(hi, nodes, owner)
-    inner = np.flatnonzero((lo == hi) & ~ops.space_v.boundary_node)
-    counts = np.bincount(lo[inner], minlength=n_macro)
-    bad = np.flatnonzero(counts != 4)
-    if bad.size:
-        raise ValueError(
-            f"the saddle solver needs an Alfeld-split mesh: macro-element "
-            f"{bad[0]} has {counts[bad[0]]} interior velocity nodes, not 4"
-        )
-    inner = inner[np.argsort(lo[inner], kind="stable")].reshape(n_macro, 4)
+    l2g = ops.space_v.scalar_l2g
+    inner = np.sort(np.column_stack([l2g[0::3, 2], l2g[0::3, 4], l2g[1::3, 4], l2g[2::3, 4]]))
     free_index = np.cumsum(ops.free) - 1
-    return free_index[2 * inner[:, :, None] + np.arange(2)].reshape(n_macro, 8)
+    return free_index[2 * inner[:, :, None] + np.arange(2)].reshape(len(inner), 8)
 
 
 def _local_pseudo_inverses(B_free: sp.csc_matrix, interior: np.ndarray) -> np.ndarray:
@@ -633,17 +610,12 @@ def norms(v: Field, kind: str, ops: AssembledOperators, p: float | None = None) 
     if kind == "Lp_of_sym_grad":
         if p is None:
             raise ValueError("Lp_of_sym_grad needs the exponent p")
-        return sym_grad_p_power(v.coeffs, ops, p) ** (1.0 / p)
+        eps = sym_grad_at_qp(v.coeffs, ops)
+        mag = np.sqrt(np.einsum("tqcd,tqcd->tq", eps, eps))
+        return float(np.einsum("tq,tq->", ops.qw, mag**p)) ** (1.0 / p)
     if kind == "Linf_div":
         return divergence_pointwise_max(v, ops)
     raise ValueError(f"unknown norm kind {kind!r}")
-
-
-def sym_grad_p_power(u_coeffs: np.ndarray, ops: AssembledOperators, p: float) -> float:
-    """int |eps u|^p by quadrature (the p-th power, not the norm)."""
-    eps = sym_grad_at_qp(u_coeffs, ops)
-    mag = np.sqrt(np.einsum("tqcd,tqcd->tq", eps, eps))
-    return float(np.einsum("tq,tq->", ops.qw, mag**p))
 
 
 def pressure_lp_norm(q: Field, ops: AssembledOperators, p: float) -> float:

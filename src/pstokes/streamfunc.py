@@ -29,13 +29,13 @@ formed once per mesh (`stream_mass`).  The 19-node interpolation
 problems of all macro-elements are stacked and solved in one batch: one
 batched inverse for the subtriangle cubics, one batched pseudo-inverse
 for the C^1 and dof conditions, one batched evaluation at the P2 nodes.
-The basis is
-geometry-only and is kept on the operator bundle
-(`AssembledOperators.stream_basis`); the coarse structure it is numbered
-by is recovered from the parent map while the basis is built, and not
-kept.  Entries of C that are rounding noise are dropped column by
-column.  `stream_element_basis` reads each macro-element's block of C
-into the element tables the stepper assembles C^T K C from.
+The basis is geometry-only and is kept on the operator bundle
+(`AssembledOperators.stream_basis`); the coarse structure it is
+numbered by is read from the Alfeld layout the mesh checks
+(`meshing.TriMesh`) while the basis is built, and not kept.  Entries
+of C that are rounding noise are dropped column by column.
+`stream_element_basis` reads each macro-element's block of C into the
+element tables the stepper assembles C^T K C from.
 
 Stream dof ordering: for each interior coarse vertex v (in increasing
 vertex id) the triple (psi(v), d_x psi(v), d_y psi(v)), followed by one
@@ -131,23 +131,17 @@ class _Coarse(NamedTuple):
 
 
 def _coarse_structure(ops: AssembledOperators) -> _Coarse:
-    """Recover the pre-split triangulation from the parent map."""
+    """Read the pre-split triangulation from the Alfeld layout."""
     mesh = ops.space_v.mesh
-    if mesh.parent is None:
-        raise ValueError(
-            "stream-function basis needs an Alfeld-split mesh (no parent map)"
-        )
-    n_coarse_tris = int(mesh.parent.max()) + 1
+    n_coarse_tris = mesh.n_triangles // 3
     n_coarse_verts = mesh.n_vertices - n_coarse_tris
     # children of coarse triangle i are 3i..3i+2 with vertex layout
-    # (v0, v1, z), (v1, v2, z), (v2, v0, z) and centroid z = n_cv + i
+    # (v0, v1, z), (v1, v2, z), (v2, v0, z) and centroid z = n_cv + i,
+    # the layout TriMesh checked when the mesh was built
     tri = mesh.triangles
     coarse_tris = np.column_stack(
         [tri[0::3, 0], tri[0::3, 1], tri[1::3, 1]]
     )
-    centroids = tri[0::3, 2]
-    if not np.array_equal(centroids, n_coarse_verts + np.arange(n_coarse_tris)):
-        raise ValueError("unexpected refinement layout: centroid ids not contiguous")
 
     both_coarse = (mesh.edges < n_coarse_verts).all(axis=1)
     coarse_edges = mesh.edges[both_coarse]

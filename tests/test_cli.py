@@ -3,6 +3,8 @@
 import json
 from dataclasses import fields, replace
 
+import pytest
+
 import pstokes.cli as cli
 from pstokes.stepper import NewtonConfig, StepStats, run_trajectory
 
@@ -30,3 +32,23 @@ def test_failed_trajectory_exits_nonzero(capsys, monkeypatch):
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert code == 1
     assert len(lines) == 1 and not lines[0]["converged"]
+
+
+@pytest.mark.parametrize(
+    "option,value,match",
+    [
+        ("--m", "0", "m=0"),
+        ("--N", "0", "N=0"),
+        ("--p", "1", "p=1.0"),
+        ("--T", "-1", "T=-1.0"),
+        ("--modes", "-1", "modes must be >= 0, got -1"),
+    ],
+)
+def test_bad_value_is_a_usage_error(capsys, option, value, match):
+    # a value the run cannot take exits like any usage error (code 2),
+    # not like a trajectory that failed (code 1), and prints no trace
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", option, value])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and match in err and "Traceback" not in err

@@ -10,6 +10,8 @@ domination run (m = 2, N = 8, two bounded-Lipschitz modes, 1000 samples,
 seed 21) measures C = 8.209e-3 with domination margin 0.99179 +- 0.00036.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,7 @@ from pstokes.noise import (
 from pstokes.pressure import DIV_GRAD_CONSTANT, reconstruct
 from pstokes.spaces import (
     Field,
+    PointEvaluation,
     SaddleSolver,
     StructuredLocator,
     assemble,
@@ -61,6 +64,7 @@ from pstokes.stepper import (
     SchemeConfig,
     StepperWorkspace,
     Trajectory,
+    dissipation_pairing,
     initial_velocity,
     run_trajectory,
 )
@@ -273,6 +277,45 @@ def test_stability_stats_match_direct_loops(ops2, noisy_run):
     assert set(stats.stderr) >= {"e_max", "dissipation", "besov_u_strong"}
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_stability_dissipation_is_read_from_the_steps(p, monkeypatch):
+    """At kappa > 0 the dissipation is tau sum_n (S(eps u_n), eps u_n) =
+    tau sum_n ||V(eps u_n)||^2, the quantity of the energy identity, not
+    tau sum_n ||eps u_n||_p^p; it is read from the steps, so no field is
+    evaluated at the quadrature points."""
+    ops, config = build(m=2, N=4, p=p, kappa=0.1, model=make_model(), T=0.1)
+    trajs, _ = run_ensemble(initial_velocity(curl_bump, ops), config, ops, n_samples=2, seed=3)
+    calls = []
+    sym_grad = PointEvaluation.sym_grad
+
+    def counting(self, rows):
+        calls.append(len(rows))
+        return sym_grad(self, rows)
+
+    monkeypatch.setattr(PointEvaluation, "sym_grad", counting)
+    stats = stability_stats(trajs, None, config, ops)
+    monkeypatch.undo()
+    assert calls == []
+
+    tau, params = config.grid.tau, config.params
+    pairing = np.mean(
+        [tau * sum(dissipation_pairing(f.coeffs, ops, params) for f in t.fields[1:]) for t in trajs]
+    )
+    V = [[nonlinear_V(sym_grad_at_qp(f.coeffs, ops), params) for f in t.fields[1:]] for t in trajs]
+    natural = np.mean(
+        [tau * sum(float(np.einsum("tq,tqcd,tqcd->", ops.qw, v, v)) for v in vs) for vs in V]
+    )
+    assert stats.dissipation == pytest.approx(pairing, rel=1e-12)
+    assert stats.dissipation == pytest.approx(natural, rel=1e-12)
+
+
+def test_stability_stats_refuses_missing_step_statistics(ops2, noisy_run):
+    trajs, config = noisy_run
+    short = dataclasses.replace(trajs[0], stats=trajs[0].stats[:-1])
+    with pytest.raises(ValueError, match="trajectory 1 has 6 of 6 steps, 5 stats"):
+        stability_stats([trajs[1], short], None, config, ops2)
+
+
 def test_det_increment_matches_direct_loop(ops2, noisy_run):
     # one pressure evaluation product over the stacked increments against
     # a per-step loop of pressure_lp_norm over d_n pi_det / tau
@@ -437,8 +480,10 @@ def test_time_tables_partition_windows_and_integrate_hats(ratio):
         exact = weight_antiderivative(n, hi, gc) - weight_antiderivative(n, lo, gc)
         assert w.sum() == pytest.approx(exact, abs=1e-14)
         js, w_full = dg._hat_integrals(n, h, gc)
-        # one integral per fine cell; the full hat integrates to tau
-        assert np.array_equal(js, np.arange(js[0], js[-1] + 1))
+        # the window is the contiguous run of the pieces' fine cells, one
+        # integral per cell; the full hat integrates to tau
+        assert np.array_equal(np.unique(h.cells), np.arange(js.start, js.stop))
+        assert w_full.size == js.stop - js.start
         assert w_full.sum() == pytest.approx(gc.tau, abs=1e-14)
 
 

@@ -108,6 +108,28 @@ class TestAlfeldSplit:
             assert np.isfinite(gc)
             assert gc <= 3.0 * gp
 
+    @pytest.mark.parametrize("case", ["children elsewhere", "unsplit", "permuted"])
+    def test_mesh_refuses_parent_maps_off_the_alfeld_layout(self, case):
+        """A parent map must come with the layout of alfeld_split; the
+        mesh names the first macro-element that breaks it."""
+        split = alfeld_split(unit_square_mesh(2))
+        n = split.n_triangles
+        verts, tris, parent = split.vertices, split.triangles.copy(), split.parent
+        if case == "children elsewhere":
+            parent, bad = (n - 1 - np.arange(n)) // 3, 0
+        elif case == "unsplit":
+            # triples of elements of an unsplit mesh posing as macro-elements
+            base = unit_square_mesh(3)
+            verts, tris, parent, bad = base.vertices, base.triangles, np.arange(18) // 3, 0
+        else:
+            # the last two children of macro-element 2 swapped: every
+            # child keeps its orientation, but the shared vertices do not
+            # chain (a, b, z), (b, c, z), (c, a, z)
+            tris[[7, 8]] = tris[[8, 7]]
+            bad = 2
+        with pytest.raises(ValueError, match=f"macro-element {bad} breaks the layout"):
+            TriMesh(verts, tris, parent)
+
     def test_barycenters_are_interior(self):
         split = alfeld_split(unit_square_mesh(2))
         new = split.vertices[unit_square_mesh(2).n_vertices :]

@@ -19,6 +19,7 @@ from pstokes.spaces import (
     Field,
     SaddleSolver,
     StructuredLocator,
+    _macro_interior_dofs,
     _p1_values,
     _p2_gradients,
     _p2_values,
@@ -230,19 +231,18 @@ class TestProjections:
 
 
 class TestSaddleSolver:
-    @pytest.mark.parametrize("tau", [0.0, 0.01], ids=["M", "M+tauK"])
-    @pytest.mark.parametrize("k", [None, 3], ids=["one", "block"])
-    def test_matches_dense_bordered_system(self, tau, k):
+    # the solver takes the mass block M only, hence the "M" in the ids
+    @pytest.mark.parametrize("k", [None, 3], ids=["one-M", "block-M"])
+    def test_matches_dense_bordered_system(self, k):
         """The pinned factorization returns the solution of the bordered
         system with the dense pressure-mean row and column (zero
         constraint data, as in every projection)."""
         ops = assemble(alfeld_split(unit_square_mesh(2)))
-        A = ops.M_free + tau * ops.grad_stiffness
         nf, npr = ops.n_free, ops.n_pressure
         B, c = ops.B_free.toarray(), ops.cvec[:, None]
         K = np.block(
             [
-                [A.toarray(), -B.T, np.zeros((nf, 1))],
+                [ops.M_free.toarray(), -B.T, np.zeros((nf, 1))],
                 [B, np.zeros((npr, npr)), c],
                 [np.zeros((1, nf)), c.T, np.zeros((1, 1))],
             ]
@@ -251,7 +251,7 @@ class TestSaddleSolver:
         shape = () if k is None else (k,)
         rhs_v = rng.standard_normal((nf,) + shape)
         ref = np.linalg.solve(K, np.concatenate([rhs_v, np.zeros((npr + 1,) + shape)]))
-        w, q = SaddleSolver(A, ops).solve(rhs_v)
+        w, q = SaddleSolver(ops).solve(rhs_v)
         assert w.shape == rhs_v.shape and q.shape == (npr,) + shape
         assert np.abs(w - ref[:nf]).max() <= 1e-10
         assert np.abs(q - ref[nf : nf + npr]).max() <= 1e-10
@@ -261,7 +261,7 @@ class TestSaddleSolver:
     @pytest.mark.parametrize("k", [None, 5], ids=["one", "block"])
     def test_velocity_is_the_velocity_of_solve(self, k):
         ops = assemble(alfeld_split(unit_square_mesh(2)))
-        saddle = SaddleSolver(ops.M_free + 0.01 * ops.grad_stiffness, ops)
+        saddle = SaddleSolver(ops)
         shape = () if k is None else (k,)
         rhs_v = np.random.default_rng(10).standard_normal((ops.n_free,) + shape)
         assert np.array_equal(saddle.velocity(rhs_v), saddle.solve(rhs_v)[0])
@@ -270,25 +270,24 @@ class TestSaddleSolver:
     def test_matches_dense_bordered_system_on_other_meshes(self, jiggled_mesh, mesh):
         """The per-macro-element pressure recovery where no two
         macro-elements are congruent, and on a single macro-element,
-        whose stream basis is empty, with a stiffness term in A."""
+        whose stream basis is empty."""
         if mesh == "jiggled":
             base = jiggled_mesh
         else:
             base = TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
         ops = assemble(alfeld_split(base))
-        A = ops.M_free + 0.01 * ops.grad_stiffness
         nf, npr = ops.n_free, ops.n_pressure
         B, c = ops.B_free.toarray(), ops.cvec[:, None]
         K = np.block(
             [
-                [A.toarray(), -B.T, np.zeros((nf, 1))],
+                [ops.M_free.toarray(), -B.T, np.zeros((nf, 1))],
                 [B, np.zeros((npr, npr)), c],
                 [np.zeros((1, nf)), c.T, np.zeros((1, 1))],
             ]
         )
         rhs_v = np.random.default_rng(9).standard_normal((nf, 2))
         ref = np.linalg.solve(K, np.concatenate([rhs_v, np.zeros((npr + 1, 2))]))
-        w, q = SaddleSolver(A, ops).solve(rhs_v)
+        w, q = SaddleSolver(ops).solve(rhs_v)
         # one scale for both: on one macro-element the exact w is zero
         scale = np.abs(ref[: nf + npr]).max()
         assert np.abs(w - ref[:nf]).max() <= 1e-10 * scale
@@ -299,27 +298,50 @@ class TestSaddleSolver:
         [
             ("no parent", "no parent map"),
             ("children elsewhere", "3K..3K[+]2"),
-            ("unsplit", "macro-element 0 has 1 interior velocity nodes"),
+            ("unsplit", "macro-element 0 breaks"),
         ],
     )
     def test_refuses_meshes_that_are_not_alfeld_splits(self, case, match):
         split = alfeld_split(unit_square_mesh(2))
         n = split.n_triangles
+        if case == "no parent":
+            # assemble refuses such a mesh itself; the solver must as well
+            mesh = TriMesh(split.vertices, split.triangles)
+            ops = assemble(split)
+            ops = dataclasses.replace(ops, space_v=dataclasses.replace(ops.space_v, mesh=mesh))
+            with pytest.raises(ValueError, match=match):
+                SaddleSolver(ops)
+            return
         if case == "unsplit":
             # triples of elements of an unsplit mesh posing as macro-elements
             base = unit_square_mesh(3)
-            mesh = TriMesh(base.vertices, base.triangles, np.arange(18) // 3)
+            layout = (base.vertices, base.triangles, np.arange(18) // 3)
         else:
-            parent = None if case == "no parent" else (n - 1 - np.arange(n)) // 3
-            mesh = TriMesh(split.vertices, split.triangles, parent)
-        if mesh.parent is None:
-            # assemble refuses such a mesh itself; the solver must as well
-            ops = assemble(split)
-            ops = dataclasses.replace(ops, space_v=dataclasses.replace(ops.space_v, mesh=mesh))
-        else:
-            ops = assemble(mesh)
+            layout = (split.vertices, split.triangles, (n - 1 - np.arange(n)) // 3)
+        # a fake layout is refused by the mesh, before any solver is built
         with pytest.raises(ValueError, match=match):
-            SaddleSolver(ops.M_free, ops)
+            TriMesh(*layout)
+
+    @pytest.mark.parametrize("base", ["square", "jiggled"])
+    def test_interior_dofs_match_an_owner_scan(self, jiggled_mesh, base):
+        """The interior dofs read from the Alfeld layout are those of a
+        layout-free scan: a node is interior to K when every element
+        around it is a child of K and it is not on the boundary."""
+        mesh = alfeld_split(unit_square_mesh(4) if base == "square" else jiggled_mesh)
+        ops = assemble(mesh)
+        n_macro = mesh.n_triangles // 3
+        nodes = ops.space_v.scalar_l2g.ravel()
+        owner = np.repeat(mesh.parent, 6)
+        lo = np.full(ops.space_v.n_nodes, n_macro)
+        hi = np.full(ops.space_v.n_nodes, -1)
+        np.minimum.at(lo, nodes, owner)
+        np.maximum.at(hi, nodes, owner)
+        inner = np.flatnonzero((lo == hi) & ~ops.space_v.boundary_node)
+        assert np.array_equal(np.bincount(lo[inner], minlength=n_macro), np.full(n_macro, 4))
+        inner = inner[np.argsort(lo[inner], kind="stable")].reshape(n_macro, 4)
+        free_index = np.cumsum(ops.free) - 1
+        scan = free_index[2 * inner[:, :, None] + np.arange(2)].reshape(n_macro, 8)
+        assert np.array_equal(_macro_interior_dofs(ops), scan)
 
     def test_refuses_a_singular_local_block(self):
         # the barycentre of macro-element 5 (vertex 9 + 5 at m = 2) loses
@@ -329,7 +351,7 @@ class TestSaddleSolver:
         keep[np.cumsum(ops.free)[2 * 14] - 1] = 0.0
         ops = dataclasses.replace(ops, B_free=(ops.B_free @ sp.diags(keep)).tocsc())
         with pytest.raises(ValueError, match="macro-element 5"):
-            SaddleSolver(ops.M_free, ops)
+            SaddleSolver(ops)
 
     def test_non_finite_input_raises(self, ops4):
         v = Field("velocity", np.zeros(ops4.space_v.n_dofs))
