@@ -46,7 +46,12 @@ Each per-step quantity is formed once.  The residual check that ends a
 step forms the stress column s_n = tau (S(eps u_n), eps xi) on the free
 dofs; the step keeps it, reads the dissipation (S(eps u_n), eps u_n) as
 s_n . u_n / tau from it (u_n vanishes on the boundary dofs), and stores
-it on the trajectory, where the pressure reconstruction reads it.  The
+it on the trajectory, where the pressure reconstruction reads it.  At
+p = 2, S(A) = A for every kappa, so the column is tau K u_n with K the
+symmetric-gradient stiffness the mesh assembles once
+(`AssembledOperators.sym_grad_stiffness`): one sparse product, no
+quadrature.  The step forms M u_{n-1} once for its load and its energy
+defect, and M u_n once for the defect.  The
 additive noise load is c_n L DW_n with L = ((g_k, xi)) assembled once
 per workspace, since G_n is then c_n times the fixed mode fields.
 """
@@ -239,7 +244,14 @@ class StepperWorkspace:
     workspace that only assembles noise loads never builds them; both
     are kept on the operator bundle), and two
     factorization slots: the lagged Newton factor with the point it was
-    built at, and the p = 2 factor.  Never mutated by concurrent
+    built at, and the p = 2 factor.  Two more tables are read from the
+    operator bundle: C^T (`stream_basis_T`, kept with C), which every
+    residual and solve applies, so that none rebuilds the transposed
+    view of the CSC matrix C; and, at p = 2 only, the
+    symmetric-gradient stiffness (`sym_grad_stiffness`) the residual's
+    stress column is a product with.  The first residual builds it, not
+    `linear_factor`, so a workspace's set-up does not pay for it.
+    Never mutated by concurrent
     trajectories in ways that affect results: the cached factorizations
     are pure solver accelerators keyed on the expansion point.
 
@@ -281,22 +293,29 @@ class StepperWorkspace:
     def residual(self, u_full: np.ndarray, rhs_free: np.ndarray):
         """(F, ||F||, s) with F = C^T ((u, xi) + s - rhs) the momentum
         residual tested against the basis and s = tau (S(eps u), eps xi)
-        the stress column on free dofs, returned for the step to keep.
+        the stress column on free dofs, returned for the step to keep:
+        at p = 2 a product with `sym_grad_stiffness`, else a quadrature.
         F equals C^T of the constrained momentum residual for any
         pressure, since C^T B^T = (B C)^T = 0.  The scaled BLAS nrm2
         keeps ||F|| finite for any finite F; a plain sum of squares
         overflows beyond 1e154."""
         ops, cfg = self.ops, self.config
-        C, _ = self.stream_gram()
-        s = cfg.grid.tau * stress_residual_vector(u_full, ops, cfg.params)
-        F = C.T @ ((ops.M_full @ u_full)[ops.free] + s - rhs_free)
+        self.stream_gram()  # C^T is kept with C
+        if self.is_linear:
+            s = cfg.grid.tau * (ops.sym_grad_stiffness @ u_full[ops.free])
+        else:
+            s = cfg.grid.tau * stress_residual_vector(u_full, ops, cfg.params)
+        F = ops.stream_basis_T @ ((ops.M_full @ u_full)[ops.free] + s - rhs_free)
         return F, float(la.norm(F, check_finite=False)), s
 
     def factorize(self, u_full: np.ndarray, picard: bool = False):
         """Factor C^T (M + tau K) C with K the stress linearization at
         u_full: the Newton Jacobian, or with picard the radial-weight
         (Kacanov) matrix.  C^T K C is assembled in the stream basis
-        itself, from its element tables."""
+        itself, from its element tables.  SuperLU's default COLAMD
+        ordering is kept here: the symmetric minimum-degree ordering of
+        the free-dof factors (`spaces._spd_lu`) raises the L+U fill of
+        the p = 2 matrix at m = 16 from 146k to 176k non-zeros."""
         _, HM = self.stream_gram()
         K = stress_tangent_matrix(
             u_full, self.ops, self.config.params, picard, stream_element_basis(self.ops)
@@ -308,7 +327,7 @@ class StepperWorkspace:
         """The full-length velocity solving the factored linear step
         with load rhs_free outright."""
         C, _ = self.stream_gram()
-        return _full_velocity(self.ops, C @ factor.solve(C.T @ rhs_free))
+        return _full_velocity(self.ops, C @ factor.solve(self.ops.stream_basis_T @ rhs_free))
 
     def linear_factor(self):
         """The p = 2 factor: the tangent does not depend on u, so one
@@ -417,7 +436,9 @@ def velocity_step(
     nt = config.newton
     dW = increments.increment(n)
     noise_free, hs_G = work.noise_rhs(n, u_lag.coeffs, dW)
-    rhs_free = (ops.M_full @ u_prev.coeffs)[ops.free] + noise_free
+    M = ops.M_full
+    Mu_prev = M @ u_prev.coeffs
+    rhs_free = Mu_prev[ops.free] + noise_free
     if not np.isfinite(rhs_free).all():
         raise FloatingPointError(f"step {n}: the right-hand side has non-finite entries")
     refactors_before = work.refactor_count
@@ -437,12 +458,11 @@ def velocity_step(
 
     tau = config.grid.tau
     diss = float(stress @ u_full[ops.free]) / tau
-    d = u_full - u_prev.coeffs
-    M = ops.M_full
+    Mu = M @ u_full
     defect = (
-        u_full @ (M @ u_full)
-        - u_prev.coeffs @ (M @ u_prev.coeffs)
-        + d @ (M @ d)
+        u_full @ Mu
+        - u_prev.coeffs @ Mu_prev
+        + (u_full - u_prev.coeffs) @ (Mu - Mu_prev)
         + 2.0 * tau * diss
         - 2.0 * float(noise_free @ u_full[ops.free])
     )

@@ -261,7 +261,8 @@ def stream_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     the dof's function and gradient vanish, and what is computed there
     is rounding noise (1e-15 relative), which would otherwise double
     the fill of the reduced factorizations.
-    Kept on the operator bundle as `ops.stream_basis`; construction is
+    Kept on the operator bundle as `ops.stream_basis`, with its CSR
+    transpose view as `ops.stream_basis_T`; construction is
     geometry-only.
     """
     if ops.stream_basis is not None:
@@ -311,6 +312,7 @@ def stream_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     C.data[np.abs(C.data) < DROP * col_max[col]] = 0.0
     C.eliminate_zeros()
     ops.stream_basis = C
+    ops.stream_basis_T = C.T
     return C
 
 

@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from pstokes.meshing import TriMesh, alfeld_split, unit_square_mesh
 from pstokes.spaces import (
@@ -190,6 +191,21 @@ class TestAssembly:
             ):
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestFreeDofFactors:
+    def test_mass_factor_is_fill_reduced(self):
+        # a symmetric minimum-degree ordering of the SPD mass matrix
+        # against SuperLU's default column ordering COLAMD, measured at
+        # 26k against 60k L+U non-zeros
+        ops = assemble(alfeld_split(unit_square_mesh(8)))
+        lu = ops.mass_free_lu()
+        colamd = spla.splu(ops.M_free, permc_spec="COLAMD")
+        assert lu.L.nnz + lu.U.nnz <= 0.5 * (colamd.L.nnz + colamd.U.nnz)
+        B = np.random.default_rng(8).standard_normal((ops.n_free, 32))
+        X = lu.solve(B)
+        assert np.abs(ops.M_free @ X - B).max() <= 1e-13 * np.abs(B).max()
+        assert ops.mass_free_lu() is lu
 
 
 class TestProjections:
@@ -461,6 +477,19 @@ class TestStressForms:
         expected = K @ u[ops4.free]
         r = stress_residual_vector(u, ops4, params)
         assert np.abs(r - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("base", ["square", "jiggled"])
+    def test_sym_grad_stiffness_is_the_p2_tangent(self, jiggled_mesh, base):
+        # one quadrature product of qp_eval against the element tables
+        # of the free element basis: at p = 2 both are (eps v, eps xi)
+        ops = assemble(alfeld_split(unit_square_mesh(4) if base == "square" else jiggled_mesh))
+        K = ops.sym_grad_stiffness
+        want = stress_tangent_matrix(np.zeros(ops.space_v.n_dofs), ops, PowerLawParams(p=2.0))
+        assert K.format == "csr" and K.shape == (ops.n_free, ops.n_free)
+        scale = np.abs(want).max()
+        assert np.abs((K - want).toarray()).max() <= 1e-14 * scale
+        assert np.abs((K - K.T).toarray()).max() <= SYMMETRY_TOL * scale
+        assert ops.sym_grad_stiffness is K
 
     @pytest.mark.parametrize("p,kappa", [(1.5, 0.2), (2.5, 0.0), (3.0, 0.1)])
     def test_tangent_matches_finite_differences(self, ops4, p, kappa):
