@@ -86,7 +86,9 @@ from pstokes.spaces import (
     Field,
     PointEvaluation,
     _full_velocity,
+    lp_norm,
     point_evaluation,
+    qp_weights,
     velocity_at_qp,
 )
 from pstokes.stepper import SchemeConfig, StepperWorkspace, Trajectory, run_trajectory
@@ -249,8 +251,7 @@ def stability_stats(
     if pressures is not None and len(pressures) != len(trajs):
         raise ValueError("pressure ensemble size differs from trajectory ensemble")
     tau = config.grid.tau
-    p = config.params.p
-    p_conj = p / (p - 1.0)
+    p_conj = config.params.p_conj
 
     e_max_s: list[float] = []
     diss_s: list[float] = []
@@ -277,7 +278,7 @@ def stability_stats(
             sto_max_s.append(float(np.diag(Gz)[1:].max()))
             # L^p' norms of the increments d_n pi_det / tau, pi_det_0 = 0
             inc = np.diff(_coeff_rows(ptraj.pi_det)[0], axis=0, prepend=0.0) / tau
-            lp = (ops.qw.ravel() @ np.abs(ops.P @ inc.T) ** p_conj) ** (1.0 / p_conj)
+            lp = lp_norm(np.abs(ops.P @ inc.T), ops, p_conj)
             det_s.append(tau * float(np.sum((DIV_GRAD_CONSTANT * lp) ** p_conj)))
 
     ns = len(trajs)
@@ -346,10 +347,6 @@ def _hat_integrals(n: int, h: HatPieces, grid_c: TimeGrid, sel=slice(None)):
 # Quadrature-weighted rows and loads of point-evaluated fields
 
 
-def _qp_weight_vector(ops: AssembledOperators, comps: int) -> np.ndarray:
-    return np.repeat(ops.qw.ravel(), comps)
-
-
 def _rows(vals: np.ndarray) -> np.ndarray:
     """Point values of a stack of fields, one flat row per field."""
     return vals.reshape(len(vals), -1)
@@ -380,8 +377,8 @@ def _loads(ev: PointEvaluation, rows: np.ndarray, ops: AssembledOperators) -> np
     """Load functionals (f, xi) on the free dofs of `ops`, one column per
     coefficient row, with f evaluated by `ev` at the quadrature points
     of `ops`."""
-    vals = ev.values(rows) * ops.qw.reshape(-1, 1)
-    return (ops.qp_eval.V.T @ _rows(vals).T)[ops.free]
+    vals = _rows(ev.values(rows)) * qp_weights(ops, 2)
+    return (ops.qp_eval.V.T @ vals.T)[ops.free]
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +459,8 @@ def error_stats(
         raise ValueError("coarse and reference runs use different exponents p or kappa")
     ns = len(coarse_trajs)
 
-    w2 = np.sqrt(_qp_weight_vector(ops_ref, 2))
-    w4 = np.sqrt(_qp_weight_vector(ops_ref, 4))
+    w2 = np.sqrt(qp_weights(ops_ref, 2))
+    w4 = np.sqrt(qp_weights(ops_ref, 4))
     saddle = ops_coarse.projection_saddle()
     free_c = ops_coarse.free
 
@@ -593,7 +590,7 @@ def _data_term(
     """
     if model is None:
         return 0.0
-    w = _qp_weight_vector(ops_f, 2).reshape(-1, 2)
+    w = qp_weights(ops_f, 2).reshape(-1, 2)
     s = np.sqrt(model.mode_square_sum(ops_f.qp_x.reshape(-1, 2)))
     U = ops_f.qp_eval.values(Uf) if model.velocity_dependent else None
     F = np.broadcast_to(model.apply(s, U), (len(Uf),) + s.shape)
@@ -637,7 +634,7 @@ def temporal_oscillation(
         [_hat_integrals(n, h, grid_c) for n, h in enumerate(hat_pieces(grid_c, grid_f), 1)]
         for grid_c in coarse_grids
     ]
-    w4 = np.sqrt(_qp_weight_vector(ops_ref, 4))
+    w4 = np.sqrt(qp_weights(ops_ref, 4))
     totals = np.zeros(len(coarse_grids))
     for ref in ref_trajs:
         U, _ = _coeff_rows(ref.fields)
@@ -666,9 +663,10 @@ class ExtrapolationReport:
     C_measured is the worst ratio (a lower bound for the domination
     constant), C_used the constant the margins are evaluated with,
     max(C_measured, 1).  Margins are
-    (RHS - LHS)/RHS with delta-method standard errors; for a noise-free
-    configuration both processes vanish and the margins are 1 by
-    convention.
+    (RHS - LHS)/RHS with delta-method standard errors.  For a noise-free
+    configuration both processes vanish: every rule reads (0, 0, 0),
+    C_measured is 0, and the margins are 1 with sigma 0, the convention
+    of a vanishing ratio (`_ratio_margin`).
     """
 
     n_samples: int
@@ -687,7 +685,7 @@ class ExtrapolationReport:
 
 def _mode_gram(F: np.ndarray, H: np.ndarray, ops: AssembledOperators) -> np.ndarray:
     """Modewise L2 Gram matrix of two stacks of fields at quadrature points."""
-    return np.einsum("tq,ktqc,ltqc->kl", ops.qw, F, H)
+    return (_rows(F) * qp_weights(ops, 2)) @ _rows(H).T
 
 
 def _compensator_sq_path(
@@ -826,23 +824,6 @@ def extrapolation_check(
             if not traj.ok:
                 raise RuntimeError(f"sample {i} failed at step {traj.failed_at}")
             X_all[i], Y_all[i] = _xy_paths(traj, path, work, r)
-
-    if not X_all.any() and not Y_all.any():
-        # Noise free: both processes vanish, the margins are 1 by convention.
-        return ExtrapolationReport(
-            n_samples=n_samples,
-            r=r,
-            k=k,
-            C_measured=0.0,
-            C_used=1.0,
-            rule_table={},
-            domination_margin=1.0,
-            domination_sigma=0.0,
-            corollary_margin=1.0,
-            corollary_sigma=0.0,
-            mean_X_final=0.0,
-            mean_Y_final=0.0,
-        )
 
     samples = np.arange(n_samples)
     rules: dict[str, np.ndarray] = {f"time_{m}": np.full(n_samples, m) for m in range(N + 1)}

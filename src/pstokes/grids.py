@@ -6,10 +6,16 @@ except J_0 = [0, tau/2].  The weight a_n is the hat function that ramps
 up over J_{n-1} and down over J_n (a_1 is flat 1 over J_0 instead of a
 ramp).  Every weight integrates to tau, and the inner products
 int a_n a_m dt form the tridiagonal covariance of the averaged Wiener
-increments:
+increments.
 
-    diagonal 2 tau/3 (5 tau/6 for n = m = 1), first off-diagonal tau/6,
-    zero beyond.
+Each integral of the weights has one owner.  The hat a_n is one table
+of knots and values (`_hat_table`): `weight_a` interpolates it,
+`weight_antiderivative` integrates its linear pieces exactly and
+`weight_support` reads its end knots; the fine-cell averages
+(`weight_cell_averages`) and the hat windows of a grid pair
+(`hat_pieces`) are read from these.  The covariance entries are those
+of `weight_inner`, which `covariance_banded` and with it the exact
+sampler's Cholesky factor read.
 """
 
 from __future__ import annotations
@@ -69,57 +75,38 @@ def _check_weight_index(n: int, grid: TimeGrid) -> None:
         raise IndexError(f"weight index {n} outside 1..{grid.N}")
 
 
+def _hat_table(n: int, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Knots and values of a_n, linear between the knots and zero outside:
+    the ends of J_{n-1} and the right end of J_n, with the values
+    (1, 1, 0) for n = 1 (flat over J_0) and (0, 1, 0) after."""
+    _check_weight_index(n, grid)
+    (lo, mid), (_, hi) = grid.interval(n - 1), grid.interval(n)
+    return np.array([lo, mid, hi]), np.array([float(n == 1), 1.0, 0.0])
+
+
 def weight_support(n: int, grid: TimeGrid) -> tuple[float, float]:
     """The support [max(t_{n-1} - tau/2, 0), t_n + tau/2] of a_n."""
-    _check_weight_index(n, grid)
-    return max(grid.node(n - 1) - 0.5 * grid.tau, 0.0), grid.node(n) + 0.5 * grid.tau
+    knots, _ = _hat_table(n, grid)
+    return float(knots[0]), float(knots[-1])
 
 
 def weight_a(n: int, t, grid: TimeGrid):
-    """Weight a_n(t), vectorized over t.
-
-    a_1 = 1 on J_0 then ramps down across J_1; a_n (n >= 2) ramps up
-    across J_{n-1} and down across J_n.  Intervals are taken half-open
-    on the right so overlapping indicators never double-count.
-    """
-    _check_weight_index(n, grid)
-    t = np.asarray(t, dtype=float)
-    tau = grid.tau
-    hi = grid.node(n) + 0.5 * tau
-    if n == 1:
-        flat = (t >= 0.0) & (t < 0.5 * tau)
-        down = (t >= 0.5 * tau) & (t < hi)
-        out = np.where(flat, 1.0, 0.0) + np.where(down, (hi - t) / tau, 0.0)
-    else:
-        lo = grid.node(n - 1) - 0.5 * tau
-        mid = grid.node(n - 1) + 0.5 * tau
-        up = (t >= lo) & (t < mid)
-        down = (t >= mid) & (t < hi)
-        out = np.where(up, (t - lo) / tau, 0.0) + np.where(down, (hi - t) / tau, 0.0)
+    """Weight a_n(t), vectorized over t: the hat table interpolated
+    linearly inside its knots, zero outside them."""
+    knots, values = _hat_table(n, grid)
+    out = np.interp(t, knots, values, left=0.0, right=0.0)
     return out if out.ndim else float(out)
 
 
 def weight_antiderivative(n: int, t, grid: TimeGrid):
-    """A_n(t) = int_0^t a_n(s) ds, exact piecewise-quadratic closed form."""
-    _check_weight_index(n, grid)
+    """A_n(t) = int_0^t a_n(s) ds: each linear piece of the hat table,
+    cut at t, integrated exactly by its trapezoid."""
+    knots, values = _hat_table(n, grid)
     t = np.asarray(t, dtype=float)
-    tau = grid.tau
-    hi = grid.node(n) + 0.5 * tau
-    if n == 1:
-        mid = 0.5 * tau
-        tc = np.clip(t, 0.0, mid)
-        out = tc.copy()
-        td = np.clip(t, mid, hi)
-        out += (tau**2 - (hi - td) ** 2) / (2.0 * tau) - (tau**2 - (hi - mid) ** 2) / (
-            2.0 * tau
-        )
-    else:
-        lo = grid.node(n - 1) - 0.5 * tau
-        mid = grid.node(n - 1) + 0.5 * tau
-        tu = np.clip(t, lo, mid)
-        out = (tu - lo) ** 2 / (2.0 * tau)
-        td = np.clip(t, mid, hi)
-        out += (tau**2 - (hi - td) ** 2) / (2.0 * tau)
+    out = np.zeros(t.shape)
+    for x0, x1, v0, v1 in zip(knots[:-1], knots[1:], values[:-1], values[1:]):
+        s = np.clip(t, x0, x1)
+        out += 0.5 * (s - x0) * (2.0 * v0 + (v1 - v0) * (s - x0) / (x1 - x0))
     return out if out.ndim else float(out)
 
 
@@ -168,7 +155,8 @@ def hat_pieces(grid_c: TimeGrid, grid_f: TimeGrid) -> list[HatPieces]:
 
 
 def weight_inner(n: int, m: int, grid: TimeGrid) -> float:
-    """Closed-form int a_n a_m dt.
+    """Closed-form int a_n a_m dt: 2 tau/3 on the diagonal (5 tau/6 for
+    n = m = 1), tau/6 on the first off-diagonal, zero beyond.
 
     Derived by integrating the piecewise-linear hats; cross-checked in the
     test suite against adaptive and symbolic quadrature.
@@ -192,13 +180,12 @@ def covariance_matrix(grid: TimeGrid) -> np.ndarray:
 
 
 def covariance_banded(grid: TimeGrid) -> np.ndarray:
-    """Lower-banded (2, N) storage of the tridiagonal covariance."""
+    """Lower-banded (2, N) storage of the tridiagonal covariance, read
+    from `weight_inner`."""
     N = grid.N
-    tau = grid.tau
     ab = np.zeros((2, N))
-    ab[0] = 2.0 * tau / 3.0
-    ab[0, 0] = 5.0 * tau / 6.0
-    ab[1, : N - 1] = tau / 6.0
+    ab[0] = [weight_inner(n, n, grid) for n in range(1, N + 1)]
+    ab[1, : N - 1] = [weight_inner(n, n + 1, grid) for n in range(1, N)]
     return ab
 
 

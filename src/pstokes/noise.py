@@ -12,8 +12,10 @@ exact cell averages of a_n against a shared fine-resolution path, so
 that all grid levels of a convergence study see the same driving noise.
 
 The noise operator G multiplies each mode field by one factor r(u); its
-time-discretization G_n averages the modulation over J_{n-2} and is zero
-for n in {1, 2}.  The compensator Ebar(t) collects the two stochastic
+time-discretization G_n = c_n G(., v) has one time coefficient, owned by
+`data_coefficient`: zero for n in {1, 2}, else the modulation averaged
+over J_{n-2}.  `data_G_n` multiplies it in, and the stepper's additive
+load reads it alone.  The compensator Ebar(t) collects the two stochastic
 integrals that separate the piecewise-constant interpolant of the scheme
 from its time-average; it is evaluated as a Riemann-Ito sum over fine
 cells.
@@ -40,6 +42,7 @@ __all__ = [
     "sample_increments",
     "NoiseModel",
     "sigma_bounded",
+    "data_coefficient",
     "data_G_n",
     "modulation_average",
     "compensator_Ebar",
@@ -250,6 +253,15 @@ def modulation_average(model: NoiseModel, lo: float, hi: float) -> float:
     return float(_GAUSS3_WEIGHTS @ model.modulation(mid + half * _GAUSS3_NODES)) / 2.0
 
 
+def data_coefficient(n: int, model: NoiseModel, grid: TimeGrid) -> float:
+    """The time coefficient c_n of G_n = c_n G(., v): zero for n in
+    {1, 2}, else the average of the modulation over J_{n-2}.  Raises
+    IndexError for n outside 1..N."""
+    if not 1 <= n <= grid.N:
+        raise IndexError(f"step index {n} outside 1..{grid.N}")
+    return 0.0 if n <= 2 else modulation_average(model, *grid.interval(n - 2))
+
+
 def data_G_n(
     n: int,
     u_vals: np.ndarray | None,
@@ -257,18 +269,15 @@ def data_G_n(
     grid: TimeGrid,
     g_vals: np.ndarray,
 ) -> np.ndarray:
-    """Discrete noise data G_n(v): zero for n in {1, 2}, else the
-    time-average of G(t, v) over J_{n-2}.
+    """Discrete noise data G_n(v) = c_n g * r(v) (`data_coefficient`):
+    exact zeros where c_n is zero, whatever r(v) holds.
 
     g_vals is a stack of fields at the evaluation points, the mode
     values or combinations of them: G_n is linear in the stack.
     """
-    if not 1 <= n <= grid.N:
-        raise IndexError(f"step index {n} outside 1..{grid.N}")
-    if n <= 2:
-        return np.zeros(model.apply(g_vals, u_vals).shape)
-    avg = modulation_average(model, *grid.interval(n - 2))
-    return avg * model.apply(g_vals, u_vals)
+    c = data_coefficient(n, model, grid)
+    G = model.apply(g_vals, u_vals)
+    return c * G if c else np.zeros(G.shape)
 
 
 def _ito_coefficients(

@@ -38,6 +38,7 @@ from pstokes.spaces import (
     _full_velocity,
     discrete_gradient,
     grad_at_qp,
+    lp_norm,
     norms,
     pressure_lp_norm,
     project_perp,
@@ -223,13 +224,6 @@ def norm_Qsto(q: Field, ops: AssembledOperators) -> float:
     return norms(discrete_gradient(q, ops), "L2", ops)
 
 
-def _grad_lp_norm(v_coeffs: np.ndarray, ops: AssembledOperators, p: float) -> float:
-    """Full-gradient L^p norm by quadrature."""
-    grad = grad_at_qp(v_coeffs, ops)
-    mag = np.sqrt(np.einsum("tqcd,tqcd->tq", grad, grad))
-    return float(np.einsum("tq,tq->", ops.qw, mag**p) ** (1.0 / p))
-
-
 def norm_Qdet(
     q: Field,
     p: float,
@@ -247,8 +241,7 @@ def norm_Qdet(
     """
     if not p > 1.0:
         raise ValueError("p must exceed 1")
-    p_conj = p / (p - 1.0)
-    upper = DIV_GRAD_CONSTANT * pressure_lp_norm(q, ops, p_conj)
+    upper = DIV_GRAD_CONSTANT * pressure_lp_norm(q, ops, p / (p - 1.0))
     if not np.any(q.coeffs):
         return {"lower": 0.0, "upper": 0.0, "ascent_ratios": []}
 
@@ -256,7 +249,7 @@ def norm_Qdet(
     d_free = d_full[ops.free]
 
     def ratio(v_full: np.ndarray) -> float:
-        den = _grad_lp_norm(v_full, ops, p)
+        den = lp_norm(frobenius(grad_at_qp(v_full, ops)), ops, p)
         if den == 0.0:
             return 0.0
         return float(d_full @ v_full) / den
@@ -304,11 +297,8 @@ def stress_dual_norm(u: Field, ops: AssembledOperators, params: PowerLawParams) 
     exceeds this value."""
     if u.kind != "velocity":
         raise ValueError("stress_dual_norm expects a velocity Field")
-    p_conj = params.p / (params.p - 1.0)
-    eps = sym_grad_at_qp(u.coeffs, ops)
-    S = stress_S(eps, params)
-    mag = frobenius(S)
-    return float(np.einsum("tq,tq->", ops.qw, mag**p_conj) ** (1.0 / p_conj))
+    S = stress_S(sym_grad_at_qp(u.coeffs, ops), params)
+    return lp_norm(frobenius(S), ops, params.p_conj)
 
 
 def verify_reconstruction(

@@ -22,7 +22,10 @@ velocity and `P` for the discontinuous P1 pressure.  Every linear form
 is a quadrature product of these two, A^T W B with W the weight of each
 row's point: the mass `M_full`, the divergence `B_full`, the pressure
 mass `Mq`, the mean row `cvec`, `grad_stiffness` and
-`sym_grad_stiffness`.  The operator bundle builds its factorizations
+`sym_grad_stiffness`.  The weights W have one owner as well: other
+modules read them through `qp_weights`, the weight of each entry of a
+field at the points, and `lp_norm`, the quadrature L^p norm of one
+pointwise magnitude or of several.  The operator bundle builds its factorizations
 (`mass_free_lu`, `projection_saddle`, `grad_stiffness_lu`) and tables
 (`grad_stiffness`, `sym_grad_stiffness`, `locator`) on first use and
 keeps them; `pstokes.streamfunc` fills `stream_basis`, its transpose
@@ -67,7 +70,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from pstokes.meshing import TriMesh
-from pstokes.tensors import PowerLawParams, jacobian_coefficients, stress_S
+from pstokes.tensors import PowerLawParams, frobenius, jacobian_coefficients, stress_S
 
 __all__ = [
     "QUAD_POINTS",
@@ -82,6 +85,8 @@ __all__ = [
     "discrete_gradient",
     "divergence_pointwise_max",
     "norms",
+    "qp_weights",
+    "lp_norm",
     "interpolate_velocity",
     "velocity_at_qp",
     "velocity_load_vector",
@@ -634,6 +639,24 @@ def divergence_pointwise_max(v: Field, ops: AssembledOperators) -> float:
     return float(np.max(np.abs(grad[..., 0, 0] + grad[..., 1, 1])))
 
 
+def qp_weights(ops: AssembledOperators, comps: int) -> np.ndarray:
+    """The quadrature weight of every entry of a field with `comps`
+    components per quadrature point, flattened point-major as the rows
+    of `qp_eval` are: (n_qp comps,)."""
+    return np.repeat(ops.qw.ravel(), comps)
+
+
+def lp_norm(mag: np.ndarray, ops: AssembledOperators, p: float):
+    """(sum_x w_x mag(x)^p)^(1/p) over the quadrature points x of ops:
+    the L^p norm of a field whose pointwise magnitude is `mag`, of shape
+    qw.shape or (n_qp,); for k magnitudes as the columns of an (n_qp, k)
+    array, the k norms."""
+    w = ops.qw.ravel()
+    if mag.ndim == 2 and mag.shape[0] == w.size:
+        return (w @ mag**p) ** (1.0 / p)
+    return float((w @ mag.ravel() ** p) ** (1.0 / p))
+
+
 def norms(v: Field, kind: str, ops: AssembledOperators, p: float | None = None) -> float:
     """Field norms: L2 (mass form), Lp_of_sym_grad (quadrature), Linf_div."""
     if kind == "L2":
@@ -642,9 +665,7 @@ def norms(v: Field, kind: str, ops: AssembledOperators, p: float | None = None) 
     if kind == "Lp_of_sym_grad":
         if p is None:
             raise ValueError("Lp_of_sym_grad needs the exponent p")
-        eps = sym_grad_at_qp(v.coeffs, ops)
-        mag = np.sqrt(np.einsum("tqcd,tqcd->tq", eps, eps))
-        return float(np.einsum("tq,tq->", ops.qw, mag**p)) ** (1.0 / p)
+        return lp_norm(frobenius(sym_grad_at_qp(v.coeffs, ops)), ops, p)
     if kind == "Linf_div":
         return divergence_pointwise_max(v, ops)
     raise ValueError(f"unknown norm kind {kind!r}")
@@ -652,8 +673,7 @@ def norms(v: Field, kind: str, ops: AssembledOperators, p: float | None = None) 
 
 def pressure_lp_norm(q: Field, ops: AssembledOperators, p: float) -> float:
     """L^p norm of a pressure field by quadrature."""
-    vals = ops.P @ q.coeffs
-    return float((ops.qw.ravel() @ np.abs(vals) ** p) ** (1.0 / p))
+    return lp_norm(np.abs(ops.P @ q.coeffs), ops, p)
 
 
 def interpolate_velocity(

@@ -51,9 +51,11 @@ p = 2, S(A) = A for every kappa, so the column is tau K u_n with K the
 symmetric-gradient stiffness the mesh assembles once
 (`AssembledOperators.sym_grad_stiffness`): one sparse product, no
 quadrature.  The step forms M u_{n-1} once for its load and its energy
-defect, and M u_n once for the defect.  The
-additive noise load is c_n L DW_n with L = ((g_k, xi)) assembled once
-per workspace, since G_n is then c_n times the fixed mode fields.
+defect; M u_n is the product its last residual formed.  The additive
+noise load is c_n L DW_n with L = ((g_k, xi)) assembled once per
+workspace and c_n the time coefficient of G_n
+(`noise.data_coefficient`), since G_n is then c_n times the fixed mode
+fields.
 """
 
 from __future__ import annotations
@@ -66,13 +68,15 @@ import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from pstokes.grids import TimeGrid
-from pstokes.noise import AveragedIncrements, NoiseModel, data_G_n
+from pstokes.noise import AveragedIncrements, NoiseModel, data_coefficient, data_G_n
 from pstokes.spaces import (
     AssembledOperators,
     Field,
     _full_velocity,
     interpolate_velocity,
+    lp_norm,
     project_div,
+    qp_weights,
     stress_residual_vector,
     stress_tangent_matrix,
     sym_grad_at_qp,
@@ -230,8 +234,7 @@ def dissipation_pairing(
     stress column of its last residual instead; this function is the
     independent value the tests compare that with."""
     eps = sym_grad_at_qp(u_coeffs, ops)
-    S = stress_S(eps, params)
-    return float(np.einsum("tq,tqcd,tqcd->", ops.qw, S, eps))
+    return float(qp_weights(ops, 4) @ (stress_S(eps, params) * eps).ravel())
 
 
 class StepperWorkspace:
@@ -239,21 +242,20 @@ class StepperWorkspace:
 
     Holds the noise mode values g_k and sqrt(sum_k g_k^2) at quadrature
     points (g_qp, g_rss), the additive-noise mode loads (assembled on
-    first use, see `mode_loads`), the divergence-free
-    basis C with its Gram matrix C^T M C (looked up on first use, so a
-    workspace that only assembles noise loads never builds them; both
-    are kept on the operator bundle), and two
-    factorization slots: the lagged Newton factor with the point it was
-    built at, and the p = 2 factor.  Two more tables are read from the
-    operator bundle: C^T (`stream_basis_T`, kept with C), which every
-    residual and solve applies, so that none rebuilds the transposed
-    view of the CSC matrix C; and, at p = 2 only, the
+    first use, see `mode_loads`) and two factorization slots: the lagged
+    Newton factor with the point it was built at, and the p = 2 factor.
+    Everything else is read from the operator bundle, which builds each
+    table on first use, so a workspace that only assembles noise loads
+    never builds the basis: the divergence-free basis C with its Gram
+    matrix C^T M C (`stream_gram`); C^T (`stream_basis_T`, kept with
+    C), which every residual and solve applies, so that none rebuilds
+    the transposed view of the CSC matrix C; and, at p = 2 only, the
     symmetric-gradient stiffness (`sym_grad_stiffness`) the residual's
     stress column is a product with.  The first residual builds it, not
-    `linear_factor`, so a workspace's set-up does not pay for it.
-    Never mutated by concurrent
-    trajectories in ways that affect results: the cached factorizations
-    are pure solver accelerators keyed on the expansion point.
+    `linear_factor`, so a workspace's set-up does not pay for it.  Never
+    mutated by concurrent trajectories in ways that affect results: the
+    cached factorizations are pure solver accelerators keyed on the
+    expansion point.
 
     residual, factorize, direction and solve are the four jobs the
     Newton driver and the Kacanov fallback ask of the reduced system.
@@ -272,7 +274,6 @@ class StepperWorkspace:
             self.g_rss = np.sqrt(config.model.mode_square_sum(qp)).reshape((1,) + ops.qp_x.shape)
         else:
             self.g_qp = self.g_rss = None
-        self._stream: tuple | None = None
         self._mode_loads: tuple | None = None
         self._lagged: tuple | None = None
         self._linear = None
@@ -284,17 +285,15 @@ class StepperWorkspace:
 
     def stream_gram(self):
         """(C, C^T M C) for the divergence-free basis, from the operator
-        bundle, looked up on first use."""
-        if self._stream is None:
-            C = stream_curl_basis(self.ops)
-            self._stream = (C, stream_mass(self.ops))
-        return self._stream
+        bundle, which builds them on first use."""
+        return stream_curl_basis(self.ops), stream_mass(self.ops)
 
     def residual(self, u_full: np.ndarray, rhs_free: np.ndarray):
-        """(F, ||F||, s) with F = C^T ((u, xi) + s - rhs) the momentum
-        residual tested against the basis and s = tau (S(eps u), eps xi)
-        the stress column on free dofs, returned for the step to keep:
-        at p = 2 a product with `sym_grad_stiffness`, else a quadrature.
+        """(F, ||F||, s, M u) with F = C^T ((u, xi) + s - rhs) the momentum
+        residual tested against the basis, s = tau (S(eps u), eps xi)
+        the stress column on free dofs and M u the full-length mass
+        product, both returned for the step to keep: s is at p = 2 a
+        product with `sym_grad_stiffness`, else a quadrature.
         F equals C^T of the constrained momentum residual for any
         pressure, since C^T B^T = (B C)^T = 0.  The scaled BLAS nrm2
         keeps ||F|| finite for any finite F; a plain sum of squares
@@ -305,8 +304,9 @@ class StepperWorkspace:
             s = cfg.grid.tau * (ops.sym_grad_stiffness @ u_full[ops.free])
         else:
             s = cfg.grid.tau * stress_residual_vector(u_full, ops, cfg.params)
-        F = ops.stream_basis_T @ ((ops.M_full @ u_full)[ops.free] + s - rhs_free)
-        return F, float(la.norm(F, check_finite=False)), s
+        Mu = ops.M_full @ u_full
+        F = ops.stream_basis_T @ (Mu[ops.free] + s - rhs_free)
+        return F, float(la.norm(F, check_finite=False)), s, Mu
 
     def factorize(self, u_full: np.ndarray, picard: bool = False):
         """Factor C^T (M + tau K) C with K the stress linearization at
@@ -363,8 +363,7 @@ class StepperWorkspace:
         if self._mode_loads is None:
             ops = self.ops
             L = np.stack([velocity_load_vector(g, ops)[ops.free] for g in self.g_qp], axis=1)
-            g_norm = np.sqrt(np.einsum("tq,tqc,tqc->", ops.qw, self.g_rss[0], self.g_rss[0]))
-            self._mode_loads = (L, float(g_norm))
+            self._mode_loads = (L, lp_norm(np.linalg.norm(self.g_rss[0], axis=-1), ops, 2.0))
         return self._mode_loads
 
     def noise_rhs(
@@ -375,14 +374,13 @@ class StepperWorkspace:
         For the additive rule G_n is c_n times the mode fields, with c_n
         zero for n <= 2 and the modulation average over J_{n-2} after, so
         the load is c_n L DW_n and ||G_n||_HS = |c_n| ||g_rss|| (see
-        `mode_loads`); the other rules read u_lag and are assembled by
-        quadrature (`quadrature_load`).  Raises IndexError for n outside
-        1..N."""
+        `mode_loads`, `noise.data_coefficient`); the other rules read
+        u_lag and are assembled by quadrature (`quadrature_load`).  Raises
+        IndexError for n outside 1..N."""
         model = self.config.model
         if model is None or model.velocity_dependent:
             return self.quadrature_load(n, u_lag_coeffs, dW)
-        # c_n is G_n of the constant field 1: the additive factor reads no u
-        c = float(data_G_n(n, None, model, self.config.grid, np.ones(1))[0])
+        c = data_coefficient(n, model, self.config.grid)
         if c == 0.0:
             return np.zeros(self.ops.n_free), 0.0
         L, g_norm = self.mode_loads()
@@ -391,17 +389,18 @@ class StepperWorkspace:
     def quadrature_load(
         self, n: int, u_lag_coeffs: np.ndarray, dW: np.ndarray
     ) -> tuple[np.ndarray, float]:
-        """`noise_rhs` for any rule, assembled by quadrature: G_n of two
-        one-row stacks, sum_k DW_k g_k, and g_rss, whose image has the L2
-        norm ||G_n||_HS since every rule is g_k * r(u)."""
+        """`noise_rhs` for any rule, assembled by quadrature: G_n of one
+        two-row stack, sum_k DW_k g_k and g_rss, so r(u_lag) is evaluated
+        once; the image of g_rss has the L2 norm ||G_n||_HS since every
+        rule is g_k * r(u)."""
         ops, model, grid = self.ops, self.config.model, self.config.grid
         if model is None:
             return np.zeros(ops.n_free), 0.0
         u_vals = velocity_at_qp(u_lag_coeffs, ops) if model.velocity_dependent else None
-        forcing = data_G_n(n, u_vals, model, grid, np.tensordot(dW, self.g_qp, axes=1)[None])
-        load = velocity_load_vector(forcing[0], ops)[ops.free]
-        G_rss = data_G_n(n, u_vals, model, grid, self.g_rss)[0]
-        return load, float(np.sqrt(np.einsum("tq,tqc,tqc->", ops.qw, G_rss, G_rss)))
+        stack = np.concatenate([np.tensordot(dW, self.g_qp, axes=1)[None], self.g_rss])
+        forcing, G_rss = data_G_n(n, u_vals, model, grid, stack)
+        load = velocity_load_vector(forcing, ops)[ops.free]
+        return load, lp_norm(np.linalg.norm(G_rss, axis=-1), ops, 2.0)
 
 
 def velocity_step(
@@ -436,8 +435,7 @@ def velocity_step(
     nt = config.newton
     dW = increments.increment(n)
     noise_free, hs_G = work.noise_rhs(n, u_lag.coeffs, dW)
-    M = ops.M_full
-    Mu_prev = M @ u_prev.coeffs
+    Mu_prev = ops.M_full @ u_prev.coeffs
     rhs_free = Mu_prev[ops.free] + noise_free
     if not np.isfinite(rhs_free).all():
         raise FloatingPointError(f"step {n}: the right-hand side has non-finite entries")
@@ -445,20 +443,19 @@ def velocity_step(
 
     if work.is_linear:
         u_full = work.solve(work.linear_factor(), rhs_free)
-        _, res, stress = work.residual(u_full, rhs_free)
+        _, res, stress, Mu = work.residual(u_full, rhs_free)
         iterations, converged, used_picard = 1, res <= 10 * nt.abs_tol, False
     else:
-        u_full, res, stress, iterations, converged = _newton(
+        u_full, res, stress, Mu, iterations, converged = _newton(
             n, u_prev.coeffs.copy(), rhs_free, work
         )
         used_picard = not converged
         if used_picard:
-            u_full, res, stress = _picard_fallback(u_prev.coeffs, rhs_free, work)
+            u_full, res, stress, Mu = _picard_fallback(u_prev.coeffs, rhs_free, work)
             converged = res <= nt.abs_tol
 
     tau = config.grid.tau
     diss = float(stress @ u_full[ops.free]) / tau
-    Mu = M @ u_full
     defect = (
         u_full @ Mu
         - u_prev.coeffs @ Mu_prev
@@ -481,39 +478,39 @@ def velocity_step(
 
 def _newton(
     n: int, u: np.ndarray, rhs_free: np.ndarray, work: StepperWorkspace
-) -> tuple[np.ndarray, float, np.ndarray, int, bool]:
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, int, bool]:
     """Damped Newton for step n from the velocity u on the lagged
     factorization: each correction is backtracked (Armijo) until the
     residual norm drops.  Returns (u, residual, stress column of u,
-    iterations, converged).  A residual with a non-finite entry raises
+    M u, iterations, converged).  A residual with a non-finite entry raises
     FloatingPointError before anything is factored at its point."""
     nt = work.config.newton
 
-    def residual(v: np.ndarray, it: int) -> tuple[np.ndarray, float, np.ndarray]:
-        F, res, s = work.residual(v, rhs_free)
-        if not np.isfinite(F).all():
+    def residual(v: np.ndarray, it: int) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+        out = work.residual(v, rhs_free)
+        if not np.isfinite(out[0]).all():
             raise FloatingPointError(
                 f"step {n}, Newton iteration {it}: the residual has non-finite entries"
             )
-        return F, res, s
+        return out
 
-    F, res, s = residual(u, 1)
+    F, res, s, Mu = residual(u, 1)
     force_fresh = False
     for it in range(1, nt.max_iter + 1):
         if res <= nt.abs_tol:
-            return u, res, s, it, True
+            return u, res, s, Mu, it, True
         du, fresh = work.direction(u, F, force=force_fresh)
         step = 1.0
         retried = False
         while True:
             trial = u + step * du
-            tF, tres, ts = residual(trial, it)
+            tF, tres, ts, tMu = residual(trial, it)
             if tres <= (1.0 - 1e-4 * step) * res:
                 break
             step *= ARMIJO_FACTOR
             if step < MIN_STEP:
                 if retried or fresh:
-                    return u, res, s, it, False
+                    return u, res, s, Mu, it, False
                 # stale Jacobian is the usual culprit: refactor at the
                 # current point and retry the search once
                 du, fresh = work.direction(u, F, force=True)
@@ -523,28 +520,28 @@ def _newton(
         # contracting; when that happens refresh the factorization
         # before the next correction
         force_fresh = not fresh and tres > CONTRACTION * res
-        u, F, res, s = trial, tF, tres, ts
-    return u, res, s, nt.max_iter, False
+        u, F, res, s, Mu = trial, tF, tres, ts, tMu
+    return u, res, s, Mu, nt.max_iter, False
 
 
 def _picard_fallback(
     u_start: np.ndarray, rhs_free: np.ndarray, work: StepperWorkspace
-) -> tuple[np.ndarray, float, np.ndarray]:
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Kacanov fixed-point iteration from the velocity u_start: each
     iterate solves the step with the radial-weight matrix frozen at the
     previous one.  Returns the iterate with the smallest residual, that
-    residual and its stress column."""
+    residual, its stress column and its mass product."""
     u = u_start
-    best = (u_start.copy(), np.inf, None)
+    best = (u_start.copy(), np.inf, None, None)
     for _ in range(work.config.newton.picard_iters):
         u = work.solve(work.factorize(u, picard=True), rhs_free)
-        _, res, s = work.residual(u, rhs_free)
+        _, res, s, Mu = work.residual(u, rhs_free)
         if res < best[1]:
-            best = (u, res, s)
+            best = (u, res, s, Mu)
         if res <= work.config.newton.abs_tol:
             break
-    if best[2] is None:  # no iterate had a finite residual: the start's column
-        best = (best[0], best[1], work.residual(best[0], rhs_free)[2])
+    if best[2] is None:  # no iterate had a finite residual: the start's columns
+        best = (best[0], best[1], *work.residual(best[0], rhs_free)[2:])
     return best
 
 

@@ -5,11 +5,11 @@
 when its `instrument` block ends.  A refactor that stops calling a
 kernel through its module-level name would silently drop that kernel's
 spans from the traced run.  This test steps one small trajectory inside
-`instrument` and checks that the four kernel spans and the span of the
+`instrument` and checks that the five kernel spans and the span of the
 reduced factorizations (`spla.splu`, as the stepper calls it) were
 recorded and that the instrumented modules are left as they were.  The
-noise is linear, because an additive step evaluates no velocity.  It
-only reads `perfbench/`.
+noise is linear, because an additive step evaluates no velocity and
+calls no `data_G_n`.  It only reads `perfbench/`.
 """
 
 import importlib.util
@@ -33,6 +33,7 @@ KERNELS = (
     "spaces.velocity_load_vector",
     "spaces.stress_residual_vector",
     "spaces.stress_tangent_matrix",
+    "noise.data_G_n",
     "stepper.factorize",
 )
 OWNERS = (diagnostics, meshing, noise, pressure, spaces, stepper, spaces.AssembledOperators)

@@ -43,6 +43,7 @@ from pstokes.meshing import alfeld_split, unit_square_mesh
 from pstokes.diagnostics import error_stats
 from pstokes.noise import NoiseModel, sample_increments, sample_wiener_path
 from pstokes.pressure import reconstruct
+from pstokes.records import load_checkpoints, save_checkpoints
 from pstokes.scenarios import curl_modes, u0_smooth
 from pstokes.spaces import Field, assemble, norms
 from pstokes.stepper import NewtonConfig, SchemeConfig, initial_velocity, run_trajectory
@@ -90,23 +91,42 @@ def ops4():
     return assemble(alfeld_split(unit_square_mesh(4)))
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN), ids=_golden_id)
-def test_final_velocity_matches_record(ops4, key):
+def _golden_run(ops4, key):
     rule, p, kappa = key
-    pairing, l2, iterations = GOLDEN[key]
     grid = TimeGrid(T=0.1, N=8)
     model = NoiseModel(mode_fields=curl_modes(2, amplitude=1.0), rule=rule)
     cfg = SchemeConfig(PowerLawParams(p=p, kappa=kappa), grid, model)
     inc = sample_increments(np.random.default_rng(SEED), grid, n_modes=2)
     traj = run_trajectory(initial_velocity(u0_smooth, ops4), inc, cfg, ops4)
     assert traj.ok
-    u = traj.fields[-1]
+    return traj
+
+
+def _check_final_velocity(u, ops4, key):
+    pairing, l2, _ = GOLDEN[key]
     assert float(u.coeffs @ _probe(u.coeffs.size)) == pytest.approx(
         pairing, rel=REL, abs=0.0
     )
     assert norms(u, "L2", ops4) == pytest.approx(l2, rel=REL, abs=0.0)
-    assert [s.iterations for s in traj.stats] == iterations
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids=_golden_id)
+def test_final_velocity_matches_record(ops4, key):
+    traj = _golden_run(ops4, key)
+    _check_final_velocity(traj.fields[-1], ops4, key)
+    assert [s.iterations for s in traj.stats] == GOLDEN[key][2]
     assert _counts(traj) == COUNTS[key]
+
+
+def test_checkpoint_round_trip_matches_record(ops4, tmp_path):
+    # a golden trajectory written in the checkpoint format and read back
+    key = ("linear", 3.0, 0.0)
+    traj = _golden_run(ops4, key)
+    file = tmp_path / "velocity.bin"
+    save_checkpoints(traj.fields, traj.grid, file)
+    grid, fields = load_checkpoints(file)
+    assert grid == traj.grid and len(fields) == grid.N + 1
+    _check_final_velocity(fields[-1], ops4, key)
 
 
 # (noise rule, p, kappa, Newton max_iter): totals over the trajectory of

@@ -18,6 +18,7 @@ from pstokes.noise import (
     WienerPath,
     compensator_Ebar,
     coupled_covariance,
+    data_coefficient,
     data_G_n,
     modulation_average,
     sample_increments,
@@ -147,6 +148,13 @@ class TestCovariance:
         np.testing.assert_allclose(
             dense @ dense.T, covariance_matrix(grid), atol=1e-15
         )
+
+    def test_entries_are_weight_inner(self):
+        # the band, its expansion and the zeros beyond are weight_inner's
+        grid = TimeGrid(T=1.0, N=9)
+        n = range(1, grid.N + 1)
+        inner = np.array([[weight_inner(i, j, grid) for j in n] for i in n])
+        assert np.array_equal(covariance_matrix(grid), inner)
 
 
 class TestSamplers:
@@ -302,6 +310,19 @@ class TestNoiseOperator:
         for n in (1, 2):
             out = data_G_n(n, u_vals, model, grid, g_vals)
             assert np.all(out == 0.0)
+
+    def test_data_coefficient(self):
+        # zero for n <= 2, then the average of m(t) = 1 + t^2 over J_{n-2}
+        grid = TimeGrid(T=1.0, N=8)
+        model = _model(modulation=lambda t: 1.0 + t**2)
+        assert data_coefficient(1, model, grid) == data_coefficient(2, model, grid) == 0.0
+        for n in range(3, grid.N + 1):
+            lo, hi = grid.interval(n - 2)
+            exact = 1.0 + (hi**3 - lo**3) / (3.0 * (hi - lo))
+            assert data_coefficient(n, model, grid) == pytest.approx(exact, rel=1e-14)
+        for n in (0, grid.N + 1):
+            with pytest.raises(IndexError):
+                data_coefficient(n, model, grid)
 
     def test_constant_modulation_is_exact_average(self):
         grid = TimeGrid(T=1.0, N=8)

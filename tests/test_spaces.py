@@ -30,6 +30,7 @@ from pstokes.spaces import (
     grad_at_qp,
     infsup_witness,
     interpolate_velocity,
+    lp_norm,
     norms,
     point_evaluation,
     pressure_lp_norm,
@@ -449,6 +450,15 @@ class TestNorms:
         quad = v.coeffs[ops4.free] @ (K @ v.coeffs[ops4.free])
         direct = norms(v, "Lp_of_sym_grad", ops4, p=2.0) ** 2
         assert abs(quad - direct) < SOLVER_TOL
+
+    def test_lp_norm_of_columns_is_per_column(self, ops4):
+        # k magnitudes as columns give the k norms of one call each
+        mags = np.abs(np.random.default_rng(3).standard_normal((ops4.qw.size, 3)))
+        for p in (1.5, 2.0, 3.0):
+            cols = lp_norm(mags, ops4, p)
+            assert cols.shape == (3,)
+            each = [lp_norm(m.reshape(ops4.qw.shape), ops4, p) for m in mags.T]
+            np.testing.assert_allclose(cols, each, rtol=1e-14, atol=0.0)
 
     def test_unknown_kind(self, ops4):
         v = Field("velocity", np.zeros(ops4.space_v.n_dofs))

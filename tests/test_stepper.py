@@ -224,7 +224,7 @@ class TestVelocityStep:
         ops = assemble(alfeld_split(unit_square_mesh(2)))
         u = 1e100 * initial_velocity(u0_smooth, ops).coeffs
         cfg = SchemeConfig(PowerLawParams(p=3.0), TimeGrid(T=0.1, N=2))
-        F, res, _ = StepperWorkspace(cfg, ops).residual(u, np.zeros(ops.n_free))
+        F, res, _, _ = StepperWorkspace(cfg, ops).residual(u, np.zeros(ops.n_free))
         s = np.abs(F).max()
         assert np.isfinite(F).all() and s > 1e160
         assert res == pytest.approx(s * np.linalg.norm(F / s), rel=1e-12, abs=0.0)
@@ -358,7 +358,7 @@ class TestSolverMachinery:
         rhs_free = (ops4.M_full @ u0h.coeffs)[ops4.free]
         cold = np.zeros(ops4.space_v.n_dofs)
         work = StepperWorkspace(make_config(3.0, N=4), ops4)
-        u, res, _ = _picard_fallback(cold, rhs_free, work)
+        u, res, _, _ = _picard_fallback(cold, rhs_free, work)
         assert res < 1e-6
         assert np.isfinite(u).all()
 
@@ -464,19 +464,47 @@ class TestSolverMachinery:
                 work.noise_rhs(n, u, dW)
 
     def test_additive_step_reads_no_velocity(self, ops4, u0h, monkeypatch):
-        calls = []
+        # an additive load is c_n L DW_n: no velocity and no G_n is
+        # evaluated; a linear-rule step evaluates both once
+        calls = {"velocity": 0, "G_n": 0}
 
         def counted(u_coeffs, ops):
-            calls.append(len(u_coeffs))
+            calls["velocity"] += 1
             return velocity_at_qp(u_coeffs, ops)
 
+        def counted_G(*args):
+            calls["G_n"] += 1
+            return data_G_n(*args)
+
         monkeypatch.setattr(stepper, "velocity_at_qp", counted)
-        for rule, expected in (("additive", 0), ("linear", 1)):
+        monkeypatch.setattr(stepper, "data_G_n", counted_G)
+        for rule, per_step in (("additive", 0), ("linear", 1)):
             cfg = make_config(2.0, N=4, model=NoiseModel(curl_modes(2), rule=rule))
             inc = sample_increments(np.random.default_rng(0), cfg.grid, n_modes=2)
-            calls.clear()
-            velocity_step(3, u0h, u0h, inc, cfg, ops4)
-            assert len(calls) == expected, rule
+            calls.update(velocity=0, G_n=0)
+            assert run_trajectory(u0h, inc, cfg, ops4).ok
+            assert calls == {"velocity": per_step * 4, "G_n": per_step * 4}, rule
+
+    def test_p2_step_forms_two_mass_products(self, monkeypatch):
+        # M u_{n-1} for the load and the energy defect; M u_n is the
+        # product the step's residual formed
+        ops = assemble(alfeld_split(unit_square_mesh(2)))
+        u0 = initial_velocity(u0_smooth, ops)
+        cfg = make_config(2.0, N=4, model=NoiseModel(curl_modes(2)))
+        work = StepperWorkspace(cfg, ops)
+        work.linear_factor()
+
+        class CountedMatrix(sp.csr_matrix):
+            products = 0
+
+            def __matmul__(self, other):
+                CountedMatrix.products += 1
+                return super().__matmul__(other)
+
+        monkeypatch.setattr(ops, "M_full", CountedMatrix(ops.M_full))
+        inc = sample_increments(np.random.default_rng(2), cfg.grid, n_modes=2)
+        assert run_trajectory(u0, inc, cfg, ops, work).ok
+        assert CountedMatrix.products == 2 * cfg.grid.N
 
     def test_workspace_linear_saddle_reused(self, ops4, u0h):
         cfg = make_config(2.0, N=4)
