@@ -125,7 +125,7 @@ def _solve_vperp(
     w_free, q = ops.projection_saddle().solve(-d_free)
     if not want_z:
         return q, None
-    f_free = ops.mass_free_lu().solve(d_free)
+    f_free = ops.mass_free_lu.solve(d_free)
     return q, _full_velocity(ops, f_free + w_free)
 
 
@@ -157,21 +157,21 @@ def reconstruct(
     ops: AssembledOperators,
     verify: bool = False,
 ) -> PressureTrajectory:
-    """Pressure components for every step of a completed trajectory.
+    """Pressure components for every step of a trajectory that did not fail.
 
     Uses only data with indices <= n for pi_n (the stored stress columns
     and noise loads of steps 1..n), mirroring the stepper's causality.
     When `increments` is given, the noise loads are assembled again by
     quadrature from the Wiener increments and the lagged velocities
     instead of taking the stepper's stored loads, giving an independent
-    assembly path; pass
-    None to reuse the stored loads; a trajectory or increments for
-    another grid than config's, or increments with another mode count
-    than its noise model, raise ValueError.  A trajectory that
-    stops before step N has its prefix reconstructed.  With verify=True
-    the per-step reconstruction equation residual is checked against
-    random test directions, and a residual above 1e-6, or one that is
-    not finite, raises.
+    assembly path; pass None to reuse the stored loads.  A failed
+    trajectory (`failed_at` set), a trajectory or increments for another
+    grid than config's, and increments with another mode count than its
+    noise model raise ValueError; a prefix of a run, fewer than N steps
+    none of which failed, is reconstructed for the steps it has.  With
+    verify=True the per-step reconstruction equation residual is checked
+    against random test directions, and a residual above 1e-6, or one
+    that is not finite, raises.
     """
     if not traj.ok:
         raise ValueError(f"trajectory failed at step {traj.failed_at}")
@@ -263,7 +263,7 @@ def norm_Qdet(
     # over a growing span of stiffness-preconditioned directions.  Each
     # iterate maximizes over a nested subspace, so for p = 2 the ratios
     # are nondecreasing by construction.
-    lu = ops.grad_stiffness_lu()
+    lu = ops.grad_stiffness_lu
     basis: list[np.ndarray] = []
     k_basis: list[np.ndarray] = []
     ascent_ratios: list[float] = []

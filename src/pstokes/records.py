@@ -15,11 +15,12 @@ kind:
 
 Each loader accepts only its own kind and the current version, so a
 record of one kind never loads as another even when the sizes happen to
-tile.  Row counts are inferred from the file size and cross-checked
-against the header, so a truncated file fails loudly instead of
-shifting data.  VTK output uses the legacy ASCII unstructured-grid
-format with velocity vectors at mesh vertices as point data and
-per-cell means of discontinuous-P1 fields as cell data.
+tile.  A mode count or row length must be a positive integer, and row
+counts are inferred from the file size and cross-checked against the
+header, so a truncated file fails loudly instead of shifting data.
+VTK output uses the legacy ASCII unstructured-grid format with velocity
+vectors at mesh vertices as point data and per-cell means of
+discontinuous-P1 fields as cell data.
 """
 
 from __future__ import annotations
@@ -65,10 +66,31 @@ def _read_record(file: str | os.PathLike, kind: int) -> tuple[np.ndarray, np.nda
     return raw[2:_HEADER_SLOTS], raw[_HEADER_SLOTS:]
 
 
-def _rows(flat: np.ndarray, row_len: int, what: str) -> np.ndarray:
-    if row_len <= 0 or flat.size % row_len:
-        raise ValueError(f"{what}: payload of {flat.size} values does not tile rows of {row_len}")
-    return flat.reshape(-1, row_len)
+def _count(file: str | os.PathLike, value: float, what: str) -> int:
+    """A header value that must be a positive integer."""
+    if not (value.is_integer() and value >= 1):
+        raise ValueError(f"{file}: {what} {value} is not a positive integer")
+    return int(value)
+
+
+def _read_stepped(
+    file: str | os.PathLike, kind: int, per_step: int
+) -> tuple[TimeGrid, np.ndarray]:
+    """(grid, rows) of a stepped record: 1 + per_step N whole rows under
+    a (tau, T, row length) header whose step is the grid's."""
+    head, flat = _read_record(file, kind)
+    tau, T = float(head[0]), float(head[1])
+    row_len = _count(file, float(head[2]), "row length")
+    if flat.size % row_len:
+        raise ValueError(f"{file}: payload of {flat.size} values does not tile rows of {row_len}")
+    rows = flat.reshape(-1, row_len)
+    N, extra = divmod(len(rows) - 1, per_step)
+    if extra:  # two rows per step: the components of pi_det and pi_sto
+        raise ValueError(f"{file}: component record needs an odd row count, got {len(rows)}")
+    grid = TimeGrid(T=T, N=N)
+    if not np.isclose(grid.tau, tau, rtol=1e-12, atol=0.0):
+        raise ValueError(f"{file}: header step {tau} disagrees with {grid.N} steps on [0, {T}]")
+    return grid, rows
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +104,8 @@ def save_wiener_path(path: WienerPath, file: str | os.PathLike) -> None:
 
 def load_wiener_path(file: str | os.PathLike) -> WienerPath:
     head, flat = _read_record(file, _WIENER)
-    delta, T, modes_f = float(head[0]), float(head[1]), float(head[2])
-    n_modes = int(round(modes_f))
-    if n_modes <= 0 or modes_f != n_modes:
-        raise ValueError(f"{file}: mode count {modes_f} is not a positive integer")
+    delta, T = float(head[0]), float(head[1])
+    n_modes = _count(file, float(head[2]), "mode count")
     if flat.size % n_modes:
         raise ValueError(f"{file}: payload of {flat.size} values does not tile {n_modes} modes")
     increments = flat.reshape(n_modes, -1).T
@@ -113,15 +133,7 @@ def save_checkpoints(fields: list[Field], grid: TimeGrid, file: str | os.PathLik
 
 
 def load_checkpoints(file: str | os.PathLike) -> tuple[TimeGrid, list[Field]]:
-    head, flat = _read_record(file, _VELOCITY)
-    tau, T, dofs_f = float(head[0]), float(head[1]), float(head[2])
-    n_dofs = int(round(dofs_f))
-    U = _rows(flat, n_dofs, str(file))
-    grid = TimeGrid(T=T, N=U.shape[0] - 1)
-    if not np.isclose(grid.tau, tau, rtol=1e-12, atol=0.0):
-        raise ValueError(
-            f"{file}: header step {tau} disagrees with {U.shape[0] - 1} checkpoints on [0, {T}]"
-        )
+    grid, U = _read_stepped(file, _VELOCITY, 1)
     return grid, [Field("velocity", row.copy()) for row in U]
 
 
@@ -144,16 +156,8 @@ def save_pressure_components(ptraj, grid: TimeGrid, file: str | os.PathLike) -> 
 def load_pressure_components(
     file: str | os.PathLike,
 ) -> tuple[TimeGrid, Field, list[Field], list[Field]]:
-    head, flat = _read_record(file, _PRESSURE)
-    tau, T, dofs_f = float(head[0]), float(head[1]), float(head[2])
-    n_q = int(round(dofs_f))
-    P = _rows(flat, n_q, str(file))
-    if P.shape[0] % 2 == 0:
-        raise ValueError(f"{file}: component record needs an odd row count, got {P.shape[0]}")
-    N = (P.shape[0] - 1) // 2
-    grid = TimeGrid(T=T, N=N)
-    if not np.isclose(grid.tau, tau, rtol=1e-12, atol=0.0):
-        raise ValueError(f"{file}: header step {tau} disagrees with {N} steps on [0, {T}]")
+    grid, P = _read_stepped(file, _PRESSURE, 2)
+    N = grid.N
     pi_init = Field("pressure", P[0].copy())
     pi_det = [Field("pressure", row.copy()) for row in P[1 : N + 1]]
     pi_sto = [Field("pressure", row.copy()) for row in P[N + 1 :]]

@@ -25,11 +25,11 @@ mass `Mq`, the mean row `cvec`, `grad_stiffness` and
 `sym_grad_stiffness`.  The weights W have one owner as well: other
 modules read them through `qp_weights`, the weight of each entry of a
 field at the points, and `lp_norm`, the quadrature L^p norm of one
-pointwise magnitude or of several.  The operator bundle builds its factorizations
-(`mass_free_lu`, `projection_saddle`, `grad_stiffness_lu`) and tables
-(`grad_stiffness`, `sym_grad_stiffness`, `locator`) on first use and
-keeps them; `pstokes.streamfunc` fills `stream_basis`, its transpose
-`stream_basis_T` and its Gram matrix `stream_mass`.
+pointwise magnitude or of several.  The operator bundle owns every
+table and factorization derived from the mesh, each a cached property
+built on first read (the stream basis by the build functions of
+`pstokes.streamfunc`); `projection_saddle()` alone stays a method.  No
+other module assigns to the bundle.
 The stress tangent is assembled element by element in a basis local to
 elements, an `ElementBasis` built once by `element_basis`: the symmetric
 gradients of its functions at the quadrature points and the position of
@@ -235,14 +235,13 @@ class AssembledOperators:
     point k % nq of element k // nq; every matrix here is a product
     A^T W B of them, W the weights qw of each row's point.
 
-    Derived data is built on first use and kept for the life of the
-    bundle, each piece under its own name: the factorizations
-    `mass_free_lu()`, `projection_saddle()` and `grad_stiffness_lu()`;
-    the tables `grad_stiffness`, `sym_grad_stiffness` and
-    `free_element_basis`; the point `locator` of structured meshes; and
-    `stream_basis` with its transpose `stream_basis_T`, its Gram matrix
-    `stream_mass` and its `stream_element_basis`, which
-    `pstokes.streamfunc` fills.
+    Derived data is a cached property, built on first read and kept
+    for the life of the bundle: the factorizations `mass_free_lu` and
+    `grad_stiffness_lu`; the tables `grad_stiffness`,
+    `sym_grad_stiffness` and `free_element_basis`; the point `locator`
+    of structured meshes; and the four `stream_*` tables of the stream
+    basis.  `projection_saddle()` alone is a method, over the private
+    slot `_projection_saddle`, because benchmarks time it as one.
 
     `sym_grad_stiffness` is the stress form (eps u, eps xi) of p = 2,
     where S(A) = A for every kappa: there the stepper's stress column
@@ -269,18 +268,7 @@ class AssembledOperators:
     qp_eval: PointEvaluation
     P: sp.csr_matrix  # (n_qp, n_pressure) pressure values at qp_x
     vel_l2g: np.ndarray  # (n_tri, 12) velocity dof per local basis
-    # Curl basis C (free velocity dofs x stream dofs) of the divergence-
-    # free subspace, built by pstokes.streamfunc.stream_curl_basis.
-    stream_basis: sp.csc_matrix | None = field(default=None, init=False, repr=False)
-    # C^T, a CSR view of C (streamfunc.stream_curl_basis).
-    stream_basis_T: sp.csr_matrix | None = field(default=None, init=False, repr=False)
-    # Its Gram matrix C^T M C (streamfunc.stream_mass).
-    stream_mass: sp.csc_matrix | None = field(default=None, init=False, repr=False)
-    # Its element tables for the stress tangent (element_basis).
-    stream_element_basis: ElementBasis | None = field(default=None, init=False, repr=False)
-    _mass_free_lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
     _projection_saddle: SaddleSolver | None = field(default=None, init=False, repr=False)
-    _grad_stiffness_lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
 
     @property
     def free(self) -> np.ndarray:
@@ -296,11 +284,10 @@ class AssembledOperators:
 
     # -- prefactored solvers, built on first use and reused everywhere --
 
+    @cached_property
     def mass_free_lu(self) -> spla.SuperLU:
         """LU factors of the velocity mass matrix on free dofs."""
-        if self._mass_free_lu is None:
-            self._mass_free_lu = _spd_lu(self.M_free)
-        return self._mass_free_lu
+        return _spd_lu(self.M_free)
 
     def projection_saddle(self) -> SaddleSolver:
         """The saddle solver with the mass block: its velocity solution
@@ -311,11 +298,10 @@ class AssembledOperators:
             self._projection_saddle = SaddleSolver(self)
         return self._projection_saddle
 
+    @cached_property
     def grad_stiffness_lu(self) -> spla.SuperLU:
         """LU factors of `grad_stiffness`, for norm ascent solves."""
-        if self._grad_stiffness_lu is None:
-            self._grad_stiffness_lu = _spd_lu(self.grad_stiffness)
-        return self._grad_stiffness_lu
+        return _spd_lu(self.grad_stiffness)
 
     # -- tables, built on first use --
 
@@ -340,6 +326,32 @@ class AssembledOperators:
         """The element tables of the stress tangent on the free velocity
         dofs: the identity element basis."""
         return element_basis(self, _free_local_dofs(self), sp.identity(self.n_free, format="csc"))
+
+    @cached_property
+    def stream_basis(self) -> sp.csc_matrix:
+        """The curl basis C (free velocity dofs x stream dofs) of the
+        divergence-free subspace.  streamfunc imports this module, so
+        the stream tables import its build functions on use."""
+        from pstokes.streamfunc import build_curl_basis
+
+        return build_curl_basis(self)
+
+    @cached_property
+    def stream_basis_T(self) -> sp.csr_matrix:
+        """C^T, a CSR view of the arrays of C."""
+        return self.stream_basis.T
+
+    @cached_property
+    def stream_mass(self) -> sp.csc_matrix:
+        """C^T M C, the mass block of every reduced system."""
+        return (self.stream_basis_T @ (self.M_free @ self.stream_basis)).tocsc()
+
+    @cached_property
+    def stream_element_basis(self) -> ElementBasis:
+        """The element tables of the stress tangent in the stream basis."""
+        from pstokes.streamfunc import build_element_basis
+
+        return build_element_basis(self)
 
     @cached_property
     def locator(self) -> StructuredLocator:
@@ -459,7 +471,7 @@ class SaddleSolver:
     Velocity: the stream basis C of `pstokes.streamfunc` spans the
     divergence-free subspace exactly, so w = C (C^T M C)^{-1} C^T rhs_v
     with C^T M C, the Gram matrix the stepper factors too
-    (`streamfunc.stream_mass`), factored once (`.lu`).  `velocity`
+    (`AssembledOperators.stream_mass`), factored once (`.lu`).  `velocity`
     returns w alone, for the projections that never read q.
 
     Pressure: q solves B^T q = M w - rhs_v =: r.  The 8 velocity dofs
@@ -483,9 +495,6 @@ class SaddleSolver:
     """
 
     def __init__(self, ops: AssembledOperators):
-        # streamfunc builds on this module, so it is imported on use
-        from pstokes.streamfunc import stream_curl_basis, stream_mass
-
         interior = _macro_interior_dofs(ops)
         n_macro = len(interior)
         self._interior = interior.ravel()
@@ -505,9 +514,9 @@ class SaddleSolver:
         self.constants_lu = spla.splu((self._G.T @ self._G).tocsc())
 
         self._M = ops.M_free
-        self._C = stream_curl_basis(ops)
+        self._C = ops.stream_basis
         self._CT = ops.stream_basis_T
-        self.lu = spla.splu(stream_mass(ops))
+        self.lu = spla.splu(ops.stream_mass)
         self.cvec = ops.cvec
 
     def velocity(self, rhs_v: np.ndarray) -> np.ndarray:
@@ -603,7 +612,7 @@ def discrete_gradient(q: Field, ops: AssembledOperators) -> Field:
     if q.kind != "pressure":
         raise ValueError("discrete_gradient expects a pressure Field")
     rhs = -(ops.B_free.T @ q.coeffs)
-    w_free = ops.mass_free_lu().solve(rhs)
+    w_free = ops.mass_free_lu.solve(rhs)
     return Field("velocity", _full_velocity(ops, w_free))
 
 
@@ -931,7 +940,7 @@ def infsup_witness(ops: AssembledOperators) -> float:
     """
     import scipy.linalg as la
 
-    lu = ops.mass_free_lu()
+    lu = ops.mass_free_lu
     cols = lu.solve(ops.B_free.T.toarray())
     S = ops.B_free @ cols
     Mq = ops.Mq.toarray()

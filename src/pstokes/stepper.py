@@ -12,16 +12,16 @@ Galerkin problem in the coefficients of C: every iterate is a
 combination of divergence-free fields and stays pointwise divergence
 free up to rounding, and the factorizations are those of the reduced
 matrices C^T (M + tau K) C, an order of magnitude cheaper than the full
-saddle system.  C^T M C is formed once per mesh and read from the
-operator bundle (`streamfunc.stream_mass`), where the projections of
-`spaces.SaddleSolver` read it too; C^T K C is
-assembled element by element in the stream basis itself, each
-macro-element's block of C applied to the symmetric-gradient tables of
-its three children (`streamfunc.stream_element_basis`), so no free-dof
-tangent and no sparse triple product is formed.  No pressure multiplier
-is produced: the pressure increment is recovered afterwards by the
-reconstruction in pstokes.pressure, and with it the full constrained
-momentum equation of the step holds to the Newton tolerance.
+saddle system.  C, C^T and C^T M C are formed once per mesh and kept
+on the operator bundle, where the projections of `spaces.SaddleSolver`
+read them too; C^T K C is assembled element by element in the stream
+basis itself, each macro-element's block of C applied to the
+symmetric-gradient tables of its three children (the bundle's
+`stream_element_basis`), so no free-dof tangent and no sparse triple
+product is formed.  No pressure multiplier is produced: the pressure
+increment is recovered afterwards by the reconstruction in
+pstokes.pressure, and with it the full constrained momentum equation of
+the step holds to the Newton tolerance.
 
 The step is solved by one damped Newton driver: Armijo backtracking on
 the norm of the reduced residual, a lagged Jacobian factorization that
@@ -61,6 +61,7 @@ fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -83,7 +84,7 @@ from pstokes.spaces import (
     velocity_at_qp,
     velocity_load_vector,
 )
-from pstokes.streamfunc import stream_curl_basis, stream_element_basis, stream_mass
+from pstokes.streamfunc import stream_curl_basis
 from pstokes.tensors import PowerLawParams, stress_S
 
 __all__ = [
@@ -241,18 +242,18 @@ class StepperWorkspace:
     """Per-(mesh, config) scratch shared across steps and samples.
 
     Holds the noise mode values g_k and sqrt(sum_k g_k^2) at quadrature
-    points (g_qp, g_rss), the additive-noise mode loads (assembled on
-    first use, see `mode_loads`) and two factorization slots: the lagged
-    Newton factor with the point it was built at, and the p = 2 factor.
-    Everything else is read from the operator bundle, which builds each
-    table on first use, so a workspace that only assembles noise loads
-    never builds the basis: the divergence-free basis C with its Gram
-    matrix C^T M C (`stream_gram`); C^T (`stream_basis_T`, kept with
-    C), which every residual and solve applies, so that none rebuilds
-    the transposed view of the CSC matrix C; and, at p = 2 only, the
-    symmetric-gradient stiffness (`sym_grad_stiffness`) the residual's
-    stress column is a product with.  The first residual builds it, not
-    `linear_factor`, so a workspace's set-up does not pay for it.  Never
+    points (g_qp, g_rss), the additive-noise mode loads (`mode_loads`,
+    a cached property) and two factorization slots: the lagged Newton
+    factor with the point it was built at, and the p = 2 factor.  Every
+    per-mesh table is a cached property of the operator bundle, built on
+    first read, so a workspace that only assembles noise loads never
+    builds the basis: C (`stream_basis`) and its CSR view C^T
+    (`stream_basis_T`), which every residual and solve applies, C^T M C
+    (`stream_mass`), the tangent's `stream_element_basis` and, at p = 2
+    only, `sym_grad_stiffness`, which the residual's stress column is a
+    product with; the first residual builds it, not `linear_factor`, so
+    a workspace's set-up does not pay for it.  `stream_gram()` is the
+    set-up hook that builds C and C^T M C before the first step.  Never
     mutated by concurrent trajectories in ways that affect results: the
     cached factorizations are pure solver accelerators keyed on the
     expansion point.
@@ -274,7 +275,6 @@ class StepperWorkspace:
             self.g_rss = np.sqrt(config.model.mode_square_sum(qp)).reshape((1,) + ops.qp_x.shape)
         else:
             self.g_qp = self.g_rss = None
-        self._mode_loads: tuple | None = None
         self._lagged: tuple | None = None
         self._linear = None
         self.refactor_count = 0
@@ -284,9 +284,9 @@ class StepperWorkspace:
         return self.config.params.p == 2.0
 
     def stream_gram(self):
-        """(C, C^T M C) for the divergence-free basis, from the operator
-        bundle, which builds them on first use."""
-        return stream_curl_basis(self.ops), stream_mass(self.ops)
+        """(C, C^T M C) from the operator bundle: the set-up hook that
+        builds the divergence-free basis before the first step."""
+        return stream_curl_basis(self.ops), self.ops.stream_mass
 
     def residual(self, u_full: np.ndarray, rhs_free: np.ndarray):
         """(F, ||F||, s, M u) with F = C^T ((u, xi) + s - rhs) the momentum
@@ -299,7 +299,6 @@ class StepperWorkspace:
         keeps ||F|| finite for any finite F; a plain sum of squares
         overflows beyond 1e154."""
         ops, cfg = self.ops, self.config
-        self.stream_gram()  # C^T is kept with C
         if self.is_linear:
             s = cfg.grid.tau * (ops.sym_grad_stiffness @ u_full[ops.free])
         else:
@@ -316,18 +315,16 @@ class StepperWorkspace:
         ordering is kept here: the symmetric minimum-degree ordering of
         the free-dof factors (`spaces._spd_lu`) raises the L+U fill of
         the p = 2 matrix at m = 16 from 146k to 176k non-zeros."""
-        _, HM = self.stream_gram()
-        K = stress_tangent_matrix(
-            u_full, self.ops, self.config.params, picard, stream_element_basis(self.ops)
-        )
+        ops = self.ops
+        K = stress_tangent_matrix(u_full, ops, self.config.params, picard, ops.stream_element_basis)
         self.refactor_count += 1
-        return spla.splu(HM + self.config.grid.tau * K)
+        return spla.splu(ops.stream_mass + self.config.grid.tau * K)
 
     def solve(self, factor, rhs_free: np.ndarray) -> np.ndarray:
         """The full-length velocity solving the factored linear step
         with load rhs_free outright."""
-        C, _ = self.stream_gram()
-        return _full_velocity(self.ops, C @ factor.solve(self.ops.stream_basis_T @ rhs_free))
+        ops = self.ops
+        return _full_velocity(ops, ops.stream_basis @ factor.solve(ops.stream_basis_T @ rhs_free))
 
     def linear_factor(self):
         """The p = 2 factor: the tangent does not depend on u, so one
@@ -353,18 +350,17 @@ class StepperWorkspace:
         if fresh:
             self._lagged = None  # free the stale factor's memory first
             self._lagged = (self.factorize(u_full), u_full.copy())
-        C, _ = self.stream_gram()
-        return _full_velocity(self.ops, C @ self._lagged[0].solve(-F)), fresh
+        ops = self.ops
+        return _full_velocity(ops, ops.stream_basis @ self._lagged[0].solve(-F)), fresh
 
+    @cached_property
     def mode_loads(self) -> tuple[np.ndarray, float]:
         """(L, ||g_rss||): L = ((g_k, xi)) on free dofs, one column per
         mode (n_free x K), and the L2 norm of sqrt(sum_k g_k^2), assembled
         on first use."""
-        if self._mode_loads is None:
-            ops = self.ops
-            L = np.stack([velocity_load_vector(g, ops)[ops.free] for g in self.g_qp], axis=1)
-            self._mode_loads = (L, lp_norm(np.linalg.norm(self.g_rss[0], axis=-1), ops, 2.0))
-        return self._mode_loads
+        ops = self.ops
+        L = np.stack([velocity_load_vector(g, ops)[ops.free] for g in self.g_qp], axis=1)
+        return L, lp_norm(np.linalg.norm(self.g_rss[0], axis=-1), ops, 2.0)
 
     def noise_rhs(
         self, n: int, u_lag_coeffs: np.ndarray, dW: np.ndarray
@@ -383,7 +379,7 @@ class StepperWorkspace:
         c = data_coefficient(n, model, self.config.grid)
         if c == 0.0:
             return np.zeros(self.ops.n_free), 0.0
-        L, g_norm = self.mode_loads()
+        L, g_norm = self.mode_loads
         return c * (L @ dW), abs(c) * g_norm
 
     def quadrature_load(
@@ -501,7 +497,6 @@ def _newton(
             return u, res, s, Mu, it, True
         du, fresh = work.direction(u, F, force=force_fresh)
         step = 1.0
-        retried = False
         while True:
             trial = u + step * du
             tF, tres, ts, tMu = residual(trial, it)
@@ -509,13 +504,13 @@ def _newton(
                 break
             step *= ARMIJO_FACTOR
             if step < MIN_STEP:
-                if retried or fresh:
+                if fresh:
                     return u, res, s, Mu, it, False
                 # stale Jacobian is the usual culprit: refactor at the
-                # current point and retry the search once
+                # current point and retry the search once (a forced
+                # direction is always fresh)
                 du, fresh = work.direction(u, F, force=True)
                 step = 1.0
-                retried = True
         # a stale direction may pass the line search while barely
         # contracting; when that happens refresh the factorization
         # before the next correction

@@ -25,17 +25,21 @@ factored, and their dimension
 is about a seventh of the bordered saddle system's (1,411 against 10,625
 unknowns at m = 16, where the L+U factors of C^T M C hold 124k non-zeros
 and those of the bordered system 2.25M).  The Gram matrix C^T M C is
-formed once per mesh (`stream_mass`).  The 19-node interpolation
-problems of all macro-elements are stacked and solved in one batch: one
-batched inverse for the subtriangle cubics, one batched pseudo-inverse
-for the C^1 and dof conditions, one batched evaluation at the P2 nodes.
-The basis is geometry-only and is kept on the operator bundle
-(`AssembledOperators.stream_basis`); the coarse structure it is
+formed once per mesh (`AssembledOperators.stream_mass`).  The 19-node
+interpolation problems of all macro-elements are stacked and solved in
+one batch: one batched inverse for the subtriangle cubics, one batched
+pseudo-inverse for the C^1 and dof conditions, one batched evaluation
+at the P2 nodes.
+This module only builds: `build_curl_basis` returns C and
+`build_element_basis` reads each macro-element's block of C into the
+element tables the stepper assembles C^T K C from.  The operator bundle
+calls them on first use and keeps what they return
+(`AssembledOperators.stream_basis`, `.stream_element_basis`); nothing
+here writes to it, and `stream_curl_basis` only reads the bundle's
+basis.  The basis is geometry-only; the coarse structure it is
 numbered by is read from the Alfeld layout the mesh checks
 (`meshing.TriMesh`) while the basis is built, and not kept.  Entries
 of C that are rounding noise are dropped column by column.
-`stream_element_basis` reads each macro-element's block of C into the
-element tables the stepper assembles C^T K C from.
 
 Stream dof ordering: for each interior coarse vertex v (in increasing
 vertex id) the triple (psi(v), d_x psi(v), d_y psi(v)), followed by one
@@ -54,7 +58,7 @@ import scipy.sparse as sp
 
 from pstokes.spaces import AssembledOperators, ElementBasis, element_basis
 
-__all__ = ["stream_curl_basis", "stream_mass", "stream_element_basis"]
+__all__ = ["stream_curl_basis", "build_curl_basis", "build_element_basis"]
 
 # Exponents of the ten bivariate monomials of degree <= 3.
 _EXP = np.array(
@@ -253,6 +257,11 @@ def _macro_elements(
 
 
 def stream_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
+    """The curl basis C the operator bundle keeps (`ops.stream_basis`)."""
+    return ops.stream_basis
+
+
+def build_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     """Sparse curl matrix C: free velocity dofs x stream dofs.
 
     Columns are scaled to unit Euclidean norm, then every entry below
@@ -260,13 +269,10 @@ def stream_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     vanishes at the nodes of its macro-elements' outer edges on which
     the dof's function and gradient vanish, and what is computed there
     is rounding noise (1e-15 relative), which would otherwise double
-    the fill of the reduced factorizations.
-    Kept on the operator bundle as `ops.stream_basis`, with its CSR
-    transpose view as `ops.stream_basis_T`; construction is
-    geometry-only.
+    the fill of the reduced factorizations.  Construction is
+    geometry-only; the operator bundle keeps the result as
+    `ops.stream_basis`.
     """
-    if ops.stream_basis is not None:
-        return ops.stream_basis
     cs = _coarse_structure(ops)
     sv = ops.space_v
     verts = sv.mesh.vertices
@@ -311,28 +317,13 @@ def stream_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     col_max = np.maximum.reduceat(np.abs(C.data), C.indptr[:-1])
     C.data[np.abs(C.data) < DROP * col_max[col]] = 0.0
     C.eliminate_zeros()
-    ops.stream_basis = C
-    ops.stream_basis_T = C.T
     return C
 
 
-def stream_mass(ops: AssembledOperators) -> sp.csc_matrix:
-    """The Gram matrix C^T M C of the stream basis, the mass block of
-    every reduced system: the stepper's and that of the projection
-    saddle (`spaces.SaddleSolver`).  Built on first use and kept on the
-    operator bundle as `ops.stream_mass`, so both read one product."""
-    if ops.stream_mass is None:
-        C = stream_curl_basis(ops)
-        ops.stream_mass = (C.T @ (ops.M_free @ C)).tocsc()
-    return ops.stream_mass
-
-
-def stream_element_basis(ops: AssembledOperators) -> ElementBasis:
+def build_element_basis(ops: AssembledOperators) -> ElementBasis:
     """The element tables of the stress tangent in the stream basis
     (`spaces.element_basis`): one block per macro-element, its three
-    children and its 12 stream dofs.  Built on first use and kept on the
-    operator bundle as `ops.stream_element_basis`."""
-    if ops.stream_element_basis is None:
-        cols = _global_columns(_coarse_structure(ops))
-        ops.stream_element_basis = element_basis(ops, cols, stream_curl_basis(ops))
-    return ops.stream_element_basis
+    children and its 12 stream dofs.  The operator bundle keeps them as
+    `ops.stream_element_basis`."""
+    cols = _global_columns(_coarse_structure(ops))
+    return element_basis(ops, cols, ops.stream_basis)

@@ -9,7 +9,11 @@ spans from the traced run.  This test steps one small trajectory inside
 reduced factorizations (`spla.splu`, as the stepper calls it) were
 recorded and that the instrumented modules are left as they were.  The
 noise is linear, because an additive step evaluates no velocity and
-calls no `data_G_n`.  It only reads `perfbench/`.
+calls no `data_G_n`.  A second test sets a workspace up inside
+`instrument` the way the benchmark does, by `stream_gram()`, and checks
+that the span of the stream basis is recorded once, by that set-up,
+and not again by the residuals, solves and directions of the steps.
+Both only read `perfbench/`.
 """
 
 import importlib.util
@@ -67,3 +71,21 @@ def test_kernel_spans_recorded_and_attributes_restored():
         assert now.keys() == saved.keys(), owner
         changed = [attr for attr, value in saved.items() if now[attr] is not value]
         assert not changed, (owner, changed)
+
+
+def test_stream_basis_span_recorded_once_per_workspace_setup():
+    spans = _load_spans()
+    ops = spaces.assemble(meshing.alfeld_split(meshing.unit_square_mesh(2)))
+    model = noise.NoiseModel(mode_fields=curl_modes(2, amplitude=1.0), rule="linear")
+    cfg = stepper.SchemeConfig(PowerLawParams(p=3.0), TimeGrid(T=0.1, N=4), model)
+    inc = noise.sample_increments(np.random.default_rng(0), cfg.grid, n_modes=2)
+    u0 = stepper.initial_velocity(u0_smooth, ops)
+
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        work = stepper.StepperWorkspace(cfg, ops)
+        work.stream_gram()
+        traj = stepper.run_trajectory(u0, inc, cfg, ops, work)
+    assert traj.ok and work.refactor_count >= 1
+    names = [name for name, *_ in tracer.spans]
+    assert names.count("streamfunc.stream_curl_basis") == 1

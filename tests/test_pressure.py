@@ -448,7 +448,7 @@ class TestSolveCounts:
     def calls(self, ops4, monkeypatch):
         calls = {"saddle": [], "mass": []}
         saddle_solve = SaddleSolver.velocity
-        mass_lu = ops4.mass_free_lu()
+        mass_lu = ops4.mass_free_lu
 
         def saddle(self, rhs_v):
             calls["saddle"].append(np.shape(rhs_v)[1:])
@@ -460,7 +460,7 @@ class TestSolveCounts:
                 return mass_lu.solve(rhs)
 
         monkeypatch.setattr(SaddleSolver, "velocity", saddle)
-        monkeypatch.setattr(ops4, "_mass_free_lu", CountingLU())
+        monkeypatch.setattr(ops4, "mass_free_lu", CountingLU())
         return calls
 
     @pytest.mark.parametrize("N", [4, 12])

@@ -164,6 +164,11 @@ def test_checkpoints_validation(tmp_path, ops2):
     f.write_bytes(bad)
     with pytest.raises(ValueError, match="disagrees"):
         load_checkpoints(f)
+    # A fractional row length: three rows of 8 values, under a header
+    # that is otherwise that of N = 2 steps on [0, 1].
+    f.write_bytes(header(VELOCITY, 1 / 3, 1.0, 8.4) + struct.pack("<24d", *range(24)))
+    with pytest.raises(ValueError, match="row length 8.4 is not a positive integer"):
+        load_checkpoints(f)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +195,22 @@ def test_pressure_components_reject_even_rows(tmp_path):
     f = tmp_path / "bad.bin"
     f.write_bytes(header(PRESSURE, 0.5, 1.0, 2.0) + struct.pack("<4d", 0, 0, 0, 0))
     with pytest.raises(ValueError, match="odd row count"):
+        load_pressure_components(f)
+
+
+def test_pressure_components_validation(tmp_path):
+    f = tmp_path / "bad.bin"
+    # A fractional row length: three rows of 8 values, under a header
+    # that is otherwise that of N = 1 step on [0, 1].
+    f.write_bytes(header(PRESSURE, 0.5, 1.0, 8.4) + struct.pack("<24d", *range(24)))
+    with pytest.raises(ValueError, match="row length 8.4 is not a positive integer"):
+        load_pressure_components(f)
+    # 5 rows of 2 values: N = 2 steps, whose step is 1/3, not 0.5
+    f.write_bytes(header(PRESSURE, 0.5, 1.0, 2.0) + struct.pack("<10d", *range(10)))
+    with pytest.raises(ValueError, match="disagrees"):
+        load_pressure_components(f)
+    f.write_bytes(header(PRESSURE, 1 / 3, 1.0, 2.0) + struct.pack("<9d", *range(9)))
+    with pytest.raises(ValueError, match="does not tile"):
         load_pressure_components(f)
 
 

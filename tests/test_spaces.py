@@ -200,13 +200,13 @@ class TestFreeDofFactors:
         # against SuperLU's default column ordering COLAMD, measured at
         # 26k against 60k L+U non-zeros
         ops = assemble(alfeld_split(unit_square_mesh(8)))
-        lu = ops.mass_free_lu()
+        lu = ops.mass_free_lu
         colamd = spla.splu(ops.M_free, permc_spec="COLAMD")
         assert lu.L.nnz + lu.U.nnz <= 0.5 * (colamd.L.nnz + colamd.U.nnz)
         B = np.random.default_rng(8).standard_normal((ops.n_free, 32))
         X = lu.solve(B)
         assert np.abs(ops.M_free @ X - B).max() <= 1e-13 * np.abs(B).max()
-        assert ops.mass_free_lu() is lu
+        assert ops.mass_free_lu is lu
 
 
 class TestProjections:

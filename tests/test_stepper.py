@@ -8,6 +8,7 @@ Stokes step assembled from scratch as one KKT system.
 """
 
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from pstokes.stepper import (
     NewtonConfig,
     SchemeConfig,
     StepperWorkspace,
+    _newton,
     _picard_fallback,
     dissipation_pairing,
     initial_velocity,
@@ -427,7 +429,7 @@ class TestSolverMachinery:
         u = interpolate_velocity(u0_smooth, ops).coeffs
         _, hs_G = work.noise_rhs(3, u, np.ones(2))
         assert hs_G > 0.0
-        assert ops.stream_basis is None
+        assert "stream_basis" not in vars(ops)
 
     @pytest.mark.parametrize("rule", ["additive", "linear", "bounded_lipschitz"])
     @pytest.mark.parametrize("modulated", [False, True])
@@ -512,6 +514,48 @@ class TestSolverMachinery:
         inc = sample_increments(np.random.default_rng(6), cfg.grid, n_modes=1)
         run_trajectory(u0h, inc, cfg, ops4, work)
         assert work.refactor_count == 1
+
+
+class TestNewtonRetry:
+    """The fresh-factor retry of the line search: when a stale direction
+    fails the Armijo search down to MIN_STEP, `_newton` forces one
+    fresh direction at the same point, and gives up if that fails too.
+    No small tier-1 run reaches this path, so a stub workspace drives
+    the Newton loop: the residual of v is v itself, and each direction
+    call is logged with its force flag."""
+
+    class Stub:
+        def __init__(self, stale, forced):
+            self.config = SimpleNamespace(newton=NewtonConfig())
+            self.directions = {False: stale, True: forced}
+            self.forced = []
+
+        def residual(self, v, rhs_free):
+            return v.copy(), float(np.linalg.norm(v)), 2.0 * v, 3.0 * v
+
+        def direction(self, u, F, force=False):
+            self.forced.append(force)
+            sign, fresh = self.directions[force]
+            return sign * u, fresh
+
+    def test_forced_direction_rescues_a_stale_one(self):
+        # the stale direction points uphill; the forced one is exact
+        work = self.Stub(stale=(1.0, False), forced=(-1.0, True))
+        u, res, s, Mu, its, converged = _newton(1, np.array([1.0, -2.0]), None, work)
+        assert work.forced == [False, True]
+        assert converged and its == 2
+        assert res == 0.0 and not u.any() and not s.any() and not Mu.any()
+
+    def test_failed_forced_direction_ends_the_step(self):
+        # both point uphill: one forced retry, then `_newton` returns
+        # the start point unconverged without a second forced call
+        work = self.Stub(stale=(1.0, False), forced=(1.0, True))
+        u0 = np.array([1.0, -2.0])
+        u, res, s, Mu, its, converged = _newton(1, u0.copy(), None, work)
+        assert work.forced == [False, True]
+        assert not converged and its == 1
+        assert np.array_equal(u, u0) and res == np.linalg.norm(u0)
+        assert np.array_equal(s, 2.0 * u0) and np.array_equal(Mu, 3.0 * u0)
 
 
 class TestInputConsistency:

@@ -32,7 +32,7 @@ from pstokes.stepper import (
     initial_velocity,
     run_trajectory,
 )
-from pstokes.streamfunc import DROP, stream_curl_basis, stream_element_basis, stream_mass
+from pstokes.streamfunc import DROP, stream_curl_basis
 from pstokes.tensors import PowerLawParams
 
 
@@ -128,10 +128,10 @@ class TestBasisConstruction:
 
     def test_cached_on_operator_bundle(self, ops2, setup2):
         assert stream_curl_basis(ops2) is stream_curl_basis(ops2)
-        assert stream_element_basis(ops2) is stream_element_basis(ops2)
+        assert ops2.stream_element_basis is ops2.stream_element_basis
         # one C^T M C per mesh: the stepper reads the bundle's product
-        gram = stream_mass(ops2)
-        assert gram is stream_mass(ops2)
+        gram = ops2.stream_mass
+        assert gram is ops2.stream_mass
         grid, model, _, _ = setup2
         cfg = SchemeConfig(PowerLawParams(p=2.0, kappa=0.0), grid, model)
         assert StepperWorkspace(cfg, ops2).stream_gram()[1] is gram
@@ -146,7 +146,7 @@ class TestBasisConstruction:
         C = stream_curl_basis(ops)
         gram = (C.T @ (ops.M_free @ C)).tocsc()
         gram.sort_indices()
-        pattern = stream_element_basis(ops).pattern
+        pattern = ops.stream_element_basis.pattern
         assert gram.nnz == pattern.nnz == 32509
         assert np.array_equal(gram.indptr, pattern.indptr)
         assert np.array_equal(gram.indices, pattern.indices)
@@ -172,7 +172,7 @@ class TestStreamTangent:
         params = PowerLawParams(p=p, kappa=kappa)
         u = np.zeros(ops.space_v.n_dofs)
         u[ops.free] = 0.05 * np.random.default_rng(7).standard_normal(ops.n_free)
-        K = stress_tangent_matrix(u, ops, params, picard, stream_element_basis(ops))
+        K = stress_tangent_matrix(u, ops, params, picard, ops.stream_element_basis)
         reference = (C.T @ (stress_tangent_matrix(u, ops, params, picard) @ C)).tocsc()
         scale = np.abs(reference.data).max()
         assert np.abs((K - reference).toarray()).max() <= 1e-14 * scale
