@@ -19,31 +19,27 @@ noise):
   of deterministic pressure increments (upper bracket sqrt(2)||.||_p'),
   the maximal stochastic pressure, and its r-weighted Nikolskii scale.
 
-* Error functionals (`error_stats`, `temporal_oscillation`): coupled
-  comparison of a coarse trajectory against a reference computed on a
-  nested finer grid pair from the same Wiener path (every trajectory
-  carries its time grid, which must be its config's).  The reference is
-  read as piecewise constant on its midpoint intervals; the coarse-step
-  average <u>_n is its exact average over the coarse interval J_n; the
-  hat-weighted time integrals are exact on the pieces of supp a_n
-  (`grids.hat_pieces`), where the reference is constant, a_n linear.  Spatial
-  comparison evaluates both fields at the fine mesh's quadrature points
-  through sparse evaluation operators applied to whole trajectories: a
-  mesh's own `qp_eval` at its own quadrature points (every operator of
-  a same-mesh level, whose runs share one operator bundle), across
-  meshes operators built once per call at located points
-  (`spaces.point_evaluation`).  Self-comparison goes
-  through one operator, so all error functionals vanish identically.
-  Component proxies C_init, C_Linf, C_best, C_G, C_V isolate
+* Error functionals (`error_stats_ladder`, `error_stats`,
+  `temporal_oscillation`): coupled comparison of coarse trajectories
+  against a reference computed on a nested finer grid pair from the same
+  Wiener path (every trajectory carries its time grid, which must be its
+  config's).  One pass over the reference samples serves a ladder of
+  coarse levels: a sample's rows, its V(eps u) rows, their Gram matrix
+  and the level-free half of its data term are formed once, and every
+  level reduces its terms from them; `error_stats` is the one-level
+  ladder.  The reference is read as piecewise constant on its midpoint
+  intervals, <u>_n is its exact average over the coarse interval J_n,
+  and the hat-weighted time integrals are exact on the pieces of supp
+  a_n (`grids.hat_pieces`).  Both fields are compared at the fine
+  quadrature points through sparse evaluation operators built once per
+  call: a mesh's own `qp_eval` on a same-mesh level, located points
+  across meshes (`spaces.point_evaluation`); self-comparison vanishes
+  identically.  The proxies C_init, C_Linf, C_best, C_G, C_V isolate
   initial-datum, projection, best-approximation, data-approximation and
-  temporal-oscillation contributions; C_best is an upper proxy
-  (divergence-projected nodal interpolant of the reference in place of
-  the true infimum).  The
-  oscillation C_V and the lag seminorms are reductions of Gram matrices
-  of rows the functions stack anyway: one hat-window reduction
-  (`_window_oscillation`) and one lag kernel (`_lag_seminorm`) serve
-  `error_stats`, `temporal_oscillation`, `stability_stats` and
-  `besov_halves`.
+  temporal-oscillation contributions; C_best is an upper proxy (the
+  divergence-projected nodal interpolant of the reference in place of
+  the true infimum).  One hat-window reduction (`_window_oscillation`)
+  and one lag kernel (`_lag_seminorm`) serve every Gram matrix.
 
 * Domination / extrapolation verifier (`extrapolation_check`): builds
   the nonnegative adapted processes
@@ -92,7 +88,7 @@ from pstokes.spaces import (
     velocity_at_qp,
 )
 from pstokes.stepper import SchemeConfig, StepperWorkspace, Trajectory, run_trajectory
-from pstokes.tensors import nonlinear_V
+from pstokes.tensors import PowerLawParams, nonlinear_V
 
 __all__ = [
     "StabilityStats",
@@ -101,6 +97,7 @@ __all__ = [
     "besov_halves",
     "stability_stats",
     "error_stats",
+    "error_stats_ladder",
     "temporal_oscillation",
     "extrapolation_check",
 ]
@@ -373,6 +370,17 @@ def _window_oscillation(G: np.ndarray, windows) -> float:
     return max(total, 0.0)
 
 
+def _v_rows(
+    ev: PointEvaluation, rows: np.ndarray, params: PowerLawParams, ops: AssembledOperators
+) -> np.ndarray:
+    """V(eps u) at the points of `ev`, the quadrature points of `ops`,
+    one flat row per coefficient row, weighted by the square roots of
+    the quadrature weights: the rows whose Gram matrix is the L2 one."""
+    V = _rows(nonlinear_V(ev.sym_grad(rows), params))
+    V *= np.sqrt(qp_weights(ops, 4))
+    return V
+
+
 def _loads(ev: PointEvaluation, rows: np.ndarray, ops: AssembledOperators) -> np.ndarray:
     """Load functionals (f, xi) on the free dofs of `ops`, one column per
     coefficient row, with f evaluated by `ev` at the quadrature points
@@ -420,181 +428,199 @@ def error_stats(
     ops_ref: AssembledOperators,
     with_CV: bool = True,
 ) -> ErrorStats:
-    """Error statistics of coarse trajectories against coupled references.
+    """Error statistics of coarse trajectories against coupled references:
+    `error_stats_ladder` on the one level (coarse_trajs, config_coarse,
+    ops_coarse), whose docstring states the preconditions."""
+    level = (coarse_trajs, config_coarse, ops_coarse)
+    return error_stats_ladder([level], ref_trajs, config_ref, ops_ref, with_CV)[0]
 
-    Preconditions: the reference grid refines the coarse grid (step
-    counts N+1 divide, any ratio) and sample i of both ensembles was
-    driven by the same Wiener path; both runs use the same p and kappa.
-    Each ensemble must hold complete runs on its config's grid.
 
-    A level is same-mesh when both runs share one operator bundle
-    (`ops_coarse is ops_ref`): it locates no point and runs on any mesh.
-    Otherwise the square mesh of the reference must refine the coarse
-    one (their Alfeld splits do not nest) and points are located once
-    per call, for the cross-mesh operators that serve every sample.
-    Each field family of a sample is then evaluated in one sparse
-    product, and all its divergence projections are one multi-column
-    velocity solve: one back-substitution with the factor of C^T M C
-    in the stream basis (`spaces.SaddleSolver.velocity`).  A sample
-    holds its (N_f+1) reference V(eps u) rows of 4 n_qp floats each
-    (n_qp fine quadrature points), plus, for
-    a velocity-dependent noise rule, its (N_f+1) noise factor fields of
-    2 n_qp floats each.  C_V is reduced from the Gram matrix of
-    the held V(eps u) rows over the hat windows of the coarse grid, as
-    `temporal_oscillation` does; with_CV=False skips it and leaves C_V
-    None, for callers that evaluate a ladder of grids in one
-    `temporal_oscillation` call.
+def error_stats_ladder(
+    levels: Sequence[tuple[Sequence[Trajectory], SchemeConfig, AssembledOperators]],
+    ref_trajs: Sequence[Trajectory],
+    config_ref: SchemeConfig,
+    ops_ref: AssembledOperators,
+    with_CV: bool = True,
+) -> list[ErrorStats]:
+    """Error statistics of every level of a ladder against one coupled
+    reference ensemble, in one pass over the reference samples.
+
+    A level is a triple (coarse_trajs, config_coarse, ops_coarse): the
+    reference grid refines its grid (step counts N+1 divide, any ratio),
+    sample i of both ensembles was driven by one Wiener path, both use
+    one p and kappa, and each ensemble holds complete runs on its
+    config's grid; a level that breaks this raises ValueError naming its
+    index.  A same-mesh level (`ops_coarse is ops_ref`) locates no point
+    and runs on any mesh; otherwise the reference's square mesh must
+    refine the level's (their Alfeld splits do not nest).  Every level's
+    checks, point evaluations and hat tables are built before the first
+    sample.
+
+    A reference sample is formed once for all levels: its rows Uf; the
+    level-free half of the data term, with (N_f+1) noise factor fields
+    of 2 n_qp floats for a velocity-dependent rule (n_qp fine quadrature
+    points); then its (N_f+1) weighted V(eps u) rows of 4 n_qp floats
+    and, with with_CV, their Gram matrix.  Each level projects its
+    averages and initial data in one velocity solve
+    (`spaces.SaddleSolver.velocity`) and reduces its terms from values
+    at the fine points, which are freed before the V(eps u) rows are
+    formed; then vgrad and C_best from the rows, and C_V from the Gram
+    matrix over its hat windows.  with_CV=False leaves C_V None.
     """
-    if len(coarse_trajs) != len(ref_trajs):
-        raise ValueError("coarse and reference ensembles differ in size")
-    grid_c, grid_f = config_coarse.grid, config_ref.grid
-    hats = hat_pieces(grid_c, grid_f)
-    Nc = _check_ensemble(coarse_trajs, grid_c, ops_coarse)
-    _check_ensemble(ref_trajs, grid_f, ops_ref)
-    same_mesh = ops_coarse is ops_ref
-    if not same_mesh:
-        _check_mesh_nesting(ops_coarse, ops_ref)
-    params, model = config_ref.params, config_ref.model
-    if (config_coarse.params.p, config_coarse.params.kappa) != (params.p, params.kappa):
-        raise ValueError("coarse and reference runs use different exponents p or kappa")
-    ns = len(coarse_trajs)
-
-    w2 = np.sqrt(qp_weights(ops_ref, 2))
-    w4 = np.sqrt(qp_weights(ops_ref, 4))
-    saddle = ops_coarse.projection_saddle()
-    free_c = ops_coarse.free
-
-    # Point evaluation: both meshes' fields at the fine quadrature
-    # points; reference fields at the coarse quadrature points (loads)
-    # and, across meshes, at the free coarse nodes (nodal interpolant).
-    # The coarse initial datum is loaded from its own quadrature points,
-    # so that on a same-mesh level the two initial loads are formed the
-    # same way.
-    ref_at_fq, coarse_at_cq = ops_ref.qp_eval, ops_coarse.qp_eval
-    if same_mesh:  # the point sets coincide
-        coarse_at_fq, ref_at_cq = coarse_at_cq, ref_at_fq
-    else:
-        coarse_at_fq = point_evaluation(ops_coarse, ops_ref.qp_x.reshape(-1, 2))
-        ref_at_cq = point_evaluation(ops_ref, ops_coarse.qp_x.reshape(-1, 2))
-        free_nodes = ~ops_coarse.space_v.boundary_node
-        ref_at_cn = point_evaluation(ops_ref, ops_coarse.space_v.node_coords[free_nodes])
-
-    # Time-weight tables shared by every sample: |J_j ∩ J_n| for the fine
-    # cells J_j of each coarse interval J_n (J_0 precedes J_1 in supp a_1).
-    intervals = [(hats[0], ~hats[0].late)] + [(h, h.late) for h in hats]
-    tiles = [_per_cell(h, h.hi - h.lo, sel) for h, sel in intervals]
-    hat_tile = [_hat_integrals(n, h, grid_c, h.late) for n, h in enumerate(hats, 1)]
-    hat_full = [_hat_integrals(n, h, grid_c) for n, h in enumerate(hats, 1)]
-
-    def v_rows(ev: PointEvaluation, rows: np.ndarray) -> np.ndarray:
-        """Quadrature-weighted V(eps u) at the fine points, one row per field."""
-        V = _rows(nonlinear_V(ev.sym_grad(rows), params))
-        V *= w4
-        return V
-
-    # The two blocks of fine-point values a sample needs are formed in
-    # these two functions, so that the first is freed before the second.
-    def value_terms(Uf, Uc, avg, proj_avg) -> tuple[float, np.ndarray, float, float]:
-        """max_n ||e_n||^2 and the Gram matrix of the weighted rows e_n,
-        C_Linf and C_G, from the values at the fine points."""
-        avg_vals = _rows(ref_at_fq.values(avg))
-        coarse_vals = coarse_at_fq.values(Uc)
-        E = (avg_vals - _rows(coarse_vals)) * w2
-        d = (avg_vals[1:] - _rows(coarse_at_fq.values(proj_avg[1:]))) * w2
-        natural = float(np.einsum("nd,nd->n", E[1:], E[1:]).max())
-        linf = float(np.einsum("nd,nd->n", d, d).max())
-        cg = _data_term(coarse_vals, Uf, grid_c, hats, ops_ref, model)
-        return natural, E @ E.T, linf, cg
-
-    def v_terms(Uf, Uc, eta) -> tuple[float, float, float | None]:
-        """vgrad, the V(eps u) part of C_best and C_V: the reference rows
-        of every fine step against the coarse run over the restricted
-        windows, against eta over the full-support windows, and against
-        each other over the full-support windows."""
-        Vf = v_rows(ref_at_fq, Uf)
-        vgrad = _windowed_sq_dists(Vf, v_rows(coarse_at_fq, Uc[1:]), hat_tile)
-        best = _windowed_sq_dists(Vf, v_rows(coarse_at_fq, eta[1:]), hat_full)
-        return vgrad, best, _window_oscillation(Vf @ Vf.T, hat_full) if with_CV else None
-
-    per_sample = []
-    gram_e_sum = np.zeros((Nc + 1, Nc + 1))
-
-    for coarse, ref in zip(coarse_trajs, ref_trajs):
-        Uc = np.stack([f.coeffs for f in coarse.fields])
+    if len(levels) == 0:
+        raise ValueError("empty ladder: need at least one coarse level")
+    ladder = [_Level(k, level, ref_trajs, config_ref, ops_ref) for k, level in enumerate(levels)]
+    _check_ensemble(ref_trajs, config_ref.grid, ops_ref)
+    for i, ref in enumerate(ref_trajs):
         Uf = np.stack([f.coeffs for f in ref.fields])
-        avg = np.stack([(w / w.sum()) @ Uf[js] for js, w in tiles])  # <u_ref>_n coefficients
+        data = _data_reference(Uf, ops_ref, config_ref.model)
+        held = [level.value_terms(i, Uf, data) for level in ladder]
+        del data  # the values at the fine points go before the V(eps u) rows come
+        Vf = _v_rows(ops_ref.qp_eval, Uf, config_ref.params, ops_ref)
+        G = Vf @ Vf.T if with_CV else None
+        for level, (Uc, eta, best) in zip(ladder, held):
+            level.v_terms(Vf, G, Uc, eta, best)
+    return [level.stats() for level in ladder]
+
+
+class _Level:
+    """One coarse level of a ladder: its checks, point evaluations and
+    hat tables, and the per-sample terms it reduces from the reference."""
+
+    def __init__(self, k: int, level, ref_trajs, config_ref: SchemeConfig, ops_ref) -> None:
+        self.trajs, config_c, self.ops = level
+        self.grid = grid_c = config_c.grid
+        self.ops_ref, self.params, self.model = ops_ref, config_ref.params, config_ref.model
+        try:
+            if len(self.trajs) != len(ref_trajs):
+                raise ValueError("coarse and reference ensembles differ in size")
+            self.hats = hats = hat_pieces(grid_c, config_ref.grid)
+            self.Nc = _check_ensemble(self.trajs, grid_c, self.ops)
+            self.same_mesh = self.ops is ops_ref
+            if not self.same_mesh:
+                _check_mesh_nesting(self.ops, ops_ref)
+            if (config_c.params.p, config_c.params.kappa) != (self.params.p, self.params.kappa):
+                raise ValueError("coarse and reference runs use different exponents p or kappa")
+        except ValueError as err:
+            raise ValueError(f"level {k}: {err}") from None
+        self.w2 = np.sqrt(qp_weights(ops_ref, 2))
+        self.saddle = self.ops.projection_saddle()
+
+        # Both meshes' fields at the fine quadrature points; reference fields
+        # at the coarse quadrature points (loads) and, across meshes, at the
+        # free coarse nodes (nodal interpolant).  The coarse initial datum is
+        # loaded from its own points, as the reference's on a same-mesh level.
+        self.ref_at_fq, self.coarse_at_cq = ops_ref.qp_eval, self.ops.qp_eval
+        if self.same_mesh:  # the point sets coincide
+            self.coarse_at_fq, self.ref_at_cq = self.coarse_at_cq, self.ref_at_fq
+        else:
+            self.coarse_at_fq = point_evaluation(self.ops, ops_ref.qp_x.reshape(-1, 2))
+            self.ref_at_cq = point_evaluation(ops_ref, self.ops.qp_x.reshape(-1, 2))
+            free_nodes = ~self.ops.space_v.boundary_node
+            self.ref_at_cn = point_evaluation(ops_ref, self.ops.space_v.node_coords[free_nodes])
+
+        # Time-weight tables shared by every sample: |J_j ∩ J_n| for the fine
+        # cells J_j of each coarse interval J_n (J_0 precedes J_1 in supp a_1).
+        intervals = [(hats[0], ~hats[0].late)] + [(h, h.late) for h in hats]
+        self.tiles = [_per_cell(h, h.hi - h.lo, sel) for h, sel in intervals]
+        self.hat_tile = [_hat_integrals(n, h, grid_c, h.late) for n, h in enumerate(hats, 1)]
+        self.hat_full = [_hat_integrals(n, h, grid_c) for n, h in enumerate(hats, 1)]
+
+        self.terms: dict[str, list[float]] = {}
+        self.gram_e_sum = np.zeros((self.Nc + 1, self.Nc + 1))
+
+    def _add(self, **terms) -> None:
+        for name, value in terms.items():
+            self.terms.setdefault(name, []).append(value)
+
+    def value_terms(self, i: int, Uf: np.ndarray, data):
+        """natural, the Gram matrix of the rows e_n, C_init, C_Linf and C_G of
+        sample i, from values at the fine points; returns what `v_terms`
+        reads: the coarse rows, eta and the coefficient part of C_best."""
+        ops_c, Nc = self.ops, self.Nc
+        Uc = np.stack([f.coeffs for f in self.trajs[i].fields])
+        avg = np.stack([(w / w.sum()) @ Uf[js] for js, w in self.tiles])  # <u_ref>_n coefficients
 
         # Divergence projections on the coarse space, in one velocity solve,
         # as rows: the averages, both initial data and, across meshes, the
         # averages' nodal interpolants (on one mesh, the averages).
         loads = [
-            _loads(ref_at_cq, np.vstack([avg, Uf[:1]]), ops_coarse),
-            _loads(coarse_at_cq, Uc[:1], ops_coarse),
+            _loads(self.ref_at_cq, np.vstack([avg, Uf[:1]]), ops_c),
+            _loads(self.coarse_at_cq, Uc[:1], ops_c),
         ]
-        if not same_mesh:
-            interp = np.zeros((Nc + 1, ops_coarse.space_v.n_dofs))
-            interp[:, free_c] = _rows(ref_at_cn.values(avg))
-            loads.append((ops_coarse.M_full @ interp.T)[free_c])
-        projected = _full_velocity(ops_coarse, saddle.velocity(np.hstack(loads))).T
+        if not self.same_mesh:
+            interp = np.zeros((Nc + 1, ops_c.space_v.n_dofs))
+            interp[:, ops_c.free] = _rows(self.ref_at_cn.values(avg))
+            loads.append((ops_c.M_full @ interp.T)[ops_c.free])
+        projected = _full_velocity(ops_c, self.saddle.velocity(np.hstack(loads))).T
         proj_avg, u0_ref, u0_coarse, eta = np.split(projected, [Nc + 1, Nc + 2, Nc + 3])
-        if same_mesh:
+        if self.same_mesh:
             eta = proj_avg
 
-        # ||P_div u0_ref - P_div u0_coarse||^2 on the coarse space
-        gap0 = u0_ref[0] - u0_coarse[0]
-        init = float(gap0 @ (ops_coarse.M_full @ gap0))
-
-        natural, gram_e, linf, cg = value_terms(Uf, Uc, avg, proj_avg)
-        gram_e_sum += gram_e
-        vgrad, best, cv = v_terms(Uf, Uc, eta)
+        gap0 = u0_ref[0] - u0_coarse[0]  # P_div u0_ref - P_div u0_coarse
         gap = proj_avg[1:] - eta[1:]
-        best += float(np.einsum("nd,nd->", gap, (ops_coarse.M_full @ gap.T).T))
-        per_sample.append((natural, vgrad, init, linf, best, cg, cv))
-    natural_s, vgrad_s, init_s, linf_s, best_s, cg_s, cv_s = zip(*per_sample)
 
-    natural, natural_se = _mean_and_se(natural_s)
-    vgrad, vgrad_se = _mean_and_se(vgrad_s)
+        avg_vals = _rows(self.ref_at_fq.values(avg))
+        coarse_vals = self.coarse_at_fq.values(Uc)
+        E = (avg_vals - _rows(coarse_vals)) * self.w2
+        d = (avg_vals[1:] - _rows(self.coarse_at_fq.values(proj_avg[1:]))) * self.w2
+        self.gram_e_sum += E @ E.T
+        self._add(
+            natural_err=float(np.einsum("nd,nd->n", E[1:], E[1:]).max()),
+            C_init=float(gap0 @ (ops_c.M_full @ gap0)),
+            C_Linf=float(np.einsum("nd,nd->n", d, d).max()),
+            C_G=_data_term(data, coarse_vals, self.grid, self.hats, self.model),
+        )
+        return Uc, eta, float(np.einsum("nd,nd->", gap, (ops_c.M_full @ gap.T).T))
 
-    return ErrorStats(
-        n_samples=ns,
-        natural_err=natural,
-        vgrad_err=vgrad,
-        besov_err=_lag_seminorm(gram_e_sum / ns),
-        C_init=float(np.mean(init_s)),
-        C_Linf=float(np.mean(linf_s)),
-        C_best=float(np.mean(best_s)),
-        C_G=float(np.mean(cg_s)),
-        C_V=float(np.mean(cv_s)) if with_CV else None,
-        stderr={"natural_err": natural_se, "vgrad_err": vgrad_se},
-    )
+    def v_terms(self, Vf: np.ndarray, G, Uc: np.ndarray, eta: np.ndarray, best: float) -> None:
+        """vgrad, C_best and C_V: the reference rows Vf against the coarse run
+        over the restricted windows, against eta over the full-support
+        windows, and against each other from their Gram matrix G, if any."""
+        ev, params, ops_f = self.coarse_at_fq, self.params, self.ops_ref
+        vgrad = _windowed_sq_dists(Vf, _v_rows(ev, Uc[1:], params, ops_f), self.hat_tile)
+        best += _windowed_sq_dists(Vf, _v_rows(ev, eta[1:], params, ops_f), self.hat_full)
+        self._add(vgrad_err=vgrad, C_best=best)
+        if G is not None:
+            self._add(C_V=_window_oscillation(G, self.hat_full))
+
+    def stats(self) -> ErrorStats:
+        ns, terms = len(self.trajs), self.terms
+        means = {"C_V": None} | {name: float(np.mean(v)) for name, v in terms.items()}
+        stderr = {name: _mean_and_se(terms[name])[1] for name in ("natural_err", "vgrad_err")}
+        return ErrorStats(ns, besov_err=_lag_seminorm(self.gram_e_sum / ns), stderr=stderr, **means)
 
 
-def _data_term(
-    coarse_vals: np.ndarray,
-    Uf: np.ndarray,
-    grid_c: TimeGrid,
-    hats: list[HatPieces],
-    ops_f: AssembledOperators,
-    model: NoiseModel | None,
-) -> float:
-    """sum_n int a_n^2(t) ||G(t, u_ref(t)) - G_n(u_lag)||_HS^2 dt.
-
-    Every rule is G(t, u) e_k = m(t) g_k * r(u), so this is the L2 norm
-    of m(t) F - G with F = s * r(u_ref(t)), s = sqrt(sum_k g_k * g_k),
-    and G = G_n(u_lag) of the stack s, at the fine quadrature points
-    (coarse_vals holds the coarse velocities there).  The reference rows
-    Uf are evaluated only for a factor that reads them.  On each piece of
-    `hats` m F - G = (m - 1) F + (F - G) is paired with int a_n^2 (m - 1)^l
-    dt (l = 0, 1, 2) by 3-point Gauss, exact for m linear on the piece, so
-    an unmodulated rule cancels exactly where F = G.
-    """
+def _data_reference(Uf: np.ndarray, ops_f: AssembledOperators, model: NoiseModel | None):
+    """The level-free half of the data term at the fine quadrature points:
+    the weights w, the stack s = sqrt(sum_k g_k * g_k), F = s * r(u_ref)
+    per reference row and (F, F)_w; None without noise.  The rows Uf are
+    evaluated only for a factor r that reads them."""
     if model is None:
-        return 0.0
+        return None
     w = qp_weights(ops_f, 2).reshape(-1, 2)
     s = np.sqrt(model.mode_square_sum(ops_f.qp_x.reshape(-1, 2)))
     U = ops_f.qp_eval.values(Uf) if model.velocity_dependent else None
     F = np.broadcast_to(model.apply(s, U), (len(Uf),) + s.shape)
-    sF = np.einsum("jqc,qc,jqc->j", F, w, F)
+    return w, s, F, np.einsum("jqc,qc,jqc->j", F, w, F)
+
+
+def _data_term(
+    data, coarse_vals: np.ndarray, grid_c: TimeGrid, hats: list[HatPieces], model: NoiseModel | None
+) -> float:
+    """sum_n int a_n^2(t) ||G(t, u_ref(t)) - G_n(u_lag)||_HS^2 dt.
+
+    Every rule is G(t, u) e_k = m(t) g_k * r(u), so this is the L2 norm
+    of m(t) F - G, with (w, s, F, (F, F)_w) = `_data_reference` and G =
+    G_n(u_lag) of the stack s, at the fine quadrature points (coarse_vals
+    holds the coarse velocities there).  On each piece of `hats` m F - G
+    = (m - 1) F + (F - G) is paired with int a_n^2 (m - 1)^l dt (l = 0,
+    1, 2) by 3-point Gauss, exact for m linear on the piece, so an
+    unmodulated rule cancels exactly where F = G.
+    """
+    if data is None:
+        return 0.0
+    w, s, F, sF = data
     total = 0.0
     for n, h in enumerate(hats, 1):
         G = data_G_n(n, coarse_vals[max(n - 2, 0)], model, grid_c, s[None])[0]
@@ -622,11 +648,10 @@ def temporal_oscillation(
 
     with u piecewise constant on the reference midpoint cells.  Per
     sample the (N_f+1) quadrature-weighted rows V(eps u_j), of 4 n_qp
-    floats each, are evaluated in one `qp_eval` product and their
-    (N_f+1)^2 Gram matrix is reduced over the hat windows of every coarse
-    grid, so a ladder of grids shares one Gram matrix.  No point is
-    located, so a mesh without point location is accepted.
-    `error_stats` reduces the rows it already holds the same way.
+    floats each, are formed as `error_stats_ladder` forms them, and
+    their (N_f+1)^2 Gram matrix is reduced over the hat windows of every
+    coarse grid, so a ladder of grids shares one Gram matrix.  No point
+    is located, so a mesh without point location is accepted.
     """
     grid_f = config_ref.grid
     _check_ensemble(ref_trajs, grid_f, ops_ref)
@@ -634,12 +659,10 @@ def temporal_oscillation(
         [_hat_integrals(n, h, grid_c) for n, h in enumerate(hat_pieces(grid_c, grid_f), 1)]
         for grid_c in coarse_grids
     ]
-    w4 = np.sqrt(qp_weights(ops_ref, 4))
     totals = np.zeros(len(coarse_grids))
     for ref in ref_trajs:
         U, _ = _coeff_rows(ref.fields)
-        V = _rows(nonlinear_V(ops_ref.qp_eval.sym_grad(U), config_ref.params))
-        V *= w4
+        V = _v_rows(ops_ref.qp_eval, U, config_ref.params, ops_ref)
         G = V @ V.T
         totals += [_window_oscillation(G, per_n) for per_n in windows]
     return list(totals / len(ref_trajs))

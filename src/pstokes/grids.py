@@ -43,14 +43,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Horizon T, step count N, and derived step size tau = T/(N+1)."""
+    """Finite horizon T > 0, step count N, and step size tau = T/(N+1)."""
 
     T: float
     N: int
 
     def __post_init__(self) -> None:
-        if not self.T > 0.0:
-            raise ValueError(f"horizon must be positive, got T={self.T}")
+        if not (np.isfinite(self.T) and self.T > 0.0):
+            raise ValueError(f"horizon must be finite and positive, got T={self.T}")
         if self.N < 1:
             raise ValueError(f"need at least one step, got N={self.N}")
 

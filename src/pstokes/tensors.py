@@ -42,24 +42,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PowerLawParams:
-    """Exponent p, degeneracy kappa, and the Jacobian-only radius floor.
-
-    newton_reg guards the Newton linearization against the singular or
-    degenerate radius at A = 0; it never enters residual evaluation, so
-    the computed stress of a field is bit-identical for any value of it.
-    """
+    """Finite exponent p > 1 and finite degeneracy kappa >= 0."""
 
     p: float
     kappa: float = 0.0
-    newton_reg: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not self.p > 1.0:
-            raise ValueError(f"exponent must satisfy p > 1, got p={self.p}")
-        if self.kappa < 0.0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if self.newton_reg < 0.0:
-            raise ValueError(f"newton_reg must be >= 0, got {self.newton_reg}")
+        if not (np.isfinite(self.p) and self.p > 1.0):
+            raise ValueError(f"exponent must be finite with p > 1, got p={self.p}")
+        if not (np.isfinite(self.kappa) and self.kappa >= 0.0):
+            raise ValueError(f"kappa must be finite and >= 0, got kappa={self.kappa}")
 
     @property
     def p_conj(self) -> float:
@@ -114,26 +106,21 @@ def jacobian_coefficients(
     """Coefficients (alpha, beta) of DS(A)[B] = alpha B + beta (A:B) A.
 
     Differentiating S gives alpha = (kappa + r)^(p-2) and
-    beta = (p-2) (kappa + r)^(p-3) / r evaluated at r = |A|.  The radius
-    is floored at newton_reg wherever the unregularized expression is
-    singular or indeterminate (alpha only for kappa = 0, p < 2; beta
-    always, since the rank-one term vanishes quadratically at A = 0 and
-    the floor is inert once |A| > newton_reg).
+    beta = (p-2) (kappa + r)^(p-3) / r evaluated at r = |A|, however
+    small.  At p = 2, alpha = 1 everywhere, A = 0 included.  The only
+    guard is at r = 0 exactly: there the rank-one term vanishes for every
+    p, and at kappa = 0 the singular alpha of p < 2 is read as 0
+    (`_radial_power`).
     """
     A = _check_finite(A, "A")
     r = frobenius(A)
-    r_floor = np.maximum(r, params.newton_reg)
-    if params.kappa == 0.0 and params.p < 2.0:
-        alpha = _radial_power(params.kappa + r_floor, params.p - 2.0)
+    if params.p == 2.0:
+        alpha = np.ones_like(r)
     else:
         alpha = _radial_power(params.kappa + r, params.p - 2.0)
-        if params.p == 2.0:
-            alpha = np.ones_like(np.asarray(r))
-    beta = (params.p - 2.0) * _radial_power(
-        params.kappa + r_floor, params.p - 3.0
-    ) / np.where(r_floor > 0.0, r_floor, 1.0)
+    beta = (params.p - 2.0) * _radial_power(params.kappa + r, params.p - 3.0)
     # An exact zero matrix contributes no rank-one term regardless of p.
-    beta = np.where(r > 0.0, beta, 0.0)
+    beta = np.where(r > 0.0, beta / np.where(r > 0.0, r, 1.0), 0.0)
     return np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
 
 

@@ -41,6 +41,9 @@ def test_failed_trajectory_exits_nonzero(capsys, monkeypatch):
         ("--N", "0", "N=0"),
         ("--p", "1", "p=1.0"),
         ("--T", "-1", "T=-1.0"),
+        ("--T", "inf", "T=inf"),
+        ("--p", "inf", "p=inf"),
+        ("--kappa", "nan", "kappa=nan"),
         ("--modes", "-1", "modes must be >= 0, got -1"),
     ],
 )

@@ -24,6 +24,7 @@ from pstokes.diagnostics import (
     StabilityStats,
     besov_halves,
     error_stats,
+    error_stats_ladder,
     extrapolation_check,
     stability_stats,
     temporal_oscillation,
@@ -62,6 +63,7 @@ from pstokes.spaces import (
     velocity_at_qp,
 )
 from pstokes.stepper import (
+    NewtonConfig,
     SchemeConfig,
     StepperWorkspace,
     Trajectory,
@@ -559,16 +561,14 @@ def test_error_stats_validation(ops2):
     )
     with pytest.raises(ValueError, match="horizons"):
         error_stats(trajs, trajs, config, bad_grid, ops2, ops2)
-    # kappa enters V(eps u); newton_reg only the Newton linearization
+    # kappa enters V(eps u); the Newton settings only the steps
     config_kappa = SchemeConfig(
         params=PowerLawParams(p=2.0, kappa=0.5), grid=config.grid, model=model
     )
     with pytest.raises(ValueError, match="kappa"):
         error_stats(trajs, trajs, config_kappa, config, ops2, ops2)
-    config_reg = SchemeConfig(
-        params=PowerLawParams(p=2.0, kappa=0.0, newton_reg=1e-4), grid=config.grid, model=model
-    )
-    error_stats(trajs, trajs, config_reg, config, ops2, ops2, with_CV=False)
+    config_newton = dataclasses.replace(config, newton=NewtonConfig(abs_tol=1e-4))
+    error_stats(trajs, trajs, config_newton, config, ops2, ops2, with_CV=False)
     coarser = SchemeConfig(params=config.params, grid=TimeGrid(T=1.0, N=2), model=model)
     trajs_c, _ = run_ensemble(u0, coarser, ops2, n_samples=2, seed=3, delta=coarser.grid.tau / 4)
     with pytest.raises(ValueError, match="multiple"):
@@ -667,8 +667,8 @@ def coupled_pairs():
 
 @pytest.mark.parametrize("level", [(2, 3), (4, 7)], ids=["cross-mesh", "same-mesh"])
 def test_error_stats_C_V_matches_temporal_oscillation(coupled_pairs, level):
-    # error_stats reduces the reference rows it holds (point-evaluated);
-    # temporal_oscillation stacks its own from the native gradients.
+    # both reduce the reference rows of the one row helper over the same
+    # hat windows
     refs, config_f, ops_f, pairs = coupled_pairs
     coarse, config_c, ops_c = pairs[level]
     es = error_stats(coarse, refs, config_c, config_f, ops_c, ops_f)
@@ -694,6 +694,55 @@ def test_error_stats_makes_one_saddle_solve_per_sample(coupled_pairs, level, mon
     # interpolants of the averages
     Nc = config_c.grid.N
     assert calls == [(Nc + 3 if ops_c is ops_f else 2 * Nc + 4,)] * len(refs)
+
+
+def test_ladder_matches_per_level_calls(coupled_pairs):
+    # one pass over the references for both levels gives every statistic
+    # of the two one-level calls
+    refs, config_f, ops_f, pairs = coupled_pairs
+    ladder = error_stats_ladder(list(pairs.values()), refs, config_f, ops_f)
+    for (coarse, config_c, ops_c), es in zip(pairs.values(), ladder):
+        alone = error_stats(coarse, refs, config_c, config_f, ops_c, ops_f)
+        for name, value in dataclasses.asdict(alone).items():
+            assert getattr(es, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
+        assert es.C_V > 0.0 and set(es.stderr) == {"natural_err", "vgrad_err"}
+
+
+def test_ladder_forms_reference_rows_once_per_sample(coupled_pairs, monkeypatch):
+    refs, config_f, ops_f, pairs = coupled_pairs
+    calls = []
+    original = dg.nonlinear_V
+
+    def counting(A, params):
+        calls.append(len(A))
+        return original(A, params)
+
+    monkeypatch.setattr(dg, "nonlinear_V", counting)
+    error_stats_ladder(list(pairs.values()), refs, config_f, ops_f)
+    # per sample: the reference rows once, then two coarse stacks per level
+    n_ref = config_f.grid.N + 1
+    assert calls.count(n_ref) == len(refs)
+    assert len(calls) == len(refs) * (1 + 2 * len(pairs))
+
+
+def test_ladder_validation_names_the_level(coupled_pairs):
+    refs, config_f, ops_f, pairs = coupled_pairs
+    good = pairs[2, 3]
+    coarse, config_c, ops_c = pairs[4, 7]
+    with pytest.raises(ValueError, match="empty ladder"):
+        error_stats_ladder([], refs, config_f, ops_f)
+    off_grid = SchemeConfig(config_c.params, TimeGrid(T=0.1, N=5), config_c.model)
+    kappa = SchemeConfig(PowerLawParams(p=2.0, kappa=0.5), config_c.grid, config_c.model)
+    ops3 = assemble(alfeld_split(unit_square_mesh(3)))
+    config3 = SchemeConfig(config_f.params, TimeGrid(T=0.1, N=3), config_f.model)
+    coarse3, _ = run_ensemble(initial_velocity(curl_bump, ops3), config3, ops3, len(refs), seed=1)
+    for level, match in (
+        ((coarse, off_grid, ops_c), "multiple"),
+        ((coarse, kappa, ops_c), "different exponents"),
+        ((coarse3, config3, ops3), "does not refine"),
+    ):
+        with pytest.raises(ValueError, match=f"^level 1: .*{match}"):
+            error_stats_ladder([good, level], refs, config_f, ops_f)
 
 
 def test_temporal_oscillation_matches_direct_double_loop(ops2):

@@ -45,6 +45,9 @@ class TestTimeGrid:
             TimeGrid(T=0.0, N=4)
         with pytest.raises(ValueError):
             TimeGrid(T=1.0, N=0)
+        for T in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                TimeGrid(T=T, N=4)
 
 
 class TestWeights:

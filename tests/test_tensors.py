@@ -79,6 +79,11 @@ class TestClosedForms:
             PowerLawParams(p=1.0)
         with pytest.raises(ValueError):
             PowerLawParams(p=2.0, kappa=-0.1)
+        # a NaN or infinite exponent or shift would make every stress a
+        # silent 0 (the radial power drops NaN and underflowing radii)
+        for p, kappa in ((np.inf, 0.0), (np.nan, 0.0), (3.0, np.nan), (3.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                PowerLawParams(p=p, kappa=kappa)
 
     def test_conjugate_exponent_identity(self):
         # |S(A)|^p' = |A|^p for kappa = 0, pointwise.
@@ -112,8 +117,6 @@ class TestJacobian:
         rng = np.random.default_rng(int(10 * p) + int(10 * kappa))
         for _ in range(50):
             A = sym(rng.standard_normal((2, 2)))
-            if frobenius(A) <= params.newton_reg:
-                continue
             B = sym(rng.standard_normal((2, 2)))
             fd = (
                 stress_S(A + FD_STEP * B, params) - stress_S(A - FD_STEP * B, params)
@@ -137,18 +140,21 @@ class TestJacobian:
                 assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + abs(rhs) + 1e-30)
                 assert np.sum(apply(B) * B) >= -1e-13 * np.sum(B * B)
 
-    def test_newton_reg_never_touches_residual(self):
-        # Bit-identical stress for any Jacobian floor.
+    def test_jacobian_unfloored_down_to_exact_zero(self):
+        # At |A| ~ 1e-10 the coefficients are the closed forms of the
+        # radius itself; only A = 0 exactly is guarded: no rank-one term,
+        # alpha read as 0 where it is singular and 1 at p = 2.
         rng = np.random.default_rng(9)
         A = sym(rng.standard_normal((2, 2))) * 1e-10
-        pa = PowerLawParams(p=1.5, kappa=0.0, newton_reg=1e-8)
-        pb = PowerLawParams(p=1.5, kappa=0.0, newton_reg=1e-2)
-        assert np.array_equal(stress_S(A, pa), stress_S(A, pb))
-        assert np.array_equal(nonlinear_V(A, pa), nonlinear_V(A, pb))
-        # ... while the Jacobian coefficients do feel the floor here.
-        assert not np.allclose(
-            jacobian_coefficients(A, pa)[0], jacobian_coefficients(A, pb)[0]
-        )
+        r = frobenius(A)
+        params = PowerLawParams(p=1.5, kappa=0.0)
+        alpha, beta = jacobian_coefficients(A, params)
+        assert alpha == pytest.approx(r**-0.5, rel=1e-14)
+        assert beta == pytest.approx(-0.5 * r**-2.5, rel=1e-14)
+        zero = np.zeros((2, 2))
+        for p, kappa, alpha_0 in ((1.5, 0.0, 0.0), (2.0, 0.0, 1.0), (3.0, 0.5, 0.5)):
+            alpha, beta = jacobian_coefficients(zero, PowerLawParams(p=p, kappa=kappa))
+            assert (alpha, beta) == (alpha_0, 0.0)
 
 
 class TestIsotropy:
