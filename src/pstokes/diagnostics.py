@@ -2,7 +2,9 @@
 
 Three groups of tools, all plain Monte Carlo over completed trajectories
 (expectations are sample means; reported standard errors quantify the MC
-noise):
+noise).  The module only reduces: one tally (`_Tally`) turns per-sample
+values into means and standard errors, and the time tables and loads it
+reads are those of `pstokes.grids` and `pstokes.spaces`.
 
 * Stability statistics (`stability_stats`, `besov_halves`): energy
   maxima, dissipation sums, and discrete Nikolskii seminorms
@@ -30,7 +32,8 @@ noise):
   ladder.  The reference is read as piecewise constant on its midpoint
   intervals, <u>_n is its exact average over the coarse interval J_n,
   and the hat-weighted time integrals are exact on the pieces of supp
-  a_n (`grids.hat_pieces`).  Both fields are compared at the fine
+  a_n (`grids.hat_windows`); the projections' loads are one stacked
+  `spaces.velocity_load_vector` call.  Both fields are compared at the fine
   quadrature points through sparse evaluation operators built once per
   call: a mesh's own `qp_eval` on a same-mesh level, located points
   across meshes (`spaces.point_evaluation`); self-comparison vanishes
@@ -66,7 +69,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from pstokes.grids import HatPieces, TimeGrid, hat_pieces, weight_a, weight_cell_averages
+from pstokes.grids import HatPieces, TimeGrid, hat_windows, weight_a, weight_cell_averages
 from pstokes.noise import (
     _GAUSS3_NODES,
     _GAUSS3_WEIGHTS,
@@ -86,6 +89,7 @@ from pstokes.spaces import (
     point_evaluation,
     qp_weights,
     velocity_at_qp,
+    velocity_load_vector,
 )
 from pstokes.stepper import SchemeConfig, StepperWorkspace, Trajectory, run_trajectory
 from pstokes.tensors import PowerLawParams, nonlinear_V
@@ -225,10 +229,25 @@ def _check_ensemble(trajs: Sequence[Trajectory], grid: TimeGrid, ops: AssembledO
     return grid.N
 
 
-def _mean_and_se(vals: list[float]) -> tuple[float, float]:
-    a = np.asarray(vals)
-    se = float(a.std(ddof=1) / np.sqrt(len(a))) if len(a) > 1 else 0.0
-    return float(a.mean()), se
+class _Tally(dict):
+    """The per-sample values of named statistics, a list per name, reduced
+    to means and to Monte Carlo standard errors std / sqrt(S), zero for
+    one sample."""
+
+    def add(self, **values: float) -> None:
+        for name, value in values.items():
+            self.setdefault(name, []).append(value)
+
+    def means(self) -> dict[str, float]:
+        return {name: float(np.mean(v)) for name, v in self.items()}
+
+    def stderr(self, *names: str) -> dict[str, float]:
+        """The standard errors of `names`, or of every statistic."""
+        out = {}
+        for name in names or self:
+            a = np.asarray(self[name])
+            out[name] = float(a.std(ddof=1) / np.sqrt(len(a))) if len(a) > 1 else 0.0
+        return out
 
 
 def stability_stats(
@@ -250,11 +269,7 @@ def stability_stats(
     tau = config.grid.tau
     p_conj = config.params.p_conj
 
-    e_max_s: list[float] = []
-    diss_s: list[float] = []
-    strong_s: list[float] = []
-    det_s: list[float] = []
-    sto_max_s: list[float] = []
+    tally = _Tally()
     gram_sum = np.zeros((N + 1, N + 1))
     gram_z_sum = np.zeros((N + 1, N + 1))
 
@@ -262,9 +277,11 @@ def stability_stats(
         U, _ = _coeff_rows(traj.fields)
         G = _mass_gram(U, ops.M_full)
         gram_sum += G
-        strong_s.append(_lag_seminorm(G))
-        e_max_s.append(float(np.diag(G)[1:].max()))
-        diss_s.append(sum(tau * s.dissipation for s in traj.stats))
+        tally.add(
+            e_max=float(np.diag(G)[1:].max()),
+            dissipation=sum(tau * s.dissipation for s in traj.stats),
+            besov_u_strong=_lag_seminorm(G),
+        )
         if pressures is not None:
             ptraj = pressures[i]
             if ptraj.n_steps != N:
@@ -272,76 +289,24 @@ def stability_stats(
             Z = np.vstack([np.zeros(ops.space_v.n_dofs), ptraj.z_sto])
             Gz = _mass_gram(Z, ops.M_full)
             gram_z_sum += Gz
-            sto_max_s.append(float(np.diag(Gz)[1:].max()))
             # L^p' norms of the increments d_n pi_det / tau, pi_det_0 = 0
             inc = np.diff(_coeff_rows(ptraj.pi_det)[0], axis=0, prepend=0.0) / tau
             lp = lp_norm(np.abs(ops.P @ inc.T), ops, p_conj)
-            det_s.append(tau * float(np.sum((DIV_GRAD_CONSTANT * lp) ** p_conj)))
+            tally.add(
+                det_increment=tau * float(np.sum((DIV_GRAD_CONSTANT * lp) ** p_conj)),
+                sto_max=float(np.diag(Gz)[1:].max()),
+            )
 
     ns = len(trajs)
-    besov_u = _lag_seminorm(gram_sum / ns)
-
-    e_max, e_se = _mean_and_se(e_max_s)
-    diss, diss_se = _mean_and_se(diss_s)
-    strong, strong_se = _mean_and_se(strong_s)
-    stderr = {
-        "e_max": e_se,
-        "dissipation": diss_se,
-        "besov_u_strong": strong_se,
-    }
-
-    det = sto_max = sb2 = sb4 = sb8 = None
+    stats = dict.fromkeys(["det_increment", "sto_max"] + [f"sto_besov_{r}" for r in (2, 4, 8)])
     if pressures is not None:
-        det, det_se = _mean_and_se(det_s)
-        sto_max, sto_se = _mean_and_se(sto_max_s)
-        stderr["det_increment"] = det_se
-        stderr["sto_max"] = sto_se
-        sb2, sb4, sb8 = (_lag_seminorm(gram_z_sum / ns, tau, r) for r in (2.0, 4.0, 8.0))
-
-    return StabilityStats(
-        n_samples=ns,
-        e_max=e_max,
-        dissipation=diss,
-        besov_u=besov_u,
-        besov_u_strong=strong,
-        det_increment=det,
-        sto_max=sto_max,
-        sto_besov_2=sb2,
-        sto_besov_4=sb4,
-        sto_besov_8=sb8,
-        stderr=stderr,
-    )
+        stats |= {f"sto_besov_{r}": _lag_seminorm(gram_z_sum / ns, tau, r) for r in (2, 4, 8)}
+    stats |= tally.means()
+    return StabilityStats(ns, besov_u=_lag_seminorm(gram_sum / ns), stderr=tally.stderr(), **stats)
 
 
 # ---------------------------------------------------------------------------
-# Nested-grid plumbing: time tables from the pieces of the hat supports
-
-
-def _check_mesh_nesting(ops_c: AssembledOperators, ops_f: AssembledOperators) -> None:
-    """Refuse a pair of meshes whose square meshes do not refine: only the
-    square meshes nest, their Alfeld splits do not (coarse Alfeld edges
-    cut fine cells).  The locators read the mesh orders and refuse
-    unstructured meshes."""
-    mc, mf = ops_c.locator.m, ops_f.locator.m
-    if mf % mc != 0:
-        raise ValueError(f"reference mesh order {mf} does not refine coarse order {mc}")
-
-
-def _per_cell(h: HatPieces, vals: np.ndarray, sel=slice(None)) -> tuple[slice, np.ndarray]:
-    """The fine cells of the pieces `sel`, a contiguous run as the pieces
-    are in time order, and the values of those pieces summed per cell."""
-    js, starts = np.unique(h.cells[sel], return_index=True)
-    return slice(js[0], js[-1] + 1), np.add.reduceat(vals[sel], starts)
-
-
-def _hat_integrals(n: int, h: HatPieces, grid_c: TimeGrid, sel=slice(None)):
-    """Integrals of a_n over the fine cells of the pieces `sel`: exact, as
-    a_n is linear on each piece."""
-    return _per_cell(h, (h.hi - h.lo) * weight_a(n, 0.5 * (h.lo + h.hi), grid_c), sel)
-
-
-# ---------------------------------------------------------------------------
-# Quadrature-weighted rows and loads of point-evaluated fields
+# Quadrature-weighted rows of point-evaluated fields
 
 
 def _rows(vals: np.ndarray) -> np.ndarray:
@@ -379,14 +344,6 @@ def _v_rows(
     V = _rows(nonlinear_V(ev.sym_grad(rows), params))
     V *= np.sqrt(qp_weights(ops, 4))
     return V
-
-
-def _loads(ev: PointEvaluation, rows: np.ndarray, ops: AssembledOperators) -> np.ndarray:
-    """Load functionals (f, xi) on the free dofs of `ops`, one column per
-    coefficient row, with f evaluated by `ev` at the quadrature points
-    of `ops`."""
-    vals = _rows(ev.values(rows)) * qp_weights(ops, 2)
-    return (ops.qp_eval.V.T @ vals.T)[ops.free]
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +451,14 @@ class _Level:
         try:
             if len(self.trajs) != len(ref_trajs):
                 raise ValueError("coarse and reference ensembles differ in size")
-            self.hats = hats = hat_pieces(grid_c, config_ref.grid)
+            self.windows = hat_windows(grid_c, config_ref.grid)
             self.Nc = _check_ensemble(self.trajs, grid_c, self.ops)
             self.same_mesh = self.ops is ops_ref
-            if not self.same_mesh:
-                _check_mesh_nesting(self.ops, ops_ref)
+            # only the square meshes nest, their Alfeld splits do not; the
+            # locators read the mesh orders and refuse unstructured meshes
+            if not self.same_mesh and ops_ref.locator.m % self.ops.locator.m:
+                mf, mc = ops_ref.locator.m, self.ops.locator.m
+                raise ValueError(f"reference mesh order {mf} does not refine coarse order {mc}")
             if (config_c.params.p, config_c.params.kappa) != (self.params.p, self.params.kappa):
                 raise ValueError("coarse and reference runs use different exponents p or kappa")
         except ValueError as err:
@@ -519,19 +479,8 @@ class _Level:
             free_nodes = ~self.ops.space_v.boundary_node
             self.ref_at_cn = point_evaluation(ops_ref, self.ops.space_v.node_coords[free_nodes])
 
-        # Time-weight tables shared by every sample: |J_j ∩ J_n| for the fine
-        # cells J_j of each coarse interval J_n (J_0 precedes J_1 in supp a_1).
-        intervals = [(hats[0], ~hats[0].late)] + [(h, h.late) for h in hats]
-        self.tiles = [_per_cell(h, h.hi - h.lo, sel) for h, sel in intervals]
-        self.hat_tile = [_hat_integrals(n, h, grid_c, h.late) for n, h in enumerate(hats, 1)]
-        self.hat_full = [_hat_integrals(n, h, grid_c) for n, h in enumerate(hats, 1)]
-
-        self.terms: dict[str, list[float]] = {}
+        self.tally = _Tally()
         self.gram_e_sum = np.zeros((self.Nc + 1, self.Nc + 1))
-
-    def _add(self, **terms) -> None:
-        for name, value in terms.items():
-            self.terms.setdefault(name, []).append(value)
 
     def value_terms(self, i: int, Uf: np.ndarray, data):
         """natural, the Gram matrix of the rows e_n, C_init, C_Linf and C_G of
@@ -539,15 +488,15 @@ class _Level:
         reads: the coarse rows, eta and the coefficient part of C_best."""
         ops_c, Nc = self.ops, self.Nc
         Uc = np.stack([f.coeffs for f in self.trajs[i].fields])
-        avg = np.stack([(w / w.sum()) @ Uf[js] for js, w in self.tiles])  # <u_ref>_n coefficients
+        avg = np.stack([(w / w.sum()) @ Uf[js] for js, w in self.windows.tiles])  # <u_ref>_n
 
         # Divergence projections on the coarse space, in one velocity solve,
         # as rows: the averages, both initial data and, across meshes, the
         # averages' nodal interpolants (on one mesh, the averages).
-        loads = [
-            _loads(self.ref_at_cq, np.vstack([avg, Uf[:1]]), ops_c),
-            _loads(self.coarse_at_cq, Uc[:1], ops_c),
-        ]
+        at_cq = np.concatenate(
+            [self.ref_at_cq.values(np.vstack([avg, Uf[:1]])), self.coarse_at_cq.values(Uc[:1])]
+        )
+        loads = [velocity_load_vector(at_cq.reshape((-1,) + ops_c.qp_x.shape), ops_c)[ops_c.free]]
         if not self.same_mesh:
             interp = np.zeros((Nc + 1, ops_c.space_v.n_dofs))
             interp[:, ops_c.free] = _rows(self.ref_at_cn.values(avg))
@@ -565,11 +514,11 @@ class _Level:
         E = (avg_vals - _rows(coarse_vals)) * self.w2
         d = (avg_vals[1:] - _rows(self.coarse_at_fq.values(proj_avg[1:]))) * self.w2
         self.gram_e_sum += E @ E.T
-        self._add(
+        self.tally.add(
             natural_err=float(np.einsum("nd,nd->n", E[1:], E[1:]).max()),
             C_init=float(gap0 @ (ops_c.M_full @ gap0)),
             C_Linf=float(np.einsum("nd,nd->n", d, d).max()),
-            C_G=_data_term(data, coarse_vals, self.grid, self.hats, self.model),
+            C_G=_data_term(data, coarse_vals, self.grid, self.windows.pieces, self.model),
         )
         return Uc, eta, float(np.einsum("nd,nd->", gap, (ops_c.M_full @ gap.T).T))
 
@@ -577,18 +526,21 @@ class _Level:
         """vgrad, C_best and C_V: the reference rows Vf against the coarse run
         over the restricted windows, against eta over the full-support
         windows, and against each other from their Gram matrix G, if any."""
-        ev, params, ops_f = self.coarse_at_fq, self.params, self.ops_ref
-        vgrad = _windowed_sq_dists(Vf, _v_rows(ev, Uc[1:], params, ops_f), self.hat_tile)
-        best += _windowed_sq_dists(Vf, _v_rows(ev, eta[1:], params, ops_f), self.hat_full)
-        self._add(vgrad_err=vgrad, C_best=best)
+        ev, params, ops_f, windows = self.coarse_at_fq, self.params, self.ops_ref, self.windows
+        vgrad = _windowed_sq_dists(Vf, _v_rows(ev, Uc[1:], params, ops_f), windows.hat_tile)
+        best += _windowed_sq_dists(Vf, _v_rows(ev, eta[1:], params, ops_f), windows.hat_full)
+        self.tally.add(vgrad_err=vgrad, C_best=best)
         if G is not None:
-            self._add(C_V=_window_oscillation(G, self.hat_full))
+            self.tally.add(C_V=_window_oscillation(G, windows.hat_full))
 
     def stats(self) -> ErrorStats:
-        ns, terms = len(self.trajs), self.terms
-        means = {"C_V": None} | {name: float(np.mean(v)) for name, v in terms.items()}
-        stderr = {name: _mean_and_se(terms[name])[1] for name in ("natural_err", "vgrad_err")}
-        return ErrorStats(ns, besov_err=_lag_seminorm(self.gram_e_sum / ns), stderr=stderr, **means)
+        ns = len(self.trajs)
+        return ErrorStats(
+            ns,
+            besov_err=_lag_seminorm(self.gram_e_sum / ns),
+            stderr=self.tally.stderr("natural_err", "vgrad_err"),
+            **{"C_V": None} | self.tally.means(),
+        )
 
 
 def _data_reference(Uf: np.ndarray, ops_f: AssembledOperators, model: NoiseModel | None):
@@ -628,7 +580,7 @@ def _data_term(
         t = 0.5 * (h.lo + h.hi)[:, None] + half * _GAUSS3_NODES
         quad = weight_a(n, t, grid_c) ** 2 * half * _GAUSS3_WEIGHTS
         m1 = model.modulation(t.ravel()).reshape(t.shape) - 1.0
-        js, K = _per_cell(h, np.stack([(quad * m1**l).sum(axis=1) for l in range(3)], axis=1))
+        js, K = h.per_cell(np.stack([(quad * m1**l).sum(axis=1) for l in range(3)], axis=1))
         D = F[js] - G
         sD = np.einsum("jqc,qc,jqc->j", D, w, D)
         sFD = np.einsum("jqc,qc,jqc->j", F[js], w, D)
@@ -653,12 +605,8 @@ def temporal_oscillation(
     coarse grid, so a ladder of grids shares one Gram matrix.  No point
     is located, so a mesh without point location is accepted.
     """
-    grid_f = config_ref.grid
-    _check_ensemble(ref_trajs, grid_f, ops_ref)
-    windows = [
-        [_hat_integrals(n, h, grid_c) for n, h in enumerate(hat_pieces(grid_c, grid_f), 1)]
-        for grid_c in coarse_grids
-    ]
+    _check_ensemble(ref_trajs, config_ref.grid, ops_ref)
+    windows = [hat_windows(grid_c, config_ref.grid).hat_full for grid_c in coarse_grids]
     totals = np.zeros(len(coarse_grids))
     for ref in ref_trajs:
         U, _ = _coeff_rows(ref.fields)

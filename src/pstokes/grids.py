@@ -13,9 +13,10 @@ of knots and values (`_hat_table`): `weight_a` interpolates it,
 `weight_antiderivative` integrates its linear pieces exactly and
 `weight_support` reads its end knots; the fine-cell averages
 (`weight_cell_averages`) and the hat windows of a grid pair
-(`hat_pieces`) are read from these.  The covariance entries are those
-of `weight_inner`, which `covariance_banded` and with it the exact
-sampler's Cholesky factor read.
+(`hat_pieces`, and the time tables read from them, `hat_windows`) are
+read from these.  The covariance entries are those of `weight_inner`,
+which `covariance_banded` and with it the exact sampler's Cholesky
+factor read.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ __all__ = [
     "weight_cell_averages",
     "HatPieces",
     "hat_pieces",
+    "HatWindows",
+    "hat_windows",
     "covariance_matrix",
     "covariance_banded",
     "cholesky_factor_banded",
@@ -51,8 +54,8 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.T) and self.T > 0.0):
             raise ValueError(f"horizon must be finite and positive, got T={self.T}")
-        if self.N < 1:
-            raise ValueError(f"need at least one step, got N={self.N}")
+        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)) or self.N < 1:
+            raise ValueError(f"need a positive integer step count, got N={self.N!r}")
 
     @property
     def tau(self) -> float:
@@ -128,6 +131,12 @@ class HatPieces(NamedTuple):
     hi: np.ndarray
     late: np.ndarray
 
+    def per_cell(self, vals: np.ndarray, sel=slice(None)) -> tuple[slice, np.ndarray]:
+        """The fine cells of the pieces `sel`, a contiguous run (the pieces
+        are in time order), and the values of the pieces summed per cell."""
+        js, starts = np.unique(self.cells[sel], return_index=True)
+        return slice(js[0], js[-1] + 1), np.add.reduceat(vals[sel], starts)
+
 
 def hat_pieces(grid_c: TimeGrid, grid_f: TimeGrid) -> list[HatPieces]:
     """The pieces of supp a_n of the coarse grid, for n = 1..N_c, cut at
@@ -152,6 +161,35 @@ def hat_pieces(grid_c: TimeGrid, grid_f: TimeGrid) -> list[HatPieces]:
         late = np.repeat([False, True], keep.sum(axis=1))
         pieces.append(HatPieces(np.broadcast_to(js, keep.shape)[keep], a[keep], b[keep], late))
     return pieces
+
+
+class HatWindows(NamedTuple):
+    """The time tables of a coarse/fine grid pair, read from the `pieces`
+    of each supp a_n.  A window (js, w) is a run of fine cells J_j (a
+    slice) and a weight per cell: the `tiles` |J_j ∩ J_n| for n = 0..N_c,
+    and for n = 1..N_c the integrals of a_n over J_j ∩ J_n (`hat_tile`)
+    and over J_j (`hat_full`), exact as a_n is linear on each piece."""
+
+    pieces: list[HatPieces]
+    tiles: list[tuple[slice, np.ndarray]]
+    hat_tile: list[tuple[slice, np.ndarray]]
+    hat_full: list[tuple[slice, np.ndarray]]
+
+
+def hat_windows(grid_c: TimeGrid, grid_f: TimeGrid) -> HatWindows:
+    """The windows of a pair that `hat_pieces` accepts."""
+    pieces = hat_pieces(grid_c, grid_f)
+    intervals = [(pieces[0], ~pieces[0].late)] + [(h, h.late) for h in pieces]
+    hats = [
+        (h, (h.hi - h.lo) * weight_a(n, 0.5 * (h.lo + h.hi), grid_c))
+        for n, h in enumerate(pieces, 1)
+    ]
+    return HatWindows(
+        pieces,
+        tiles=[h.per_cell(h.hi - h.lo, sel) for h, sel in intervals],
+        hat_tile=[h.per_cell(a, h.late) for h, a in hats],
+        hat_full=[h.per_cell(a) for h, a in hats],
+    )
 
 
 def weight_inner(n: int, m: int, grid: TimeGrid) -> float:

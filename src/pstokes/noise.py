@@ -73,11 +73,19 @@ class WienerPath:
     def n_cells(self) -> int:
         return self.increments.shape[0]
 
+    @staticmethod
+    def cell_count(T: float, delta: float) -> int:
+        """The count ceil(T / delta) of fine cells of a path on [0, T];
+        ValueError unless T, delta and T / delta are finite and positive."""
+        if not (np.isfinite([T, delta]).all() and min(T, delta) > 0.0 and np.isfinite(T / delta)):
+            raise ValueError(f"T={T} and delta={delta} must be finite and positive, T/delta finite")
+        return int(np.ceil(T / delta - 1e-9))
+
 
 def sample_wiener_path(
     T: float, delta: float, n_modes: int, rng: np.random.Generator
 ) -> WienerPath:
-    n_cells = int(np.ceil(T / delta - 1e-9))
+    n_cells = WienerPath.cell_count(T, delta)
     incr = rng.standard_normal((n_cells, n_modes)) * np.sqrt(delta)
     return WienerPath(T=T, delta=delta, increments=incr)
 
@@ -169,7 +177,7 @@ def coupled_covariance(grid: TimeGrid, delta: float) -> np.ndarray:
     coupling consistency error against the closed-form covariance.
     """
     _check_divides(delta, grid.tau)
-    n_cells = int(np.ceil(grid.T / delta - 1e-9))
+    n_cells = WienerPath.cell_count(grid.T, delta)
     A = np.zeros((grid.N, n_cells))
     for n in range(1, grid.N + 1):
         A[n - 1] = weight_cell_averages(n, grid, delta, 0, n_cells)

@@ -30,6 +30,8 @@ it stays a check independent of the stepper's columns.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from pstokes.spaces import (
@@ -69,6 +71,7 @@ VERIFY_DIRECTIONS = 20
 PERP_SEED = 0
 
 
+@dataclass
 class PressureTrajectory:
     """pi_n = pi_init + pi_det_n + pi_sto_n, each component mean-zero.
 
@@ -79,17 +82,10 @@ class PressureTrajectory:
     norm_Qsto evaluates any pressure from its discrete gradient.
     """
 
-    def __init__(
-        self,
-        pi_init: Field,
-        pi_det: list[Field],
-        pi_sto: list[Field],
-        z_sto: np.ndarray,
-    ):
-        self.pi_init = pi_init
-        self.pi_det = pi_det
-        self.pi_sto = pi_sto
-        self.z_sto = z_sto
+    pi_init: Field
+    pi_det: list[Field]
+    pi_sto: list[Field]
+    z_sto: np.ndarray
 
     @property
     def n_steps(self) -> int:

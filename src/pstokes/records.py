@@ -105,11 +105,14 @@ def save_wiener_path(path: WienerPath, file: str | os.PathLike) -> None:
 def load_wiener_path(file: str | os.PathLike) -> WienerPath:
     head, flat = _read_record(file, _WIENER)
     delta, T = float(head[0]), float(head[1])
+    try:
+        expected = WienerPath.cell_count(T, delta)
+    except ValueError as err:
+        raise ValueError(f"{file}: {err}") from None
     n_modes = _count(file, float(head[2]), "mode count")
     if flat.size % n_modes:
         raise ValueError(f"{file}: payload of {flat.size} values does not tile {n_modes} modes")
     increments = flat.reshape(n_modes, -1).T
-    expected = int(np.ceil(T / delta - 1e-9))
     if increments.shape[0] != expected:
         raise ValueError(
             f"{file}: {increments.shape[0]} cells per mode but the header implies {expected}"

@@ -22,14 +22,16 @@ velocity and `P` for the discontinuous P1 pressure.  Every linear form
 is a quadrature product of these two, A^T W B with W the weight of each
 row's point: the mass `M_full`, the divergence `B_full`, the pressure
 mass `Mq`, the mean row `cvec`, `grad_stiffness` and
-`sym_grad_stiffness`.  The weights W have one owner as well: other
-modules read them through `qp_weights`, the weight of each entry of a
-field at the points, and `lp_norm`, the quadrature L^p norm of one
-pointwise magnitude or of several.  The operator bundle owns every
-table and factorization derived from the mesh, each a cached property
-built on first read (the stream basis by the build functions of
-`pstokes.streamfunc`); `projection_saddle()` alone stays a method.  No
-other module assigns to the bundle.
+`sym_grad_stiffness`.  Every load (f, xi) is `velocity_load_vector` of
+the values of f at the points, for one field or a stack of them.  The
+weights W have one owner as well: other modules read them through
+`qp_weights`, the weight of each entry of a field at the points, and
+`lp_norm`, the quadrature L^p norm of one pointwise magnitude or of
+several.  The operator bundle owns every table and factorization
+derived from the mesh, each a cached property built on first read (the
+stream basis by the build functions of `pstokes.streamfunc`);
+`projection_saddle()` alone stays a method.  No other module assigns to
+the bundle.
 The stress tangent is assembled element by element in a basis local to
 elements, an `ElementBasis` built once by `element_basis`: the symmetric
 gradients of its functions at the quadrature points and the position of
@@ -622,12 +624,16 @@ def velocity_at_qp(u_coeffs: np.ndarray, ops: AssembledOperators) -> np.ndarray:
 
 
 def velocity_load_vector(values_at_qp: np.ndarray, ops: AssembledOperators) -> np.ndarray:
-    """Assemble (f, xi) for a vector function given at quadrature points.
+    """Assemble (f, xi) for a vector function given at quadrature points,
+    of shape qp_x.shape, or for a stack of k of them, (k,) + qp_x.shape,
+    in one product with the transpose of `qp_eval`.
 
-    Returns the full-length dof vector; restrict with ops.free for the
-    zero-trace test space.
+    Returns the full-length dof vector, or one column per function
+    (n_dofs, k); restrict with ops.free for the zero-trace test space.
     """
-    return ops.qp_eval.V.T @ (ops.qw[..., None] * values_at_qp).ravel()
+    weighted = ops.qw[..., None] * values_at_qp
+    stack = weighted.shape[: weighted.ndim - ops.qp_x.ndim]
+    return ops.qp_eval.V.T @ weighted.reshape(stack + (-1,)).T
 
 
 def grad_at_qp(u_coeffs: np.ndarray, ops: AssembledOperators) -> np.ndarray:

@@ -356,10 +356,10 @@ class StepperWorkspace:
     @cached_property
     def mode_loads(self) -> tuple[np.ndarray, float]:
         """(L, ||g_rss||): L = ((g_k, xi)) on free dofs, one column per
-        mode (n_free x K), and the L2 norm of sqrt(sum_k g_k^2), assembled
-        on first use."""
+        mode (n_free x K) from one stacked assembly, and the L2 norm of
+        sqrt(sum_k g_k^2), assembled on first use."""
         ops = self.ops
-        L = np.stack([velocity_load_vector(g, ops)[ops.free] for g in self.g_qp], axis=1)
+        L = velocity_load_vector(self.g_qp, ops)[ops.free]
         return L, lp_norm(np.linalg.norm(self.g_rss[0], axis=-1), ops, 2.0)
 
     def noise_rhs(

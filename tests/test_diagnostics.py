@@ -32,6 +32,7 @@ from pstokes.diagnostics import (
 from pstokes.grids import (
     TimeGrid,
     hat_pieces,
+    hat_windows,
     weight_a,
     weight_antiderivative,
     weight_inner,
@@ -61,6 +62,7 @@ from pstokes.spaces import (
     qp_weights,
     sym_grad_at_qp,
     velocity_at_qp,
+    velocity_load_vector,
 )
 from pstokes.stepper import (
     NewtonConfig,
@@ -467,22 +469,20 @@ def test_hat_pieces_cut_each_support_at_cells_and_kinks(ratio):
 def test_time_tables_partition_windows_and_integrate_hats(ratio):
     gc = TimeGrid(T=1.0, N=4)
     gf = TimeGrid(T=1.0, N=5 * ratio - 1)
-    hats = hat_pieces(gc, gf)
-    intervals = [(hats[0], ~hats[0].late)] + [(h, h.late) for h in hats]
-    for n, (h, sel) in enumerate(intervals):
+    windows = hat_windows(gc, gf)
+    for n, (_, w) in enumerate(windows.tiles):
         # the overlaps |J_j ∩ J_n| partition J_n
-        _, w = dg._per_cell(h, h.hi - h.lo, sel)
         lo, hi = gc.interval(n)
         assert w.sum() == pytest.approx(hi - lo, abs=1e-14)
         if n > 0 and ratio % 2:
             # Odd ratio: fine cells tile the window exactly, so weights are flat.
             assert np.allclose(w, w[0])
-    for n, h in enumerate(hats, 1):
+    for n, (h, (_, w), (js, w_full)) in enumerate(
+        zip(windows.pieces, windows.hat_tile, windows.hat_full), 1
+    ):
         lo, hi = gc.interval(n)
-        _, w = dg._hat_integrals(n, h, gc, h.late)
         exact = weight_antiderivative(n, hi, gc) - weight_antiderivative(n, lo, gc)
         assert w.sum() == pytest.approx(exact, abs=1e-14)
-        js, w_full = dg._hat_integrals(n, h, gc)
         # the window is the contiguous run of the pieces' fine cells, one
         # integral per cell; the full hat integrates to tau
         assert np.array_equal(np.unique(h.cells), np.arange(js.start, js.stop))
@@ -663,6 +663,26 @@ def coupled_pairs():
         ]
         pairs[m, Nc] = (coarse, config_c, ops[m])
     return refs, config_f, ops_f, pairs
+
+
+def test_error_stats_without_noise_match_zero_amplitude_noise():
+    # a noise-free pair across meshes has no data term: C_G is exactly 0,
+    # and every statistic is that of the pair driven by a zero-amplitude
+    # additive model, whose loads and data fields vanish
+    ops_f = assemble(alfeld_split(unit_square_mesh(4)))
+    ops_c = assemble(alfeld_split(unit_square_mesh(2)))
+    stats = []
+    for model in (None, make_model(amplitude=0.0)):
+        config_f, config_c = (
+            SchemeConfig(PowerLawParams(p=2.0), TimeGrid(T=0.1, N=N), model) for N in (15, 3)
+        )
+        refs, _ = run_ensemble(initial_velocity(curl_bump, ops_f), config_f, ops_f, 2, seed=6)
+        coarse, _ = run_ensemble(initial_velocity(curl_bump, ops_c), config_c, ops_c, 2, seed=6)
+        stats.append(error_stats(coarse, refs, config_c, config_f, ops_c, ops_f))
+    quiet, zero = stats
+    assert quiet.C_G == 0.0
+    assert quiet.natural_err > 0.0 and quiet.C_V > 0.0
+    assert dataclasses.asdict(quiet) == dataclasses.asdict(zero)
 
 
 @pytest.mark.parametrize("level", [(2, 3), (4, 7)], ids=["cross-mesh", "same-mesh"])
@@ -857,7 +877,8 @@ def test_cross_mesh_quadrature_deviation_small(ops2):
 def test_cross_load_same_mesh_is_exact(ops2):
     rng = np.random.default_rng(8)
     c = rng.standard_normal(ops2.space_v.n_dofs)
-    load = dg._loads(point_evaluation(ops2, ops2.qp_x.reshape(-1, 2)), c[None], ops2)[:, 0]
+    vals = point_evaluation(ops2, ops2.qp_x.reshape(-1, 2)).values(c[None])
+    load = velocity_load_vector(vals.reshape((1,) + ops2.qp_x.shape), ops2)[ops2.free, 0]
     expected = (ops2.M_full @ c)[ops2.free]
     assert np.allclose(load, expected, rtol=0, atol=1e-15 * np.abs(expected).max())
 

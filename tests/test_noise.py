@@ -48,6 +48,11 @@ class TestTimeGrid:
         for T in (np.inf, np.nan):
             with pytest.raises(ValueError, match="finite"):
                 TimeGrid(T=T, N=4)
+        # the step count must be integral: a float or a bool is refused
+        for N in (2.5, 3.0, True, np.float64(3.0)):
+            with pytest.raises(ValueError, match="positive integer"):
+                TimeGrid(T=1.0, N=N)
+        assert TimeGrid(T=1.0, N=np.int64(3)).tau == 0.25
 
 
 class TestWeights:
@@ -217,6 +222,13 @@ class TestSamplers:
         path = sample_wiener_path(grid.T, grid.tau / 3.7, 1, rng)
         with pytest.raises(ValueError):
             sample_increments(path, grid)
+
+    def test_path_needs_finite_positive_step_and_horizon(self):
+        rng = np.random.default_rng(0)
+        bad = ((1.0, 0.0), (1.0, np.nan), (1.0, -0.1), (np.inf, 0.1), (0.0, 0.1), (1.0, 1e-320))
+        for T, delta in bad:
+            with pytest.raises(ValueError, match="finite and positive"):
+                sample_wiener_path(T, delta, 1, rng)
 
     def test_exact_needs_mode_count(self):
         grid = TimeGrid(T=1.0, N=4)

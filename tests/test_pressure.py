@@ -211,8 +211,8 @@ class TestReconstruct:
             assert gap <= 1e-13 * scale
 
     def test_recomputed_loads_are_assembled_by_quadrature(self, ops4, u0h, monkeypatch):
-        # the stepper assembles the additive mode loads once, one call per
-        # mode; recomputed loads take one quadrature assembly per step
+        # the stepper assembles the additive mode loads once, in one
+        # stacked call; recomputed loads take one quadrature assembly per step
         calls = []
         load_vector = stepper.velocity_load_vector
 
@@ -222,7 +222,7 @@ class TestReconstruct:
 
         monkeypatch.setattr(stepper, "velocity_load_vector", counting)
         traj, inc, config = make_run(ops4, u0h, 2.0, 0.0, N=6, n_modes=3)
-        assert len(calls) == 3
+        assert calls == [(3,) + ops4.qp_x.shape]
         calls.clear()
         reconstruct(traj, inc, config, ops4)
         assert len(calls) == traj.n_steps

@@ -7,6 +7,7 @@ byte with the writers; loaders are checked as exact round-trips, against
 hand-made byte strings, and against records of the other kinds.
 """
 
+import re
 import struct
 
 import numpy as np
@@ -112,6 +113,11 @@ def test_wiener_path_loader_validates(tmp_path):
     file.write_bytes(header(WIENER, 0.25, 1.0, 2.0) + struct.pack("<4d", 1.0, 2.0, 3.0, 4.0))
     with pytest.raises(ValueError, match="header implies"):
         load_wiener_path(file)
+    # a fine step or horizon that is not finite and positive, named with the file
+    for delta, T in ((0.0, 1.0), (np.nan, 1.0), (-0.25, 1.0), (0.25, np.inf), (0.25, 0.0)):
+        file.write_bytes(header(WIENER, delta, T, 1.0) + struct.pack("<4d", 1.0, 2.0, 3.0, 4.0))
+        with pytest.raises(ValueError, match=re.escape(str(file)) + ": .* finite and positive"):
+            load_wiener_path(file)
 
 
 def test_loaded_path_drives_identical_increments(tmp_path):

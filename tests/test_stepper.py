@@ -546,6 +546,37 @@ class TestNewtonRetry:
         assert np.array_equal(s, 2.0 * u0) and np.array_equal(Mu, 3.0 * u0)
 
 
+class TestPicardFallback:
+    """The Kacanov fallback when no iterate has a finite residual: it
+    returns the start's velocity with residual inf and the columns of a
+    residual at the start.  A stub workspace whose solves give NaN
+    drives it; its residual of v is v itself."""
+
+    class Stub:
+        def __init__(self):
+            self.config = SimpleNamespace(newton=NewtonConfig(picard_iters=3))
+            self.solves = 0
+
+        def factorize(self, u, picard=False):
+            assert picard
+            return None
+
+        def solve(self, factor, rhs_free):
+            self.solves += 1
+            return np.full(2, np.nan)
+
+        def residual(self, v, rhs_free):
+            return v.copy(), float(np.linalg.norm(v)), 2.0 * v, 3.0 * v
+
+    def test_no_finite_residual_returns_the_start(self):
+        work = self.Stub()
+        u0 = np.array([1.0, -2.0])
+        u, res, s, Mu = _picard_fallback(u0, None, work)
+        assert work.solves == 3
+        assert np.array_equal(u, u0) and u is not u0 and res == np.inf
+        assert np.array_equal(s, 2.0 * u0) and np.array_equal(Mu, 3.0 * u0)
+
+
 class TestInputConsistency:
     """A step or a reconstruction given increments, a workspace or a
     mesh of another configuration raises instead of running on the
