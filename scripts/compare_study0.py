@@ -15,8 +15,11 @@ Run from the root of each checkout; one BLAS thread is used:
     python3 scripts/compare_study0.py --compare before.npz after.npz
 
 `--compare` lists every array that is missing from one file or differs,
-with its largest difference relative to the largest entry of the first
-file's array, and exits with status 1 if any does.
+with its largest absolute difference, the largest entry of the first
+file's array and their ratio, and exits with status 1 if any does.  The
+absolute values tell rounding apart from a change: an energy defect of
+4e-18 or the pressure of a divergence-free field reads as a large
+relative difference when both sides are rounding.
 """
 
 from __future__ import annotations
@@ -118,9 +121,12 @@ def compare(file_a: str, file_b: str) -> int:
                 differing += 1
             elif not np.array_equal(x, y, equal_nan=x.dtype.kind in "fc"):
                 x, y = x.astype(float), y.astype(float)
-                scale = np.abs(x).max()
-                rel = np.abs(x - y).max() / scale if scale > 0 else np.inf
-                print(f"{key}: largest relative difference {rel:.3e}")
+                diff, scale = np.abs(x - y).max(), np.abs(x).max()
+                rel = diff / scale if scale > 0 else np.inf
+                print(
+                    f"{key}: largest difference {diff:.3e} against largest entry {scale:.3e}"
+                    f" (relative {rel:.3e})"
+                )
                 differing += 1
         print(f"{differing} of {len(set(a.files) | set(b.files))} arrays differ")
     return differing

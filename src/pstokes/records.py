@@ -76,8 +76,9 @@ def _count(file: str | os.PathLike, value: float, what: str) -> int:
 def _read_stepped(
     file: str | os.PathLike, kind: int, per_step: int
 ) -> tuple[TimeGrid, np.ndarray]:
-    """(grid, rows) of a stepped record: 1 + per_step N whole rows under
-    a (tau, T, row length) header whose step is the grid's."""
+    """(grid, rows) of a stepped record: 1 + per_step N whole rows, N >= 1,
+    under a (tau, T, row length) header with a finite, positive horizon
+    T whose step is the grid's."""
     head, flat = _read_record(file, kind)
     tau, T = float(head[0]), float(head[1])
     row_len = _count(file, float(head[2]), "row length")
@@ -87,7 +88,10 @@ def _read_stepped(
     N, extra = divmod(len(rows) - 1, per_step)
     if extra:  # two rows per step: the components of pi_det and pi_sto
         raise ValueError(f"{file}: component record needs an odd row count, got {len(rows)}")
-    grid = TimeGrid(T=T, N=N)
+    try:
+        grid = TimeGrid(T=T, N=N)
+    except ValueError as err:
+        raise ValueError(f"{file}: {err}") from None
     if not np.isclose(grid.tau, tau, rtol=1e-12, atol=0.0):
         raise ValueError(f"{file}: header step {tau} disagrees with {grid.N} steps on [0, {T}]")
     return grid, rows

@@ -77,6 +77,7 @@ from pstokes.tensors import PowerLawParams, frobenius, jacobian_coefficients, st
 __all__ = [
     "QUAD_POINTS",
     "QUAD_WEIGHTS",
+    "SPD_SPLU",
     "Field",
     "VelocitySpace",
     "AssembledOperators",
@@ -120,6 +121,21 @@ QUAD_POINTS = np.array(
 )
 QUAD_WEIGHTS = 0.5 * np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 N_QP = len(QUAD_WEIGHTS)
+
+# The keywords of `spla.splu` for every symmetric positive definite
+# system of the scheme: the free-dof mass and stiffness, C^T M C, the
+# constants' normal equations G^T G, and the stepper's Newton, Kacanov
+# and p = 2 matrices C^T (M + tau K) C, SPD for every p > 1 and kappa >= 0
+# since S is the gradient of a convex potential.  The columns are
+# ordered by symmetric minimum degree on A^T + A and every pivot is
+# taken on the diagonal (threshold 0), which for an SPD matrix is as
+# stable as Cholesky (Higham, Accuracy and Stability of Numerical
+# Algorithms, ch. 10), so the fill depends on the pattern alone.  Under
+# SuperLU's default threshold 1 the factorization still pivots for
+# size, and its off-diagonal pivots break the symmetric structure.  At
+# m = 16 every stream-basis factor holds 120k L+U non-zeros this way,
+# against 124k-146k under the default column ordering COLAMD.
+SPD_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
 def _p2_values(pts: np.ndarray) -> np.ndarray:
@@ -251,10 +267,11 @@ class AssembledOperators:
     `stream_basis_T` keeps C^T, a CSR view of the arrays of the CSC
     matrix C, because every C^T r of a step or a projection would
     otherwise build that view anew.  The two free-dof factorizations
-    are of SPD matrices and are ordered by symmetric minimum degree on
-    A^T + A (`_spd_lu`); the column ordering COLAMD, SuperLU's
-    default, treats them as unsymmetric and leaves 3.6 times the fill
-    at m = 16 (499k against 139k L+U non-zeros for `M_free`).
+    are of SPD matrices and follow the factor rule of every SPD system
+    (`SPD_SPLU`): symmetric minimum degree on A^T + A with diagonal
+    pivots.  The column ordering COLAMD, SuperLU's default, treats them
+    as unsymmetric and leaves 3.6 times the fill at m = 16 (499k against
+    139k L+U non-zeros for `M_free`).
     """
 
     space_v: VelocitySpace
@@ -289,7 +306,7 @@ class AssembledOperators:
     @cached_property
     def mass_free_lu(self) -> spla.SuperLU:
         """LU factors of the velocity mass matrix on free dofs."""
-        return _spd_lu(self.M_free)
+        return spla.splu(self.M_free, **SPD_SPLU)
 
     def projection_saddle(self) -> SaddleSolver:
         """The saddle solver with the mass block: its velocity solution
@@ -303,7 +320,7 @@ class AssembledOperators:
     @cached_property
     def grad_stiffness_lu(self) -> spla.SuperLU:
         """LU factors of `grad_stiffness`, for norm ascent solves."""
-        return _spd_lu(self.grad_stiffness)
+        return spla.splu(self.grad_stiffness, **SPD_SPLU)
 
     # -- tables, built on first use --
 
@@ -381,12 +398,6 @@ def _quadrature_form(A: sp.csr_matrix, B: sp.csr_matrix, qw: np.ndarray) -> sp.c
     point."""
     W = sp.diags(np.repeat(qw.ravel(), A.shape[0] // qw.size))
     return (A.T @ W @ B).tocsr()
-
-
-def _spd_lu(A: sp.spmatrix) -> spla.SuperLU:
-    """LU factors of a symmetric positive definite matrix, ordered by
-    symmetric minimum degree on A^T + A with diagonal pivots preferred."""
-    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
 
 
 def assemble(mesh: TriMesh) -> AssembledOperators:
@@ -513,12 +524,12 @@ class SaddleSolver:
         self._rest = rest
         self._B_rest_T = B_rest.T.tocsr()
         self._G = (self._B_rest_T @ macro[:, :-1]).tocsr()
-        self.constants_lu = spla.splu((self._G.T @ self._G).tocsc())
+        self.constants_lu = spla.splu((self._G.T @ self._G).tocsc(), **SPD_SPLU)
 
         self._M = ops.M_free
         self._C = ops.stream_basis
         self._CT = ops.stream_basis_T
-        self.lu = spla.splu(ops.stream_mass)
+        self.lu = spla.splu(ops.stream_mass, **SPD_SPLU)
         self.cvec = ops.cvec
 
     def velocity(self, rhs_v: np.ndarray) -> np.ndarray:

@@ -71,6 +71,7 @@ import scipy.sparse.linalg as spla
 from pstokes.grids import TimeGrid
 from pstokes.noise import AveragedIncrements, NoiseModel, data_coefficient, data_G_n
 from pstokes.spaces import (
+    SPD_SPLU,
     AssembledOperators,
     Field,
     _full_velocity,
@@ -311,14 +312,14 @@ class StepperWorkspace:
         """Factor C^T (M + tau K) C with K the stress linearization at
         u_full: the Newton Jacobian, or with picard the radial-weight
         (Kacanov) matrix.  C^T K C is assembled in the stream basis
-        itself, from its element tables.  SuperLU's default COLAMD
-        ordering is kept here: the symmetric minimum-degree ordering of
-        the free-dof factors (`spaces._spd_lu`) raises the L+U fill of
-        the p = 2 matrix at m = 16 from 146k to 176k non-zeros."""
+        itself, from its element tables.  Both matrices are SPD, so the
+        factor follows `spaces.SPD_SPLU`: its fill depends on the
+        sparsity pattern alone, 120k L+U non-zeros at m = 16 for every
+        p, expansion point and Kacanov step."""
         ops = self.ops
         K = stress_tangent_matrix(u_full, ops, self.config.params, picard, ops.stream_element_basis)
         self.refactor_count += 1
-        return spla.splu(ops.stream_mass + self.config.grid.tau * K)
+        return spla.splu(ops.stream_mass + self.config.grid.tau * K, **SPD_SPLU)
 
     def solve(self, factor, rhs_free: np.ndarray) -> np.ndarray:
         """The full-length velocity solving the factored linear step

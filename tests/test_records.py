@@ -220,6 +220,25 @@ def test_pressure_components_validation(tmp_path):
         load_pressure_components(f)
 
 
+@pytest.mark.parametrize("loader", [load_checkpoints, load_pressure_components])
+@pytest.mark.parametrize(
+    "T, n_rows, message",
+    [
+        (np.inf, 3, "horizon must be finite and positive"),
+        (1.0, 1, "need a positive integer step count"),
+    ],
+    ids=["infinite-horizon", "single-row"],
+)
+def test_stepped_loaders_name_the_file_of_a_bad_grid(tmp_path, loader, T, n_rows, message):
+    """A horizon that is not finite, or a single row (N = 0 steps),
+    fails with the file named, as the Wiener path loader does."""
+    kind = VELOCITY if loader is load_checkpoints else PRESSURE
+    f = tmp_path / "bad.bin"
+    f.write_bytes(header(kind, 0.5, T, 2.0) + struct.pack(f"<{2 * n_rows}d", *range(2 * n_rows)))
+    with pytest.raises(ValueError, match=re.escape(str(f)) + ": " + message):
+        loader(f)
+
+
 # ---------------------------------------------------------------------------
 # record kinds
 

@@ -334,6 +334,61 @@ class TestDecayedVelocity:
             assert traj.ok, f"stopped at step {traj.failed_at}"
 
 
+class TestFactorRule:
+    """Every SPD system of the scheme is factored by `spaces.SPD_SPLU`:
+    diagonal pivots, so the row permutation is the column one, and a
+    fill set by the sparsity pattern alone.  Every stream-basis matrix
+    has the pattern of C^T M C; at m = 8 its factors hold 14,520 L+U
+    non-zeros, against 15,170-17,457 under COLAMD with partial pivoting
+    for the same matrices."""
+
+    @pytest.fixture(scope="class")
+    def ops8(self):
+        return assemble(alfeld_split(unit_square_mesh(8)))
+
+    @pytest.mark.parametrize(
+        "p, picard",
+        [(2.0, False), (3.0, False), (1.5, False), (1.5, True), (None, False)],
+        ids=["p2-linear", "p3-newton", "p1.5-newton", "p1.5-kacanov", "saddle"],
+    )
+    def test_diagonal_pivots_and_one_fill(self, ops8, p, picard):
+        saddle = ops8.projection_saddle().lu
+        if p is None:
+            A, lu = ops8.stream_mass, saddle
+        else:
+            cfg = make_config(p)
+            work = StepperWorkspace(cfg, ops8)
+            u = initial_velocity(u0_smooth, ops8).coeffs
+            lu = work.linear_factor() if p == 2.0 else work.factorize(u, picard)
+            K = stress_tangent_matrix(u, ops8, cfg.params, picard, ops8.stream_element_basis)
+            A = ops8.stream_mass + cfg.grid.tau * K
+        colamd = spla.splu(A.tocsc(), permc_spec="COLAMD")
+        nnz = lu.L.nnz + lu.U.nnz
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert nnz == saddle.L.nnz + saddle.U.nnz
+        assert nnz <= colamd.L.nnz + colamd.U.nnz
+
+    def test_degenerate_tangent_solves_to_rounding(self):
+        # the p = 1.5, kappa = 0 run of TestDecayedVelocity: u_2 has
+        # max|u| 2e-11 and |eps u| between 4e-12 and 2e-10 at the
+        # quadrature points, so the Newton weight |eps u|^(p - 2) ranges
+        # over 7e4-5e5 and tau K outweighs the mass block by 3e6
+        from test_diagnostics import curl_bump, make_model
+
+        ops = assemble(alfeld_split(unit_square_mesh(2)))
+        cfg = SchemeConfig(PowerLawParams(p=1.5), TimeGrid(T=1.0, N=6), make_model())
+        inc = sample_increments(np.random.default_rng(11), cfg.grid, n_modes=2)
+        traj = run_trajectory(initial_velocity(curl_bump, ops), inc, cfg, ops)
+        u = traj.fields[2].coeffs
+        assert np.abs(u).max() < 1e-10
+        K = stress_tangent_matrix(u, ops, cfg.params, False, ops.stream_element_basis)
+        A = (ops.stream_mass + cfg.grid.tau * K).tocsc()
+        b = np.random.default_rng(2).standard_normal(A.shape[0])
+        for lu in (StepperWorkspace(cfg, ops).factorize(u), spla.splu(A, permc_spec="COLAMD")):
+            x = lu.solve(b)
+            assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
 class TestSolverMachinery:
     def test_newton_config_validation(self):
         with pytest.raises(ValueError):
