@@ -50,6 +50,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
         ops = assemble(alfeld_split(unit_square_mesh(args.m)))
         grid = TimeGrid(T=args.T, N=args.N)
         model = NoiseModel(curl_modes(args.modes)) if args.modes else None

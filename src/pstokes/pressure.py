@@ -23,9 +23,10 @@ stochastic ones also z (one saddle solve and one mass solve).
 
 `reconstruct` forms no stress: the deterministic increments are the
 columns tau (S(eps u_n), eps xi) that each step's last residual formed
-and the trajectory stores (`Trajectory.stress_loads`).  The standalone
-`verify_reconstruction` evaluates them afresh from the fields, so that
-it stays a check independent of the stepper's columns.
+and the trajectory stores (`Trajectory.stress_loads`).
+`verify_reconstruction`, the one check of the reconstruction equation,
+evaluates them afresh from the fields, so that it stays independent of
+the stepper's columns.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ from pstokes.spaces import (
     _full_velocity,
     discrete_gradient,
     grad_at_qp,
+    l2_norm,
     lp_norm,
-    norms,
-    pressure_lp_norm,
     project_perp,
     stress_residual_vector,
     sym_grad_at_qp,
@@ -151,7 +151,6 @@ def reconstruct(
     increments,
     config: SchemeConfig,
     ops: AssembledOperators,
-    verify: bool = False,
 ) -> PressureTrajectory:
     """Pressure components for every step of a trajectory that did not fail.
 
@@ -164,10 +163,9 @@ def reconstruct(
     trajectory (`failed_at` set), a trajectory or increments for another
     grid than config's, and increments with another mode count than its
     noise model raise ValueError; a prefix of a run, fewer than N steps
-    none of which failed, is reconstructed for the steps it has.  With
-    verify=True the per-step reconstruction equation residual is checked
-    against random test directions, and a residual above 1e-6, or one
-    that is not finite, raises.
+    none of which failed, is reconstructed for the steps it has.  The
+    result is not checked here: `verify_reconstruction` returns the
+    residual of the reconstruction equation, for the caller to bound.
     """
     if not traj.ok:
         raise ValueError(f"trajectory failed at step {traj.failed_at}")
@@ -196,17 +194,12 @@ def reconstruct(
 
     q_det_cum = np.cumsum(q[:, 1:].T, axis=0)
     q_sto_cum = np.cumsum(dq_sto.T, axis=0)
-    ptraj = PressureTrajectory(
+    return PressureTrajectory(
         Field("pressure", q[:, 0].copy()),
         [Field("pressure", q_det_cum[n]) for n in range(N)],
         [Field("pressure", q_sto_cum[n]) for n in range(N)],
         np.cumsum(dz.T, axis=0),
     )
-    if verify:
-        res = _reconstruction_residual(traj, ptraj, traj.stress_loads, ops)
-        if not res <= 1e-6:
-            raise ValueError(f"reconstruction equation residual {res:.3e} exceeds 1e-6")
-    return ptraj
 
 
 def norm_Qsto(q: Field, ops: AssembledOperators) -> float:
@@ -217,7 +210,7 @@ def norm_Qsto(q: Field, ops: AssembledOperators) -> float:
     divergence-free w, so grad_h q lies in V-perp up to its mass solve."""
     if q.kind != "pressure":
         raise ValueError("norm_Qsto expects a pressure Field")
-    return norms(discrete_gradient(q, ops), "L2", ops)
+    return l2_norm(discrete_gradient(q, ops), ops)
 
 
 def norm_Qdet(
@@ -237,7 +230,7 @@ def norm_Qdet(
     """
     if not p > 1.0:
         raise ValueError("p must exceed 1")
-    upper = DIV_GRAD_CONSTANT * pressure_lp_norm(q, ops, p / (p - 1.0))
+    upper = DIV_GRAD_CONSTANT * lp_norm(np.abs(ops.P @ q.coeffs), ops, p / (p - 1.0))
     if not np.any(q.coeffs):
         return {"lower": 0.0, "upper": 0.0, "ascent_ratios": []}
 
@@ -310,18 +303,13 @@ def verify_reconstruction(
 
     over VERIFY_DIRECTIONS random L2-normalized directions xi in V-perp
     and all steps: the largest entry of one product of the stacked step
-    residuals with the stacked directions.  A non-finite residual makes
-    the result NaN; a direction of zero or non-finite norm raises
-    FloatingPointError."""
+    residuals with the stacked directions.  The stress columns
+    tau (S(eps u_n), eps xi) are formed afresh from the fields, not read
+    from the trajectory, so the check is independent of the columns
+    `reconstruct` solved with; the caller bounds the result.  A
+    non-finite residual makes the result NaN; a direction of zero or
+    non-finite norm raises FloatingPointError."""
     tau = config.grid.tau
-    stress = [tau * stress_residual_vector(f.coeffs, ops, config.params) for f in traj.fields[1:]]
-    return _reconstruction_residual(traj, ptraj, stress, ops)
-
-
-def _reconstruction_residual(traj: Trajectory, ptraj: PressureTrajectory, stress, ops) -> float:
-    """`verify_reconstruction` from the vectors tau (S(eps u_n), eps xi)
-    of the steps n = 1..N: evaluated afresh by `verify_reconstruction`,
-    the stored columns in `reconstruct(verify=True)`."""
     xi = _random_perp(VERIFY_DIRECTIONS, ops)
     nrm = np.sqrt(np.einsum("ik,ik->k", xi, ops.M_full @ xi))
     if not np.all(nrm > 0.0):
@@ -330,7 +318,7 @@ def _reconstruction_residual(traj: Trajectory, ptraj: PressureTrajectory, stress
     for n in range(1, traj.n_steps + 1):
         R[:, n - 1] = (
             (ops.M_full @ (traj.fields[n].coeffs - traj.fields[n - 1].coeffs))[ops.free]
-            + stress[n - 1]
+            + tau * stress_residual_vector(traj.fields[n].coeffs, ops, config.params)
             - ops.B_free.T @ ptraj.increment(n).coeffs
             - traj.noise_loads[n - 1]
         )

@@ -72,7 +72,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from pstokes.meshing import TriMesh
-from pstokes.tensors import PowerLawParams, frobenius, jacobian_coefficients, stress_S
+from pstokes.tensors import PowerLawParams, jacobian_coefficients, stress_S
 
 __all__ = [
     "QUAD_POINTS",
@@ -87,7 +87,7 @@ __all__ = [
     "project_perp",
     "discrete_gradient",
     "divergence_pointwise_max",
-    "norms",
+    "l2_norm",
     "qp_weights",
     "lp_norm",
     "interpolate_velocity",
@@ -683,41 +683,18 @@ def lp_norm(mag: np.ndarray, ops: AssembledOperators, p: float):
     return float((w @ mag.ravel() ** p) ** (1.0 / p))
 
 
-def norms(v: Field, kind: str, ops: AssembledOperators, p: float | None = None) -> float:
-    """Field norms: L2 (mass form), Lp_of_sym_grad (quadrature), Linf_div."""
-    if kind == "L2":
-        M = ops.M_full if v.kind == "velocity" else ops.Mq
-        return float(np.sqrt(max(v.coeffs @ (M @ v.coeffs), 0.0)))
-    if kind == "Lp_of_sym_grad":
-        if p is None:
-            raise ValueError("Lp_of_sym_grad needs the exponent p")
-        return lp_norm(frobenius(sym_grad_at_qp(v.coeffs, ops)), ops, p)
-    if kind == "Linf_div":
-        return divergence_pointwise_max(v, ops)
-    raise ValueError(f"unknown norm kind {kind!r}")
+def l2_norm(v: Field, ops: AssembledOperators) -> float:
+    """L2 norm of a velocity or pressure field by its mass form."""
+    M = ops.M_full if v.kind == "velocity" else ops.Mq
+    return float(np.sqrt(max(v.coeffs @ (M @ v.coeffs), 0.0)))
 
 
-def pressure_lp_norm(q: Field, ops: AssembledOperators, p: float) -> float:
-    """L^p norm of a pressure field by quadrature."""
-    return lp_norm(np.abs(ops.P @ q.coeffs), ops, p)
-
-
-def interpolate_velocity(
-    fn: Callable[[np.ndarray], np.ndarray],
-    ops: AssembledOperators,
-    zero_boundary: bool = True,
-) -> Field:
-    """Nodal P2 interpolation of a vector field.
-
-    With zero_boundary (the default) boundary nodes are masked to zero so
-    the result lies in the zero-trace space; for data that already
-    vanishes on the boundary this is the plain interpolant.  Pass False
-    to interpolate free-slip data for norm checks only.
-    """
-    vals = np.asarray(fn(ops.space_v.node_coords), dtype=float)
-    if zero_boundary:
-        vals = vals.copy()
-        vals[ops.space_v.boundary_node] = 0.0
+def interpolate_velocity(fn: Callable[[np.ndarray], np.ndarray], ops: AssembledOperators) -> Field:
+    """Nodal P2 interpolation of a vector field into the zero-trace space:
+    the boundary nodes are masked to zero, so for data that vanishes on
+    the boundary this is the plain interpolant."""
+    vals = np.array(fn(ops.space_v.node_coords), dtype=float)
+    vals[ops.space_v.boundary_node] = 0.0
     return Field("velocity", vals.ravel())
 
 
@@ -803,18 +780,18 @@ def stress_tangent_matrix(
     u_coeffs: np.ndarray,
     ops: AssembledOperators,
     params: PowerLawParams,
-    picard: bool = False,
-    basis: ElementBasis | None = None,
+    picard: bool,
+    basis: ElementBasis,
 ) -> sp.csc_matrix:
-    """Linearization of the stress form in an element basis, by default
-    the free velocity dofs (`ops.free_element_basis`).
+    """Linearization of the stress form in an element basis: the stepper's
+    `ops.stream_element_basis`, or `ops.free_element_basis` for the free
+    velocity dofs.
 
     Newton: (DS(eps u)[eps phi_b], eps phi_a); Picard drops the rank-one
     part and keeps the radial weight only.  Each block's entries are
     summed over its quadrature points, then added at their pattern
     positions.
     """
-    basis = ops.free_element_basis if basis is None else basis
     n_blocks, nqb, _, k = basis.E.shape
     eps = sym_grad_at_qp(u_coeffs, ops)
     alpha, beta = jacobian_coefficients(eps, params)

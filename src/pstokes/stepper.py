@@ -120,12 +120,12 @@ class NewtonConfig:
     picard_iters: int = 20
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.picard_iters < 1:
-            raise ValueError("picard_iters must be >= 1")
+        if not (np.isfinite(self.abs_tol) and self.abs_tol > 0):
+            raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol!r}")
+        for name in ("max_iter", "picard_iters"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+                raise ValueError(f"{name} must be a positive integer, got {count!r}")
 
 
 @dataclass

@@ -23,7 +23,7 @@ factored, and their dimension
         = n_free_velocity_dofs - (n_pressure_dofs - 1)
 
 is about a seventh of the bordered saddle system's (1,411 against 10,625
-unknowns at m = 16, where the L+U factors of C^T M C hold 124k non-zeros
+unknowns at m = 16, where the L+U factors of C^T M C hold 120,318 non-zeros
 and those of the bordered system 2.25M).  The Gram matrix C^T M C is
 formed once per mesh (`AssembledOperators.stream_mass`).  The 19-node
 interpolation problems of all macro-elements are stacked and solved in

@@ -45,6 +45,7 @@ def test_failed_trajectory_exits_nonzero(capsys, monkeypatch):
         ("--p", "inf", "p=inf"),
         ("--kappa", "nan", "kappa=nan"),
         ("--modes", "-1", "modes must be >= 0, got -1"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
     ],
 )
 def test_bad_value_is_a_usage_error(capsys, option, value, match):

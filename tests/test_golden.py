@@ -42,10 +42,10 @@ from pstokes.grids import TimeGrid
 from pstokes.meshing import alfeld_split, unit_square_mesh
 from pstokes.diagnostics import error_stats
 from pstokes.noise import NoiseModel, sample_increments, sample_wiener_path
-from pstokes.pressure import reconstruct
+from pstokes.pressure import reconstruct, verify_reconstruction
 from pstokes.records import load_checkpoints, save_checkpoints
 from pstokes.scenarios import curl_modes, u0_smooth
-from pstokes.spaces import Field, assemble, norms
+from pstokes.spaces import Field, assemble, l2_norm
 from pstokes.stepper import NewtonConfig, SchemeConfig, initial_velocity, run_trajectory
 from pstokes.tensors import PowerLawParams
 
@@ -107,7 +107,7 @@ def _check_final_velocity(u, ops4, key):
     assert float(u.coeffs @ _probe(u.coeffs.size)) == pytest.approx(
         pairing, rel=REL, abs=0.0
     )
-    assert norms(u, "L2", ops4) == pytest.approx(l2, rel=REL, abs=0.0)
+    assert l2_norm(u, ops4) == pytest.approx(l2, rel=REL, abs=0.0)
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN), ids=_golden_id)
@@ -243,12 +243,13 @@ PRESSURE_GOLDEN = {
 
 
 def _pressure_norms(traj, inc, cfg, ops):
-    pt = reconstruct(traj, inc, cfg, ops, verify=True)
-    assert norms(pt.pi_init, "L2", ops) < 1e-15
+    pt = reconstruct(traj, inc, cfg, ops)
+    assert verify_reconstruction(traj, pt, cfg, ops) <= 1e-6
+    assert l2_norm(pt.pi_init, ops) < 1e-15
     return [
-        norms(pt.pi_det[-1], "L2", ops),
-        norms(pt.pi_sto[-1], "L2", ops),
-        norms(Field("velocity", pt.z_sto[-1]), "L2", ops),
+        l2_norm(pt.pi_det[-1], ops),
+        l2_norm(pt.pi_sto[-1], ops),
+        l2_norm(Field("velocity", pt.z_sto[-1]), ops),
     ]
 
 

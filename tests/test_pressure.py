@@ -25,7 +25,7 @@ from pstokes.spaces import (
     assemble,
     discrete_gradient,
     interpolate_velocity,
-    norms,
+    l2_norm,
     project_perp,
     stress_residual_vector,
 )
@@ -106,7 +106,7 @@ class TestInitialPressure:
         # L2 norm of the complementary projection of the datum
         u_raw = interpolate_velocity(u0_smooth, ops4)
         pi0 = initial_pressure(u_raw, ops4)
-        perp = norms(project_perp(u_raw, ops4), "L2", ops4)
+        perp = l2_norm(project_perp(u_raw, ops4), ops4)
         assert perp > 1e-5  # nondegenerate test case
         assert abs(norm_Qsto(pi0, ops4) - perp) < RECON_TOL
 
@@ -121,7 +121,7 @@ class TestInitialPressure:
             v = np.zeros(ops4.space_v.n_dofs)
             v[ops4.free] = rng.standard_normal(ops4.n_free)
             xi = project_perp(Field("velocity", v), ops4)
-            xi_c = xi.coeffs / norms(xi, "L2", ops4)
+            xi_c = xi.coeffs / l2_norm(xi, ops4)
             worst = max(worst, abs(d_full @ xi_c - Mu @ xi_c))
         assert worst < RECON_TOL
 
@@ -287,9 +287,10 @@ class TestReconstruct:
             )
             assert abs(direct - shortcut) < EXACT_TOL
 
-    def test_verify_flag_passes_on_good_data(self, ops4, run_p2):
+    def test_reassembled_loads_pass_verification(self, ops4, run_p2):
         traj, inc, config = run_p2
-        reconstruct(traj, inc, config, ops4, verify=True)
+        pt = reconstruct(traj, inc, config, ops4)
+        assert verify_reconstruction(traj, pt, config, ops4) <= 1e-6
 
     def test_verification_propagates_nan(self, ops4, run_p2):
         # one NaN coefficient spoils the pressure increments of steps 2
@@ -299,15 +300,9 @@ class TestReconstruct:
         pt.pi_det[1].coeffs[0] = np.nan
         assert np.isnan(verify_reconstruction(traj, pt, config, ops4))
 
-    def test_verify_flag_raises_on_nan_residual(self, ops4, run_p2, monkeypatch):
-        traj, _, config = run_p2
-        monkeypatch.setattr(pressure, "_reconstruction_residual", lambda *args: float("nan"))
-        with pytest.raises(ValueError, match="residual nan"):
-            reconstruct(traj, None, config, ops4, verify=True)
-
-    def test_verify_flag_forms_each_stress_vector_once(self, ops4, run_p2, monkeypatch):
-        # reconstruct and its check read the columns tau (S(eps u_n), eps xi)
-        # the stepper stored; the standalone check forms them afresh
+    def test_only_verification_forms_stress_vectors(self, ops4, run_p2, monkeypatch):
+        # reconstruct reads the columns tau (S(eps u_n), eps xi) the
+        # stepper stored; the check forms them afresh, once per step
         traj, _, config = run_p2
         calls = []
 
@@ -316,9 +311,9 @@ class TestReconstruct:
             return stress_residual_vector(*args)
 
         monkeypatch.setattr(pressure, "stress_residual_vector", counting)
-        pt = reconstruct(traj, None, config, ops4, verify=True)
+        pt = reconstruct(traj, None, config, ops4)
         assert len(calls) == 0
-        verify_reconstruction(traj, pt, config, ops4)
+        assert verify_reconstruction(traj, pt, config, ops4) <= 1e-6
         assert len(calls) == traj.n_steps
 
     def test_verification_refuses_zero_direction(self, ops4, run_p2, monkeypatch):

@@ -28,7 +28,7 @@ from pstokes.records import (
     save_wiener_path,
     velocity_vertex_values,
 )
-from pstokes.spaces import Field, assemble, interpolate_velocity, velocity_at_qp
+from pstokes.spaces import Field, assemble, velocity_at_qp
 from pstokes.stepper import SchemeConfig, initial_velocity, run_trajectory
 from pstokes.tensors import PowerLawParams
 
@@ -359,7 +359,7 @@ def test_vtk_rejects_bad_fields(tmp_path, ops2):
 
 
 def test_vertex_values_match_nodal_interpolation(ops2):
-    v = interpolate_velocity(u0_fn, ops2, zero_boundary=False)
+    v = Field("velocity", u0_fn(ops2.space_v.node_coords).ravel())
     vv = velocity_vertex_values(v, ops2)
     mesh = ops2.space_v.mesh
     assert vv.shape == (mesh.n_vertices, 2)

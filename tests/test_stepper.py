@@ -27,7 +27,7 @@ from pstokes.spaces import (
     assemble,
     divergence_pointwise_max,
     interpolate_velocity,
-    norms,
+    l2_norm,
     project_div,
     stress_residual_vector,
     stress_tangent_matrix,
@@ -241,7 +241,9 @@ class TestVelocityStep:
         u1 = traj.fields[1]
         d_pi = reconstruct(traj, None, cfg, ops4).increment(1).coeffs
 
-        K = stress_tangent_matrix(np.zeros(ops4.space_v.n_dofs), ops4, cfg.params)
+        K = stress_tangent_matrix(
+            np.zeros(ops4.space_v.n_dofs), ops4, cfg.params, False, ops4.free_element_basis
+        )
         npr = ops4.n_pressure
         c = sp.csc_matrix(
             (ops4.cvec, (np.arange(npr), np.zeros(npr, dtype=int))), shape=(npr, 1)
@@ -277,7 +279,7 @@ class TestTrajectory:
         inc = sample_increments(np.random.default_rng(0), cfg.grid, n_modes=1)
         traj = run_trajectory(u0h, inc, cfg, ops4)
         assert traj.ok
-        seq = [norms(f, "L2", ops4) for f in traj.fields]
+        seq = [l2_norm(f, ops4) for f in traj.fields]
         assert all(b <= a + 1e-14 for a, b in zip(seq, seq[1:]))
 
     def test_reproducibility(self, ops4, u0h):
@@ -391,13 +393,16 @@ class TestFactorRule:
 
 class TestSolverMachinery:
     def test_newton_config_validation(self):
-        with pytest.raises(ValueError):
-            NewtonConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            NewtonConfig(max_iter=0)
-        for bad in (0, -3):
-            with pytest.raises(ValueError, match="picard_iters"):
-                NewtonConfig(picard_iters=bad)
+        # an infinite tolerance would accept every first iterate and
+        # ignore the noise; a fractional or boolean count is no count
+        for bad in (0.0, -1e-10, np.inf, np.nan):
+            with pytest.raises(ValueError, match="abs_tol"):
+                NewtonConfig(abs_tol=bad)
+        for name in ("max_iter", "picard_iters"):
+            for bad in (0, -3, 2.5, True, 1.0):
+                with pytest.raises(ValueError, match=name):
+                    NewtonConfig(**{name: bad})
+        assert NewtonConfig(max_iter=np.int64(3), picard_iters=1).max_iter == 3
 
     def test_picard_fallback_reduces_residual(self, ops4, u0h):
         rhs_free = (ops4.M_full @ u0h.coeffs)[ops4.free]
@@ -673,7 +678,9 @@ class TestInputConsistency:
         traj = run_trajectory(u0, incs[4], cfg4, ops)
         with pytest.raises(ValueError, match="increments"):
             reconstruct(traj, incs[8], cfg4, ops)
-        assert reconstruct(traj, incs[4], cfg4, ops, verify=True).n_steps == 4
+        pt = reconstruct(traj, incs[4], cfg4, ops)
+        assert pt.n_steps == 4
+        assert verify_reconstruction(traj, pt, cfg4, ops) <= 1e-6
 
     @pytest.mark.parametrize("n_modes", [1, 3])
     def test_step_rejects_increments_with_another_mode_count(self, setup2, n_modes):
@@ -698,4 +705,6 @@ class TestInputConsistency:
         traj = run_trajectory(u0, incs[8], cfg8, ops)
         with pytest.raises(ValueError, match="trajectory is for"):
             reconstruct(traj, None, cfg4, ops)
-        assert reconstruct(traj, None, cfg8, ops, verify=True).n_steps == 8
+        pt = reconstruct(traj, None, cfg8, ops)
+        assert pt.n_steps == 8
+        assert verify_reconstruction(traj, pt, cfg8, ops) <= 1e-6
