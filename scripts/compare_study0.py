@@ -64,8 +64,9 @@ def _flatten(name: str, obj, out: dict) -> None:
     """Arrays of `obj` under keys that extend `name`: records and dicts
     recurse by attribute; a list of records of one dataclass (the fields
     of a run, its `StepStats`) recurses per attribute across the list;
-    any other list is stacked when its entries are numbers or arrays,
-    else recursed by index.  Strings and None are skipped."""
+    any other list is stacked when its entries are numbers or arrays of
+    one shape, else recursed by index (the noise bases of runs on meshes
+    of different sizes).  Strings and None are skipped."""
     import numpy as np
 
     if obj is None or isinstance(obj, str):
@@ -77,7 +78,9 @@ def _flatten(name: str, obj, out: dict) -> None:
     elif isinstance(obj, (list, tuple)):
         if obj and len({type(x) for x in obj}) == 1 and dataclasses.is_dataclass(obj[0]):
             items = ((k, [vars(x)[k] for x in obj]) for k in vars(obj[0]))
-        elif all(isinstance(x, (int, float, tuple)) or hasattr(x, "dtype") for x in obj):
+        elif all(isinstance(x, (int, float, tuple)) or hasattr(x, "dtype") for x in obj) and (
+            len({np.shape(x) for x in obj}) == 1
+        ):
             out[name] = np.asarray(obj)
             return
         else:

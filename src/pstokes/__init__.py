@@ -11,4 +11,6 @@ from pstokes.tensors import (
     young_gap,
 )
 
+__all__ = ["PowerLawParams", "stress_S", "nonlinear_V", "stress_jacobian", "young_gap"]
+
 __version__ = "0.1.0"

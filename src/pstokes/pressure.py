@@ -18,8 +18,15 @@ l(xi) = sum_{l<=n} tau (S(eps u_l), eps xi); pi_sto_n from
 l(xi) = -sum_{l<=n} (G_l DW_l, xi).  The functionals are per-step
 increments plus cumulative sums, stacked into two families of columns,
 each solved in one pass: the N + 1 functionals of pi_init and the
-deterministic increments need q only (one saddle solve), the N
-stochastic ones also z (one saddle solve and one mass solve).
+deterministic increments need q only (one saddle solve), the
+stochastic ones also z (one saddle solve and one mass solve).  The
+solves are linear in the load, so the stochastic family is solved for
+the basis B of the trajectory's factored noise record
+(`Trajectory.noise_basis`), not for the N loads B W[n-1]: the
+increments of q and z are the solutions for B times the coefficients
+W.  Under the additive rule B holds the K mode loads ((g_k, xi)), so
+the family costs K columns however many steps the run has; under a
+velocity-dependent rule B holds the N loads and W is the identity.
 
 `reconstruct` forms no stress: the deterministic increments are the
 columns tau (S(eps u_n), eps xi) that each step's last residual formed
@@ -156,16 +163,24 @@ def reconstruct(
 
     Uses only data with indices <= n for pi_n (the stored stress columns
     and noise loads of steps 1..n), mirroring the stepper's causality.
-    When `increments` is given, the noise loads are assembled again by
-    quadrature from the Wiener increments and the lagged velocities
-    instead of taking the stepper's stored loads, giving an independent
-    assembly path; pass None to reuse the stored loads.  A failed
-    trajectory (`failed_at` set), a trajectory or increments for another
-    grid than config's, and increments with another mode count than its
-    noise model raise ValueError; a prefix of a run, fewer than N steps
-    none of which failed, is reconstructed for the steps it has.  The
-    result is not checked here: `verify_reconstruction` returns the
-    residual of the reconstruction equation, for the caller to bound.
+    The stochastic family is one solve, with z, for the basis B
+    (n_free x r) of the trajectory's factored noise record, giving
+    (Q_B, Z_B); with the coefficients W (N x r) the increments are
+    Q_B W^T and Z_B W^T, and their sums up to step n are the
+    cumulative sums of W times Q_B^T and Z_B^T.  That is K columns
+    under the additive rule, N under a velocity-dependent one and none
+    without a noise model (pi_sto and z_sto are then zero and nothing
+    is solved).  When `increments` is given, the noise loads are assembled
+    again by quadrature from the Wiener increments and the lagged
+    velocities and take the place of B, with W the identity, instead of
+    the stepper's record: an independent assembly path.  Pass None to
+    use the record; no workspace is built then.  A failed trajectory
+    (`failed_at` set), a trajectory or increments for another grid than
+    config's, and increments with another mode count than its noise
+    model raise ValueError; a prefix of a run, fewer than N steps none
+    of which failed, is reconstructed for the steps it has.  The result
+    is not checked here: `verify_reconstruction` returns the residual of
+    the reconstruction equation, for the caller to bound.
     """
     if not traj.ok:
         raise ValueError(f"trajectory failed at step {traj.failed_at}")
@@ -176,7 +191,7 @@ def reconstruct(
         raise ValueError(why)
     N = traj.n_steps
 
-    loads = traj.noise_loads
+    B, W = traj.noise_basis, traj.noise_coeffs
     if increments is not None:
         work = StepperWorkspace(config, ops)
         loads = []
@@ -184,21 +199,28 @@ def reconstruct(
             u_lag = traj.fields[max(n - 2, 0)].coeffs
             load, _ = work.quadrature_load(n, u_lag, increments.increment(n))
             loads.append(load)
+        B = np.stack(loads, axis=1) if N else np.zeros((ops.n_free, 0))
+        W = np.eye(N)
 
     # The functionals that need q only: pi_init's, then the deterministic
     # increments tau (S(eps u_n), eps xi).
     D = np.column_stack([(ops.M_full @ traj.fields[0].coeffs)[ops.free]] + traj.stress_loads)
     q, _ = _solve_vperp(D, ops)
-    L = np.stack(loads, axis=1) if N else np.zeros((ops.n_free, 0))
-    dq_sto, dz = _solve_vperp(-L, ops, want_z=True)
+    if B.shape[1]:
+        q_B, z_B = _solve_vperp(-B, ops, want_z=True)
+    else:  # r = 0, no noise model: nothing to solve
+        q_B, z_B = np.zeros((ops.n_pressure, 0)), np.zeros((ops.space_v.n_dofs, 0))
 
+    # the cumulative sums of the increments W Q_B^T are the cumulative
+    # sums of the N x r coefficients times Q_B^T: no sum over full columns
+    W_cum = np.cumsum(W, axis=0)
     q_det_cum = np.cumsum(q[:, 1:].T, axis=0)
-    q_sto_cum = np.cumsum(dq_sto.T, axis=0)
+    q_sto_cum = W_cum @ q_B.T
     return PressureTrajectory(
         Field("pressure", q[:, 0].copy()),
         [Field("pressure", q_det_cum[n]) for n in range(N)],
         [Field("pressure", q_sto_cum[n]) for n in range(N)],
-        np.cumsum(dz.T, axis=0),
+        W_cum @ z_B.T,
     )
 
 
@@ -306,7 +328,9 @@ def verify_reconstruction(
     residuals with the stacked directions.  The stress columns
     tau (S(eps u_n), eps xi) are formed afresh from the fields, not read
     from the trajectory, so the check is independent of the columns
-    `reconstruct` solved with; the caller bounds the result.  A
+    `reconstruct` solved with; the noise loads are the trajectory's
+    factored record multiplied out in one product
+    (`Trajectory.noise_loads`).  The caller bounds the result.  A
     non-finite residual makes the result NaN; a direction of zero or
     non-finite norm raises FloatingPointError."""
     tau = config.grid.tau
@@ -314,12 +338,13 @@ def verify_reconstruction(
     nrm = np.sqrt(np.einsum("ik,ik->k", xi, ops.M_full @ xi))
     if not np.all(nrm > 0.0):
         raise FloatingPointError(f"verification direction norms {nrm} are not all positive")
+    loads = traj.noise_loads
     R = np.empty((ops.n_free, traj.n_steps))
     for n in range(1, traj.n_steps + 1):
         R[:, n - 1] = (
             (ops.M_full @ (traj.fields[n].coeffs - traj.fields[n - 1].coeffs))[ops.free]
             + tau * stress_residual_vector(traj.fields[n].coeffs, ops, config.params)
             - ops.B_free.T @ ptraj.increment(n).coeffs
-            - traj.noise_loads[n - 1]
+            - loads[n - 1]
         )
     return float(np.abs(R.T @ (xi[ops.free] / nrm)).max(initial=0.0))

@@ -55,7 +55,10 @@ defect; M u_n is the product its last residual formed.  The additive
 noise load is c_n L DW_n with L = ((g_k, xi)) assembled once per
 workspace and c_n the time coefficient of G_n
 (`noise.data_coefficient`), since G_n is then c_n times the fixed mode
-fields.
+fields.  So every load of an additive run lies in the span of the K
+columns of L; the trajectory records L and the coefficients c_n DW_n
+(`Trajectory`), and the pressure reconstruction solves for K columns
+instead of N loads.
 """
 
 from __future__ import annotations
@@ -168,10 +171,21 @@ class StepStats:
 class Trajectory:
     """Velocity fields u_0..u_N plus everything reconstruction needs.
 
-    noise_loads[n-1] is the assembled right-hand side (G_n DW_n, xi) of
-    step n on free dofs, and stress_loads[n-1] the stress column
-    tau (S(eps u_n), eps xi) on free dofs that the step's last residual
-    formed; with the fields they determine the pressure increments
+    The noise loads are kept factored: the assembled right-hand side
+    (G_n DW_n, xi) of step n on free dofs is noise_basis @
+    noise_coeffs[n-1], with noise_basis an (n_free, r) array and
+    noise_coeffs an (N, r) array.  Under the additive rule the basis is
+    the workspace's mode loads L = ((g_k, xi)), held by reference and
+    not copied (r = K), and row n-1 holds c_n DW_n, the coefficient the
+    step multiplies L by; the step's own load c_n (L DW_n) rounds
+    differently in the last bits.  Under a velocity-dependent rule the
+    basis is the N assembled loads themselves and the coefficients the
+    identity (r = N); without a noise model r = 0.  `noise_loads`
+    multiplies the two out.
+
+    stress_loads[n-1] is the stress column tau (S(eps u_n), eps xi) on
+    free dofs that the step's last residual formed; with the fields and
+    the noise loads it determines the pressure increments
     (pstokes.pressure.reconstruct).  increment_access_log
     records every averaged-increment index read during the step that is
     listed with it, for the causality audit.  grid is the time grid the
@@ -180,7 +194,8 @@ class Trajectory:
     """
 
     fields: list[Field]
-    noise_loads: list[np.ndarray]
+    noise_basis: np.ndarray
+    noise_coeffs: np.ndarray
     stress_loads: list[np.ndarray]
     stats: list[StepStats]
     increment_access_log: list[tuple[int, int]]
@@ -194,6 +209,12 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return len(self.fields) - 1
+
+    @property
+    def noise_loads(self) -> np.ndarray:
+        """The loads (G_n DW_n, xi) on free dofs, row n-1 for step n:
+        one product of the factored record, formed on every read."""
+        return self.noise_coeffs @ self.noise_basis.T
 
 
 class _AuditedIncrements:
@@ -358,9 +379,11 @@ class StepperWorkspace:
     def mode_loads(self) -> tuple[np.ndarray, float]:
         """(L, ||g_rss||): L = ((g_k, xi)) on free dofs, one column per
         mode (n_free x K) from one stacked assembly, and the L2 norm of
-        sqrt(sum_k g_k^2), assembled on first use."""
+        sqrt(sum_k g_k^2), assembled on first use.  L is read-only: every
+        additive trajectory of the workspace holds it as its noise basis."""
         ops = self.ops
         L = velocity_load_vector(self.g_qp, ops)[ops.free]
+        L.flags.writeable = False
         return L, lp_norm(np.linalg.norm(self.g_rss[0], axis=-1), ops, 2.0)
 
     def noise_rhs(
@@ -552,14 +575,18 @@ def run_trajectory(
 
     The increments object is wrapped so that every read is logged; the
     log is checked after each step to enforce that step n touched no
-    increment beyond index n (adaptedness of the discrete flow).
+    increment beyond index n (adaptedness of the discrete flow).  The
+    noise loads are recorded factored (see `Trajectory`).
     """
     if work is None:
         work = StepperWorkspace(config, ops)
     audited = _AuditedIncrements(increments)
     N = config.grid.N
+    model = config.model
+    additive = model is not None and not model.velocity_dependent
     fields = [u0]
     noise_loads: list[np.ndarray] = []
+    coeffs = np.zeros((N, model.n_modes if additive else 0))
     stress_loads: list[np.ndarray] = []
     stats_list: list[StepStats] = []
     access_log: list[tuple[int, int]] = []
@@ -578,15 +605,27 @@ def run_trajectory(
                     f"step {n} read increment {idx}: causality violated"
                 )
         fields.append(u_n)
-        noise_loads.append(noise_free)
+        if additive:
+            c = data_coefficient(n, model, config.grid)
+            if c:  # as in noise_rhs: exact zeros where c_n is zero
+                coeffs[n - 1] = c * increments.increment(n)
+        elif model is not None:
+            noise_loads.append(noise_free)
         stress_loads.append(stress)
         stats_list.append(stats)
         if not stats.converged:
             failed_at = n
             break
+    steps = len(stats_list)
+    if additive:
+        basis, coeffs = work.mode_loads[0], coeffs[:steps]
+    else:
+        basis = np.stack(noise_loads, axis=1) if noise_loads else np.zeros((ops.n_free, 0))
+        coeffs = np.eye(steps, len(noise_loads))
     return Trajectory(
         fields=fields,
-        noise_loads=noise_loads,
+        noise_basis=basis,
+        noise_coeffs=coeffs,
         stress_loads=stress_loads,
         stats=stats_list,
         increment_access_log=access_log,

@@ -4,12 +4,27 @@ A refactor reports the count of arrays that differ between the study-0
 files of two checkouts; these tests run the comparison on small files.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.fixture
+def flatten(monkeypatch):
+    """`_flatten(name, obj, out)` into a fresh dict, returned."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import compare_study0
+
+    def run(name: str, obj) -> dict:
+        out: dict = {}
+        compare_study0._flatten(name, obj, out)
+        return out
+
+    return run
 
 
 @pytest.fixture
@@ -56,3 +71,18 @@ def test_equal_nans_are_no_difference(compare):
     assert compare(a, b) == (0, "0 of 1 arrays differ")
     b["defect"] = np.array([1.0, 2.0, 3.0])
     assert compare(a, b) == (1, "1 of 1 arrays differ")
+
+
+@dataclasses.dataclass
+class _Run:
+    basis: np.ndarray
+    stats: np.ndarray
+
+
+def test_arrays_of_different_shapes_are_kept_by_index(flatten):
+    # one run per mesh: each basis has as many rows as its mesh has dofs
+    runs = [_Run(np.ones((3, 2)), np.array([1, 2])), _Run(np.zeros((5, 2)), np.array([3, 4]))]
+    out = flatten("ladder", runs)
+    assert sorted(out) == ["ladder/basis/0", "ladder/basis/1", "ladder/stats"]
+    assert out["ladder/basis/1"].shape == (5, 2)
+    assert np.array_equal(out["ladder/stats"], [[1, 2], [3, 4]])

@@ -19,9 +19,6 @@ from hypothesis import strategies as st
 
 import pstokes.diagnostics as dg
 from pstokes.diagnostics import (
-    ErrorStats,
-    ExtrapolationReport,
-    StabilityStats,
     besov_halves,
     error_stats,
     error_stats_ladder,
@@ -429,7 +426,8 @@ def test_stability_stats_rejects_trajectory_of_another_grid(ops2, run_on_other_g
     # the statistics need every step of the grid
     prefix = Trajectory(
         fields=traj.fields[:5],
-        noise_loads=traj.noise_loads[:4],
+        noise_basis=traj.noise_basis,
+        noise_coeffs=traj.noise_coeffs[:4],
         stress_loads=traj.stress_loads[:4],
         stats=traj.stats[:4],
         increment_access_log=traj.increment_access_log,
@@ -899,7 +897,8 @@ def test_temporal_oscillation_constant_reference_vanishes(ops2):
     src = trajs[0]
     fake = type(src)(
         fields=frozen,
-        noise_loads=src.noise_loads,
+        noise_basis=src.noise_basis,
+        noise_coeffs=src.noise_coeffs,
         stress_loads=src.stress_loads,
         stats=src.stats,
         increment_access_log=src.increment_access_log,

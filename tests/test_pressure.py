@@ -8,6 +8,8 @@ with the reconstructed increment as multiplier 8.4e-18 at p = 2,
 decomposition linearity gap 2.8e-16.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,7 +240,8 @@ class TestReconstruct:
         cut = 5
         sub = Trajectory(
             fields=traj.fields[: cut + 1],
-            noise_loads=traj.noise_loads[:cut],
+            noise_basis=traj.noise_basis,
+            noise_coeffs=traj.noise_coeffs[:cut],
             stress_loads=traj.stress_loads[:cut],
             stats=traj.stats[:cut],
             increment_access_log=traj.increment_access_log,
@@ -329,7 +332,8 @@ class TestReconstruct:
         traj, _, config = run_p2
         broken = Trajectory(
             fields=traj.fields,
-            noise_loads=traj.noise_loads,
+            noise_basis=traj.noise_basis,
+            noise_coeffs=traj.noise_coeffs,
             stress_loads=traj.stress_loads,
             stats=traj.stats,
             increment_access_log=traj.increment_access_log,
@@ -348,6 +352,61 @@ class TestReconstruct:
         inc1 = pt.increment(1)
         expect = pt.pi_det[0].coeffs + pt.pi_sto[0].coeffs
         assert np.abs(inc1.coeffs - expect).max() < EXACT_TOL
+
+
+def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.abs(a - b).max() / np.abs(a).max())
+
+
+class TestModeBasis:
+    """The additive stochastic family solved for the K mode loads agrees
+    with the one solved for the N loads assembled again by quadrature."""
+
+    def _modulated_run(self, ops, u0):
+        model = NoiseModel(
+            mode_fields=curl_modes(3), time_modulation=lambda t: 1.0 + 4.0 * np.sin(9.0 * t)
+        )
+        config = SchemeConfig(
+            params=PowerLawParams(p=2.0, kappa=0.0), grid=TimeGrid(T=0.25, N=10), model=model
+        )
+        inc = sample_increments(np.random.default_rng(5), config.grid, n_modes=3)
+        return run_trajectory(u0, inc, config, ops), inc, config
+
+    def _prefix(self, traj, cut):
+        return dataclasses.replace(
+            traj,
+            fields=traj.fields[: cut + 1],
+            noise_coeffs=traj.noise_coeffs[:cut],
+            stress_loads=traj.stress_loads[:cut],
+            stats=traj.stats[:cut],
+        )
+
+    @pytest.mark.parametrize("case", ["additive", "modulated", "prefix"])
+    def test_modes_agree_with_quadrature_loads(self, ops4, u0h, run_p3, case):
+        if case == "modulated":
+            traj, inc, config = self._modulated_run(ops4, u0h)
+        else:
+            traj, inc, config = run_p3
+            if case == "prefix":
+                traj = self._prefix(traj, 7)
+        assert traj.noise_basis.shape == (ops4.n_free, 3 if case == "modulated" else 4)
+        modes = reconstruct(traj, None, config, ops4)
+        steps = reconstruct(traj, inc, config, ops4)
+        assert modes.n_steps == steps.n_steps == traj.n_steps
+        pi_modes = np.stack([f.coeffs for f in modes.pi_sto])
+        pi_steps = np.stack([f.coeffs for f in steps.pi_sto])
+        assert _relative_gap(pi_modes, pi_steps) <= 1e-12
+        assert _relative_gap(modes.z_sto, steps.z_sto) <= 1e-12
+
+    def test_stored_record_builds_no_workspace(self, ops4, run_p2, monkeypatch):
+        # the record carries the mode loads; reconstruct assembles nothing
+        traj, _, config = run_p2
+
+        def refuse(*args):
+            raise AssertionError("reconstruct built a StepperWorkspace")
+
+        monkeypatch.setattr(pressure, "StepperWorkspace", refuse)
+        reconstruct(traj, None, config, ops4)
 
 
 class TestDetIncrementBound:
@@ -460,11 +519,38 @@ class TestSolveCounts:
 
     @pytest.mark.parametrize("N", [4, 12])
     def test_reconstruct(self, ops4, u0h, calls, N):
-        traj, _, config = make_run(ops4, u0h, 2.0, 0.0, N=N)
+        # additive noise: the stochastic family is solved for the K = 3
+        # mode loads, whatever the step count
+        traj, _, config = make_run(ops4, u0h, 2.0, 0.0, N=N, n_modes=3)
+        for log in calls.values():
+            log.clear()
+        reconstruct(traj, None, config, ops4)
+        assert calls == {"saddle": [(N + 1,), (3,)], "mass": [(3,)]}
+
+    def test_reconstruct_velocity_dependent(self, ops4, u0h, calls):
+        # the loads of a velocity-dependent rule span no fixed basis: one
+        # column per step
+        N = 6
+        traj, _, config = make_run(ops4, u0h, 2.0, 0.0, N=N, n_modes=3, rule="linear")
         for log in calls.values():
             log.clear()
         reconstruct(traj, None, config, ops4)
         assert calls == {"saddle": [(N + 1,), (N,)], "mass": [(N,)]}
+
+    def test_reconstruct_without_noise(self, ops4, u0h, calls):
+        # no noise model: zero stochastic pressures and nothing solved for them
+        config = SchemeConfig(
+            params=PowerLawParams(p=2.0, kappa=0.0), grid=TimeGrid(T=0.25, N=5), model=None
+        )
+        inc = sample_increments(np.random.default_rng(0), config.grid, n_modes=1)
+        traj = run_trajectory(u0h, inc, config, ops4)
+        for log in calls.values():
+            log.clear()
+        pt = reconstruct(traj, None, config, ops4)
+        assert calls == {"saddle": [(6,)], "mass": []}
+        assert traj.noise_basis.shape == (ops4.n_free, 0)
+        assert not any(np.any(f.coeffs) for f in pt.pi_sto)
+        assert pt.z_sto.shape == (5, ops4.space_v.n_dofs) and not np.any(pt.z_sto)
 
     def test_verification_and_norms(self, ops4, run_p2, calls):
         traj, _, config = run_p2

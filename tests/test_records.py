@@ -15,7 +15,7 @@ import pytest
 
 from pstokes.grids import TimeGrid
 from pstokes.meshing import alfeld_split, unit_square_mesh
-from pstokes.noise import NoiseModel, WienerPath, sample_increments, sample_wiener_path
+from pstokes.noise import NoiseModel, sample_increments, sample_wiener_path
 from pstokes.pressure import reconstruct
 from pstokes.records import (
     export_vtk,
@@ -28,7 +28,7 @@ from pstokes.records import (
     save_wiener_path,
     velocity_vertex_values,
 )
-from pstokes.spaces import Field, assemble, velocity_at_qp
+from pstokes.spaces import Field, assemble
 from pstokes.stepper import SchemeConfig, initial_velocity, run_trajectory
 from pstokes.tensors import PowerLawParams
 

@@ -301,6 +301,36 @@ class TestTrajectory:
         for step, accessed in traj.increment_access_log:
             assert accessed <= step
 
+    @pytest.mark.parametrize("rule", ["additive", "linear", None])
+    def test_factored_noise_record(self, ops4, u0h, rule):
+        # additive: the workspace's mode loads by reference and c_n DW_n per
+        # step; velocity-dependent: the step loads and the identity; no
+        # model: rank 0.  Multiplied out, the record gives each step's load.
+        model = None if rule is None else NoiseModel(mode_fields=curl_modes(3), rule=rule)
+        cfg = make_config(2.0, N=6, model=model)
+        work = StepperWorkspace(cfg, ops4)
+        inc = sample_increments(np.random.default_rng(3), cfg.grid, n_modes=3)
+        traj = run_trajectory(u0h, inc, cfg, ops4, work)
+        loads = np.stack([
+            work.noise_rhs(n, traj.fields[max(n - 2, 0)].coeffs, inc.increment(n))[0]
+            for n in range(1, 7)
+        ])
+        assert traj.noise_loads.shape == loads.shape == (6, ops4.n_free)
+        if rule == "additive":
+            assert traj.noise_basis is work.mode_loads[0]
+            assert not traj.noise_basis.flags.writeable
+            c = [stepper.data_coefficient(n, model, cfg.grid) for n in range(1, 7)]
+            assert np.array_equal(traj.noise_coeffs, np.array(c)[:, None] * inc.values)
+            assert np.abs(traj.noise_loads - loads).max() <= 1e-14 * np.abs(loads).max()
+        elif rule == "linear":
+            assert np.array_equal(traj.noise_basis, loads.T)
+            assert np.array_equal(traj.noise_coeffs, np.eye(6))
+            assert np.array_equal(traj.noise_loads, loads)
+        else:
+            assert traj.noise_basis.shape == (ops4.n_free, 0)
+            assert traj.noise_coeffs.shape == (6, 0)
+            assert not np.any(traj.noise_loads) and not np.any(loads)
+
     def test_multiplier_count(self, ops4, u0h):
         # one noise load per step, and one multiplier of the divergence
         # constraint, the reconstructed pressure increment, per step
