@@ -310,13 +310,16 @@ def stability_stats(
 
 
 def _rows(vals: np.ndarray) -> np.ndarray:
-    """Point values of a stack of fields, one flat row per field."""
+    """Point values of a stack of fields, one flat row per field: a view
+    of the C-contiguous stacks `PointEvaluation` returns, not a copy."""
     return vals.reshape(len(vals), -1)
 
 
 def _windowed_sq_dists(Vf: np.ndarray, V: np.ndarray, windows) -> float:
     """sum_n sum_j w_nj ||Vf[j] - V[n]||^2 over the fine cells j (a slice)
-    and weights w_nj of window n; identical rows give exactly zero."""
+    and weights w_nj of window n; identical rows give exactly zero.  Vf
+    and V are C-contiguous stacks of rows (`_v_rows`), so every row the
+    windows slice is one contiguous run of floats."""
     total = 0.0
     for (js, w), row in zip(windows, V):
         d = Vf[js] - row
@@ -340,7 +343,10 @@ def _v_rows(
 ) -> np.ndarray:
     """V(eps u) at the points of `ev`, the quadrature points of `ops`,
     one flat row per coefficient row, weighted by the square roots of
-    the quadrature weights: the rows whose Gram matrix is the L2 one."""
+    the quadrature weights: the rows whose Gram matrix is the L2 one.
+    The stack is C-contiguous (k, 4 n_points), each row one contiguous
+    run in the point-major order of `ev.sym_grad`; at p = 2 it holds
+    eps u itself (`nonlinear_V` is the identity there)."""
     V = _rows(nonlinear_V(ev.sym_grad(rows), params))
     V *= np.sqrt(qp_weights(ops, 4))
     return V
@@ -558,7 +564,11 @@ def _data_reference(Uf: np.ndarray, ops_f: AssembledOperators, model: NoiseModel
 
 
 def _data_term(
-    data, coarse_vals: np.ndarray, grid_c: TimeGrid, hats: list[HatPieces], model: NoiseModel | None
+    data,
+    coarse_vals: np.ndarray,
+    grid_c: TimeGrid,
+    hats: Sequence[HatPieces],
+    model: NoiseModel | None,
 ) -> float:
     """sum_n int a_n^2(t) ||G(t, u_ref(t)) - G_n(u_lag)||_HS^2 dt.
 

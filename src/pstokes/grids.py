@@ -13,15 +13,17 @@ of knots and values (`_hat_table`): `weight_a` interpolates it,
 `weight_antiderivative` integrates its linear pieces exactly and
 `weight_support` reads its end knots; the fine-cell averages
 (`weight_cell_averages`) and the hat windows of a grid pair
-(`hat_pieces`, and the time tables read from them, `hat_windows`) are
-read from these.  The covariance entries are those of `weight_inner`,
-which `covariance_banded` and with it the exact sampler's Cholesky
-factor read.
+(`hat_pieces`, and the time tables read from them, `hat_windows`, built
+once per pair and shared read-only) are read from these.  The
+covariance entries are those of `weight_inner`, which
+`covariance_banded` and with it the exact sampler's Cholesky factor
+read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -168,27 +170,40 @@ class HatWindows(NamedTuple):
     of each supp a_n.  A window (js, w) is a run of fine cells J_j (a
     slice) and a weight per cell: the `tiles` |J_j ∩ J_n| for n = 0..N_c,
     and for n = 1..N_c the integrals of a_n over J_j ∩ J_n (`hat_tile`)
-    and over J_j (`hat_full`), exact as a_n is linear on each piece."""
+    and over J_j (`hat_full`), exact as a_n is linear on each piece.
+    The tables are tuples and every array in them is read-only."""
 
-    pieces: list[HatPieces]
-    tiles: list[tuple[slice, np.ndarray]]
-    hat_tile: list[tuple[slice, np.ndarray]]
-    hat_full: list[tuple[slice, np.ndarray]]
+    pieces: tuple[HatPieces, ...]
+    tiles: tuple[tuple[slice, np.ndarray], ...]
+    hat_tile: tuple[tuple[slice, np.ndarray], ...]
+    hat_full: tuple[tuple[slice, np.ndarray], ...]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=32)
 def hat_windows(grid_c: TimeGrid, grid_f: TimeGrid) -> HatWindows:
-    """The windows of a pair that `hat_pieces` accepts."""
-    pieces = hat_pieces(grid_c, grid_f)
+    """The windows of a pair that `hat_pieces` accepts, built once per
+    pair of (frozen, hashable) grids: a bounded cache keeps the tables
+    of the last 32 pairs, and every caller shares them read-only."""
+    pieces = tuple(HatPieces(*map(_read_only, h)) for h in hat_pieces(grid_c, grid_f))
     intervals = [(pieces[0], ~pieces[0].late)] + [(h, h.late) for h in pieces]
     hats = [
         (h, (h.hi - h.lo) * weight_a(n, 0.5 * (h.lo + h.hi), grid_c))
         for n, h in enumerate(pieces, 1)
     ]
+
+    def windows(per_cell) -> tuple[tuple[slice, np.ndarray], ...]:
+        return tuple((js, _read_only(w)) for js, w in per_cell)
+
     return HatWindows(
         pieces,
-        tiles=[h.per_cell(h.hi - h.lo, sel) for h, sel in intervals],
-        hat_tile=[h.per_cell(a, h.late) for h, a in hats],
-        hat_full=[h.per_cell(a) for h, a in hats],
+        tiles=windows(h.per_cell(h.hi - h.lo, sel) for h, sel in intervals),
+        hat_tile=windows(h.per_cell(a, h.late) for h, a in hats),
+        hat_full=windows(h.per_cell(a) for h, a in hats),
     )
 
 

@@ -204,7 +204,7 @@ def reconstruct(
 
     # The functionals that need q only: pi_init's, then the deterministic
     # increments tau (S(eps u_n), eps xi).
-    D = np.column_stack([(ops.M_full @ traj.fields[0].coeffs)[ops.free]] + traj.stress_loads)
+    D = np.column_stack([(ops.M_full @ traj.fields[0].coeffs)[ops.free], traj.stress_loads.T])
     q, _ = _solve_vperp(D, ops)
     if B.shape[1]:
         q_B, z_B = _solve_vperp(-B, ops, want_z=True)

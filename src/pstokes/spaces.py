@@ -41,8 +41,8 @@ element basis (`free_element_basis`); `pstokes.streamfunc` builds the
 one of the stream basis (`stream_element_basis`), in which the stepper
 assembles its reduced tangents C^T K C directly.
 A P2 field is evaluated one way only, by a `PointEvaluation`: sparse
-value and gradient matrices that evaluate a stack of fields in one
-product.  The quadrature kernels apply or transpose `qp_eval`;
+value and gradient matrices that evaluate a stack of fields into a
+C-contiguous stack, one product per field.  The quadrature kernels apply or transpose `qp_eval`;
 `point_evaluation` builds one at points the `locator` located (the
 cross-mesh transfer of `pstokes.diagnostics`).  One function,
 `_physical_gradients`, maps reference basis gradients to physical ones,
@@ -644,7 +644,7 @@ def velocity_load_vector(values_at_qp: np.ndarray, ops: AssembledOperators) -> n
     """
     weighted = ops.qw[..., None] * values_at_qp
     stack = weighted.shape[: weighted.ndim - ops.qp_x.ndim]
-    return ops.qp_eval.V.T @ weighted.reshape(stack + (-1,)).T
+    return ops.qp_eval.V.T @ weighted.reshape(stack + (ops.qp_x.size,)).T
 
 
 def grad_at_qp(u_coeffs: np.ndarray, ops: AssembledOperators) -> np.ndarray:
@@ -868,9 +868,13 @@ class PointEvaluation:
         V  (2 n_points x n_dofs), row 2k + c: component c at point k;
         G  (4 n_points x n_dofs), row 4k + 2c + d: d_d u_c at point k.
 
-    Applied to one coefficient vector, or to a stack of coefficient rows
-    (k, n_dofs), one product evaluates every row at once; the transposes
-    assemble load vectors from values at the points."""
+    Applied to a stack of coefficient rows (k, n_dofs), `values` and
+    `sym_grad` return C-contiguous stacks, one row-major block per row:
+    each block is the product of the matrix with that one row, bit for
+    bit, written in place, so a row of the stack is contiguous and no
+    transposing copy of the stack is made.  A stack of k = 0 rows gives
+    an empty stack of the same trailing shape.  The transposes assemble
+    load vectors from values at the points."""
 
     V: sp.csr_matrix
     G: sp.csr_matrix
@@ -881,20 +885,36 @@ class PointEvaluation:
         points, a gather per dof where the CSC view G.T scatters."""
         return self.G.T.tocsr()
 
+    @property
+    def n_points(self) -> int:
+        return self.V.shape[0] // 2
+
     def values(self, rows: np.ndarray) -> np.ndarray:
         """Velocity values at the points, shape (k, n_points, 2)."""
-        return (self.V @ rows.T).T.reshape(len(rows), -1, 2)
+        return _row_products(self.V, rows).reshape(len(rows), self.n_points, 2)
 
     def sym_grad(self, rows: np.ndarray) -> np.ndarray:
         """Symmetric gradients at the points, shape (k, n_points, 2, 2).
 
         The off-diagonal pair is symmetrized in the product itself, with
         the same rounding as 0.5 (grad + grad^T)."""
-        grad = (self.G @ rows.T).T.reshape(len(rows), -1, 2, 2)
+        grad = _row_products(self.G, rows).reshape(len(rows), self.n_points, 2, 2)
         grad[..., 0, 1] += grad[..., 1, 0]
         grad[..., 0, 1] *= 0.5
         grad[..., 1, 0] = grad[..., 0, 1]
         return grad
+
+
+def _row_products(A: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
+    """A @ row for every row of `rows`, stacked as the rows of one
+    C-contiguous (k, A.shape[0]) array: one sparse product per row.  A
+    single row, the one-field kernels' case, is its product, not copied."""
+    if len(rows) == 1:
+        return (A @ rows[0])[None]
+    out = np.empty((len(rows), A.shape[0]))
+    for row, dest in zip(rows, out):
+        dest[:] = A @ row
+    return out
 
 
 def _evaluation(

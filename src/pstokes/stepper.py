@@ -183,8 +183,9 @@ class Trajectory:
     identity (r = N); without a noise model r = 0.  `noise_loads`
     multiplies the two out.
 
-    stress_loads[n-1] is the stress column tau (S(eps u_n), eps xi) on
-    free dofs that the step's last residual formed; with the fields and
+    stress_loads is one (N, n_free) array, truncated after a failed
+    step; row n-1 is the stress column tau (S(eps u_n), eps xi) on free
+    dofs that the step's last residual formed; with the fields and
     the noise loads it determines the pressure increments
     (pstokes.pressure.reconstruct).  increment_access_log
     records every averaged-increment index read during the step that is
@@ -196,7 +197,7 @@ class Trajectory:
     fields: list[Field]
     noise_basis: np.ndarray
     noise_coeffs: np.ndarray
-    stress_loads: list[np.ndarray]
+    stress_loads: np.ndarray
     stats: list[StepStats]
     increment_access_log: list[tuple[int, int]]
     grid: TimeGrid
@@ -587,7 +588,7 @@ def run_trajectory(
     fields = [u0]
     noise_loads: list[np.ndarray] = []
     coeffs = np.zeros((N, model.n_modes if additive else 0))
-    stress_loads: list[np.ndarray] = []
+    stress_loads = np.empty((N, ops.n_free))
     stats_list: list[StepStats] = []
     access_log: list[tuple[int, int]] = []
     failed_at = None
@@ -611,7 +612,7 @@ def run_trajectory(
                 coeffs[n - 1] = c * increments.increment(n)
         elif model is not None:
             noise_loads.append(noise_free)
-        stress_loads.append(stress)
+        stress_loads[n - 1] = stress
         stats_list.append(stats)
         if not stats.converged:
             failed_at = n
@@ -626,7 +627,7 @@ def run_trajectory(
         fields=fields,
         noise_basis=basis,
         noise_coeffs=coeffs,
-        stress_loads=stress_loads,
+        stress_loads=stress_loads[:steps],
         stats=stats_list,
         increment_access_log=access_log,
         grid=config.grid,

@@ -94,8 +94,14 @@ def stress_S(A: np.ndarray, params: PowerLawParams) -> np.ndarray:
 
 
 def nonlinear_V(A: np.ndarray, params: PowerLawParams) -> np.ndarray:
-    """Natural-distance tensor V(A) = (kappa + |A|)^((p-2)/2) A."""
+    """Natural-distance tensor V(A) = (kappa + |A|)^((p-2)/2) A.
+
+    At p = 2 the scale is 1 for every kappa, as alpha is in
+    `jacobian_coefficients`: V(A) = A bit for bit, returned as a fresh
+    copy without forming |A|."""
     A = _check_finite(A, "A")
+    if params.p == 2.0:
+        return A.copy()
     scale = _radial_power(params.kappa + frobenius(A), 0.5 * (params.p - 2.0))
     return scale[..., None, None] * A
 

@@ -492,6 +492,40 @@ def test_time_tables_partition_windows_and_integrate_hats(ratio):
         assert w_full.sum() == pytest.approx(gc.tau, abs=1e-14)
 
 
+def test_hat_windows_are_built_once_per_pair_and_read_only():
+    gc, gf = TimeGrid(T=1.0, N=4), TimeGrid(T=1.0, N=14)
+    windows = hat_windows(gc, gf)
+    assert hat_windows(TimeGrid(T=1.0, N=4), TimeGrid(T=1.0, N=14)) is windows
+    fresh = hat_windows.__wrapped__(gc, gf)  # a build that bypasses the cache
+    assert fresh is not windows and all(isinstance(table, tuple) for table in windows)
+    arrays = []
+    for h, h_fresh in zip(windows.pieces, fresh.pieces, strict=True):
+        assert all(np.array_equal(x, y) for x, y in zip(h, h_fresh, strict=True))
+        arrays += h
+    for table, table_fresh in zip(windows[1:], fresh[1:], strict=True):
+        for (js, w), (js_fresh, w_fresh) in zip(table, table_fresh, strict=True):
+            assert js == js_fresh and np.array_equal(w, w_fresh)
+            arrays.append(w)
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = arr
+
+
+def test_windowed_sq_dists_of_identical_c_order_rows_is_exactly_zero(ops2):
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((8, ops2.space_v.n_dofs))
+    params = PowerLawParams(p=2.0)
+    Vf = dg._v_rows(ops2.qp_eval, rows, params, ops2)
+    V = dg._v_rows(ops2.qp_eval, rows[1:], params, ops2)
+    assert Vf.flags.c_contiguous and V.flags.c_contiguous
+    windows = [(slice(n, n + 2), np.array([0.25, 0.75])) for n in range(1, 7)]
+    windows.append((slice(7, 8), np.array([1.0])))
+    # row n of V is row n + 1 of Vf: the first cell of each window differs
+    assert dg._windowed_sq_dists(Vf, V, windows) > 0.0
+    same = [(slice(n + 1, n + 2), np.array([1.0])) for n in range(7)]
+    assert dg._windowed_sq_dists(Vf, V, same) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # error_stats
 

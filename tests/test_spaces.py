@@ -39,6 +39,7 @@ from pstokes.spaces import (
     stress_tangent_matrix,
     sym_grad_at_qp,
     velocity_at_qp,
+    velocity_load_vector,
 )
 from pstokes.tensors import PowerLawParams, frobenius
 
@@ -612,6 +613,39 @@ class TestLocator:
             assert np.abs(vals[k] - native).max() < EXACT_TOL * np.abs(native).max()
             native = sym_grad_at_qp(row, ops4).reshape(-1, 2, 2)
             assert np.abs(sg[k] - native).max() < EXACT_TOL * np.abs(native).max()
+
+    @pytest.mark.parametrize("own_points", [True, False])
+    def test_stacks_are_row_major_single_row_products(self, ops4, own_points):
+        # every row of a stack is the product of the operator with that
+        # one row, bit for bit, and the stack is C-contiguous; a strided
+        # stack of rows gives the same
+        rng = np.random.default_rng(16)
+        ev = ops4.qp_eval if own_points else point_evaluation(ops4, rng.random((50, 2)))
+        rows = rng.standard_normal((10, ops4.space_v.n_dofs))[::2]
+        vals, sg = ev.values(rows), ev.sym_grad(rows)
+        assert vals.flags.c_contiguous and sg.flags.c_contiguous
+        assert vals.shape == (5, ev.n_points, 2) and sg.shape == (5, ev.n_points, 2, 2)
+        for k, row in enumerate(rows):
+            assert np.array_equal(vals[k], (ev.V @ row).reshape(-1, 2))
+            grad = (ev.G @ row).reshape(-1, 2, 2)
+            assert np.array_equal(sg[k], 0.5 * (grad + grad.swapaxes(1, 2)))
+
+    def test_single_row_kernels_are_the_plain_products(self, ops4):
+        # the stepper's one-field path: one product, the same rounding
+        row = np.random.default_rng(18).standard_normal(ops4.space_v.n_dofs)
+        grad = (ops4.qp_eval.G @ row).reshape(ops4.qw.shape + (2, 2))
+        assert np.array_equal(sym_grad_at_qp(row, ops4), 0.5 * (grad + grad.swapaxes(-1, -2)))
+        assert np.array_equal(grad_at_qp(row, ops4), grad)
+        values = (ops4.qp_eval.V @ row).reshape(ops4.qp_x.shape)
+        assert np.array_equal(velocity_at_qp(row, ops4), values)
+
+    def test_empty_stacks_give_empty_results(self):
+        ops = assemble(alfeld_split(unit_square_mesh(2)))
+        ev, empty = ops.qp_eval, np.zeros((0, ops.space_v.n_dofs))
+        assert ev.values(empty).shape == (0, ev.n_points, 2)
+        assert ev.sym_grad(empty).shape == (0, ev.n_points, 2, 2)
+        loads = velocity_load_vector(np.zeros((0,) + ops.qp_x.shape), ops)
+        assert loads.shape == (ops.space_v.n_dofs, 0)
 
     def test_quadrature_operator_matches_element_tables(self, ops4):
         # qp_eval's values against the element formula: the P2 basis

@@ -113,7 +113,7 @@ class TestStepColumns:
         cfg = SchemeConfig(params, grid, model, NewtonConfig(max_iter=max_iter))
         inc = sample_increments(np.random.default_rng(3), grid, n_modes=2)
         traj = run_trajectory(u0h, inc, cfg, ops4)
-        assert traj.ok and len(traj.stress_loads) == grid.N
+        assert traj.ok and traj.stress_loads.shape == (grid.N, ops4.n_free)
         assert any(s.used_picard for s in traj.stats) == (max_iter == 1)
         for n, (column, stats) in enumerate(zip(traj.stress_loads, traj.stats), 1):
             u = traj.fields[n].coeffs
@@ -219,6 +219,8 @@ class TestVelocityStep:
                 run_trajectory(Field("velocity", 1e160 * u0), inc, cfg, ops)
             traj = run_trajectory(Field("velocity", 1e100 * u0), inc, cfg, ops)
         assert traj.failed_at == 1
+        # the stress record is one array, cut after the failed step
+        assert traj.stress_loads.shape == (1, ops.n_free)
 
     def test_residual_norm_does_not_overflow(self):
         # at p = 3 the residual at u0 scaled by 1e100 has finite entries

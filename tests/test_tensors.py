@@ -57,6 +57,21 @@ class TestClosedForms:
             np.testing.assert_array_equal(stress_S(A, params), A)
             np.testing.assert_array_equal(nonlinear_V(A, params), A)
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.1])
+    def test_p2_V_is_a_copy_of_A_bit_for_bit(self, kappa):
+        # a batch with a zero matrix, signed zeros and a tiny entry: the
+        # radial scale is 1 wherever it is formed, so V(A) = A exactly
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((5, 2, 2))
+        A[1] = 0.0
+        A[2] = [[-0.0, 1e-300], [1e-300, -0.0]]
+        before = A.copy()
+        V = nonlinear_V(A, PowerLawParams(p=2.0, kappa=kappa))
+        assert V.tobytes() == A.tobytes()
+        assert not np.shares_memory(V, A)
+        V[...] = 1.0  # writing to the result leaves the caller's array alone
+        assert A.tobytes() == before.tobytes()
+
     def test_p4_identity_matrix(self):
         params = PowerLawParams(p=4.0, kappa=0.0)
         eye = np.eye(2)
