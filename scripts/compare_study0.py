@@ -13,17 +13,13 @@ Run from the root of each checkout; one BLAS thread is used:
 
     python3 scripts/compare_study0.py study0.npz
     python3 scripts/compare_study0.py --compare before.npz after.npz
-    python3 scripts/compare_study0.py --compare before.npz after.npz --rtol 1e-12
 
 `--compare` lists every array that is missing from one file or differs,
 with its largest absolute difference, the largest entry of the first
 file's array and their ratio, and exits with status 1 if any does.  The
 absolute values tell rounding apart from a change: an energy defect of
 4e-18 or the pressure of a divergence-free field reads as a large
-relative difference when both sides are rounding.  With `--rtol R`
-(default 0, bit identity) an array of the same shape whose largest
-difference is at most R times the first file's largest entry is listed
-as "within R" and does not fail the exit status.
+relative difference when both sides are rounding.
 """
 
 from __future__ import annotations
@@ -111,14 +107,12 @@ def collect() -> dict:
     return out
 
 
-def compare(file_a: str, file_b: str, rtol: float = 0.0) -> int:
-    """Print the arrays that differ between two files; the count of those
-    that differ by more than `rtol` relative to the first file's largest
-    entry (all of them at rtol = 0)."""
+def compare(file_a: str, file_b: str) -> int:
+    """Print the arrays that differ between two files; their count."""
     import numpy as np
 
     with np.load(file_a) as a, np.load(file_b) as b:
-        differing = within = 0
+        differing = 0
         for key in sorted(set(a.files) | set(b.files)):
             if key not in a.files or key not in b.files:
                 print(f"{key}: only in {file_a if key in a.files else file_b}")
@@ -132,35 +126,22 @@ def compare(file_a: str, file_b: str, rtol: float = 0.0) -> int:
                 x, y = x.astype(float), y.astype(float)
                 diff, scale = np.abs(x - y).max(), np.abs(x).max()
                 rel = diff / scale if scale > 0 else np.inf
-                close = diff <= rtol * scale
                 print(
                     f"{key}: largest difference {diff:.3e} against largest entry {scale:.3e}"
-                    f" (relative {rel:.3e})" + (f" within {rtol:g}" if close else "")
+                    f" (relative {rel:.3e})"
                 )
                 differing += 1
-                within += close
-        summary = f"{differing} of {len(set(a.files) | set(b.files))} arrays differ"
-        print(summary + (f", {within} of them within {rtol:g}" if within else ""))
-    return differing - within
+        print(f"{differing} of {len(set(a.files) | set(b.files))} arrays differ")
+    return differing
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", nargs="?", help="the .npz file to write")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two files")
-    parser.add_argument(
-        "--rtol",
-        type=float,
-        default=0.0,
-        metavar="R",
-        help="with --compare, pass arrays that differ by at most R times"
-        " the first file's largest entry (default 0: bit identity)",
-    )
     args = parser.parse_args(argv)
-    if not 0.0 <= args.rtol < float("inf"):
-        parser.error(f"--rtol must be finite and >= 0, got {args.rtol}")
     if args.compare:
-        return 1 if compare(*args.compare, rtol=args.rtol) else 0
+        return 1 if compare(*args.compare) else 0
     if args.out is None:
         parser.error("give an output file or --compare A B")
     import numpy as np

@@ -345,9 +345,11 @@ def _v_rows(
     one flat row per coefficient row, weighted by the square roots of
     the quadrature weights: the rows whose Gram matrix is the L2 one.
     The stack is C-contiguous (k, 4 n_points), each row one contiguous
-    run in the point-major order of `ev.sym_grad`; at p = 2 it holds
-    eps u itself (`nonlinear_V` is the identity there)."""
-    V = _rows(nonlinear_V(ev.sym_grad(rows), params))
+    run in the point-major order of `ev.sym_grad`.  At p = 2, where
+    `nonlinear_V` is the identity, it is the fresh sym_grad stack itself,
+    scaled in place without the copy `nonlinear_V` would return."""
+    eps = ev.sym_grad(rows)
+    V = _rows(eps if params.p == 2.0 else nonlinear_V(eps, params))
     V *= np.sqrt(qp_weights(ops, 4))
     return V
 

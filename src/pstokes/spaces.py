@@ -42,8 +42,8 @@ one of the stream basis (`stream_element_basis`), in which the stepper
 assembles its reduced tangents C^T K C directly.
 A P2 field is evaluated one way only, by a `PointEvaluation`: sparse
 value and gradient matrices that evaluate a stack of fields into a
-C-contiguous stack, one product per field.  The quadrature kernels apply or transpose `qp_eval`;
-`point_evaluation` builds one at points the `locator` located (the
+C-contiguous stack, one product per field.  The quadrature kernels
+apply or transpose `qp_eval`; `point_evaluation` builds one at points the `locator` located (the
 cross-mesh transfer of `pstokes.diagnostics`).  One function,
 `_physical_gradients`, maps reference basis gradients to physical ones,
 for the evaluation operators and the element tables of the stress
@@ -907,10 +907,7 @@ class PointEvaluation:
 
 def _row_products(A: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
     """A @ row for every row of `rows`, stacked as the rows of one
-    C-contiguous (k, A.shape[0]) array: one sparse product per row.  A
-    single row, the one-field kernels' case, is its product, not copied."""
-    if len(rows) == 1:
-        return (A @ rows[0])[None]
+    C-contiguous (k, A.shape[0]) array: one sparse product per row."""
     out = np.empty((len(rows), A.shape[0]))
     for row, dest in zip(rows, out):
         dest[:] = A @ row

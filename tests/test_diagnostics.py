@@ -767,13 +767,13 @@ def test_ladder_matches_per_level_calls(coupled_pairs):
 def test_ladder_forms_reference_rows_once_per_sample(coupled_pairs, monkeypatch):
     refs, config_f, ops_f, pairs = coupled_pairs
     calls = []
-    original = dg.nonlinear_V
+    original = dg._v_rows
 
-    def counting(A, params):
-        calls.append(len(A))
-        return original(A, params)
+    def counting(ev, rows, params, ops):
+        calls.append(len(rows))
+        return original(ev, rows, params, ops)
 
-    monkeypatch.setattr(dg, "nonlinear_V", counting)
+    monkeypatch.setattr(dg, "_v_rows", counting)
     error_stats_ladder(list(pairs.values()), refs, config_f, ops_f)
     # per sample: the reference rows once, then two coarse stacks per level
     n_ref = config_f.grid.N + 1
