@@ -419,7 +419,8 @@ def error_stats_ladder(
     and runs on any mesh; otherwise the reference's square mesh must
     refine the level's (their Alfeld splits do not nest).  Every level's
     checks, point evaluations and hat tables are built before the first
-    sample.
+    sample, and so is the sample-free part of the data term, the noise
+    stack at the fine quadrature points (`_data_table`).
 
     A reference sample is formed once for all levels: its rows Uf; the
     level-free half of the data term, with (N_f+1) noise factor fields
@@ -436,9 +437,10 @@ def error_stats_ladder(
         raise ValueError("empty ladder: need at least one coarse level")
     ladder = [_Level(k, level, ref_trajs, config_ref, ops_ref) for k, level in enumerate(levels)]
     _check_ensemble(ref_trajs, config_ref.grid, ops_ref)
+    table = _data_table(ops_ref, config_ref.model)
     for i, ref in enumerate(ref_trajs):
         Uf = np.stack([f.coeffs for f in ref.fields])
-        data = _data_reference(Uf, ops_ref, config_ref.model)
+        data = _data_reference(Uf, table, ops_ref, config_ref.model)
         held = [level.value_terms(i, Uf, data) for level in ladder]
         del data  # the values at the fine points go before the V(eps u) rows come
         Vf = _v_rows(ops_ref.qp_eval, Uf, config_ref.params, ops_ref)
@@ -551,15 +553,24 @@ class _Level:
         )
 
 
-def _data_reference(Uf: np.ndarray, ops_f: AssembledOperators, model: NoiseModel | None):
-    """The level-free half of the data term at the fine quadrature points:
-    the weights w, the stack s = sqrt(sum_k g_k * g_k), F = s * r(u_ref)
-    per reference row and (F, F)_w; None without noise.  The rows Uf are
-    evaluated only for a factor r that reads them."""
+def _data_table(ops_f: AssembledOperators, model: NoiseModel | None):
+    """The sample-free part of the data term at the fine quadrature
+    points: the weights w and the stack s = sqrt(sum_k g_k * g_k); None
+    without noise."""
     if model is None:
         return None
     w = qp_weights(ops_f, 2).reshape(-1, 2)
-    s = np.sqrt(model.mode_square_sum(ops_f.qp_x.reshape(-1, 2)))
+    return w, np.sqrt(model.mode_square_sum(ops_f.qp_x.reshape(-1, 2)))
+
+
+def _data_reference(Uf: np.ndarray, table, ops_f: AssembledOperators, model: NoiseModel | None):
+    """The level-free half of the data term of one reference sample: the
+    (w, s) of `_data_table`, F = s * r(u_ref) per reference row and
+    (F, F)_w; None without noise.  The rows Uf are evaluated only for a
+    factor r that reads them."""
+    if table is None:
+        return None
+    w, s = table
     U = ops_f.qp_eval.values(Uf) if model.velocity_dependent else None
     F = np.broadcast_to(model.apply(s, U), (len(Uf),) + s.shape)
     return w, s, F, np.einsum("jqc,qc,jqc->j", F, w, F)

@@ -468,6 +468,31 @@ def assemble(mesh: TriMesh) -> AssembledOperators:
 # Smallest singular value of a macro-element's divergence block, relative
 # to its largest, below which SaddleSolver refuses the mesh.
 LOCAL_SV_RATIO = 1e-8
+# Two local problems whose keys agree after rounding at this resolution
+# are solved once.
+_KEY_RESOLUTION = 1e-12
+
+
+def _distinct_problems(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group a batch of n small local problems by everything their solve
+    reads, so that each distinct problem is solved once.
+
+    Each key has shape (n, ...), scaled by the caller so that rounding
+    its entries at 1e-12 absolute is rounding at 1e-12 relative.
+    Returns the representatives rep, the first member of each group in
+    increasing order, and the inverse index (n,), so that the solution
+    of problem i is that of problem rep[inverse[i]].  Where no two
+    problems agree, rep = arange(n) and every problem is its own.
+    """
+    n = len(keys[0])
+    flat = np.concatenate([k.reshape(n, int(np.prod(k.shape[1:]))) for k in keys], axis=1)
+    _, first, inverse = np.unique(
+        np.round(flat / _KEY_RESOLUTION), axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.ravel()]
 
 
 class SaddleSolver:
@@ -494,13 +519,16 @@ class SaddleSolver:
     macro-element, dofs 9K..9K+8 (Arnold & Qin 1992; Guzman & Neilan
     2018).  So
       1. per macro-element, the 9 x 8 pseudo-inverse of its block of B^T
-         gives q from the interior rows of r up to one constant;
+         gives q from the interior rows of r up to one constant; the
+         pseudo-inverses come from one SVD per distinct block, up to
+         scale (two on a uniform square mesh, one per macro-element on
+         a mesh whose macro-elements all differ);
       2. the constants solve the remaining rows of r in the least-squares
          sense: one factored normal-equation system, one unknown per
          macro-element but the last (`.constants_lu`);
       3. q is shifted to mean zero.
-    C drops entries at 1e-13 of its columns, so r lies in range(B^T) to
-    that level and step 2 is consistent to it.
+    C drops only rounding noise from its columns (`streamfunc.DROP`), so
+    r lies in range(B^T) to rounding and step 2 is consistent to it.
 
     Raises ValueError for a mesh without a parent map and for a
     macro-element whose local block has a smallest singular value below
@@ -575,23 +603,30 @@ def _macro_interior_dofs(ops: AssembledOperators) -> np.ndarray:
 
 def _local_pseudo_inverses(B_free: sp.csc_matrix, interior: np.ndarray) -> np.ndarray:
     """The pseudo-inverses (n_macro, 9, 8) of the blocks of B^T on each
-    macro-element's interior dofs and its 9 pressures, from one batched
-    SVD.  Raises ValueError naming the first macro-element whose block
-    has a smallest singular value below LOCAL_SV_RATIO of its largest."""
+    macro-element's interior dofs and its 9 pressures.  Blocks that agree
+    once divided by their largest entry are one problem
+    (`_distinct_problems`): one batched SVD of the distinct blocks, each
+    pseudo-inverse rescaled to its member's block.  Raises ValueError
+    naming the first macro-element whose block has a smallest singular
+    value below LOCAL_SV_RATIO of its largest."""
     n_macro = len(interior)
     block = B_free[:, interior.ravel()].tocoo()
     macro = block.col // 8
     BT = np.zeros((n_macro, 8, 9))
     BT[macro, block.col % 8, block.row - 9 * macro] = block.data
-    U, s, Vh = np.linalg.svd(BT, full_matrices=False)
+    scale = np.abs(BT).max(axis=(1, 2))
+    rep, inverse = _distinct_problems(BT / scale[:, None, None])
+    U, s, Vh = np.linalg.svd(BT[rep], full_matrices=False)
     bad = np.flatnonzero(s[:, -1] < LOCAL_SV_RATIO * s[:, 0])
     if bad.size:
         K = bad[0]
         raise ValueError(
-            f"macro-element {K}: the divergence of its interior velocities is "
+            f"macro-element {rep[K]}: the divergence of its interior velocities is "
             f"singular (singular values {s[K, -1]:.2e} / {s[K, 0]:.2e})"
         )
-    return Vh.transpose(0, 2, 1) @ (U.transpose(0, 2, 1) / s[:, :, None])
+    pinv = Vh.transpose(0, 2, 1) @ (U.transpose(0, 2, 1) / s[:, :, None])
+    # pinv(c B) = pinv(B) / c
+    return pinv[inverse] * (scale[rep][inverse] / scale)[:, None, None]
 
 
 def _full_velocity(ops: AssembledOperators, free_values: np.ndarray) -> np.ndarray:

@@ -26,10 +26,13 @@ is about a seventh of the bordered saddle system's (1,411 against 10,625
 unknowns at m = 16, where the L+U factors of C^T M C hold 120,318 non-zeros
 and those of the bordered system 2.25M).  The Gram matrix C^T M C is
 formed once per mesh (`AssembledOperators.stream_mass`).  The 19-node
-interpolation problems of all macro-elements are stacked and solved in
-one batch: one batched inverse for the subtriangle cubics, one batched
-pseudo-inverse for the C^1 and dof conditions, one batched evaluation
-at the P2 nodes.
+interpolation problem of a macro-element reads only its shape, scale and
+edge normals, so it is solved once per distinct macro-element (two on a
+uniform square mesh at every order, one per macro-element on a mesh
+whose macro-elements all differ), and the distinct problems are stacked
+in one batch: one batched inverse for the subtriangle cubics, one
+batched pseudo-inverse for the C^1 and dof conditions, one batched
+evaluation at the P2 nodes.
 This module only builds: `build_curl_basis` returns C and
 `build_element_basis` reads each macro-element's block of C into the
 element tables the stepper assembles C^T K C from.  The operator bundle
@@ -56,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from pstokes.spaces import AssembledOperators, ElementBasis, element_basis
+from pstokes.spaces import AssembledOperators, ElementBasis, _distinct_problems, element_basis
 
 __all__ = ["stream_curl_basis", "build_curl_basis", "build_element_basis"]
 
@@ -86,9 +89,10 @@ _LOCAL = np.array(
     ]
 )
 # Relative size, within its column of the unit-norm basis, below which
-# an entry of C is rounding noise; any value from 1e-13 to 1e-10 drops
-# the same entries.
-DROP = 1e-13
+# an entry of C is rounding noise.  On the square meshes the noise stays
+# below 1.1e-13 of its column's largest entry and the smallest genuine
+# entry is 6.9e-3 of it at every order, so the drop sits deep in the gap.
+DROP = 1e-10
 # Where the normal jump across each spoke is sampled, as fractions of the
 # spoke from its corner towards the centroid.
 _SPOKE_POINTS = np.array([0.25, 0.5, 0.75])
@@ -184,21 +188,20 @@ def _global_columns(cs: _Coarse) -> np.ndarray:
 
 
 def _macro_elements(
-    P: np.ndarray, Z: np.ndarray, normals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
+    P: np.ndarray, Z: np.ndarray, h: np.ndarray, normals: np.ndarray
+) -> tuple[np.ndarray, float]:
     """Solve the interpolation problems of n macro-elements at once.
 
-    P: (n, 3, 2) coarse vertex coords, Z: (n, 2) centroids, normals:
-    (n, 3, 2) global unit normals of the outer edges (P_k, P_{k+1}).
-    Returns the monomial coefficients (n, 3, 10, 12) of the stream
-    function on each subtriangle for each of the 12 local dofs (in
-    coordinates (x - Z) / h), the scales h (n,), and the largest
-    residual of the consistent over-determined systems.
+    P: (n, 3, 2) coarse vertex coords, Z: (n, 2) centroids, h: (n,)
+    scales, normals: (n, 3, 2) global unit normals of the outer edges
+    (P_k, P_{k+1}).  Returns the monomial coefficients (n, 3, 10, 12) of
+    the stream function on each subtriangle for each of the 12 local
+    dofs (in coordinates (x - Z) / h) and the largest residual of the
+    consistent over-determined systems.
     """
     n = len(P)
     P1 = np.roll(P, -1, axis=1)  # P_{k+1}
     Zc = Z[:, None, :]
-    h = np.linalg.norm(P - np.roll(P, 1, axis=1), axis=2).max(axis=1)
     nodes = np.empty((n, 19, 2))
     nodes[:, 0:3] = P
     nodes[:, 3] = Z
@@ -253,7 +256,7 @@ def _macro_elements(
     psi = np.linalg.pinv(stacked)[:, :, 9:]
     target = np.vstack([np.zeros((9, 12)), np.eye(12)])
     resid = float(np.abs(stacked @ psi - target).max(initial=0.0))
-    return Vinv @ psi[:, _LOCAL], h, resid
+    return Vinv @ psi[:, _LOCAL], resid
 
 
 def stream_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
@@ -269,8 +272,17 @@ def build_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     vanishes at the nodes of its macro-elements' outer edges on which
     the dof's function and gradient vanish, and what is computed there
     is rounding noise (1e-15 relative), which would otherwise double
-    the fill of the reduced factorizations.  Construction is
-    geometry-only; the operator bundle keeps the result as
+    the fill of the reduced factorizations.
+
+    Each distinct macro-element is solved once (`_distinct_problems`):
+    its interpolation problem and its values at the P2 nodes read only
+    (P - Z)/h, h, the outer normals and the offsets (x - Z)/h of its P2
+    nodes, so macro-elements that agree in these at 1e-12 (h in log
+    scale, so relatively) share one solve and one evaluation.
+    `unit_square_mesh(m)` has two distinct macro-elements (m = 1..8, 16
+    and 32 checked); on a mesh whose macro-elements all differ each is
+    its own, and C is the per-element build bit for bit.  Construction
+    is geometry-only; the operator bundle keeps the result as
     `ops.stream_basis`.
     """
     cs = _coarse_structure(ops)
@@ -284,19 +296,28 @@ def build_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     ends = verts[cs.coarse_edges[cs.tri_edges[active]]]  # (n, 3, a<b, 2)
     t = ends[:, :, 1] - ends[:, :, 0]
     normals = np.stack([t[..., 1], -t[..., 0]], axis=-1) / np.linalg.norm(t, axis=-1)[..., None]
+    P = verts[cs.coarse_tris[active]]
     Z = verts[cs.n_coarse_verts + active]
-    coeffs, h, resid = _macro_elements(verts[cs.coarse_tris[active]], Z, normals)
+    h = np.linalg.norm(P - np.roll(P, 1, axis=1), axis=2).max(axis=1)
+    # the six P2 nodes of each subtriangle, (n, 3 subtris, 6 nodes), and
+    # their offsets from the centroid in units of h
+    snodes = sv.scalar_l2g.reshape(-1, 3, 6)[active]
+    offsets = (sv.node_coords[snodes] - Z[:, None, None]) / h[:, None, None, None]
+    rep, inverse = _distinct_problems(
+        (P - Z[:, None]) / h[:, None, None], np.log(h), normals, offsets
+    )
+    coeffs, resid = _macro_elements(P[rep], Z[rep], h[rep], normals[rep])
     if resid > 1e-8:
         raise ArithmeticError(
             f"macro-element interpolation inconsistent (residual {resid:.2e})"
         )
 
-    # velocity u = (d_y psi, -d_x psi) at the six P2 nodes of each
-    # subtriangle: (n, 3 subtris, 2 components, 6 nodes, 12 local dofs)
-    snodes = sv.scalar_l2g.reshape(-1, 3, 6)[active]
-    hb = h[:, None, None, None]
-    gx, gy = _monomial_gradients((sv.node_coords[snodes] - Z[:, None, None]) / hb)
-    vals = np.stack([(gy / hb) @ coeffs, -(gx / hb) @ coeffs], axis=2)
+    # velocity u = (d_y psi, -d_x psi) at the P2 nodes, per distinct
+    # macro-element, then for each: (n, 3 subtris, 2 components, 6 nodes,
+    # 12 local dofs)
+    gx, gy = _monomial_gradients(offsets[rep])
+    hb = h[rep, None, None, None]
+    vals = np.stack([(gy / hb) @ coeffs, -(gx / hb) @ coeffs], axis=2)[inverse]
     rows = 2 * snodes[:, :, None, :, None] + np.arange(2)[:, None, None]
     cols = gcols[:, None, None, None, :]
     keep = np.broadcast_to(cols >= 0, vals.shape)

@@ -60,9 +60,23 @@ class PowerLawParams:
 
 
 def frobenius(A: np.ndarray) -> np.ndarray:
-    """Frobenius norm over the trailing two axes."""
+    """Frobenius norm over the trailing two axes.
+
+    The sum of squares underflows where every entry is below about
+    1e-154; only there is the norm recomputed from A scaled by its
+    largest |entry| (by the smallest normal number where that is
+    smaller, so that A = 0 keeps the norm 0)."""
     A = np.asarray(A, dtype=float)
-    return np.sqrt(np.einsum("...ij,...ij->...", A, A))
+    sq = np.einsum("...ij,...ij->...", A, A)
+    tiny = np.finfo(float).tiny
+    small = sq < tiny
+    if not small.any():
+        return np.sqrt(sq)
+    norm = np.array(np.sqrt(sq))
+    scale = np.maximum(np.abs(A[small]).max(axis=(-2, -1)), tiny)
+    unit = A[small] / scale[:, None, None]
+    norm[small] = scale * np.sqrt(np.einsum("...ij,...ij->...", unit, unit))
+    return norm
 
 
 def _check_finite(A: np.ndarray, name: str) -> np.ndarray:

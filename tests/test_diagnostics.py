@@ -781,6 +781,23 @@ def test_ladder_forms_reference_rows_once_per_sample(coupled_pairs, monkeypatch)
     assert len(calls) == len(refs) * (1 + 2 * len(pairs))
 
 
+def test_ladder_forms_the_noise_stack_once_per_call(ops2, noisy_run, monkeypatch):
+    # the noise modes are evaluated at the fine points once, not once per
+    # reference sample
+    trajs, config = noisy_run
+    calls = []
+    original = NoiseModel.mode_square_sum
+
+    def counting(self, points):
+        calls.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(NoiseModel, "mode_square_sum", counting)
+    stats = error_stats(trajs, trajs, config, config, ops2, ops2, with_CV=False)
+    assert len(trajs) == 3 and calls == [ops2.qp_x.size // 2]
+    assert stats.C_G > 0.0 and stats.natural_err == 0.0
+
+
 def test_ladder_validation_names_the_level(coupled_pairs):
     refs, config_f, ops_f, pairs = coupled_pairs
     good = pairs[2, 3]

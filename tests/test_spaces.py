@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import pstokes.spaces as spaces
 from pstokes.meshing import TriMesh, alfeld_split, unit_square_mesh
 from pstokes.spaces import (
     QUAD_POINTS,
@@ -20,6 +21,7 @@ from pstokes.spaces import (
     Field,
     SaddleSolver,
     StructuredLocator,
+    _local_pseudo_inverses,
     _macro_interior_dofs,
     _p1_values,
     _p2_gradients,
@@ -380,6 +382,27 @@ class TestSaddleSolver:
         ops = dataclasses.replace(ops, B_free=(ops.B_free @ sp.diags(keep)).tocsc())
         with pytest.raises(ValueError, match="macro-element 5"):
             SaddleSolver(ops)
+
+    def test_singular_group_names_its_first_macro_element(self):
+        # at m = 2 the even and the odd macro-elements are congruent;
+        # macro-elements 3 and 5 (vertices 9 + 3 and 9 + 5) lose the same
+        # column and form one group of their own, third in the batch
+        ops = assemble(alfeld_split(unit_square_mesh(2)))
+        keep = np.ones(ops.n_free)
+        keep[np.cumsum(ops.free)[[2 * 12, 2 * 14]] - 1] = 0.0
+        ops = dataclasses.replace(ops, B_free=(ops.B_free @ sp.diags(keep)).tocsc())
+        with pytest.raises(ValueError, match="^macro-element 3:"):
+            SaddleSolver(ops)
+
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_grouped_pseudo_inverses_match_per_element(self, m, monkeypatch):
+        ops = assemble(alfeld_split(unit_square_mesh(m)))
+        interior = _macro_interior_dofs(ops)
+        grouped = _local_pseudo_inverses(ops.B_free, interior)
+        n = len(interior)
+        monkeypatch.setattr(spaces, "_distinct_problems", lambda key: (np.arange(n), np.arange(n)))
+        alone = _local_pseudo_inverses(ops.B_free, interior)
+        assert np.abs(grouped - alone).max() <= 1e-13 * np.abs(alone).max()
 
     def test_non_finite_input_raises(self, ops4):
         v = Field("velocity", np.zeros(ops4.space_v.n_dofs))

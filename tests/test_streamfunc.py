@@ -15,12 +15,15 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from pstokes.grids import TimeGrid
-from pstokes.meshing import alfeld_split, unit_square_mesh
+import pstokes.spaces as spaces
+import pstokes.streamfunc as streamfunc
+from pstokes.meshing import TriMesh, alfeld_split, unit_square_mesh
 from pstokes.noise import NoiseModel, sample_increments
 from pstokes.pressure import reconstruct, verify_reconstruction
 from pstokes.scenarios import curl_modes, u0_smooth
 from pstokes.spaces import (
     Field,
+    SaddleSolver,
     assemble,
     divergence_pointwise_max,
     stress_residual_vector,
@@ -32,7 +35,7 @@ from pstokes.stepper import (
     initial_velocity,
     run_trajectory,
 )
-from pstokes.streamfunc import DROP, stream_curl_basis
+from pstokes.streamfunc import DROP, build_curl_basis, stream_curl_basis
 from pstokes.tensors import PowerLawParams
 
 
@@ -155,6 +158,108 @@ class TestBasisConstruction:
         assert (np.abs(C.data) >= DROP * col_max[col]).all()
         norms_sq = np.asarray(C.multiply(C).sum(axis=0)).ravel()
         assert np.allclose(norms_sq, 1.0, atol=1e-12)
+
+    def test_drop_sits_in_the_gap_at_m32(self, monkeypatch):
+        """Built without a drop, every entry of C at m = 32 is either
+        rounding noise below 1e-12 of its column's largest or a genuine
+        entry above 1e-3 of it (the smallest is 6.9e-3); DROP drops
+        exactly the noise."""
+        ops = assemble(alfeld_split(unit_square_mesh(32)))
+        C = build_curl_basis(ops)
+        monkeypatch.setattr(streamfunc, "DROP", 0.0)
+        raw = build_curl_basis(ops)
+        col = np.repeat(np.arange(raw.shape[1]), np.diff(raw.indptr))
+        rel = np.abs(raw.data) / np.maximum.reduceat(np.abs(raw.data), raw.indptr[:-1])[col]
+        genuine = rel > 1e-3
+        assert (genuine | (rel < 1e-12)).all()
+        assert rel[genuine].min() == pytest.approx(6.9e-3, rel=1e-2)
+        assert 1e-12 < DROP < 1e-3
+        assert C.nnz == genuine.sum() == 199906
+
+
+def each_its_own(*keys):
+    """The grouping of `spaces._distinct_problems` with every local
+    problem its own: the per-element build."""
+    n = len(keys[0])
+    return np.arange(n), np.arange(n)
+
+
+def per_element(monkeypatch):
+    """Patch both callers of the grouping to solve every element alone."""
+    monkeypatch.setattr(streamfunc, "_distinct_problems", each_its_own)
+    monkeypatch.setattr(spaces, "_distinct_problems", each_its_own)
+
+
+class TestDistinctMacroElements:
+    """Each distinct macro-element is solved once; a mesh whose
+    macro-elements all differ is built exactly as element by element."""
+
+    @pytest.mark.parametrize("m", [2, 3, 6, 16])
+    def test_square_mesh_batches_two_solves_and_two_svds(self, m, monkeypatch):
+        solves, svds = [], []
+        macro_elements, svd = streamfunc._macro_elements, np.linalg.svd
+
+        def counting_solves(P, Z, h, normals):
+            solves.append(len(P))
+            return macro_elements(P, Z, h, normals)
+
+        def counting_svds(a, *args, **kwargs):
+            svds.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(streamfunc, "_macro_elements", counting_solves)
+        monkeypatch.setattr(np.linalg, "svd", counting_svds)
+        SaddleSolver(assemble(alfeld_split(unit_square_mesh(m))))
+        assert solves == [2] and svds == [2]
+
+    @pytest.mark.parametrize("m", [3, 6, 8, 16])
+    def test_matches_per_element_build(self, m, monkeypatch):
+        ops = assemble(alfeld_split(unit_square_mesh(m)))
+        C = build_curl_basis(ops)
+        with monkeypatch.context() as patch:
+            per_element(patch)
+            ref = build_curl_basis(ops)
+        assert np.array_equal(C.indptr, ref.indptr)
+        assert np.array_equal(C.indices, ref.indices)
+        col = np.repeat(np.arange(C.shape[1]), np.diff(C.indptr))
+        col_max = np.maximum.reduceat(np.abs(ref.data), ref.indptr[:-1])[col]
+        assert (np.abs(C.data - ref.data) <= 1e-13 * col_max).all()
+
+    def test_unstructured_mesh_is_built_element_by_element(self, jiggled_mesh, monkeypatch):
+        """Every macro-element of the jiggled mesh is its own group, so the
+        basis and the saddle solutions are those of the per-element build,
+        bit for bit."""
+        groups = []
+        grouping = spaces._distinct_problems
+
+        def recording(*keys):
+            rep, inverse = grouping(*keys)
+            groups.append((len(inverse), len(rep)))
+            return rep, inverse
+
+        results = []
+        for alone in (False, True):
+            with monkeypatch.context() as patch:
+                if alone:
+                    per_element(patch)
+                else:
+                    patch.setattr(streamfunc, "_distinct_problems", recording)
+                    patch.setattr(spaces, "_distinct_problems", recording)
+                ops = assemble(alfeld_split(jiggled_mesh))
+                rhs = np.random.default_rng(4).standard_normal((ops.n_free, 3))
+                C = ops.stream_basis
+                results.append((C.data, C.indices, C.indptr, *SaddleSolver(ops).solve(rhs)))
+        assert len(groups) == 2 and all(n == n_rep for n, n_rep in groups)
+        for grouped, alone in zip(*results):
+            assert np.array_equal(grouped, alone)
+
+    def test_one_macro_element_has_an_empty_basis(self):
+        # every stream dof of a lone macro-element is clamped: no
+        # macro-element is solved, and the basis has no column
+        base = TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+        ops = assemble(alfeld_split(base))
+        C = build_curl_basis(ops)
+        assert C.shape == (ops.n_free, 0) and C.nnz == 0
 
 
 class TestStreamTangent:

@@ -172,6 +172,28 @@ class TestJacobian:
             assert (alpha, beta) == (alpha_0, 0.0)
 
 
+    def test_tiny_matrix_keeps_its_radius(self):
+        # the squares of A = 1e-170 I underflow to 0, yet |A|, S(A), V(A)
+        # and the Jacobian coefficients are representable; at p = 1.5 the
+        # coefficient beta = -0.5 |A|^-2.5 (about -4e424) is not, so the
+        # coefficients are checked where both fit
+        A = 1e-170 * np.eye(2)
+        r = np.sqrt(2.0) * 1e-170
+        assert frobenius(A) == pytest.approx(r, rel=1e-15)
+        np.testing.assert_array_equal(frobenius(np.zeros((3, 2, 2))), 0.0)
+        batch = np.stack([A, np.eye(2), np.zeros((2, 2))])
+        np.testing.assert_allclose(frobenius(batch), [r, np.sqrt(2.0), 0.0], rtol=1e-15)
+        params = PowerLawParams(p=1.5, kappa=0.0)
+        np.testing.assert_allclose(stress_S(A, params), r**-0.5 * A, rtol=1e-14)
+        np.testing.assert_allclose(nonlinear_V(A, params), r**-0.25 * A, rtol=1e-14)
+        assert stress_S(A, params)[0, 0] == pytest.approx(8.4e-86, rel=1e-2)
+        assert nonlinear_V(A, params)[0, 0] == pytest.approx(2.9e-128, rel=1e-2)
+        for p in (2.5, 3.0):
+            alpha, beta = jacobian_coefficients(A, PowerLawParams(p=p, kappa=0.0))
+            assert alpha == pytest.approx(r ** (p - 2.0), rel=1e-14)
+            assert beta == pytest.approx((p - 2.0) * r ** (p - 4.0), rel=1e-14)
+
+
 class TestIsotropy:
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(21)
