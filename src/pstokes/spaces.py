@@ -521,7 +521,7 @@ class SaddleSolver:
       1. per macro-element, the 9 x 8 pseudo-inverse of its block of B^T
          gives q from the interior rows of r up to one constant; the
          pseudo-inverses come from one SVD per distinct block, up to
-         scale (two on a uniform square mesh, one per macro-element on
+         scale (two on `unit_square_mesh(m)`, one per macro-element on
          a mesh whose macro-elements all differ);
       2. the constants solve the remaining rows of r in the least-squares
          sense: one factored normal-equation system, one unknown per

@@ -27,9 +27,9 @@ unknowns at m = 16, where the L+U factors of C^T M C hold 120,318 non-zeros
 and those of the bordered system 2.25M).  The Gram matrix C^T M C is
 formed once per mesh (`AssembledOperators.stream_mass`).  The 19-node
 interpolation problem of a macro-element reads only its shape, scale and
-edge normals, so it is solved once per distinct macro-element (two on a
-uniform square mesh at every order, one per macro-element on a mesh
-whose macro-elements all differ), and the distinct problems are stacked
+edge normals, so it is solved once per distinct macro-element (two on
+`unit_square_mesh(m)`, one per macro-element on a mesh whose
+macro-elements all differ), and the distinct problems are stacked
 in one batch: one batched inverse for the subtriangle cubics, one
 batched pseudo-inverse for the C^1 and dof conditions, one batched
 evaluation at the P2 nodes.

@@ -374,25 +374,17 @@ class TestSaddleSolver:
         assert np.array_equal(_macro_interior_dofs(ops), scan)
 
     def test_refuses_a_singular_local_block(self):
-        # the barycentre of macro-element 5 (vertex 9 + 5 at m = 2) loses
-        # its x-divergence column
+        # the barycentre of macro-element K (vertex 9 + K at m = 2) loses
+        # its x-divergence column; the even and the odd macro-elements are
+        # congruent, so 3 and 5 then form one group, third in the batch,
+        # reported by its first macro-element
         ops = assemble(alfeld_split(unit_square_mesh(2)))
-        keep = np.ones(ops.n_free)
-        keep[np.cumsum(ops.free)[2 * 14] - 1] = 0.0
-        ops = dataclasses.replace(ops, B_free=(ops.B_free @ sp.diags(keep)).tocsc())
-        with pytest.raises(ValueError, match="macro-element 5"):
-            SaddleSolver(ops)
-
-    def test_singular_group_names_its_first_macro_element(self):
-        # at m = 2 the even and the odd macro-elements are congruent;
-        # macro-elements 3 and 5 (vertices 9 + 3 and 9 + 5) lose the same
-        # column and form one group of their own, third in the batch
-        ops = assemble(alfeld_split(unit_square_mesh(2)))
-        keep = np.ones(ops.n_free)
-        keep[np.cumsum(ops.free)[[2 * 12, 2 * 14]] - 1] = 0.0
-        ops = dataclasses.replace(ops, B_free=(ops.B_free @ sp.diags(keep)).tocsc())
-        with pytest.raises(ValueError, match="^macro-element 3:"):
-            SaddleSolver(ops)
+        for singular, named in (((5,), 5), ((3, 5), 3)):
+            keep = np.ones(ops.n_free)
+            keep[np.cumsum(ops.free)[2 * (9 + np.array(singular))] - 1] = 0.0
+            broken = dataclasses.replace(ops, B_free=(ops.B_free @ sp.diags(keep)).tocsc())
+            with pytest.raises(ValueError, match=f"^macro-element {named}:"):
+                SaddleSolver(broken)
 
     @pytest.mark.parametrize("m", [3, 8])
     def test_grouped_pseudo_inverses_match_per_element(self, m, monkeypatch):

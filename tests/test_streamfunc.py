@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from pstokes.grids import TimeGrid
 import pstokes.spaces as spaces
 import pstokes.streamfunc as streamfunc
+from pstokes.grids import TimeGrid
 from pstokes.meshing import TriMesh, alfeld_split, unit_square_mesh
 from pstokes.noise import NoiseModel, sample_increments
 from pstokes.pressure import reconstruct, verify_reconstruction
@@ -88,9 +88,15 @@ def run(ops, setup, p, kappa):
 
 
 class TestBasisConstruction:
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
     def test_dimension_formula(self, m):
-        ops = assemble(alfeld_split(unit_square_mesh(m)))
+        # m = 0 stands for a lone macro-element: every stream dof is
+        # clamped, no macro-element is solved and C has no column
+        if m == 0:
+            base = TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+        else:
+            base = unit_square_mesh(m)
+        ops = assemble(alfeld_split(base))
         C = stream_curl_basis(ops)
         expected = ops.n_free - (ops.n_pressure - 1)
         assert C.shape == (ops.n_free, expected)
@@ -252,14 +258,6 @@ class TestDistinctMacroElements:
         assert len(groups) == 2 and all(n == n_rep for n, n_rep in groups)
         for grouped, alone in zip(*results):
             assert np.array_equal(grouped, alone)
-
-    def test_one_macro_element_has_an_empty_basis(self):
-        # every stream dof of a lone macro-element is clamped: no
-        # macro-element is solved, and the basis has no column
-        base = TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
-        ops = assemble(alfeld_split(base))
-        C = build_curl_basis(ops)
-        assert C.shape == (ops.n_free, 0) and C.nnz == 0
 
 
 class TestStreamTangent:

@@ -171,7 +171,6 @@ class TestJacobian:
             alpha, beta = jacobian_coefficients(zero, PowerLawParams(p=p, kappa=kappa))
             assert (alpha, beta) == (alpha_0, 0.0)
 
-
     def test_tiny_matrix_keeps_its_radius(self):
         # the squares of A = 1e-170 I underflow to 0, yet |A|, S(A), V(A)
         # and the Jacobian coefficients are representable; at p = 1.5 the
