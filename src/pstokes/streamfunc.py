@@ -89,9 +89,10 @@ _LOCAL = np.array(
     ]
 )
 # Relative size, within its column of the unit-norm basis, below which
-# an entry of C is rounding noise.  On the square meshes the noise stays
-# below 1.1e-13 of its column's largest entry and the smallest genuine
-# entry is 6.9e-3 of it at every order, so the drop sits deep in the gap.
+# an entry of C is rounding noise.  On `unit_square_mesh(m)` (m = 2, 3,
+# 16 and 32 checked) the noise stays below 1.1e-13 of its column's
+# largest entry and the smallest genuine entry is 6.9e-3 of it, so the
+# drop sits deep in the gap.
 DROP = 1e-10
 # Where the normal jump across each spoke is sampled, as fractions of the
 # spoke from its corner towards the centroid.
