@@ -34,12 +34,16 @@ stream basis by the build functions of `pstokes.streamfunc`);
 the bundle.
 The stress tangent is assembled element by element in a basis local to
 elements, an `ElementBasis` built once by `element_basis`: the symmetric
-gradients of its functions at the quadrature points and the position of
-every element entry in the tangent's fixed sparsity pattern, into which
-one `np.bincount` adds them.  The free velocity dofs are the identity
+gradients of its functions at the quadrature points, one table per
+group of blocks that agree up to the scale of each column, and the
+position of every element entry in the tangent's fixed sparsity
+pattern, into which one `np.bincount` adds them.  The same tables give
+the stress form of a field given by its coefficients in the basis
+(`element_stress_vector`).  The free velocity dofs are the identity
 element basis (`free_element_basis`); `pstokes.streamfunc` builds the
 one of the stream basis (`stream_element_basis`), in which the stepper
-assembles its reduced tangents C^T K C directly.
+evaluates its Newton residuals and assembles its reduced tangents
+C^T K C directly.
 A P2 field is evaluated one way only, by a `PointEvaluation`: sparse
 value and gradient matrices that evaluate a stack of fields into a
 C-contiguous stack, one product per field.  The quadrature kernels
@@ -72,7 +76,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from pstokes.meshing import TriMesh
-from pstokes.tensors import PowerLawParams, jacobian_coefficients, stress_S
+from pstokes.tensors import PowerLawParams, jacobian_coefficients, stress_S, unit_direction
 
 __all__ = [
     "QUAD_POINTS",
@@ -97,6 +101,7 @@ __all__ = [
     "sym_grad_at_qp",
     "stress_residual_vector",
     "stress_tangent_matrix",
+    "element_stress_vector",
     "ElementBasis",
     "element_basis",
     "StructuredLocator",
@@ -257,9 +262,10 @@ class AssembledOperators:
     for the life of the bundle: the factorizations `mass_free_lu` and
     `grad_stiffness_lu`; the tables `grad_stiffness`,
     `sym_grad_stiffness` and `free_element_basis`; the point `locator`
-    of structured meshes; and the four `stream_*` tables of the stream
-    basis.  `projection_saddle()` alone is a method, over the private
-    slot `_projection_saddle`, because benchmarks time it as one.
+    of structured meshes; and the five `stream_*` tables of the stream
+    basis, the factor of C^T M C (`stream_mass_lu`) among them.
+    `projection_saddle()` alone is a method, over the private slot
+    `_projection_saddle`, because benchmarks time it as one.
 
     `sym_grad_stiffness` is the stress form (eps u, eps xi) of p = 2,
     where S(A) = A for every kappa: there the stepper's stress column
@@ -366,8 +372,16 @@ class AssembledOperators:
         return (self.stream_basis_T @ (self.M_free @ self.stream_basis)).tocsc()
 
     @cached_property
+    def stream_mass_lu(self) -> spla.SuperLU:
+        """The factor of C^T M C: the projections' velocity solves
+        (`SaddleSolver.lu`) and the start of each nonlinear step in the
+        basis read it."""
+        return spla.splu(self.stream_mass, **SPD_SPLU)
+
+    @cached_property
     def stream_element_basis(self) -> ElementBasis:
-        """The element tables of the stress tangent in the stream basis."""
+        """The grouped element tables of the Newton residual and the
+        stress tangent in the stream basis."""
         from pstokes.streamfunc import build_element_basis
 
         return build_element_basis(self)
@@ -509,7 +523,8 @@ class SaddleSolver:
     Velocity: the stream basis C of `pstokes.streamfunc` spans the
     divergence-free subspace exactly, so w = C (C^T M C)^{-1} C^T rhs_v
     with C^T M C, the Gram matrix the stepper factors too
-    (`AssembledOperators.stream_mass`), factored once (`.lu`).  `velocity`
+    (`AssembledOperators.stream_mass`), factored once on the bundle
+    (`.lu`, `AssembledOperators.stream_mass_lu`).  `velocity`
     returns w alone, for the projections that never read q.
 
     Pressure: q solves B^T q = M w - rhs_v =: r.  The 8 velocity dofs
@@ -557,7 +572,7 @@ class SaddleSolver:
         self._M = ops.M_free
         self._C = ops.stream_basis
         self._CT = ops.stream_basis_T
-        self.lu = spla.splu(ops.stream_mass, **SPD_SPLU)
+        self.lu = ops.stream_mass_lu
         self.cvec = ops.cvec
 
     def velocity(self, rhs_v: np.ndarray) -> np.ndarray:
@@ -744,20 +759,59 @@ def stress_residual_vector(
 
 @dataclass(frozen=True)
 class ElementBasis:
-    """The stress tangent's tables in a basis of k functions per block of
-    elements, a block being g consecutive elements (g = 1 on the free
-    dofs; g = 3, the children of one macro-element, in the stream basis):
+    """The element tables of a basis of k functions per block of g
+    consecutive elements (g = 1 on the free dofs; g = 3, the children of
+    one macro-element, in the stream basis), one table per group of
+    blocks that agree up to the scale of each column:
 
-        E    (n_blocks, g nq, 4, k): eps of each basis function at each
-             quadrature point of the block, flattened to 4 entries;
+        tables (n_groups, g nq, 4, k): eps of the k functions of the
+               group's first block at each quadrature point of the
+               block, flattened to 4 entries;
+        starts (n_groups + 1,): the blocks are stored sorted by group,
+               group i in blocks starts[i]:starts[i + 1], the groups of
+               several blocks first and the lone blocks last;
+        points (n, g nq): the quadrature point (index into qw.ravel())
+               of each row of a stored block's table;
+        cols   (n, k): the function of each block column, n_functions
+               (one past the last) for an absent one;
+        scale  (n, k): each block column against its group's table, 0
+               for an absent one: block b of group i has the table
+               tables[i] * scale[b];
         pattern: the tangent's fixed CSC pattern (zero data);
-        pos  (n_blocks k k,): the data index in `pattern` of each block
-             entry [row, column], pattern.nnz for an absent function.
+        pos    (n k k,): the data index in `pattern` of each block
+               entry [row, column], pattern.nnz for an absent function.
+
+    A block without a function is not stored.  The kernels work group
+    by group, one small GEMM against the group's table at a time, so no
+    table of every block is formed; the lone blocks, each its own group
+    (all of them on a mesh whose macro-elements all differ), are one
+    batch of GEMMs, one per block.
     """
 
-    E: np.ndarray
+    tables: np.ndarray
+    starts: np.ndarray
+    points: np.ndarray
+    cols: np.ndarray
+    scale: np.ndarray
     pattern: sp.csc_matrix
     pos: np.ndarray
+
+    @cached_property
+    def groups(self) -> list[tuple[np.ndarray, slice]]:
+        """(table, blocks) per group of several blocks: its table as a
+        (g nq 4, k) matrix and the slice of its stored blocks; then, if
+        there are lone blocks, their tables as one (n_lone, g nq 4, k)
+        stack and their slice."""
+        q, k = self.tables.shape[1] * 4, self.tables.shape[3]
+        bounds = self.starts.tolist()
+        shared = int((np.diff(self.starts) > 1).sum())
+        out = [
+            (table.reshape(q, k), slice(lo, hi))
+            for table, lo, hi in zip(self.tables[:shared], bounds[:shared], bounds[1:])
+        ]
+        if shared < len(self.tables):
+            out.append((self.tables[shared:].reshape(-1, q, k), slice(bounds[shared], bounds[-1])))
+        return out
 
 
 def _free_local_dofs(ops: AssembledOperators) -> np.ndarray:
@@ -767,38 +821,70 @@ def _free_local_dofs(ops: AssembledOperators) -> np.ndarray:
     return np.where(free[ops.vel_l2g], (np.cumsum(free) - 1)[ops.vel_l2g], -1)
 
 
-def element_basis(ops: AssembledOperators, cols: np.ndarray, C: sp.spmatrix) -> ElementBasis:
+def element_basis(
+    ops: AssembledOperators, cols: np.ndarray, C: sp.spmatrix, group: np.ndarray | None = None
+) -> ElementBasis:
     """The element tables of the basis C (free velocity dofs x n).
 
     cols (n_blocks, k) lists the columns of C that may be non-zero on
     each block of n_tri // n_blocks consecutive elements, -1 for none.
-    Element t's basis functions are the entries of C in the rows of its
-    free local dofs and the columns of its block, looked up by sorted
-    keys; an entry of C outside every block's columns is not seen.  The
-    pattern holds every pair of columns that share a block.
+    group (n_blocks,) names blocks whose tables agree up to the scale of
+    each column; it is read, not checked, and by default every block is
+    its own group.  A block's functions are the entries of C in the rows
+    of its free local dofs and its columns, looked up by sorted keys; an
+    entry of C outside every block's columns is not seen.  Each group's
+    table is that of its first block; the scale of a member's column is
+    its entry of C at the row of the first block's largest |entry| in
+    that column, over the first block's entry there.  The pattern holds
+    every pair of columns that share a block.
     """
     n_tri, nq = ops.qw.shape
     n_blocks, k = cols.shape
-    group = n_tri // n_blocks
+    g = n_tri // n_blocks
+    if group is None:
+        group = np.arange(n_blocks)
+    stored = np.flatnonzero((cols >= 0).any(axis=1))
+    _, inv, size = np.unique(group[stored], return_inverse=True, return_counts=True)
+    # the groups of several blocks first, then the lone blocks
+    srt = np.lexsort((inv, size[inv] == 1))
+    order, inv = stored[srt], inv[srt]
+    first = np.flatnonzero(np.diff(inv, prepend=-1))
+    size = np.diff(np.append(first, len(order)))
+    rep = order[first]
+    member = np.repeat(np.arange(len(first)), size)
+    cols = cols[order]
+
     C = C.tocsc()
     C.sort_indices()
     n_rows, n = C.shape
     ckeys = np.repeat(np.arange(n, dtype=np.int64) * n_rows, np.diff(C.indptr)) + C.indices
-    rows = _free_local_dofs(ops)[:, :, None]
-    tcols = np.repeat(cols, group, axis=0)[:, None, :]
-    keys = tcols * np.int64(n_rows) + rows  # (t, a, j)
-    idx = np.minimum(np.searchsorted(ckeys, keys), ckeys.size - 1)
-    hit = (rows >= 0) & (tcols >= 0) & (ckeys[idx] == keys)
-    table = np.where(hit, C.data[idx], 0.0)  # [t, a, j]: phi_j at local dof a
+
+    def entries(rows: np.ndarray, tcols: np.ndarray) -> np.ndarray:
+        """C[rows, tcols], 0 for a row or column of -1."""
+        keys = tcols * np.int64(n_rows) + rows
+        idx = np.minimum(np.searchsorted(ckeys, keys), ckeys.size - 1)
+        hit = (rows >= 0) & (tcols >= 0) & (ckeys[idx] == keys)
+        return np.where(hit, C.data[idx], 0.0)
+
+    local = _free_local_dofs(ops).reshape(n_blocks, g * 12)
+    table = entries(local[rep][:, :, None], cols[first][:, None, :])  # [group, a, j]
+    peak = np.abs(table).argmax(axis=1)  # (n_groups, k)
+    ref = np.take_along_axis(table, peak[:, None, :], axis=1)[:, 0][member]
+    mine = entries(np.take_along_axis(local[order], peak[member], axis=1), cols)
+    scale = np.divide(mine, ref, out=np.zeros_like(mine), where=ref != 0.0)
 
     # eps of the 12 local velocity dofs (ordered like vel_l2g) at the
-    # points, then of the basis functions: the table applied to them
-    half = 0.5 * _physical_gradients(ops.inv_t, *_own_points(n_tri)).reshape(n_tri, nq, 2, 6)
-    E = np.zeros((n_tri, nq, 2, 2, 6, 2))  # (t, q, c, d, node, component)
+    # points of each first block's elements, then of its functions: the
+    # table applied to them
+    elems = (rep[:, None] * g + np.arange(g)).ravel()
+    ref_pts = np.tile(QUAD_POINTS, (len(elems), 1))
+    half = 0.5 * _physical_gradients(ops.inv_t, np.repeat(elems, nq), ref_pts)
+    half = half.reshape(len(elems), nq, 2, 6)
+    E = np.zeros((len(elems), nq, 2, 2, 6, 2))  # (t, q, c, d, node, component)
     for comp in range(2):
         E[:, :, comp, :, :, comp] += half
         E[:, :, :, comp, :, comp] += half
-    E = np.matmul(E.reshape(n_tri, nq * 4, 12), table).reshape(n_blocks, group * nq, 4, k)
+    E = np.matmul(E.reshape(len(elems), nq * 4, 12), table.reshape(len(elems), 12, k))
 
     # CSC key column * n + row of each block entry [b, row, column]
     pair = (cols[:, :, None] >= 0) & (cols[:, None, :] >= 0)
@@ -808,7 +894,48 @@ def element_basis(ops: AssembledOperators, cols: np.ndarray, C: sp.spmatrix) -> 
     pos[pair] = inv
     indptr = np.searchsorted(uniq, np.arange(n + 1, dtype=np.int64) * n)
     pattern = sp.csc_matrix((np.zeros(uniq.size), uniq % n, indptr), shape=(n, n))
-    return ElementBasis(E=E, pattern=pattern, pos=pos.ravel())
+    return ElementBasis(
+        tables=E.reshape(len(rep), g * nq, 4, k),
+        starts=np.append(first, len(order)),
+        points=order[:, None] * (g * nq) + np.arange(g * nq),
+        cols=np.where(cols >= 0, cols, n),
+        scale=scale,
+        pattern=pattern,
+        pos=pos.ravel(),
+    )
+
+
+def element_stress_vector(
+    coeffs: np.ndarray, ops: AssembledOperators, params: PowerLawParams, basis: ElementBasis
+) -> np.ndarray:
+    """(S(eps u), eps phi_j) for every function phi_j of an element
+    basis, u = sum_j coeffs_j phi_j: in the stream basis C^T of
+    `stress_residual_vector` at C coeffs.  Per group, one GEMM with its
+    table gives eps at the points of its blocks from their
+    coefficients, and one GEMM back gives their entries from the
+    weighted stress, which are added at their functions; the lone
+    blocks make one GEMV each, batched."""
+    n, k = basis.cols.shape
+    gathered = np.append(coeffs, 0.0)[basis.cols] * basis.scale
+    groups = basis.groups
+    eps = np.empty((n, basis.tables.shape[1] * 4))
+    for table, blocks in groups:
+        if table.ndim == 2:
+            np.matmul(gathered[blocks], table.T, out=eps[blocks])
+        else:
+            np.matmul(table, gathered[blocks, :, None], out=eps[blocks, :, None])
+    S = stress_S(eps.reshape(n, -1, 2, 2), params)
+    S *= np.take(ops.qw, basis.points)[..., None, None]
+    S = S.reshape(eps.shape)
+    local = np.empty((n, k))
+    for table, blocks in groups:
+        if table.ndim == 2:
+            np.matmul(S[blocks], table, out=local[blocks])
+        else:
+            np.matmul(S[blocks, None, :], table, out=local[blocks, None, :])
+    local *= basis.scale
+    n_functions = basis.pattern.shape[0]
+    return np.bincount(basis.cols.ravel(), local.ravel(), minlength=n_functions + 1)[:-1]
 
 
 def stress_tangent_matrix(
@@ -823,22 +950,43 @@ def stress_tangent_matrix(
     velocity dofs.
 
     Newton: (DS(eps u)[eps phi_b], eps phi_a); Picard drops the rank-one
-    part and keeps the radial weight only.  Each block's entries are
-    summed over its quadrature points, then added at their pattern
-    positions.
+    part and keeps the radial weight only.  Group by group, the radial
+    part is one GEMM of the blocks' point weights with the products of
+    the table's rows (for the lone blocks, a batch of one weighted GEMM
+    each), and the rank-one part a batch of small GEMMs of eps phi
+    against the unit direction of eps u at the points
+    (`tensors.jacobian_coefficients`); the blocks' entries, scaled by
+    their columns, are added at their pattern positions.
     """
-    n_blocks, nqb, _, k = basis.E.shape
-    eps = sym_grad_at_qp(u_coeffs, ops)
+    n, k = basis.cols.shape
+    eps = np.take(sym_grad_at_qp(u_coeffs, ops).reshape(-1, 2, 2), basis.points, axis=0)
     alpha, beta = jacobian_coefficients(eps, params)
-    E = basis.E.reshape(n_blocks, nqb * 4, k)
-    # radial part: sum over the points of w alpha eps(phi_a) : eps(phi_b)
-    wa = np.repeat((ops.qw * alpha).reshape(n_blocks, nqb, 1), 4, axis=1)
-    K_loc = np.matmul(E.transpose(0, 2, 1), E * wa)
+    w = np.take(ops.qw, basis.points)
+    w_alpha = w * alpha
     if not picard:
-        # (block, q, k): eps u : eps(phi_a)
-        w = np.matmul(eps.reshape(n_blocks, nqb, 1, 4), basis.E)[:, :, 0]
-        wb = w * (ops.qw * beta).reshape(n_blocks, nqb, 1)
-        K_loc += np.matmul(w.transpose(0, 2, 1), wb)
+        unit = unit_direction(eps).reshape(n, -1, 4)
+        w_beta = w * beta
+    K_loc = np.empty((n, k, k))
+    # radial part: sum over the points of w alpha eps(phi_a) : eps(phi_b);
+    # rank-one part from v = unit(eps u) : eps(phi_a) at the points
+    for table, blocks in basis.groups:
+        if table.ndim == 2:
+            rows = table.reshape(-1, 4, k)
+            products = np.matmul(rows.transpose(0, 2, 1), rows).reshape(len(rows), k * k)
+            np.matmul(w_alpha[blocks], products, out=K_loc[blocks].reshape(-1, k * k))
+            if not picard:
+                v = np.matmul(unit[blocks].transpose(1, 0, 2), rows)  # (q, block, k)
+                vb = v * w_beta[blocks].T[:, :, None]
+                K_loc[blocks] += np.matmul(vb.transpose(1, 2, 0), v.transpose(1, 0, 2))
+        else:
+            weighted = table * np.repeat(w_alpha[blocks], 4, axis=1)[:, :, None]
+            np.matmul(table.transpose(0, 2, 1), weighted, out=K_loc[blocks])
+            if not picard:
+                tables = table.reshape(len(table), -1, 4, k)
+                v = np.matmul(unit[blocks, :, None, :], tables)[:, :, 0]  # (block, q, k)
+                K_loc[blocks] += np.matmul(v.transpose(0, 2, 1), v * w_beta[blocks][:, :, None])
+    K_loc *= basis.scale[:, :, None]
+    K_loc *= basis.scale[:, None, :]
     pattern = basis.pattern
     data = np.bincount(basis.pos, weights=K_loc.ravel(), minlength=pattern.nnz + 1)
     return sp.csc_matrix(

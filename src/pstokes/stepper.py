@@ -12,14 +12,26 @@ Galerkin problem in the coefficients of C: every iterate is a
 combination of divergence-free fields and stays pointwise divergence
 free up to rounding, and the factorizations are those of the reduced
 matrices C^T (M + tau K) C, an order of magnitude cheaper than the full
-saddle system.  C, C^T and C^T M C are formed once per mesh and kept
-on the operator bundle, where the projections of `spaces.SaddleSolver`
-read them too; C^T K C is assembled element by element in the stream
-basis itself, each macro-element's block of C applied to the
-symmetric-gradient tables of its three children (the bundle's
-`stream_element_basis`), so no free-dof tangent and no sparse triple
-product is formed.  No pressure multiplier is produced: the pressure
-increment is recovered afterwards by the reconstruction in
+saddle system.  C, C^T, C^T M C and its factor are formed once per mesh
+and kept on the operator bundle, where the projections of
+`spaces.SaddleSolver` read them too.
+
+At p != 2 the Newton system lives in the basis: the iterate is the
+coefficient vector x, started from the coefficients of u_{n-1} (one
+back-substitution with the factor of C^T M C), and the residual is
+
+    F(x) = C^T M C x + tau F_S(x) - C^T rhs,
+    F_S(x) = C^T (S(eps C x), eps xi),
+
+with F_S evaluated macro-element by macro-element from the grouped
+element tables of the bundle's `stream_element_basis`
+(`spaces.element_stress_vector`): no velocity-space quadrature and no
+product with C^T per iterate.  C^T K C is assembled from the same
+tables (`spaces.stress_tangent_matrix`), so no free-dof tangent and no
+sparse triple product is formed, and a direction is one
+back-substitution.  The drift test of the lagged factor measures the
+velocity C x in the sup norm.  No pressure multiplier is produced: the
+pressure increment is recovered afterwards by the reconstruction in
 pstokes.pressure, and with it the full constrained momentum equation of
 the step holds to the Newton tolerance.
 
@@ -42,16 +54,18 @@ relative drift of the iterate that rebuilds the lagged factor, and
 CONTRACTION (0.5) is the residual ratio above which a stale direction
 forces a fresh factor for the next correction.
 
-Each per-step quantity is formed once.  The residual check that ends a
-step forms the stress column s_n = tau (S(eps u_n), eps xi) on the free
-dofs; the step keeps it, reads the dissipation (S(eps u_n), eps u_n) as
-s_n . u_n / tau from it (u_n vanishes on the boundary dofs), and stores
-it on the trajectory, where the pressure reconstruction reads it.  At
-p = 2, S(A) = A for every kappa, so the column is tau K u_n with K the
-symmetric-gradient stiffness the mesh assembles once
-(`AssembledOperators.sym_grad_stiffness`): one sparse product, no
-quadrature.  The step forms M u_{n-1} once for its load and its energy
-defect; M u_n is the product its last residual formed.  The additive
+Each per-step quantity is formed once.  The check that closes a step
+(`StepperWorkspace.residual`, once at the converged iterate) forms the
+stress column s_n = tau (S(eps u_n), eps xi) on the free dofs by
+quadrature, with u_n = C x_n, and M u_n; the step keeps both, reads the
+dissipation (S(eps u_n), eps u_n) as s_n . u_n / tau from s_n (u_n
+vanishes on the boundary dofs) and the energy defect from M u_n, and
+stores s_n on the trajectory, where the pressure reconstruction reads
+it.  At p = 2, S(A) = A for every kappa, so the step is one solve and
+its column is tau K u_n with K the symmetric-gradient stiffness the
+mesh assembles once (`AssembledOperators.sym_grad_stiffness`): one
+sparse product, no quadrature.  The step forms M u_{n-1} once for its
+load, its start and its energy defect.  The additive
 noise load is c_n L DW_n with L = ((g_k, xi)) assembled once per
 workspace and c_n the time coefficient of G_n
 (`noise.data_coefficient`), since G_n is then c_n times the fixed mode
@@ -78,6 +92,7 @@ from pstokes.spaces import (
     AssembledOperators,
     Field,
     _full_velocity,
+    element_stress_vector,
     interpolate_velocity,
     lp_norm,
     project_div,
@@ -271,22 +286,26 @@ class StepperWorkspace:
     per-mesh table is a cached property of the operator bundle, built on
     first read, so a workspace that only assembles noise loads never
     builds the basis: C (`stream_basis`) and its CSR view C^T
-    (`stream_basis_T`), which every residual and solve applies, C^T M C
-    (`stream_mass`), the tangent's `stream_element_basis` and, at p = 2
-    only, `sym_grad_stiffness`, which the residual's stress column is a
-    product with; the first residual builds it, not `linear_factor`, so
-    a workspace's set-up does not pay for it.  `stream_gram()` is the
+    (`stream_basis_T`), which every load and solve applies, C^T M C
+    (`stream_mass`) and its factor (`stream_mass_lu`), the element
+    tables of the Newton residual and tangent (`stream_element_basis`)
+    and, at p = 2 only, `sym_grad_stiffness`, which the closing
+    residual's stress column is a product with; the first residual
+    builds it, not `linear_factor`, so a workspace's set-up does not pay
+    for it.  `stream_gram()` is the
     set-up hook that builds C and C^T M C before the first step.  Never
     mutated by concurrent trajectories in ways that affect results: the
     cached factorizations are pure solver accelerators keyed on the
     expansion point.
 
-    residual, factorize, direction and solve are the four jobs the
-    Newton driver and the Kacanov fallback ask of the reduced system.
-    The lagged factor is owned by the workspace alone: the driver asks
-    for directions, never for the factor, and a stale factor is
-    released before its successor is built, so two Newton
-    factorizations never live at once.
+    The Newton driver and the Kacanov fallback ask the reduced system
+    for loads in the basis (`stream_load`), residuals of coefficients
+    (`stream_residual`), directions, factorizations, the velocity of
+    coefficients and the closing check (`residual`); the p = 2 step
+    asks for one `solve`.  The lagged factor is owned by the workspace
+    alone: the driver asks for directions, never for the factor, and a
+    stale factor is released before its successor is built, so two
+    Newton factorizations never live at once.
     """
 
     def __init__(self, config: SchemeConfig, ops: AssembledOperators):
@@ -312,14 +331,14 @@ class StepperWorkspace:
         return stream_curl_basis(self.ops), self.ops.stream_mass
 
     def residual(self, u_full: np.ndarray, rhs_free: np.ndarray):
-        """(F, ||F||, s, M u) with F = C^T ((u, xi) + s - rhs) the momentum
-        residual tested against the basis, s = tau (S(eps u), eps xi)
-        the stress column on free dofs and M u the full-length mass
-        product, both returned for the step to keep: s is at p = 2 a
-        product with `sym_grad_stiffness`, else a quadrature.
-        F equals C^T of the constrained momentum residual for any
-        pressure, since C^T B^T = (B C)^T = 0.  The scaled BLAS nrm2
-        keeps ||F|| finite for any finite F; a plain sum of squares
+        """(F, ||F||, s, M u): the check that closes a step, with F =
+        C^T ((u, xi) + s - rhs) the momentum residual tested against the
+        basis, s = tau (S(eps u), eps xi) the stress column on free dofs
+        and M u the full-length mass product, both returned for the step
+        to keep: s is at p = 2 a product with `sym_grad_stiffness`, else
+        a quadrature.  F equals C^T of the constrained momentum residual
+        for any pressure, since C^T B^T = (B C)^T = 0.  The scaled BLAS
+        nrm2 keeps ||F|| finite for any finite F; a plain sum of squares
         overflows beyond 1e154."""
         ops, cfg = self.ops, self.config
         if self.is_linear:
@@ -329,6 +348,33 @@ class StepperWorkspace:
         Mu = ops.M_full @ u_full
         F = ops.stream_basis_T @ (Mu[ops.free] + s - rhs_free)
         return F, float(la.norm(F, check_finite=False)), s, Mu
+
+    def stream_load(self, rhs_free: np.ndarray) -> np.ndarray:
+        """C^T rhs_free: a load on the free dofs tested against the basis."""
+        return self.ops.stream_basis_T @ rhs_free
+
+    def stream_coefficients(self, Mu_free: np.ndarray) -> np.ndarray:
+        """The coefficients x of a divergence-free velocity u = C x from
+        its mass product M u on the free dofs: x = (C^T M C)^{-1} C^T M u,
+        one back-substitution with the factor the projections solve with
+        (`AssembledOperators.stream_mass_lu`)."""
+        return self.ops.stream_mass_lu.solve(self.stream_load(Mu_free))
+
+    def velocity(self, x: np.ndarray) -> np.ndarray:
+        """The full-length velocity C x of the coefficients x."""
+        ops = self.ops
+        return _full_velocity(ops, ops.stream_basis @ x)
+
+    def stream_residual(self, x: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+        """(F, ||F||): the Newton residual in the basis,
+        F = C^T M C x + tau F_S(x) - b, with b = C^T rhs and
+        F_S(x) = C^T (S(eps C x), eps xi) from the element tables
+        (`spaces.element_stress_vector`).  It is the closing check's F
+        up to rounding; ||F|| is the scaled nrm2, as there."""
+        ops, cfg = self.ops, self.config
+        stress = element_stress_vector(x, ops, cfg.params, ops.stream_element_basis)
+        F = ops.stream_mass @ x + cfg.grid.tau * stress - b
+        return F, float(la.norm(F, check_finite=False))
 
     def factorize(self, u_full: np.ndarray, picard: bool = False):
         """Factor C^T (M + tau K) C with K the stress linearization at
@@ -346,8 +392,7 @@ class StepperWorkspace:
     def solve(self, factor, rhs_free: np.ndarray) -> np.ndarray:
         """The full-length velocity solving the factored linear step
         with load rhs_free outright."""
-        ops = self.ops
-        return _full_velocity(ops, ops.stream_basis @ factor.solve(ops.stream_basis_T @ rhs_free))
+        return self.velocity(factor.solve(self.stream_load(rhs_free)))
 
     def linear_factor(self):
         """The p = 2 factor: the tangent does not depend on u, so one
@@ -359,22 +404,23 @@ class StepperWorkspace:
     # the name perfbench pre-warms the p = 2 factor by
     linear_stream = linear_factor
 
-    def direction(self, u_full: np.ndarray, F: np.ndarray, force: bool = False):
-        """(du, fresh): the full-length update du solving the reduced
-        system J du = -F with the lagged Newton factor, reused while the
-        point it was built at is within LAG_THRESHOLD (relative
-        sup-norm) of u_full; fresh tells whether it was built by this
-        call."""
+    def direction(self, x: np.ndarray, F: np.ndarray, force: bool = False):
+        """(dx, fresh): the update dx of the coefficients solving the
+        reduced system J dx = -F with the lagged Newton factor, reused
+        while the velocity it was built at is within LAG_THRESHOLD
+        (relative sup norm) of the velocity C x; fresh tells whether it
+        was built by this call."""
+        ops = self.ops
+        u = ops.stream_basis @ x  # free dofs: the boundary ones are 0
         fresh = force or self._lagged is None
         if not fresh:
             point = self._lagged[1]
-            drift = np.abs(u_full - point).max()
+            drift = np.abs(u - point).max()
             fresh = drift > LAG_THRESHOLD * max(np.abs(point).max(), 1e-12)
         if fresh:
             self._lagged = None  # free the stale factor's memory first
-            self._lagged = (self.factorize(u_full), u_full.copy())
-        ops = self.ops
-        return _full_velocity(ops, ops.stream_basis @ self._lagged[0].solve(-F)), fresh
+            self._lagged = (self.factorize(_full_velocity(ops, u)), u)
+        return self._lagged[0].solve(-F), fresh
 
     @cached_property
     def mode_loads(self) -> tuple[np.ndarray, float]:
@@ -467,9 +513,9 @@ def velocity_step(
         _, res, stress, Mu = work.residual(u_full, rhs_free)
         iterations, converged, used_picard = 1, res <= 10 * nt.abs_tol, False
     else:
-        u_full, res, stress, Mu, iterations, converged = _newton(
-            n, u_prev.coeffs.copy(), rhs_free, work
-        )
+        # u_{n-1} is divergence free: Newton starts from its coefficients
+        x0 = work.stream_coefficients(Mu_prev[ops.free])
+        u_full, res, stress, Mu, iterations, converged = _newton(n, x0, rhs_free, work)
         used_picard = not converged
         if used_picard:
             u_full, res, stress, Mu = _picard_fallback(u_prev.coeffs, rhs_free, work)
@@ -498,71 +544,81 @@ def velocity_step(
 
 
 def _newton(
-    n: int, u: np.ndarray, rhs_free: np.ndarray, work: StepperWorkspace
+    n: int, x: np.ndarray, rhs_free: np.ndarray, work: StepperWorkspace
 ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, int, bool]:
-    """Damped Newton for step n from the velocity u on the lagged
-    factorization: each correction is backtracked (Armijo) until the
-    residual norm drops.  Returns (u, residual, stress column of u,
-    M u, iterations, converged).  A residual with a non-finite entry raises
+    """Damped Newton for step n in the stream basis, from the
+    coefficients x, on the lagged factorization: each correction is
+    backtracked (Armijo) until the residual norm drops.  Returns (u,
+    residual, stress column of u, M u, iterations, converged) with u = C
+    x the full-length velocity of the last iterate, whose columns the
+    closing `residual` forms.  A residual with a non-finite entry raises
     FloatingPointError before anything is factored at its point."""
     nt = work.config.newton
+    b = work.stream_load(rhs_free)
 
-    def residual(v: np.ndarray, it: int) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-        out = work.residual(v, rhs_free)
-        if not np.isfinite(out[0]).all():
+    def residual(y: np.ndarray, it: int) -> tuple[np.ndarray, float]:
+        F, res = work.stream_residual(y, b)
+        if not np.isfinite(F).all():
             raise FloatingPointError(
                 f"step {n}, Newton iteration {it}: the residual has non-finite entries"
             )
-        return out
+        return F, res
 
-    F, res, s, Mu = residual(u, 1)
+    def finish(y: np.ndarray, res: float, it: int, converged: bool):
+        u = work.velocity(y)
+        _, _, s, Mu = work.residual(u, rhs_free)
+        return u, res, s, Mu, it, converged
+
+    F, res = residual(x, 1)
     force_fresh = False
     for it in range(1, nt.max_iter + 1):
         if res <= nt.abs_tol:
-            return u, res, s, Mu, it, True
-        du, fresh = work.direction(u, F, force=force_fresh)
+            return finish(x, res, it, True)
+        dx, fresh = work.direction(x, F, force=force_fresh)
         step = 1.0
         while True:
-            trial = u + step * du
-            tF, tres, ts, tMu = residual(trial, it)
+            trial = x + step * dx
+            tF, tres = residual(trial, it)
             if tres <= (1.0 - 1e-4 * step) * res:
                 break
             step *= ARMIJO_FACTOR
             if step < MIN_STEP:
                 if fresh:
-                    return u, res, s, Mu, it, False
+                    return finish(x, res, it, False)
                 # stale Jacobian is the usual culprit: refactor at the
                 # current point and retry the search once (a forced
                 # direction is always fresh)
-                du, fresh = work.direction(u, F, force=True)
+                dx, fresh = work.direction(x, F, force=True)
                 step = 1.0
         # a stale direction may pass the line search while barely
         # contracting; when that happens refresh the factorization
         # before the next correction
         force_fresh = not fresh and tres > CONTRACTION * res
-        u, F, res, s, Mu = trial, tF, tres, ts, tMu
-    return u, res, s, Mu, nt.max_iter, False
+        x, F, res = trial, tF, tres
+    return finish(x, res, nt.max_iter, False)
 
 
 def _picard_fallback(
     u_start: np.ndarray, rhs_free: np.ndarray, work: StepperWorkspace
 ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Kacanov fixed-point iteration from the velocity u_start: each
-    iterate solves the step with the radial-weight matrix frozen at the
-    previous one.  Returns the iterate with the smallest residual, that
-    residual, its stress column and its mass product."""
-    u = u_start
-    best = (u_start.copy(), np.inf, None, None)
+    iterate solves the step in the stream basis with the radial-weight
+    matrix frozen at the previous one.  Returns the iterate with the
+    smallest residual (the start, copied, if none is finite), that
+    residual, and the stress column and mass product of its closing
+    `residual`."""
+    b = work.stream_load(rhs_free)
+    u, best, best_res = u_start, u_start.copy(), np.inf
     for _ in range(work.config.newton.picard_iters):
-        u = work.solve(work.factorize(u, picard=True), rhs_free)
-        _, res, s, Mu = work.residual(u, rhs_free)
-        if res < best[1]:
-            best = (u, res, s, Mu)
+        x = work.factorize(u, picard=True).solve(b)
+        u = work.velocity(x)
+        _, res = work.stream_residual(x, b)
+        if res < best_res:
+            best, best_res = u, res
         if res <= work.config.newton.abs_tol:
             break
-    if best[2] is None:  # no iterate had a finite residual: the start's columns
-        best = (best[0], best[1], *work.residual(best[0], rhs_free)[2:])
-    return best
+    _, _, s, Mu = work.residual(best, rhs_free)
+    return best, best_res, s, Mu
 
 
 def run_trajectory(

@@ -34,8 +34,10 @@ in one batch: one batched inverse for the subtriangle cubics, one
 batched pseudo-inverse for the C^1 and dof conditions, one batched
 evaluation at the P2 nodes.
 This module only builds: `build_curl_basis` returns C and
-`build_element_basis` reads each macro-element's block of C into the
-element tables the stepper assembles C^T K C from.  The operator bundle
+`build_element_basis` reads the blocks of C into the element tables
+the stepper evaluates its Newton residuals and assembles C^T K C from,
+one table per group of macro-elements with the same geometry and the
+same clamped dofs.  The operator bundle
 calls them on first use and keeps what they return
 (`AssembledOperators.stream_basis`, `.stream_element_basis`); nothing
 here writes to it, and `stream_curl_basis` only reads the bundle's
@@ -265,6 +267,99 @@ def stream_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     return ops.stream_basis
 
 
+class _Macros(NamedTuple):
+    """The active macro-elements (those with a stream dof that is not
+    clamped) and everything their local problems read."""
+
+    active: np.ndarray  # (n,) macro-element index
+    gcols: np.ndarray  # (n, 12) stream dof per local dof, -1 clamped
+    P: np.ndarray  # (n, 3, 2) coarse vertices
+    Z: np.ndarray  # (n, 2) centroids
+    h: np.ndarray  # (n,) longest outer edge
+    normals: np.ndarray  # (n, 3, 2) global unit normals of the outer edges
+    snodes: np.ndarray  # (n, 3 subtris, 6) scalar P2 node of each child
+    offsets: np.ndarray  # (n, 3, 6, 2) (x - Z) / h of those nodes
+    rep: np.ndarray  # first macro-element of each group (`_distinct_problems`)
+    inverse: np.ndarray  # (n,) group of each
+
+
+def _active_macros(ops: AssembledOperators, cs: _Coarse) -> _Macros:
+    """The active macro-elements, grouped by everything their
+    interpolation problem and their values at the P2 nodes read: (P -
+    Z)/h, h (in log scale, so relatively), the outer normals and the
+    offsets (x - Z)/h of the P2 nodes.  Macro-elements that agree in
+    these at 1e-12 are one problem."""
+    sv = ops.space_v
+    verts = sv.mesh.vertices
+    gcols = _global_columns(cs)
+    active = np.flatnonzero((gcols >= 0).any(axis=1))
+    ends = verts[cs.coarse_edges[cs.tri_edges[active]]]  # (n, 3, a<b, 2)
+    t = ends[:, :, 1] - ends[:, :, 0]
+    normals = np.stack([t[..., 1], -t[..., 0]], axis=-1) / np.linalg.norm(t, axis=-1)[..., None]
+    P = verts[cs.coarse_tris[active]]
+    Z = verts[cs.n_coarse_verts + active]
+    h = np.linalg.norm(P - np.roll(P, 1, axis=1), axis=2).max(axis=1)
+    snodes = sv.scalar_l2g.reshape(-1, 3, 6)[active]
+    offsets = (sv.node_coords[snodes] - Z[:, None, None]) / h[:, None, None, None]
+    rep, inverse = _distinct_problems(
+        (P - Z[:, None]) / h[:, None, None], np.log(h), normals, offsets
+    )
+    return _Macros(active, gcols[active], P, Z, h, normals, snodes, offsets, rep, inverse)
+
+
+# Where each entry a macro-element writes into C is written first.  In
+# the Alfeld layout child k is (P_k, P_k+1, Z) with P2 nodes P_k, P_k+1,
+# Z, the midpoints of spokes k+1 and k, and the midpoint of outer edge k
+# (P_k, P_k+1).  _FIRST[k, slot] marks the first child and slot at which
+# the macro-element reaches each of its ten P2 nodes.
+_FIRST = np.array(
+    [[True] * 6, [False, True, False, True, False, True], [False] * 5 + [True]]
+)
+# The entities of a macro-element by their coarse vertices: vertices
+# 0-2, outer edges 3-5 (3 + k is (P_k, P_k+1)) and 6, the macro-element.
+_ENTITY_VERTICES = [{0}, {1}, {2}, {0, 1}, {1, 2}, {2, 0}, {0, 1, 2}]
+# The entity of each (child, slot) node: vertex k, vertex k+1, the
+# outer edge k for its midpoint, the macro-element for the rest.
+_OUTER_NODE = np.array([[k, (k + 1) % 3, 6, 6, 6, 3 + k] for k in range(3)])
+# The entity of each local dof: three per vertex, then one per edge.
+_DOF_ENTITY = [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 4, 5]
+# _SPAN[node, dof]: the smallest entity holding a node's entity and a
+# dof's entity both.
+_SPAN = np.array(
+    [
+        [_ENTITY_VERTICES.index(_ENTITY_VERTICES[node] | _ENTITY_VERTICES[e]) for e in _DOF_ENTITY]
+        for node in range(7)
+    ]
+)
+
+
+def _first_writes(cs: _Coarse, macros: _Macros) -> np.ndarray:
+    """Which of the values (n, 3 subtris, 2 components, 6 nodes, 12
+    dofs) the macro-elements write into C is the first write of its
+    (row, column) in that order, for an unclamped column.  Two
+    macro-elements write the same entry only at a node and a column
+    that both have, that is on the vertex or outer edge the node and the
+    dof span together; the first write is then by the first active
+    macro-element on that vertex or edge, at its first child and slot
+    that reach the node.  An entry spanning a whole macro-element is
+    its own."""
+    n = len(macros.active)
+    first = np.full(cs.n_coarse_verts + len(cs.coarse_edges), n)
+    order = np.repeat(np.arange(n), 3)
+    np.minimum.at(first, cs.coarse_tris[macros.active].ravel(), order)
+    np.minimum.at(first, cs.n_coarse_verts + cs.tri_edges[macros.active].ravel(), order)
+    entities = np.column_stack(
+        [
+            first[cs.coarse_tris[macros.active]],
+            first[cs.n_coarse_verts + cs.tri_edges[macros.active]],
+            np.arange(n),
+        ]
+    )
+    own = entities[:, _SPAN] == np.arange(n)[:, None, None]  # (n, 7 nodes, 12 dofs)
+    keep = own[:, _OUTER_NODE] & _FIRST[:, :, None] & (macros.gcols >= 0)[:, None, None]
+    return np.broadcast_to(keep[:, :, None], (n, 3, 2, 6, 12))
+
+
 def build_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     """Sparse curl matrix C: free velocity dofs x stream dofs.
 
@@ -275,39 +370,21 @@ def build_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     is rounding noise (1e-15 relative), which would otherwise double
     the fill of the reduced factorizations.
 
-    Each distinct macro-element is solved once (`_distinct_problems`):
-    its interpolation problem and its values at the P2 nodes read only
-    (P - Z)/h, h, the outer normals and the offsets (x - Z)/h of its P2
-    nodes, so macro-elements that agree in these at 1e-12 (h in log
-    scale, so relatively) share one solve and one evaluation.
+    Each distinct macro-element is solved once (`_active_macros`):
     `unit_square_mesh(m)` has two distinct macro-elements (m = 1..8, 16
     and 32 checked); on a mesh whose macro-elements all differ each is
-    its own, and C is the per-element build bit for bit.  Construction
-    is geometry-only; the operator bundle keeps the result as
+    its own, and C is the per-element build bit for bit.  A node shared
+    by several macro-elements is written by each with values equal up
+    to rounding (C^1 gluing); C keeps the first write of each entry,
+    found from the layout (`_first_writes`).  Construction is
+    geometry-only; the operator bundle keeps the result as
     `ops.stream_basis`.
     """
     cs = _coarse_structure(ops)
     sv = ops.space_v
-    verts = sv.mesh.vertices
-
-    gcols = _global_columns(cs)
-    # macro-elements with every dof clamped contribute nothing
-    active = np.flatnonzero((gcols >= 0).any(axis=1))
-    gcols = gcols[active]
-    ends = verts[cs.coarse_edges[cs.tri_edges[active]]]  # (n, 3, a<b, 2)
-    t = ends[:, :, 1] - ends[:, :, 0]
-    normals = np.stack([t[..., 1], -t[..., 0]], axis=-1) / np.linalg.norm(t, axis=-1)[..., None]
-    P = verts[cs.coarse_tris[active]]
-    Z = verts[cs.n_coarse_verts + active]
-    h = np.linalg.norm(P - np.roll(P, 1, axis=1), axis=2).max(axis=1)
-    # the six P2 nodes of each subtriangle, (n, 3 subtris, 6 nodes), and
-    # their offsets from the centroid in units of h
-    snodes = sv.scalar_l2g.reshape(-1, 3, 6)[active]
-    offsets = (sv.node_coords[snodes] - Z[:, None, None]) / h[:, None, None, None]
-    rep, inverse = _distinct_problems(
-        (P - Z[:, None]) / h[:, None, None], np.log(h), normals, offsets
-    )
-    coeffs, resid = _macro_elements(P[rep], Z[rep], h[rep], normals[rep])
+    macros = _active_macros(ops, cs)
+    rep, inverse, h = macros.rep, macros.inverse, macros.h
+    coeffs, resid = _macro_elements(macros.P[rep], macros.Z[rep], h[rep], macros.normals[rep])
     if resid > 1e-8:
         raise ArithmeticError(
             f"macro-element interpolation inconsistent (residual {resid:.2e})"
@@ -316,21 +393,17 @@ def build_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     # velocity u = (d_y psi, -d_x psi) at the P2 nodes, per distinct
     # macro-element, then for each: (n, 3 subtris, 2 components, 6 nodes,
     # 12 local dofs)
-    gx, gy = _monomial_gradients(offsets[rep])
+    gx, gy = _monomial_gradients(macros.offsets[rep])
     hb = h[rep, None, None, None]
     vals = np.stack([(gy / hb) @ coeffs, -(gx / hb) @ coeffs], axis=2)[inverse]
-    rows = 2 * snodes[:, :, None, :, None] + np.arange(2)[:, None, None]
-    cols = gcols[:, None, None, None, :]
-    keep = np.broadcast_to(cols >= 0, vals.shape)
-    row_arr = np.broadcast_to(rows, vals.shape)[keep]
-    col_arr = np.broadcast_to(cols, vals.shape)[keep]
-    val_arr = vals[keep]
-    # shared nodes are written by several macro-elements with equal
-    # values (C^1 gluing); keep the first occurrence of each (row, col)
-    key = row_arr * np.int64(cs.dim) + col_arr
-    _, first = np.unique(key, return_index=True)
+    rows = 2 * macros.snodes[:, :, None, :, None] + np.arange(2)[:, None, None]
+    cols = macros.gcols[:, None, None, None, :]
+    keep = _first_writes(cs, macros)
     C_full = sp.coo_matrix(
-        (val_arr[first], (row_arr[first], col_arr[first])),
+        (
+            vals[keep],
+            (np.broadcast_to(rows, vals.shape)[keep], np.broadcast_to(cols, vals.shape)[keep]),
+        ),
         shape=(sv.n_dofs, cs.dim),
     ).tocsc()
     C = C_full[ops.free]
@@ -342,10 +415,25 @@ def build_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     return C
 
 
+def _block_groups(ops: AssembledOperators, cs: _Coarse) -> np.ndarray:
+    """The group of every macro-element's block of C, from small keys and
+    never from its table: its group of `_active_macros` and its clamped
+    dofs.  Two macro-elements with both equal have the same functions up
+    to the scale of each column (14 groups on `unit_square_mesh(m)` at
+    m = 4, 8 and 16).  A macro-element without an active dof is in
+    group 0; `element_basis` does not store its block."""
+    macros = _active_macros(ops, cs)
+    clamped = (macros.gcols < 0) @ (1 << np.arange(12))
+    group = np.zeros(len(cs.coarse_tris), dtype=np.int64)
+    group[macros.active] = macros.inverse * (1 << 12) + clamped
+    return group
+
+
 def build_element_basis(ops: AssembledOperators) -> ElementBasis:
     """The element tables of the stress tangent in the stream basis
     (`spaces.element_basis`): one block per macro-element, its three
-    children and its 12 stream dofs.  The operator bundle keeps them as
+    children and its 12 stream dofs, one table per group of blocks
+    (`_block_groups`).  The operator bundle keeps them as
     `ops.stream_element_basis`."""
-    cols = _global_columns(_coarse_structure(ops))
-    return element_basis(ops, cols, ops.stream_basis)
+    cs = _coarse_structure(ops)
+    return element_basis(ops, _global_columns(cs), ops.stream_basis, _block_groups(ops, cs))

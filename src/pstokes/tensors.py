@@ -31,6 +31,7 @@ __all__ = [
     "nonlinear_V",
     "stress_jacobian",
     "jacobian_coefficients",
+    "unit_direction",
     "young_gap",
     "generalized_young_constant",
     "monotonicity_ratio",
@@ -120,17 +121,31 @@ def nonlinear_V(A: np.ndarray, params: PowerLawParams) -> np.ndarray:
     return scale[..., None, None] * A
 
 
+def unit_direction(A: np.ndarray) -> np.ndarray:
+    """A / |A| over the trailing two axes, with the radius `frobenius`
+    (safe from underflow), and the zero matrix where A = 0."""
+    A = _check_finite(A, "A")
+    r = frobenius(A)
+    # A = 0 is divided by 1
+    return A / np.where(r > 0.0, r, 1.0)[..., None, None]
+
+
 def jacobian_coefficients(
     A: np.ndarray, params: PowerLawParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (alpha, beta) of DS(A)[B] = alpha B + beta (A:B) A.
+    """Coefficients (alpha, beta) of DS(A)[B] = alpha B + beta (Â:B) Â,
+    with Â = A / |A| (`unit_direction`).
 
     Differentiating S gives alpha = (kappa + r)^(p-2) and
-    beta = (p-2) (kappa + r)^(p-3) / r evaluated at r = |A|, however
-    small.  At p = 2, alpha = 1 everywhere, A = 0 included.  The only
-    guard is at r = 0 exactly: there the rank-one term vanishes for every
-    p, and at kappa = 0 the singular alpha of p < 2 is read as 0
-    (`_radial_power`).
+    beta = (p-2) (kappa + r)^(p-3) r = (p-2) alpha r / (kappa + r)
+    evaluated at r = |A|, however small.  Formed from the unit
+    direction, the rank-one term is as large as alpha B at most, so it
+    stays finite wherever alpha is (p < 2 included, where the
+    coefficient of (A:B) A, beta / r^2, leaves the float range below
+    r of about 1e-123).  At p = 2, alpha = 1 everywhere, A = 0
+    included.  The only guard is at r = 0 exactly: there the rank-one
+    term vanishes for every p, and at kappa = 0 the singular alpha of
+    p < 2 is read as 0 (`_radial_power`).
     """
     A = _check_finite(A, "A")
     r = frobenius(A)
@@ -138,9 +153,9 @@ def jacobian_coefficients(
         alpha = np.ones_like(r)
     else:
         alpha = _radial_power(params.kappa + r, params.p - 2.0)
-    beta = (params.p - 2.0) * _radial_power(params.kappa + r, params.p - 3.0)
-    # An exact zero matrix contributes no rank-one term regardless of p.
-    beta = np.where(r > 0.0, beta / np.where(r > 0.0, r, 1.0), 0.0)
+    # r / (kappa + r), 0 for an exact zero matrix whatever p is
+    share = np.divide(r, params.kappa + r, out=np.zeros_like(r), where=r > 0.0)
+    beta = (params.p - 2.0) * alpha * share
     return np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
 
 
@@ -152,11 +167,12 @@ def stress_jacobian(A: np.ndarray, params: PowerLawParams):
     """
     A = _check_finite(A, "A")
     alpha, beta = jacobian_coefficients(A, params)
+    unit = unit_direction(A)
 
     def apply(B: np.ndarray) -> np.ndarray:
         B = _check_finite(B, "B")
-        inner = np.einsum("...ij,...ij->...", A, B)
-        return alpha[..., None, None] * B + (beta * inner)[..., None, None] * A
+        inner = np.einsum("...ij,...ij->...", unit, B)
+        return alpha[..., None, None] * B + (beta * inner)[..., None, None] * unit
 
     return apply
 

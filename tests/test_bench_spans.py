@@ -13,7 +13,10 @@ calls no `data_G_n`.  A second test sets a workspace up inside
 `instrument` the way the benchmark does, by `stream_gram()`, and checks
 that the span of the stream basis is recorded once, by that set-up,
 and not again by the residuals, solves and directions of the steps.
-Both only read `perfbench/`.
+A third counts the kernel spans of a p = 3 trajectory: Newton iterates
+in the stream basis, so the quadrature stress column is formed once per
+step, by the check that closes it, and the tangent once per
+factorization.  All three only read `perfbench/`.
 """
 
 import importlib.util
@@ -89,3 +92,24 @@ def test_stream_basis_span_recorded_once_per_workspace_setup():
     assert traj.ok and work.refactor_count >= 1
     names = [name for name, *_ in tracer.spans]
     assert names.count("streamfunc.stream_curl_basis") == 1
+
+
+def test_p3_steps_form_one_stress_column_each():
+    spans = _load_spans()
+    ops = spaces.assemble(meshing.alfeld_split(meshing.unit_square_mesh(2)))
+    model = noise.NoiseModel(mode_fields=curl_modes(2, amplitude=1.0), rule="linear")
+    cfg = stepper.SchemeConfig(PowerLawParams(p=3.0), TimeGrid(T=0.1, N=4), model)
+    inc = noise.sample_increments(np.random.default_rng(0), cfg.grid, n_modes=2)
+    u0 = stepper.initial_velocity(u0_smooth, ops)
+
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        work = stepper.StepperWorkspace(cfg, ops)
+        traj = stepper.run_trajectory(u0, inc, cfg, ops, work)
+    assert traj.ok and not any(s.used_picard for s in traj.stats)
+    assert sum(s.iterations for s in traj.stats) > cfg.grid.N
+    names = [name for name, *_ in tracer.spans]
+    assert names.count("spaces.stress_residual_vector") == cfg.grid.N
+    factorizations = names.count("stepper.factorize")
+    assert factorizations == work.refactor_count >= 1
+    assert names.count("spaces.stress_tangent_matrix") == factorizations

@@ -223,12 +223,15 @@ class TestVelocityStep:
         assert traj.stress_loads.shape == (1, ops.n_free)
 
     def test_residual_norm_does_not_overflow(self):
-        # at p = 3 the residual at u0 scaled by 1e100 has finite entries
-        # near 1e200, whose squares overflow: its norm must stay finite
+        # at p = 3 the Newton residual at u0 scaled by 1e100 has finite
+        # entries near 1e200, whose squares overflow: its norm must stay
+        # finite
         ops = assemble(alfeld_split(unit_square_mesh(2)))
         u = 1e100 * initial_velocity(u0_smooth, ops).coeffs
         cfg = SchemeConfig(PowerLawParams(p=3.0), TimeGrid(T=0.1, N=2))
-        F, res, _, _ = StepperWorkspace(cfg, ops).residual(u, np.zeros(ops.n_free))
+        work = StepperWorkspace(cfg, ops)
+        x = work.stream_coefficients((ops.M_full @ u)[ops.free])
+        F, res = work.stream_residual(x, np.zeros(x.size))
         s = np.abs(F).max()
         assert np.isfinite(F).all() and s > 1e160
         assert res == pytest.approx(s * np.linalg.norm(F / s), rel=1e-12, abs=0.0)
@@ -601,14 +604,23 @@ class TestNewtonRetry:
     fails the Armijo search down to MIN_STEP, `_newton` forces one
     fresh direction at the same point, and gives up if that fails too.
     No small tier-1 run reaches this path, so a stub workspace drives
-    the Newton loop: the residual of v is v itself, and each direction
-    call is logged with its force flag."""
+    the Newton loop: the basis is the identity, the residual of v is v
+    itself, and each direction call is logged with its force flag."""
 
     class Stub:
         def __init__(self, stale, forced):
             self.config = SimpleNamespace(newton=NewtonConfig())
             self.directions = {False: stale, True: forced}
             self.forced = []
+
+        def stream_load(self, rhs_free):
+            return rhs_free
+
+        def velocity(self, x):
+            return x
+
+        def stream_residual(self, v, b):
+            return v.copy(), float(np.linalg.norm(v))
 
         def residual(self, v, rhs_free):
             return v.copy(), float(np.linalg.norm(v)), 2.0 * v, 3.0 * v
@@ -642,7 +654,8 @@ class TestPicardFallback:
     """The Kacanov fallback when no iterate has a finite residual: it
     returns the start's velocity with residual inf and the columns of a
     residual at the start.  A stub workspace whose solves give NaN
-    drives it; its residual of v is v itself."""
+    drives it; its basis is the identity and its residual of v is v
+    itself."""
 
     class Stub:
         def __init__(self):
@@ -651,11 +664,20 @@ class TestPicardFallback:
 
         def factorize(self, u, picard=False):
             assert picard
-            return None
+            return SimpleNamespace(solve=self.solve)
 
-        def solve(self, factor, rhs_free):
+        def solve(self, b):
             self.solves += 1
             return np.full(2, np.nan)
+
+        def stream_load(self, rhs_free):
+            return rhs_free
+
+        def velocity(self, x):
+            return x
+
+        def stream_residual(self, v, b):
+            return v.copy(), float(np.linalg.norm(v))
 
         def residual(self, v, rhs_free):
             return v.copy(), float(np.linalg.norm(v)), 2.0 * v, 3.0 * v

@@ -12,6 +12,7 @@ is fitted (measured 8.5e-11).
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import pstokes.spaces as spaces
@@ -24,10 +25,14 @@ from pstokes.scenarios import curl_modes, u0_smooth
 from pstokes.spaces import (
     Field,
     SaddleSolver,
+    _full_velocity,
     assemble,
     divergence_pointwise_max,
+    element_basis,
+    element_stress_vector,
     stress_residual_vector,
     stress_tangent_matrix,
+    sym_grad_at_qp,
 )
 from pstokes.stepper import (
     SchemeConfig,
@@ -260,17 +265,38 @@ class TestDistinctMacroElements:
             assert np.array_equal(grouped, alone)
 
 
+def per_element_tangent(u, ops, params, picard, alone):
+    """The tangent by the per-element formula on a basis whose blocks
+    are each their own group: every block's table, with the rank-one
+    weight (p - 2) (kappa + r)^(p-3) / r of eps u itself."""
+    eps = sym_grad_at_qp(u, ops).reshape(-1, 2, 2)[alone.points]
+    r = np.sqrt((eps**2).sum(axis=(2, 3)))
+    w = ops.qw.ravel()[alone.points]
+    E = alone.tables.reshape(len(eps), -1, alone.tables.shape[-1])
+    alpha = np.repeat((params.kappa + r) ** (params.p - 2.0), 4, axis=1)
+    K_loc = np.matmul(E.transpose(0, 2, 1), E * (np.repeat(w, 4, axis=1) * alpha)[:, :, None])
+    if not picard:
+        beta = (params.p - 2.0) * (params.kappa + r) ** (params.p - 3.0) / r
+        v = np.matmul(eps.reshape(len(eps), -1, 1, 4), alone.tables)[:, :, 0]
+        K_loc += np.matmul(v.transpose(0, 2, 1), v * (w * beta)[:, :, None])
+    pattern = alone.pattern
+    data = np.bincount(alone.pos, weights=K_loc.ravel(), minlength=pattern.nnz + 1)[:-1]
+    return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
 class TestStreamTangent:
     """The stepper assembles C^T K C element by element in the stream
-    basis; it must equal the Galerkin product of the free-dof tangent,
-    on the pattern of C^T M C."""
+    basis, from one table per group of macro-elements; it must equal
+    the Galerkin product of the free-dof tangent, on the pattern of
+    C^T M C, and the per-element formula on the tables of every
+    block."""
 
-    @pytest.mark.parametrize("mesh", ["square", "jiggled"])
+    @pytest.mark.parametrize("mesh", ["square", "square8", "jiggled"])
     @pytest.mark.parametrize("p,kappa", [(1.5, 0.1), (3.0, 0.0)])
     @pytest.mark.parametrize("picard", [False, True], ids=["newton", "picard"])
     def test_matches_product_of_free_tangent(self, jiggled_mesh, mesh, p, kappa, picard):
-        base = unit_square_mesh(4) if mesh == "square" else jiggled_mesh
-        ops = assemble(alfeld_split(base))
+        bases = {"square": unit_square_mesh(4), "square8": unit_square_mesh(8)}
+        ops = assemble(alfeld_split(bases.get(mesh, jiggled_mesh)))
         C = stream_curl_basis(ops)
         params = PowerLawParams(p=p, kappa=kappa)
         u = np.zeros(ops.space_v.n_dofs)
@@ -280,10 +306,98 @@ class TestStreamTangent:
         reference = (C.T @ (free @ C)).tocsc()
         scale = np.abs(reference.data).max()
         assert np.abs((K - reference).toarray()).max() <= 1e-14 * scale
+        cols = streamfunc._global_columns(streamfunc._coarse_structure(ops))
+        oracle = per_element_tangent(u, ops, params, picard, element_basis(ops, cols, C))
+        assert np.abs((K - oracle).toarray()).max() <= 1e-13 * scale
         gram = (C.T @ (ops.M_free @ C)).tocsc()
         gram.sort_indices()
         assert np.array_equal(K.indptr, gram.indptr)
         assert np.array_equal(K.indices, gram.indices)
+
+
+@pytest.mark.parametrize("mesh", ["2", "3", "16", "32", "jiggled"])
+def test_first_writes_are_the_first_occurrences(jiggled_mesh, mesh):
+    """C keeps the first write of each (row, column) among the values the
+    macro-elements write; `_first_writes` finds them from the layout, and
+    they are exactly the first occurrences of the keys, so C is built bit
+    for bit as by a first-occurrence unique over the keys."""
+    base = jiggled_mesh if mesh == "jiggled" else unit_square_mesh(int(mesh))
+    ops = assemble(alfeld_split(base))
+    cs = streamfunc._coarse_structure(ops)
+    macros = streamfunc._active_macros(ops, cs)
+    shape = (len(macros.active), 3, 2, 6, 12)
+    nodes = 2 * macros.snodes[:, :, None, :, None] + np.arange(2)[:, None, None]
+    rows = np.broadcast_to(nodes, shape)
+    cols = np.broadcast_to(macros.gcols[:, None, None, None, :], shape)
+    written = cols >= 0
+    _, first = np.unique((rows * np.int64(cs.dim) + cols)[written], return_index=True)
+    expected = np.zeros(written.sum(), dtype=bool)
+    expected[first] = True
+    keep = streamfunc._first_writes(cs, macros)
+    assert not keep[~written].any()
+    assert np.array_equal(keep[written], expected)
+
+
+class TestGroupedTables:
+    """The stream basis keeps one element table per group of
+    macro-elements with the same geometry and the same clamped dofs; the
+    kernels read each block as its group's table scaled by column.  The
+    stress vector of the Newton residual must agree with C^T of the
+    quadrature through `qp_eval` (the tangent is checked in
+    TestStreamTangent)."""
+
+    @pytest.fixture(scope="class")
+    def meshes(self, jiggled_mesh):
+        bases = {"4": unit_square_mesh(4), "8": unit_square_mesh(8), "jiggled": jiggled_mesh}
+        return {name: assemble(alfeld_split(base)) for name, base in bases.items()}
+
+    @pytest.mark.parametrize("mesh", ["4", "8", "jiggled"])
+    @pytest.mark.parametrize("p,kappa", [(1.5, 0.1), (3.0, 0.0)])
+    def test_stress_vector_matches_quadrature(self, meshes, mesh, p, kappa):
+        ops = meshes[mesh]
+        params = PowerLawParams(p=p, kappa=kappa)
+        C = stream_curl_basis(ops)
+        x = 0.05 * np.random.default_rng(7).standard_normal(C.shape[1])
+        got = element_stress_vector(x, ops, params, ops.stream_element_basis)
+        want = C.T @ stress_residual_vector(_full_velocity(ops, C @ x), ops, params)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("p,kappa", [(1.5, 0.1), (3.0, 0.0)])
+    def test_column_scales(self, meshes, p, kappa):
+        # every column of the unit-norm C has the same scale on the square
+        # mesh, so the columns are rescaled at random: the grouped tables
+        # must then read each member block through its column scales
+        ops = meshes["8"]
+        cs = streamfunc._coarse_structure(ops)
+        cols = streamfunc._global_columns(cs)
+        d = 10.0 ** np.random.default_rng(5).uniform(-1.0, 1.0, cs.dim)
+        C = (stream_curl_basis(ops) @ sp.diags(d)).tocsc()
+        basis = element_basis(ops, cols, C, streamfunc._block_groups(ops, cs))
+        present = basis.cols < cs.dim
+        assert len(basis.tables) == 14 and np.ptp(basis.scale[present]) > 1.0
+        params = PowerLawParams(p=p, kappa=kappa)
+        x = 0.05 * np.random.default_rng(7).standard_normal(cs.dim) / d
+        u = _full_velocity(ops, C @ x)
+        got = element_stress_vector(x, ops, params, basis)
+        want = C.T @ stress_residual_vector(u, ops, params)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        alone = element_basis(ops, cols, C)
+        for picard in (False, True):
+            K = stress_tangent_matrix(u, ops, params, picard, basis)
+            oracle = per_element_tangent(u, ops, params, picard, alone)
+            assert np.abs((K - oracle).toarray()).max() <= 1e-13 * np.abs(oracle.data).max()
+
+    def test_group_count_does_not_grow_with_m(self, meshes):
+        counts = [
+            len(assemble(alfeld_split(unit_square_mesh(m))).stream_element_basis.tables)
+            for m in (4, 8, 16)
+        ]
+        assert counts == [14, 14, 14]
+        basis = meshes["jiggled"].stream_element_basis
+        # on the jiggled mesh every block is its own group: the kernels
+        # read the lone blocks as one batch, not one group at a time
+        assert len(basis.tables) == len(basis.cols) and len(basis.groups) == 1
+        np.testing.assert_array_equal(basis.scale[basis.cols < basis.pattern.shape[0]], 1.0)
 
 
 class TestStreamSolverBackend:

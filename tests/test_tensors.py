@@ -1,6 +1,7 @@
 """Tensor algebra: closed forms, FD-oracle Jacobians, inequality brackets."""
 
 import runpy
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -158,14 +159,15 @@ class TestJacobian:
     def test_jacobian_unfloored_down_to_exact_zero(self):
         # At |A| ~ 1e-10 the coefficients are the closed forms of the
         # radius itself; only A = 0 exactly is guarded: no rank-one term,
-        # alpha read as 0 where it is singular and 1 at p = 2.
+        # alpha read as 0 where it is singular and 1 at p = 2.  beta is
+        # the coefficient of the unit direction, (p-2) r^(p-3) r.
         rng = np.random.default_rng(9)
         A = sym(rng.standard_normal((2, 2))) * 1e-10
         r = frobenius(A)
         params = PowerLawParams(p=1.5, kappa=0.0)
         alpha, beta = jacobian_coefficients(A, params)
         assert alpha == pytest.approx(r**-0.5, rel=1e-14)
-        assert beta == pytest.approx(-0.5 * r**-2.5, rel=1e-14)
+        assert beta == pytest.approx(-0.5 * r**-0.5, rel=1e-14)
         zero = np.zeros((2, 2))
         for p, kappa, alpha_0 in ((1.5, 0.0, 0.0), (2.0, 0.0, 1.0), (3.0, 0.5, 0.5)):
             alpha, beta = jacobian_coefficients(zero, PowerLawParams(p=p, kappa=kappa))
@@ -173,9 +175,7 @@ class TestJacobian:
 
     def test_tiny_matrix_keeps_its_radius(self):
         # the squares of A = 1e-170 I underflow to 0, yet |A|, S(A), V(A)
-        # and the Jacobian coefficients are representable; at p = 1.5 the
-        # coefficient beta = -0.5 |A|^-2.5 (about -4e424) is not, so the
-        # coefficients are checked where both fit
+        # and the Jacobian coefficients are representable
         A = 1e-170 * np.eye(2)
         r = np.sqrt(2.0) * 1e-170
         assert frobenius(A) == pytest.approx(r, rel=1e-15)
@@ -190,7 +190,18 @@ class TestJacobian:
         for p in (2.5, 3.0):
             alpha, beta = jacobian_coefficients(A, PowerLawParams(p=p, kappa=0.0))
             assert alpha == pytest.approx(r ** (p - 2.0), rel=1e-14)
-            assert beta == pytest.approx((p - 2.0) * r ** (p - 4.0), rel=1e-14)
+            assert beta == pytest.approx((p - 2.0) * r ** (p - 2.0), rel=1e-14)
+
+    def test_tiny_matrix_jacobian_stays_finite(self):
+        # at p = 1.5 the coefficient of (A:B) A, beta / |A|^2, is about
+        # -4e194 for A = 1e-130 I, whose square overflows; through the
+        # unit direction DS(A)[I] = alpha I - 0.5 alpha I = 0.5 |A|^-0.5 I
+        A = 1e-130 * np.eye(2)
+        r = np.sqrt(2.0) * 1e-130
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = stress_jacobian(A, PowerLawParams(p=1.5, kappa=0.0))(np.eye(2))
+        np.testing.assert_allclose(got, 0.5 * r**-0.5 * np.eye(2), rtol=1e-12, atol=0.0)
 
 
 class TestIsotropy:
