@@ -35,15 +35,13 @@ the bundle.
 The stress tangent is assembled element by element in a basis local to
 elements, an `ElementBasis` built once by `element_basis`: the symmetric
 gradients of its functions at the quadrature points, one table per
-group of blocks that agree up to the scale of each column, and the
-position of every element entry in the tangent's fixed sparsity
-pattern, into which one `np.bincount` adds them.  The same tables give
-the stress form of a field given by its coefficients in the basis
-(`element_stress_vector`).  The free velocity dofs are the identity
-element basis (`free_element_basis`); `pstokes.streamfunc` builds the
-one of the stream basis (`stream_element_basis`), in which the stepper
-evaluates its Newton residuals and assembles its reduced tangents
-C^T K C directly.
+group of blocks with the same geometry, and the position of every
+element entry in the tangent's fixed sparsity pattern, into which one
+`np.bincount` adds them.  The same tables give the stress form of a
+field given by its coefficients in the basis (`element_stress_vector`).
+`pstokes.streamfunc` builds the element basis of the stream basis
+(`stream_element_basis`), in which the stepper evaluates its Newton
+residuals and assembles its reduced tangents C^T K C directly.
 A P2 field is evaluated one way only, by a `PointEvaluation`: sparse
 value and gradient matrices that evaluate a stack of fields into a
 C-contiguous stack, one product per field.  The quadrature kernels
@@ -260,10 +258,10 @@ class AssembledOperators:
 
     Derived data is a cached property, built on first read and kept
     for the life of the bundle: the factorizations `mass_free_lu` and
-    `grad_stiffness_lu`; the tables `grad_stiffness`,
-    `sym_grad_stiffness` and `free_element_basis`; the point `locator`
-    of structured meshes; and the five `stream_*` tables of the stream
-    basis, the factor of C^T M C (`stream_mass_lu`) among them.
+    `grad_stiffness_lu`; the tables `grad_stiffness` and
+    `sym_grad_stiffness`; the point `locator` of structured meshes; and
+    the five `stream_*` tables of the stream basis, the factor of
+    C^T M C (`stream_mass_lu`) among them.
     `projection_saddle()` alone is a method, over the private slot
     `_projection_saddle`, because benchmarks time it as one.
 
@@ -345,12 +343,6 @@ class AssembledOperators:
         swap = np.arange(G.shape[0]).reshape(-1, 4)[:, [0, 2, 1, 3]].ravel()
         K = 0.5 * _quadrature_form(G, G + G[swap], self.qw)
         return K[self.free][:, self.free].tocsr()
-
-    @cached_property
-    def free_element_basis(self) -> ElementBasis:
-        """The element tables of the stress tangent on the free velocity
-        dofs: the identity element basis."""
-        return element_basis(self, _free_local_dofs(self), sp.identity(self.n_free, format="csc"))
 
     @cached_property
     def stream_basis(self) -> sp.csc_matrix:
@@ -762,14 +754,14 @@ class ElementBasis:
     """The element tables of a basis of k functions per block of g
     consecutive elements (g = 1 on the free dofs; g = 3, the children of
     one macro-element, in the stream basis), one table per group of
-    blocks that agree up to the scale of each column:
+    blocks with the same geometry, whose functions agree up to the scale
+    of each column:
 
         tables (n_groups, g nq, 4, k): eps of the k functions of the
-               group's first block at each quadrature point of the
-               block, flattened to 4 entries;
+               group at each quadrature point of its first block,
+               flattened to 4 entries;
         starts (n_groups + 1,): the blocks are stored sorted by group,
-               group i in blocks starts[i]:starts[i + 1], the groups of
-               several blocks first and the lone blocks last;
+               group i in blocks starts[i]:starts[i + 1];
         points (n, g nq): the quadrature point (index into qw.ravel())
                of each row of a stored block's table;
         cols   (n, k): the function of each block column, n_functions
@@ -783,9 +775,7 @@ class ElementBasis:
 
     A block without a function is not stored.  The kernels work group
     by group, one small GEMM against the group's table at a time, so no
-    table of every block is formed; the lone blocks, each its own group
-    (all of them on a mesh whose macro-elements all differ), are one
-    batch of GEMMs, one per block.
+    table of every block is formed.
     """
 
     tables: np.ndarray
@@ -798,20 +788,14 @@ class ElementBasis:
 
     @cached_property
     def groups(self) -> list[tuple[np.ndarray, slice]]:
-        """(table, blocks) per group of several blocks: its table as a
-        (g nq 4, k) matrix and the slice of its stored blocks; then, if
-        there are lone blocks, their tables as one (n_lone, g nq 4, k)
-        stack and their slice."""
+        """(table, blocks) per group: its table as a (g nq 4, k) matrix
+        and the slice of its stored blocks."""
         q, k = self.tables.shape[1] * 4, self.tables.shape[3]
         bounds = self.starts.tolist()
-        shared = int((np.diff(self.starts) > 1).sum())
-        out = [
+        return [
             (table.reshape(q, k), slice(lo, hi))
-            for table, lo, hi in zip(self.tables[:shared], bounds[:shared], bounds[1:])
+            for table, lo, hi in zip(self.tables, bounds, bounds[1:])
         ]
-        if shared < len(self.tables):
-            out.append((self.tables[shared:].reshape(-1, q, k), slice(bounds[shared], bounds[-1])))
-        return out
 
 
 def _free_local_dofs(ops: AssembledOperators) -> np.ndarray:
@@ -822,37 +806,38 @@ def _free_local_dofs(ops: AssembledOperators) -> np.ndarray:
 
 
 def element_basis(
-    ops: AssembledOperators, cols: np.ndarray, C: sp.spmatrix, group: np.ndarray | None = None
+    ops: AssembledOperators, cols: np.ndarray, C: sp.spmatrix, group: np.ndarray
 ) -> ElementBasis:
     """The element tables of the basis C (free velocity dofs x n).
 
     cols (n_blocks, k) lists the columns of C that may be non-zero on
     each block of n_tri // n_blocks consecutive elements, -1 for none.
-    group (n_blocks,) names blocks whose tables agree up to the scale of
-    each column; it is read, not checked, and by default every block is
-    its own group.  A block's functions are the entries of C in the rows
-    of its free local dofs and its columns, looked up by sorted keys; an
-    entry of C outside every block's columns is not seen.  Each group's
-    table is that of its first block; the scale of a member's column is
-    its entry of C at the row of the first block's largest |entry| in
-    that column, over the first block's entry there.  The pattern holds
-    every pair of columns that share a block.
+    group (n_blocks,) names blocks with the same geometry, whose j-th
+    functions agree up to the scale of their columns wherever column j
+    is present; it is read, not checked.  A block's functions are the
+    entries of C in the rows of its free local dofs and its columns,
+    looked up by sorted keys; an entry of C outside every block's
+    columns is not seen.  Column j of a group's table is that of the
+    group's first block in which column j is present, evaluated on the
+    elements of the group's first block; the scale of a member's column
+    is its entry of C at the row of the table column's largest |entry|,
+    over the table's entry there.  The pattern holds every pair of
+    columns that share a block.
     """
     n_tri, nq = ops.qw.shape
     n_blocks, k = cols.shape
     g = n_tri // n_blocks
-    if group is None:
-        group = np.arange(n_blocks)
     stored = np.flatnonzero((cols >= 0).any(axis=1))
-    _, inv, size = np.unique(group[stored], return_inverse=True, return_counts=True)
-    # the groups of several blocks first, then the lone blocks
-    srt = np.lexsort((inv, size[inv] == 1))
-    order, inv = stored[srt], inv[srt]
-    first = np.flatnonzero(np.diff(inv, prepend=-1))
-    size = np.diff(np.append(first, len(order)))
+    order = stored[np.argsort(group[stored], kind="stable")]
+    _, first, member = np.unique(group[order], return_index=True, return_inverse=True)
     rep = order[first]
-    member = np.repeat(np.arange(len(first)), size)
     cols = cols[order]
+    local = _free_local_dofs(ops).reshape(n_blocks, g * 12)[order]
+    # the block of each table column: the group's first block in which
+    # the column is present, or its first block if none is
+    present = np.where(cols >= 0, np.arange(len(order))[:, None], len(order))
+    src = np.minimum.reduceat(present, first, axis=0)  # (n_groups, k)
+    src = np.where(src < len(order), src, first[:, None])
 
     C = C.tocsc()
     C.sort_indices()
@@ -866,11 +851,11 @@ def element_basis(
         hit = (rows >= 0) & (tcols >= 0) & (ckeys[idx] == keys)
         return np.where(hit, C.data[idx], 0.0)
 
-    local = _free_local_dofs(ops).reshape(n_blocks, g * 12)
-    table = entries(local[rep][:, :, None], cols[first][:, None, :])  # [group, a, j]
+    # [group, a, j]: local row a of column j's block, at its column j
+    table = entries(local[src].transpose(0, 2, 1), cols[src, np.arange(k)][:, None, :])
     peak = np.abs(table).argmax(axis=1)  # (n_groups, k)
     ref = np.take_along_axis(table, peak[:, None, :], axis=1)[:, 0][member]
-    mine = entries(np.take_along_axis(local[order], peak[member], axis=1), cols)
+    mine = entries(np.take_along_axis(local, peak[member], axis=1), cols)
     scale = np.divide(mine, ref, out=np.zeros_like(mine), where=ref != 0.0)
 
     # eps of the 12 local velocity dofs (ordered like vel_l2g) at the
@@ -913,26 +898,18 @@ def element_stress_vector(
     `stress_residual_vector` at C coeffs.  Per group, one GEMM with its
     table gives eps at the points of its blocks from their
     coefficients, and one GEMM back gives their entries from the
-    weighted stress, which are added at their functions; the lone
-    blocks make one GEMV each, batched."""
+    weighted stress, which are added at their functions."""
     n, k = basis.cols.shape
     gathered = np.append(coeffs, 0.0)[basis.cols] * basis.scale
-    groups = basis.groups
     eps = np.empty((n, basis.tables.shape[1] * 4))
-    for table, blocks in groups:
-        if table.ndim == 2:
-            np.matmul(gathered[blocks], table.T, out=eps[blocks])
-        else:
-            np.matmul(table, gathered[blocks, :, None], out=eps[blocks, :, None])
+    for table, blocks in basis.groups:
+        np.matmul(gathered[blocks], table.T, out=eps[blocks])
     S = stress_S(eps.reshape(n, -1, 2, 2), params)
     S *= np.take(ops.qw, basis.points)[..., None, None]
     S = S.reshape(eps.shape)
     local = np.empty((n, k))
-    for table, blocks in groups:
-        if table.ndim == 2:
-            np.matmul(S[blocks], table, out=local[blocks])
-        else:
-            np.matmul(S[blocks, None, :], table, out=local[blocks, None, :])
+    for table, blocks in basis.groups:
+        np.matmul(S[blocks], table, out=local[blocks])
     local *= basis.scale
     n_functions = basis.pattern.shape[0]
     return np.bincount(basis.cols.ravel(), local.ravel(), minlength=n_functions + 1)[:-1]
@@ -945,16 +922,14 @@ def stress_tangent_matrix(
     picard: bool,
     basis: ElementBasis,
 ) -> sp.csc_matrix:
-    """Linearization of the stress form in an element basis: the stepper's
-    `ops.stream_element_basis`, or `ops.free_element_basis` for the free
-    velocity dofs.
+    """Linearization of the stress form in an element basis, the
+    stepper's `ops.stream_element_basis`.
 
     Newton: (DS(eps u)[eps phi_b], eps phi_a); Picard drops the rank-one
     part and keeps the radial weight only.  Group by group, the radial
     part is one GEMM of the blocks' point weights with the products of
-    the table's rows (for the lone blocks, a batch of one weighted GEMM
-    each), and the rank-one part a batch of small GEMMs of eps phi
-    against the unit direction of eps u at the points
+    the table's rows, and the rank-one part a batch of small GEMMs of
+    eps phi against the unit direction of eps u at the points
     (`tensors.jacobian_coefficients`); the blocks' entries, scaled by
     their columns, are added at their pattern positions.
     """
@@ -970,21 +945,13 @@ def stress_tangent_matrix(
     # radial part: sum over the points of w alpha eps(phi_a) : eps(phi_b);
     # rank-one part from v = unit(eps u) : eps(phi_a) at the points
     for table, blocks in basis.groups:
-        if table.ndim == 2:
-            rows = table.reshape(-1, 4, k)
-            products = np.matmul(rows.transpose(0, 2, 1), rows).reshape(len(rows), k * k)
-            np.matmul(w_alpha[blocks], products, out=K_loc[blocks].reshape(-1, k * k))
-            if not picard:
-                v = np.matmul(unit[blocks].transpose(1, 0, 2), rows)  # (q, block, k)
-                vb = v * w_beta[blocks].T[:, :, None]
-                K_loc[blocks] += np.matmul(vb.transpose(1, 2, 0), v.transpose(1, 0, 2))
-        else:
-            weighted = table * np.repeat(w_alpha[blocks], 4, axis=1)[:, :, None]
-            np.matmul(table.transpose(0, 2, 1), weighted, out=K_loc[blocks])
-            if not picard:
-                tables = table.reshape(len(table), -1, 4, k)
-                v = np.matmul(unit[blocks, :, None, :], tables)[:, :, 0]  # (block, q, k)
-                K_loc[blocks] += np.matmul(v.transpose(0, 2, 1), v * w_beta[blocks][:, :, None])
+        rows = table.reshape(-1, 4, k)
+        products = np.matmul(rows.transpose(0, 2, 1), rows).reshape(len(rows), k * k)
+        np.matmul(w_alpha[blocks], products, out=K_loc[blocks].reshape(-1, k * k))
+        if not picard:
+            v = np.matmul(unit[blocks].transpose(1, 0, 2), rows)  # (q, block, k)
+            vb = v * w_beta[blocks].T[:, :, None]
+            K_loc[blocks] += np.matmul(vb.transpose(1, 2, 0), v.transpose(1, 0, 2))
     K_loc *= basis.scale[:, :, None]
     K_loc *= basis.scale[:, None, :]
     pattern = basis.pattern

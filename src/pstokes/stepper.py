@@ -23,12 +23,12 @@ back-substitution with the factor of C^T M C), and the residual is
     F(x) = C^T M C x + tau F_S(x) - C^T rhs,
     F_S(x) = C^T (S(eps C x), eps xi),
 
-with F_S evaluated macro-element by macro-element from the grouped
-element tables of the bundle's `stream_element_basis`
-(`spaces.element_stress_vector`): no velocity-space quadrature and no
-product with C^T per iterate.  C^T K C is assembled from the same
-tables (`spaces.stress_tangent_matrix`), so no free-dof tangent and no
-sparse triple product is formed, and a direction is one
+with F_S evaluated macro-element by macro-element from the element
+tables of the bundle's `stream_element_basis`, one table per distinct
+macro-element (`spaces.element_stress_vector`): no velocity-space
+quadrature and no product with C^T per iterate.  C^T K C is assembled
+from the same tables (`spaces.stress_tangent_matrix`), so no free-dof
+tangent and no sparse triple product is formed, and a direction is one
 back-substitution.  The drift test of the lagged factor measures the
 velocity C x in the sup norm.  No pressure multiplier is produced: the
 pressure increment is recovered afterwards by the reconstruction in
@@ -55,7 +55,8 @@ CONTRACTION (0.5) is the residual ratio above which a stale direction
 forces a fresh factor for the next correction.
 
 Each per-step quantity is formed once.  The check that closes a step
-(`StepperWorkspace.residual`, once at the converged iterate) forms the
+(`StepperWorkspace.residual`, once, at the iterate the step keeps:
+Newton's, or the Kacanov fallback's best) forms the
 stress column s_n = tau (S(eps u_n), eps xi) on the free dofs by
 quadrature, with u_n = C x_n, and M u_n; the step keeps both, reads the
 dissipation (S(eps u_n), eps u_n) as s_n . u_n / tau from s_n (u_n
@@ -300,12 +301,13 @@ class StepperWorkspace:
 
     The Newton driver and the Kacanov fallback ask the reduced system
     for loads in the basis (`stream_load`), residuals of coefficients
-    (`stream_residual`), directions, factorizations, the velocity of
-    coefficients and the closing check (`residual`); the p = 2 step
-    asks for one `solve`.  The lagged factor is owned by the workspace
-    alone: the driver asks for directions, never for the factor, and a
-    stale factor is released before its successor is built, so two
-    Newton factorizations never live at once.
+    (`stream_residual`), directions, factorizations and the velocity
+    of coefficients; the p = 2 step asks for one `solve`, and every
+    step for the closing check (`residual`) of the iterate it keeps.
+    The lagged factor is owned by the workspace alone: the driver asks
+    for directions, never for the factor, and a stale factor is
+    released before its successor is built, so two Newton
+    factorizations never live at once.
     """
 
     def __init__(self, config: SchemeConfig, ops: AssembledOperators):
@@ -515,11 +517,12 @@ def velocity_step(
     else:
         # u_{n-1} is divergence free: Newton starts from its coefficients
         x0 = work.stream_coefficients(Mu_prev[ops.free])
-        u_full, res, stress, Mu, iterations, converged = _newton(n, x0, rhs_free, work)
+        u_full, res, iterations, converged = _newton(n, x0, rhs_free, work)
         used_picard = not converged
         if used_picard:
-            u_full, res, stress, Mu = _picard_fallback(u_prev.coeffs, rhs_free, work)
+            u_full, res = _picard_fallback(u_prev.coeffs, rhs_free, work)
             converged = res <= nt.abs_tol
+        _, _, stress, Mu = work.residual(u_full, rhs_free)
 
     tau = config.grid.tau
     diss = float(stress @ u_full[ops.free]) / tau
@@ -545,14 +548,14 @@ def velocity_step(
 
 def _newton(
     n: int, x: np.ndarray, rhs_free: np.ndarray, work: StepperWorkspace
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, int, bool]:
+) -> tuple[np.ndarray, float, int, bool]:
     """Damped Newton for step n in the stream basis, from the
     coefficients x, on the lagged factorization: each correction is
     backtracked (Armijo) until the residual norm drops.  Returns (u,
-    residual, stress column of u, M u, iterations, converged) with u = C
-    x the full-length velocity of the last iterate, whose columns the
-    closing `residual` forms.  A residual with a non-finite entry raises
-    FloatingPointError before anything is factored at its point."""
+    residual, iterations, converged) with u = C x the full-length
+    velocity of the last iterate.  A residual with a non-finite entry
+    raises FloatingPointError before anything is factored at its
+    point."""
     nt = work.config.newton
     b = work.stream_load(rhs_free)
 
@@ -564,16 +567,11 @@ def _newton(
             )
         return F, res
 
-    def finish(y: np.ndarray, res: float, it: int, converged: bool):
-        u = work.velocity(y)
-        _, _, s, Mu = work.residual(u, rhs_free)
-        return u, res, s, Mu, it, converged
-
     F, res = residual(x, 1)
     force_fresh = False
     for it in range(1, nt.max_iter + 1):
         if res <= nt.abs_tol:
-            return finish(x, res, it, True)
+            return work.velocity(x), res, it, True
         dx, fresh = work.direction(x, F, force=force_fresh)
         step = 1.0
         while True:
@@ -584,7 +582,7 @@ def _newton(
             step *= ARMIJO_FACTOR
             if step < MIN_STEP:
                 if fresh:
-                    return finish(x, res, it, False)
+                    return work.velocity(x), res, it, False
                 # stale Jacobian is the usual culprit: refactor at the
                 # current point and retry the search once (a forced
                 # direction is always fresh)
@@ -595,18 +593,17 @@ def _newton(
         # before the next correction
         force_fresh = not fresh and tres > CONTRACTION * res
         x, F, res = trial, tF, tres
-    return finish(x, res, nt.max_iter, False)
+    return work.velocity(x), res, nt.max_iter, False
 
 
 def _picard_fallback(
     u_start: np.ndarray, rhs_free: np.ndarray, work: StepperWorkspace
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, float]:
     """Kacanov fixed-point iteration from the velocity u_start: each
     iterate solves the step in the stream basis with the radial-weight
     matrix frozen at the previous one.  Returns the iterate with the
-    smallest residual (the start, copied, if none is finite), that
-    residual, and the stress column and mass product of its closing
-    `residual`."""
+    smallest residual (the start, copied, if none is finite) and that
+    residual."""
     b = work.stream_load(rhs_free)
     u, best, best_res = u_start, u_start.copy(), np.inf
     for _ in range(work.config.newton.picard_iters):
@@ -617,8 +614,7 @@ def _picard_fallback(
             best, best_res = u, res
         if res <= work.config.newton.abs_tol:
             break
-    _, _, s, Mu = work.residual(best, rhs_free)
-    return best, best_res, s, Mu
+    return best, best_res
 
 
 def run_trajectory(

@@ -36,12 +36,11 @@ evaluation at the P2 nodes.
 This module only builds: `build_curl_basis` returns C and
 `build_element_basis` reads the blocks of C into the element tables
 the stepper evaluates its Newton residuals and assembles C^T K C from,
-one table per group of macro-elements with the same geometry and the
-same clamped dofs.  The operator bundle
-calls them on first use and keeps what they return
-(`AssembledOperators.stream_basis`, `.stream_element_basis`); nothing
-here writes to it, and `stream_curl_basis` only reads the bundle's
-basis.  The basis is geometry-only; the coarse structure it is
+one table per distinct macro-element, whatever dofs its members
+clamp.  The operator bundle calls them on first use and keeps what
+they return (`AssembledOperators.stream_basis`,
+`.stream_element_basis`); nothing here writes to it, and
+`stream_curl_basis` only reads the bundle's basis.  The basis is geometry-only; the coarse structure it is
 numbered by is read from the Alfeld layout the mesh checks
 (`meshing.TriMesh`) while the basis is built, and not kept.  Entries
 of C that are rounding noise are dropped column by column.
@@ -415,25 +414,17 @@ def build_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     return C
 
 
-def _block_groups(ops: AssembledOperators, cs: _Coarse) -> np.ndarray:
-    """The group of every macro-element's block of C, from small keys and
-    never from its table: its group of `_active_macros` and its clamped
-    dofs.  Two macro-elements with both equal have the same functions up
-    to the scale of each column (14 groups on `unit_square_mesh(m)` at
-    m = 4, 8 and 16).  A macro-element without an active dof is in
-    group 0; `element_basis` does not store its block."""
-    macros = _active_macros(ops, cs)
-    clamped = (macros.gcols < 0) @ (1 << np.arange(12))
-    group = np.zeros(len(cs.coarse_tris), dtype=np.int64)
-    group[macros.active] = macros.inverse * (1 << 12) + clamped
-    return group
-
-
 def build_element_basis(ops: AssembledOperators) -> ElementBasis:
     """The element tables of the stress tangent in the stream basis
     (`spaces.element_basis`): one block per macro-element, its three
-    children and its 12 stream dofs, one table per group of blocks
-    (`_block_groups`).  The operator bundle keeps them as
+    children and its 12 stream dofs, one table per group of
+    `_active_macros`, whose blocks have the same functions up to the
+    scale of each column (two on `unit_square_mesh(m)`).  A clamped dof
+    is a column its block lacks; a macro-element without an active dof
+    has no block.  The operator bundle keeps the tables as
     `ops.stream_element_basis`."""
     cs = _coarse_structure(ops)
-    return element_basis(ops, _global_columns(cs), ops.stream_basis, _block_groups(ops, cs))
+    macros = _active_macros(ops, cs)
+    group = np.zeros(len(cs.coarse_tris), dtype=np.int64)
+    group[macros.active] = macros.inverse
+    return element_basis(ops, _global_columns(cs), ops.stream_basis, group)

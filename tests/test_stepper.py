@@ -104,9 +104,18 @@ class TestStepColumns:
         [(1.5, 0.1, 50), (2.0, 0.0, 50), (2.0, 0.1, 50), (3.0, 0.0, 50), (1.5, 0.1, 1)],
         ids=["p1.5", "p2", "p2-kappa", "p3", "p1.5-fallback"],
     )
-    def test_stress_loads_and_dissipation(self, ops4, u0h, p, kappa, max_iter):
+    def test_stress_loads_and_dissipation(self, ops4, u0h, monkeypatch, p, kappa, max_iter):
         # with max_iter = 1 Newton finishes no step: the Kacanov fallback
-        # returns its best iterate, and the column must be that iterate's
+        # returns its best iterate, and the column must be that iterate's,
+        # formed once per step (at p = 2 it is a product, no quadrature)
+        calls = []
+        stress = stepper.stress_residual_vector
+
+        def counted(*args):
+            calls.append(args)
+            return stress(*args)
+
+        monkeypatch.setattr(stepper, "stress_residual_vector", counted)
         model = NoiseModel(mode_fields=curl_modes(2), rule="linear")
         grid = TimeGrid(T=0.1, N=4)
         params = PowerLawParams(p=p, kappa=kappa)
@@ -115,6 +124,7 @@ class TestStepColumns:
         traj = run_trajectory(u0h, inc, cfg, ops4)
         assert traj.ok and traj.stress_loads.shape == (grid.N, ops4.n_free)
         assert any(s.used_picard for s in traj.stats) == (max_iter == 1)
+        assert len(calls) == (0 if p == 2.0 else grid.N)
         for n, (column, stats) in enumerate(zip(traj.stress_loads, traj.stats), 1):
             u = traj.fields[n].coeffs
             ref = grid.tau * stress_residual_vector(u, ops4, params)
@@ -236,7 +246,7 @@ class TestVelocityStep:
         assert np.isfinite(F).all() and s > 1e160
         assert res == pytest.approx(s * np.linalg.norm(F / s), rel=1e-12, abs=0.0)
 
-    def test_matches_direct_linear_solver(self, ops4, u0h):
+    def test_matches_direct_linear_solver(self, ops4, u0h, free_element_basis):
         # independent implicit-Euler Stokes step assembled from scratch;
         # its multiplier is the reconstructed pressure increment d_1 pi
         cfg = make_config(2.0)
@@ -247,7 +257,7 @@ class TestVelocityStep:
         d_pi = reconstruct(traj, None, cfg, ops4).increment(1).coeffs
 
         K = stress_tangent_matrix(
-            np.zeros(ops4.space_v.n_dofs), ops4, cfg.params, False, ops4.free_element_basis
+            np.zeros(ops4.space_v.n_dofs), ops4, cfg.params, False, free_element_basis(ops4)
         )
         npr = ops4.n_pressure
         c = sp.csc_matrix(
@@ -443,7 +453,7 @@ class TestSolverMachinery:
         rhs_free = (ops4.M_full @ u0h.coeffs)[ops4.free]
         cold = np.zeros(ops4.space_v.n_dofs)
         work = StepperWorkspace(make_config(3.0, N=4), ops4)
-        u, res, _, _ = _picard_fallback(cold, rhs_free, work)
+        u, res = _picard_fallback(cold, rhs_free, work)
         assert res < 1e-6
         assert np.isfinite(u).all()
 
@@ -622,9 +632,6 @@ class TestNewtonRetry:
         def stream_residual(self, v, b):
             return v.copy(), float(np.linalg.norm(v))
 
-        def residual(self, v, rhs_free):
-            return v.copy(), float(np.linalg.norm(v)), 2.0 * v, 3.0 * v
-
         def direction(self, u, F, force=False):
             self.forced.append(force)
             sign, fresh = self.directions[force]
@@ -633,29 +640,27 @@ class TestNewtonRetry:
     def test_forced_direction_rescues_a_stale_one(self):
         # the stale direction points uphill; the forced one is exact
         work = self.Stub(stale=(1.0, False), forced=(-1.0, True))
-        u, res, s, Mu, its, converged = _newton(1, np.array([1.0, -2.0]), None, work)
+        u, res, its, converged = _newton(1, np.array([1.0, -2.0]), None, work)
         assert work.forced == [False, True]
         assert converged and its == 2
-        assert res == 0.0 and not u.any() and not s.any() and not Mu.any()
+        assert res == 0.0 and not u.any()
 
     def test_failed_forced_direction_ends_the_step(self):
         # both point uphill: one forced retry, then `_newton` returns
         # the start point unconverged without a second forced call
         work = self.Stub(stale=(1.0, False), forced=(1.0, True))
         u0 = np.array([1.0, -2.0])
-        u, res, s, Mu, its, converged = _newton(1, u0.copy(), None, work)
+        u, res, its, converged = _newton(1, u0.copy(), None, work)
         assert work.forced == [False, True]
         assert not converged and its == 1
         assert np.array_equal(u, u0) and res == np.linalg.norm(u0)
-        assert np.array_equal(s, 2.0 * u0) and np.array_equal(Mu, 3.0 * u0)
 
 
 class TestPicardFallback:
     """The Kacanov fallback when no iterate has a finite residual: it
-    returns the start's velocity with residual inf and the columns of a
-    residual at the start.  A stub workspace whose solves give NaN
-    drives it; its basis is the identity and its residual of v is v
-    itself."""
+    returns the start's velocity, copied, with residual inf.  A stub
+    workspace whose solves give NaN drives it; its basis is the identity
+    and its residual of v is v itself."""
 
     class Stub:
         def __init__(self):
@@ -679,16 +684,12 @@ class TestPicardFallback:
         def stream_residual(self, v, b):
             return v.copy(), float(np.linalg.norm(v))
 
-        def residual(self, v, rhs_free):
-            return v.copy(), float(np.linalg.norm(v)), 2.0 * v, 3.0 * v
-
     def test_no_finite_residual_returns_the_start(self):
         work = self.Stub()
         u0 = np.array([1.0, -2.0])
-        u, res, s, Mu = _picard_fallback(u0, None, work)
+        u, res = _picard_fallback(u0, None, work)
         assert work.solves == 3
         assert np.array_equal(u, u0) and u is not u0 and res == np.inf
-        assert np.array_equal(s, 2.0 * u0) and np.array_equal(Mu, 3.0 * u0)
 
 
 class TestInputConsistency:

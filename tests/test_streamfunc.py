@@ -49,17 +49,18 @@ def ops2():
     return assemble(alfeld_split(unit_square_mesh(2)))
 
 
-def reduced_solve_error(ops) -> float:
+def reduced_solve_error(ops, free_basis) -> float:
     """Span exactness: relative difference between a dense solve of the
     bordered KKT system and the same problem solved in the reduced
     basis, which vanishes only if the basis spans the full
-    divergence-free space, not a proper subspace of it."""
+    divergence-free space, not a proper subspace of it.  free_basis is
+    the element basis of the free velocity dofs."""
     C = stream_curl_basis(ops)
     rng = np.random.default_rng(3)
     u = np.zeros(ops.space_v.n_dofs)
     u[ops.free] = 0.05 * rng.standard_normal(ops.n_free)
     A = ops.M_free + 0.01 * stress_tangent_matrix(
-        u, ops, PowerLawParams(p=3.0, kappa=0.0), False, ops.free_element_basis
+        u, ops, PowerLawParams(p=3.0, kappa=0.0), False, free_basis
     )
     f = rng.standard_normal(ops.n_free)
     nf, npr = ops.n_free, ops.n_pressure
@@ -116,7 +117,7 @@ class TestBasisConstruction:
         norms_sq = np.asarray(C.multiply(C).sum(axis=0)).ravel()
         assert np.allclose(norms_sq, 1.0, atol=1e-12)
 
-    def test_unstructured_mesh_basis(self, jiggled_mesh):
+    def test_unstructured_mesh_basis(self, jiggled_mesh, free_element_basis):
         """Dimension, pointwise divergence, column scaling and span
         exactness on a mesh whose macro-elements all differ in shape."""
         ops = assemble(alfeld_split(jiggled_mesh))
@@ -128,11 +129,11 @@ class TestBasisConstruction:
             assert divergence_pointwise_max(Field("velocity", u), ops) <= 1e-10
         norms_sq = np.asarray(C.multiply(C).sum(axis=0)).ravel()
         assert np.allclose(norms_sq, 1.0, atol=1e-12)
-        assert reduced_solve_error(ops) <= 1e-10
+        assert reduced_solve_error(ops, free_element_basis(ops)) <= 1e-10
 
-    def test_reduced_solve_matches_saddle(self):
+    def test_reduced_solve_matches_saddle(self, free_element_basis):
         ops = assemble(alfeld_split(unit_square_mesh(4)))
-        assert reduced_solve_error(ops) <= 1e-10
+        assert reduced_solve_error(ops, free_element_basis(ops)) <= 1e-10
 
     def test_requires_split_mesh(self):
         # the operator bundle itself refuses unsplit meshes, so the
@@ -291,23 +292,30 @@ class TestStreamTangent:
     C^T M C, and the per-element formula on the tables of every
     block."""
 
-    @pytest.mark.parametrize("mesh", ["square", "square8", "jiggled"])
+    @pytest.mark.parametrize("mesh", ["square2", "square", "square8", "jiggled"])
     @pytest.mark.parametrize("p,kappa", [(1.5, 0.1), (3.0, 0.0)])
     @pytest.mark.parametrize("picard", [False, True], ids=["newton", "picard"])
-    def test_matches_product_of_free_tangent(self, jiggled_mesh, mesh, p, kappa, picard):
-        bases = {"square": unit_square_mesh(4), "square8": unit_square_mesh(8)}
+    def test_matches_product_of_free_tangent(
+        self, jiggled_mesh, free_element_basis, mesh, p, kappa, picard
+    ):
+        bases = {
+            "square2": unit_square_mesh(2),
+            "square": unit_square_mesh(4),
+            "square8": unit_square_mesh(8),
+        }
         ops = assemble(alfeld_split(bases.get(mesh, jiggled_mesh)))
         C = stream_curl_basis(ops)
         params = PowerLawParams(p=p, kappa=kappa)
         u = np.zeros(ops.space_v.n_dofs)
         u[ops.free] = 0.05 * np.random.default_rng(7).standard_normal(ops.n_free)
         K = stress_tangent_matrix(u, ops, params, picard, ops.stream_element_basis)
-        free = stress_tangent_matrix(u, ops, params, picard, ops.free_element_basis)
+        free = stress_tangent_matrix(u, ops, params, picard, free_element_basis(ops))
         reference = (C.T @ (free @ C)).tocsc()
         scale = np.abs(reference.data).max()
         assert np.abs((K - reference).toarray()).max() <= 1e-14 * scale
         cols = streamfunc._global_columns(streamfunc._coarse_structure(ops))
-        oracle = per_element_tangent(u, ops, params, picard, element_basis(ops, cols, C))
+        alone = element_basis(ops, cols, C, np.arange(len(cols)))
+        oracle = per_element_tangent(u, ops, params, picard, alone)
         assert np.abs((K - oracle).toarray()).max() <= 1e-13 * scale
         gram = (C.T @ (ops.M_free @ C)).tocsc()
         gram.sort_indices()
@@ -340,18 +348,23 @@ def test_first_writes_are_the_first_occurrences(jiggled_mesh, mesh):
 
 class TestGroupedTables:
     """The stream basis keeps one element table per group of
-    macro-elements with the same geometry and the same clamped dofs; the
-    kernels read each block as its group's table scaled by column.  The
-    stress vector of the Newton residual must agree with C^T of the
-    quadrature through `qp_eval` (the tangent is checked in
-    TestStreamTangent)."""
+    macro-elements with the same geometry, whatever dofs they clamp; the
+    kernels read each block as its group's table scaled by column, a
+    clamped column scaled by 0.  The stress vector of the Newton
+    residual must agree with C^T of the quadrature through `qp_eval`
+    (the tangent is checked in TestStreamTangent)."""
 
     @pytest.fixture(scope="class")
     def meshes(self, jiggled_mesh):
-        bases = {"4": unit_square_mesh(4), "8": unit_square_mesh(8), "jiggled": jiggled_mesh}
+        bases = {
+            "2": unit_square_mesh(2),
+            "4": unit_square_mesh(4),
+            "8": unit_square_mesh(8),
+            "jiggled": jiggled_mesh,
+        }
         return {name: assemble(alfeld_split(base)) for name, base in bases.items()}
 
-    @pytest.mark.parametrize("mesh", ["4", "8", "jiggled"])
+    @pytest.mark.parametrize("mesh", ["2", "4", "8", "jiggled"])
     @pytest.mark.parametrize("p,kappa", [(1.5, 0.1), (3.0, 0.0)])
     def test_stress_vector_matches_quadrature(self, meshes, mesh, p, kappa):
         ops = meshes[mesh]
@@ -372,16 +385,19 @@ class TestGroupedTables:
         cols = streamfunc._global_columns(cs)
         d = 10.0 ** np.random.default_rng(5).uniform(-1.0, 1.0, cs.dim)
         C = (stream_curl_basis(ops) @ sp.diags(d)).tocsc()
-        basis = element_basis(ops, cols, C, streamfunc._block_groups(ops, cs))
+        macros = streamfunc._active_macros(ops, cs)
+        group = np.zeros(len(cols), dtype=np.int64)
+        group[macros.active] = macros.inverse
+        basis = element_basis(ops, cols, C, group)
         present = basis.cols < cs.dim
-        assert len(basis.tables) == 14 and np.ptp(basis.scale[present]) > 1.0
+        assert len(basis.tables) == 2 and np.ptp(basis.scale[present]) > 1.0
         params = PowerLawParams(p=p, kappa=kappa)
         x = 0.05 * np.random.default_rng(7).standard_normal(cs.dim) / d
         u = _full_velocity(ops, C @ x)
         got = element_stress_vector(x, ops, params, basis)
         want = C.T @ stress_residual_vector(u, ops, params)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        alone = element_basis(ops, cols, C)
+        alone = element_basis(ops, cols, C, np.arange(len(cols)))
         for picard in (False, True):
             K = stress_tangent_matrix(u, ops, params, picard, basis)
             oracle = per_element_tangent(u, ops, params, picard, alone)
@@ -390,13 +406,12 @@ class TestGroupedTables:
     def test_group_count_does_not_grow_with_m(self, meshes):
         counts = [
             len(assemble(alfeld_split(unit_square_mesh(m))).stream_element_basis.tables)
-            for m in (4, 8, 16)
+            for m in (2, 3, 4, 8, 16)
         ]
-        assert counts == [14, 14, 14]
+        assert counts == [2, 2, 2, 2, 2]
         basis = meshes["jiggled"].stream_element_basis
-        # on the jiggled mesh every block is its own group: the kernels
-        # read the lone blocks as one batch, not one group at a time
-        assert len(basis.tables) == len(basis.cols) and len(basis.groups) == 1
+        # on the jiggled mesh every block is its own group
+        assert len(basis.tables) == len(basis.groups) == len(basis.cols)
         np.testing.assert_array_equal(basis.scale[basis.cols < basis.pattern.shape[0]], 1.0)
 
 
