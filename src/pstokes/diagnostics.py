@@ -112,8 +112,9 @@ __all__ = [
 
 
 def _mass_gram(U: np.ndarray, M) -> np.ndarray:
-    """Gram matrix U M U^T of stacked coefficient rows."""
-    return U @ (M @ U.T)
+    """Gram matrix U M U^T of stacked coefficient rows.  The sparse
+    product gets U^T as a C-contiguous block, the layout it reads."""
+    return U @ (M @ np.ascontiguousarray(U.T))
 
 
 def _lag_seminorm(G: np.ndarray, tau: float = 1.0, r: float = 2.0) -> float:
@@ -123,16 +124,17 @@ def _lag_seminorm(G: np.ndarray, tau: float = 1.0, r: float = 2.0) -> float:
 
     over the lags k = 1..N (zero when there is none), with
     ||u_n - u_m||^2 = G_nn + G_mm - 2 G_nm clipped at zero.  At r = 2 it
-    is max_k (1/k) sum_n ||u_n - u_{n-k}||^2, whatever tau.  A non-finite
-    entry of G makes the seminorm NaN.
+    is max_k (1/k) sum_n ||u_n - u_{n-k}||^2, whatever tau.  Every lag
+    is summed in one pass over the lower triangle of G, one `bincount`
+    by lag.  A non-finite entry of G makes the seminorm NaN.
     """
+    n, m = np.tril_indices(len(G), -1)
+    k = n - m
     d = np.diag(G)
-    sums = []
-    for k in range(1, len(G)):
-        sq = np.maximum(d[k:] + d[:-k] - 2.0 * np.diagonal(G, offset=-k), 0.0)
-        sums.append(np.sum(tau * (sq / (tau * k)) ** (r / 2.0)))
+    sq = np.maximum(d[n] + d[m] - 2.0 * G[n, m], 0.0)
+    sums = np.bincount(k, weights=tau * (sq / (tau * k)) ** (r / 2.0), minlength=len(G))
     # np.max keeps a NaN, where the builtin max would drop it
-    return float(np.max(sums, initial=0.0)) ** (2.0 / r)
+    return float(np.max(sums[1:], initial=0.0)) ** (2.0 / r)
 
 
 def _coeff_rows(seq: Sequence[Field]) -> tuple[np.ndarray, str]:

@@ -203,8 +203,11 @@ def reconstruct(
         W = np.eye(N)
 
     # The functionals that need q only: pi_init's, then the deterministic
-    # increments tau (S(eps u_n), eps xi).
-    D = np.column_stack([(ops.M_full @ traj.fields[0].coeffs)[ops.free], traj.stress_loads.T])
+    # increments tau (S(eps u_n), eps xi), as one C-contiguous block, the
+    # layout the saddle solve's sparse products read.
+    D = np.empty((ops.n_free, N + 1))
+    D[:, 0] = (ops.M_full @ traj.fields[0].coeffs)[ops.free]
+    D[:, 1:] = traj.stress_loads.T
     q, _ = _solve_vperp(D, ops)
     if B.shape[1]:
         q_B, z_B = _solve_vperp(-B, ops, want_z=True)

@@ -266,8 +266,9 @@ class AssembledOperators:
     `_projection_saddle`, because benchmarks time it as one.
 
     `sym_grad_stiffness` is the stress form (eps u, eps xi) of p = 2,
-    where S(A) = A for every kappa: there the stepper's stress column
-    is one sparse product with it instead of a quadrature per step.
+    where S(A) = A for every kappa: there the stepper's stress columns
+    are one sparse product with tau K C (the workspace's
+    `linear_stress_basis`) instead of a quadrature per step.
     `stream_basis_T` keeps C^T, a CSR view of the arrays of the CSC
     matrix C, because every C^T r of a step or a projection would
     otherwise build that view anew.  The two free-dof factorizations
@@ -345,13 +346,21 @@ class AssembledOperators:
         return K[self.free][:, self.free].tocsr()
 
     @cached_property
-    def stream_basis(self) -> sp.csc_matrix:
-        """The curl basis C (free velocity dofs x stream dofs) of the
-        divergence-free subspace.  streamfunc imports this module, so
-        the stream tables import its build functions on use."""
+    def _stream_build(self) -> tuple[sp.csc_matrix, np.ndarray]:
+        """(C, geometry group of each macro-element), as
+        `streamfunc.build_curl_basis` returns them: the element tables
+        are keyed on the groups of the basis build.  streamfunc imports
+        this module, so the stream tables import its build functions on
+        use."""
         from pstokes.streamfunc import build_curl_basis
 
         return build_curl_basis(self)
+
+    @cached_property
+    def stream_basis(self) -> sp.csc_matrix:
+        """The curl basis C (free velocity dofs x stream dofs) of the
+        divergence-free subspace."""
+        return self._stream_build[0]
 
     @cached_property
     def stream_basis_T(self) -> sp.csr_matrix:
@@ -376,7 +385,7 @@ class AssembledOperators:
         stress tangent in the stream basis."""
         from pstokes.streamfunc import build_element_basis
 
-        return build_element_basis(self)
+        return build_element_basis(self, self._stream_build[1])
 
     @cached_property
     def locator(self) -> StructuredLocator:

@@ -16,35 +16,43 @@ saddle system.  C, C^T, C^T M C and its factor are formed once per mesh
 and kept on the operator bundle, where the projections of
 `spaces.SaddleSolver` read them too.
 
-At p != 2 the Newton system lives in the basis: the iterate is the
-coefficient vector x, started from the coefficients of u_{n-1} (one
-back-substitution with the factor of C^T M C), and the residual is
+A trajectory is a recurrence in the coefficients x_n of u_n = C x_n.
+x_0 holds the coefficients of u_0 (one back-substitution with the
+factor of C^T M C), and step n solves
 
-    F(x) = C^T M C x + tau F_S(x) - C^T rhs,
+    C^T M C x_n + tau F_S(x_n) = b_n,   b_n = C^T M C x_{n-1} + C^T l_n,
     F_S(x) = C^T (S(eps C x), eps xi),
 
-with F_S evaluated macro-element by macro-element from the element
-tables of the bundle's `stream_element_basis`, one table per distinct
-macro-element (`spaces.element_stress_vector`): no velocity-space
-quadrature and no product with C^T per iterate.  C^T K C is assembled
-from the same tables (`spaces.stress_tangent_matrix`), so no free-dof
-tangent and no sparse triple product is formed, and a direction is one
-back-substitution.  The drift test of the lagged factor measures the
-velocity C x in the sup norm.  No pressure multiplier is produced: the
-pressure increment is recovered afterwards by the reconstruction in
-pstokes.pressure, and with it the full constrained momentum equation of
-the step holds to the Newton tolerance.
+with l_n = (G_n DW_n, xi) on free dofs.  Under the additive rule G_n is
+c_n times the fixed mode fields (c_n the time coefficient,
+`noise.data_coefficient`), so C^T l_n is the workspace's C^T L
+(`StepperWorkspace.stream_mode_loads`, L = ((g_k, xi)) assembled once)
+times c_n DW_n; a velocity-dependent rule assembles l_n by quadrature
+at u_lag = C x_{n-2}.  At p = 2, S(A) = A for every kappa and the step
+is one back-substitution with the factor that serves the whole
+trajectory and every Monte Carlo sample on the same grid
+(`StepperWorkspace.linear_factor`).  At p != 2 Newton starts from
+x_{n-1} and evaluates F_S macro-element by macro-element from the
+element tables of the bundle's `stream_element_basis`, one table per
+distinct macro-element (`spaces.element_stress_vector`): no
+velocity-space quadrature and no product with C^T per iterate.  C^T K C
+is assembled from the same tables (`spaces.stress_tangent_matrix`), so
+no free-dof tangent and no sparse triple product is formed, and a
+direction is one back-substitution.  The drift test of the lagged
+factor measures the velocity C x in the sup norm.  No pressure
+multiplier is produced: the pressure increment is recovered afterwards
+by the reconstruction in pstokes.pressure, and with it the full
+constrained momentum equation of the step holds to the Newton
+tolerance.
 
-The step is solved by one damped Newton driver: Armijo backtracking on
-the norm of the reduced residual, a lagged Jacobian factorization that
-is rebuilt only when the expansion point has drifted, the line search
-fails on a stale factor, or a stale direction barely contracts.  For
-small time steps most Newton iterations are then a single
-back-substitution.  A step Newton does not finish falls back to the
-Kacanov (Picard) iteration, which freezes the radial stress weight at
-the previous iterate.  At p = 2 the step is linear: one factorization
-serves the whole trajectory (and every Monte Carlo sample on the same
-grid) and the step is a single solve.
+The nonlinear step is solved by one damped Newton iteration: Armijo
+backtracking on the norm of the reduced residual, a lagged Jacobian
+factorization that is rebuilt only when the expansion point has
+drifted, the line search fails on a stale factor, or a stale direction
+barely contracts.  For small time steps most Newton iterations are then
+a single back-substitution.  A step Newton does not finish falls back
+to the Kacanov (Picard) iteration, which freezes the radial stress
+weight at the previous iterate.
 
 The safeguards of the driver are fixed module constants: no caller
 needs other values, and changing any of them can move the iterates that
@@ -54,26 +62,23 @@ relative drift of the iterate that rebuilds the lagged factor, and
 CONTRACTION (0.5) is the residual ratio above which a stale direction
 forces a fresh factor for the next correction.
 
-Each per-step quantity is formed once.  The check that closes a step
-(`StepperWorkspace.residual`, once, at the iterate the step keeps:
-Newton's, or the Kacanov fallback's best) forms the
-stress column s_n = tau (S(eps u_n), eps xi) on the free dofs by
-quadrature, with u_n = C x_n, and M u_n; the step keeps both, reads the
-dissipation (S(eps u_n), eps u_n) as s_n . u_n / tau from s_n (u_n
-vanishes on the boundary dofs) and the energy defect from M u_n, and
-stores s_n on the trajectory, where the pressure reconstruction reads
-it.  At p = 2, S(A) = A for every kappa, so the step is one solve and
-its column is tau K u_n with K the symmetric-gradient stiffness the
-mesh assembles once (`AssembledOperators.sym_grad_stiffness`): one
-sparse product, no quadrature.  The step forms M u_{n-1} once for its
-load, its start and its energy defect.  The additive
-noise load is c_n L DW_n with L = ((g_k, xi)) assembled once per
-workspace and c_n the time coefficient of G_n
-(`noise.data_coefficient`), since G_n is then c_n times the fixed mode
-fields.  So every load of an additive run lies in the span of the K
-columns of L; the trajectory records L and the coefficients c_n DW_n
-(`Trajectory`), and the pressure reconstruction solves for K columns
-instead of N loads.
+The steps keep their coefficients alone; one closing pass after the
+loop (`_close_steps`) forms what every step is checked and recorded
+by, as block products over all steps: the fields U = C X, the mass
+products M U, the stress columns s_n = tau (S(eps u_n), eps xi) on free
+dofs (at p = 2 one product tau K C X with K the symmetric-gradient
+stiffness the mesh assembles once, `AssembledOperators.sym_grad_stiffness`,
+and tau K C kept on the workspace; at p != 2 one quadrature per step,
+`stress_residual_vector`), the
+closing residuals C^T (M u_n + s_n - M u_{n-1} - l_n), the energy
+defects and the dissipation (S(eps u_n), eps u_n) = s_n . u_n / tau.  A
+step fails when its solver did not converge or its closing residual
+exceeds 10 abs_tol, and the trajectory is cut at the first failed step.
+The stress columns are stored on the trajectory, where the pressure
+reconstruction reads them; the noise loads are stored factored
+(`Trajectory`), so under the additive rule every load lies in the span
+of the K columns of L and the pressure reconstruction solves for K
+columns instead of N loads.
 """
 
 from __future__ import annotations
@@ -114,7 +119,6 @@ __all__ = [
     "Trajectory",
     "StepperWorkspace",
     "initial_velocity",
-    "velocity_step",
     "run_trajectory",
     "dissipation_pairing",
 ]
@@ -185,29 +189,32 @@ class StepStats:
 
 @dataclass
 class Trajectory:
-    """Velocity fields u_0..u_N plus everything reconstruction needs.
+    """Velocity fields u_0..u_N plus everything reconstruction needs,
+    as the closing pass of `run_trajectory` formed them: every record
+    ends at the first failed step (failed_at), which it includes.
 
-    The noise loads are kept factored: the assembled right-hand side
-    (G_n DW_n, xi) of step n on free dofs is noise_basis @
-    noise_coeffs[n-1], with noise_basis an (n_free, r) array and
-    noise_coeffs an (N, r) array.  Under the additive rule the basis is
-    the workspace's mode loads L = ((g_k, xi)), held by reference and
-    not copied (r = K), and row n-1 holds c_n DW_n, the coefficient the
-    step multiplies L by; the step's own load c_n (L DW_n) rounds
+    fields[0] is the u0 the run started from; fields[n] for n >= 1 is
+    u_n = C x_n at full length, rows of one block.  The noise loads are
+    kept factored: the assembled right-hand side (G_n DW_n, xi) of step
+    n on free dofs is noise_basis @ noise_coeffs[n-1], with noise_basis
+    an (n_free, r) array and noise_coeffs an (N, r) array.  Under the
+    additive rule the basis is the workspace's mode loads L =
+    ((g_k, xi)), held by reference and not copied (r = K), and row n-1
+    holds c_n DW_n; the step itself applied C^T L to it, which rounds
     differently in the last bits.  Under a velocity-dependent rule the
     basis is the N assembled loads themselves and the coefficients the
     identity (r = N); without a noise model r = 0.  `noise_loads`
     multiplies the two out.
 
-    stress_loads is one (N, n_free) array, truncated after a failed
-    step; row n-1 is the stress column tau (S(eps u_n), eps xi) on free
-    dofs that the step's last residual formed; with the fields and
-    the noise loads it determines the pressure increments
-    (pstokes.pressure.reconstruct).  increment_access_log
-    records every averaged-increment index read during the step that is
-    listed with it, for the causality audit.  grid is the time grid the
-    run was stepped on; reconstruction and the statistics refuse a
-    configuration of another grid.
+    stress_loads is one (N, n_free) array (a transposed view of the
+    closing pass's column block); row n-1 is the stress column
+    tau (S(eps u_n), eps xi) on free dofs, which the closing residual of
+    step n read; with the fields and the noise loads it determines the
+    pressure increments (pstokes.pressure.reconstruct).
+    increment_access_log records every averaged-increment index read
+    during the step that is listed with it, for the causality audit.
+    grid is the time grid the run was stepped on; reconstruction and the
+    statistics refuse a configuration of another grid.
     """
 
     fields: list[Field]
@@ -270,9 +277,9 @@ def dissipation_pairing(
     u_coeffs: np.ndarray, ops: AssembledOperators, params: PowerLawParams
 ) -> float:
     """(S(eps u), eps u) with the same quadrature the residual uses,
-    evaluated afresh from u.  A step reads its dissipation from the
-    stress column of its last residual instead; this function is the
-    independent value the tests compare that with."""
+    evaluated afresh from u.  The closing pass of a trajectory reads
+    each step's dissipation from its stress column instead; this
+    function is the independent value the tests compare that with."""
     eps = sym_grad_at_qp(u_coeffs, ops)
     return float(qp_weights(ops, 4) @ (stress_S(eps, params) * eps).ravel())
 
@@ -281,33 +288,33 @@ class StepperWorkspace:
     """Per-(mesh, config) scratch shared across steps and samples.
 
     Holds the noise mode values g_k and sqrt(sum_k g_k^2) at quadrature
-    points (g_qp, g_rss), the additive-noise mode loads (`mode_loads`,
-    a cached property) and two factorization slots: the lagged Newton
-    factor with the point it was built at, and the p = 2 factor.  Every
-    per-mesh table is a cached property of the operator bundle, built on
-    first read, so a workspace that only assembles noise loads never
-    builds the basis: C (`stream_basis`) and its CSR view C^T
-    (`stream_basis_T`), which every load and solve applies, C^T M C
-    (`stream_mass`) and its factor (`stream_mass_lu`), the element
-    tables of the Newton residual and tangent (`stream_element_basis`)
-    and, at p = 2 only, `sym_grad_stiffness`, which the closing
-    residual's stress column is a product with; the first residual
-    builds it, not `linear_factor`, so a workspace's set-up does not pay
-    for it.  `stream_gram()` is the
-    set-up hook that builds C and C^T M C before the first step.  Never
-    mutated by concurrent trajectories in ways that affect results: the
-    cached factorizations are pure solver accelerators keyed on the
-    expansion point.
+    points (g_qp, and g_rss formed from it), the additive-noise mode
+    loads and their image in the basis (`mode_loads`,
+    `stream_mode_loads`, cached properties) and two factorization
+    slots: the lagged Newton factor with the point it was built at, and
+    the p = 2 factor.  Every per-mesh table is a cached property of the
+    operator bundle, built on first read, so a workspace that only
+    assembles noise loads never builds the basis: C (`stream_basis`) and
+    its CSR view C^T (`stream_basis_T`), which every load applies,
+    C^T M C (`stream_mass`) and its factor (`stream_mass_lu`), the
+    element tables of the Newton residual and tangent
+    (`stream_element_basis`) and, at p = 2 only, `sym_grad_stiffness`,
+    of which the workspace keeps tau K C (`linear_stress_basis`) for the
+    closing pass's stress columns; the first closing pass builds both,
+    not `linear_factor`, so a workspace's set-up does not pay for them.
+    `stream_gram()` is the set-up hook that
+    builds C and C^T M C before the first step.  Never mutated by
+    concurrent trajectories in ways that affect results: the cached
+    factorizations are pure solver accelerators keyed on the expansion
+    point.
 
-    The Newton driver and the Kacanov fallback ask the reduced system
-    for loads in the basis (`stream_load`), residuals of coefficients
-    (`stream_residual`), directions, factorizations and the velocity
-    of coefficients; the p = 2 step asks for one `solve`, and every
-    step for the closing check (`residual`) of the iterate it keeps.
-    The lagged factor is owned by the workspace alone: the driver asks
-    for directions, never for the factor, and a stale factor is
-    released before its successor is built, so two Newton
-    factorizations never live at once.
+    Newton and the Kacanov fallback ask the reduced system
+    for residuals of coefficients (`stream_residual`), directions,
+    factorizations and the velocity of coefficients; the p = 2 step asks
+    for one back-substitution with `linear_factor()`.  The lagged factor
+    is owned by the workspace alone: Newton asks for directions,
+    never for the factor, and a stale factor is released before its
+    successor is built, so two Newton factorizations never live at once.
     """
 
     def __init__(self, config: SchemeConfig, ops: AssembledOperators):
@@ -316,7 +323,7 @@ class StepperWorkspace:
         if config.model is not None:
             qp = ops.qp_x.reshape(-1, 2)
             self.g_qp = config.model.mode_values(qp).reshape((-1,) + ops.qp_x.shape)
-            self.g_rss = np.sqrt(config.model.mode_square_sum(qp)).reshape((1,) + ops.qp_x.shape)
+            self.g_rss = np.sqrt(np.sum(self.g_qp**2, axis=0, keepdims=True))
         else:
             self.g_qp = self.g_rss = None
         self._lagged: tuple | None = None
@@ -332,25 +339,6 @@ class StepperWorkspace:
         builds the divergence-free basis before the first step."""
         return stream_curl_basis(self.ops), self.ops.stream_mass
 
-    def residual(self, u_full: np.ndarray, rhs_free: np.ndarray):
-        """(F, ||F||, s, M u): the check that closes a step, with F =
-        C^T ((u, xi) + s - rhs) the momentum residual tested against the
-        basis, s = tau (S(eps u), eps xi) the stress column on free dofs
-        and M u the full-length mass product, both returned for the step
-        to keep: s is at p = 2 a product with `sym_grad_stiffness`, else
-        a quadrature.  F equals C^T of the constrained momentum residual
-        for any pressure, since C^T B^T = (B C)^T = 0.  The scaled BLAS
-        nrm2 keeps ||F|| finite for any finite F; a plain sum of squares
-        overflows beyond 1e154."""
-        ops, cfg = self.ops, self.config
-        if self.is_linear:
-            s = cfg.grid.tau * (ops.sym_grad_stiffness @ u_full[ops.free])
-        else:
-            s = cfg.grid.tau * stress_residual_vector(u_full, ops, cfg.params)
-        Mu = ops.M_full @ u_full
-        F = ops.stream_basis_T @ (Mu[ops.free] + s - rhs_free)
-        return F, float(la.norm(F, check_finite=False)), s, Mu
-
     def stream_load(self, rhs_free: np.ndarray) -> np.ndarray:
         """C^T rhs_free: a load on the free dofs tested against the basis."""
         return self.ops.stream_basis_T @ rhs_free
@@ -359,7 +347,7 @@ class StepperWorkspace:
         """The coefficients x of a divergence-free velocity u = C x from
         its mass product M u on the free dofs: x = (C^T M C)^{-1} C^T M u,
         one back-substitution with the factor the projections solve with
-        (`AssembledOperators.stream_mass_lu`)."""
+        (`AssembledOperators.stream_mass_lu`); a trajectory's x_0."""
         return self.ops.stream_mass_lu.solve(self.stream_load(Mu_free))
 
     def velocity(self, x: np.ndarray) -> np.ndarray:
@@ -391,11 +379,6 @@ class StepperWorkspace:
         self.refactor_count += 1
         return spla.splu(ops.stream_mass + self.config.grid.tau * K, **SPD_SPLU)
 
-    def solve(self, factor, rhs_free: np.ndarray) -> np.ndarray:
-        """The full-length velocity solving the factored linear step
-        with load rhs_free outright."""
-        return self.velocity(factor.solve(self.stream_load(rhs_free)))
-
     def linear_factor(self):
         """The p = 2 factor: the tangent does not depend on u, so one
         factorization serves every step and sample."""
@@ -405,6 +388,15 @@ class StepperWorkspace:
 
     # the name perfbench pre-warms the p = 2 factor by
     linear_stream = linear_factor
+
+    @cached_property
+    def linear_stress_basis(self):
+        """tau K C (free dofs x stream dim), K = `sym_grad_stiffness`:
+        at p = 2 the stress columns of coefficients X are one product
+        with it, tau K C X^T, with fewer non-zeros than K (81k against
+        129k at m = 16).  Built on first use by the closing pass."""
+        ops = self.ops
+        return (self.config.grid.tau * ops.sym_grad_stiffness @ ops.stream_basis).tocsr()
 
     def direction(self, x: np.ndarray, F: np.ndarray, force: bool = False):
         """(dx, fresh): the update dx of the coefficients solving the
@@ -435,6 +427,13 @@ class StepperWorkspace:
         L.flags.writeable = False
         return L, lp_norm(np.linalg.norm(self.g_rss[0], axis=-1), ops, 2.0)
 
+    @cached_property
+    def stream_mode_loads(self) -> np.ndarray:
+        """C^T L (stream dim x K): the mode loads tested against the
+        basis, so that an additive step's noise load in the basis is one
+        product with its K coefficients c_n DW_n."""
+        return self.stream_load(self.mode_loads[0])
+
     def noise_rhs(
         self, n: int, u_lag_coeffs: np.ndarray, dW: np.ndarray
     ) -> tuple[np.ndarray, float]:
@@ -444,8 +443,10 @@ class StepperWorkspace:
         zero for n <= 2 and the modulation average over J_{n-2} after, so
         the load is c_n L DW_n and ||G_n||_HS = |c_n| ||g_rss|| (see
         `mode_loads`, `noise.data_coefficient`); the other rules read
-        u_lag and are assembled by quadrature (`quadrature_load`).  Raises
-        IndexError for n outside 1..N."""
+        u_lag and are assembled by quadrature (`quadrature_load`).  An
+        additive trajectory forms its loads in the basis instead, as
+        `stream_mode_loads` times c_n DW_n.  Raises IndexError for n
+        outside 1..N."""
         model = self.config.model
         if model is None or model.velocity_dependent:
             return self.quadrature_load(n, u_lag_coeffs, dW)
@@ -472,92 +473,16 @@ class StepperWorkspace:
         return load, lp_norm(np.linalg.norm(G_rss, axis=-1), ops, 2.0)
 
 
-def velocity_step(
-    n: int,
-    u_prev: Field,
-    u_lag: Field,
-    increments,
-    config: SchemeConfig,
-    ops: AssembledOperators,
-    work: StepperWorkspace | None = None,
-) -> tuple[Field, np.ndarray, np.ndarray, StepStats]:
-    """One implicit step; returns (u_n, noise_load, stress_load, stats).
-
-    u_lag must be u_{(n-2) v 0}; the only increment read is DW_n.  The
-    noise load is the assembled (G_n DW_n, xi) on free dofs, returned so
-    the pressure reconstruction can verify its equation against data
-    that was not derived from the solved step itself.  The stress load
-    is tau (S(eps u_n), eps xi) on free dofs, from the step's last
-    residual; the dissipation in the stats is read from it.  Raises
-    ValueError when the increments or the workspace belong to another
-    grid, config, mode count or mesh.  Raises FloatingPointError naming
-    the step when the right-hand side is not finite, and naming the step
-    and the Newton iteration when a residual is not finite.
-    """
-    why = _increments_mismatch(increments, config)
-    if why:
-        raise ValueError(f"step {n}: {why}")
-    if work is None:
-        work = StepperWorkspace(config, ops)
-    elif work.config != config or work.ops is not ops:
-        raise ValueError(f"step {n}: the workspace was built for another config or mesh")
-    nt = config.newton
-    dW = increments.increment(n)
-    noise_free, hs_G = work.noise_rhs(n, u_lag.coeffs, dW)
-    Mu_prev = ops.M_full @ u_prev.coeffs
-    rhs_free = Mu_prev[ops.free] + noise_free
-    if not np.isfinite(rhs_free).all():
-        raise FloatingPointError(f"step {n}: the right-hand side has non-finite entries")
-    refactors_before = work.refactor_count
-
-    if work.is_linear:
-        u_full = work.solve(work.linear_factor(), rhs_free)
-        _, res, stress, Mu = work.residual(u_full, rhs_free)
-        iterations, converged, used_picard = 1, res <= 10 * nt.abs_tol, False
-    else:
-        # u_{n-1} is divergence free: Newton starts from its coefficients
-        x0 = work.stream_coefficients(Mu_prev[ops.free])
-        u_full, res, iterations, converged = _newton(n, x0, rhs_free, work)
-        used_picard = not converged
-        if used_picard:
-            u_full, res = _picard_fallback(u_prev.coeffs, rhs_free, work)
-            converged = res <= nt.abs_tol
-        _, _, stress, Mu = work.residual(u_full, rhs_free)
-
-    tau = config.grid.tau
-    diss = float(stress @ u_full[ops.free]) / tau
-    defect = (
-        u_full @ Mu
-        - u_prev.coeffs @ Mu_prev
-        + (u_full - u_prev.coeffs) @ (Mu - Mu_prev)
-        + 2.0 * tau * diss
-        - 2.0 * float(noise_free @ u_full[ops.free])
-    )
-    stats = StepStats(
-        iterations=iterations,
-        residual=res,
-        refactorizations=work.refactor_count - refactors_before,
-        converged=converged,
-        used_picard=used_picard,
-        energy_defect=float(defect),
-        dissipation=diss,
-        hs_G=hs_G,
-    )
-    return Field("velocity", u_full), noise_free, stress, stats
-
-
 def _newton(
-    n: int, x: np.ndarray, rhs_free: np.ndarray, work: StepperWorkspace
+    n: int, x: np.ndarray, b: np.ndarray, work: StepperWorkspace
 ) -> tuple[np.ndarray, float, int, bool]:
     """Damped Newton for step n in the stream basis, from the
-    coefficients x, on the lagged factorization: each correction is
-    backtracked (Armijo) until the residual norm drops.  Returns (u,
-    residual, iterations, converged) with u = C x the full-length
-    velocity of the last iterate.  A residual with a non-finite entry
-    raises FloatingPointError before anything is factored at its
-    point."""
+    coefficients x, with the load b in the basis, on the lagged
+    factorization: each correction is backtracked (Armijo) until the
+    residual norm drops.  Returns (x, residual, iterations, converged)
+    for the last iterate.  A residual with a non-finite entry raises
+    FloatingPointError before anything is factored at its point."""
     nt = work.config.newton
-    b = work.stream_load(rhs_free)
 
     def residual(y: np.ndarray, it: int) -> tuple[np.ndarray, float]:
         F, res = work.stream_residual(y, b)
@@ -571,7 +496,7 @@ def _newton(
     force_fresh = False
     for it in range(1, nt.max_iter + 1):
         if res <= nt.abs_tol:
-            return work.velocity(x), res, it, True
+            return x, res, it, True
         dx, fresh = work.direction(x, F, force=force_fresh)
         step = 1.0
         while True:
@@ -582,7 +507,7 @@ def _newton(
             step *= ARMIJO_FACTOR
             if step < MIN_STEP:
                 if fresh:
-                    return work.velocity(x), res, it, False
+                    return x, res, it, False
                 # stale Jacobian is the usual culprit: refactor at the
                 # current point and retry the search once (a forced
                 # direction is always fresh)
@@ -593,25 +518,24 @@ def _newton(
         # before the next correction
         force_fresh = not fresh and tres > CONTRACTION * res
         x, F, res = trial, tF, tres
-    return work.velocity(x), res, nt.max_iter, False
+    return x, res, nt.max_iter, False
 
 
 def _picard_fallback(
-    u_start: np.ndarray, rhs_free: np.ndarray, work: StepperWorkspace
+    x_start: np.ndarray, b: np.ndarray, work: StepperWorkspace
 ) -> tuple[np.ndarray, float]:
-    """Kacanov fixed-point iteration from the velocity u_start: each
-    iterate solves the step in the stream basis with the radial-weight
-    matrix frozen at the previous one.  Returns the iterate with the
-    smallest residual (the start, copied, if none is finite) and that
-    residual."""
-    b = work.stream_load(rhs_free)
-    u, best, best_res = u_start, u_start.copy(), np.inf
+    """Kacanov fixed-point iteration from the coefficients x_start, with
+    the load b in the basis: each iterate solves the step in the stream
+    basis with the radial-weight matrix frozen at the previous one.
+    Returns the iterate with the smallest residual (the start, copied,
+    if none is finite) and that residual."""
+    u, best, best_res = work.velocity(x_start), x_start.copy(), np.inf
     for _ in range(work.config.newton.picard_iters):
         x = work.factorize(u, picard=True).solve(b)
         u = work.velocity(x)
         _, res = work.stream_residual(x, b)
         if res < best_res:
-            best, best_res = u, res
+            best, best_res = x, res
         if res <= work.config.newton.abs_tol:
             break
     return best, best_res
@@ -624,64 +548,179 @@ def run_trajectory(
     ops: AssembledOperators,
     work: StepperWorkspace | None = None,
 ) -> Trajectory:
-    """Sequential steps n = 1..N from u0; aborts cleanly on failure.
+    """Sequential steps n = 1..N from u0, then the closing pass; a
+    trajectory ends at its first failed step.
 
-    The increments object is wrapped so that every read is logged; the
-    log is checked after each step to enforce that step n touched no
-    increment beyond index n (adaptedness of the discrete flow).  The
-    noise loads are recorded factored (see `Trajectory`).
+    Each step keeps its stream coefficients x_n alone and solves
+    (C^T M C + tau F_S) x_n = C^T M C x_{n-1} + C^T l_n, with x_0 the
+    coefficients of u0 and l_n = (G_n(u_{(n-2) v 0}) DW_n, xi) on free
+    dofs; the only increment it reads is DW_n.  The increments object is
+    wrapped so that every read is logged; the log is checked after each
+    step to enforce that step n touched no increment beyond index n
+    (adaptedness of the discrete flow).  A step ends the loop when its
+    solver does not converge or its coefficients are not finite.  The
+    closing pass (`_close_steps`) then forms the fields, stress columns
+    and stats of every step and cuts the run at the first step that
+    failed.  The noise loads are recorded factored (see `Trajectory`).
+
+    Raises ValueError when the increments or the workspace belong to
+    another grid, config, mode count or mesh.  Raises FloatingPointError
+    naming the step when its right-hand side is not finite, and naming
+    the step and the Newton iteration when a residual is not finite.
     """
+    why = _increments_mismatch(increments, config)
+    if why:
+        raise ValueError(f"step 1: {why}")
     if work is None:
         work = StepperWorkspace(config, ops)
+    elif work.config != config or work.ops is not ops:
+        raise ValueError("step 1: the workspace was built for another config or mesh")
     audited = _AuditedIncrements(increments)
-    N = config.grid.N
-    model = config.model
+    N, model, nt = config.grid.N, config.model, config.newton
     additive = model is not None and not model.velocity_dependent
-    fields = [u0]
-    noise_loads: list[np.ndarray] = []
+    X = np.empty((N, ops.stream_mass.shape[0]))
+    noise_b = np.empty_like(X)  # row n-1: C^T l_n
     coeffs = np.zeros((N, model.n_modes if additive else 0))
-    stress_loads = np.empty((N, ops.n_free))
-    stats_list: list[StepStats] = []
+    loads: list[np.ndarray] = []
+    solved: list[tuple] = []
     access_log: list[tuple[int, int]] = []
-    failed_at = None
+    Mu0 = ops.M_free @ u0.coeffs[ops.free]
+    x = work.stream_coefficients(Mu0)
     for n in range(1, N + 1):
-        u_lag = fields[max(n - 2, 0)]
         mark = len(audited.accessed)
-        u_n, noise_free, stress, stats = velocity_step(
-            n, fields[-1], u_lag, audited, config, ops, work
-        )
-        new_reads = audited.accessed[mark:]
-        for idx in new_reads:
-            access_log.append((n, idx))
-            if idx > n:
-                raise AssertionError(
-                    f"step {n} read increment {idx}: causality violated"
-                )
-        fields.append(u_n)
+        dW = audited.increment(n)
         if additive:
             c = data_coefficient(n, model, config.grid)
-            if c:  # as in noise_rhs: exact zeros where c_n is zero
-                coeffs[n - 1] = c * increments.increment(n)
-        elif model is not None:
-            noise_loads.append(noise_free)
-        stress_loads[n - 1] = stress
-        stats_list.append(stats)
-        if not stats.converged:
-            failed_at = n
+            if c:  # exact zeros where c_n is zero
+                coeffs[n - 1] = c * dW
+            noise_b[n - 1] = work.stream_mode_loads @ coeffs[n - 1]
+            hs_G = abs(c) * work.mode_loads[1]
+        else:
+            u_lag = u0.coeffs if n <= 2 else work.velocity(X[n - 3])
+            load, hs_G = work.noise_rhs(n, u_lag, dW)
+            loads.append(load)
+            noise_b[n - 1] = work.stream_load(load)
+        b = noise_b[n - 1] + ops.stream_mass @ x
+        if not np.isfinite(b).all():
+            raise FloatingPointError(f"step {n}: the right-hand side has non-finite entries")
+        refactors_before = work.refactor_count
+        if work.is_linear:
+            x_n, iterations, converged, used_picard = work.linear_factor().solve(b), 1, True, False
+        else:
+            x_n, _, iterations, converged = _newton(n, x, b, work)
+            used_picard = not converged
+            if used_picard:
+                x_n, res = _picard_fallback(x, b, work)
+                converged = res <= nt.abs_tol
+        for idx in audited.accessed[mark:]:
+            access_log.append((n, idx))
+            if idx > n:
+                raise AssertionError(f"step {n} read increment {idx}: causality violated")
+        X[n - 1] = x = x_n
+        refactors = work.refactor_count - refactors_before
+        solved.append((iterations, refactors, converged, used_picard, hs_G))
+        if not (converged and np.isfinite(x).all()):
             break
-    steps = len(stats_list)
+
+    done = len(solved)
+    fields, stress_loads, stats = _close_steps(work, u0, Mu0, X[:done], noise_b[:done], solved)
+    failed_at = next((n for n, st in enumerate(stats, 1) if not st.converged), None)
+    steps = failed_at or done
     if additive:
         basis, coeffs = work.mode_loads[0], coeffs[:steps]
+    elif model is not None:
+        basis, coeffs = np.stack(loads[:steps], axis=1), np.eye(steps)
     else:
-        basis = np.stack(noise_loads, axis=1) if noise_loads else np.zeros((ops.n_free, 0))
-        coeffs = np.eye(steps, len(noise_loads))
+        basis, coeffs = np.zeros((ops.n_free, 0)), np.zeros((steps, 0))
     return Trajectory(
-        fields=fields,
+        fields=fields[: steps + 1],
         noise_basis=basis,
         noise_coeffs=coeffs,
         stress_loads=stress_loads[:steps],
-        stats=stats_list,
-        increment_access_log=access_log,
+        stats=stats[:steps],
+        increment_access_log=[(n, i) for n, i in access_log if n <= steps],
         grid=config.grid,
         failed_at=failed_at,
     )
+
+
+def _close_steps(
+    work: StepperWorkspace,
+    u0: Field,
+    Mu0: np.ndarray,
+    X: np.ndarray,
+    noise_b: np.ndarray,
+    solved: list[tuple],
+) -> tuple[list[Field], np.ndarray, list[StepStats]]:
+    """The closing pass of the steps with coefficients X (S x stream
+    dim): (fields u_0..u_S, stress columns (S x n_free), stats).
+
+    Velocities live on the free dofs here, where they are nonzero: Mu0
+    is M u_0 there, row n-1 of noise_b is the load C^T l_n of step n in
+    the basis, and solved[n-1] holds what the solve of step n reported:
+    (iterations, refactorizations, converged, used_picard, hs_G).  The pass forms, each as one block product over the S
+    steps, the velocities U = C X^T, their mass products M U, the stress
+    columns s_n = tau (S(eps u_n), eps xi) (at p = 2 one product
+    tau K C X^T, `StepperWorkspace.linear_stress_basis`, else one
+    quadrature per step, `stress_residual_vector`) and the closing
+    residuals
+
+        F_n = C^T (M u_n + s_n - M u_{n-1}) - C^T l_n.
+
+    F_n equals C^T of the constrained momentum residual for any
+    pressure, since C^T B^T = (B C)^T = 0; its norm is the scaled BLAS
+    nrm2, finite for any finite F_n.  A step converged when its solver
+    did and ||F_n|| <= 10 abs_tol.  The stats read the dissipation
+    (S(eps u_n), eps u_n) as s_n . u_n / tau and the energy defect of
+    the discrete energy identity tested with u_n,
+
+        |u_n|^2 - |u_{n-1}|^2 + |u_n - u_{n-1}|^2
+            + 2 tau (S(eps u_n), eps u_n) - 2 (l_n, u_n),
+
+    with |.| the L2 norm, |u_n - u_{n-1}|^2 = |u_n|^2 + |u_{n-1}|^2 -
+    2 (u_n, u_{n-1}) and (l_n, u_n) = (C^T l_n) . x_n."""
+    ops, cfg = work.ops, work.config
+    tau, free = cfg.grid.tau, ops.free
+    U = ops.stream_basis @ X.T
+    rows = np.zeros((len(X), ops.space_v.n_dofs))
+    rows[:, free] = U.T
+    MU = ops.M_free @ U
+    if work.is_linear:
+        S = work.linear_stress_basis @ X.T
+    else:
+        S = np.empty_like(U)
+        for j, u in enumerate(rows):
+            S[:, j] = tau * stress_residual_vector(u, ops, cfg.params)
+    diss = np.einsum("ij,ij->j", S, U) / tau
+    energy = np.einsum("ij,ij->j", U, MU)
+    prev = np.concatenate([[u0.coeffs[free] @ Mu0], energy[:-1]])
+    cross = np.concatenate([[U[:, 0] @ Mu0], np.einsum("ij,ij->j", U[:, 1:], MU[:, :-1])])
+    defect = (
+        energy
+        - prev
+        + (energy + prev - 2.0 * cross)
+        + 2.0 * tau * diss
+        - 2.0 * np.einsum("ij,ij->i", noise_b, X)
+    )
+    # the residual block M (u_n - u_{n-1}) + s_n, in the buffer of U
+    R = U
+    np.subtract(MU[:, 1:], MU[:, :-1], out=R[:, 1:])
+    R[:, 0] = MU[:, 0] - Mu0
+    R += S
+    F = ops.stream_basis_T @ R - noise_b.T
+    res = [float(la.norm(f, check_finite=False)) for f in F.T]
+    ok = 10 * cfg.newton.abs_tol
+    stats = [
+        StepStats(
+            iterations=its,
+            residual=r,
+            refactorizations=refactors,
+            converged=converged and r <= ok,
+            used_picard=used_picard,
+            energy_defect=float(e),
+            dissipation=float(d),
+            hs_G=hs_G,
+        )
+        for (its, refactors, converged, used_picard, hs_G), r, e, d in zip(solved, res, defect, diss)
+    ]
+    return [u0] + [Field("velocity", u) for u in rows], S.T, stats

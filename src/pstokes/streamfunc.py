@@ -33,8 +33,9 @@ macro-elements all differ), and the distinct problems are stacked
 in one batch: one batched inverse for the subtriangle cubics, one
 batched pseudo-inverse for the C^1 and dof conditions, one batched
 evaluation at the P2 nodes.
-This module only builds: `build_curl_basis` returns C and
-`build_element_basis` reads the blocks of C into the element tables
+This module only builds: `build_curl_basis` returns C with the
+geometry group of every macro-element, and `build_element_basis` reads
+the blocks of C, by those groups, into the element tables
 the stepper evaluates its Newton residuals and assembles C^T K C from,
 one table per distinct macro-element, whatever dofs its members
 clamp.  The operator bundle calls them on first use and keeps what
@@ -359,8 +360,11 @@ def _first_writes(cs: _Coarse, macros: _Macros) -> np.ndarray:
     return np.broadcast_to(keep[:, :, None], (n, 3, 2, 6, 12))
 
 
-def build_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
-    """Sparse curl matrix C: free velocity dofs x stream dofs.
+def build_curl_basis(ops: AssembledOperators) -> tuple[sp.csc_matrix, np.ndarray]:
+    """Sparse curl matrix C: free velocity dofs x stream dofs, and the
+    geometry group of every macro-element (`_active_macros`; 0 for one
+    without an active dof), on which `build_element_basis` keys its
+    tables.
 
     Columns are scaled to unit Euclidean norm, then every entry below
     DROP of its column's largest is dropped: the curl of a stream dof
@@ -376,8 +380,7 @@ def build_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     by several macro-elements is written by each with values equal up
     to rounding (C^1 gluing); C keeps the first write of each entry,
     found from the layout (`_first_writes`).  Construction is
-    geometry-only; the operator bundle keeps the result as
-    `ops.stream_basis`.
+    geometry-only; the operator bundle keeps C as `ops.stream_basis`.
     """
     cs = _coarse_structure(ops)
     sv = ops.space_v
@@ -411,20 +414,19 @@ def build_curl_basis(ops: AssembledOperators) -> sp.csc_matrix:
     col_max = np.maximum.reduceat(np.abs(C.data), C.indptr[:-1])
     C.data[np.abs(C.data) < DROP * col_max[col]] = 0.0
     C.eliminate_zeros()
-    return C
+    group = np.zeros(len(cs.coarse_tris), dtype=np.int64)
+    group[macros.active] = inverse
+    return C, group
 
 
-def build_element_basis(ops: AssembledOperators) -> ElementBasis:
+def build_element_basis(ops: AssembledOperators, group: np.ndarray) -> ElementBasis:
     """The element tables of the stress tangent in the stream basis
     (`spaces.element_basis`): one block per macro-element, its three
-    children and its 12 stream dofs, one table per group of
-    `_active_macros`, whose blocks have the same functions up to the
-    scale of each column (two on `unit_square_mesh(m)`).  A clamped dof
-    is a column its block lacks; a macro-element without an active dof
-    has no block.  The operator bundle keeps the tables as
-    `ops.stream_element_basis`."""
+    children and its 12 stream dofs, one table per geometry group that
+    `build_curl_basis` returned with C, whose blocks have the same
+    functions up to the scale of each column (two on
+    `unit_square_mesh(m)`).  A clamped dof is a column its block lacks;
+    a macro-element without an active dof has no block.  The operator
+    bundle keeps the tables as `ops.stream_element_basis`."""
     cs = _coarse_structure(ops)
-    macros = _active_macros(ops, cs)
-    group = np.zeros(len(cs.coarse_tris), dtype=np.int64)
-    group[macros.active] = macros.inverse
     return element_basis(ops, _global_columns(cs), ops.stream_basis, group)

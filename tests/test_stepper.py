@@ -43,7 +43,6 @@ from pstokes.stepper import (
     dissipation_pairing,
     initial_velocity,
     run_trajectory,
-    velocity_step,
 )
 from pstokes.tensors import PowerLawParams
 
@@ -133,32 +132,31 @@ class TestStepColumns:
             assert stats.dissipation == pytest.approx(diss, rel=1e-12, abs=0.0)
 
     def test_quadrature_stress_calls(self, ops4, u0h, monkeypatch):
-        # at p = 2 the column is a product with ops.sym_grad_stiffness, so
-        # a step evaluates no stress by quadrature; at p = 3 every
-        # residual does once; verify_reconstruction evaluates each of the
-        # N fields afresh, at p = 2 too
-        calls = {"stress": 0, "residual": 0}
-        stress, residual = stress_residual_vector, StepperWorkspace.residual
+        # at p = 2 the columns are one product with tau K C (K =
+        # ops.sym_grad_stiffness), so a trajectory evaluates no stress by
+        # quadrature; at p = 3 the closing pass does once per step,
+        # however many Newton iterations the steps took;
+        # verify_reconstruction evaluates each of the N fields afresh, at
+        # p = 2 too
+        calls = {"stress": 0}
+        stress = stress_residual_vector
 
         def counted_stress(*args):
             calls["stress"] += 1
             return stress(*args)
 
-        def counted_residual(self, *args):
-            calls["residual"] += 1
-            return residual(self, *args)
-
         monkeypatch.setattr(stepper, "stress_residual_vector", counted_stress)
         monkeypatch.setattr(pressure, "stress_residual_vector", counted_stress)
-        monkeypatch.setattr(StepperWorkspace, "residual", counted_residual)
         model = NoiseModel(mode_fields=curl_modes(2), rule="linear")
         for p in (3.0, 2.0):
             cfg = make_config(p, N=4, model=model)
             inc = sample_increments(np.random.default_rng(4), cfg.grid, n_modes=2)
-            calls.update(stress=0, residual=0)
+            calls.update(stress=0)
             traj = run_trajectory(u0h, inc, cfg, ops4)
-            assert traj.ok and calls["residual"] >= cfg.grid.N
-            assert calls["stress"] == (0 if p == 2.0 else calls["residual"]), p
+            assert traj.ok
+            if p != 2.0:
+                assert sum(s.iterations for s in traj.stats) > cfg.grid.N
+            assert calls["stress"] == (0 if p == 2.0 else cfg.grid.N), p
         ptraj = reconstruct(traj, None, cfg, ops4)
         assert calls["stress"] == 0
         verify_reconstruction(traj, ptraj, cfg, ops4)
@@ -168,17 +166,17 @@ class TestStepColumns:
 class TestVelocityStep:
     def test_zero_fixed_point(self, ops4):
         for p in (1.5, 2.0, 3.0):
-            cfg = make_config(p, kappa=0.1)
+            cfg = make_config(p, kappa=0.1, N=1)
             zero = Field("velocity", np.zeros(ops4.space_v.n_dofs))
             inc = sample_increments(np.random.default_rng(0), cfg.grid, n_modes=1)
-            u1, load, _, stats = velocity_step(1, zero, zero, inc, cfg, ops4)
-            assert np.abs(u1.coeffs).max() < ABS_TOL
-            assert stats.converged
+            traj = run_trajectory(zero, inc, cfg, ops4)
+            assert np.abs(traj.fields[1].coeffs).max() < ABS_TOL
+            assert traj.ok and traj.stats[0].converged
 
     def test_linear_case_single_iteration(self, ops4, u0h):
-        cfg = make_config(2.0, kappa=0.7)
+        cfg = make_config(2.0, kappa=0.7, N=1)
         inc = sample_increments(np.random.default_rng(1), cfg.grid, n_modes=1)
-        u1, _, _, stats = velocity_step(1, u0h, u0h, inc, cfg, ops4)
+        (stats,) = run_trajectory(u0h, inc, cfg, ops4).stats
         assert stats.iterations == 1
         assert stats.converged
         assert stats.residual < ENERGY_TOL
@@ -346,6 +344,63 @@ class TestTrajectory:
             assert traj.noise_coeffs.shape == (6, 0)
             assert not np.any(traj.noise_loads) and not np.any(loads)
 
+    @pytest.mark.parametrize("rule", ["additive", "linear"])
+    def test_failed_closing_residual_cuts_the_trajectory(self, ops4, u0h, monkeypatch, rule):
+        # a p = 2 step is one solve, checked by the closing pass alone: a
+        # factor whose third solve is 1 % off gives step 3 a closing
+        # residual above 10 abs_tol, and the run ends there, whatever the
+        # later steps did
+        cfg = make_config(2.0, N=6, model=NoiseModel(curl_modes(2), rule=rule))
+        inc = sample_increments(np.random.default_rng(8), cfg.grid, n_modes=2)
+        ref = run_trajectory(u0h, inc, cfg, ops4)
+        work = StepperWorkspace(cfg, ops4)
+        lu, solves = work.linear_factor(), []
+
+        def solve(b):
+            solves.append(b)
+            return lu.solve(b) * (1.01 if len(solves) == 3 else 1.0)
+
+        monkeypatch.setattr(work, "linear_factor", lambda: SimpleNamespace(solve=solve))
+        traj = run_trajectory(u0h, inc, cfg, ops4, work)
+        assert len(solves) == cfg.grid.N
+        assert traj.failed_at == 3 and not traj.ok
+        assert [s.converged for s in traj.stats] == [True, True, False]
+        assert traj.stats[2].residual > 10 * cfg.newton.abs_tol
+        assert len(traj.fields) == 4 and traj.stress_loads.shape == (3, ops4.n_free)
+        assert traj.noise_coeffs.shape[0] == 3 and traj.noise_loads.shape == (3, ops4.n_free)
+        assert traj.increment_access_log == [(1, 1), (2, 2), (3, 3)]
+        for n in range(3):
+            assert np.array_equal(traj.fields[n].coeffs, ref.fields[n].coeffs)
+        assert np.array_equal(traj.noise_loads[:2], ref.noise_loads[:2])
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_step_residuals_recomputed_from_the_fields(self, ops4, u0h, monkeypatch, p):
+        # each StepStats.residual is ||C^T (M u_n + s_n - M u_{n-1} - l_n)||
+        # of the returned fields, stress columns and noise loads.  The
+        # residuals are made large enough to compare: at p = 2 every solve
+        # is 1 % off, at p = 3 Newton stops at a loose tolerance
+        cfg = SchemeConfig(
+            PowerLawParams(p=p),
+            TimeGrid(T=0.1, N=6),
+            NoiseModel(curl_modes(2), rule="linear"),
+            NewtonConfig(abs_tol=1e-3 if p == 3.0 else 1.0),
+        )
+        work = StepperWorkspace(cfg, ops4)
+        if p == 2.0:
+            lu = work.linear_factor()
+            off = SimpleNamespace(solve=lambda b: 1.01 * lu.solve(b))
+            monkeypatch.setattr(work, "linear_factor", lambda: off)
+        inc = sample_increments(np.random.default_rng(9), cfg.grid, n_modes=2)
+        traj = run_trajectory(u0h, inc, cfg, ops4, work)
+        assert traj.ok
+        free, loads = ops4.free, traj.noise_loads
+        for n, stats in enumerate(traj.stats, 1):
+            u, u_prev = traj.fields[n].coeffs[free], traj.fields[n - 1].coeffs[free]
+            R = ops4.M_free @ (u - u_prev) + traj.stress_loads[n - 1] - loads[n - 1]
+            ref = np.linalg.norm(ops4.stream_basis_T @ R)
+            assert ref > 1e-8
+            assert stats.residual == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     def test_multiplier_count(self, ops4, u0h):
         # one noise load per step, and one multiplier of the divergence
         # constraint, the reconstructed pressure increment, per step
@@ -450,12 +505,11 @@ class TestSolverMachinery:
         assert NewtonConfig(max_iter=np.int64(3), picard_iters=1).max_iter == 3
 
     def test_picard_fallback_reduces_residual(self, ops4, u0h):
-        rhs_free = (ops4.M_full @ u0h.coeffs)[ops4.free]
-        cold = np.zeros(ops4.space_v.n_dofs)
         work = StepperWorkspace(make_config(3.0, N=4), ops4)
-        u, res = _picard_fallback(cold, rhs_free, work)
+        b = work.stream_load((ops4.M_full @ u0h.coeffs)[ops4.free])
+        x, res = _picard_fallback(np.zeros(b.size), b, work)
         assert res < 1e-6
-        assert np.isfinite(u).all()
+        assert np.isfinite(x).all()
 
     def test_fallback_trajectory_matches_newton(self, ops4, u0h):
         # one Newton iteration never converges from u_{n-1}, so every
@@ -581,15 +635,13 @@ class TestSolverMachinery:
             assert calls == {"velocity": per_step * 4, "G_n": per_step * 4}, rule
 
     def test_p2_step_forms_two_mass_products(self, monkeypatch):
-        # M u_{n-1} for the load and the energy defect; M u_n is the
-        # product the step's residual formed
+        # two products with M per trajectory, whatever N: M u_0 for the
+        # coefficients x_0, and one block product M [u_1 .. u_N] in the
+        # closing pass; the steps themselves multiply by C^T M C
         ops = assemble(alfeld_split(unit_square_mesh(2)))
         u0 = initial_velocity(u0_smooth, ops)
-        cfg = make_config(2.0, N=4, model=NoiseModel(curl_modes(2)))
-        work = StepperWorkspace(cfg, ops)
-        work.linear_factor()
 
-        class CountedMatrix(sp.csr_matrix):
+        class CountedMatrix(sp.csc_matrix):
             products = 0
 
             def __matmul__(self, other):
@@ -597,9 +649,15 @@ class TestSolverMachinery:
                 return super().__matmul__(other)
 
         monkeypatch.setattr(ops, "M_full", CountedMatrix(ops.M_full))
-        inc = sample_increments(np.random.default_rng(2), cfg.grid, n_modes=2)
-        assert run_trajectory(u0, inc, cfg, ops, work).ok
-        assert CountedMatrix.products == 2 * cfg.grid.N
+        monkeypatch.setattr(ops, "M_free", CountedMatrix(ops.M_free))
+        for N in (4, 8):
+            cfg = make_config(2.0, N=N, model=NoiseModel(curl_modes(2)))
+            work = StepperWorkspace(cfg, ops)
+            work.linear_factor()
+            inc = sample_increments(np.random.default_rng(2), cfg.grid, n_modes=2)
+            CountedMatrix.products = 0
+            assert run_trajectory(u0, inc, cfg, ops, work).ok
+            assert CountedMatrix.products == 2, N
 
     def test_workspace_linear_saddle_reused(self, ops4, u0h):
         cfg = make_config(2.0, N=4)
@@ -622,12 +680,6 @@ class TestNewtonRetry:
             self.config = SimpleNamespace(newton=NewtonConfig())
             self.directions = {False: stale, True: forced}
             self.forced = []
-
-        def stream_load(self, rhs_free):
-            return rhs_free
-
-        def velocity(self, x):
-            return x
 
         def stream_residual(self, v, b):
             return v.copy(), float(np.linalg.norm(v))
@@ -675,9 +727,6 @@ class TestPicardFallback:
             self.solves += 1
             return np.full(2, np.nan)
 
-        def stream_load(self, rhs_free):
-            return rhs_free
-
         def velocity(self, x):
             return x
 
@@ -711,11 +760,11 @@ class TestInputConsistency:
         return ops, cfg4, cfg8, incs, initial_velocity(u0_smooth, ops)
 
     def test_step_rejects_increments_of_another_grid(self, setup2):
-        ops, cfg4, _, incs, u0 = setup2
+        ops, cfg4, cfg8, incs, u0 = setup2
         with pytest.raises(ValueError, match="increments"):
             run_trajectory(u0, incs[8], cfg4, ops)
         with pytest.raises(ValueError, match="increments"):
-            velocity_step(1, u0, u0, incs[8], cfg4, ops)
+            run_trajectory(u0, incs[4], cfg8, ops)
 
     def test_step_rejects_workspace_of_another_config_or_mesh(self, setup2):
         ops, cfg4, cfg8, incs, u0 = setup2
